@@ -294,12 +294,24 @@ def _tune(cfg: ExperimentConfig, problem: Optional[ProblemInstance],
 # ----------------------------------------------------------------------------
 # residual/trace post-processing
 
+# stream tag of the output pair's Monte-Carlo residuals; row indices are
+# list positions, far below it, so the two never share a stream
+_OUTPUT_TAG = 2 ** 63
+
+
 def _row_residuals(problem: ProblemInstance, x, y, seed: int, index: int
                    ) -> tuple[float, float, Optional[float], Optional[float]]:
+    """Residuals of trace row `index`, or of the output pair for index -1.
+
+    Finite-sum problems get the exact residuals (no standard errors);
+    online problems get Monte-Carlo ones on a stream keyed by the seed and
+    the row.
+    """
     if isinstance(problem.regime, FiniteSum):
         rx, ry = gs_residuals(problem, x, y)
         return rx, ry, None, None
-    rng = np.random.default_rng((seed, index))
+    tag = _OUTPUT_TAG if index < 0 else index
+    rng = np.random.default_rng((seed, tag))
     return mc_gs_residuals(problem, x, y, rng=rng)
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "full_grad_x",
     "full_grad_y",
     "full_value",
+    "sequential_sum",
     "estimate_sigmas",
 ]
 
@@ -135,8 +136,23 @@ class StochasticOracle:
         tokens (online), both with replacement.
     grad_x_batch, grad_y_batch : callable(x, y, sample_ids) -> ndarray, optional
         Vectorized fast paths returning stacked per-sample gradients of
-        shape (len(ids), dim).  Each row must be bit-identical to the
-        corresponding scalar-oracle call.
+        shape (len(ids), dim_x) and (len(ids), dim_y).  Each row must be
+        bit-identical to the corresponding scalar-oracle call, because the
+        exact finite-sum gradient and the estimator's anchor are both
+        reduced from these rows.  Three numpy habits break that silently:
+
+        - Dot products: ``X[ids] @ v`` runs one matrix-vector product
+          whose rows can differ in the last bit from the per-row
+          ``X[i] @ v``.  The stacked form ``(X[ids][:, None, :] @ v)[:, 0]``
+          (for stacked matrices ``Ms[ids] @ v``) runs the per-row kernel
+          and matches; ``np.einsum`` does not.  Matmul also accumulates
+          from +0.0, so where the scalar code multiplies through ``@`` an
+          elementwise product would keep a ``-0.0`` that ``@`` drops.
+        - Squares: ``** 2`` on a numpy or Python scalar calls libm
+          ``pow``, on an array it multiplies; ``np.float_power(a, 2)``
+          matches the scalar.
+        - Sums: ``np.sum`` adds pairwise; reduce rows with
+          `sequential_sum`, which equals the ascending loop.
     """
 
     regime: Regime
@@ -168,17 +184,34 @@ class StochasticOracle:
 
         Uses the vectorized fast path when the oracle provides one; the
         per-row values are identical either way.
+
+        Raises
+        ------
+        DimError
+            If either side's rows do not have shape (len(ids), dim); the
+            message names the side and the shape.
         """
         ids = np.asarray(ids)
-        if self.grad_x_batch is not None and self.grad_y_batch is not None:
-            gx = np.asarray(self.grad_x_batch(x, y, ids), dtype=np.float64)
-            gy = np.asarray(self.grad_y_batch(x, y, ids), dtype=np.float64)
-        else:
-            gx = np.stack([self.grad_x(x, y, int(i)) for i in ids]) \
-                if len(ids) else np.zeros((0, self.dim_x))
-            gy = np.stack([self.grad_y(x, y, int(i)) for i in ids]) \
-                if len(ids) else np.zeros((0, self.dim_y))
+        if self.grad_x_batch is None or self.grad_y_batch is None:
+            return (_stack_rows(self.grad_x, x, y, ids, self.dim_x, "x"),
+                    _stack_rows(self.grad_y, x, y, ids, self.dim_y, "y"))
+        gx = np.asarray(self.grad_x_batch(x, y, ids), dtype=np.float64)
+        gy = np.asarray(self.grad_y_batch(x, y, ids), dtype=np.float64)
+        for side, g, dim in (("x", gx, self.dim_x), ("y", gy, self.dim_y)):
+            if g.shape != (len(ids), dim):
+                raise DimError(f"grad_{side}_batch: expected shape "
+                               f"{(len(ids), dim)}, got {g.shape}")
         return gx, gy
+
+
+def _stack_rows(grad, x, y, ids, dim: int, side: str) -> np.ndarray:
+    """Per-sample fallback of batch_grads: one scalar call per id."""
+    out = np.empty((len(ids), dim))
+    for row, i in enumerate(ids):
+        g = np.asarray(grad(x, y, int(i)), dtype=np.float64)
+        check_vector(g, dim, f"grad_{side}(id={int(i)})")
+        out[row] = g
+    return out
 
 
 def _default_draw(regime: Regime) -> Callable[[np.random.Generator, int], np.ndarray]:
@@ -296,9 +329,26 @@ class ProblemInstance:
 # ----------------------------------------------------------------------------
 # exact finite-sum gradients
 #
-# Accumulation is sequential in ascending sample index.  This pins the result
-# bit-for-bit, which the variance-reduced estimator relies on (its finite-sum
-# anchor must equal these exactly).
+# The N component gradients come from one batch_grads call and are summed
+# in ascending sample index starting from 0.0.  This pins the result
+# bit-for-bit, which the variance-reduced estimator relies on (its
+# finite-sum anchor must equal these exactly).
+
+def sequential_sum(rows: np.ndarray) -> np.ndarray:
+    """Column sums of `rows`, bit-identical to the ascending loop
+
+        acc = np.zeros(dim)
+        for g in rows: acc = acc + g
+
+    numpy's `sum` adds pairwise and can differ from that loop in the last
+    bit; `cumsum` accumulates strictly in row order, and the final `+ 0.0`
+    stands in for the loop's 0.0 start (it turns an all-`-0.0` column into
+    `+0.0`, as the loop does).
+    """
+    if len(rows) == 0:
+        return np.zeros(rows.shape[1:])
+    return np.cumsum(rows, axis=0)[-1] + 0.0
+
 
 def _full_grad(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
                which: str) -> np.ndarray:
@@ -307,21 +357,16 @@ def _full_grad(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     check_vector(x, problem.dim_x, "x")
     check_vector(y, problem.dim_y, "y")
     n = problem.regime.n
-    grad = problem.oracle.grad_x if which == "x" else problem.oracle.grad_y
-    dim = problem.dim_x if which == "x" else problem.dim_y
-    acc = np.zeros(dim)
-    for i in range(n):
-        g = grad(x, y, i)
-        check_vector(np.asarray(g), dim, f"grad_{which}(id={i})")
-        acc = acc + g
-    return acc / n
+    gx, gy = problem.oracle.batch_grads(x, y, np.arange(n))
+    return sequential_sum(gx if which == "x" else gy) / n
 
 
 def full_grad_x(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact partial gradient of F in x under the finite-sum regime.
 
-    Returns the arithmetic mean of grad_x over all N sample ids, accumulated
-    sequentially in ascending index order (bit-reproducible).
+    Returns the arithmetic mean of grad_x over all N sample ids, taken from
+    one `batch_grads` call and accumulated sequentially in ascending index
+    order (`sequential_sum`; bit-reproducible).
 
     Raises
     ------

@@ -116,6 +116,12 @@ def _set_radius(cset: ConstraintSet) -> float:
     raise ValueError("group-DRO needs a bounded primal set")
 
 
+def _row_dots(Xi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    # one dot product per row, bit-identical to X[i] @ theta (a single
+    # Xi @ theta matrix-vector product is not)
+    return (Xi[:, None, :] @ theta)[:, 0]
+
+
 def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
     """Composite realization of the group-DRO objective.
 
@@ -123,7 +129,8 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
     produces the scalar the loss acts on (squared residual for "squared",
     margin 1 - t * prediction for "hinge"), h applies the loss
     (identity / hinge), and phi weights it by N q_{g_i} / |G_{g_i}| so the
-    finite-sum mean is exactly  sum_g q_g * (group-g mean loss).
+    finite-sum mean is exactly  sum_g q_g * (group-g mean loss).  Both
+    batched hooks are supplied, so the smoothed oracle is vectorized.
     """
     X, t, g = _flatten_groups(spec)
     n, d = X.shape
@@ -144,6 +151,12 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
         def c_jac(theta, i):
             return (2.0 * (X[i] @ theta - t[i]) * X[i]).reshape(d, 1)
 
+        def c_batch(theta, ids):
+            Xi = X[ids]
+            res = _row_dots(Xi, theta) - t[ids]
+            return (np.float_power(res, 2)[:, None],
+                    ((2.0 * res)[:, None] * Xi)[:, :, None])
+
         h = [ScaledIdentity(1.0)]
         ell_c = float(np.max(2.0 * res_bound * row_norms))
         L_c = float(np.max(2.0 * row_norms ** 2))
@@ -154,6 +167,11 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
 
         def c_jac(theta, i):
             return (-t[i] * X[i]).reshape(d, 1)
+
+        def c_batch(theta, ids):
+            Xi = X[ids]
+            return ((1.0 - t[ids] * _row_dots(Xi, theta))[:, None],
+                    ((-t[ids])[:, None] * Xi)[:, :, None])
 
         h = [Hinge()]
         ell_c = float(np.max(np.abs(t) * row_norms))
@@ -173,6 +191,12 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
         out[g[i]] = w[i] * u[0]
         return out
 
+    def phi_grads_batch(u, q, ids):
+        gi = g[ids]
+        out_y = np.zeros((len(ids), spec.m_groups))
+        out_y[np.arange(len(ids)), gi] = w[ids] * u[:, 0]
+        return (w[ids] * q[gi])[:, None], out_y
+
     constants = CompositeConstants(
         ell_c=ell_c, ell_h=1.0,
         ell_phi=w_max * math.sqrt(1.0 + u_max ** 2),
@@ -181,6 +205,7 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
         c=c, c_jac=c_jac, h=h, phi=phi, phi_grad1=phi_grad1,
         phi_grad_y=phi_grad_y, constants=constants,
         regime=FiniteSum(n), set_x=set_x, set_y=set_y,
+        c_batch=c_batch, phi_grads_batch=phi_grads_batch,
         metadata={"kind": "group_dro", "loss": spec.loss, "group_index": g,
                   "group_counts": counts, "features": X, "targets": t})
 
@@ -312,6 +337,19 @@ def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
         out[i] = n * (loss(theta, i) - lam_pen * psi_prime(n * q[i]))
         return out
 
+    def grad_x_batch(theta, q, ids):
+        Xi = X[ids]
+        scale = n * q[ids] * 2.0 * (_row_dots(Xi, theta) - t[ids])
+        return scale[:, None] * Xi
+
+    def grad_y_batch(theta, q, ids):
+        # psi' may be any scalar callable, so it is applied per sample
+        dpsi = np.array([psi_prime(v) for v in n * q[ids]], dtype=np.float64)
+        losses = np.float_power(_row_dots(X[ids], theta) - t[ids], 2)
+        out = np.zeros((len(ids), n))
+        out[np.arange(len(ids)), ids] = n * (losses - lam_pen * dpsi)
+        return out
+
     R_x = _set_radius(set_x)
     row_norms = np.linalg.norm(X, axis=1)
     res_bound = row_norms * R_x + np.abs(t)
@@ -323,7 +361,9 @@ def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
     ell = float(np.max(n * res_bound ** 2) + lam_pen * n * 10.0)
     meta = SmoothnessMeta(L_x=L_x, L_y=L_y, rho=0.0, ell=ell, mu=1.0, theta=1.0)
     oracle = StochasticOracle(regime=FiniteSum(n), dim_x=d, dim_y=n,
-                              eval_f=eval_f, grad_x=grad_x, grad_y=grad_y)
+                              eval_f=eval_f, grad_x=grad_x, grad_y=grad_y,
+                              grad_x_batch=grad_x_batch,
+                              grad_y_batch=grad_y_batch)
     return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y,
                            constants=meta,
                            metadata={"kind": "phi_div_dro",
@@ -452,13 +492,13 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     def grad_y(x, y, i):
         return Bs[i].T @ x - Cs[i] @ y - b_s[i]
 
+    # stacked matmul runs the scalar path's matrix-vector kernel per row, so
+    # rows match grad_x/grad_y bit for bit (einsum does not)
     def grad_x_batch(x, y, ids):
-        return (np.einsum("nij,j->ni", As[ids], x)
-                + np.einsum("nij,j->ni", Bs[ids], y) + a_s[ids])
+        return As[ids] @ x + Bs[ids] @ y + a_s[ids]
 
     def grad_y_batch(x, y, ids):
-        return (np.einsum("nji,j->ni", Bs[ids], x)
-                - np.einsum("nij,j->ni", Cs[ids], y) - b_s[ids])
+        return np.swapaxes(Bs[ids], 1, 2) @ x - Cs[ids] @ y - b_s[ids]
 
     if set_x is None:
         set_x = Box(x_star - 1.0, x_star + 3.0)

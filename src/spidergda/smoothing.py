@@ -59,6 +59,9 @@ class ScalarConvex:
     Subclasses implement value(w) and prox(lam, w) = argmin_q h(q) +
     (q - w)^2/(2 lam).  Closed forms are preferred; IterativeProx wraps a
     value-only component with a 1e-10-tolerance numerical prox.
+    `envelopes` evaluates the Moreau envelope over an array of w; closed
+    forms override it with numpy expressions that reproduce `envelope`
+    bit for bit.
     """
 
     def value(self, w: float) -> float:
@@ -66,6 +69,29 @@ class ScalarConvex:
 
     def prox(self, lam: float, w: float) -> float:
         raise NotImplementedError
+
+    def envelopes(self, lam: float, w: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Envelope values and derivatives at every entry of the 1-D `w`.
+
+        The default loops the scalar `envelope`, so any component with a
+        prox oracle works on the batch path.
+        """
+        vals = np.empty(len(w))
+        ders = np.empty(len(w))
+        for k, wk in enumerate(w):
+            vals[k], ders[k] = envelope(self, lam, float(wk))
+        return vals, ders
+
+
+def _envelope_from_prox(lam: float, w: np.ndarray, p: np.ndarray,
+                        hp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of `envelope` given the prox points p and h(p)."""
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
+    # the scalar `envelope` squares a scalar with `** 2` (libm pow);
+    # float_power calls the same pow, array `** 2` would multiply instead
+    return hp + np.float_power(w - p, 2) / (2.0 * lam), (w - p) / lam
 
 
 class AbsValue(ScalarConvex):
@@ -76,6 +102,13 @@ class AbsValue(ScalarConvex):
 
     def prox(self, lam: float, w: float) -> float:
         return math.copysign(max(abs(w) - lam, 0.0), w)
+
+    def envelopes(self, lam: float, w: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        shrunk = np.abs(w) - lam
+        # max(s, 0.0) keeps s unless 0.0 > s
+        p = np.copysign(np.where(0.0 > shrunk, 0.0, shrunk), w)
+        return _envelope_from_prox(lam, w, p, np.abs(p))
 
 
 class Hinge(ScalarConvex):
@@ -91,6 +124,12 @@ class Hinge(ScalarConvex):
             return w - lam
         return 0.0
 
+    def envelopes(self, lam: float, w: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        p = np.where(w <= 0.0, w, np.where(w >= lam, w - lam, 0.0))
+        # max(0.0, p) returns p only if p > 0.0
+        return _envelope_from_prox(lam, w, p, np.where(p > 0.0, p, 0.0))
+
 
 class ScaledIdentity(ScalarConvex):
     """h(q) = a q (linear); prox shifts by lam*a."""
@@ -103,6 +142,11 @@ class ScaledIdentity(ScalarConvex):
 
     def prox(self, lam: float, w: float) -> float:
         return w - lam * self.a
+
+    def envelopes(self, lam: float, w: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        p = w - lam * self.a
+        return _envelope_from_prox(lam, w, p, self.a * p)
 
 
 class IterativeProx(ScalarConvex):
@@ -157,6 +201,27 @@ class MoreauComposite:
         through unchanged by as_problem.
     mu, theta, sigma_x, sigma_y : extra regularity data for the wrapped
         problem's SmoothnessMeta.
+    c_batch : callable(x, sample_ids) -> (ndarray, ndarray), optional
+        Inner map and Jacobian over a batch: shapes (len(ids), d_h) and
+        (len(ids), dim_x, d_h), row r equal to c(x, ids[r]) and
+        c_jac(x, ids[r]).  Each Jacobian row must also have the memory
+        layout of c_jac's result (``np.swapaxes(A[ids], 1, 2)`` for
+        ``A[i].T``), because the matmul kernel, and with it the last bit
+        of the gradient, depends on the layout.
+    phi_grads_batch : callable(u, y, sample_ids) -> (ndarray, ndarray), optional
+        Outer gradients over a batch, with u of shape (len(ids), d_h): the
+        stacked phi_grad1 rows (len(ids), d_h) and phi_grad_y rows
+        (len(ids), dim_y).
+
+    When both hooks are given, `as_problem` installs vectorized
+    grad_x_batch/grad_y_batch on the wrapped oracle; otherwise it keeps
+    the per-sample path.  Every row the hooks return must equal the
+    per-sample callables bit for bit, so the batch path reproduces
+    `smooth_grad_x`/`smooth_grad_y` exactly.  `StochasticOracle` lists
+    the numpy habits that break this silently: a single matrix-vector
+    product over ``X[ids]`` instead of stacked per-row products, array
+    ``** 2`` instead of ``np.float_power(a, 2)``, and ``np.sum`` instead
+    of `sequential_sum`.
     """
 
     c: Callable[[np.ndarray, int], np.ndarray]
@@ -174,6 +239,10 @@ class MoreauComposite:
     sigma_x: float = 0.0
     sigma_y: float = 0.0
     metadata: dict = field(default_factory=dict)
+    c_batch: Optional[Callable[[np.ndarray, np.ndarray],
+                               tuple[np.ndarray, np.ndarray]]] = None
+    phi_grads_batch: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                       tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if len(self.h) != self.constants.d_h:
@@ -248,6 +317,32 @@ def smooth_grad_y(comp: MoreauComposite, lam: float, x: np.ndarray,
     return np.asarray(comp.phi_grad_y(u, y, sample_id), dtype=np.float64)
 
 
+def _smoothed_batch(comp: MoreauComposite, lam: float, x: np.ndarray,
+                    y: np.ndarray, ids: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Envelope derivatives, inner Jacobians and outer gradients over ids."""
+    v, jac = comp.c_batch(x, ids)
+    u = np.empty(v.shape)
+    e = np.empty(v.shape)
+    for j, hj in enumerate(comp.h):
+        u[:, j], e[:, j] = hj.envelopes(lam, v[:, j])
+    g1, gy = comp.phi_grads_batch(u, y, ids)
+    return e, jac, g1, gy
+
+
+def _smooth_grad_x_batch(comp: MoreauComposite, lam: float, x: np.ndarray,
+                         y: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    e, jac, g1, _ = _smoothed_batch(comp, lam, x, y, ids)
+    # a stacked (dim_x, d_h) @ (d_h, 1) product per row, as in
+    # smooth_grad_x; an elementwise product would keep -0.0 terms
+    return (jac @ (e * g1)[:, :, None])[:, :, 0]
+
+
+def _smooth_grad_y_batch(comp: MoreauComposite, lam: float, x: np.ndarray,
+                         y: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    return _smoothed_batch(comp, lam, x, y, ids)[3]
+
+
 # ----------------------------------------------------------------------------
 # problem wrapper
 
@@ -256,7 +351,9 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
 
     The SmoothnessMeta carries the smoothed constants (L_x, L_y, rho, ell
     derived from the composite's constants at this lambda); regime and
-    constraint sets pass through unchanged.
+    constraint sets pass through unchanged.  A composite with both batched
+    hooks (`c_batch`, `phi_grads_batch`) also gets the oracle's vectorized
+    grad_x_batch/grad_y_batch.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
@@ -273,6 +370,11 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
         grad_x=lambda x, y, i: smooth_grad_x(comp, lam, x, y, i),
         grad_y=lambda x, y, i: smooth_grad_y(comp, lam, x, y, i),
     )
+    if comp.c_batch is not None and comp.phi_grads_batch is not None:
+        oracle.grad_x_batch = (
+            lambda x, y, ids: _smooth_grad_x_batch(comp, lam, x, y, ids))
+        oracle.grad_y_batch = (
+            lambda x, y, ids: _smooth_grad_y_batch(comp, lam, x, y, ids))
     return ProblemInstance(oracle=oracle, set_x=comp.set_x, set_y=comp.set_y,
                            constants=meta,
                            metadata={"lambda": lam, "composite": comp,

@@ -210,7 +210,8 @@ def run(problem: ProblemInstance, config: SolverConfig,
     draws, reservoir, hence the whole trace) is determined by (problem,
     config), and per-step sample counts depend only on the configuration.
 
-    Infeasible initial points are projected with a logged warning.  Trace
+    Infeasible initial points are projected with a logged warning; the
+    projection goes to a copy, never into the caller's array.  Trace
     rows are recorded every `trace_stride` steps (plus the final step) with
     iterate snapshots; `sink`, when given, receives each row as produced.
 
@@ -219,9 +220,10 @@ def run(problem: ProblemInstance, config: SolverConfig,
     NonFiniteError
         On a non-finite iterate; the partial trace is attached to the error.
     """
-    x = default_initial_point(problem.set_x) if x0 is None else np.asarray(x0, dtype=np.float64)
-    y = default_initial_point(problem.set_y) if y0 is None else np.asarray(y0, dtype=np.float64)
-    z = x.copy() if z0 is None else np.asarray(z0, dtype=np.float64)
+    # copies, so projecting an infeasible start never writes to the caller
+    x = default_initial_point(problem.set_x) if x0 is None else np.array(x0, dtype=np.float64)
+    y = default_initial_point(problem.set_y) if y0 is None else np.array(y0, dtype=np.float64)
+    z = x.copy() if z0 is None else np.array(z0, dtype=np.float64)
     for name, v, cset in (("x0", x, problem.set_x), ("y0", y, problem.set_y)):
         if not cset.contains(v):
             logger.warning("initial %s infeasible; projecting onto the set", name)

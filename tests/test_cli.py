@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spidergda import NonFiniteError
+from spidergda import (Box, NonFiniteError, Online, ProblemInstance,
+                       SmoothnessMeta, StochasticOracle)
+from spidergda.cli import _row_residuals
 from spidergda.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                            EXIT_NUMERICAL, EXIT_OK, TRACE_HEADER, ConfigError,
                            ExperimentConfig, main, run_experiment, verify)
@@ -173,6 +175,36 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path, _kl_config())
     assert run_experiment(cfg_path, out_dir=str(tmp_path / "x"),
                           quiet=True) == EXIT_NUMERICAL
+
+
+def _online_problem():
+    """f(x, y; xi) = x*y + (token mod 7) * x, sampled online."""
+    def gx(x, y, ids):
+        return (y[0] + (np.asarray(ids) % 7).astype(np.float64))[:, None]
+
+    def gy(x, y, ids):
+        return np.full((len(ids), 1), x[0])
+
+    oracle = StochasticOracle(
+        regime=Online(), dim_x=1, dim_y=1,
+        eval_f=lambda x, y, i: float(x[0] * y[0] + (i % 7) * x[0]),
+        grad_x=lambda x, y, i: gx(x, y, [i])[0],
+        grad_y=lambda x, y, i: gy(x, y, [i])[0],
+        grad_x_batch=gx, grad_y_batch=gy)
+    return ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),
+                           set_y=Box([-1.0], [1.0]),
+                           constants=SmoothnessMeta(L_x=0, L_y=1, rho=0,
+                                                    ell=8))
+
+
+def test_online_output_residuals():
+    # index -1 is the output pair; its stream must be a valid, distinct one
+    p = _online_problem()
+    x, y = np.array([0.25]), np.array([0.5])
+    out = _row_residuals(p, x, y, 3, -1)
+    assert all(np.isfinite(v) for v in out)
+    assert _row_residuals(p, x, y, 3, -1) == out
+    assert _row_residuals(p, x, y, 3, 0) != out
 
 
 def test_seed_flag_overrides_config(tmp_path):

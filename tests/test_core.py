@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spidergda import (Box, DimError, FiniteSum, Online, ProblemInstance,
                        RegimeError, SmoothnessMeta, StochasticOracle,
-                       estimate_sigmas, full_grad_x, full_grad_y, full_value)
+                       estimate_sigmas, full_grad_x, full_grad_y, full_value,
+                       sequential_sum)
 
 
 def _const_grad_problem():
@@ -128,6 +131,88 @@ def test_batch_grads_matches_scalar_oracle():
     for row, i in enumerate(ids):
         assert np.array_equal(gx[row], oracle.grad_x(x, y, int(i)))
         assert np.array_equal(gy[row], oracle.grad_y(x, y, int(i)))
+
+
+def _loop_sum(rows, dim):
+    acc = np.zeros(dim)
+    for g in rows:
+        acc = acc + g
+    return acc
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_sequential_sum_matches_loop_bitwise(n, dim, seed, with_zeros):
+    rng = np.random.default_rng(seed)
+    # mixed magnitudes make the summation order visible in the last bit
+    rows = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-8, 9, size=(n, dim))
+    if with_zeros:
+        rows[rng.random(size=(n, dim)) < 0.3] = -0.0
+        rows[:, 0] = -0.0  # an all -0.0 column: the loop gives +0.0
+    got = sequential_sum(rows)
+    assert got.tobytes() == _loop_sum(rows, dim).tobytes()
+
+
+def test_sequential_sum_edge_columns():
+    rows = np.array([[-0.0, -0.0, 1e16], [-0.0, 0.0, 1.0], [-0.0, -0.0, -1e16]])
+    got = sequential_sum(rows)
+    assert got.tobytes() == _loop_sum(rows, 3).tobytes()
+    assert np.signbit(got).tolist() == [False, False, False]
+    assert sequential_sum(np.zeros((0, 2))).tolist() == [0.0, 0.0]
+
+
+def test_full_grad_equals_sequential_loop_bitwise():
+    rng = np.random.default_rng(3)
+    n, d = 33, 3
+    A = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=(n, d))
+    oracle = StochasticOracle(
+        regime=FiniteSum(n), dim_x=d, dim_y=1,
+        eval_f=lambda x, y, i: 0.0,
+        grad_x=lambda x, y, i: A[i] * y[0],
+        grad_y=lambda x, y, i: np.array([A[i] @ x]))
+    p = ProblemInstance(oracle=oracle,
+                        set_x=Box(-5 * np.ones(d), 5 * np.ones(d)),
+                        set_y=Box([-2.0], [2.0]),
+                        constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=50))
+    x, y = rng.normal(size=d), np.array([1.5])
+    want_x = _loop_sum([oracle.grad_x(x, y, i) for i in range(n)], d) / n
+    want_y = _loop_sum([oracle.grad_y(x, y, i) for i in range(n)], 1) / n
+    assert full_grad_x(p, x, y).tobytes() == want_x.tobytes()
+    assert full_grad_y(p, x, y).tobytes() == want_y.tobytes()
+
+
+def _wrong_dim_problem(**oracle_kw):
+    kw = dict(regime=FiniteSum(3), dim_x=2, dim_y=1,
+              eval_f=lambda x, y, i: 0.0,
+              grad_x=lambda x, y, i: np.zeros(2),
+              grad_y=lambda x, y, i: np.zeros(1))
+    kw.update(oracle_kw)
+    return ProblemInstance(oracle=StochasticOracle(**kw),
+                           set_x=Box([-1.0, -1.0], [1.0, 1.0]),
+                           set_y=Box([-1.0], [1.0]),
+                           constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=0))
+
+
+def test_full_grad_rejects_wrong_batch_shape():
+    p = _wrong_dim_problem(
+        grad_x_batch=lambda x, y, ids: np.zeros((len(ids), 3)),
+        grad_y_batch=lambda x, y, ids: np.zeros((len(ids), 1)))
+    with pytest.raises(DimError, match=r"grad_x_batch.*\(3, 2\).*\(3, 3\)"):
+        full_grad_x(p, np.zeros(2), np.zeros(1))
+    p = _wrong_dim_problem(
+        grad_x_batch=lambda x, y, ids: np.zeros((len(ids), 2)),
+        grad_y_batch=lambda x, y, ids: np.zeros(len(ids)))
+    with pytest.raises(DimError, match=r"grad_y_batch.*\(3, 1\).*\(3,\)"):
+        full_grad_y(p, np.zeros(2), np.zeros(1))
+
+
+def test_full_grad_rejects_wrong_scalar_row():
+    # a length-1 row would broadcast silently into a 2-wide batch row
+    p = _wrong_dim_problem(
+        grad_x=lambda x, y, i: np.zeros(1 if i == 2 else 2))
+    with pytest.raises(DimError, match=r"grad_x\(id=2\).*\(1,\)"):
+        full_grad_x(p, np.zeros(2), np.zeros(1))
 
 
 def test_meta_validation():

@@ -1,0 +1,59 @@
+"""Golden digests: SHA-256 of iterates that must not move.
+
+Rerun equality is tested elsewhere; these pin the actual bits, so a change
+to an RNG stream, a summation order or an oracle's arithmetic fails here
+even when every tolerance-based test still passes.  A change that moves a
+trajectory on purpose updates the digest and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from spidergda import (GroupDroSpec, SolverConfig, as_problem, full_grad_x,
+                       full_grad_y, make_group_dro, make_quadratic_saddle,
+                       make_two_group_regression, run)
+
+# output_pair and every trace row's (x, y) of the criterion-08 group-DRO
+# config, seeds 0-3; the hinge variant swaps only the loss
+GDRO_DIGESTS = {
+    "squared": "70760800ed7a9eaa887be6713e60e74babeecee46d6022039a96403b94273089",
+    "hinge": "f926ddaf522af0a556515a2f0db97638323ae9f797f249cf4e12169c3101b5b7",
+}
+
+# full_grad_x/y of four quadratic-saddle fixtures at 50 random points each
+QUAD_FULL_GRAD_DIGEST = \
+    "1f3035fe1ffd724fb9993ee4e91b1230f8ef3dffb6e34d7cc0cba467f8669f24"
+
+
+@pytest.mark.parametrize("loss", sorted(GDRO_DIGESTS))
+def test_group_dro_trajectory_digest(loss):
+    h = hashlib.sha256()
+    for seed in range(4):
+        base = make_two_group_regression(n=200, d=3, minority_frac=0.1,
+                                         noise=0.1, noise_ratio=10.0,
+                                         seed=seed)
+        spec = GroupDroSpec(groups=base.groups, loss=loss, set_x=base.set_x)
+        prob = as_problem(make_group_dro(spec), lam=1e-3)
+        config = SolverConfig(K=40, T=25, M=32, B=200, alpha_x=5e-3,
+                              alpha_y=0.05, beta=0.05, r=0.5, seed=seed)
+        trace = run(prob, config)
+        h.update(trace.output_pair[0].tobytes())
+        h.update(trace.output_pair[1].tobytes())
+        for row in trace.rows:
+            h.update(row.x.tobytes())
+            h.update(row.y.tobytes())
+    assert h.hexdigest() == GDRO_DIGESTS[loss]
+
+
+def test_quadratic_full_grad_digest():
+    h = hashlib.sha256()
+    for d_x, d_y in [(2, 2), (4, 3), (1, 1), (5, 2)]:
+        prob = make_quadratic_saddle(d_x, d_y, seed=3)
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            x, y = rng.normal(size=d_x), rng.normal(size=d_y)
+            h.update(full_grad_x(prob, x, y).tobytes())
+            h.update(full_grad_y(prob, x, y).tobytes())
+    assert h.hexdigest() == QUAD_FULL_GRAD_DIGEST

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spidergda import (Box, DomainError, EmptyGroupError, GroupDroSpec,
                        PhiDivDroSpec, Simplex, SingularityError,
@@ -146,6 +148,27 @@ def test_group_dro_contracts_hold():
         spot_check_composite(make_group_dro(spec), np.random.default_rng(1))
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["squared", "hinge"]), st.integers(0, 2 ** 16),
+       st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+       st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=2,
+                max_size=2).filter(any),
+       st.lists(st.integers(0, 29), min_size=1, max_size=40))
+def test_group_dro_batch_rows_match_scalar_bitwise(loss, seed, theta, q, ids):
+    base = make_two_group_regression(n=30, d=3, seed=seed)
+    spec = GroupDroSpec(groups=base.groups, loss=loss, set_x=base.set_x)
+    p = as_problem(make_group_dro(spec), lam=1e-3)
+    assert p.oracle.grad_x_batch is not None
+    theta = np.array(theta)
+    q = np.array(q) / sum(q)  # on the simplex, with exact zeros allowed
+    ids = np.array(ids)
+    gx, gy = p.oracle.batch_grads(theta, q, ids)
+    for row, i in enumerate(ids):
+        # raw bytes, so a -0.0 / +0.0 mismatch fails too
+        assert gx[row].tobytes() == p.oracle.grad_x(theta, q, int(i)).tobytes()
+        assert gy[row].tobytes() == p.oracle.grad_y(theta, q, int(i)).tobytes()
+
+
 def test_group_dro_validation():
     with pytest.raises(EmptyGroupError):
         GroupDroSpec(groups=[])
@@ -202,6 +225,26 @@ def test_phi_div_gradients_fd():
                       lambda v: full_grad_y(p, theta, v), q)
         assert ex <= 1e-7
         assert ey <= 1e-7
+
+
+@pytest.mark.parametrize("psi", ["chi2", "kl",
+                                 (lambda tv: tv * tv - 1.0, lambda tv: 2 * tv)],
+                         ids=["chi2", "kl", "custom"])
+def test_phi_div_batch_rows_match_scalar_bitwise(psi):
+    rng = np.random.default_rng(9)
+    n = 40
+    p = make_phi_div_dro(PhiDivDroSpec(features=rng.normal(size=(n, 3)),
+                                       targets=rng.normal(size=n), psi=psi,
+                                       lambda_pen=0.7))
+    for _ in range(30):
+        theta = rng.normal(size=3) * 2.0
+        q = rng.dirichlet(np.ones(n)) * (rng.random(size=n) < 0.7)
+        q = q / q.sum() if q.any() else np.full(n, 1.0 / n)  # exact zeros
+        ids = rng.integers(0, n, size=25)
+        gx, gy = p.oracle.batch_grads(theta, q, ids)
+        for row, i in enumerate(ids):
+            assert gx[row].tobytes() == p.oracle.grad_x(theta, q, int(i)).tobytes()
+            assert gy[row].tobytes() == p.oracle.grad_y(theta, q, int(i)).tobytes()
 
 
 def test_phi_div_two_sample_stationarity():
@@ -282,14 +325,17 @@ def test_saddle_per_sample_means_recover_population():
 
 
 def test_saddle_batch_path_matches_loop():
+    # the oracle contract: every batch row is bit-identical to the scalar
+    # call, which keeps full_grad (fed from the batch path) exact
     p = make_quadratic_saddle(2, 2, seed=7)
     rng = np.random.default_rng(8)
-    x, y = rng.normal(size=2), rng.normal(size=2)
-    ids = np.array([3, 0, 3, 5])
-    gx, gy = p.oracle.batch_grads(x, y, ids)
-    for row, i in enumerate(ids):
-        assert gx[row] == pytest.approx(p.oracle.grad_x(x, y, int(i)), abs=1e-12)
-        assert gy[row] == pytest.approx(p.oracle.grad_y(x, y, int(i)), abs=1e-12)
+    for _ in range(200):
+        x, y = rng.normal(size=2), rng.normal(size=2)
+        ids = rng.integers(0, 16, size=int(rng.integers(1, 17)))
+        gx, gy = p.oracle.batch_grads(x, y, ids)
+        for row, i in enumerate(ids):
+            assert np.array_equal(gx[row], p.oracle.grad_x(x, y, int(i)))
+            assert np.array_equal(gy[row], p.oracle.grad_y(x, y, int(i)))
 
 
 def test_saddle_one_dimensional_spectra():

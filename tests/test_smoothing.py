@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spidergda import (AbsValue, Box, CertificateInput, FiniteSum, Hinge,
                        IterativeProx, MoreauComposite, ProxFailure,
@@ -226,6 +228,133 @@ def test_linear_pieces_smooth_to_constant_shift():
         raw = 2.0 * (x[0] + i) * y[0]
         shift = lam * 4.0 / 2.0 * y[0]
         assert smooth_value(comp, lam, x, y, i) == raw - shift
+
+
+# ----------------------------------------------------------------------------
+# array envelopes and the batch path
+#
+# The vectorized path must reproduce the scalar one bit for bit, so these
+# compare raw bytes (which also tells -0.0 from +0.0), not values.
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# entries of w: plain floats, or the branch points 0, -0.0, +-lam and
+# their nearest neighbours, resolved against the drawn lam
+_W_ENTRY = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from(["0", "-0", "lam", "-lam", "lam+", "lam-", "-lam+",
+                     "-lam-"]))
+
+
+def _resolve_w(entries, lam):
+    named = {"0": 0.0, "-0": -0.0, "lam": lam, "-lam": -lam,
+             "lam+": np.nextafter(lam, np.inf), "lam-": np.nextafter(lam, 0.0),
+             "-lam+": -np.nextafter(lam, np.inf),
+             "-lam-": -np.nextafter(lam, 0.0)}
+    return np.array([named[e] if isinstance(e, str) else e for e in entries],
+                    dtype=np.float64)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["abs", "hinge", "identity"]),
+       st.floats(1e-6, 10.0), st.floats(-4.0, 4.0), st.booleans(),
+       st.lists(_W_ENTRY, min_size=1, max_size=12))
+def test_array_envelopes_match_scalar_bitwise(kind, lam, a, numpy_lam,
+                                              entries):
+    h = {"abs": AbsValue(), "hinge": Hinge(),
+         "identity": ScaledIdentity(a)}[kind]
+    lam = np.float64(lam) if numpy_lam else lam  # tuners may hand either
+    w = _resolve_w(entries, float(lam))
+    vals, ders = h.envelopes(lam, w)
+    ref = [envelope(h, lam, float(wk)) for wk in w]
+    assert _same_bits(vals, [v for v, _ in ref])
+    assert _same_bits(ders, [d for _, d in ref])
+
+
+@pytest.mark.parametrize("h", [AbsValue(), Hinge(), ScaledIdentity(1.7)],
+                         ids=["abs", "hinge", "identity"])
+def test_array_envelopes_match_scalar_on_dense_w(h):
+    # the squares differ from a plain multiply in well under 1 % of random
+    # values, so a dense sample is what catches an array `** 2`
+    rng = np.random.default_rng(5)
+    for lam in (1e-3, 0.37):
+        w = rng.normal(size=20_000) * 10.0 ** rng.integers(-3, 3, size=20_000)
+        vals, ders = h.envelopes(lam, w)
+        ref = np.array([envelope(h, lam, float(wk)) for wk in w])
+        assert _same_bits(vals, ref[:, 0])
+        assert _same_bits(ders, ref[:, 1])
+
+
+def test_array_envelopes_reject_bad_lambda():
+    for h in (AbsValue(), Hinge(), ScaledIdentity(2.0)):
+        with pytest.raises(ValueError):
+            h.envelopes(0.0, np.zeros(2))
+
+
+def test_default_array_envelopes_loop_the_scalar_prox():
+    h = IterativeProx(lambda q: abs(q))
+    w = np.array([-1.0, 0.05, 0.75])
+    vals, ders = h.envelopes(0.25, w)
+    ref = [envelope(h, 0.25, float(wk)) for wk in w]
+    assert _same_bits(vals, [v for v, _ in ref])
+    assert _same_bits(ders, [d for _, d in ref])
+
+
+def _with_batch_hooks(comp, A, b):
+    """The affine composite plus its batched hooks, built the way the
+    docstring of StochasticOracle asks (stacked matmul, same layouts)."""
+    comp.c_batch = lambda x, ids: (A[ids] @ x + b[ids],
+                                   np.swapaxes(A[ids], 1, 2))
+    comp.phi_grads_batch = lambda u, y, ids: (np.tile(y, (len(ids), 1)),
+                                              u + y)
+    return comp
+
+
+def test_as_problem_installs_batch_path_only_with_both_hooks():
+    comp = _affine_composite(seed=3)
+    assert as_problem(comp, 0.25).oracle.grad_x_batch is None
+    comp.c_batch = lambda x, ids: None
+    assert as_problem(comp, 0.25).oracle.grad_x_batch is None
+    comp.phi_grads_batch = lambda u, y, ids: None
+    p = as_problem(comp, 0.25)
+    assert p.oracle.grad_x_batch is not None
+    assert p.oracle.grad_y_batch is not None
+
+
+def test_composite_batch_rows_match_per_sample_path():
+    # two h pieces (|.| and hinge), so the envelope loop over components
+    # and the stacked Jacobian product both run with d_h > 1
+    n, d_x, d_h = 6, 3, 2
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(n, d_h, d_x))
+    b = rng.normal(size=(n, d_h))
+    comp = MoreauComposite(
+        c=lambda x, i: A[i] @ x + b[i],
+        c_jac=lambda x, i: A[i].T,
+        h=[AbsValue(), Hinge()],
+        phi=lambda u, y, i: float(u @ y),
+        phi_grad1=lambda u, y, i: y.copy(),
+        phi_grad_y=lambda u, y, i: u + y,
+        constants=CompositeConstants(ell_c=3.0, ell_h=1.0, ell_phi=3.0,
+                                     L_c=0.0, L_phi=1.0, d_h=d_h),
+        regime=FiniteSum(n),
+        set_x=Box(-2 * np.ones(d_x), 2 * np.ones(d_x)),
+        set_y=Box(np.zeros(d_h), 2 * np.ones(d_h)))
+    scalar = as_problem(comp, 0.3)
+    batch = as_problem(_with_batch_hooks(comp, A, b), 0.3)
+    for _ in range(50):
+        x = rng.normal(size=d_x)
+        y = rng.choice([0.0, 0.5, 1.25], size=d_h)  # zeros reach -0.0 terms
+        ids = rng.integers(0, n, size=9)
+        gx, gy = batch.oracle.batch_grads(x, y, ids)
+        rx, ry = scalar.oracle.batch_grads(x, y, ids)
+        assert _same_bits(gx, rx) and _same_bits(gy, ry)
+        for row, i in enumerate(ids):
+            assert _same_bits(gx[row], smooth_grad_x(comp, 0.3, x, y, int(i)))
+            assert _same_bits(gy[row], smooth_grad_y(comp, 0.3, x, y, int(i)))
 
 
 # ----------------------------------------------------------------------------

@@ -219,6 +219,19 @@ def test_infeasible_start_projected_with_warning(caplog):
     assert trace.completed
 
 
+def test_run_leaves_callers_start_arrays_unchanged():
+    p = _quadratic_problem()
+    cfg = SolverConfig(K=1, T=2, M=2, B=8, alpha_x=0.05, alpha_y=0.1,
+                       beta=0.25, r=4.0, seed=1)
+    x0 = np.array([1e6, -1e6])
+    y0 = np.array([-1e6, 1e6])
+    z0 = np.array([0.5, -0.5])
+    run(p, cfg, x0=x0, y0=y0, z0=z0)
+    assert x0.tolist() == [1e6, -1e6]
+    assert y0.tolist() == [-1e6, 1e6]
+    assert z0.tolist() == [0.5, -0.5]
+
+
 def test_non_finite_iterate_raises_with_partial_trace():
     # unconstrained x with an exploding gradient: the estimator feedback
     # doubles the iterate until it overflows to inf
