@@ -4,8 +4,8 @@ nonsmooth composites, and stationarity diagnostics."""
 
 from .core import (DimError, FiniteSum, Online, ProblemInstance, Regime,
                    RegimeError, SmoothnessMeta, StochasticOracle,
-                   estimate_sigmas, full_grad_x, full_grad_y, full_value,
-                   sequential_sum)
+                   estimate_sigmas, full_grad_x, full_grad_y, full_grads,
+                   full_value, sequential_sum)
 from .projections import (Ball, Box, ConstraintSet, FullSpace,
                           InfeasibleError, Simplex, normal_cone_dist, project)
 from .estimator import (EstimatorMse, EstimatorState, anchor, batch_rng,
@@ -38,7 +38,7 @@ __all__ = [
     "__version__",
     # core
     "FiniteSum", "Online", "Regime", "StochasticOracle", "SmoothnessMeta",
-    "ProblemInstance", "RegimeError", "DimError", "full_grad_x",
+    "ProblemInstance", "RegimeError", "DimError", "full_grads", "full_grad_x",
     "full_grad_y", "full_value", "sequential_sum", "estimate_sigmas",
     # projections
     "ConstraintSet", "Box", "Ball", "Simplex", "FullSpace", "project",

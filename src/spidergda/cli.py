@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteSum, ProblemInstance, SmoothnessMeta
+from .core import FiniteSum, ProblemInstance, SmoothnessMeta, full_grads
 from .diagnostics import (InnerSolveConfig, dz_norm, gs_residuals, lyapunov,
                           mc_gs_residuals)
 from .projections import Ball, Box, Simplex, normal_cone_dist
@@ -522,13 +522,12 @@ def _verify_tuner() -> list:
 def _verify_estimator() -> list:
     """Anchor exactness and zero-displacement invariance on a small fixture."""
     problem = problems.make_quadratic_saddle(2, 2, n_samples=8, seed=3)
-    from .core import full_grad_x, full_grad_y
     x = problem.set_x.project(np.zeros(2))
     y = problem.set_y.project(np.zeros(2))
     rng = estimator.batch_rng(0, 0, 0)
     st = estimator.anchor(problem, x, y, B=8, rng=rng)
-    exact = bool(np.array_equal(st.Gx, full_grad_x(problem, x, y))
-                 and np.array_equal(st.Gy, full_grad_y(problem, x, y)))
+    gx, gy = full_grads(problem, x, y)
+    exact = bool(np.array_equal(st.Gx, gx) and np.array_equal(st.Gy, gy))
     st2 = estimator.recurse(st, problem, x, y, M=4,
                             rng=estimator.batch_rng(0, 0, 1))
     frozen = bool(np.array_equal(st2.Gx, st.Gx)

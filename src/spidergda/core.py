@@ -23,6 +23,7 @@ __all__ = [
     "DimError",
     "as_vector",
     "check_vector",
+    "full_grads",
     "full_grad_x",
     "full_grad_y",
     "full_value",
@@ -134,12 +135,15 @@ class StochasticOracle:
     draw : callable(rng, count) -> ndarray of sample ids, optional
         Defaults to i.i.d. uniform indices (finite-sum) or fresh 63-bit
         tokens (online), both with replacement.
-    grad_x_batch, grad_y_batch : callable(x, y, sample_ids) -> ndarray, optional
-        Vectorized fast paths returning stacked per-sample gradients of
-        shape (len(ids), dim_x) and (len(ids), dim_y).  Each row must be
-        bit-identical to the corresponding scalar-oracle call, because the
-        exact finite-sum gradient and the estimator's anchor are both
-        reduced from these rows.  Three numpy habits break that silently:
+    grads_batch : callable(x, y, sample_ids) -> (ndarray, ndarray), optional
+        Vectorized fast path returning both sides' stacked per-sample
+        gradients from one pass, of shapes (len(ids), dim_x) and
+        (len(ids), dim_y).  The anchor and every recursion step use the x-
+        and y-gradients of the same samples at the same point, so one hook
+        serves every consumer.  Each row must be bit-identical to the
+        corresponding scalar-oracle call, because the exact finite-sum
+        gradient and the estimator's anchor are both reduced from these
+        rows.  Three numpy habits break that silently:
 
         - Dot products: ``X[ids] @ v`` runs one matrix-vector product
           whose rows can differ in the last bit from the per-row
@@ -153,6 +157,13 @@ class StochasticOracle:
           matches the scalar.
         - Sums: ``np.sum`` adds pairwise; reduce rows with
           `sequential_sum`, which equals the ascending loop.
+
+        Without the hook, `batch_grads` calls grad_x and grad_y once per
+        id; that path is the reference the hook is tested against.
+
+    Under FiniteSum, `full_grads(problem, x, y)` reduces one `batch_grads`
+    call over all N ids to both exact partial gradients; `full_grad_x` and
+    `full_grad_y` reduce only their own side of the same call.
     """
 
     regime: Regime
@@ -162,8 +173,8 @@ class StochasticOracle:
     grad_x: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     grad_y: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     draw: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
-    grad_x_batch: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
-    grad_y_batch: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    grads_batch: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                   tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_y < 1:
@@ -182,7 +193,8 @@ class StochasticOracle:
                     ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked per-sample gradients at (x, y), shape (len(ids), dim).
 
-        Uses the vectorized fast path when the oracle provides one; the
+        Both sides come from one `grads_batch` call when the oracle has
+        the hook, else from one scalar grad_x and grad_y call per id; the
         per-row values are identical either way.
 
         Raises
@@ -192,14 +204,14 @@ class StochasticOracle:
             message names the side and the shape.
         """
         ids = np.asarray(ids)
-        if self.grad_x_batch is None or self.grad_y_batch is None:
+        if self.grads_batch is None:
             return (_stack_rows(self.grad_x, x, y, ids, self.dim_x, "x"),
                     _stack_rows(self.grad_y, x, y, ids, self.dim_y, "y"))
-        gx = np.asarray(self.grad_x_batch(x, y, ids), dtype=np.float64)
-        gy = np.asarray(self.grad_y_batch(x, y, ids), dtype=np.float64)
+        gx, gy = (np.asarray(g, dtype=np.float64)
+                  for g in self.grads_batch(x, y, ids))
         for side, g, dim in (("x", gx, self.dim_x), ("y", gy, self.dim_y)):
             if g.shape != (len(ids), dim):
-                raise DimError(f"grad_{side}_batch: expected shape "
+                raise DimError(f"grads_batch {side} rows: expected shape "
                                f"{(len(ids), dim)}, got {g.shape}")
         return gx, gy
 
@@ -350,23 +362,22 @@ def sequential_sum(rows: np.ndarray) -> np.ndarray:
     return np.cumsum(rows, axis=0)[-1] + 0.0
 
 
-def _full_grad(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
-               which: str) -> np.ndarray:
+def _all_rows(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(problem.regime, FiniteSum):
         raise RegimeError("full gradient requires the finite-sum regime")
     check_vector(x, problem.dim_x, "x")
     check_vector(y, problem.dim_y, "y")
-    n = problem.regime.n
-    gx, gy = problem.oracle.batch_grads(x, y, np.arange(n))
-    return sequential_sum(gx if which == "x" else gy) / n
+    return problem.oracle.batch_grads(x, y, np.arange(problem.regime.n))
 
 
-def full_grad_x(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact partial gradient of F in x under the finite-sum regime.
+def full_grads(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact partial gradients (grad_x F, grad_y F) under the finite-sum regime.
 
-    Returns the arithmetic mean of grad_x over all N sample ids, taken from
-    one `batch_grads` call and accumulated sequentially in ascending index
-    order (`sequential_sum`; bit-reproducible).
+    Each is the arithmetic mean over all N sample ids of its side's rows,
+    both taken from one `batch_grads` call and accumulated sequentially in
+    ascending index order (`sequential_sum`; bit-reproducible).
 
     Raises
     ------
@@ -375,12 +386,18 @@ def full_grad_x(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> np.nd
     DimError
         On dimension mismatch.
     """
-    return _full_grad(problem, x, y, "x")
+    gx, gy = _all_rows(problem, x, y)
+    return sequential_sum(gx) / len(gx), sequential_sum(gy) / len(gy)
+
+
+def full_grad_x(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The x side of `full_grads`; only that side is reduced."""
+    return sequential_sum(_all_rows(problem, x, y)[0]) / problem.regime.n
 
 
 def full_grad_y(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact partial gradient of F in y under the finite-sum regime."""
-    return _full_grad(problem, x, y, "y")
+    """The y side of `full_grads`; only that side is reduced."""
+    return sequential_sum(_all_rows(problem, x, y)[1]) / problem.regime.n
 
 
 def full_value(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> float:
@@ -416,7 +433,6 @@ def estimate_sigmas(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     ids = problem.oracle.draw(rng, pilot)
-    gx, gy = problem.oracle.batch_grads(x, y, ids)
-    sx = float(np.sqrt(np.mean(np.sum((gx - gx.mean(axis=0)) ** 2, axis=1))))
-    sy = float(np.sqrt(np.mean(np.sum((gy - gy.mean(axis=0)) ** 2, axis=1))))
+    sx, sy = (float(np.sqrt(np.mean(np.sum((g - g.mean(axis=0)) ** 2, axis=1))))
+              for g in problem.oracle.batch_grads(x, y, ids))
     return sx, sy

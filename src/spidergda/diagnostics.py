@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (FiniteSum, ProblemInstance, RegimeError, as_vector,
-                   full_grad_x, full_grad_y, full_value)
+                   full_grad_x, full_grad_y, full_grads, full_value)
 from .projections import Box, normal_cone_dist, project
 
 __all__ = [
@@ -99,8 +99,7 @@ def gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
                           "see mc_gs_residuals for the online variant")
     x = as_vector(x, problem.dim_x)
     y = as_vector(y, problem.dim_y)
-    gx = full_grad_x(problem, x, y)
-    gy = full_grad_y(problem, x, y)
+    gx, gy = full_grads(problem, x, y)
     res_x = normal_cone_dist(problem.set_x, x, gx)
     res_y = normal_cone_dist(problem.set_y, y, -gy)
     return res_x, res_y

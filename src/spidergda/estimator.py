@@ -22,8 +22,7 @@ from .core import (
     ProblemInstance,
     RegimeError,
     check_vector,
-    full_grad_x,
-    full_grad_y,
+    full_grads,
 )
 
 __all__ = [
@@ -77,22 +76,19 @@ def anchor(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     """Start-of-epoch gradient estimate at (x, y).
 
     Finite-sum regime: B is ignored and all N component gradients are
-    averaged, so Gx/Gy equal the exact partial gradients (bit-identical to
-    full_grad_x/full_grad_y).  Online regime: Gx/Gy are means over B fresh
+    averaged in one `full_grads` pass, so Gx/Gy equal the exact partial
+    gradients bit for bit.  Online regime: Gx/Gy are means over B fresh
     i.i.d. draws from `rng`.
     """
     check_vector(x, problem.dim_x, "x")
     check_vector(y, problem.dim_y, "y")
     if isinstance(problem.regime, FiniteSum):
-        gx = full_grad_x(problem, x, y)
-        gy = full_grad_y(problem, x, y)
+        gx, gy = full_grads(problem, x, y)
     else:
         if B < 1:
             raise ValueError("online anchor needs B >= 1")
         ids = problem.oracle.draw(rng, B)
-        gxs, gys = problem.oracle.batch_grads(x, y, ids)
-        gx = gxs.mean(axis=0)
-        gy = gys.mean(axis=0)
+        gx, gy = (g.mean(axis=0) for g in problem.oracle.batch_grads(x, y, ids))
     return EstimatorState(Gx=gx, Gy=gy, prev_x=x.copy(), prev_y=y.copy(),
                           tau=0, epoch=epoch)
 
@@ -175,8 +171,8 @@ def estimator_mse(problem: ProblemInstance, trajectory, M: int, B: int,
 
     xs = [np.asarray(p[0], dtype=np.float64) for p in trajectory]
     ys = [np.asarray(p[1], dtype=np.float64) for p in trajectory]
-    grads_x = [full_grad_x(problem, xs[t], ys[t]) for t in range(steps)]
-    grads_y = [full_grad_y(problem, xs[t], ys[t]) for t in range(steps)]
+    grads_x, grads_y = zip(*(full_grads(problem, xs[t], ys[t])
+                             for t in range(steps)))
 
     # all trials share the exact anchor, so the recursion is vectorized
     # across trials: one (trials, M) id draw per step

@@ -337,18 +337,15 @@ def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
         out[i] = n * (loss(theta, i) - lam_pen * psi_prime(n * q[i]))
         return out
 
-    def grad_x_batch(theta, q, ids):
+    def grads_batch(theta, q, ids):
         Xi = X[ids]
-        scale = n * q[ids] * 2.0 * (_row_dots(Xi, theta) - t[ids])
-        return scale[:, None] * Xi
-
-    def grad_y_batch(theta, q, ids):
+        resid = _row_dots(Xi, theta) - t[ids]
         # psi' may be any scalar callable, so it is applied per sample
         dpsi = np.array([psi_prime(v) for v in n * q[ids]], dtype=np.float64)
-        losses = np.float_power(_row_dots(X[ids], theta) - t[ids], 2)
-        out = np.zeros((len(ids), n))
-        out[np.arange(len(ids)), ids] = n * (losses - lam_pen * dpsi)
-        return out
+        gy = np.zeros((len(ids), n))
+        gy[np.arange(len(ids)), ids] = n * (np.float_power(resid, 2)
+                                            - lam_pen * dpsi)
+        return (n * q[ids] * 2.0 * resid)[:, None] * Xi, gy
 
     R_x = _set_radius(set_x)
     row_norms = np.linalg.norm(X, axis=1)
@@ -362,8 +359,7 @@ def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
     meta = SmoothnessMeta(L_x=L_x, L_y=L_y, rho=0.0, ell=ell, mu=1.0, theta=1.0)
     oracle = StochasticOracle(regime=FiniteSum(n), dim_x=d, dim_y=n,
                               eval_f=eval_f, grad_x=grad_x, grad_y=grad_y,
-                              grad_x_batch=grad_x_batch,
-                              grad_y_batch=grad_y_batch)
+                              grads_batch=grads_batch)
     return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y,
                            constants=meta,
                            metadata={"kind": "phi_div_dro",
@@ -494,11 +490,9 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
 
     # stacked matmul runs the scalar path's matrix-vector kernel per row, so
     # rows match grad_x/grad_y bit for bit (einsum does not)
-    def grad_x_batch(x, y, ids):
-        return As[ids] @ x + Bs[ids] @ y + a_s[ids]
-
-    def grad_y_batch(x, y, ids):
-        return np.swapaxes(Bs[ids], 1, 2) @ x - Cs[ids] @ y - b_s[ids]
+    def grads_batch(x, y, ids):
+        return (As[ids] @ x + Bs[ids] @ y + a_s[ids],
+                np.swapaxes(Bs[ids], 1, 2) @ x - Cs[ids] @ y - b_s[ids])
 
     if set_x is None:
         set_x = Box(x_star - 1.0, x_star + 3.0)
@@ -523,8 +517,7 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
                           mu=math.sqrt(2.0 * min_eig_C), theta=0.5)
     oracle = StochasticOracle(regime=FiniteSum(n), dim_x=d_x, dim_y=d_y,
                               eval_f=eval_f, grad_x=grad_x, grad_y=grad_y,
-                              grad_x_batch=grad_x_batch,
-                              grad_y_batch=grad_y_batch)
+                              grads_batch=grads_batch)
     interior = (bool(np.all(x_star > set_x.lo) and np.all(x_star < set_x.hi))
                 if isinstance(set_x, Box) else True)
     return ProblemInstance(

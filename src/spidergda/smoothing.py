@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import ProblemInstance, Regime, SmoothnessMeta, StochasticOracle
 from .projections import ConstraintSet
@@ -44,6 +43,8 @@ __all__ = [
 ]
 
 PROX_TOL = 1e-10
+_PROX_MAX_ITERS = 500
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class ProxFailure(Exception):
@@ -152,9 +153,11 @@ class ScaledIdentity(ScalarConvex):
 class IterativeProx(ScalarConvex):
     """Numerical prox for a component given only its value oracle.
 
-    Solves the strongly convex 1-D problem by bounded minimization over
-    [w - lam*lip - 1, w + lam*lip + 1]; raises ProxFailure when the solver
-    does not reach xatol = 1e-10.
+    Solves the strongly convex 1-D problem by golden-section search over
+    [w - lam*lip - 1, w + lam*lip + 1] down to a bracket of width 1e-10
+    (or ~9 ulps of w, if wider, below which the bracket cannot shrink);
+    raises ProxFailure when the objective is not finite or the bracket
+    stalls.
     """
 
     def __init__(self, value_fn: Callable[[float], float], lipschitz: float = 1.0):
@@ -165,14 +168,30 @@ class IterativeProx(ScalarConvex):
         return self._value(w)
 
     def prox(self, lam: float, w: float) -> float:
+        def objective(q: float) -> float:
+            return self._value(q) + (q - w) ** 2 / (2.0 * lam)
+
         half = lam * self.lipschitz + 1.0
-        res = minimize_scalar(
-            lambda q: self._value(q) + (q - w) ** 2 / (2.0 * lam),
-            bounds=(w - half, w + half), method="bounded",
-            options={"xatol": PROX_TOL, "maxiter": 500})
-        if not res.success:
-            raise ProxFailure(f"prox solve failed at w={w}, lam={lam}: {res.message}")
-        return float(res.x)
+        a, b = w - half, w + half
+        c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+        fc, fd = objective(c), objective(d)
+        for _ in range(_PROX_MAX_ITERS):
+            if not (math.isfinite(fc) and math.isfinite(fd)):
+                raise ProxFailure(f"prox objective is {fc}, {fd} at q={c}, {d} "
+                                  f"(w={w}, lam={lam})")
+            # floats near w are spaced ~2.2e-16 |w| apart
+            if b - a <= max(PROX_TOL, 2e-15 * abs(w)):
+                return 0.5 * (a + b)
+            if fc < fd:  # the minimizer lies in [a, d]
+                b, d, fd = d, c, fc
+                c = b - _INV_GOLDEN * (b - a)
+                fc = objective(c)
+            else:        # ... or in [c, b]
+                a, c, fc = c, d, fd
+                d = a + _INV_GOLDEN * (b - a)
+                fd = objective(d)
+        raise ProxFailure(f"prox solve stalled at w={w}, lam={lam}: bracket "
+                          f"[{a}, {b}] after {_PROX_MAX_ITERS} iterations")
 
 
 # ----------------------------------------------------------------------------
@@ -213,15 +232,16 @@ class MoreauComposite:
         stacked phi_grad1 rows (len(ids), d_h) and phi_grad_y rows
         (len(ids), dim_y).
 
-    When both hooks are given, `as_problem` installs vectorized
-    grad_x_batch/grad_y_batch on the wrapped oracle; otherwise it keeps
-    the per-sample path.  Every row the hooks return must equal the
-    per-sample callables bit for bit, so the batch path reproduces
-    `smooth_grad_x`/`smooth_grad_y` exactly.  `StochasticOracle` lists
-    the numpy habits that break this silently: a single matrix-vector
-    product over ``X[ids]`` instead of stacked per-row products, array
-    ``** 2`` instead of ``np.float_power(a, 2)``, and ``np.sum`` instead
-    of `sequential_sum`.
+    When both hooks are given, `as_problem` installs one vectorized
+    `grads_batch` on the wrapped oracle, which runs `c_batch`, the
+    envelopes and `phi_grads_batch` once per batch and returns both
+    gradient sides; otherwise it keeps the per-sample path.  Every row
+    the hooks return must equal the per-sample callables bit for bit, so
+    the batch path reproduces `smooth_grad_x`/`smooth_grad_y` exactly.
+    `StochasticOracle` lists the numpy habits that break this silently: a
+    single matrix-vector product over ``X[ids]`` instead of stacked
+    per-row products, array ``** 2`` instead of ``np.float_power(a, 2)``,
+    and ``np.sum`` instead of `sequential_sum`.
     """
 
     c: Callable[[np.ndarray, int], np.ndarray]
@@ -317,30 +337,19 @@ def smooth_grad_y(comp: MoreauComposite, lam: float, x: np.ndarray,
     return np.asarray(comp.phi_grad_y(u, y, sample_id), dtype=np.float64)
 
 
-def _smoothed_batch(comp: MoreauComposite, lam: float, x: np.ndarray,
-                    y: np.ndarray, ids: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Envelope derivatives, inner Jacobians and outer gradients over ids."""
+def _smooth_grads_batch(comp: MoreauComposite, lam: float, x: np.ndarray,
+                        y: np.ndarray, ids: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Both smoothed gradient sides over ids from one pass of c_batch, the
+    envelopes and phi_grads_batch."""
     v, jac = comp.c_batch(x, ids)
-    u = np.empty(v.shape)
-    e = np.empty(v.shape)
+    u, e = np.empty(v.shape), np.empty(v.shape)
     for j, hj in enumerate(comp.h):
         u[:, j], e[:, j] = hj.envelopes(lam, v[:, j])
     g1, gy = comp.phi_grads_batch(u, y, ids)
-    return e, jac, g1, gy
-
-
-def _smooth_grad_x_batch(comp: MoreauComposite, lam: float, x: np.ndarray,
-                         y: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    e, jac, g1, _ = _smoothed_batch(comp, lam, x, y, ids)
     # a stacked (dim_x, d_h) @ (d_h, 1) product per row, as in
     # smooth_grad_x; an elementwise product would keep -0.0 terms
-    return (jac @ (e * g1)[:, :, None])[:, :, 0]
-
-
-def _smooth_grad_y_batch(comp: MoreauComposite, lam: float, x: np.ndarray,
-                         y: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    return _smoothed_batch(comp, lam, x, y, ids)[3]
+    return (jac @ (e * g1)[:, :, None])[:, :, 0], gy
 
 
 # ----------------------------------------------------------------------------
@@ -352,8 +361,9 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
     The SmoothnessMeta carries the smoothed constants (L_x, L_y, rho, ell
     derived from the composite's constants at this lambda); regime and
     constraint sets pass through unchanged.  A composite with both batched
-    hooks (`c_batch`, `phi_grads_batch`) also gets the oracle's vectorized
-    grad_x_batch/grad_y_batch.
+    hooks (`c_batch`, `phi_grads_batch`) also gets the oracle's one
+    vectorized `grads_batch`, which returns both gradient sides from a
+    single pass; otherwise the oracle keeps the per-sample path.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
@@ -371,10 +381,8 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
         grad_y=lambda x, y, i: smooth_grad_y(comp, lam, x, y, i),
     )
     if comp.c_batch is not None and comp.phi_grads_batch is not None:
-        oracle.grad_x_batch = (
-            lambda x, y, ids: _smooth_grad_x_batch(comp, lam, x, y, ids))
-        oracle.grad_y_batch = (
-            lambda x, y, ids: _smooth_grad_y_batch(comp, lam, x, y, ids))
+        oracle.grads_batch = (
+            lambda x, y, ids: _smooth_grads_batch(comp, lam, x, y, ids))
     return ProblemInstance(oracle=oracle, set_x=comp.set_x, set_y=comp.set_y,
                            constants=meta,
                            metadata={"lambda": lam, "composite": comp,

@@ -79,6 +79,11 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
+        # batch_rng keys epochs 0..K-1 with 31 bits and steps 0..T-1 with 32
+        for name, bits in (("K", 31), ("T", 32)):
+            if int(getattr(self, name)) > 2 ** bits:
+                raise OverflowError(f"{name}={getattr(self, name)} exceeds 2**{bits}; "
+                                    "longer schedules would reuse mini-batch streams")
 
 
 @dataclass

@@ -179,22 +179,35 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 
 def _online_problem():
     """f(x, y; xi) = x*y + (token mod 7) * x, sampled online."""
-    def gx(x, y, ids):
-        return (y[0] + (np.asarray(ids) % 7).astype(np.float64))[:, None]
-
-    def gy(x, y, ids):
-        return np.full((len(ids), 1), x[0])
+    def grads(x, y, ids):
+        return ((y[0] + (np.asarray(ids) % 7).astype(np.float64))[:, None],
+                np.full((len(ids), 1), x[0]))
 
     oracle = StochasticOracle(
         regime=Online(), dim_x=1, dim_y=1,
         eval_f=lambda x, y, i: float(x[0] * y[0] + (i % 7) * x[0]),
-        grad_x=lambda x, y, i: gx(x, y, [i])[0],
-        grad_y=lambda x, y, i: gy(x, y, [i])[0],
-        grad_x_batch=gx, grad_y_batch=gy)
+        grad_x=lambda x, y, i: grads(x, y, [i])[0][0],
+        grad_y=lambda x, y, i: grads(x, y, [i])[1][0],
+        grads_batch=grads)
     return ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),
                            set_y=Box([-1.0], [1.0]),
                            constants=SmoothnessMeta(L_x=0, L_y=1, rho=0,
                                                     ell=8))
+
+
+def test_aliasing_schedule_exit_code(tmp_path, monkeypatch, capsys):
+    import spidergda.cli as cli
+
+    def _no_run(*args, **kwargs):
+        raise AssertionError("an aliasing schedule must not start a run")
+
+    monkeypatch.setattr(cli, "run", _no_run)
+    cfg = _kl_config()
+    cfg["tuner"]["overrides"]["K"] = 2 ** 31 + 1
+    cfg["tuner"]["sample_cap"] = 1e12
+    assert run_experiment(_write(tmp_path, cfg), quiet=True,
+                          out_dir=str(tmp_path / "x")) == EXIT_INFEASIBLE
+    assert "K=2147483649" in capsys.readouterr().err
 
 
 def test_online_output_residuals():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spidergda import (Box, DimError, FiniteSum, Online, ProblemInstance,
-                       RegimeError, SmoothnessMeta, StochasticOracle,
-                       estimate_sigmas, full_grad_x, full_grad_y, full_value,
+                       RegimeError, SmoothnessMeta, StochasticOracle, anchor,
+                       estimate_sigmas, full_grad_x, full_grad_y, full_grads,
+                       full_value, gs_residuals, make_quadratic_saddle,
                        sequential_sum)
 
 
@@ -122,9 +123,8 @@ def test_batch_grads_matches_scalar_oracle():
         eval_f=lambda x, y, i: 0.0,
         grad_x=lambda x, y, i: A[i] * y[0],
         grad_y=lambda x, y, i: np.array([A[i, 0] * x[0], 1.0]),
-        grad_x_batch=lambda x, y, ids: A[ids] * y[0],
-        grad_y_batch=lambda x, y, ids: np.stack(
-            [A[ids, 0] * x[0], np.ones(len(ids))], axis=1))
+        grads_batch=lambda x, y, ids: (A[ids] * y[0], np.stack(
+            [A[ids, 0] * x[0], np.ones(len(ids))], axis=1)))
     x, y = rng.normal(size=3), rng.normal(size=2)
     ids = np.array([0, 3, 3, 5])
     gx, gy = oracle.batch_grads(x, y, ids)
@@ -195,15 +195,14 @@ def _wrong_dim_problem(**oracle_kw):
 
 
 def test_full_grad_rejects_wrong_batch_shape():
-    p = _wrong_dim_problem(
-        grad_x_batch=lambda x, y, ids: np.zeros((len(ids), 3)),
-        grad_y_batch=lambda x, y, ids: np.zeros((len(ids), 1)))
-    with pytest.raises(DimError, match=r"grad_x_batch.*\(3, 2\).*\(3, 3\)"):
+    p = _wrong_dim_problem(grads_batch=lambda x, y, ids: (
+        np.zeros((len(ids), 3)), np.zeros((len(ids), 1))))
+    with pytest.raises(DimError,
+                       match=r"grads_batch x rows.*\(3, 2\).*\(3, 3\)"):
         full_grad_x(p, np.zeros(2), np.zeros(1))
-    p = _wrong_dim_problem(
-        grad_x_batch=lambda x, y, ids: np.zeros((len(ids), 2)),
-        grad_y_batch=lambda x, y, ids: np.zeros(len(ids)))
-    with pytest.raises(DimError, match=r"grad_y_batch.*\(3, 1\).*\(3,\)"):
+    p = _wrong_dim_problem(grads_batch=lambda x, y, ids: (
+        np.zeros((len(ids), 2)), np.zeros(len(ids))))
+    with pytest.raises(DimError, match=r"grads_batch y rows.*\(3, 1\).*\(3,\)"):
         full_grad_y(p, np.zeros(2), np.zeros(1))
 
 
@@ -213,6 +212,49 @@ def test_full_grad_rejects_wrong_scalar_row():
         grad_x=lambda x, y, i: np.zeros(1 if i == 2 else 2))
     with pytest.raises(DimError, match=r"grad_x\(id=2\).*\(1,\)"):
         full_grad_x(p, np.zeros(2), np.zeros(1))
+
+
+# ----------------------------------------------------------------------------
+# one fused pass per exact gradient
+
+def _counting(problem):
+    """Wrap the oracle's grads_batch so that every call logs its ids."""
+    calls = []
+    inner = problem.oracle.grads_batch
+
+    def grads_batch(x, y, ids):
+        calls.append(np.array(ids))
+        return inner(x, y, ids)
+
+    problem.oracle.grads_batch = grads_batch
+    return calls
+
+
+def test_full_grads_is_both_sides_bitwise():
+    p = make_quadratic_saddle(4, 3, n_samples=16, seed=5)
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        x, y = rng.normal(size=4), rng.normal(size=3)
+        gx, gy = full_grads(p, x, y)
+        assert gx.tobytes() == full_grad_x(p, x, y).tobytes()
+        assert gy.tobytes() == full_grad_y(p, x, y).tobytes()
+    with pytest.raises(DimError):
+        full_grads(p, np.zeros(3), np.zeros(3))
+
+
+def test_exact_gradient_consumers_make_one_batch_call():
+    p = make_quadratic_saddle(4, 3, n_samples=16, seed=5)
+    calls = _counting(p)
+    x, y = p.set_x.project(np.zeros(4)), p.set_y.project(np.zeros(3))
+    state = anchor(p, x, y, B=16, rng=np.random.default_rng(0))
+    assert len(calls) == 1 and calls[0].tolist() == list(range(16))
+    assert np.array_equal(state.Gx, full_grads(p, x, y)[0])
+    calls.clear()
+    gs_residuals(p, x, y)
+    assert len(calls) == 1
+    calls.clear()
+    full_grad_x(p, x, y)
+    assert len(calls) == 1
 
 
 def test_meta_validation():

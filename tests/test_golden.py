@@ -7,6 +7,7 @@ trajectory on purpose updates the digest and says why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from spidergda import (GroupDroSpec, SolverConfig, as_problem, full_grad_x,
                        full_grad_y, make_group_dro, make_quadratic_saddle,
                        make_two_group_regression, run)
+from spidergda.cli import EXIT_OK, run_experiment
 
 # output_pair and every trace row's (x, y) of the criterion-08 group-DRO
 # config, seeds 0-3; the hinge variant swaps only the loss
@@ -57,3 +59,63 @@ def test_quadratic_full_grad_digest():
             h.update(full_grad_x(prob, x, y).tobytes())
             h.update(full_grad_y(prob, x, y).tobytes())
     assert h.hexdigest() == QUAD_FULL_GRAD_DIGEST
+
+
+# trace_seed*.csv and summary.json of two small `spidergda run` configs.
+# The quadratic one turns on every diagnostic (per-row gs_residuals, the
+# merit function with its solve_x_r ascents, dz_norm); the kl_example one
+# overrides K/T/M.
+CLI_CONFIGS = {
+    "quadratic": {
+        "problem": {"kind": "quadratic_saddle", "dim_x": 4, "dim_y": 3,
+                    "n_samples": 16, "seed": 11},
+        "tuner": {"epsilon": 0.001,
+                  "overrides": {"alpha_y": 4.0, "beta": 0.016, "K": 6,
+                                "T": 4, "M": 8}},
+        "solver": {"trace_stride": 1},
+        "diagnostics": {"residual_stride": 1, "lyapunov_stride": 10,
+                        "dz_norm": True},
+        "seeds": [0, 1],
+    },
+    "kl_example": {
+        "problem": {"kind": "kl_example"},
+        "tuner": {"epsilon": 0.1,
+                  "overrides": {"alpha_y": 0.2, "K": 30, "T": 3, "M": 2,
+                                "B": 1}},
+        "solver": {"y0": [1.8]},
+        "diagnostics": {"residual_stride": 4},
+        "seeds": [0, 1],
+    },
+}
+
+CLI_DIGESTS = {
+    "quadratic": {
+        "summary.json":
+            "1909981b396403670b220a4f2f9050421a5a234582c11191a551520054167429",
+        "trace_seed0.csv":
+            "17c5648b338404cffb4ed1798a62a656c019baaca37f351193c314a3fea59ae2",
+        "trace_seed1.csv":
+            "7ccfde24083c44f6aa590eeeb2f125667a60e3a62a9a5a17e04eb1c068430030",
+    },
+    "kl_example": {
+        "summary.json":
+            "ede73c1ad1f93b2935b060a0f46612786d3bd78c853cbc387825657b9a448682",
+        "trace_seed0.csv":
+            "c85948e0be2165cd29f0206d443bf64586641ea0cae6c66173c3d79df87644d9",
+        "trace_seed1.csv":
+            "c85948e0be2165cd29f0206d443bf64586641ea0cae6c66173c3d79df87644d9",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CONFIGS))
+def test_cli_artifact_digests(name, tmp_path):
+    cfg = dict(CLI_CONFIGS[name],
+               output={"directory": str(tmp_path / "out"),
+                       "formats": ["csv", "json"]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run_experiment(str(path), quiet=True) == EXIT_OK
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in sorted((tmp_path / "out").iterdir())}
+    assert got == CLI_DIGESTS[name]

@@ -158,7 +158,7 @@ def test_group_dro_batch_rows_match_scalar_bitwise(loss, seed, theta, q, ids):
     base = make_two_group_regression(n=30, d=3, seed=seed)
     spec = GroupDroSpec(groups=base.groups, loss=loss, set_x=base.set_x)
     p = as_problem(make_group_dro(spec), lam=1e-3)
-    assert p.oracle.grad_x_batch is not None
+    assert p.oracle.grads_batch is not None
     theta = np.array(theta)
     q = np.array(q) / sum(q)  # on the simplex, with exact zeros allowed
     ids = np.array(ids)

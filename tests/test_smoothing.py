@@ -8,6 +8,9 @@ binary floating point).
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,17 +117,29 @@ def test_iterative_prox_matches_soft_threshold():
         assert it.prox(lam, w) == pytest.approx(closed.prox(lam, w), abs=1e-6)
 
 
-def test_iterative_prox_failure_surfaces(monkeypatch):
-    import spidergda.smoothing as sm
+@settings(deadline=None, max_examples=200)
+@given(st.floats(1e-3, 10.0), st.floats(-20.0, 20.0))
+def test_iterative_prox_matches_closed_forms(lam, w):
+    for closed in (AbsValue(), Hinge()):
+        it = IterativeProx(closed.value, lipschitz=1.0)
+        assert it.prox(lam, w) == pytest.approx(closed.prox(lam, w), abs=1e-6)
 
-    class _Failed:
-        success = False
-        message = "iteration limit"
-        x = 0.0
 
-    monkeypatch.setattr(sm, "minimize_scalar", lambda *a, **k: _Failed())
+def test_iterative_prox_terminates_far_from_zero():
+    # past |w| ~ 5e5 an absolute 1e-10 bracket is below the spacing of floats
+    it = IterativeProx(lambda q: abs(q))
+    for w in (1e6, -3e8, 1e12):
+        assert it.prox(0.5, w) == pytest.approx(AbsValue().prox(0.5, w),
+                                                rel=1e-9)
+
+
+def test_iterative_prox_failure_surfaces():
+    # a component whose value turns NaN inside the bracket
+    h = IterativeProx(lambda q: math.nan if q > 0.5 else abs(q))
+    with pytest.raises(ProxFailure, match="nan"):
+        h.prox(0.1, 1.0)
     with pytest.raises(ProxFailure):
-        IterativeProx(lambda q: abs(q)).prox(0.1, 1.0)
+        envelope(h, 0.1, 1.0)
 
 
 # ----------------------------------------------------------------------------
@@ -315,13 +330,11 @@ def _with_batch_hooks(comp, A, b):
 
 def test_as_problem_installs_batch_path_only_with_both_hooks():
     comp = _affine_composite(seed=3)
-    assert as_problem(comp, 0.25).oracle.grad_x_batch is None
+    assert as_problem(comp, 0.25).oracle.grads_batch is None
     comp.c_batch = lambda x, ids: None
-    assert as_problem(comp, 0.25).oracle.grad_x_batch is None
+    assert as_problem(comp, 0.25).oracle.grads_batch is None
     comp.phi_grads_batch = lambda u, y, ids: None
-    p = as_problem(comp, 0.25)
-    assert p.oracle.grad_x_batch is not None
-    assert p.oracle.grad_y_batch is not None
+    assert as_problem(comp, 0.25).oracle.grads_batch is not None
 
 
 def test_composite_batch_rows_match_per_sample_path():
@@ -441,3 +454,11 @@ def test_spot_check_rejects_lipschitz_violation():
     comp.h = [ScaledIdentity(5.0), Hinge()]  # slope 5 vs declared ell_h = 1
     with pytest.raises(ValueError, match="Lipschitz"):
         spot_check_composite(comp, np.random.default_rng(13))
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the only runtime dependency; scipy stays a test-only oracle
+    code = ("import sys, spidergda, spidergda.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -265,3 +265,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(K=1, T=1, M=1, B=1, alpha_x=-0.1, alpha_y=0.1, beta=0.5,
                      r=1.0)
+
+
+def test_config_rejects_schedules_that_alias_batch_streams():
+    # batch_rng keys the epoch with 31 bits and the inner step with 32, so
+    # K = 2**31 epochs and T = 2**32 steps are the longest distinct streams
+    base = dict(K=1, T=1, M=1, B=1, alpha_x=0.1, alpha_y=0.1, beta=0.5, r=1.0)
+    SolverConfig(**dict(base, K=2 ** 31))
+    SolverConfig(**dict(base, T=2 ** 32))
+    with pytest.raises(OverflowError, match=r"K=2147483649.*2\*\*31"):
+        SolverConfig(**dict(base, K=2 ** 31 + 1))
+    with pytest.raises(OverflowError, match=r"T=4294967297.*2\*\*32"):
+        SolverConfig(**dict(base, T=2 ** 32 + 1))
