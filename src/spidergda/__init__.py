@@ -7,11 +7,11 @@ from .core import (DimError, FiniteSum, Online, ProblemInstance, Regime,
                    estimate_sigmas, full_grad_x, full_grad_y, full_grads,
                    full_value, sequential_sum)
 from .projections import (Ball, Box, ConstraintSet, FullSpace,
-                          InfeasibleError, Simplex, normal_cone_dist, project)
-from .estimator import (EstimatorMse, EstimatorState, anchor, batch_rng,
-                        estimator_mse, recurse)
-from .solver import (IterateState, NonFiniteError, RunTrace, SolverConfig,
-                     TraceRow, default_initial_point, run, step)
+                          InfeasibleError, Simplex, normal_cone_dist)
+from .estimator import (EstimatorMse, anchor, batch_rng, estimator_mse,
+                        recurse)
+from .solver import (NonFiniteError, RunTrace, SolverConfig, TraceRow,
+                     default_initial_point, run, samples_drawn, step)
 from .tuner import (CompositeConstants, InfeasibleScheduleError, TunerAudit,
                     TunerInput, compute_alpha_x, compute_alpha_y, compute_beta,
                     compute_budget, compute_r, compute_varpi, smoothed_constants,
@@ -41,14 +41,14 @@ __all__ = [
     "ProblemInstance", "RegimeError", "DimError", "full_grads", "full_grad_x",
     "full_grad_y", "full_value", "sequential_sum", "estimate_sigmas",
     # projections
-    "ConstraintSet", "Box", "Ball", "Simplex", "FullSpace", "project",
+    "ConstraintSet", "Box", "Ball", "Simplex", "FullSpace",
     "normal_cone_dist", "InfeasibleError",
     # estimator
-    "EstimatorState", "EstimatorMse", "anchor", "recurse", "estimator_mse",
+    "EstimatorMse", "anchor", "recurse", "estimator_mse",
     "batch_rng",
     # solver
-    "SolverConfig", "IterateState", "RunTrace", "TraceRow", "NonFiniteError",
-    "default_initial_point", "run", "step",
+    "SolverConfig", "RunTrace", "TraceRow", "NonFiniteError",
+    "default_initial_point", "run", "samples_drawn", "step",
     # tuner
     "TunerInput", "TunerAudit", "CompositeConstants",
     "InfeasibleScheduleError", "compute_r",

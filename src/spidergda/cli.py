@@ -29,8 +29,9 @@ from .diagnostics import (InnerSolveConfig, dz_norm, gs_residuals, lyapunov,
 from .projections import Ball, Box, Simplex, normal_cone_dist
 from .smoothing import MoreauComposite, as_problem
 from .solver import NonFiniteError, SolverConfig, run
-from .tuner import (InfeasibleScheduleError, TunerInput, compute_alpha_x,
-                    compute_alpha_y, compute_r, tune_nonsmooth, tune_smooth)
+from .tuner import (OVERRIDE_KEYS, InfeasibleScheduleError, TunerInput,
+                    compute_alpha_x, compute_alpha_y, compute_r, tune_nonsmooth,
+                    tune_smooth)
 from . import estimator, problems
 
 __all__ = ["ExperimentConfig", "ConfigError", "run_experiment", "verify", "main"]
@@ -67,7 +68,6 @@ _PROBLEM_KEYS = {
 
 _TUNER_KEYS = {"epsilon", "mu", "theta", "delta_phi_estimate",
                "asymptotic_constant", "overrides", "sample_cap", "lambda"}
-_OVERRIDE_KEYS = {"r", "alpha_x", "alpha_y", "beta", "K", "T", "M", "B"}
 _SOLVER_KEYS = {"trace_stride", "x0", "y0"}
 _OUTPUT_KEYS = {"directory", "formats"}
 _DIAG_KEYS = {"residual_stride", "lyapunov_stride", "dz_norm"}
@@ -141,7 +141,7 @@ class ExperimentConfig:
             if not isinstance(th, (int, float)) or not 0.0 <= th <= 1.0:
                 raise ConfigError(f"tuner.theta must lie in [0, 1], got {th!r}")
         ov = tun.get("overrides", {})
-        _check_keys(ov, _OVERRIDE_KEYS, "tuner.overrides")
+        _check_keys(ov, OVERRIDE_KEYS, "tuner.overrides")
         for key, val in ov.items():
             if not isinstance(val, (int, float)) or isinstance(val, bool) or not val > 0:
                 raise ConfigError(
@@ -524,14 +524,12 @@ def _verify_estimator() -> list:
     problem = problems.make_quadratic_saddle(2, 2, n_samples=8, seed=3)
     x = problem.set_x.project(np.zeros(2))
     y = problem.set_y.project(np.zeros(2))
-    rng = estimator.batch_rng(0, 0, 0)
-    st = estimator.anchor(problem, x, y, B=8, rng=rng)
+    G = estimator.anchor(problem, x, y, B=8, rng=estimator.batch_rng(0, 0, 0))
     gx, gy = full_grads(problem, x, y)
-    exact = bool(np.array_equal(st.Gx, gx) and np.array_equal(st.Gy, gy))
-    st2 = estimator.recurse(st, problem, x, y, M=4,
-                            rng=estimator.batch_rng(0, 0, 1))
-    frozen = bool(np.array_equal(st2.Gx, st.Gx)
-                  and np.array_equal(st2.Gy, st.Gy))
+    exact = bool(np.array_equal(G[0], gx) and np.array_equal(G[1], gy))
+    G2 = estimator.recurse(problem, G, (x, y), (x, y), M=4,
+                           rng=estimator.batch_rng(0, 0, 1))
+    frozen = bool(np.array_equal(G2[0], G[0]) and np.array_equal(G2[1], G[1]))
     return [
         ("finite-sum anchor equals the exact gradient (bitwise)", exact, ""),
         ("zero-displacement recursion leaves estimates unchanged (bitwise)",

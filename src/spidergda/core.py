@@ -362,13 +362,21 @@ def sequential_sum(rows: np.ndarray) -> np.ndarray:
     return np.cumsum(rows, axis=0)[-1] + 0.0
 
 
-def _all_rows(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
+def _all_rows(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
+              side: Optional[str] = None):
+    """All N rows of both sides, or of `side` ("x" or "y") alone; without a
+    `grads_batch` hook only that side's scalar gradient is called."""
     if not isinstance(problem.regime, FiniteSum):
         raise RegimeError("full gradient requires the finite-sum regime")
     check_vector(x, problem.dim_x, "x")
     check_vector(y, problem.dim_y, "y")
-    return problem.oracle.batch_grads(x, y, np.arange(problem.regime.n))
+    oracle, ids = problem.oracle, np.arange(problem.regime.n)
+    if side is None:
+        return oracle.batch_grads(x, y, ids)
+    if oracle.grads_batch is not None:
+        return oracle.batch_grads(x, y, ids)["xy".index(side)]
+    return _stack_rows(getattr(oracle, f"grad_{side}"), x, y, ids,
+                       getattr(oracle, f"dim_{side}"), side)
 
 
 def full_grads(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
@@ -391,13 +399,15 @@ def full_grads(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
 
 
 def full_grad_x(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The x side of `full_grads`; only that side is reduced."""
-    return sequential_sum(_all_rows(problem, x, y)[0]) / problem.regime.n
+    """The x side of `full_grads`; only that side is reduced, and an oracle
+    without `grads_batch` is asked for grad_x alone."""
+    return sequential_sum(_all_rows(problem, x, y, "x")) / problem.regime.n
 
 
 def full_grad_y(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The y side of `full_grads`; only that side is reduced."""
-    return sequential_sum(_all_rows(problem, x, y)[1]) / problem.regime.n
+    """The y side of `full_grads`; only that side is reduced, and an oracle
+    without `grads_batch` is asked for grad_y alone."""
+    return sequential_sum(_all_rows(problem, x, y, "y")) / problem.regime.n
 
 
 def full_value(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> float:

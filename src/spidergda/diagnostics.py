@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (FiniteSum, ProblemInstance, RegimeError, as_vector,
                    full_grad_x, full_grad_y, full_grads, full_value)
-from .projections import Box, normal_cone_dist, project
+from .projections import Box, normal_cone_dist
 
 __all__ = [
     "InnerSolveConfig",
@@ -157,12 +157,11 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
     y = as_vector(y, problem.dim_y)
     z = as_vector(z, problem.dim_x)
     step = cfg.step if cfg.step is not None else 1.0 / (r + meta.L_x)
-    x = project(problem.set_x,
-                as_vector(x0, problem.dim_x) if x0 is not None else z)
+    x = problem.set_x.project(as_vector(x0, problem.dim_x) if x0 is not None else z)
     best, best_res = x, math.inf
     for _ in range(cfg.max_iters):
         g = full_grad_x(problem, x, y) + r * (x - z)
-        x_next = project(problem.set_x, x - step * g)
+        x_next = problem.set_x.project(x - step * g)
         res = float(np.linalg.norm(x_next - x)) / step
         if res < best_res:
             best, best_res = x, res
@@ -231,12 +230,12 @@ def _ascend_d_r(problem: ProblemInstance, r: float, y0: np.ndarray,
     meta = problem.constants
     denom = meta.L_y + meta.L_y ** 2 / max(r - meta.rho, 1e-12)
     step = 1.0 / denom if denom > 0 else 1.0
-    y = project(problem.set_y, y0)
+    y = problem.set_y.project(y0)
     x_warm = None
     for _ in range(max_ascent):
         x_warm = solve_x_r(problem, r, y, z, cfg, x0=x_warm)
         g = full_grad_y(problem, x_warm, y)
-        y_next = project(problem.set_y, y + step * g)
+        y_next = problem.set_y.project(y + step * g)
         if float(np.linalg.norm(y_next - y)) / step <= cfg.tol * 10:
             y = y_next
             break

@@ -7,8 +7,11 @@ recursive momentum update
     G <- mean_i[ grad f(new; xi_i) - grad f(prev; xi_i) ] + G_old
 
 with M fresh i.i.d. draws per inner step, the same draws feeding both the
-x- and y-estimates.  Mini-batch randomness comes from counter-based streams
-keyed by (seed, epoch, step) so any batch is reproducible in isolation.
+x- and y-estimates.  An estimate is the plain pair G = (Gx, Gy); the
+estimator keeps no state of its own, so the caller passes the point G was
+formed at (`prev`) to `recurse`.  Mini-batch randomness comes from
+counter-based streams keyed by (seed, epoch, step) so any batch is
+reproducible in isolation.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .core import (
 )
 
 __all__ = [
-    "EstimatorState",
     "anchor",
     "recurse",
     "estimator_mse",
@@ -50,30 +52,11 @@ def batch_rng(seed: int, epoch: int, tau: int, purpose: int = 0) -> np.random.Ge
 
 
 # ----------------------------------------------------------------------------
-# state
-
-@dataclass
-class EstimatorState:
-    """Current gradient estimates and the point they were formed at.
-
-    Gx/Gy estimate the partial gradients of F at (prev_x, prev_y); tau is the
-    inner-step counter (0 immediately after an anchor), epoch the outer one.
-    """
-
-    Gx: np.ndarray
-    Gy: np.ndarray
-    prev_x: np.ndarray
-    prev_y: np.ndarray
-    tau: int
-    epoch: int
-
-
-# ----------------------------------------------------------------------------
 # anchor / recurse
 
 def anchor(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
-           B: int, rng: np.random.Generator, epoch: int = 0) -> EstimatorState:
-    """Start-of-epoch gradient estimate at (x, y).
+           B: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Start-of-epoch gradient estimate G = (Gx, Gy) at (x, y).
 
     Finite-sum regime: B is ignored and all N component gradients are
     averaged in one `full_grads` pass, so Gx/Gy equal the exact partial
@@ -83,42 +66,40 @@ def anchor(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     check_vector(x, problem.dim_x, "x")
     check_vector(y, problem.dim_y, "y")
     if isinstance(problem.regime, FiniteSum):
-        gx, gy = full_grads(problem, x, y)
-    else:
-        if B < 1:
-            raise ValueError("online anchor needs B >= 1")
-        ids = problem.oracle.draw(rng, B)
-        gx, gy = (g.mean(axis=0) for g in problem.oracle.batch_grads(x, y, ids))
-    return EstimatorState(Gx=gx, Gy=gy, prev_x=x.copy(), prev_y=y.copy(),
-                          tau=0, epoch=epoch)
+        return full_grads(problem, x, y)
+    if B < 1:
+        raise ValueError("online anchor needs B >= 1")
+    ids = problem.oracle.draw(rng, B)
+    gx, gy = problem.oracle.batch_grads(x, y, ids)
+    return gx.mean(axis=0), gy.mean(axis=0)
 
 
-def recurse(state: EstimatorState, problem: ProblemInstance,
-            x_new: np.ndarray, y_new: np.ndarray, M: int,
-            rng: np.random.Generator) -> EstimatorState:
-    """One recursive momentum update of the estimate onto (x_new, y_new).
+def recurse(problem: ProblemInstance, G: tuple, prev: tuple, new: tuple,
+            M: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One recursive momentum update of G = (Gx, Gy), formed at the point
+    `prev` = (x, y), onto the point `new` = (x, y).
 
     Draws M fresh i.i.d. sample ids (with replacement) and applies
 
         G <- mean_i[grad f(new; xi_i) - grad f(prev; xi_i)] + G_old
 
     with the *same* ids for Gx and Gy.  Zero displacement leaves the
-    estimates unchanged bit-exactly.
+    estimates unchanged bit-exactly.  No input is copied or written to.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
+    (x_prev, y_prev), (x_new, y_new) = prev, new
     check_vector(x_new, problem.dim_x, "x_new")
     check_vector(y_new, problem.dim_y, "y_new")
     ids = problem.oracle.draw(rng, M)
     gx_new, gy_new = problem.oracle.batch_grads(x_new, y_new, ids)
-    gx_prev, gy_prev = problem.oracle.batch_grads(state.prev_x, state.prev_y, ids)
+    gx_prev, gy_prev = problem.oracle.batch_grads(x_prev, y_prev, ids)
     dx = (gx_new - gx_prev).mean(axis=0)
     dy = (gy_new - gy_prev).mean(axis=0)
     # avoid 0.0 + -0.0 sign flips so a zero increment is a bit-exact no-op
-    Gx = state.Gx.copy() if not dx.any() else state.Gx + dx
-    Gy = state.Gy.copy() if not dy.any() else state.Gy + dy
-    return EstimatorState(Gx=Gx, Gy=Gy, prev_x=x_new.copy(), prev_y=y_new.copy(),
-                          tau=state.tau + 1, epoch=state.epoch)
+    Gx, Gy = G
+    return (Gx if not dx.any() else Gx + dx,
+            Gy if not dy.any() else Gy + dy)
 
 
 # ----------------------------------------------------------------------------

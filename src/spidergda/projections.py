@@ -22,7 +22,6 @@ __all__ = [
     "Simplex",
     "FullSpace",
     "InfeasibleError",
-    "project",
     "normal_cone_dist",
     "FEAS_TOL",
     "ACTIVE_TOL",
@@ -241,14 +240,6 @@ class FullSpace(ConstraintSet):
 
 # ----------------------------------------------------------------------------
 # module-level operations
-
-def project(cset: ConstraintSet, v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto the set (exact closed form).
-
-    Idempotent and non-expansive.  Raises DimError on mismatch.
-    """
-    return cset.project(v)
-
 
 def normal_cone_dist(cset: ConstraintSet, x: np.ndarray, g: np.ndarray) -> float:
     """dist(0, g + N_set(x)) — the constrained stationarity residual at x.

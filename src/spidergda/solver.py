@@ -1,36 +1,42 @@
 """Main optimization loop: smoothed stochastic gradient descent-ascent with
 variance-reduced estimates over K epochs of T inner steps.
 
-Per inner step, with estimates (G_x, G_y) at the current (x, y):
+Per inner step, with estimates G = (G_x, G_y) at the current (x, y):
 
     x+ = proj_X( x - alpha_x [G_x + r (x - z)] )
     y+ = proj_Y( y + alpha_y G_y )
     z+ = z + beta (x+ - z)
 
-Epoch rollover carries (x, y, z) and re-anchors the estimator.  The returned
-pair (x~, y~) is drawn uniformly over all K*T post-update iterates via
-single-slot reservoir sampling, so the full trajectory is never stored.
+`step` is exactly these three lines.  `run` owns the loop state (x, y, z, G)
+and, after each step but the last, refreshes G at the new point: a
+recursion inside an epoch, a fresh anchor at epoch rollover (which carries
+x, y, z unchanged).  Step `count` (1-based) has epoch and inner index
+(k, tau) = divmod(count - 1, T).  The returned pair (x~, y~) is drawn
+uniformly over all K*T post-update iterates via single-slot reservoir
+sampling, so the full trajectory is never stored.  `samples_drawn` is the
+one sample-accounting formula, shared with the tuner.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FiniteSum, ProblemInstance
-from .estimator import EstimatorState, anchor, batch_rng, recurse
+from .core import FiniteSum, ProblemInstance, Regime
+from .estimator import anchor, batch_rng, recurse
 from .projections import Ball, Box, ConstraintSet, FullSpace, Simplex
 
 __all__ = [
     "SolverConfig",
-    "IterateState",
     "TraceRow",
     "RunTrace",
     "NonFiniteError",
     "default_initial_point",
+    "samples_drawn",
     "step",
     "run",
 ]
@@ -87,18 +93,6 @@ class SolverConfig:
 
 
 @dataclass
-class IterateState:
-    """Full solver state between steps: iterates, estimator, counters."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    est: EstimatorState
-    k: int
-    tau: int
-
-
-@dataclass
 class TraceRow:
     """One recorded step: counters, displacement norms, prox-center gap
     ||x+ - z|| (z as used in the x-update), cumulative sample draws, and
@@ -148,8 +142,16 @@ def default_initial_point(cset: ConstraintSet) -> np.ndarray:
     raise TypeError(f"unsupported set kind: {type(cset).__name__}")
 
 
-def _anchor_cost(problem: ProblemInstance, B: int) -> int:
-    return problem.regime.n if isinstance(problem.regime, FiniteSum) else B
+def samples_drawn(regime: Regime, T: int, M: int, B: int, refreshes: int) -> int:
+    """Sample draws of the first anchor plus `refreshes` estimator refreshes.
+
+    Every T-th refresh is an anchor, the rest are M-draw recursions; an
+    anchor draws N samples in the finite-sum regime and B online.  A run
+    of K*T steps makes K*T - 1 refreshes (none after its last step).
+    """
+    cost = regime.n if isinstance(regime, FiniteSum) else B
+    anchors = refreshes // T
+    return cost * (1 + anchors) + M * (refreshes - anchors)
 
 
 # ----------------------------------------------------------------------------
@@ -161,44 +163,27 @@ def _check_finite(*vecs: np.ndarray) -> None:
             raise NonFiniteError("iterate became non-finite")
 
 
-def step(problem: ProblemInstance, config: SolverConfig,
-         state: IterateState, refresh: bool = True) -> IterateState:
-    """Advance one inner step from `state` (whose estimator must be current
-    for its (x, y)).
-
-    Applies the three update lines, then refreshes the estimator for the new
-    iterate: a recursion when the epoch continues, a fresh anchor at epoch
-    rollover (which carries x, y, z unchanged).  `refresh=False` skips the
-    estimator update (used by run() for the final step of the schedule).
+def step(problem: ProblemInstance, config: SolverConfig, x: np.ndarray,
+         y: np.ndarray, z: np.ndarray, G: tuple
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three update lines from (x, y, z) with estimates G = (Gx, Gy)
+    formed at (x, y); returns (x+, y+, z+) as new arrays.
 
     Raises
     ------
     NonFiniteError
         If any updated iterate has a NaN/Inf entry.
     """
-    x, y, z, est = state.x, state.y, state.z, state.est
     # check the raw updates before projecting: clamping would silently mask
     # an overflow, and the set kinds reject non-finite input anyway
-    raw_x = x - config.alpha_x * (est.Gx + config.r * (x - z))
-    raw_y = y + config.alpha_y * est.Gy
+    raw_x = x - config.alpha_x * (G[0] + config.r * (x - z))
+    raw_y = y + config.alpha_y * G[1]
     _check_finite(raw_x, raw_y)
     x_new = problem.set_x.project(raw_x)
     y_new = problem.set_y.project(raw_y)
     z_new = z + config.beta * (x_new - z)
     _check_finite(z_new)
-
-    k, tau = state.k, state.tau
-    if tau + 1 < config.T:
-        k_next, tau_next = k, tau + 1
-        if refresh:
-            rng = batch_rng(config.seed, k, tau + 1)
-            est = recurse(est, problem, x_new, y_new, config.M, rng)
-    else:
-        k_next, tau_next = k + 1, 0
-        if refresh:
-            rng = batch_rng(config.seed, k + 1, 0)
-            est = anchor(problem, x_new, y_new, config.B, rng, epoch=k + 1)
-    return IterateState(x=x_new, y=y_new, z=z_new, est=est, k=k_next, tau=tau_next)
+    return x_new, y_new, z_new
 
 
 # ----------------------------------------------------------------------------
@@ -234,44 +219,47 @@ def run(problem: ProblemInstance, config: SolverConfig,
             logger.warning("initial %s infeasible; projecting onto the set", name)
             v[:] = cset.project(v)
 
-    est = anchor(problem, x, y, config.B, batch_rng(config.seed, 0, 0), epoch=0)
-    state = IterateState(x=x, y=y, z=z, est=est, k=0, tau=0)
-
+    T, total_steps = config.T, config.K * config.T
+    drawn = partial(samples_drawn, problem.regime, T, config.M, config.B)
+    G = anchor(problem, x, y, config.B, batch_rng(config.seed, 0, 0))
     trace = RunTrace()
-    samples = _anchor_cost(problem, config.B)
     reservoir = batch_rng(config.seed, 0, 0, purpose=1)
-    total_steps = config.K * config.T
 
     for count in range(1, total_steps + 1):
-        prev_x, prev_y, prev_z = state.x, state.y, state.z
+        k, tau = divmod(count - 1, T)
         try:
-            state = step(problem, config, state, refresh=(count < total_steps))
+            x_new, y_new, z_new = step(problem, config, x, y, z, G)
         except NonFiniteError as err:
             raise NonFiniteError(str(err), trace) from None
-        if count < total_steps:
-            samples += config.M if state.tau != 0 else _anchor_cost(problem, config.B)
+        if tau + 1 < T:
+            G = recurse(problem, G, (x, y), (x_new, y_new), config.M,
+                        batch_rng(config.seed, k, tau + 1))
+        elif count < total_steps:
+            G = anchor(problem, x_new, y_new, config.B,
+                       batch_rng(config.seed, k + 1, 0))
 
         # reservoir: keep the c-th candidate with probability 1/c
         if reservoir.random() < 1.0 / count:
-            trace.output_pair = (state.x.copy(), state.y.copy())
-            trace.output_index = ((count - 1) // config.T, (count - 1) % config.T)
-            trace.output_z = state.z.copy()
+            trace.output_pair = (x_new.copy(), y_new.copy())
+            trace.output_index = (k, tau)
+            trace.output_z = z_new.copy()
 
         if config.record_trace and (count % config.trace_stride == 0
                                     or count == total_steps):
             row = TraceRow(
-                k=(count - 1) // config.T,
-                tau=(count - 1) % config.T,
-                dx_norm=float(np.linalg.norm(state.x - prev_x)),
-                dy_norm=float(np.linalg.norm(state.y - prev_y)),
-                xz_gap=float(np.linalg.norm(state.x - prev_z)),
-                samples_used=samples,
-                x=state.x.copy(), y=state.y.copy(), z=state.z.copy(),
+                k=k,
+                tau=tau,
+                dx_norm=float(np.linalg.norm(x_new - x)),
+                dy_norm=float(np.linalg.norm(y_new - y)),
+                xz_gap=float(np.linalg.norm(x_new - z)),
+                samples_used=drawn(min(count, total_steps - 1)),
+                x=x_new.copy(), y=y_new.copy(), z=z_new.copy(),
             )
             trace.rows.append(row)
             if sink is not None:
                 sink(row)
+        x, y, z = x_new, y_new, z_new
 
-    trace.total_samples = samples
+    trace.total_samples = drawn(total_steps - 1)
     trace.completed = True
     return trace

@@ -22,9 +22,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 from .core import FiniteSum, Online, Regime, SmoothnessMeta
-from .solver import SolverConfig
+from .solver import SolverConfig, samples_drawn
 
 __all__ = [
+    "OVERRIDE_KEYS",
     "TunerInput",
     "CompositeConstants",
     "TunerAudit",
@@ -43,6 +44,9 @@ __all__ = [
 logger = logging.getLogger("spidergda.tuner")
 
 BETA_CAP = 1.0 / 30.0
+
+# schedule values a user may set in place of their formula
+OVERRIDE_KEYS = frozenset({"r", "alpha_x", "alpha_y", "beta", "K", "T", "M", "B"})
 
 
 class InfeasibleScheduleError(Exception):
@@ -92,8 +96,7 @@ class TunerInput:
             raise ValueError("delta_phi_estimate must be positive")
         if not self.asymptotic_constant > 0:
             raise ValueError("asymptotic_constant must be positive")
-        unknown = set(self.overrides) - {"r", "alpha_x", "alpha_y", "beta",
-                                         "K", "T", "M", "B"}
+        unknown = set(self.overrides) - OVERRIDE_KEYS
         if unknown:
             raise ValueError(f"unknown override keys: {sorted(unknown)}")
 
@@ -237,7 +240,9 @@ def compute_budget(tin: TunerInput, r: float, alpha_x: float
     Raises
     ------
     OverflowError
-        If the planned total sample draws exceed tin.sample_cap.
+        If the planned total sample draws (`solver.samples_drawn` of the
+        K*T-step run; a finite-sum anchor draws N whatever B is) exceed
+        tin.sample_cap.
     """
     meta, eps, ac, ov = tin.meta, tin.epsilon, tin.asymptotic_constant, tin.overrides
     if "B" in ov:
@@ -250,7 +255,7 @@ def compute_budget(tin: TunerInput, r: float, alpha_x: float
     M = int(ov["M"]) if "M" in ov else max(1, math.ceil(math.sqrt(B / 2.0)))
     kt_target = ac * tin.delta_phi_estimate * _kt_branches(meta, eps)
     K = int(ov["K"]) if "K" in ov else max(1, math.ceil(kt_target / T))
-    planned = K * B + K * (T - 1) * M
+    planned = samples_drawn(tin.regime, T, M, B, K * T - 1)
     if planned > tin.sample_cap:
         raise OverflowError(
             f"planned sample draws {planned} exceed cap {tin.sample_cap:g}; "
@@ -340,7 +345,7 @@ def tune_smooth(tin: TunerInput) -> tuple[SolverConfig, TunerAudit]:
             "beta": beta,
             "K": K, "T": T, "M": M, "B": B,
             "KT_target": kt_target,
-            "planned_samples": K * B + K * (T - 1) * M,
+            "planned_samples": samples_drawn(tin.regime, T, M, B, K * T - 1),
         },
     )
     return config, audit

@@ -24,7 +24,7 @@ from spidergda import (AbsValue, Ball, Box, CompositeConstants, FiniteSum,
                        gs_residuals, kl_example_grad, kl_example_value,
                        lyapunov, make_group_dro, make_kl_example,
                        make_quadratic_saddle, make_two_group_regression,
-                       normal_cone_dist, project, recurse, run, smooth_grad_x,
+                       normal_cone_dist, recurse, run, smooth_grad_x,
                        smooth_grad_y, smooth_value, tune_smooth)
 from spidergda.tuner import alpha_x_interval
 
@@ -142,18 +142,19 @@ def test_criterion_02_estimator_exactness():
     prob = make_quadratic_saddle(8, 8, n_samples=64, seed=2)
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=8), rng.normal(size=8)
-    st = anchor(prob, x, y, B=64, rng=batch_rng(0, 0, 0))
-    anchor_exact = (np.array_equal(st.Gx, full_grad_x(prob, x, y))
-                    and np.array_equal(st.Gy, full_grad_y(prob, x, y)))
+    G = anchor(prob, x, y, B=64, rng=batch_rng(0, 0, 0))
+    anchor_exact = (np.array_equal(G[0], full_grad_x(prob, x, y))
+                    and np.array_equal(G[1], full_grad_y(prob, x, y)))
     prob.oracle.draw = lambda _rng, count: np.arange(64)  # full-batch sweep
     dev = 0.0
     for t in range(1, 11):
-        x = x + 0.1 * rng.normal(size=8)
-        y = y + 0.1 * rng.normal(size=8)
-        st = recurse(st, prob, x, y, M=64, rng=batch_rng(0, 0, t))
+        x1 = x + 0.1 * rng.normal(size=8)
+        y1 = y + 0.1 * rng.normal(size=8)
+        G = recurse(prob, G, (x, y), (x1, y1), M=64, rng=batch_rng(0, 0, t))
+        x, y = x1, y1
         dev = max(dev,
-                  float(np.max(np.abs(st.Gx - full_grad_x(prob, x, y)))),
-                  float(np.max(np.abs(st.Gy - full_grad_y(prob, x, y)))))
+                  float(np.max(np.abs(G[0] - full_grad_x(prob, x, y)))),
+                  float(np.max(np.abs(G[1] - full_grad_y(prob, x, y)))))
     ok = anchor_exact and dev <= 1e-12
     _report(2, "estimator-exactness", ok,
             f"anchor bit-exact = {anchor_exact}, "
@@ -361,15 +362,15 @@ def test_criterion_07_projection_oracles():
         g = scale * rng.normal(size=d)
         worst_proj = max(
             worst_proj,
-            float(np.max(np.abs(project(box, v) - _box_project_oracle(box, v)))),
-            float(np.max(np.abs(project(ball, v) - _ball_project_oracle(ball, v)))),
-            float(np.max(np.abs(project(simplex, v) - _simplex_project_oracle(v)))),
-            float(np.max(np.abs(project(full, v) - v))))
+            float(np.max(np.abs(box.project(v) - _box_project_oracle(box, v)))),
+            float(np.max(np.abs(ball.project(v) - _ball_project_oracle(ball, v)))),
+            float(np.max(np.abs(simplex.project(v) - _simplex_project_oracle(v)))),
+            float(np.max(np.abs(full.project(v) - v))))
         for cset, oracle in ((box, _box_ncd_oracle), (ball, _ball_ncd_oracle)):
-            x = project(cset, v)
+            x = cset.project(v)
             worst_ncd = max(worst_ncd, abs(normal_cone_dist(cset, x, g)
                                            - oracle(cset, x, g)))
-        xs = project(simplex, v)
+        xs = simplex.project(v)
         worst_ncd = max(worst_ncd, abs(normal_cone_dist(simplex, xs, g)
                                        - _simplex_ncd_oracle(xs, g)))
         worst_ncd = max(worst_ncd, abs(normal_cone_dist(full, v, g)

@@ -246,15 +246,44 @@ def test_exact_gradient_consumers_make_one_batch_call():
     p = make_quadratic_saddle(4, 3, n_samples=16, seed=5)
     calls = _counting(p)
     x, y = p.set_x.project(np.zeros(4)), p.set_y.project(np.zeros(3))
-    state = anchor(p, x, y, B=16, rng=np.random.default_rng(0))
+    G = anchor(p, x, y, B=16, rng=np.random.default_rng(0))
     assert len(calls) == 1 and calls[0].tolist() == list(range(16))
-    assert np.array_equal(state.Gx, full_grads(p, x, y)[0])
+    assert np.array_equal(G[0], full_grads(p, x, y)[0])
     calls.clear()
     gs_residuals(p, x, y)
     assert len(calls) == 1
     calls.clear()
     full_grad_x(p, x, y)
     assert len(calls) == 1
+
+
+def test_one_side_full_grad_calls_only_that_scalar_side():
+    # without grads_batch, full_grad_x must not pay for grad_y (and back)
+    calls = {"x": 0, "y": 0}
+    w = np.arange(1.0, 6.0)
+
+    def grad(side, value):
+        def g(x, y, i):
+            calls[side] += 1
+            return np.array([value(x, y, i)])
+        return g
+
+    oracle = StochasticOracle(
+        regime=FiniteSum(5), dim_x=1, dim_y=1,
+        eval_f=lambda x, y, i: float(w[i] * x[0] * y[0]),
+        grad_x=grad("x", lambda x, y, i: w[i] * y[0]),
+        grad_y=grad("y", lambda x, y, i: w[i] * x[0]))
+    p = ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),
+                        set_y=Box([-1.0], [1.0]),
+                        constants=SmoothnessMeta(L_x=0, L_y=5, rho=0, ell=5))
+    x, y = np.array([0.5]), np.array([-0.25])
+    gx = full_grad_x(p, x, y)
+    assert calls == {"x": 5, "y": 0}
+    gy = full_grad_y(p, x, y)
+    assert calls == {"x": 5, "y": 5}
+    both = full_grads(p, x, y)
+    assert gx.tobytes() == both[0].tobytes()
+    assert gy.tobytes() == both[1].tobytes()
 
 
 def test_meta_validation():

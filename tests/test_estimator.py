@@ -8,7 +8,7 @@ of sampling, making the expectation identity exact.
 import numpy as np
 import pytest
 
-from spidergda import (Box, EstimatorState, FiniteSum, Online,
+from spidergda import (Box, FiniteSum, Online,
                        ProblemInstance, RegimeError, SmoothnessMeta,
                        StochasticOracle, anchor, batch_rng, estimator_mse,
                        full_grad_x, full_grad_y, recurse)
@@ -52,10 +52,9 @@ def test_finite_sum_anchor_is_exact_bitwise():
     p = _quadratic_problem()
     rng = np.random.default_rng(1)
     x, y = rng.normal(size=3), rng.normal(size=3)
-    st = anchor(p, x, y, B=999, rng=batch_rng(0, 0, 0))
-    assert np.array_equal(st.Gx, full_grad_x(p, x, y))
-    assert np.array_equal(st.Gy, full_grad_y(p, x, y))
-    assert st.tau == 0
+    G = anchor(p, x, y, B=999, rng=batch_rng(0, 0, 0))
+    assert np.array_equal(G[0], full_grad_x(p, x, y))
+    assert np.array_equal(G[1], full_grad_y(p, x, y))
 
 
 def test_online_anchor_uses_b_fresh_draws():
@@ -76,11 +75,11 @@ def test_online_anchor_uses_b_fresh_draws():
                         set_x=Box(-np.ones(4), np.ones(4)),
                         set_y=Box([-1.0], [1.0]),
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=1))
-    st1 = anchor(p, np.zeros(4), np.zeros(1), B=64, rng=batch_rng(5, 2, 0))
-    st2 = anchor(p, np.zeros(4), np.zeros(1), B=64, rng=batch_rng(5, 2, 0))
+    G1 = anchor(p, np.zeros(4), np.zeros(1), B=64, rng=batch_rng(5, 2, 0))
+    G2 = anchor(p, np.zeros(4), np.zeros(1), B=64, rng=batch_rng(5, 2, 0))
     assert calls == [64, 64]
-    assert np.array_equal(st1.Gx, st2.Gx)  # same keyed stream, same batch
-    assert abs(float(st1.Gx.sum()) - 1.0) < 1e-12  # rows are unit vectors
+    assert np.array_equal(G1[0], G2[0])  # same keyed stream, same batch
+    assert abs(float(G1[0].sum()) - 1.0) < 1e-12  # rows are unit vectors
 
 
 # ----------------------------------------------------------------------------
@@ -89,11 +88,10 @@ def test_online_anchor_uses_b_fresh_draws():
 def test_zero_displacement_is_bit_exact_noop():
     p = _quadratic_problem()
     x, y = np.ones(3), -np.ones(3)
-    st = anchor(p, x, y, B=6, rng=batch_rng(0, 0, 0))
-    st2 = recurse(st, p, x.copy(), y.copy(), M=4, rng=batch_rng(0, 0, 1))
-    assert np.array_equal(st2.Gx, st.Gx)
-    assert np.array_equal(st2.Gy, st.Gy)
-    assert st2.tau == st.tau + 1
+    G = anchor(p, x, y, B=6, rng=batch_rng(0, 0, 0))
+    G2 = recurse(p, G, (x, y), (x.copy(), y.copy()), M=4, rng=batch_rng(0, 0, 1))
+    assert np.array_equal(G2[0], G[0])
+    assert np.array_equal(G2[1], G[1])
 
 
 def test_full_batch_recursion_telescopes_to_exact_gradient():
@@ -104,14 +102,15 @@ def test_full_batch_recursion_telescopes_to_exact_gradient():
     p.oracle.draw = lambda rng, count: np.arange(n)
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=d), rng.normal(size=d)
-    st = anchor(p, x, y, B=n, rng=batch_rng(0, 0, 0))
+    G = anchor(p, x, y, B=n, rng=batch_rng(0, 0, 0))
     for t in range(1, 11):
-        x = x + 0.1 * rng.normal(size=d)
-        y = y + 0.1 * rng.normal(size=d)
-        st = recurse(st, p, x, y, M=n, rng=batch_rng(0, 0, t))
-        np.testing.assert_allclose(st.Gx, full_grad_x(p, x, y),
+        x1 = x + 0.1 * rng.normal(size=d)
+        y1 = y + 0.1 * rng.normal(size=d)
+        G = recurse(p, G, (x, y), (x1, y1), M=n, rng=batch_rng(0, 0, t))
+        x, y = x1, y1
+        np.testing.assert_allclose(G[0], full_grad_x(p, x, y),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(st.Gy, full_grad_y(p, x, y),
+        np.testing.assert_allclose(G[1], full_grad_y(p, x, y),
                                    rtol=0, atol=1e-12)
 
 
@@ -122,17 +121,17 @@ def test_single_draw_recursion_conditionally_unbiased():
     p = _quadratic_problem(n=n, d=d, seed=4)
     rng = np.random.default_rng(5)
     x0, y0 = rng.normal(size=d), rng.normal(size=d)
-    st = anchor(p, x0, y0, B=n, rng=batch_rng(0, 0, 0))
+    G = anchor(p, x0, y0, B=n, rng=batch_rng(0, 0, 0))
     x1, y1 = x0 + 0.2 * rng.normal(size=d), y0 + 0.2 * rng.normal(size=d)
 
     outs_x, outs_y = [], []
     for forced in range(n):
         p.oracle.draw = lambda r, count, forced=forced: np.full(count, forced)
-        nxt = recurse(st, p, x1, y1, M=1, rng=batch_rng(0, 0, 1))
-        outs_x.append(nxt.Gx)
-        outs_y.append(nxt.Gy)
-    expect_x = full_grad_x(p, x1, y1) - full_grad_x(p, x0, y0) + st.Gx
-    expect_y = full_grad_y(p, x1, y1) - full_grad_y(p, x0, y0) + st.Gy
+        nxt = recurse(p, G, (x0, y0), (x1, y1), M=1, rng=batch_rng(0, 0, 1))
+        outs_x.append(nxt[0])
+        outs_y.append(nxt[1])
+    expect_x = full_grad_x(p, x1, y1) - full_grad_x(p, x0, y0) + G[0]
+    expect_y = full_grad_y(p, x1, y1) - full_grad_y(p, x0, y0) + G[1]
     np.testing.assert_allclose(np.mean(outs_x, axis=0), expect_x,
                                rtol=0, atol=1e-13)
     np.testing.assert_allclose(np.mean(outs_y, axis=0), expect_y,
@@ -151,19 +150,20 @@ def test_same_ids_feed_both_sides():
     p = ProblemInstance(oracle=oracle, set_x=Box([-9.0], [9.0]),
                         set_y=Box([-9.0], [9.0]),
                         constants=SmoothnessMeta(L_x=8, L_y=8, rho=8, ell=99))
-    st = anchor(p, np.array([1.0]), np.array([1.0]), B=n,
-                rng=batch_rng(0, 0, 0))
-    nxt = recurse(st, p, np.array([2.0]), np.array([2.0]), M=5,
+    one = (np.array([1.0]), np.array([1.0]))
+    G = anchor(p, *one, B=n, rng=batch_rng(0, 0, 0))
+    nxt = recurse(p, G, one, (np.array([2.0]), np.array([2.0])), M=5,
                   rng=batch_rng(0, 0, 1))
     # grad difference per sample i is (i*1, i*1): increments must match
-    assert float(nxt.Gx[0] - st.Gx[0]) == pytest.approx(float(nxt.Gy[0] - st.Gy[0]))
+    assert float(nxt[0][0] - G[0][0]) == pytest.approx(float(nxt[1][0] - G[1][0]))
 
 
 def test_recurse_rejects_bad_m():
     p = _quadratic_problem()
-    st = anchor(p, np.zeros(3), np.zeros(3), B=6, rng=batch_rng(0, 0, 0))
+    zero = (np.zeros(3), np.zeros(3))
+    G = anchor(p, *zero, B=6, rng=batch_rng(0, 0, 0))
     with pytest.raises(ValueError):
-        recurse(st, p, np.zeros(3), np.zeros(3), M=0, rng=batch_rng(0, 0, 1))
+        recurse(p, G, zero, zero, M=0, rng=batch_rng(0, 0, 1))
 
 
 # ----------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from spidergda import (Ball, Box, DimError, FullSpace, InfeasibleError,
-                       Simplex, normal_cone_dist, project)
+                       Simplex, normal_cone_dist)
 
 
 # ----------------------------------------------------------------------------

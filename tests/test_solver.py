@@ -14,7 +14,6 @@ from spidergda import (Box, FiniteSum, FullSpace, NonFiniteError,
                        ProblemInstance, SmoothnessMeta, SolverConfig,
                        StochasticOracle, anchor, batch_rng,
                        default_initial_point, run, step)
-from spidergda.solver import IterateState
 
 
 def _bilinear_problem(set_x=None, set_y=None):
@@ -66,14 +65,11 @@ def test_step_hand_example_exact():
     cfg = SolverConfig(K=1, T=2, M=1, B=1, alpha_x=0.125, alpha_y=0.25,
                        beta=0.5, r=1.0, seed=0)
     x, y, z = np.array([1.0]), np.array([1.0]), np.array([0.0])
-    st = IterateState(x=x, y=y, z=z,
-                      est=anchor(p, x, y, B=1, rng=batch_rng(0, 0, 0)),
-                      k=0, tau=0)
-    nxt = step(p, cfg, st)
-    assert nxt.x[0] == 0.75
-    assert nxt.y[0] == 1.25
-    assert nxt.z[0] == 0.375
-    assert (nxt.k, nxt.tau) == (0, 1)
+    G = anchor(p, x, y, B=1, rng=batch_rng(0, 0, 0))
+    x1, y1, z1 = step(p, cfg, x, y, z, G)
+    assert x1[0] == 0.75
+    assert y1[0] == 1.25
+    assert z1[0] == 0.375
 
 
 def test_step_beta_one_snaps_center():
@@ -81,11 +77,9 @@ def test_step_beta_one_snaps_center():
     cfg = SolverConfig(K=1, T=2, M=1, B=1, alpha_x=0.125, alpha_y=0.25,
                        beta=1.0, r=1.0, seed=0)
     x, y, z = np.array([1.0]), np.array([1.0]), np.array([0.25])
-    st = IterateState(x=x, y=y, z=z,
-                      est=anchor(p, x, y, B=1, rng=batch_rng(0, 0, 0)),
-                      k=0, tau=0)
-    nxt = step(p, cfg, st)
-    assert nxt.z[0] == nxt.x[0]
+    G = anchor(p, x, y, B=1, rng=batch_rng(0, 0, 0))
+    x1, _, z1 = step(p, cfg, x, y, z, G)
+    assert z1[0] == x1[0]
 
 
 def test_step_projects_onto_sets():
@@ -93,12 +87,10 @@ def test_step_projects_onto_sets():
     cfg = SolverConfig(K=1, T=2, M=1, B=1, alpha_x=4.0, alpha_y=8.0,
                        beta=0.5, r=1.0, seed=0)
     x, y, z = np.array([1.0]), np.array([1.0]), np.array([0.0])
-    st = IterateState(x=x, y=y, z=z,
-                      est=anchor(p, x, y, B=1, rng=batch_rng(0, 0, 0)),
-                      k=0, tau=0)
-    nxt = step(p, cfg, st)
-    assert nxt.x[0] == -1.0  # clipped at the lower box bound
-    assert nxt.y[0] == 2.0   # clipped at the upper box bound
+    G = anchor(p, x, y, B=1, rng=batch_rng(0, 0, 0))
+    x1, y1, _ = step(p, cfg, x, y, z, G)
+    assert x1[0] == -1.0  # clipped at the lower box bound
+    assert y1[0] == 2.0   # clipped at the upper box bound
 
 
 # ----------------------------------------------------------------------------

@@ -12,11 +12,12 @@ import math
 
 import pytest
 
-from spidergda import (CompositeConstants, FiniteSum, InfeasibleScheduleError,
-                       Online, SmoothnessMeta, TunerInput, compute_alpha_x,
-                       compute_alpha_y, compute_beta, compute_r,
-                       compute_varpi, smoothed_constants, tune_nonsmooth,
-                       tune_smooth)
+from spidergda import (Box, CompositeConstants, FiniteSum,
+                       InfeasibleScheduleError, Online, ProblemInstance,
+                       SmoothnessMeta, StochasticOracle, TunerInput,
+                       compute_alpha_x, compute_alpha_y, compute_beta,
+                       compute_r, compute_varpi, make_quadratic_saddle, run,
+                       smoothed_constants, tune_nonsmooth, tune_smooth)
 from spidergda.tuner import _kt_branches, alpha_x_interval
 
 
@@ -157,6 +158,51 @@ def test_budget_sample_cap_overflow():
     with pytest.raises(OverflowError):
         tune_smooth(TunerInput(meta=_unit_meta(), epsilon=0.1,
                                regime=FiniteSum(128), sample_cap=100))
+
+
+def _online_toy_problem():
+    """f(x, y; xi) = x*y for every online sample xi."""
+    oracle = StochasticOracle(
+        regime=Online(), dim_x=1, dim_y=1,
+        eval_f=lambda x, y, i: float(x[0] * y[0]),
+        grad_x=lambda x, y, i: y.copy(),
+        grad_y=lambda x, y, i: x.copy())
+    return ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),
+                           set_y=Box([-1.0], [1.0]),
+                           constants=SmoothnessMeta(L_x=0, L_y=1, rho=0, ell=8))
+
+
+def _tune(problem, overrides, **kw):
+    return tune_smooth(TunerInput(meta=problem.constants, epsilon=0.1,
+                                  regime=problem.regime, overrides=overrides,
+                                  **kw))
+
+
+@pytest.mark.parametrize("case", ["finite_sum", "finite_sum_B", "online"])
+def test_planned_samples_equal_the_runs_draws(case):
+    # a finite-sum anchor draws all N samples whatever B says, so a B
+    # override must not shrink the plan below what run() draws
+    overrides = dict(K=6, T=4, M=8)
+    if case == "online":
+        problem = _online_toy_problem()
+        overrides["B"] = 5
+    else:
+        problem = make_quadratic_saddle(4, 3, n_samples=16, seed=11)
+        if case == "finite_sum_B":
+            overrides["B"] = 2
+    cfg, audit = _tune(problem, overrides)
+    planned = audit.outputs["planned_samples"]
+    assert planned == run(problem, cfg).total_samples
+    assert planned == (6 * 5 if case == "online" else 6 * 16) + 6 * 3 * 8
+
+
+def test_sample_cap_counts_the_full_finite_sum_anchor():
+    # the plan counts 16-sample anchors, not B=2 ones: 6*16 + 6*3*8 = 240
+    problem = make_quadratic_saddle(4, 3, n_samples=16, seed=11)
+    overrides = dict(K=6, T=4, M=8, B=2)
+    with pytest.raises(OverflowError):
+        _tune(problem, overrides, sample_cap=200)
+    _tune(problem, overrides, sample_cap=240)
 
 
 def test_iteration_count_grows_as_epsilon_shrinks():
