@@ -12,15 +12,16 @@ from .estimator import (EstimatorMse, anchor, batch_rng, estimator_mse,
                         recurse)
 from .solver import (NonFiniteError, RunTrace, SolverConfig, TraceRow,
                      default_initial_point, run, samples_drawn, step)
-from .tuner import (CompositeConstants, InfeasibleScheduleError, TunerAudit,
-                    TunerInput, compute_alpha_x, compute_alpha_y, compute_beta,
-                    compute_budget, compute_r, compute_varpi, smoothed_constants,
-                    tune_nonsmooth, tune_smooth)
-from .smoothing import (AbsValue, CertificateInput, Hinge, IterativeProx,
-                        MoreauComposite, ProxFailure, ScalarConvex,
-                        ScaledIdentity, as_problem, envelope,
+from .tuner import (InfeasibleScheduleError, TunerAudit, TunerInput,
+                    compute_alpha_x, compute_alpha_y, compute_beta,
+                    compute_budget, compute_r, compute_varpi, tune_nonsmooth,
+                    tune_smooth)
+from .smoothing import (AbsValue, CertificateInput, CompositeConstants, Hinge,
+                        IterativeProx, MoreauComposite, ProxFailure,
+                        ScalarConvex, ScaledIdentity, as_problem, envelope,
                         near_stationarity_certificate, smooth_grad_x,
-                        smooth_grad_y, smooth_value, spot_check_composite)
+                        smooth_grad_y, smooth_value, smoothed_constants,
+                        spot_check_composite)
 from .diagnostics import (InnerSolveConfig, LyapunovValue, MaxItersError,
                           dz_norm, fd_check, gs_residuals, lyapunov,
                           mc_gs_residuals, solve_x_r)
@@ -50,13 +51,14 @@ __all__ = [
     "SolverConfig", "RunTrace", "TraceRow", "NonFiniteError",
     "default_initial_point", "run", "samples_drawn", "step",
     # tuner
-    "TunerInput", "TunerAudit", "CompositeConstants",
+    "TunerInput", "TunerAudit",
     "InfeasibleScheduleError", "compute_r",
     "compute_varpi", "compute_alpha_x",
     "compute_alpha_y", "compute_beta", "compute_budget", "tune_smooth",
-    "tune_nonsmooth", "smoothed_constants",
+    "tune_nonsmooth",
     # smoothing
-    "ScalarConvex", "AbsValue", "Hinge", "ScaledIdentity", "IterativeProx",
+    "CompositeConstants", "smoothed_constants", "ScalarConvex", "AbsValue",
+    "Hinge", "ScaledIdentity", "IterativeProx",
     "MoreauComposite", "ProxFailure", "envelope", "smooth_value",
     "smooth_grad_x", "smooth_grad_y", "as_problem", "CertificateInput",
     "near_stationarity_certificate", "spot_check_composite",

@@ -19,7 +19,7 @@ import logging
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .core import FiniteSum, ProblemInstance, SmoothnessMeta, full_grads
 from .diagnostics import (InnerSolveConfig, dz_norm, gs_residuals, lyapunov,
                           mc_gs_residuals)
 from .projections import Ball, Box, Simplex, normal_cone_dist
-from .smoothing import MoreauComposite, as_problem
+from .smoothing import MoreauComposite
 from .solver import NonFiniteError, SolverConfig, run
 from .tuner import (OVERRIDE_KEYS, InfeasibleScheduleError, TunerInput,
                     compute_alpha_x, compute_alpha_y, compute_r, tune_nonsmooth,
@@ -54,24 +54,77 @@ class ConfigError(Exception):
 
 
 # ----------------------------------------------------------------------------
-# config schema
+# problem kinds
+#
+# Builders take the config's problem keys (kind removed, each converted to
+# its declared type) and leave every omitted key to the library's default.
+# They look the library up through `problems` when called, so a wrapper
+# installed there sees every build.
 
-_PROBLEM_KEYS = {
-    "kl_example": set(),
-    "quadratic_saddle": {"dim_x", "dim_y", "n_samples", "noise", "coupling",
-                         "linear_scale", "seed"},
-    "two_group_regression": {"n", "d", "minority_frac", "noise",
-                             "noise_ratio", "seed"},
-    "group_dro": {"dataset", "loss"},
-    "phi_div_dro": {"dataset", "n", "d", "noise", "seed", "psi", "lambda_pen"},
+def _quadratic_saddle(p: dict) -> ProblemInstance:
+    return problems.make_quadratic_saddle(p.pop("dim_x", 3), p.pop("dim_y", 2),
+                                          **p)
+
+
+def _group_dro(p: dict) -> MoreauComposite:
+    if "dataset" not in p:
+        raise ValueError("problem.dataset (CSV path) is required")
+    return problems.make_group_dro(problems.spec_from_csv(p.pop("dataset"), **p))
+
+
+def _phi_div_dro(p: dict) -> ProblemInstance:
+    n, d = p.pop("n", 32), p.pop("d", 3)
+    noise, seed = p.pop("noise", 0.1), p.pop("seed", 0)
+    if "dataset" in p:
+        X, t, _ = problems.load_dataset_csv(p.pop("dataset"))
+    else:
+        if n < 1 or d < 1:
+            raise ValueError(f"n and d must be at least 1, got n={n}, d={d}")
+        rng = np.random.default_rng(seed)
+        w0 = np.zeros(d)
+        w0[0] = 1.0
+        X = rng.normal(size=(n, d))
+        t = X @ w0 + noise * rng.normal(size=n)
+    return problems.make_phi_div_dro(
+        problems.PhiDivDroSpec(features=X, targets=t, **p))
+
+
+class _Kind(NamedTuple):
+    keys: dict            # config key -> int, float or str
+    composite: bool       # built unsmoothed; the tuner picks its lambda
+    placeholder_mu: bool  # mu = 1, theta = 1 unless the config sets them
+    build: Callable[[dict], Union[ProblemInstance, MoreauComposite]]
+
+
+_KINDS = {
+    "kl_example": _Kind({}, False, False, lambda p: problems.make_kl_example()),
+    "quadratic_saddle": _Kind(
+        {"dim_x": int, "dim_y": int, "n_samples": int, "noise": float,
+         "coupling": float, "linear_scale": float, "seed": int},
+        False, False, _quadratic_saddle),
+    "two_group_regression": _Kind(
+        {"n": int, "d": int, "minority_frac": float, "noise": float,
+         "noise_ratio": float, "seed": int},
+        True, True,
+        lambda p: problems.make_group_dro(problems.make_two_group_regression(**p))),
+    "group_dro": _Kind({"dataset": str, "loss": str}, True, True, _group_dro),
+    "phi_div_dro": _Kind(
+        {"dataset": str, "n": int, "d": int, "noise": float, "seed": int,
+         "psi": str, "lambda_pen": float},
+        False, True, _phi_div_dro),
 }
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+# ----------------------------------------------------------------------------
+# config schema
 
 _TUNER_KEYS = {"epsilon", "mu", "theta", "delta_phi_estimate",
                "asymptotic_constant", "overrides", "sample_cap", "lambda"}
 _SOLVER_KEYS = {"trace_stride", "x0", "y0"}
 _OUTPUT_KEYS = {"directory", "formats"}
 _DIAG_KEYS = {"residual_stride", "lyapunov_stride", "dz_norm"}
-_COMPOSITE_KINDS = {"two_group_regression", "group_dro"}
 
 
 def _check_keys(d: dict, allowed: set, where: str, required: set = frozenset()):
@@ -83,6 +136,14 @@ def _check_keys(d: dict, allowed: set, where: str, required: set = frozenset()):
     missing = required - set(d)
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+
+
+def _has_type(v, typ) -> bool:
+    # JSON has one number type: an int key takes integers only, a float key
+    # any finite number (the type of a boolean is bool, not int)
+    if typ is float:
+        return type(v) in (int, float) and -math.inf < v < math.inf
+    return type(v) is typ
 
 
 def _positive_number(d: dict, key: str, where: str) -> None:
@@ -120,14 +181,18 @@ class ExperimentConfig:
                     required={"problem", "tuner"})
 
         prob = raw["problem"]
-        _check_keys(prob, set().union(*(_PROBLEM_KEYS.values())) | {"kind"},
+        _check_keys(prob, {"kind"}.union(*(k.keys for k in _KINDS.values())),
                     "problem", required={"kind"})
         kind = prob["kind"]
-        if kind not in _PROBLEM_KEYS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ConfigError(
-                f"problem.kind must be one of {sorted(_PROBLEM_KEYS)}, "
-                f"got {kind!r}")
-        _check_keys(prob, _PROBLEM_KEYS[kind] | {"kind"}, f"problem[{kind}]")
+                f"problem.kind must be one of {sorted(_KINDS)}, got {kind!r}")
+        keys = _KINDS[kind].keys
+        _check_keys(prob, set(keys) | {"kind"}, f"problem[{kind}]")
+        for key, typ in keys.items():
+            if key in prob and not _has_type(prob[key], typ):
+                raise ConfigError(f"problem[{kind}].{key} must be "
+                                  f"{_TYPE_NAMES[typ]}, got {prob[key]!r}")
 
         tun = raw["tuner"]
         _check_keys(tun, _TUNER_KEYS, "tuner", required={"epsilon"})
@@ -148,7 +213,7 @@ class ExperimentConfig:
                     f"tuner.overrides.{key} must be a positive number, got {val!r}")
         if "lambda" in tun:
             lam = tun["lambda"]
-            if kind not in _COMPOSITE_KINDS:
+            if not _KINDS[kind].composite:
                 raise ConfigError("tuner.lambda only applies to composite "
                                   f"problems, not {kind!r}")
             if lam != "auto" and (not isinstance(lam, (int, float)) or not lam > 0):
@@ -196,99 +261,40 @@ class ExperimentConfig:
 # problem construction
 
 def _build_problem(cfg: ExperimentConfig
-                   ) -> tuple[Optional[ProblemInstance], Optional[MoreauComposite]]:
-    """Instantiate the configured problem; composites are returned unsmoothed
-    (the tuner picks their smoothing level)."""
-    p = cfg.problem
-    kind = p["kind"]
-    if kind == "kl_example":
-        return problems.make_kl_example(), None
-    if kind == "quadratic_saddle":
-        return problems.make_quadratic_saddle(
-            int(p.get("dim_x", 3)), int(p.get("dim_y", 2)),
-            n_samples=int(p.get("n_samples", 16)),
-            noise=float(p.get("noise", 0.3)),
-            coupling=float(p.get("coupling", 1.0)),
-            linear_scale=float(p.get("linear_scale", 1.0)),
-            seed=int(p.get("seed", 0))), None
-    if kind == "two_group_regression":
-        spec = problems.make_two_group_regression(
-            n=int(p.get("n", 200)), d=int(p.get("d", 3)),
-            minority_frac=float(p.get("minority_frac", 0.1)),
-            noise=float(p.get("noise", 0.1)),
-            noise_ratio=float(p.get("noise_ratio", 10.0)),
-            seed=int(p.get("seed", 0)))
-        return None, problems.make_group_dro(spec)
-    if kind == "group_dro":
-        if "dataset" not in p:
-            raise ConfigError("problem.dataset (CSV path) is required for "
-                              "group_dro")
-        try:
-            spec = problems.spec_from_csv(p["dataset"],
-                                          loss=p.get("loss", "squared"))
-        except (OSError, ValueError, problems.EmptyGroupError) as err:
-            raise ConfigError(f"cannot load dataset: {err}") from None
-        return None, problems.make_group_dro(spec)
-    if kind == "phi_div_dro":
-        if "dataset" in p:
-            try:
-                X, t, _ = problems.load_dataset_csv(p["dataset"])
-            except (OSError, ValueError) as err:
-                raise ConfigError(f"cannot load dataset: {err}") from None
-        else:
-            rng = np.random.default_rng(int(p.get("seed", 0)))
-            n, d = int(p.get("n", 32)), int(p.get("d", 3))
-            w0 = np.zeros(d)
-            w0[0] = 1.0
-            X = rng.normal(size=(n, d))
-            t = X @ w0 + float(p.get("noise", 0.1)) * rng.normal(size=n)
-        try:
-            spec = problems.PhiDivDroSpec(
-                features=X, targets=t, psi=p.get("psi", "chi2"),
-                lambda_pen=float(p.get("lambda_pen", 1.0)))
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-        return problems.make_phi_div_dro(spec), None
-    raise ConfigError(f"unknown problem kind {kind!r}")
-
-
-def _tune(cfg: ExperimentConfig, problem: Optional[ProblemInstance],
-          comp: Optional[MoreauComposite]):
-    """Run the appropriate tuning pipeline; returns (problem, config, audit)."""
-    t = cfg.tuner
+                   ) -> Union[ProblemInstance, MoreauComposite]:
+    """Instantiate the configured problem; a composite comes back unsmoothed
+    (the tuner picks its smoothing level)."""
     kind = cfg.problem["kind"]
-    if kind not in ("kl_example", "quadratic_saddle") and "mu" not in t:
+    keys = _KINDS[kind].keys
+    try:
+        return _KINDS[kind].build(
+            {k: keys[k](v) for k, v in cfg.problem.items() if k != "kind"})
+    except (ValueError, OverflowError, OSError, problems.EmptyGroupError,
+            problems.SingularityError) as err:
+        raise ConfigError(f"problem[{kind}]: {err}") from None
+
+
+def _tune(cfg: ExperimentConfig, built: Union[ProblemInstance, MoreauComposite]):
+    """Run the tuner on the built problem; returns (problem, config, audit)."""
+    t = cfg.tuner
+    entry = _KINDS[cfg.problem["kind"]]
+    if entry.placeholder_mu and "mu" not in t:
         logger.warning(
             "no dual error-bound constants supplied for %s; using defaults "
-            "mu=1, theta=1 (schedules may be mis-scaled)", kind)
-    common = dict(
-        epsilon=float(t["epsilon"]),
-        delta_phi_estimate=float(t.get("delta_phi_estimate", 1.0)),
-        overrides=dict(t.get("overrides", {})),
-        asymptotic_constant=float(t.get("asymptotic_constant", 1.0)),
-        sample_cap=float(t.get("sample_cap", 1e9)),
-    )
-    if comp is not None:
-        if "mu" in t:
-            comp = dataclasses.replace(comp, mu=float(t["mu"]))
-        if "theta" in t:
-            comp = dataclasses.replace(comp, theta=float(t["theta"]))
-        base_meta = SmoothnessMeta(
-            L_x=0.0, L_y=0.0, rho=0.0, ell=0.0, mu=comp.mu, theta=comp.theta,
-            sigma_x=comp.sigma_x, sigma_y=comp.sigma_y,
-            D_Y=float(comp.set_y.diameter))
-        tin = TunerInput(meta=base_meta, regime=comp.regime,
-                         composite=comp.constants, **common)
-        lam, config, audit = tune_nonsmooth(tin, t.get("lambda", "auto"))
-        return as_problem(comp, lam), config, audit
-    meta = problem.constants
+            "mu=1, theta=1 (schedules may be mis-scaled)", cfg.problem["kind"])
     updates = {k: float(t[k]) for k in ("mu", "theta") if k in t}
-    if updates:
-        meta = meta.with_updates(**updates)
-        problem.constants = meta
-    tin = TunerInput(meta=meta, regime=problem.regime, **common)
-    config, audit = tune_smooth(tin)
-    return problem, config, audit
+    settings = {k: float(t[k]) for k in ("delta_phi_estimate",
+                                         "asymptotic_constant", "sample_cap")
+                if k in t}
+    settings["overrides"] = dict(t.get("overrides", {}))
+    eps = float(t["epsilon"])
+    if entry.composite:
+        return tune_nonsmooth(dataclasses.replace(built, **updates), eps,
+                              t.get("lambda", "auto"), **settings)
+    built.constants = built.constants.with_updates(**updates)
+    config, audit = tune_smooth(TunerInput(meta=built.constants, epsilon=eps,
+                                           regime=built.regime, **settings))
+    return built, config, audit
 
 
 # ----------------------------------------------------------------------------
@@ -378,8 +384,7 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
         cfg.solver["trace_stride"] = trace_stride
 
     try:
-        problem, comp = _build_problem(cfg)
-        problem, config, audit = _tune(cfg, problem, comp)
+        problem, config, audit = _tune(cfg, _build_problem(cfg))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

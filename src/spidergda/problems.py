@@ -14,8 +14,7 @@ import numpy as np
 
 from .core import FiniteSum, ProblemInstance, SmoothnessMeta, StochasticOracle
 from .projections import Box, ConstraintSet, Simplex
-from .smoothing import Hinge, MoreauComposite, ScaledIdentity
-from .tuner import CompositeConstants
+from .smoothing import CompositeConstants, Hinge, MoreauComposite, ScaledIdentity
 
 __all__ = [
     "EmptyGroupError",
@@ -235,6 +234,8 @@ def make_two_group_regression(n: int = 200, d: int = 3,
     """Two-group linear regression where the minority group (minority_frac
     of the data, noise_ratio x the noise) follows a different ground-truth
     slope, so pooled least squares sacrifices it."""
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
     rng = np.random.default_rng(seed)
     n_min = max(1, int(round(minority_frac * n)))
     n_maj = n - n_min
@@ -438,9 +439,14 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
 
     Raises
     ------
+    ValueError
+        If d_x, d_y or n_samples is below 1.
     SingularityError
         If the saddle system is singular.
     """
+    if min(d_x, d_y, n_samples) < 1:
+        raise ValueError(f"d_x, d_y and n_samples must be at least 1, got "
+                         f"{d_x}, {d_y}, {n_samples}")
     if not c_range[0] > 0:
         raise ValueError("c_range[0] must be positive (strong concavity in y)")
     rng = np.random.default_rng(seed)

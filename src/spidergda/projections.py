@@ -201,12 +201,13 @@ class Simplex(ConstraintSet):
         s_not = float(np.sum(w[~active]))
         a = np.sort(w[active])[::-1]  # descending
         m = a.shape[0]
+        head = np.concatenate(([0.0], np.cumsum(a)))  # head[j] = sum of a[:j]
         lam = None
         for j in range(m + 1):
             denom = k + j
             if denom == 0:
                 continue
-            cand = (s_not + float(np.sum(a[:j]))) / denom
+            cand = (s_not + float(head[j])) / denom
             hi = a[j - 1] if j >= 1 else np.inf
             lo = a[j] if j < m else -np.inf
             if lo <= cand <= hi:

@@ -22,9 +22,9 @@ import numpy as np
 
 from .core import ProblemInstance, Regime, SmoothnessMeta, StochasticOracle
 from .projections import ConstraintSet
-from .tuner import CompositeConstants, smoothed_constants
 
 __all__ = [
+    "CompositeConstants",
     "ProxFailure",
     "ScalarConvex",
     "AbsValue",
@@ -37,6 +37,7 @@ __all__ = [
     "smooth_value",
     "smooth_grad_x",
     "smooth_grad_y",
+    "smoothed_constants",
     "as_problem",
     "near_stationarity_certificate",
     "spot_check_composite",
@@ -198,6 +199,20 @@ class IterativeProx(ScalarConvex):
 # composite container
 
 @dataclass
+class CompositeConstants:
+    """Regularity constants of a composite objective phi(h(c(x)), y) needed
+    to derive the smoothed problem's constants."""
+
+    ell_c: float
+    ell_h: float
+    ell_phi: float
+    L_c: float
+    L_phi: float
+    d_h: int
+    delta_tilde: float = 1.0
+
+
+@dataclass
 class MoreauComposite:
     """A composite objective phi(h(c(x; xi)), y; xi) and its constants.
 
@@ -355,11 +370,26 @@ def _smooth_grads_batch(comp: MoreauComposite, lam: float, x: np.ndarray,
 # ----------------------------------------------------------------------------
 # problem wrapper
 
+def smoothed_constants(comp: CompositeConstants, lam: float) -> dict:
+    """Regularity constants of the lambda-smoothed composite objective."""
+    lc, lh, lphi = comp.ell_c, comp.ell_h, comp.ell_phi
+    Lc, Lphi, dh = comp.L_c, comp.L_phi, float(comp.d_h)
+    L_x = math.sqrt(3.0 * lc ** 4 * lphi ** 2 * dh / lam ** 2
+                    + 3.0 * dh * lh ** 2 * lphi ** 2 * Lc ** 2
+                    + 3.0 * lc ** 4 * dh ** 2 * lh ** 4 * Lphi ** 2)
+    L_y = max(math.sqrt(dh) * Lphi * lh * lc, Lphi)
+    rho = dh * Lphi * lh ** 2 * lc ** 2 + Lc * lphi * lh * math.sqrt(dh)
+    ell = max(lphi * lh * lc * math.sqrt(dh), lphi)
+    return {"L_x": L_x, "L_y": L_y, "rho": rho, "ell": ell}
+
+
 def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
     """Wrap the smoothed oracles into a ProblemInstance.
 
-    The SmoothnessMeta carries the smoothed constants (L_x, L_y, rho, ell
-    derived from the composite's constants at this lambda); regime and
+    This is the one place that maps (composite, lambda) to the smoothed
+    problem: its SmoothnessMeta carries the smoothed constants (L_x, L_y,
+    rho, ell from `smoothed_constants` at this lambda) and the composite's
+    sigma_x, sigma_y, mu and theta; D_Y comes from set_y, and regime and
     constraint sets pass through unchanged.  A composite with both batched
     hooks (`c_batch`, `phi_grads_batch`) also gets the oracle's one
     vectorized `grads_batch`, which returns both gradient sides from a

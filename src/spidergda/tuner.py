@@ -3,9 +3,11 @@ accuracy epsilon to a full SolverConfig.
 
 The smooth pipeline is r -> alpha_x -> alpha_y -> beta -> (K, T, M, B), in
 that order (beta's dual error-bound factor uses the already-chosen alpha_y).
-The nonsmooth pipeline first picks the smoothing level lambda ~ epsilon,
-derives the smoothed regularity constants, and delegates to the smooth
-pipeline.  Asymptotic schedules (the theta > 1/2 beta branch, the online
+The nonsmooth pipeline takes the composite itself: it picks the smoothing
+level lambda ~ epsilon, builds the smoothed problem with
+`smoothing.as_problem` (the one owner of the smoothed constants), and runs
+the smooth pipeline on that problem's constants, so the schedule is tuned
+for the very problem that runs.  Asymptotic schedules (the theta > 1/2 beta branch, the online
 budgets) carry a single user-tunable multiplicative constant, default 1.
 
 Every run records an audit: all formula inputs and outputs, such that
@@ -21,13 +23,13 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
-from .core import FiniteSum, Online, Regime, SmoothnessMeta
+from .core import FiniteSum, Online, ProblemInstance, Regime, SmoothnessMeta
+from .smoothing import MoreauComposite, as_problem
 from .solver import SolverConfig, samples_drawn
 
 __all__ = [
     "OVERRIDE_KEYS",
     "TunerInput",
-    "CompositeConstants",
     "TunerAudit",
     "InfeasibleScheduleError",
     "compute_r",
@@ -38,7 +40,6 @@ __all__ = [
     "compute_budget",
     "tune_smooth",
     "tune_nonsmooth",
-    "smoothed_constants",
 ]
 
 logger = logging.getLogger("spidergda.tuner")
@@ -57,26 +58,15 @@ class InfeasibleScheduleError(Exception):
 # inputs
 
 @dataclass
-class CompositeConstants:
-    """Regularity constants of a composite objective phi(h(c(x)), y) needed
-    to derive the smoothed problem's constants."""
-
-    ell_c: float
-    ell_h: float
-    ell_phi: float
-    L_c: float
-    L_phi: float
-    d_h: int
-    delta_tilde: float = 1.0
-
-
-@dataclass
 class TunerInput:
-    """Everything the schedules consume.
+    """Everything the smooth schedules consume.
 
-    delta_phi_estimate is the user's estimate of the initial potential gap
-    (initial merit value minus a lower bound on F); sample_cap bounds the
-    planned total sample draws (OverflowError beyond it).
+    meta and regime are those of the problem that will run; for a composite,
+    `tune_nonsmooth` fills them in from the smoothed problem and takes the
+    other fields as keyword settings.  delta_phi_estimate is the user's
+    estimate of the initial potential gap (initial merit value minus a lower
+    bound on F); sample_cap bounds the planned total sample draws
+    (OverflowError beyond it).
     """
 
     meta: SmoothnessMeta
@@ -86,7 +76,6 @@ class TunerInput:
     overrides: dict = field(default_factory=dict)
     asymptotic_constant: float = 1.0
     sample_cap: float = 1e9
-    composite: Optional[CompositeConstants] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -229,13 +218,13 @@ def _online_B(meta: SmoothnessMeta, epsilon: float) -> float:
     return sig2 / (L_y ** 2 + L_x) * _kt_branches(meta, epsilon)
 
 
-def compute_budget(tin: TunerInput, r: float, alpha_x: float
-                   ) -> tuple[int, int, int, int]:
-    """Batch sizes and loop counts (K, T, M, B).
+def compute_budget(tin: TunerInput) -> tuple[int, int, int, int, float]:
+    """Batch sizes, loop counts and the iteration target (K, T, M, B, KT).
 
     Finite-sum: B = N.  Online: B = asymptotic_constant times the
     theta-appropriate schedule.  T = M = ceil(sqrt(B/2)); K = ceil(KT/T)
-    with KT = asymptotic_constant * delta_phi_estimate * max-branch.
+    with KT = asymptotic_constant * delta_phi_estimate * max-branch (KT is
+    returned even when K is overridden; the audit records it).
 
     Raises
     ------
@@ -260,7 +249,7 @@ def compute_budget(tin: TunerInput, r: float, alpha_x: float
         raise OverflowError(
             f"planned sample draws {planned} exceed cap {tin.sample_cap:g}; "
             f"raise sample_cap or loosen epsilon")
-    return K, T, M, B
+    return K, T, M, B, kt_target
 
 
 # ----------------------------------------------------------------------------
@@ -285,7 +274,7 @@ def _regime_dict(regime: Regime) -> dict:
 
 
 def _audit_inputs(tin: TunerInput) -> dict:
-    d = {
+    return {
         "meta": {k: v for k, v in asdict(tin.meta).items()},
         "epsilon": tin.epsilon,
         "regime": _regime_dict(tin.regime),
@@ -295,9 +284,6 @@ def _audit_inputs(tin: TunerInput) -> dict:
         "sample_cap": tin.sample_cap,
         "seed": tin.seed,
     }
-    if tin.composite is not None:
-        d["composite"] = asdict(tin.composite)
-    return d
 
 
 # ----------------------------------------------------------------------------
@@ -328,8 +314,7 @@ def tune_smooth(tin: TunerInput) -> tuple[SolverConfig, TunerAudit]:
     beta = float(ov["beta"]) if "beta" in ov else compute_beta(
         meta, r, alpha_x, tin.epsilon, alpha_y=alpha_y,
         asymptotic_constant=tin.asymptotic_constant)
-    K, T, M, B = compute_budget(tin, r, alpha_x)
-    kt_target = tin.asymptotic_constant * tin.delta_phi_estimate * _kt_branches(meta, tin.epsilon)
+    K, T, M, B, kt_target = compute_budget(tin)
 
     config = SolverConfig(K=K, T=T, M=M, B=B, alpha_x=alpha_x, alpha_y=alpha_y,
                           beta=beta, r=r, seed=tin.seed)
@@ -351,36 +336,25 @@ def tune_smooth(tin: TunerInput) -> tuple[SolverConfig, TunerAudit]:
     return config, audit
 
 
-def smoothed_constants(comp: CompositeConstants, lam: float) -> dict:
-    """Regularity constants of the lambda-smoothed composite objective."""
-    lc, lh, lphi = comp.ell_c, comp.ell_h, comp.ell_phi
-    Lc, Lphi, dh = comp.L_c, comp.L_phi, float(comp.d_h)
-    L_x = math.sqrt(3.0 * lc ** 4 * lphi ** 2 * dh / lam ** 2
-                    + 3.0 * dh * lh ** 2 * lphi ** 2 * Lc ** 2
-                    + 3.0 * lc ** 4 * dh ** 2 * lh ** 4 * Lphi ** 2)
-    L_y = max(math.sqrt(dh) * Lphi * lh * lc, Lphi)
-    rho = dh * Lphi * lh ** 2 * lc ** 2 + Lc * lphi * lh * math.sqrt(dh)
-    ell = max(lphi * lh * lc * math.sqrt(dh), lphi)
-    return {"L_x": L_x, "L_y": L_y, "rho": rho, "ell": ell}
-
-
-def tune_nonsmooth(tin: TunerInput,
-                   lambda_choice: Union[str, float] = "auto"
-                   ) -> tuple[float, SolverConfig, TunerAudit]:
-    """Pick the smoothing level, substitute the smoothed constants, and run
-    the smooth pipeline.
+def tune_nonsmooth(comp: MoreauComposite, epsilon: float,
+                   lambda_choice: Union[str, float] = "auto", **settings
+                   ) -> tuple[ProblemInstance, SolverConfig, TunerAudit]:
+    """Smooth the composite, then tune the smooth schedule on the result.
 
     lambda_choice is "auto" (lambda = asymptotic_constant * epsilon) or an
     explicit positive value; either is clamped to the admissible ceiling
-    2 delta_tilde / (ell_h^2 sqrt(d_h)) with a logged warning.
+    2 delta_tilde / (ell_h^2 sqrt(d_h)) with a logged warning.  The
+    smoothed problem is `as_problem(comp, lambda)`, and `tune_smooth` runs
+    on its constants and regime; settings are the other `TunerInput`
+    fields.  Returns that problem with the config and the audit, which
+    also records the composite's constants, lambda_choice, lambda, its
+    ceiling and the smoothed L_x, L_y, rho and ell.
     """
-    comp = tin.composite
-    if comp is None:
-        raise ValueError("tune_nonsmooth requires TunerInput.composite")
-    cap = (2.0 * comp.delta_tilde / (comp.ell_h ** 2 * math.sqrt(comp.d_h))
-           if comp.ell_h > 0 else math.inf)
-    requested = (tin.asymptotic_constant * tin.epsilon
-                 if lambda_choice == "auto" else float(lambda_choice))
+    cc = comp.constants
+    cap = (2.0 * cc.delta_tilde / (cc.ell_h ** 2 * math.sqrt(cc.d_h))
+           if cc.ell_h > 0 else math.inf)
+    ac = settings.get("asymptotic_constant", TunerInput.asymptotic_constant)
+    requested = ac * epsilon if lambda_choice == "auto" else float(lambda_choice)
     if not requested > 0:
         raise ValueError("lambda must be positive")
     lam = min(requested, cap)
@@ -388,17 +362,15 @@ def tune_nonsmooth(tin: TunerInput,
         logger.warning("smoothing level clamped from %g to the admissible "
                        "ceiling %g", requested, cap)
 
-    sc = smoothed_constants(comp, lam)
-    smooth_meta = tin.meta.with_updates(**sc)
-    smooth_tin = TunerInput(
-        meta=smooth_meta, epsilon=tin.epsilon, regime=tin.regime,
-        delta_phi_estimate=tin.delta_phi_estimate, overrides=tin.overrides,
-        asymptotic_constant=tin.asymptotic_constant, sample_cap=tin.sample_cap,
-        composite=comp, seed=tin.seed)
-    config, audit = tune_smooth(smooth_tin)
-    audit.outputs["lambda"] = lam
-    audit.outputs["lambda_cap"] = cap
-    audit.outputs.update({f"smoothed_{k}": v for k, v in sc.items()})
+    problem = as_problem(comp, lam)
+    meta = problem.constants
+    config, audit = tune_smooth(TunerInput(meta=meta, epsilon=epsilon,
+                                           regime=problem.regime, **settings))
+    audit.inputs["composite"] = asdict(cc)
     audit.inputs["lambda_choice"] = ("auto" if lambda_choice == "auto"
                                      else float(lambda_choice))
-    return lam, config, audit
+    audit.outputs["lambda"] = lam
+    audit.outputs["lambda_cap"] = cap
+    audit.outputs.update({f"smoothed_{k}": getattr(meta, k)
+                          for k in ("L_x", "L_y", "rho", "ell")})
+    return problem, config, audit

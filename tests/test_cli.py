@@ -274,6 +274,7 @@ def test_config_defaults():
      "diagnostics": {"dz_norm": "yes"}},
     {"problem": {"kind": "kl_example"}, "tuner": {"epsilon": 0.1},
      "diagnostics": {"residual_stride": 0}},
+    {"problem": {"kind": ["kl_example"]}, "tuner": {"epsilon": 0.1}},
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
@@ -292,6 +293,32 @@ def test_group_dro_requires_dataset(tmp_path):
                                                        "mu": 1.0}}
     assert run_experiment(_write(tmp_path, cfg), quiet=True,
                           out_dir=str(tmp_path / "x")) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("problem", [
+    {"kind": "quadratic_saddle", "dim_x": "abc"},
+    {"kind": "quadratic_saddle", "dim_x": 0},
+    {"kind": "quadratic_saddle", "dim_y": 2.0},
+    {"kind": "quadratic_saddle", "n_samples": -3},
+    {"kind": "quadratic_saddle", "noise": True},
+    {"kind": "quadratic_saddle", "coupling": float("inf")},
+    {"kind": "quadratic_saddle", "seed": -1},
+    {"kind": "two_group_regression", "n": 1},
+    {"kind": "two_group_regression", "d": 0},
+    {"kind": "two_group_regression", "noise_ratio": 10 ** 400},
+    {"kind": "group_dro", "dataset": "no/such/file.csv"},
+    {"kind": "phi_div_dro", "psi": 3},
+    {"kind": "phi_div_dro", "psi": "tv"},
+    {"kind": "phi_div_dro", "d": 0},
+    {"kind": "phi_div_dro", "lambda_pen": -1.0},
+])
+def test_malformed_problem_is_config_error(problem, tmp_path, capsys):
+    cfg = {"problem": problem, "tuner": {"epsilon": 0.1, "mu": 1.0}}
+    out = tmp_path / "never"
+    assert run_experiment(_write(tmp_path, cfg), quiet=True,
+                          out_dir=str(out)) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"config error: problem[{problem['kind']}]" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------------

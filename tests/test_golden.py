@@ -64,7 +64,8 @@ def test_quadratic_full_grad_digest():
 # trace_seed*.csv and summary.json of two small `spidergda run` configs.
 # The quadratic one turns on every diagnostic (per-row gs_residuals, the
 # merit function with its solve_x_r ascents, dz_norm); the kl_example one
-# overrides K/T/M.
+# overrides K/T/M; the two_group_regression one runs a Moreau-smoothed
+# composite at a fixed lambda with user mu and theta.
 CLI_CONFIGS = {
     "quadratic": {
         "problem": {"kind": "quadratic_saddle", "dim_x": 4, "dim_y": 3,
@@ -86,6 +87,13 @@ CLI_CONFIGS = {
         "diagnostics": {"residual_stride": 4},
         "seeds": [0, 1],
     },
+    "two_group_regression": {
+        "problem": {"kind": "two_group_regression", "n": 60, "seed": 2},
+        "tuner": {"epsilon": 0.05, "mu": 0.5, "theta": 0.5, "lambda": 0.01,
+                  "sample_cap": 1e12, "overrides": {"K": 5, "T": 4, "M": 4}},
+        "diagnostics": {"residual_stride": 2},
+        "seeds": [0, 1],
+    },
 }
 
 CLI_DIGESTS = {
@@ -104,6 +112,14 @@ CLI_DIGESTS = {
             "c85948e0be2165cd29f0206d443bf64586641ea0cae6c66173c3d79df87644d9",
         "trace_seed1.csv":
             "c85948e0be2165cd29f0206d443bf64586641ea0cae6c66173c3d79df87644d9",
+    },
+    "two_group_regression": {
+        "summary.json":
+            "b1f2d17f456762f25a7edbb6ced9dfd4bc18a6b1f91265b70ecf59197596b392",
+        "trace_seed0.csv":
+            "dbcd528455604108f7a64d6b88136ff953082b1d3a80cb5a0be1af98a5648e8a",
+        "trace_seed1.csv":
+            "6c67bb35a2c0fd8103f6b87fc667885dfca4b1b8662a49617594da5431aea77e",
     },
 }
 

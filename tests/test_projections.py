@@ -20,6 +20,7 @@ from scipy import optimize
 
 from spidergda import (Ball, Box, DimError, FullSpace, InfeasibleError,
                        Simplex, normal_cone_dist)
+from spidergda.projections import ACTIVE_TOL
 
 
 # ----------------------------------------------------------------------------
@@ -264,6 +265,61 @@ def test_tangent_dist_matches_projection_finite_difference():
         fd = _tangent_dist_fd(cset, x, g)
         tol = 1e-4 if isinstance(cset, Ball) else 1e-7
         assert normal_cone_dist(cset, x, g) == pytest.approx(fd, abs=tol)
+
+
+def _simplex_tangent_dist_loop(x: np.ndarray, g: np.ndarray) -> float:
+    """Reference: the piecewise-linear solve with a fresh sum of the j
+    largest active entries per candidate (O(m^2) in active coordinates)."""
+    w = -g
+    active = x <= ACTIVE_TOL
+    k = int(np.sum(~active))
+    s_not = float(np.sum(w[~active]))
+    a = np.sort(w[active])[::-1]
+    m = a.shape[0]
+    lam = None
+    for j in range(m + 1):
+        if k + j == 0:
+            continue
+        cand = (s_not + float(np.sum(a[:j]))) / (k + j)
+        hi = a[j - 1] if j >= 1 else np.inf
+        lo = a[j] if j < m else -np.inf
+        if lo <= cand <= hi:
+            lam = cand
+            break
+    if lam is None:
+        lam = float(a[0]) if m else 0.0
+    return float(np.linalg.norm(np.where(active, np.maximum(w - lam, 0.0),
+                                         w - lam)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9, 130, 1024, 4096])
+def test_simplex_tangent_dist_matches_reference_loop(dim):
+    rng = np.random.default_rng(dim)
+    for trial in range(6):
+        x = np.zeros(dim)
+        support = rng.choice(dim, size=min(dim, 1 + trial % 3), replace=False)
+        x[support] = rng.dirichlet(np.ones(len(support)))
+        x = Simplex(dim).project(x)
+        # odd trials draw g from five values, so many entries tie
+        g = (rng.integers(-2, 3, size=dim).astype(np.float64) if trial % 2
+             else rng.normal(size=dim))
+        got = Simplex(dim).tangent_dist(x, g)
+        ref = _simplex_tangent_dist_loop(x, g)
+        if np.sum(x <= ACTIVE_TOL) <= 2:  # two-term sums: same bits
+            assert got == ref
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 16, 1024, 4096])
+def test_simplex_tangent_dist_tied_closed_form(dim):
+    # x = e_0, g = -1 off the support: lam = (d - 1)/d, so the projected
+    # direction is (-(d - 1)/d, 1/d, ..., 1/d), of norm sqrt(1 - 1/d)
+    x = np.zeros(dim)
+    x[0] = 1.0
+    g = -np.ones(dim)
+    g[0] = 0.0
+    assert Simplex(dim).tangent_dist(x, g) == pytest.approx(
+        np.sqrt(1.0 - 1.0 / dim), rel=1e-12, abs=0.0)
 
 
 def test_normal_cone_zero_iff_linear_stationary():

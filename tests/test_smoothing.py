@@ -23,7 +23,7 @@ from spidergda import (AbsValue, Box, CertificateInput, FiniteSum, Hinge,
                        near_stationarity_certificate, smooth_grad_x,
                        smooth_grad_y, smooth_value, spot_check_composite)
 from spidergda.diagnostics import fd_check
-from spidergda.tuner import CompositeConstants
+from spidergda.smoothing import CompositeConstants
 
 
 def _envelope_oracle(h, lam, w, lip=1.0):

@@ -12,12 +12,15 @@ import math
 
 import pytest
 
-from spidergda import (Box, CompositeConstants, FiniteSum,
-                       InfeasibleScheduleError, Online, ProblemInstance,
-                       SmoothnessMeta, StochasticOracle, TunerInput,
-                       compute_alpha_x, compute_alpha_y, compute_beta,
-                       compute_r, compute_varpi, make_quadratic_saddle, run,
-                       smoothed_constants, tune_nonsmooth, tune_smooth)
+import numpy as np
+
+from spidergda import (AbsValue, Box, CompositeConstants, FiniteSum,
+                       InfeasibleScheduleError, MoreauComposite, Online,
+                       ProblemInstance, SmoothnessMeta, StochasticOracle,
+                       TunerInput, compute_alpha_x, compute_alpha_y,
+                       compute_beta, compute_r, compute_varpi,
+                       make_quadratic_saddle, run, smoothed_constants,
+                       tune_nonsmooth, tune_smooth)
 from spidergda.tuner import _kt_branches, alpha_x_interval
 
 
@@ -310,38 +313,40 @@ def test_smoothed_L_x_scales_inversely_with_lambda():
     assert big > 50 * small  # ~1/lam in the dominant term
 
 
+def _unit_moreau(**kw):
+    """f(x, y; i) = y |x| on [-1, 1]^2 with 8 samples, declaring the unit
+    composite constants (the tuner reads only those)."""
+    return MoreauComposite(
+        c=lambda x, i: x.copy(), c_jac=lambda x, i: np.eye(1), h=[AbsValue()],
+        phi=lambda u, y, i: float(y[0] * u[0]),
+        phi_grad1=lambda u, y, i: y.copy(), phi_grad_y=lambda u, y, i: u.copy(),
+        constants=_unit_composite(**kw), regime=FiniteSum(8),
+        set_x=Box([-1.0], [1.0]), set_y=Box([-1.0], [1.0]))
+
+
 def test_lambda_auto_tracks_epsilon():
-    tin = TunerInput(meta=_unit_meta(), epsilon=0.05, regime=FiniteSum(8),
-                     composite=_unit_composite())
-    lam, cfg, audit = tune_nonsmooth(tin)
-    assert lam == 0.05
+    problem, cfg, audit = tune_nonsmooth(_unit_moreau(), 0.05)
+    assert problem.metadata["lambda"] == 0.05
     assert audit.outputs["lambda"] == 0.05
     assert audit.outputs["lambda_cap"] == 2.0
     assert audit.inputs["lambda_choice"] == "auto"
     # the smoothed constants drive the recorded schedule inputs
     assert audit.inputs["meta"]["L_x"] == audit.outputs["smoothed_L_x"]
+    assert problem.constants.L_x == audit.outputs["smoothed_L_x"]
 
 
 def test_lambda_clamped_with_warning(caplog):
-    tin = TunerInput(meta=_unit_meta(), epsilon=0.1, regime=FiniteSum(8),
-                     composite=_unit_composite(delta_tilde=0.001))
     with caplog.at_level(logging.WARNING, logger="spidergda.tuner"):
-        lam, _, audit = tune_nonsmooth(tin)
-    assert lam == 0.002  # ceiling 2*delta_tilde/(ell_h^2 sqrt(d_h))
+        problem, _, audit = tune_nonsmooth(_unit_moreau(delta_tilde=0.001), 0.1)
+    # ceiling 2*delta_tilde/(ell_h^2 sqrt(d_h))
+    assert problem.metadata["lambda"] == 0.002
     assert any("clamped" in rec.message for rec in caplog.records)
 
 
 def test_lambda_explicit_choice():
-    tin = TunerInput(meta=_unit_meta(), epsilon=0.1, regime=FiniteSum(8),
-                     composite=_unit_composite())
-    lam, _, audit = tune_nonsmooth(tin, lambda_choice=0.25)
-    assert lam == 0.25
+    comp = _unit_moreau()
+    problem, _, audit = tune_nonsmooth(comp, 0.1, lambda_choice=0.25)
+    assert problem.metadata["lambda"] == 0.25
     assert audit.outputs["smoothed_L_x"] == math.sqrt(54.0)
     with pytest.raises(ValueError):
-        tune_nonsmooth(tin, lambda_choice=-1.0)
-
-
-def test_nonsmooth_requires_composite():
-    tin = TunerInput(meta=_unit_meta(), epsilon=0.1, regime=FiniteSum(8))
-    with pytest.raises(ValueError):
-        tune_nonsmooth(tin)
+        tune_nonsmooth(comp, 0.1, lambda_choice=-1.0)
