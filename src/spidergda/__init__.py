@@ -3,13 +3,13 @@ stochastic minimax problems, with schedule tuning, Moreau smoothing for
 nonsmooth composites, and stationarity diagnostics."""
 
 from .core import (DimError, FiniteSum, Online, ProblemInstance, Regime,
-                   RegimeError, SmoothnessMeta, StochasticOracle,
+                   RegimeError, SmoothnessMeta, StochasticOracle, UniformDraw,
                    estimate_sigmas, full_grad_x, full_grad_y, full_grads,
                    full_value, sequential_sum)
 from .projections import (Ball, Box, ConstraintSet, FullSpace,
                           InfeasibleError, Simplex, normal_cone_dist)
-from .estimator import (EstimatorMse, anchor, batch_rng, estimator_mse,
-                        recurse)
+from .estimator import (EstimatorMse, anchor, batch_ids, batch_rng,
+                        estimator_mse, recurse)
 from .solver import (NonFiniteError, RunTrace, SolverConfig, TraceRow,
                      default_initial_point, run, samples_drawn, step)
 from .tuner import (InfeasibleScheduleError, TunerAudit, TunerInput,
@@ -38,7 +38,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "FiniteSum", "Online", "Regime", "StochasticOracle", "SmoothnessMeta",
+    "FiniteSum", "Online", "Regime", "StochasticOracle", "UniformDraw",
+    "SmoothnessMeta",
     "ProblemInstance", "RegimeError", "DimError", "full_grads", "full_grad_x",
     "full_grad_y", "full_value", "sequential_sum", "estimate_sigmas",
     # projections
@@ -46,7 +47,7 @@ __all__ = [
     "normal_cone_dist", "InfeasibleError",
     # estimator
     "EstimatorMse", "anchor", "recurse", "estimator_mse",
-    "batch_rng",
+    "batch_rng", "batch_ids",
     # solver
     "SolverConfig", "RunTrace", "TraceRow", "NonFiniteError",
     "default_initial_point", "run", "samples_drawn", "step",

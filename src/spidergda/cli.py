@@ -73,9 +73,13 @@ def _group_dro(p: dict) -> MoreauComposite:
 
 
 def _phi_div_dro(p: dict) -> ProblemInstance:
+    synthetic = [k for k in ("n", "d", "noise", "seed") if k in p]
     n, d = p.pop("n", 32), p.pop("d", 3)
     noise, seed = p.pop("noise", 0.1), p.pop("seed", 0)
     if "dataset" in p:
+        if synthetic:
+            raise ValueError(f"keys {synthetic} describe a synthetic set and "
+                             "do not apply with a dataset")
         X, t, _ = problems.load_dataset_csv(p.pop("dataset"))
     else:
         if n < 1 or d < 1:
@@ -532,8 +536,8 @@ def _verify_estimator() -> list:
     G = estimator.anchor(problem, x, y, B=8, rng=estimator.batch_rng(0, 0, 0))
     gx, gy = full_grads(problem, x, y)
     exact = bool(np.array_equal(G[0], gx) and np.array_equal(G[1], gy))
-    G2 = estimator.recurse(problem, G, (x, y), (x, y), M=4,
-                           rng=estimator.batch_rng(0, 0, 1))
+    G2 = estimator.recurse(problem, G, (x, y), (x, y),
+                           problem.oracle.draw(estimator.batch_rng(0, 0, 1), 4))
     frozen = bool(np.array_equal(G2[0], G[0]) and np.array_equal(G2[1], G[1]))
     return [
         ("finite-sum anchor equals the exact gradient (bitwise)", exact, ""),

@@ -17,6 +17,7 @@ __all__ = [
     "Online",
     "Regime",
     "StochasticOracle",
+    "UniformDraw",
     "SmoothnessMeta",
     "ProblemInstance",
     "RegimeError",
@@ -133,25 +134,33 @@ class StochasticOracle:
     grad_x : callable(x, y, sample_id) -> ndarray of shape (dim_x,)
     grad_y : callable(x, y, sample_id) -> ndarray of shape (dim_y,)
     draw : callable(rng, count) -> ndarray of sample ids, optional
-        Defaults to i.i.d. uniform indices (finite-sum) or fresh 63-bit
-        tokens (online), both with replacement.
-    grads_batch : callable(x, y, sample_ids) -> (ndarray, ndarray), optional
-        Vectorized fast path returning both sides' stacked per-sample
-        gradients from one pass, of shapes (len(ids), dim_x) and
-        (len(ids), dim_y).  The anchor and every recursion step use the x-
-        and y-gradients of the same samples at the same point, so one hook
-        serves every consumer.  Each row must be bit-identical to the
-        corresponding scalar-oracle call, because the exact finite-sum
-        gradient and the estimator's anchor are both reduced from these
-        rows.  Three numpy habits break that silently:
+        Defaults to `UniformDraw`: i.i.d. uniform indices (finite-sum) or
+        fresh 63-bit tokens (online), both with replacement.  The solver
+        computes a default draw's ids in bulk (`estimator.batch_ids`), bit
+        for bit what ``draw(rng, count)`` returns; a custom draw is called
+        with the same keyed generator at every refresh.
+    grads_batch : callable(X, Y, sample_ids) -> (ndarray, ndarray), optional
+        Vectorized fast path with one point per row: X has shape
+        (len(ids), dim_x), Y shape (len(ids), dim_y), and row r of each
+        returned side is the gradient at (X[r], Y[r]) for sample ids[r],
+        of shapes (len(ids), dim_x) and (len(ids), dim_y).  A recursion
+        evaluates its new and its previous point in one call of 2M rows;
+        a single-point caller broadcasts the point to every row
+        (`grads_at`), so one hook serves every consumer.  Each row must be
+        bit-identical to the corresponding scalar-oracle call, because the
+        exact finite-sum gradient and the estimator's anchor are both
+        reduced from these rows.  Three numpy habits break that silently:
 
-        - Dot products: ``X[ids] @ v`` runs one matrix-vector product
-          whose rows can differ in the last bit from the per-row
-          ``X[i] @ v``.  The stacked form ``(X[ids][:, None, :] @ v)[:, 0]``
-          (for stacked matrices ``Ms[ids] @ v``) runs the per-row kernel
-          and matches; ``np.einsum`` does not.  Matmul also accumulates
-          from +0.0, so where the scalar code multiplies through ``@`` an
-          elementwise product would keep a ``-0.0`` that ``@`` drops.
+        - Dot products: one matrix-vector product over stacked rows can
+          differ in the last bit from the per-row product.  The per-row
+          kernel is a stacked matmul against a column per row:
+          row r of ``(A[ids] @ X[:, :, None])[:, :, 0]`` equals
+          ``A[ids[r]] @ X[r]``, and row r of
+          ``(Xs[:, None, :] @ V[:, :, None])[:, 0, 0]`` equals the dot
+          ``Xs[r] @ V[r]``; ``np.einsum`` does not.
+          Matmul also accumulates from +0.0, so where the scalar code
+          multiplies through ``@`` an elementwise product would keep a
+          ``-0.0`` that ``@`` drops.
         - Squares: ``** 2`` on a numpy or Python scalar calls libm
           ``pow``, on an array it multiplies; ``np.float_power(a, 2)``
           matches the scalar.
@@ -159,7 +168,7 @@ class StochasticOracle:
           `sequential_sum`, which equals the ascending loop.
 
         Without the hook, `batch_grads` calls grad_x and grad_y once per
-        id; that path is the reference the hook is tested against.
+        row; that path is the reference the hook is tested against.
 
     Under FiniteSum, `full_grads(problem, x, y)` reduces one `batch_grads`
     call over all N ids to both exact partial gradients; `full_grad_x` and
@@ -180,7 +189,8 @@ class StochasticOracle:
         if self.dim_x < 1 or self.dim_y < 1:
             raise DimError("oracle dims must be positive")
         if self.draw is None:
-            self.draw = _default_draw(self.regime)
+            self.draw = UniformDraw(self.regime.n if isinstance(self.regime, FiniteSum)
+                                    else 2 ** 63)
 
     # -- convenience ---------------------------------------------------------
 
@@ -189,12 +199,13 @@ class StochasticOracle:
         """Component count under FiniteSum, None under Online."""
         return self.regime.n if isinstance(self.regime, FiniteSum) else None
 
-    def batch_grads(self, x: np.ndarray, y: np.ndarray,
+    def batch_grads(self, X: np.ndarray, Y: np.ndarray,
                     ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked per-sample gradients at (x, y), shape (len(ids), dim).
+        """Stacked per-sample gradients, row r at (X[r], Y[r]) for sample
+        ids[r]; shapes (len(ids), dim).
 
         Both sides come from one `grads_batch` call when the oracle has
-        the hook, else from one scalar grad_x and grad_y call per id; the
+        the hook, else from one scalar grad_x and grad_y call per row; the
         per-row values are identical either way.
 
         Raises
@@ -205,39 +216,48 @@ class StochasticOracle:
         """
         ids = np.asarray(ids)
         if self.grads_batch is None:
-            return (_stack_rows(self.grad_x, x, y, ids, self.dim_x, "x"),
-                    _stack_rows(self.grad_y, x, y, ids, self.dim_y, "y"))
-        gx, gy = (np.asarray(g, dtype=np.float64)
-                  for g in self.grads_batch(x, y, ids))
+            return (_stack_rows(self.grad_x, X, Y, ids, self.dim_x, "x"),
+                    _stack_rows(self.grad_y, X, Y, ids, self.dim_y, "y"))
+        gx, gy = self.grads_batch(X, Y, ids)
+        gx, gy = np.asarray(gx, dtype=np.float64), np.asarray(gy, dtype=np.float64)
         for side, g, dim in (("x", gx, self.dim_x), ("y", gy, self.dim_y)):
             if g.shape != (len(ids), dim):
                 raise DimError(f"grads_batch {side} rows: expected shape "
                                f"{(len(ids), dim)}, got {g.shape}")
         return gx, gy
 
+    def grads_at(self, x: np.ndarray, y: np.ndarray,
+                 ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`batch_grads` at the single point (x, y), given to every row."""
+        return self.batch_grads(_rows(x, len(ids)), _rows(y, len(ids)), ids)
 
-def _stack_rows(grad, x, y, ids, dim: int, side: str) -> np.ndarray:
-    """Per-sample fallback of batch_grads: one scalar call per id."""
+
+def _rows(v: np.ndarray, count: int) -> np.ndarray:
+    """`count` copies of the vector v as rows (contiguous, which the
+    stacked matmul kernels take without a copy of their own)."""
+    return v[None].repeat(count, axis=0)
+
+
+@dataclass(frozen=True)
+class UniformDraw:
+    """The default `draw`: `count` i.i.d. uniform ids in [0, high), with
+    replacement, as ``rng.integers(0, high, size=count)``.  `high` is N
+    under FiniteSum(N) and 2**63 (fresh tokens) online."""
+
+    high: int
+
+    def __call__(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.integers(0, self.high, size=count)
+
+
+def _stack_rows(grad, X, Y, ids, dim: int, side: str) -> np.ndarray:
+    """Per-sample fallback of batch_grads: one scalar call per row."""
     out = np.empty((len(ids), dim))
     for row, i in enumerate(ids):
-        g = np.asarray(grad(x, y, int(i)), dtype=np.float64)
+        g = np.asarray(grad(X[row], Y[row], int(i)), dtype=np.float64)
         check_vector(g, dim, f"grad_{side}(id={int(i)})")
         out[row] = g
     return out
-
-
-def _default_draw(regime: Regime) -> Callable[[np.random.Generator, int], np.ndarray]:
-    if isinstance(regime, FiniteSum):
-        n = regime.n
-
-        def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-            return rng.integers(0, n, size=count)
-    else:
-
-        def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-            return rng.integers(0, 2 ** 63, size=count)
-
-    return draw
 
 
 # ----------------------------------------------------------------------------
@@ -370,12 +390,14 @@ def _all_rows(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
         raise RegimeError("full gradient requires the finite-sum regime")
     check_vector(x, problem.dim_x, "x")
     check_vector(y, problem.dim_y, "y")
-    oracle, ids = problem.oracle, np.arange(problem.regime.n)
+    oracle, n = problem.oracle, problem.regime.n
+    ids = np.arange(n)
+    X, Y = _rows(x, n), _rows(y, n)
     if side is None:
-        return oracle.batch_grads(x, y, ids)
+        return oracle.batch_grads(X, Y, ids)
     if oracle.grads_batch is not None:
-        return oracle.batch_grads(x, y, ids)["xy".index(side)]
-    return _stack_rows(getattr(oracle, f"grad_{side}"), x, y, ids,
+        return oracle.batch_grads(X, Y, ids)["xy".index(side)]
+    return _stack_rows(getattr(oracle, f"grad_{side}"), X, Y, ids,
                        getattr(oracle, f"dim_{side}"), side)
 
 
@@ -444,5 +466,5 @@ def estimate_sigmas(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     rng = rng if rng is not None else np.random.default_rng(0)
     ids = problem.oracle.draw(rng, pilot)
     sx, sy = (float(np.sqrt(np.mean(np.sum((g - g.mean(axis=0)) ** 2, axis=1))))
-              for g in problem.oracle.batch_grads(x, y, ids))
+              for g in problem.oracle.grads_at(x, y, ids))
     return sx, sy

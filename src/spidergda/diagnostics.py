@@ -120,7 +120,7 @@ def mc_gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     y = as_vector(y, problem.dim_y)
     rng = rng if rng is not None else np.random.default_rng(0)
     ids = problem.oracle.draw(rng, batch)
-    gx, gy = problem.oracle.batch_grads(x, y, ids)
+    gx, gy = problem.oracle.grads_at(x, y, ids)
     mx, my = gx.mean(axis=0), gy.mean(axis=0)
     se_x = float(np.sqrt(np.sum(gx.var(axis=0, ddof=1)) / batch))
     se_y = float(np.sqrt(np.sum(gy.var(axis=0, ddof=1)) / batch))

@@ -7,11 +7,21 @@ recursive momentum update
     G <- mean_i[ grad f(new; xi_i) - grad f(prev; xi_i) ] + G_old
 
 with M fresh i.i.d. draws per inner step, the same draws feeding both the
-x- and y-estimates.  An estimate is the plain pair G = (Gx, Gy); the
+x- and y-estimates, and the new and the previous point evaluated in one
+oracle call of 2M rows.  An estimate is the plain pair G = (Gx, Gy); the
 estimator keeps no state of its own, so the caller passes the point G was
-formed at (`prev`) to `recurse`.  Mini-batch randomness comes from
-counter-based streams keyed by (seed, epoch, step) so any batch is
-reproducible in isolation.
+formed at (`prev`) and the step's sample ids to `recurse`.
+
+Mini-batch randomness comes from counter-based Philox streams keyed by
+(seed, epoch, step), so any batch is reproducible in isolation
+(`batch_rng`).  `batch_ids` computes the ids of many keys at once: for the
+oracle's default uniform draw it runs Philox4x64-10 and numpy's bounded
+integer draw as array code over all keys (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011), bit for bit what each key's
+generator would return; a custom draw, a count above a few hundred ids
+per key (where numpy's own loop is cheaper), and the rare key whose draw
+numpy would reject and redraw get the key's own generator instead.  The
+solver fills one such table per window of refresh steps.
 """
 
 from __future__ import annotations
@@ -20,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FiniteSum,
-    ProblemInstance,
-    RegimeError,
-    check_vector,
-    full_grads,
-)
+from .core import FiniteSum, ProblemInstance, RegimeError, UniformDraw, full_grads
 
 __all__ = [
     "anchor",
@@ -34,9 +38,16 @@ __all__ = [
     "estimator_mse",
     "EstimatorMse",
     "batch_rng",
+    "batch_ids",
 ]
 
 _MASK64 = (1 << 64) - 1
+
+
+def _tag(purpose, epoch, tau):
+    """Second Philox key word, purpose<<63 | epoch<<32 | tau, with 31-bit
+    epoch and 32-bit tau fields; takes Python ints or uint64 arrays."""
+    return ((purpose & 1) << 63) | ((epoch & 0x7FFFFFFF) << 32) | (tau & 0xFFFFFFFF)
 
 
 def batch_rng(seed: int, epoch: int, tau: int, purpose: int = 0) -> np.random.Generator:
@@ -46,9 +57,103 @@ def batch_rng(seed: int, epoch: int, tau: int, purpose: int = 0) -> np.random.Ge
     batch advance the counter.  Any batch is reproducible independently of
     execution order, which the replay and enumeration tests rely on.
     """
-    tag = ((purpose & 1) << 63) | ((epoch & 0x7FFFFFFF) << 32) | (tau & 0xFFFFFFFF)
-    key = np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64)
+    key = np.array([seed & _MASK64, _tag(purpose, epoch, tau)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# ----------------------------------------------------------------------------
+# bulk ids: numpy's Philox4x64-10 and bounded draw as array code
+#
+# numpy's Philox increments its counter before each block, so a key's
+# first block is counter (1, 0, 0, 0); each 64-bit output word serves two
+# 32-bit draws, low half first.  integers(0, n) for n <= 2**32 is Lemire's
+# draw (u * n) >> 32 on 32-bit u, redrawn while (u * n) mod 2**32 falls
+# below (2**32 - n) mod n; above 2**32 it is the same on 64-bit words.
+
+_LO32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _split(a):
+    """a with its low and high 32-bit halves, the form `_mulhilo` takes."""
+    return a, a & _LO32, a >> _SHIFT32
+
+
+def _mulhilo(a, b):
+    """High and low 64-bit words of the 128-bit products a * b, for a from
+    `_split` and a uint64 array b."""
+    a, a_lo, a_hi = a
+    b_lo, b_hi = b & _LO32, b >> _SHIFT32
+    t = a_lo * b_lo
+    m1 = a_hi * b_lo + (t >> _SHIFT32)
+    m2 = a_lo * b_hi + (m1 & _LO32)
+    return a_hi * b_hi + (m1 >> _SHIFT32) + (m2 >> _SHIFT32), a * b
+
+
+_PHILOX_MUL = _split(np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                              dtype=np.uint64)[:, None, None])
+_PHILOX_BUMP = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+
+# ids per key above which a generator per key is cheaper: the array code
+# costs ~40 ns an id, a generator ~15 us a key plus ~5 ns an id
+_BULK_MAX_COUNT = 256
+
+
+def _philox_words(seed: int, tags: np.ndarray, blocks: int) -> np.ndarray:
+    """First `blocks` output blocks of every key (seed, tags[j]), as uint64
+    words of shape (len(tags), 4 * blocks) in stream order."""
+    rounds = np.arange(_PHILOX_ROUNDS, dtype=np.uint64)
+    keys = np.empty((_PHILOX_ROUNDS, 2, len(tags), 1), dtype=np.uint64)
+    keys[:, 0] = (np.uint64(seed) + rounds * _PHILOX_BUMP[0])[:, None, None]
+    keys[:, 1, :, 0] = tags + rounds[:, None] * _PHILOX_BUMP[1]
+    # counter words 0 and 2 go through the multipliers, 1 and 3 are xored in
+    even = np.zeros((2, len(tags), blocks), dtype=np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    for key in keys:
+        hi, lo = _mulhilo(_PHILOX_MUL, even)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return np.stack((even[0], odd[0], even[1], odd[1]), axis=-1).reshape(len(tags), -1)
+
+
+def _uniform_ids(high: int, seed: int, tags: np.ndarray, count: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """`count` draws of integers(0, high) for every key, and a mask of the
+    keys on which numpy would have rejected a draw (their rows are wrong)."""
+    if high <= 1 << 32:
+        # little-endian 32-bit view: each word's low half, then its high half
+        u = _philox_words(seed, tags, -(-count // 8)).astype("<u8").view("<u4")
+        m = u[:, :count].astype(np.uint64) * np.uint64(high)
+        hi, lo = m >> _SHIFT32, m & _LO32
+        threshold = ((1 << 32) - high) % high
+    else:
+        hi, lo = _mulhilo(_split(np.uint64(high)),
+                          _philox_words(seed, tags, -(-count // 4))[:, :count])
+        threshold = ((1 << 64) - high) % high
+    return hi.astype(np.int64), (lo < np.uint64(threshold)).any(axis=1)
+
+
+def batch_ids(draw, seed: int, epochs, taus, count: int, purpose: int = 0):
+    """Mini-batch ids of many (epoch, tau) keys, one row per key.
+
+    Row j equals ``draw(batch_rng(seed, epochs[j], taus[j], purpose),
+    count)`` bit for bit; `epochs` and `taus` broadcast against each other.
+    For the default `UniformDraw` and at most `_BULK_MAX_COUNT` ids per key
+    all rows come from one vectorized Philox pass; a key on which numpy's
+    bounded draw would reject a value (odds below high / 2**32 per draw),
+    every key of a custom draw, and every key of a larger count get their
+    own generator.
+    """
+    epochs, taus = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(epochs, dtype=np.int64), np.asarray(taus, dtype=np.int64)))
+    if not isinstance(draw, UniformDraw) or count > _BULK_MAX_COUNT:
+        return np.array([draw(batch_rng(seed, k, t, purpose), count)
+                         for k, t in zip(epochs.tolist(), taus.tolist())])
+    tags = _tag(purpose, epochs.astype(np.uint64), taus.astype(np.uint64))
+    ids, rejected = _uniform_ids(draw.high, seed & _MASK64, tags, count)
+    for j in np.flatnonzero(rejected).tolist():
+        ids[j] = draw(batch_rng(seed, int(epochs[j]), int(taus[j]), purpose), count)
+    return ids
 
 
 # ----------------------------------------------------------------------------
@@ -61,41 +166,41 @@ def anchor(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     Finite-sum regime: B is ignored and all N component gradients are
     averaged in one `full_grads` pass, so Gx/Gy equal the exact partial
     gradients bit for bit.  Online regime: Gx/Gy are means over B fresh
-    i.i.d. draws from `rng`.
+    i.i.d. draws from `rng`.  Neither `anchor` nor `recurse` checks its
+    points; `run` checks its start points once.
     """
-    check_vector(x, problem.dim_x, "x")
-    check_vector(y, problem.dim_y, "y")
     if isinstance(problem.regime, FiniteSum):
         return full_grads(problem, x, y)
     if B < 1:
         raise ValueError("online anchor needs B >= 1")
-    ids = problem.oracle.draw(rng, B)
-    gx, gy = problem.oracle.batch_grads(x, y, ids)
+    gx, gy = problem.oracle.grads_at(x, y, problem.oracle.draw(rng, B))
     return gx.mean(axis=0), gy.mean(axis=0)
 
 
 def recurse(problem: ProblemInstance, G: tuple, prev: tuple, new: tuple,
-            M: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+            ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One recursive momentum update of G = (Gx, Gy), formed at the point
-    `prev` = (x, y), onto the point `new` = (x, y).
-
-    Draws M fresh i.i.d. sample ids (with replacement) and applies
+    `prev` = (x, y), onto the point `new` = (x, y), over the M sample ids
+    `ids` (i.i.d., with replacement; `batch_ids` computes them):
 
         G <- mean_i[grad f(new; xi_i) - grad f(prev; xi_i)] + G_old
 
-    with the *same* ids for Gx and Gy.  Zero displacement leaves the
-    estimates unchanged bit-exactly.  No input is copied or written to.
+    with the *same* ids for Gx and Gy, from one oracle call of 2M rows
+    (M at the new point, then M at the previous one).  Zero displacement
+    leaves the estimates unchanged bit-exactly.  No input is copied or
+    written to.
     """
+    M = len(ids)
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise ValueError("a recursion needs at least one sample id")
     (x_prev, y_prev), (x_new, y_new) = prev, new
-    check_vector(x_new, problem.dim_x, "x_new")
-    check_vector(y_new, problem.dim_y, "y_new")
-    ids = problem.oracle.draw(rng, M)
-    gx_new, gy_new = problem.oracle.batch_grads(x_new, y_new, ids)
-    gx_prev, gy_prev = problem.oracle.batch_grads(x_prev, y_prev, ids)
-    dx = (gx_new - gx_prev).mean(axis=0)
-    dy = (gy_new - gy_prev).mean(axis=0)
+    gx, gy = problem.oracle.batch_grads(np.array((x_new, x_prev)).repeat(M, axis=0),
+                                        np.array((y_new, y_prev)).repeat(M, axis=0),
+                                        np.concatenate((ids, ids)))
+    # np.add.reduce(., axis=0) / M is what .mean(axis=0) computes, minus
+    # the Python-level wrapper
+    dx = np.add.reduce(gx[:M] - gx[M:], axis=0) / M
+    dy = np.add.reduce(gy[:M] - gy[M:], axis=0) / M
     # avoid 0.0 + -0.0 sign flips so a zero increment is a bit-exact no-op
     Gx, Gy = G
     return (Gx if not dx.any() else Gx + dx,
@@ -163,8 +268,8 @@ def estimator_mse(problem: ProblemInstance, trajectory, M: int, B: int,
     sq_y = [np.zeros(trials)]
     for t in range(1, steps):
         ids = problem.oracle.draw(rng, trials * M)
-        gx_new, gy_new = problem.oracle.batch_grads(xs[t], ys[t], ids)
-        gx_prev, gy_prev = problem.oracle.batch_grads(xs[t - 1], ys[t - 1], ids)
+        gx_new, gy_new = problem.oracle.grads_at(xs[t], ys[t], ids)
+        gx_prev, gy_prev = problem.oracle.grads_at(xs[t - 1], ys[t - 1], ids)
         Gx = Gx + (gx_new - gx_prev).reshape(trials, M, -1).mean(axis=1)
         Gy = Gy + (gy_new - gy_prev).reshape(trials, M, -1).mean(axis=1)
         sq_x.append(np.sum((Gx - grads_x[t]) ** 2, axis=1))

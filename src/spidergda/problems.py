@@ -115,10 +115,10 @@ def _set_radius(cset: ConstraintSet) -> float:
     raise ValueError("group-DRO needs a bounded primal set")
 
 
-def _row_dots(Xi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # one dot product per row, bit-identical to X[i] @ theta (a single
-    # Xi @ theta matrix-vector product is not)
-    return (Xi[:, None, :] @ theta)[:, 0]
+def _row_dots(Xi: np.ndarray, Theta: np.ndarray) -> np.ndarray:
+    # one dot product per row, bit-identical to Xi[r] @ Theta[r] (a single
+    # matrix-vector product over the rows is not)
+    return (Xi[:, None, :] @ Theta[:, :, None])[:, 0, 0]
 
 
 def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
@@ -150,9 +150,9 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
         def c_jac(theta, i):
             return (2.0 * (X[i] @ theta - t[i]) * X[i]).reshape(d, 1)
 
-        def c_batch(theta, ids):
+        def c_batch(Theta, ids):
             Xi = X[ids]
-            res = _row_dots(Xi, theta) - t[ids]
+            res = _row_dots(Xi, Theta) - t[ids]
             return (np.float_power(res, 2)[:, None],
                     ((2.0 * res)[:, None] * Xi)[:, :, None])
 
@@ -167,9 +167,9 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
         def c_jac(theta, i):
             return (-t[i] * X[i]).reshape(d, 1)
 
-        def c_batch(theta, ids):
+        def c_batch(Theta, ids):
             Xi = X[ids]
-            return ((1.0 - t[ids] * _row_dots(Xi, theta))[:, None],
+            return ((1.0 - t[ids] * _row_dots(Xi, Theta))[:, None],
                     ((-t[ids])[:, None] * Xi)[:, :, None])
 
         h = [Hinge()]
@@ -190,11 +190,11 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
         out[g[i]] = w[i] * u[0]
         return out
 
-    def phi_grads_batch(u, q, ids):
-        gi = g[ids]
+    def phi_grads_batch(u, Q, ids):
+        rows, gi = np.arange(len(ids)), g[ids]
         out_y = np.zeros((len(ids), spec.m_groups))
-        out_y[np.arange(len(ids)), gi] = w[ids] * u[:, 0]
-        return (w[ids] * q[gi])[:, None], out_y
+        out_y[rows, gi] = w[ids] * u[:, 0]
+        return (w[ids] * Q[rows, gi])[:, None], out_y
 
     constants = CompositeConstants(
         ell_c=ell_c, ell_h=1.0,
@@ -338,15 +338,15 @@ def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
         out[i] = n * (loss(theta, i) - lam_pen * psi_prime(n * q[i]))
         return out
 
-    def grads_batch(theta, q, ids):
-        Xi = X[ids]
-        resid = _row_dots(Xi, theta) - t[ids]
+    def grads_batch(Theta, Q, ids):
+        Xi, rows = X[ids], np.arange(len(ids))
+        resid = _row_dots(Xi, Theta) - t[ids]
+        qi = Q[rows, ids]
         # psi' may be any scalar callable, so it is applied per sample
-        dpsi = np.array([psi_prime(v) for v in n * q[ids]], dtype=np.float64)
+        dpsi = np.array([psi_prime(v) for v in n * qi], dtype=np.float64)
         gy = np.zeros((len(ids), n))
-        gy[np.arange(len(ids)), ids] = n * (np.float_power(resid, 2)
-                                            - lam_pen * dpsi)
-        return (n * q[ids] * 2.0 * resid)[:, None] * Xi, gy
+        gy[rows, ids] = n * (np.float_power(resid, 2) - lam_pen * dpsi)
+        return (n * qi * 2.0 * resid)[:, None] * Xi, gy
 
     R_x = _set_radius(set_x)
     row_norms = np.linalg.norm(X, axis=1)
@@ -494,11 +494,17 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     def grad_y(x, y, i):
         return Bs[i].T @ x - Cs[i] @ y - b_s[i]
 
-    # stacked matmul runs the scalar path's matrix-vector kernel per row, so
-    # rows match grad_x/grad_y bit for bit (einsum does not)
-    def grads_batch(x, y, ids):
-        return (As[ids] @ x + Bs[ids] @ y + a_s[ids],
-                np.swapaxes(Bs[ids], 1, 2) @ x - Cs[ids] @ y - b_s[ids])
+    # a stacked matmul against one column per row runs the scalar path's
+    # matrix-vector kernel per row, so rows match grad_x/grad_y bit for bit
+    # (einsum does not)
+    def grads_batch(X, Y, ids):
+        Xc, Yc, Bi = X[:, :, None], Y[:, :, None], Bs[ids]
+        by, bx = Bi @ Yc, np.swapaxes(Bi, 1, 2) @ Xc
+        # one gathered (len(ids), d, d) stack alive at a time: a large batch
+        # (estimator_mse's trials * M ids) would otherwise hold three
+        del Bi
+        return ((As[ids] @ Xc + by)[:, :, 0] + a_s[ids],
+                (bx - Cs[ids] @ Yc)[:, :, 0] - b_s[ids])
 
     if set_x is None:
         set_x = Box(x_star - 1.0, x_star + 3.0)

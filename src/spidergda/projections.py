@@ -43,9 +43,12 @@ class InfeasibleError(Exception):
 class ConstraintSet:
     """Base class for the supported closed convex sets.
 
-    Concrete kinds: Box, Ball, Simplex, FullSpace.  Each provides `project`,
-    `contains`, `tangent_dist` (distance of -g to the tangent cone
-    complement, i.e. ||proj_T(-g)||) and a `diameter`.
+    Concrete kinds: Box, Ball, Simplex, FullSpace.  Each provides the
+    unchecked `_project` and `_contains`, `tangent_dist` (distance of -g
+    to the tangent cone complement, i.e. ||proj_T(-g)||) and a `diameter`.
+    The public `project` and `contains` check the input's dimension and
+    finiteness first; the solver's step, whose input `run` has already
+    checked, calls `_project` directly.
     """
 
     dim: int
@@ -55,9 +58,17 @@ class ConstraintSet:
         raise NotImplementedError
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Euclidean projection of v onto the set, as a new array."""
+        return self._project(self._check_dim(v))
 
     def contains(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
+        """Whether x lies in the set, within `tol`."""
+        return self._contains(self._check_dim(x), tol)
+
+    def _project(self, v: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _contains(self, x: np.ndarray, tol: float) -> bool:
         raise NotImplementedError
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
@@ -90,12 +101,10 @@ class Box(ConstraintSet):
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        v = self._check_dim(v)
+    def _project(self, v: np.ndarray) -> np.ndarray:
         return np.clip(v, self.lo, self.hi)
 
-    def contains(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-        x = self._check_dim(x)
+    def _contains(self, x: np.ndarray, tol: float) -> bool:
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
@@ -130,17 +139,15 @@ class Ball(ConstraintSet):
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        v = self._check_dim(v)
+    def _project(self, v: np.ndarray) -> np.ndarray:
         # short-circuit within the feasibility band so that re-projecting a
         # projected point returns it bit-identically (exact idempotence)
-        if self.contains(v):
+        if self._contains(v, FEAS_TOL):
             return v.copy()
         d = v - self.center
         return self.center + d * (self.radius / np.linalg.norm(d))
 
-    def contains(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-        x = self._check_dim(x)
+    def _contains(self, x: np.ndarray, tol: float) -> bool:
         return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
@@ -170,12 +177,11 @@ class Simplex(ConstraintSet):
     def diameter(self) -> float:
         return float(np.sqrt(2.0)) if self.dim > 1 else 0.0
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        v = self._check_dim(v)
+    def _project(self, v: np.ndarray) -> np.ndarray:
         # short-circuit within the feasibility band: keeps idempotence exact
         # (the sorted threshold recomputed on a projected point would shift
         # it by rounding noise)
-        if self.contains(v):
+        if self._contains(v, FEAS_TOL):
             return v.copy()
         # sort-based threshold algorithm; ties broken by ascending index
         order = np.argsort(-v, kind="stable")
@@ -187,8 +193,7 @@ class Simplex(ConstraintSet):
         lam = css[rho - 1] / rho
         return np.maximum(v - lam, 0.0)
 
-    def contains(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-        x = self._check_dim(x)
+    def _contains(self, x: np.ndarray, tol: float) -> bool:
         return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - 1.0) <= tol)
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
@@ -202,18 +207,16 @@ class Simplex(ConstraintSet):
         a = np.sort(w[active])[::-1]  # descending
         m = a.shape[0]
         head = np.concatenate(([0.0], np.cumsum(a)))  # head[j] = sum of a[:j]
-        lam = None
-        for j in range(m + 1):
-            denom = k + j
-            if denom == 0:
-                continue
-            cand = (s_not + float(head[j])) / denom
-            hi = a[j - 1] if j >= 1 else np.inf
-            lo = a[j] if j < m else -np.inf
-            if lo <= cand <= hi:
-                lam = cand
-                break
-        if lam is None:
+        # candidate j keeps the j largest active coordinates free; take the
+        # first whose threshold falls inside [a[j], a[j-1]]
+        denom = k + np.arange(m + 1)
+        cand = (s_not + head) / np.maximum(denom, 1)
+        fits = ((denom > 0) & (np.append(a, -np.inf) <= cand)
+                & (cand <= np.insert(a, 0, np.inf)))
+        first = np.flatnonzero(fits)
+        if first.size:
+            lam = float(cand[first[0]])
+        else:
             # all coordinates active and no inactive ones: v = 0 is feasible
             lam = float(a[0]) if m else 0.0
         v = np.where(active, np.maximum(w - lam, 0.0), w - lam)
@@ -228,11 +231,10 @@ class FullSpace(ConstraintSet):
     def diameter(self) -> float:
         return float("inf")
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return self._check_dim(v).copy()
+    def _project(self, v: np.ndarray) -> np.ndarray:
+        return v.copy()
 
-    def contains(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-        self._check_dim(x)
+    def _contains(self, x: np.ndarray, tol: float) -> bool:
         return True
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
@@ -257,6 +259,6 @@ def normal_cone_dist(cset: ConstraintSet, x: np.ndarray, g: np.ndarray) -> float
     """
     x = cset._check_dim(x)
     g = cset._check_dim(g)
-    if not cset.contains(x):
+    if not cset._contains(x, FEAS_TOL):
         raise InfeasibleError(f"point is not in the set (tol {FEAS_TOL})")
     return cset.tangent_dist(x, g)

@@ -235,28 +235,32 @@ class MoreauComposite:
         through unchanged by as_problem.
     mu, theta, sigma_x, sigma_y : extra regularity data for the wrapped
         problem's SmoothnessMeta.
-    c_batch : callable(x, sample_ids) -> (ndarray, ndarray), optional
-        Inner map and Jacobian over a batch: shapes (len(ids), d_h) and
-        (len(ids), dim_x, d_h), row r equal to c(x, ids[r]) and
-        c_jac(x, ids[r]).  Each Jacobian row must also have the memory
+    c_batch : callable(X, sample_ids) -> (ndarray, ndarray), optional
+        Inner map and Jacobian over a batch with one point per row, X of
+        shape (len(ids), dim_x): shapes (len(ids), d_h) and
+        (len(ids), dim_x, d_h), row r equal to c(X[r], ids[r]) and
+        c_jac(X[r], ids[r]).  Each Jacobian row must also have the memory
         layout of c_jac's result (``np.swapaxes(A[ids], 1, 2)`` for
         ``A[i].T``), because the matmul kernel, and with it the last bit
         of the gradient, depends on the layout.
-    phi_grads_batch : callable(u, y, sample_ids) -> (ndarray, ndarray), optional
-        Outer gradients over a batch, with u of shape (len(ids), d_h): the
-        stacked phi_grad1 rows (len(ids), d_h) and phi_grad_y rows
-        (len(ids), dim_y).
+    phi_grads_batch : callable(u, Y, sample_ids) -> (ndarray, ndarray), optional
+        Outer gradients over a batch, with u of shape (len(ids), d_h) and
+        one dual point per row, Y of shape (len(ids), dim_y): the stacked
+        phi_grad1 rows (len(ids), d_h) and phi_grad_y rows
+        (len(ids), dim_y), row r at (u[r], Y[r], ids[r]).
 
     When both hooks are given, `as_problem` installs one vectorized
-    `grads_batch` on the wrapped oracle, which runs `c_batch`, the
-    envelopes and `phi_grads_batch` once per batch and returns both
-    gradient sides; otherwise it keeps the per-sample path.  Every row
-    the hooks return must equal the per-sample callables bit for bit, so
-    the batch path reproduces `smooth_grad_x`/`smooth_grad_y` exactly.
+    `grads_batch(X, Y, ids)` on the wrapped oracle, which runs `c_batch`,
+    the envelopes and `phi_grads_batch` once per batch and returns both
+    gradient sides; otherwise it keeps the per-sample path.  A caller at
+    a single point broadcasts it to every row.  Every row the hooks
+    return must equal the per-sample callables bit for bit, so the batch
+    path reproduces `smooth_grad_x`/`smooth_grad_y` exactly.
     `StochasticOracle` lists the numpy habits that break this silently: a
-    single matrix-vector product over ``X[ids]`` instead of stacked
-    per-row products, array ``** 2`` instead of ``np.float_power(a, 2)``,
-    and ``np.sum`` instead of `sequential_sum`.
+    single matrix-vector product over the rows instead of the per-row
+    kernel ``(A[ids] @ X[:, :, None])[:, :, 0]``, array ``** 2`` instead
+    of ``np.float_power(a, 2)``, and ``np.sum`` instead of
+    `sequential_sum`.
     """
 
     c: Callable[[np.ndarray, int], np.ndarray]
@@ -352,16 +356,16 @@ def smooth_grad_y(comp: MoreauComposite, lam: float, x: np.ndarray,
     return np.asarray(comp.phi_grad_y(u, y, sample_id), dtype=np.float64)
 
 
-def _smooth_grads_batch(comp: MoreauComposite, lam: float, x: np.ndarray,
-                        y: np.ndarray, ids: np.ndarray
+def _smooth_grads_batch(comp: MoreauComposite, lam: float, X: np.ndarray,
+                        Y: np.ndarray, ids: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Both smoothed gradient sides over ids from one pass of c_batch, the
-    envelopes and phi_grads_batch."""
-    v, jac = comp.c_batch(x, ids)
+    """Both smoothed gradient sides over ids, row r at (X[r], Y[r]), from
+    one pass of c_batch, the envelopes and phi_grads_batch."""
+    v, jac = comp.c_batch(X, ids)
     u, e = np.empty(v.shape), np.empty(v.shape)
     for j, hj in enumerate(comp.h):
         u[:, j], e[:, j] = hj.envelopes(lam, v[:, j])
-    g1, gy = comp.phi_grads_batch(u, y, ids)
+    g1, gy = comp.phi_grads_batch(u, Y, ids)
     # a stacked (dim_x, d_h) @ (d_h, 1) product per row, as in
     # smooth_grad_x; an elementwise product would keep -0.0 terms
     return (jac @ (e * g1)[:, :, None])[:, :, 0], gy
@@ -412,7 +416,7 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
     )
     if comp.c_batch is not None and comp.phi_grads_batch is not None:
         oracle.grads_batch = (
-            lambda x, y, ids: _smooth_grads_batch(comp, lam, x, y, ids))
+            lambda X, Y, ids: _smooth_grads_batch(comp, lam, X, Y, ids))
     return ProblemInstance(oracle=oracle, set_x=comp.set_x, set_y=comp.set_y,
                            constants=meta,
                            metadata={"lambda": lam, "composite": comp,

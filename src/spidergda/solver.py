@@ -15,11 +15,20 @@ x, y, z unchanged).  Step `count` (1-based) has epoch and inner index
 uniformly over all K*T post-update iterates via single-slot reservoir
 sampling, so the full trajectory is never stored.  `samples_drawn` is the
 one sample-accounting formula, shared with the tuner.
+
+Random numbers come in windows: `run` takes the recursions' sample ids
+from one `estimator.batch_ids` table per window of at most `_ID_BUDGET`
+ids (the same ids a generator per step would draw; a custom `draw` is
+still called with each step's keyed generator), and the reservoir's
+uniforms from one draw per window of `_RESERVOIR_WINDOW` steps.  Inputs
+are checked at the boundaries: the start points once, and per step only
+the finiteness of the raw update (before projecting) and of z+.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -27,8 +36,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import FiniteSum, ProblemInstance, Regime
-from .estimator import anchor, batch_rng, recurse
-from .projections import Ball, Box, ConstraintSet, FullSpace, Simplex
+from .estimator import anchor, batch_ids, batch_rng, recurse
+from .projections import FEAS_TOL, Ball, Box, ConstraintSet, FullSpace, Simplex
 
 __all__ = [
     "SolverConfig",
@@ -42,6 +51,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger("spidergda.solver")
+
+# ids per recursion-id table, and steps per draw of reservoir uniforms
+_ID_BUDGET = 2 ** 12
+_RESERVOIR_WINDOW = 2 ** 11
 
 
 class NonFiniteError(Exception):
@@ -157,37 +170,73 @@ def samples_drawn(regime: Regime, T: int, M: int, B: int, refreshes: int) -> int
 # ----------------------------------------------------------------------------
 # single step
 
-def _check_finite(*vecs: np.ndarray) -> None:
-    for v in vecs:
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError("iterate became non-finite")
+def _finite(v: np.ndarray) -> bool:
+    return bool(np.isfinite(v).all())
+
+
+def _norm(v: np.ndarray) -> float:
+    # what np.linalg.norm computes for a real vector, minus its dispatch
+    return math.sqrt(v.dot(v))
 
 
 def step(problem: ProblemInstance, config: SolverConfig, x: np.ndarray,
          y: np.ndarray, z: np.ndarray, G: tuple
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three update lines from (x, y, z) with estimates G = (Gx, Gy)
-    formed at (x, y); returns (x+, y+, z+) as new arrays.
+    formed at (x, y); returns (x+, y+, z+) as new arrays.  The inputs are
+    not checked (`run` checks its start points once).
 
     Raises
     ------
     NonFiniteError
-        If any updated iterate has a NaN/Inf entry.
+        If the raw x/y update, or z+, has a NaN/Inf entry.
     """
     # check the raw updates before projecting: clamping would silently mask
-    # an overflow, and the set kinds reject non-finite input anyway
+    # an overflow, and the simplex projection cannot take non-finite input
     raw_x = x - config.alpha_x * (G[0] + config.r * (x - z))
     raw_y = y + config.alpha_y * G[1]
-    _check_finite(raw_x, raw_y)
-    x_new = problem.set_x.project(raw_x)
-    y_new = problem.set_y.project(raw_y)
+    if not (_finite(raw_x) and _finite(raw_y)):
+        raise NonFiniteError("iterate became non-finite")
+    x_new = problem.set_x._project(raw_x)
+    y_new = problem.set_y._project(raw_y)
     z_new = z + config.beta * (x_new - z)
-    _check_finite(z_new)
+    if not _finite(z_new):
+        raise NonFiniteError("iterate became non-finite")
     return x_new, y_new, z_new
 
 
 # ----------------------------------------------------------------------------
 # full run
+
+def _recursion_ids(problem: ProblemInstance, config: SolverConfig):
+    """The sample ids of every recursion of the run, in step order, taken
+    from one `batch_ids` table per window of at most `_ID_BUDGET` ids.
+
+    The recursions are the keys (k, tau) with tau in 1..T-1 of every epoch
+    k, since the refresh after step (k, tau - 1) is keyed (k, tau).
+    """
+    T, M = config.T, config.M
+    total = config.K * (T - 1)
+    window = max(1, _ID_BUDGET // M)
+    for start in range(0, total, window):
+        k, tau = np.divmod(np.arange(start, min(start + window, total)), T - 1)
+        yield from batch_ids(problem.oracle.draw, config.seed, k, tau + 1, M)
+
+
+def _reservoir_hits(rng: np.random.Generator, total_steps: int):
+    """The steps at which the reservoir takes its candidate, in order: the
+    c-th candidate is kept when the c-th uniform of `rng` is below 1/c.
+    Uniforms are drawn `_RESERVOIR_WINDOW` at a time, the same stream as
+    one `rng.random()` per step."""
+    for start in range(1, total_steps + 1, _RESERVOIR_WINDOW):
+        counts = np.arange(start, min(start + _RESERVOIR_WINDOW, total_steps + 1))
+        yield from counts[rng.random(len(counts)) < 1.0 / counts].tolist()
+
+
+def _start_point(cset: ConstraintSet, v) -> np.ndarray:
+    """A checked copy of a start point, or the set's default if None."""
+    return default_initial_point(cset) if v is None else np.array(cset._check_dim(v))
+
 
 def run(problem: ProblemInstance, config: SolverConfig,
         x0: Optional[np.ndarray] = None, y0: Optional[np.ndarray] = None,
@@ -200,30 +249,32 @@ def run(problem: ProblemInstance, config: SolverConfig,
     draws, reservoir, hence the whole trace) is determined by (problem,
     config), and per-step sample counts depend only on the configuration.
 
-    Infeasible initial points are projected with a logged warning; the
-    projection goes to a copy, never into the caller's array.  Trace
-    rows are recorded every `trace_stride` steps (plus the final step) with
-    iterate snapshots; `sink`, when given, receives each row as produced.
+    The start points are checked once (dimension and finiteness, DimError
+    otherwise); infeasible x0/y0 are projected with a logged warning, into
+    a copy, never into the caller's array.  Trace rows are recorded every
+    `trace_stride` steps (plus the final step) with iterate snapshots;
+    `sink`, when given, receives each row as produced.
 
     Raises
     ------
     NonFiniteError
         On a non-finite iterate; the partial trace is attached to the error.
     """
-    # copies, so projecting an infeasible start never writes to the caller
-    x = default_initial_point(problem.set_x) if x0 is None else np.array(x0, dtype=np.float64)
-    y = default_initial_point(problem.set_y) if y0 is None else np.array(y0, dtype=np.float64)
-    z = x.copy() if z0 is None else np.array(z0, dtype=np.float64)
+    x = _start_point(problem.set_x, x0)
+    y = _start_point(problem.set_y, y0)
+    z = x.copy() if z0 is None else _start_point(problem.set_x, z0)
     for name, v, cset in (("x0", x, problem.set_x), ("y0", y, problem.set_y)):
-        if not cset.contains(v):
+        if not cset._contains(v, FEAS_TOL):
             logger.warning("initial %s infeasible; projecting onto the set", name)
-            v[:] = cset.project(v)
+            v[:] = cset._project(v)
 
     T, total_steps = config.T, config.K * config.T
     drawn = partial(samples_drawn, problem.regime, T, config.M, config.B)
     G = anchor(problem, x, y, config.B, batch_rng(config.seed, 0, 0))
     trace = RunTrace()
-    reservoir = batch_rng(config.seed, 0, 0, purpose=1)
+    recursion_ids = _recursion_ids(problem, config)
+    hits = _reservoir_hits(batch_rng(config.seed, 0, 0, purpose=1), total_steps)
+    next_hit = next(hits)
 
     for count in range(1, total_steps + 1):
         k, tau = divmod(count - 1, T)
@@ -232,26 +283,25 @@ def run(problem: ProblemInstance, config: SolverConfig,
         except NonFiniteError as err:
             raise NonFiniteError(str(err), trace) from None
         if tau + 1 < T:
-            G = recurse(problem, G, (x, y), (x_new, y_new), config.M,
-                        batch_rng(config.seed, k, tau + 1))
+            G = recurse(problem, G, (x, y), (x_new, y_new), next(recursion_ids))
         elif count < total_steps:
             G = anchor(problem, x_new, y_new, config.B,
                        batch_rng(config.seed, k + 1, 0))
 
-        # reservoir: keep the c-th candidate with probability 1/c
-        if reservoir.random() < 1.0 / count:
+        if count == next_hit:
             trace.output_pair = (x_new.copy(), y_new.copy())
             trace.output_index = (k, tau)
             trace.output_z = z_new.copy()
+            next_hit = next(hits, 0)
 
         if config.record_trace and (count % config.trace_stride == 0
                                     or count == total_steps):
             row = TraceRow(
                 k=k,
                 tau=tau,
-                dx_norm=float(np.linalg.norm(x_new - x)),
-                dy_norm=float(np.linalg.norm(y_new - y)),
-                xz_gap=float(np.linalg.norm(x_new - z)),
+                dx_norm=_norm(x_new - x),
+                dy_norm=_norm(y_new - y),
+                xz_gap=_norm(x_new - z),
                 samples_used=drawn(min(count, total_steps - 1)),
                 x=x_new.copy(), y=y_new.copy(), z=z_new.copy(),
             )

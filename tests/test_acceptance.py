@@ -150,7 +150,7 @@ def test_criterion_02_estimator_exactness():
     for t in range(1, 11):
         x1 = x + 0.1 * rng.normal(size=8)
         y1 = y + 0.1 * rng.normal(size=8)
-        G = recurse(prob, G, (x, y), (x1, y1), M=64, rng=batch_rng(0, 0, t))
+        G = recurse(prob, G, (x, y), (x1, y1), prob.oracle.draw(batch_rng(0, 0, t), 64))
         x, y = x1, y1
         dev = max(dev,
                   float(np.max(np.abs(G[0] - full_grad_x(prob, x, y)))),
@@ -177,7 +177,7 @@ def test_criterion_03_estimator_mse_bounds():
                  and bool(np.all(res.mse_y <= res.bound_y + 5 * res.se_y)))
 
     ids = np.arange(1024)
-    gxs, gys = prob.oracle.batch_grads(traj[-1][0], traj[-1][1], ids)
+    gxs, gys = prob.oracle.grads_at(traj[-1][0], traj[-1][1], ids)
     mini_x = float(np.mean(np.sum((gxs - full_grad_x(prob, *traj[-1])) ** 2,
                                   axis=1))) / 8.0
     mini_y = float(np.mean(np.sum((gys - full_grad_y(prob, *traj[-1])) ** 2,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spidergda import (Box, NonFiniteError, Online, ProblemInstance,
-                       SmoothnessMeta, StochasticOracle)
+                       SmoothnessMeta, StochasticOracle, save_dataset_csv)
 from spidergda.cli import _row_residuals
 from spidergda.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                            EXIT_NUMERICAL, EXIT_OK, TRACE_HEADER, ConfigError,
@@ -179,15 +179,15 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 
 def _online_problem():
     """f(x, y; xi) = x*y + (token mod 7) * x, sampled online."""
-    def grads(x, y, ids):
-        return ((y[0] + (np.asarray(ids) % 7).astype(np.float64))[:, None],
-                np.full((len(ids), 1), x[0]))
+    def grads(X, Y, ids):
+        return ((Y[:, 0] + (np.asarray(ids) % 7).astype(np.float64))[:, None],
+                X[:, :1].copy())
 
     oracle = StochasticOracle(
         regime=Online(), dim_x=1, dim_y=1,
         eval_f=lambda x, y, i: float(x[0] * y[0] + (i % 7) * x[0]),
-        grad_x=lambda x, y, i: grads(x, y, [i])[0][0],
-        grad_y=lambda x, y, i: grads(x, y, [i])[1][0],
+        grad_x=lambda x, y, i: grads(x[None], y[None], [i])[0][0],
+        grad_y=lambda x, y, i: grads(x[None], y[None], [i])[1][0],
         grads_batch=grads)
     return ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),
                            set_y=Box([-1.0], [1.0]),
@@ -311,8 +311,14 @@ def test_group_dro_requires_dataset(tmp_path):
     {"kind": "phi_div_dro", "psi": "tv"},
     {"kind": "phi_div_dro", "d": 0},
     {"kind": "phi_div_dro", "lambda_pen": -1.0},
+    # synthetic-set keys do not apply with a dataset ("<csv>": a real file)
+    {"kind": "phi_div_dro", "dataset": "<csv>", "n": 0, "d": 0},
 ])
 def test_malformed_problem_is_config_error(problem, tmp_path, capsys):
+    if problem.get("dataset") == "<csv>":
+        csv_path = tmp_path / "data.csv"
+        save_dataset_csv(csv_path, np.ones((4, 2)), np.zeros(4), np.zeros(4))
+        problem = dict(problem, dataset=str(csv_path))
     cfg = {"problem": problem, "tuner": {"epsilon": 0.1, "mu": 1.0}}
     out = tmp_path / "never"
     assert run_experiment(_write(tmp_path, cfg), quiet=True,

@@ -123,14 +123,15 @@ def test_batch_grads_matches_scalar_oracle():
         eval_f=lambda x, y, i: 0.0,
         grad_x=lambda x, y, i: A[i] * y[0],
         grad_y=lambda x, y, i: np.array([A[i, 0] * x[0], 1.0]),
-        grads_batch=lambda x, y, ids: (A[ids] * y[0], np.stack(
-            [A[ids, 0] * x[0], np.ones(len(ids))], axis=1)))
-    x, y = rng.normal(size=3), rng.normal(size=2)
+        grads_batch=lambda X, Y, ids: (A[ids] * Y[:, :1], np.stack(
+            [A[ids, 0] * X[:, 0], np.ones(len(ids))], axis=1)))
+    # one point per row
+    X, Y = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
     ids = np.array([0, 3, 3, 5])
-    gx, gy = oracle.batch_grads(x, y, ids)
+    gx, gy = oracle.batch_grads(X, Y, ids)
     for row, i in enumerate(ids):
-        assert np.array_equal(gx[row], oracle.grad_x(x, y, int(i)))
-        assert np.array_equal(gy[row], oracle.grad_y(x, y, int(i)))
+        assert np.array_equal(gx[row], oracle.grad_x(X[row], Y[row], int(i)))
+        assert np.array_equal(gy[row], oracle.grad_y(X[row], Y[row], int(i)))
 
 
 def _loop_sum(rows, dim):

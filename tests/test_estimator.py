@@ -7,11 +7,15 @@ of sampling, making the expectation identity exact.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spidergda.estimator as estimator_mod
 from spidergda import (Box, FiniteSum, Online,
                        ProblemInstance, RegimeError, SmoothnessMeta,
-                       StochasticOracle, anchor, batch_rng, estimator_mse,
-                       full_grad_x, full_grad_y, recurse)
+                       StochasticOracle, UniformDraw, anchor, batch_ids,
+                       batch_rng, estimator_mse, full_grad_x, full_grad_y,
+                       recurse)
 
 
 def _quadratic_problem(n=6, d=3, seed=0):
@@ -43,6 +47,73 @@ def test_batch_rng_reproducible_and_keyed():
     for other in (batch_rng(42, 3, 8), batch_rng(42, 4, 7),
                   batch_rng(43, 3, 7), batch_rng(42, 3, 7, purpose=1)):
         assert not np.array_equal(a, other.integers(0, 1 << 30, size=8))
+
+
+# ----------------------------------------------------------------------------
+# batch_ids
+
+# n = 1 draws nothing; powers of two and other n take numpy's 32-bit
+# bounded draw; 3 * 2**30 + 1 rejects a quarter of its draws and 2**32 - 1
+# almost none; 2**32 takes raw 32-bit words; 2**40 and the online range
+# 2**63 take 64-bit words (2**63 never rejects)
+_HIGHS = [1, 2, 16, 2 ** 31, 3, 200, 400, 10 ** 9, 3 * 2 ** 30 + 1,
+          2 ** 32 - 1, 2 ** 32, 2 ** 40, 2 ** 63]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(st.sampled_from(_HIGHS), st.integers(1, 2 ** 32)),
+       st.integers(0, 2 ** 64 - 1),
+       st.lists(st.tuples(st.integers(0, 2 ** 31 - 1),
+                          st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=12),
+       st.integers(1, 40), st.integers(0, 1))
+def test_batch_ids_match_numpy_generator(high, seed, keys, count, purpose):
+    draw = UniformDraw(high)
+    epochs, taus = (np.array(v) for v in zip(*keys))
+    ids = batch_ids(draw, seed, epochs, taus, count, purpose)
+    assert ids.dtype == np.int64 and ids.shape == (len(keys), count)
+    for row, (k, tau) in zip(ids, keys):
+        want = np.random.Generator(np.random.Philox(key=np.array(
+            [seed, (purpose << 63) | (k << 32) | tau], dtype=np.uint64)))
+        assert row.tobytes() == want.integers(0, high, size=count).tobytes()
+
+
+def test_batch_ids_fall_back_on_rejected_draws(monkeypatch):
+    # with n = 3 * 2**30 + 1 numpy redraws a quarter of its 32-bit draws, so
+    # most keys of 4 draws hit a rejection and take their own generator
+    calls = []
+
+    def counting_rng(*args):
+        calls.append(args)
+        return batch_rng(*args)
+
+    monkeypatch.setattr(estimator_mod, "batch_rng", counting_rng)
+    draw = UniformDraw(3 * 2 ** 30 + 1)
+    ids = batch_ids(draw, 7, 2, np.arange(64), 4)
+    assert 0 < len(calls) < 64
+    for tau, row in enumerate(ids):
+        assert np.array_equal(row, draw(batch_rng(7, 2, tau), 4))
+    # the online range never rejects
+    calls.clear()
+    batch_ids(UniformDraw(2 ** 63), 7, 2, np.arange(64), 4)
+    assert calls == []
+    # past a few hundred ids per key every key takes its generator
+    ids = batch_ids(UniformDraw(16), 7, 2, np.arange(3), 1000)
+    assert len(calls) == 3
+    for tau, row in enumerate(ids):
+        assert np.array_equal(row, UniformDraw(16)(batch_rng(7, 2, tau), 1000))
+
+
+def test_batch_ids_call_a_custom_draw_with_each_keyed_generator():
+    seen = []
+
+    def draw(rng, count):
+        seen.append(rng.bit_generator.state["state"]["key"].tolist())
+        return np.arange(count)
+
+    ids = batch_ids(draw, 3, [0, 0, 5], [1, 2, 1], 2)
+    assert ids.tolist() == [[0, 1]] * 3
+    assert seen == [batch_rng(3, k, tau).bit_generator.state["state"]["key"].tolist()
+                    for k, tau in ((0, 1), (0, 2), (5, 1))]
 
 
 # ----------------------------------------------------------------------------
@@ -89,7 +160,8 @@ def test_zero_displacement_is_bit_exact_noop():
     p = _quadratic_problem()
     x, y = np.ones(3), -np.ones(3)
     G = anchor(p, x, y, B=6, rng=batch_rng(0, 0, 0))
-    G2 = recurse(p, G, (x, y), (x.copy(), y.copy()), M=4, rng=batch_rng(0, 0, 1))
+    G2 = recurse(p, G, (x, y), (x.copy(), y.copy()),
+                 p.oracle.draw(batch_rng(0, 0, 1), 4))
     assert np.array_equal(G2[0], G[0])
     assert np.array_equal(G2[1], G[1])
 
@@ -99,14 +171,13 @@ def test_full_batch_recursion_telescopes_to_exact_gradient():
     # gradient difference, so the estimate tracks the exact gradient
     n, d = 5, 3
     p = _quadratic_problem(n=n, d=d, seed=2)
-    p.oracle.draw = lambda rng, count: np.arange(n)
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=d), rng.normal(size=d)
     G = anchor(p, x, y, B=n, rng=batch_rng(0, 0, 0))
     for t in range(1, 11):
         x1 = x + 0.1 * rng.normal(size=d)
         y1 = y + 0.1 * rng.normal(size=d)
-        G = recurse(p, G, (x, y), (x1, y1), M=n, rng=batch_rng(0, 0, t))
+        G = recurse(p, G, (x, y), (x1, y1), np.arange(n))
         x, y = x1, y1
         np.testing.assert_allclose(G[0], full_grad_x(p, x, y),
                                    rtol=0, atol=1e-12)
@@ -126,8 +197,7 @@ def test_single_draw_recursion_conditionally_unbiased():
 
     outs_x, outs_y = [], []
     for forced in range(n):
-        p.oracle.draw = lambda r, count, forced=forced: np.full(count, forced)
-        nxt = recurse(p, G, (x0, y0), (x1, y1), M=1, rng=batch_rng(0, 0, 1))
+        nxt = recurse(p, G, (x0, y0), (x1, y1), np.full(1, forced))
         outs_x.append(nxt[0])
         outs_y.append(nxt[1])
     expect_x = full_grad_x(p, x1, y1) - full_grad_x(p, x0, y0) + G[0]
@@ -152,8 +222,8 @@ def test_same_ids_feed_both_sides():
                         constants=SmoothnessMeta(L_x=8, L_y=8, rho=8, ell=99))
     one = (np.array([1.0]), np.array([1.0]))
     G = anchor(p, *one, B=n, rng=batch_rng(0, 0, 0))
-    nxt = recurse(p, G, one, (np.array([2.0]), np.array([2.0])), M=5,
-                  rng=batch_rng(0, 0, 1))
+    nxt = recurse(p, G, one, (np.array([2.0]), np.array([2.0])),
+                  p.oracle.draw(batch_rng(0, 0, 1), 5))
     # grad difference per sample i is (i*1, i*1): increments must match
     assert float(nxt[0][0] - G[0][0]) == pytest.approx(float(nxt[1][0] - G[1][0]))
 
@@ -163,7 +233,7 @@ def test_recurse_rejects_bad_m():
     zero = (np.zeros(3), np.zeros(3))
     G = anchor(p, *zero, B=6, rng=batch_rng(0, 0, 0))
     with pytest.raises(ValueError):
-        recurse(p, G, zero, zero, M=0, rng=batch_rng(0, 0, 1))
+        recurse(p, G, zero, zero, np.zeros(0, dtype=np.int64))
 
 
 # ----------------------------------------------------------------------------

@@ -162,11 +162,15 @@ def test_group_dro_batch_rows_match_scalar_bitwise(loss, seed, theta, q, ids):
     theta = np.array(theta)
     q = np.array(q) / sum(q)  # on the simplex, with exact zeros allowed
     ids = np.array(ids)
-    gx, gy = p.oracle.batch_grads(theta, q, ids)
+    # one point per row: odd rows at the mirrored pair (-theta, q reversed)
+    odd = np.arange(len(ids)) % 2 == 1
+    Theta = np.where(odd[:, None], -theta, theta)
+    Q = np.where(odd[:, None], q[::-1], q)
+    gx, gy = p.oracle.batch_grads(Theta, Q, ids)
     for row, i in enumerate(ids):
         # raw bytes, so a -0.0 / +0.0 mismatch fails too
-        assert gx[row].tobytes() == p.oracle.grad_x(theta, q, int(i)).tobytes()
-        assert gy[row].tobytes() == p.oracle.grad_y(theta, q, int(i)).tobytes()
+        assert gx[row].tobytes() == p.oracle.grad_x(Theta[row], Q[row], int(i)).tobytes()
+        assert gy[row].tobytes() == p.oracle.grad_y(Theta[row], Q[row], int(i)).tobytes()
 
 
 def test_group_dro_validation():
@@ -237,14 +241,16 @@ def test_phi_div_batch_rows_match_scalar_bitwise(psi):
                                        targets=rng.normal(size=n), psi=psi,
                                        lambda_pen=0.7))
     for _ in range(30):
-        theta = rng.normal(size=3) * 2.0
-        q = rng.dirichlet(np.ones(n)) * (rng.random(size=n) < 0.7)
-        q = q / q.sum() if q.any() else np.full(n, 1.0 / n)  # exact zeros
+        # one point per row
+        Theta = rng.normal(size=(25, 3)) * 2.0
+        Q = rng.dirichlet(np.ones(n), size=25) * (rng.random(size=(25, n)) < 0.7)
+        Q[~Q.any(axis=1)] = 1.0
+        Q = Q / Q.sum(axis=1, keepdims=True)  # exact zeros
         ids = rng.integers(0, n, size=25)
-        gx, gy = p.oracle.batch_grads(theta, q, ids)
+        gx, gy = p.oracle.batch_grads(Theta, Q, ids)
         for row, i in enumerate(ids):
-            assert gx[row].tobytes() == p.oracle.grad_x(theta, q, int(i)).tobytes()
-            assert gy[row].tobytes() == p.oracle.grad_y(theta, q, int(i)).tobytes()
+            assert gx[row].tobytes() == p.oracle.grad_x(Theta[row], Q[row], int(i)).tobytes()
+            assert gy[row].tobytes() == p.oracle.grad_y(Theta[row], Q[row], int(i)).tobytes()
 
 
 def test_phi_div_two_sample_stationarity():
@@ -330,12 +336,17 @@ def test_saddle_batch_path_matches_loop():
     p = make_quadratic_saddle(2, 2, seed=7)
     rng = np.random.default_rng(8)
     for _ in range(200):
-        x, y = rng.normal(size=2), rng.normal(size=2)
         ids = rng.integers(0, 16, size=int(rng.integers(1, 17)))
-        gx, gy = p.oracle.batch_grads(x, y, ids)
+        # one point per row, and one point broadcast to every row
+        X, Y = rng.normal(size=(len(ids), 2)), rng.normal(size=(len(ids), 2))
+        gx, gy = p.oracle.batch_grads(X, Y, ids)
         for row, i in enumerate(ids):
-            assert np.array_equal(gx[row], p.oracle.grad_x(x, y, int(i)))
-            assert np.array_equal(gy[row], p.oracle.grad_y(x, y, int(i)))
+            assert np.array_equal(gx[row], p.oracle.grad_x(X[row], Y[row], int(i)))
+            assert np.array_equal(gy[row], p.oracle.grad_y(X[row], Y[row], int(i)))
+        gx, gy = p.oracle.grads_at(X[0], Y[0], ids)
+        for row, i in enumerate(ids):
+            assert np.array_equal(gx[row], p.oracle.grad_x(X[0], Y[0], int(i)))
+            assert np.array_equal(gy[row], p.oracle.grad_y(X[0], Y[0], int(i)))
 
 
 def test_saddle_one_dimensional_spectra():

@@ -321,10 +321,9 @@ def test_default_array_envelopes_loop_the_scalar_prox():
 def _with_batch_hooks(comp, A, b):
     """The affine composite plus its batched hooks, built the way the
     docstring of StochasticOracle asks (stacked matmul, same layouts)."""
-    comp.c_batch = lambda x, ids: (A[ids] @ x + b[ids],
+    comp.c_batch = lambda X, ids: ((A[ids] @ X[:, :, None])[:, :, 0] + b[ids],
                                    np.swapaxes(A[ids], 1, 2))
-    comp.phi_grads_batch = lambda u, y, ids: (np.tile(y, (len(ids), 1)),
-                                              u + y)
+    comp.phi_grads_batch = lambda u, Y, ids: (Y.copy(), u + Y)
     return comp
 
 
@@ -359,15 +358,16 @@ def test_composite_batch_rows_match_per_sample_path():
     scalar = as_problem(comp, 0.3)
     batch = as_problem(_with_batch_hooks(comp, A, b), 0.3)
     for _ in range(50):
-        x = rng.normal(size=d_x)
-        y = rng.choice([0.0, 0.5, 1.25], size=d_h)  # zeros reach -0.0 terms
+        # one point per row
+        X = rng.normal(size=(9, d_x))
+        Y = rng.choice([0.0, 0.5, 1.25], size=(9, d_h))  # zeros reach -0.0 terms
         ids = rng.integers(0, n, size=9)
-        gx, gy = batch.oracle.batch_grads(x, y, ids)
-        rx, ry = scalar.oracle.batch_grads(x, y, ids)
+        gx, gy = batch.oracle.batch_grads(X, Y, ids)
+        rx, ry = scalar.oracle.batch_grads(X, Y, ids)
         assert _same_bits(gx, rx) and _same_bits(gy, ry)
         for row, i in enumerate(ids):
-            assert _same_bits(gx[row], smooth_grad_x(comp, 0.3, x, y, int(i)))
-            assert _same_bits(gy[row], smooth_grad_y(comp, 0.3, x, y, int(i)))
+            assert _same_bits(gx[row], smooth_grad_x(comp, 0.3, X[row], Y[row], int(i)))
+            assert _same_bits(gy[row], smooth_grad_y(comp, 0.3, X[row], Y[row], int(i)))
 
 
 # ----------------------------------------------------------------------------

@@ -10,10 +10,10 @@ import logging
 import numpy as np
 import pytest
 
-from spidergda import (Box, FiniteSum, FullSpace, NonFiniteError,
-                       ProblemInstance, SmoothnessMeta, SolverConfig,
+from spidergda import (Box, DimError, FiniteSum, FullSpace, NonFiniteError,
+                       ProblemInstance, Simplex, SmoothnessMeta, SolverConfig,
                        StochasticOracle, anchor, batch_rng,
-                       default_initial_point, run, step)
+                       default_initial_point, make_quadratic_saddle, run, step)
 
 
 def _bilinear_problem(set_x=None, set_y=None):
@@ -222,6 +222,85 @@ def test_run_leaves_callers_start_arrays_unchanged():
     assert x0.tolist() == [1e6, -1e6]
     assert y0.tolist() == [-1e6, 1e6]
     assert z0.tolist() == [0.5, -0.5]
+
+
+def test_run_checks_start_points():
+    p = _quadratic_problem()
+    cfg = SolverConfig(K=1, T=2, M=2, B=8, alpha_x=0.05, alpha_y=0.1,
+                       beta=0.25, r=4.0, seed=1)
+    with pytest.raises(DimError):
+        run(p, cfg, x0=np.zeros(3))
+    with pytest.raises(DimError):
+        run(p, cfg, y0=np.array([0.0, np.nan]))
+    with pytest.raises(DimError):
+        run(p, cfg, z0=np.array([np.inf, 0.0]))
+
+
+# ----------------------------------------------------------------------------
+# one oracle call per refresh, ids from tables
+
+_GUARD_SCHEDULE = dict(K=5, T=4, M=6, B=1, alpha_x=0.01, alpha_y=0.01,
+                       beta=0.1, r=2.0, seed=3)
+
+
+def test_run_makes_one_oracle_call_per_refresh(monkeypatch):
+    p = make_quadratic_saddle(3, 2, n_samples=12, seed=4)
+    rows = []
+    inner = p.oracle.grads_batch
+
+    def grads_batch(X, Y, ids):
+        rows.append(len(ids))
+        return inner(X, Y, ids)
+
+    p.oracle.grads_batch = grads_batch
+    generators = []
+    real = np.random.Generator
+
+    def counting_generator(bit_generator):
+        generators.append(bit_generator)
+        return real(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", counting_generator)
+    cfg = SolverConfig(**_GUARD_SCHEDULE)
+    run(p, cfg)
+    N, K, T, M = 12, cfg.K, cfg.T, cfg.M
+    # an anchor is N rows; a recursion is 2M rows, its new and previous point
+    epoch = [2 * M] * (T - 1)
+    assert rows == [N] + (epoch + [N]) * (K - 1) + epoch
+    # one generator per anchor plus the reservoir's, none per recursion
+    assert len(generators) == K + 1
+
+
+def test_custom_draw_gets_each_recursions_keyed_generator():
+    p = make_quadratic_saddle(3, 2, n_samples=12, seed=4)
+    cfg = SolverConfig(**_GUARD_SCHEDULE)
+    tables = run(p, cfg)
+    keys = []
+
+    def draw(rng, count):
+        keys.append(rng.bit_generator.state["state"]["key"].tolist())
+        return rng.integers(0, 12, size=count)
+
+    p.oracle.draw = draw
+    per_step = run(p, cfg)
+    assert keys == [batch_rng(cfg.seed, k, tau).bit_generator.state["state"]["key"].tolist()
+                    for k in range(cfg.K) for tau in range(1, cfg.T)]
+    # the same draw through per-step generators gives the same run
+    assert len(tables.rows) == len(per_step.rows) == cfg.K * cfg.T
+    for a, b in zip(tables.rows, per_step.rows):
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+    assert tables.output_index == per_step.output_index
+
+
+def test_step_rejects_non_finite_update_before_projecting():
+    # projecting inf onto the simplex would fail inside the sort-based
+    # threshold search; the check comes first
+    p = _bilinear_problem(set_y=Simplex(1))
+    cfg = SolverConfig(K=1, T=2, M=1, B=1, alpha_x=0.125, alpha_y=0.25,
+                       beta=0.5, r=1.0, seed=0)
+    G = (np.zeros(1), np.array([np.inf]))
+    with pytest.raises(NonFiniteError):
+        step(p, cfg, np.zeros(1), np.ones(1), np.zeros(1), G)
 
 
 def test_non_finite_iterate_raises_with_partial_trace():

@@ -19,8 +19,9 @@ from spidergda import (AbsValue, Box, CompositeConstants, FiniteSum,
                        ProblemInstance, SmoothnessMeta, StochasticOracle,
                        TunerInput, compute_alpha_x, compute_alpha_y,
                        compute_beta, compute_r, compute_varpi,
-                       make_quadratic_saddle, run, smoothed_constants,
-                       tune_nonsmooth, tune_smooth)
+                       compute_budget, make_quadratic_saddle, run,
+                       samples_drawn, smoothed_constants, tune_nonsmooth,
+                       tune_smooth)
 from spidergda.tuner import _kt_branches, alpha_x_interval
 
 
@@ -215,6 +216,50 @@ def test_iteration_count_grows_as_epsilon_shrinks():
                                           regime=FiniteSum(4)))
         targets.append(audit.outputs["KT_target"])
     assert all(a < b for a, b in zip(targets, targets[1:]))
+
+
+def _planned_samples(meta, epsilon, regime):
+    # compute_budget builds no SolverConfig, so K may pass 2**31 here
+    K, T, M, B, _ = compute_budget(TunerInput(meta=meta, epsilon=epsilon,
+                                              regime=regime, sample_cap=math.inf))
+    return samples_drawn(regime, T, M, B, K * T - 1)
+
+
+def _log_slope(xs, ys):
+    return float(np.polyfit(np.log(xs), np.log(np.asarray(ys, dtype=float)), 1)[0])
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 2 / 3, 0.75, 0.9, 1.0])
+def test_planned_samples_follow_the_abstracts_exponents(theta):
+    # samples ~ eps^-p: smooth problems use the unit constants, nonsmooth
+    # ones the lambda = eps smoothed constants of a unit composite; the fit
+    # runs over eps in [1e-6, 1e-5], where the leading branch dominates
+    comp = CompositeConstants(ell_c=1.0, ell_h=1.0, ell_phi=1.0, L_c=1.0,
+                              L_phi=1.0, d_h=1)
+    eps = np.geomspace(1e-6, 1e-5, 5)
+    expected = {
+        ("smooth", "finite-sum"): max(4 * theta, 2),
+        ("smooth", "online"): max(6 * theta, 3),
+        ("nonsmooth", "finite-sum"): max(3, 5 * theta, (11 * theta - 3) / (2 * theta)),
+        ("nonsmooth", "online"): max(4, (15 * theta - 1) / 2, (31 * theta - 9) / (4 * theta)),
+    }
+    for (kind, regime_name), p in expected.items():
+        regime = FiniteSum(1000) if regime_name == "finite-sum" else Online()
+        samples = []
+        for e in eps:
+            consts = (dict(L_x=1.0, L_y=1.0, rho=1.0, ell=1.0) if kind == "smooth"
+                      else smoothed_constants(comp, e))
+            meta = SmoothnessMeta(**consts, sigma_x=1.0, sigma_y=1.0, mu=1.0,
+                                  theta=theta)
+            samples.append(_planned_samples(meta, e, regime))
+        # to two decimals
+        assert abs(_log_slope(1.0 / eps, samples) - p) < 0.005, (kind, regime_name)
+
+
+def test_planned_samples_grow_as_sqrt_n():
+    Ns = np.array([10 ** 4, 10 ** 5, 10 ** 6])
+    samples = [_planned_samples(_unit_meta(), 1e-3, FiniteSum(int(n))) for n in Ns]
+    assert abs(_log_slope(Ns, samples) - 0.5) < 0.005
 
 
 def test_iteration_schedule_continuous_at_theta_half():
