@@ -23,15 +23,15 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .core import FiniteSum, ProblemInstance, SmoothnessMeta, full_grads
+from .core import (DimError, FiniteSum, ProblemInstance, SmoothnessMeta,
+                   as_vector, full_grads)
 from .diagnostics import (InnerSolveConfig, dz_norm, gs_residuals, lyapunov,
                           mc_gs_residuals)
 from .projections import Ball, Box, Simplex, normal_cone_dist
 from .smoothing import MoreauComposite
 from .solver import NonFiniteError, SolverConfig, run
-from .tuner import (OVERRIDE_KEYS, InfeasibleScheduleError, TunerInput,
-                    compute_alpha_x, compute_alpha_y, compute_r, tune_nonsmooth,
-                    tune_smooth)
+from .tuner import (InfeasibleScheduleError, TunerInput, compute_alpha_x,
+                    compute_alpha_y, compute_r, tune_nonsmooth, tune_smooth)
 from . import estimator, problems
 
 __all__ = ["ExperimentConfig", "ConfigError", "run_experiment", "verify", "main"]
@@ -54,12 +54,74 @@ class ConfigError(Exception):
 
 
 # ----------------------------------------------------------------------------
+# rules
+#
+# A rule is a predicate on a config value and the words that complete the
+# message "<section>.<key> must be <what>, got <value>".  JSON has one
+# number type: an integer key takes integers only, a number key any number
+# a float holds, NaN and infinities excluded (the type of a boolean is bool,
+# not int).
+
+class _Rule(NamedTuple):
+    ok: Callable[[object], bool]
+    what: str
+    required: bool = False
+
+
+def _finite(v) -> bool:
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+_INT = _Rule(lambda v: type(v) is int, "an integer")
+_FLOAT = _Rule(_finite, "a finite number")
+_STR = _Rule(lambda v: type(v) is str, "a string")
+_POSITIVE = _Rule(lambda v: _finite(v) and v > 0, "a positive number")
+_COUNT = _Rule(lambda v: type(v) is int and v > 0, "a positive integer")
+_POINT = _Rule(lambda v: type(v) is list and all(map(_finite, v)),
+               "a list of finite numbers")
+
+
+def _require(rule: _Rule, v, where: str):
+    """`v` if it satisfies `rule`, else a ConfigError naming `where`."""
+    if not rule.ok(v):
+        raise ConfigError(f"{where} must be {rule.what}, got {v!r}")
+    return v
+
+
+def _required(rule) -> bool:
+    # a nested table is required when one of its keys is
+    if isinstance(rule, _Rule):
+        return rule.required
+    return any(map(_required, rule.values()))
+
+
+def _check(d, table: dict, where: str = "") -> None:
+    """Check the object `d` against a rule table (key -> rule, or key ->
+    nested table for a sub-object); `where` is its path, "" at the top."""
+    label = where or "config"
+    if type(d) is not dict:
+        raise ConfigError(f"{label}: expected an object, got {type(d).__name__}")
+    unknown = set(d) - set(table)
+    if unknown:
+        raise ConfigError(f"{label}: unknown keys {sorted(unknown)}")
+    missing = [k for k, rule in table.items() if _required(rule) and k not in d]
+    if missing:
+        raise ConfigError(f"{label}: missing required keys {missing}")
+    for key, v in d.items():
+        at = f"{where}.{key}" if where else key
+        if isinstance(table[key], dict):
+            _check(v, table[key], at)
+        else:
+            _require(table[key], v, at)
+
+
+# ----------------------------------------------------------------------------
 # problem kinds
 #
-# Builders take the config's problem keys (kind removed, each converted to
-# its declared type) and leave every omitted key to the library's default.
-# They look the library up through `problems` when called, so a wrapper
-# installed there sees every build.
+# Builders take the config's problem keys (kind removed, number keys cast to
+# float) and leave every omitted key to the library's default.  They look
+# the library up through `problems` when called, so a wrapper installed
+# there sees every build.
 
 def _quadratic_saddle(p: dict) -> ProblemInstance:
     return problems.make_quadratic_saddle(p.pop("dim_x", 3), p.pop("dim_y", 2),
@@ -94,7 +156,7 @@ def _phi_div_dro(p: dict) -> ProblemInstance:
 
 
 class _Kind(NamedTuple):
-    keys: dict            # config key -> int, float or str
+    keys: dict            # config key -> rule
     composite: bool       # built unsmoothed; the tuner picks its lambda
     placeholder_mu: bool  # mu = 1, theta = 1 unless the config sets them
     build: Callable[[dict], Union[ProblemInstance, MoreauComposite]]
@@ -103,72 +165,66 @@ class _Kind(NamedTuple):
 _KINDS = {
     "kl_example": _Kind({}, False, False, lambda p: problems.make_kl_example()),
     "quadratic_saddle": _Kind(
-        {"dim_x": int, "dim_y": int, "n_samples": int, "noise": float,
-         "coupling": float, "linear_scale": float, "seed": int},
+        {"dim_x": _INT, "dim_y": _INT, "n_samples": _INT, "noise": _FLOAT,
+         "coupling": _FLOAT, "linear_scale": _FLOAT, "seed": _INT},
         False, False, _quadratic_saddle),
     "two_group_regression": _Kind(
-        {"n": int, "d": int, "minority_frac": float, "noise": float,
-         "noise_ratio": float, "seed": int},
+        {"n": _INT, "d": _INT, "minority_frac": _FLOAT, "noise": _FLOAT,
+         "noise_ratio": _FLOAT, "seed": _INT},
         True, True,
         lambda p: problems.make_group_dro(problems.make_two_group_regression(**p))),
-    "group_dro": _Kind({"dataset": str, "loss": str}, True, True, _group_dro),
+    "group_dro": _Kind({"dataset": _STR, "loss": _STR}, True, True, _group_dro),
     "phi_div_dro": _Kind(
-        {"dataset": str, "n": int, "d": int, "noise": float, "seed": int,
-         "psi": str, "lambda_pen": float},
+        {"dataset": _STR, "n": _INT, "d": _INT, "noise": _FLOAT, "seed": _INT,
+         "psi": _STR, "lambda_pen": _FLOAT},
         False, True, _phi_div_dro),
 }
-
-_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 # ----------------------------------------------------------------------------
 # config schema
+#
+# The problem section is checked against its kind's table; every other key
+# of a config is checked here.  The --seed and --trace-stride flags follow
+# the rules of the keys they replace.
 
-_TUNER_KEYS = {"epsilon", "mu", "theta", "delta_phi_estimate",
-               "asymptotic_constant", "overrides", "sample_cap", "lambda"}
-_SOLVER_KEYS = {"trace_stride", "x0", "y0"}
-_OUTPUT_KEYS = {"directory", "formats"}
-_DIAG_KEYS = {"residual_stride", "lyapunov_stride", "dz_norm"}
+_KIND = _Rule(lambda v: type(v) is str and v in _KINDS, f"one of {sorted(_KINDS)}")
 
-
-def _check_keys(d: dict, allowed: set, where: str, required: set = frozenset()):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
-
-
-def _has_type(v, typ) -> bool:
-    # JSON has one number type: an int key takes integers only, a float key
-    # any finite number (the type of a boolean is bool, not int)
-    if typ is float:
-        return type(v) in (int, float) and -math.inf < v < math.inf
-    return type(v) is typ
-
-
-def _positive_number(d: dict, key: str, where: str) -> None:
-    v = d.get(key)
-    if v is None:
-        return
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
-        raise ConfigError(f"{where}.{key} must be a positive number, got {v!r}")
-
-
-def _positive_int(d: dict, key: str, where: str) -> None:
-    v = d.get(key)
-    if v is None:
-        return
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ConfigError(f"{where}.{key} must be a positive integer, got {v!r}")
+_SCHEMA = {
+    "problem": _Rule(lambda v: type(v) is dict, "an object", required=True),
+    "tuner": {
+        "epsilon": _POSITIVE._replace(required=True),
+        "mu": _POSITIVE,
+        "theta": _Rule(lambda v: _finite(v) and 0 <= v <= 1, "a number in [0, 1]"),
+        "delta_phi_estimate": _POSITIVE,
+        "asymptotic_constant": _POSITIVE,
+        "sample_cap": _POSITIVE,
+        "lambda": _Rule(lambda v: v == "auto" or _POSITIVE.ok(v),
+                        'a positive number or "auto"'),
+        "overrides": {"K": _COUNT, "T": _COUNT, "M": _COUNT, "B": _COUNT,
+                      "r": _POSITIVE, "alpha_x": _POSITIVE, "alpha_y": _POSITIVE,
+                      "beta": _Rule(lambda v: _finite(v) and 0 < v <= 1,
+                                    "a number in (0, 1]")},
+    },
+    "solver": {"trace_stride": _COUNT, "x0": _POINT, "y0": _POINT},
+    "output": {
+        "directory": _STR,
+        "formats": _Rule(lambda v: type(v) is list and len(v) > 0
+                         and all(f in ("csv", "json") for f in v),
+                         'a nonempty list of "csv" and "json"'),
+    },
+    "seeds": _Rule(lambda v: type(v) is list and len(v) > 0
+                   and all(type(s) is int and 0 <= s < _U64 for s in v)
+                   and len(set(v)) == len(v),
+                   "a nonempty list of distinct integers in [0, 2^64)"),
+    "diagnostics": {"residual_stride": _COUNT, "lyapunov_stride": _COUNT,
+                    "dz_norm": _Rule(lambda v: type(v) is bool, "a boolean")},
+}
 
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    """Validated experiment description (see `from_dict` for the schema)."""
+    """Validated experiment description (see `_SCHEMA` for its rules)."""
 
     problem: dict
     tuner: dict
@@ -180,85 +236,20 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Validate a parsed JSON object; unknown keys anywhere are errors."""
-        _check_keys(raw, {"problem", "tuner", "solver", "output", "seeds",
-                          "diagnostics"}, "config",
-                    required={"problem", "tuner"})
-
-        prob = raw["problem"]
-        _check_keys(prob, {"kind"}.union(*(k.keys for k in _KINDS.values())),
-                    "problem", required={"kind"})
-        kind = prob["kind"]
-        if not isinstance(kind, str) or kind not in _KINDS:
-            raise ConfigError(
-                f"problem.kind must be one of {sorted(_KINDS)}, got {kind!r}")
-        keys = _KINDS[kind].keys
-        _check_keys(prob, set(keys) | {"kind"}, f"problem[{kind}]")
-        for key, typ in keys.items():
-            if key in prob and not _has_type(prob[key], typ):
-                raise ConfigError(f"problem[{kind}].{key} must be "
-                                  f"{_TYPE_NAMES[typ]}, got {prob[key]!r}")
-
-        tun = raw["tuner"]
-        _check_keys(tun, _TUNER_KEYS, "tuner", required={"epsilon"})
-        _positive_number(tun, "epsilon", "tuner")
-        _positive_number(tun, "mu", "tuner")
-        _positive_number(tun, "delta_phi_estimate", "tuner")
-        _positive_number(tun, "asymptotic_constant", "tuner")
-        _positive_number(tun, "sample_cap", "tuner")
-        if "theta" in tun:
-            th = tun["theta"]
-            if not isinstance(th, (int, float)) or not 0.0 <= th <= 1.0:
-                raise ConfigError(f"tuner.theta must lie in [0, 1], got {th!r}")
-        ov = tun.get("overrides", {})
-        _check_keys(ov, OVERRIDE_KEYS, "tuner.overrides")
-        for key, val in ov.items():
-            if not isinstance(val, (int, float)) or isinstance(val, bool) or not val > 0:
-                raise ConfigError(
-                    f"tuner.overrides.{key} must be a positive number, got {val!r}")
-        if "lambda" in tun:
-            lam = tun["lambda"]
-            if not _KINDS[kind].composite:
-                raise ConfigError("tuner.lambda only applies to composite "
-                                  f"problems, not {kind!r}")
-            if lam != "auto" and (not isinstance(lam, (int, float)) or not lam > 0):
-                raise ConfigError(
-                    f'tuner.lambda must be "auto" or a positive number, got {lam!r}')
-
-        sol = raw.get("solver", {})
-        _check_keys(sol, _SOLVER_KEYS, "solver")
-        _positive_int(sol, "trace_stride", "solver")
-        for key in ("x0", "y0"):
-            if key in sol and not isinstance(sol[key], list):
-                raise ConfigError(f"solver.{key} must be a list of numbers")
-
+        _check(raw, _SCHEMA)
+        prob, tun = raw["problem"], raw["tuner"]
+        kind = _require(_KIND, prob.get("kind"), "problem.kind")
+        _check(prob, {"kind": _KIND, **_KINDS[kind].keys}, f"problem[{kind}]")
+        if "lambda" in tun and not _KINDS[kind].composite:
+            raise ConfigError("tuner.lambda only applies to composite "
+                              f"problems, not {kind!r}")
         out = raw.get("output", {})
-        _check_keys(out, _OUTPUT_KEYS, "output")
-        formats = out.get("formats", ["csv", "json"])
-        if (not isinstance(formats, list) or not formats
-                or not set(formats) <= {"csv", "json"}):
-            raise ConfigError(
-                f'output.formats must be a nonempty subset of ["csv", "json"]')
-
-        seeds = raw.get("seeds", [0])
-        if (not isinstance(seeds, list) or not seeds
-                or not all(isinstance(s, int) and not isinstance(s, bool)
-                           and 0 <= s < _U64 for s in seeds)):
-            raise ConfigError("seeds must be a nonempty list of integers "
-                              "in [0, 2^64)")
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError("seeds must be distinct")
-
-        diag = raw.get("diagnostics", {})
-        _check_keys(diag, _DIAG_KEYS, "diagnostics")
-        _positive_int(diag, "residual_stride", "diagnostics")
-        _positive_int(diag, "lyapunov_stride", "diagnostics")
-        if "dz_norm" in diag and not isinstance(diag["dz_norm"], bool):
-            raise ConfigError("diagnostics.dz_norm must be a boolean")
-
-        return cls(problem=dict(prob), tuner=dict(tun), solver=dict(sol),
+        return cls(problem=dict(prob), tuner=dict(tun),
+                   solver=dict(raw.get("solver", {})),
                    output={"directory": out.get("directory", "out"),
-                           "formats": list(formats)},
-                   seeds=list(seeds), diagnostics=dict(diag))
+                           "formats": list(out.get("formats", ["csv", "json"]))},
+                   seeds=list(raw.get("seeds", [0])),
+                   diagnostics=dict(raw.get("diagnostics", {})))
 
 
 # ----------------------------------------------------------------------------
@@ -271,8 +262,8 @@ def _build_problem(cfg: ExperimentConfig
     kind = cfg.problem["kind"]
     keys = _KINDS[kind].keys
     try:
-        return _KINDS[kind].build(
-            {k: keys[k](v) for k, v in cfg.problem.items() if k != "kind"})
+        return _KINDS[kind].build({k: float(v) if keys[k] is _FLOAT else v
+                                   for k, v in cfg.problem.items() if k != "kind"})
     except (ValueError, OverflowError, OSError, problems.EmptyGroupError,
             problems.SingularityError) as err:
         raise ConfigError(f"problem[{kind}]: {err}") from None
@@ -299,6 +290,17 @@ def _tune(cfg: ExperimentConfig, built: Union[ProblemInstance, MoreauComposite])
     config, audit = tune_smooth(TunerInput(meta=built.constants, epsilon=eps,
                                            regime=built.regime, **settings))
     return built, config, audit
+
+
+def _config_point(solver: dict, key: str, cset) -> Optional[np.ndarray]:
+    """The start point `key` of the solver section, if set, checked against
+    the dimension of its set."""
+    if key not in solver:
+        return None
+    try:
+        return as_vector(solver[key], cset.dim)
+    except DimError as err:
+        raise ConfigError(f"solver.{key}: {err}") from None
 
 
 # ----------------------------------------------------------------------------
@@ -373,41 +375,32 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
     try:
         raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
         cfg = ExperimentConfig.from_dict(raw)
+        if seed is not None:
+            cfg.seeds = _require(_SCHEMA["seeds"], [seed], "seeds")
+        if trace_stride is not None:
+            cfg.solver["trace_stride"] = _require(
+                _SCHEMA["solver"]["trace_stride"], trace_stride, "solver.trace_stride")
+        built = _build_problem(cfg)
+        x0, y0 = (_config_point(cfg.solver, key, cset)
+                  for key, cset in (("x0", built.set_x), ("y0", built.set_y)))
+        problem, config, audit = _tune(cfg, built)
     except (OSError, json.JSONDecodeError, ConfigError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if out_dir is not None:
-        cfg.output["directory"] = out_dir
-    if seed is not None:
-        if not 0 <= seed < _U64:
-            print(f"config error: --seed out of range: {seed}", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg.seeds = [seed]
-    if trace_stride is not None:
-        cfg.solver["trace_stride"] = trace_stride
-
-    try:
-        problem, config, audit = _tune(cfg, _build_problem(cfg))
-    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleScheduleError, OverflowError) as err:
         print(f"infeasible schedule: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    stride = int(cfg.solver.get("trace_stride", 1))
-    x0 = np.asarray(cfg.solver["x0"], dtype=np.float64) if "x0" in cfg.solver else None
-    y0 = np.asarray(cfg.solver["y0"], dtype=np.float64) if "y0" in cfg.solver else None
-
+    if out_dir is not None:
+        cfg.output["directory"] = out_dir
     out = Path(cfg.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
     inner = InnerSolveConfig()
     summary = {"tuner_audit": {"inputs": audit.inputs, "outputs": audit.outputs},
                "problem": cfg.problem, "runs": []}
     for s in cfg.seeds:
-        run_config = dataclasses.replace(config, seed=s, trace_stride=stride,
-                                         record_trace=True)
+        run_config = dataclasses.replace(
+            config, seed=s, trace_stride=cfg.solver.get("trace_stride", 1))
         try:
             trace = run(problem, run_config, x0=x0, y0=y0)
         except NonFiniteError as err:

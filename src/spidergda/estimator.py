@@ -260,18 +260,18 @@ def estimator_mse(problem: ProblemInstance, trajectory, M: int, B: int,
     grads_x, grads_y = zip(*(full_grads(problem, xs[t], ys[t])
                              for t in range(steps)))
 
-    # all trials share the exact anchor, so the recursion is vectorized
-    # across trials: one (trials, M) id draw per step
-    Gx = np.tile(grads_x[0], (trials, 1))
-    Gy = np.tile(grads_y[0], (trials, 1))
+    # all trials share the exact anchor; each step draws the ids of every
+    # trial at once and replays trial i's recursion on its M of them, so
+    # the oracle sees 2M rows at a time, never trials * M
+    points = list(zip(xs, ys))
+    G = [(grads_x[0], grads_y[0])] * trials
     sq_x = [np.zeros(trials)]
     sq_y = [np.zeros(trials)]
     for t in range(1, steps):
         ids = problem.oracle.draw(rng, trials * M)
-        gx_new, gy_new = problem.oracle.grads_at(xs[t], ys[t], ids)
-        gx_prev, gy_prev = problem.oracle.grads_at(xs[t - 1], ys[t - 1], ids)
-        Gx = Gx + (gx_new - gx_prev).reshape(trials, M, -1).mean(axis=1)
-        Gy = Gy + (gy_new - gy_prev).reshape(trials, M, -1).mean(axis=1)
+        G = [recurse(problem, G[i], points[t - 1], points[t], ids[i * M:(i + 1) * M])
+             for i in range(trials)]
+        Gx, Gy = (np.array(g) for g in zip(*G))
         sq_x.append(np.sum((Gx - grads_x[t]) ** 2, axis=1))
         sq_y.append(np.sum((Gy - grads_y[t]) ** 2, axis=1))
 

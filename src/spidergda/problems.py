@@ -500,8 +500,8 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     def grads_batch(X, Y, ids):
         Xc, Yc, Bi = X[:, :, None], Y[:, :, None], Bs[ids]
         by, bx = Bi @ Yc, np.swapaxes(Bi, 1, 2) @ Xc
-        # one gathered (len(ids), d, d) stack alive at a time: a large batch
-        # (estimator_mse's trials * M ids) would otherwise hold three
+        # one gathered (len(ids), d, d) stack alive at a time: the largest
+        # batch, a full gradient's N ids, would otherwise hold three
         del Bi
         return ((As[ids] @ Xc + by)[:, :, 0] + a_s[ids],
                 (bx - Cs[ids] @ Yc)[:, :, 0] - b_s[ids])

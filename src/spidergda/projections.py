@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimError, as_vector
+from .core import as_vector
 
 __all__ = [
     "ConstraintSet",
@@ -59,11 +59,11 @@ class ConstraintSet:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Euclidean projection of v onto the set, as a new array."""
-        return self._project(self._check_dim(v))
+        return self._project(as_vector(v, self.dim))
 
     def contains(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
         """Whether x lies in the set, within `tol`."""
-        return self._contains(self._check_dim(x), tol)
+        return self._contains(as_vector(x, self.dim), tol)
 
     def _project(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -73,12 +73,6 @@ class ConstraintSet:
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
         raise NotImplementedError
-
-    def _check_dim(self, v: np.ndarray) -> np.ndarray:
-        v = as_vector(v)
-        if v.shape[0] != self.dim:
-            raise DimError(f"expected dim {self.dim}, got {v.shape[0]}")
-        return v
 
 
 @dataclass(frozen=True, init=False)
@@ -257,8 +251,8 @@ def normal_cone_dist(cset: ConstraintSet, x: np.ndarray, g: np.ndarray) -> float
     DimError
         On dimension mismatch.
     """
-    x = cset._check_dim(x)
-    g = cset._check_dim(g)
+    x = as_vector(x, cset.dim)
+    g = as_vector(g, cset.dim)
     if not cset._contains(x, FEAS_TOL):
         raise InfeasibleError(f"point is not in the set (tol {FEAS_TOL})")
     return cset.tangent_dist(x, g)

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FiniteSum, ProblemInstance, Regime
+from .core import FiniteSum, ProblemInstance, Regime, as_vector
 from .estimator import anchor, batch_ids, batch_rng, recurse
 from .projections import FEAS_TOL, Ball, Box, ConstraintSet, FullSpace, Simplex
 
@@ -86,7 +86,6 @@ class SolverConfig:
     beta: float
     r: float
     seed: int = 0
-    record_trace: bool = True
     trace_stride: int = 1
 
     def __post_init__(self):
@@ -235,7 +234,7 @@ def _reservoir_hits(rng: np.random.Generator, total_steps: int):
 
 def _start_point(cset: ConstraintSet, v) -> np.ndarray:
     """A checked copy of a start point, or the set's default if None."""
-    return default_initial_point(cset) if v is None else np.array(cset._check_dim(v))
+    return default_initial_point(cset) if v is None else np.array(as_vector(v, cset.dim))
 
 
 def run(problem: ProblemInstance, config: SolverConfig,
@@ -294,8 +293,7 @@ def run(problem: ProblemInstance, config: SolverConfig,
             trace.output_z = z_new.copy()
             next_hit = next(hits, 0)
 
-        if config.record_trace and (count % config.trace_stride == 0
-                                    or count == total_steps):
+        if count % config.trace_stride == 0 or count == total_steps:
             row = TraceRow(
                 k=k,
                 tau=tau,

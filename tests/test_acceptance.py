@@ -407,7 +407,7 @@ def test_criterion_08_group_dro_beats_erm():
 def test_criterion_09_uniform_output_sampling():
     prob = make_quadratic_saddle(1, 1, n_samples=2, noise=0.05, seed=0)
     config = SolverConfig(K=2, T=4, M=1, B=2, alpha_x=1e-3, alpha_y=1e-3,
-                          beta=0.1, r=1.0, seed=0, record_trace=False)
+                          beta=0.1, r=1.0, seed=0, trace_stride=8)
     counts = np.zeros(8, dtype=np.int64)
     for seed in range(10_000):
         config.seed = seed

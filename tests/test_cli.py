@@ -10,10 +10,11 @@ import pytest
 
 from spidergda import (Box, NonFiniteError, Online, ProblemInstance,
                        SmoothnessMeta, StochasticOracle, save_dataset_csv)
-from spidergda.cli import _row_residuals
+from spidergda.cli import _SCHEMA, _row_residuals
 from spidergda.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                            EXIT_NUMERICAL, EXIT_OK, TRACE_HEADER, ConfigError,
                            ExperimentConfig, main, run_experiment, verify)
+from spidergda.tuner import OVERRIDE_KEYS
 
 
 def _kl_config(**extra):
@@ -257,6 +258,8 @@ def test_config_defaults():
     {"problem": {"kind": "kl_example"},
      "tuner": {"epsilon": 0.1, "overrides": {"K": -2}}},
     {"problem": {"kind": "kl_example"},
+     "tuner": {"epsilon": 0.1, "overrides": {"beta": 2.0}}},
+    {"problem": {"kind": "kl_example"},
      "tuner": {"epsilon": 0.1, "lambda": 0.5}},                # not composite
     {"problem": {"kind": "kl_example"}, "tuner": {"epsilon": 0.1},
      "solver": {"x0": 3}},
@@ -279,6 +282,10 @@ def test_config_defaults():
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(raw)
+
+
+def test_override_rules_cover_the_tuner_keys():
+    assert set(_SCHEMA["tuner"]["overrides"]) == OVERRIDE_KEYS
 
 
 def test_composite_kind_accepts_lambda():
@@ -325,6 +332,38 @@ def test_malformed_problem_is_config_error(problem, tmp_path, capsys):
                           out_dir=str(out)) == EXIT_CONFIG
     assert not out.exists()
     assert f"config error: problem[{problem['kind']}]" in capsys.readouterr().err
+
+
+def _with(section, **entries):
+    cfg = _kl_config()
+    cfg[section] = {**cfg.get(section, {}), **entries}
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, flags, where", [
+    (_with("output", directory=5), [], "output.directory"),
+    (_with("solver", x0=["a"]), [], "solver.x0"),
+    (_with("solver", x0=[1.0, 2.0]), [], "solver.x0"),    # kl_example: dim 1
+    (_with("solver", x0=[[1.0]]), [], "solver.x0"),
+    (_with("solver", x0=[float("nan")]), [], "solver.x0"),
+    (_kl_config(), ["--trace-stride", "0"], "solver.trace_stride"),
+    (_kl_config(), ["--seed", "-1"], "seeds"),
+    (_with("tuner", theta=True), [], "tuner.theta"),
+    (_with("tuner", sample_cap=10 ** 400), [], "tuner.sample_cap"),
+    (_with("tuner", overrides={"alpha_y": 0.2, "K": 2.5, "T": 1, "M": 1}),
+     [], "tuner.overrides.K"),
+], ids=["directory-int", "x0-str", "x0-dim", "x0-nested", "x0-nan",
+        "trace-stride-flag", "seed-flag", "theta-bool", "sample-cap-huge",
+        "override-K-float"])
+def test_malformed_input_exits_before_output(cfg, flags, where, tmp_path,
+                                             monkeypatch, capsys):
+    # run from an empty directory so a default output directory would show
+    monkeypatch.chdir(tmp_path)
+    cfg_path = _write(tmp_path, cfg)
+    out = ["--out", str(tmp_path / "never")] if "output" not in cfg else []
+    assert main(["run", cfg_path, *out, *flags, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {where}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 # ----------------------------------------------------------------------------

@@ -12,9 +12,9 @@ import json
 import numpy as np
 import pytest
 
-from spidergda import (GroupDroSpec, SolverConfig, as_problem, full_grad_x,
-                       full_grad_y, make_group_dro, make_quadratic_saddle,
-                       make_two_group_regression, run)
+from spidergda import (GroupDroSpec, SolverConfig, as_problem, estimator_mse,
+                       full_grad_x, full_grad_y, make_group_dro,
+                       make_quadratic_saddle, make_two_group_regression, run)
 from spidergda.cli import EXIT_OK, run_experiment
 
 # output_pair and every trace row's (x, y) of the criterion-08 group-DRO
@@ -27,6 +27,11 @@ GDRO_DIGESTS = {
 # full_grad_x/y of four quadratic-saddle fixtures at 50 random points each
 QUAD_FULL_GRAD_DIGEST = \
     "1f3035fe1ffd724fb9993ee4e91b1230f8ef3dffb6e34d7cc0cba467f8669f24"
+
+# mse_x, mse_y, se_x and se_y of estimator_mse on a 4x3 quadratic saddle
+# along a six-point trajectory (M=4, 64 trials)
+ESTIMATOR_MSE_DIGEST = \
+    "7b54a6e3e510e77737ed10105c2d361c654e7c7f293a84eb7c9ed4d4dd996255"
 
 
 @pytest.mark.parametrize("loss", sorted(GDRO_DIGESTS))
@@ -59,6 +64,23 @@ def test_quadratic_full_grad_digest():
             h.update(full_grad_x(prob, x, y).tobytes())
             h.update(full_grad_y(prob, x, y).tobytes())
     assert h.hexdigest() == QUAD_FULL_GRAD_DIGEST
+
+
+def test_estimator_mse_digest():
+    prob = make_quadratic_saddle(4, 3, n_samples=32, seed=2)
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=4), rng.normal(size=3)
+    traj = [(x, y)]
+    for _ in range(5):
+        x = x + 0.05 * rng.normal(size=4)
+        y = y + 0.05 * rng.normal(size=3)
+        traj.append((x, y))
+    res = estimator_mse(prob, traj, M=4, B=32, trials=64,
+                        rng=np.random.default_rng(9))
+    h = hashlib.sha256()
+    for a in (res.mse_x, res.mse_y, res.se_x, res.se_y):
+        h.update(a.tobytes())
+    assert h.hexdigest() == ESTIMATOR_MSE_DIGEST
 
 
 # trace_seed*.csv and summary.json of two small `spidergda run` configs.
