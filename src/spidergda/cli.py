@@ -16,23 +16,20 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .core import (DimError, FiniteSum, ProblemInstance, SmoothnessMeta,
-                   as_vector, full_grads)
+from .core import DimError, FiniteSum, ProblemInstance, as_vector
 from .diagnostics import (InnerSolveConfig, dz_norm, gs_residuals, lyapunov,
                           mc_gs_residuals)
-from .projections import Ball, Box, Simplex, normal_cone_dist
 from .smoothing import MoreauComposite
 from .solver import NonFiniteError, SolverConfig, run
-from .tuner import (InfeasibleScheduleError, TunerInput, compute_alpha_x,
-                    compute_alpha_y, compute_r, tune_nonsmooth, tune_smooth)
-from . import estimator, problems
+from .tuner import InfeasibleScheduleError, TunerInput, tune_nonsmooth, tune_smooth
+from .verify import SUITES
+from . import problems
 
 __all__ = ["ExperimentConfig", "ConfigError", "run_experiment", "verify", "main"]
 
@@ -447,120 +444,17 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
 # ----------------------------------------------------------------------------
 # verify command
 
-def _verify_kl_example() -> list:
-    """Grid check of the 1-D example's error bound
-    dist(0, -g'(y) + N_{[-2,2]}(y)) >= 0.1 sqrt(2 - g(y))."""
-    grid = np.linspace(-2.0, 2.0, 4001)
-    box = Box(np.array([-2.0]), np.array([2.0]))
-    worst = math.inf
-    worst_y = None
-    for yv in grid:
-        lhs = normal_cone_dist(box, np.array([yv]),
-                               np.array([-problems.kl_example_grad(yv)]))
-        rhs = 0.1 * math.sqrt(max(2.0 - problems.kl_example_value(yv), 0.0))
-        if lhs - rhs < worst:
-            worst, worst_y = lhs - rhs, yv
-    checks = [
-        ("error-bound margin >= 0 on the 4001-point grid",
-         worst >= 0.0, f"min margin {worst:.6f} at y={worst_y:.3f}"),
-        ("peak value g(0) = 2",
-         problems.kl_example_value(0.0) == 2.0, "g(0)=2"),
-        ("continuity at the piece boundaries",
-         abs(problems.kl_example_value(-1.0) - 1.0) < 1e-12
-         and abs(problems.kl_example_value(1.0) - 1.0) < 1e-12,
-         "g(+-1)=1"),
-    ]
-    return checks
-
-
-def _verify_projections() -> list:
-    """Randomized projection contracts: idempotence, nonexpansiveness and the
-    variational inequality, on boxes, balls and simplexes."""
-    rng = np.random.default_rng(7)
-    max_vi = 0.0
-    max_exp = 0.0
-    idem_ok = True
-    trials = 0
-    for _ in range(200):
-        dim = int(rng.integers(1, 6))
-        lo = rng.normal(size=dim)
-        sets = [Box(lo, lo + np.abs(rng.normal(size=dim)) + 0.1),
-                Ball(rng.normal(size=dim), float(np.abs(rng.normal()) + 0.1)),
-                Simplex(dim)]
-        for cset in sets:
-            u = 3.0 * rng.normal(size=dim)
-            v = 3.0 * rng.normal(size=dim)
-            pu, pv = cset.project(u), cset.project(v)
-            idem_ok &= bool(np.array_equal(cset.project(pu), pu))
-            max_exp = max(max_exp, float(np.linalg.norm(pu - pv)
-                                         - np.linalg.norm(u - v)))
-            w = cset.project(5.0 * rng.normal(size=dim))
-            max_vi = max(max_vi, float((u - pu) @ (w - pu)))
-            trials += 1
-    return [
-        ("projection idempotent (exact)", idem_ok, f"{trials} trials"),
-        ("projection nonexpansive", max_exp <= 1e-12,
-         f"max expansion {max_exp:.2e}"),
-        ("variational inequality (u - Pu)'(w - Pu) <= 0", max_vi <= 1e-10,
-         f"max violation {max_vi:.2e}"),
-    ]
-
-
-def _verify_tuner() -> list:
-    """Frozen-value checks of the schedule formulas at unit constants."""
-    meta = SmoothnessMeta(L_x=1.0, L_y=1.0, rho=1.0, ell=1.0)
-    r = compute_r(meta)
-    ax = compute_alpha_x(meta, r)
-    ay = compute_alpha_y(meta, ax)
-    return [
-        ("prox weight at unit constants", r == 676.0, f"r={r}"),
-        ("primal step at unit constants", abs(ax - 1.0 / 8148.0) < 1e-18,
-         f"alpha_x={ax}"),
-        ("dual step caps hold", ay <= min(ax, 1.0 / 40.0, 1.0 / 12.0),
-         f"alpha_y={ay}"),
-    ]
-
-
-def _verify_estimator() -> list:
-    """Anchor exactness and zero-displacement invariance on a small fixture."""
-    problem = problems.make_quadratic_saddle(2, 2, n_samples=8, seed=3)
-    x = problem.set_x.project(np.zeros(2))
-    y = problem.set_y.project(np.zeros(2))
-    G = estimator.anchor(problem, x, y, B=8, rng=estimator.batch_rng(0, 0, 0))
-    gx, gy = full_grads(problem, x, y)
-    exact = bool(np.array_equal(G[0], gx) and np.array_equal(G[1], gy))
-    G2 = estimator.recurse(problem, G, (x, y), (x, y),
-                           problem.oracle.draw(estimator.batch_rng(0, 0, 1), 4))
-    frozen = bool(np.array_equal(G2[0], G[0]) and np.array_equal(G2[1], G[1]))
-    return [
-        ("finite-sum anchor equals the exact gradient (bitwise)", exact, ""),
-        ("zero-displacement recursion leaves estimates unchanged (bitwise)",
-         frozen, ""),
-    ]
-
-
-_SUITES = {
-    "kl-example": _verify_kl_example,
-    "projections": _verify_projections,
-    "tuner": _verify_tuner,
-    "estimator": _verify_estimator,
-}
-
-
 def verify(suite: str) -> int:
-    """Run one named property suite, printing a line per check."""
-    if suite not in _SUITES:
-        print(f"unknown suite {suite!r}; available: {', '.join(sorted(_SUITES))}",
+    """Run one suite of `verify.SUITES`, printing a line per check."""
+    if suite not in SUITES:
+        print(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}",
               file=sys.stderr)
         return EXIT_CONFIG
-    checks = _SUITES[suite]()
-    ok_all = True
-    for name, ok, measured in checks:
-        ok_all &= bool(ok)
-        tag = "pass" if ok else "FAIL"
-        suffix = f"  ({measured})" if measured else ""
-        print(f"[{tag}] {name}{suffix}")
-    return EXIT_OK if ok_all else EXIT_CHECK_FAILED
+    checks = SUITES[suite]()
+    for name, ok, detail in checks:
+        suffix = f"  ({detail})" if detail else ""
+        print(f"[{'pass' if ok else 'FAIL'}] {name}{suffix}")
+    return EXIT_OK if all(c.ok for c in checks) else EXIT_CHECK_FAILED
 
 
 # ----------------------------------------------------------------------------
@@ -586,7 +480,7 @@ def main(argv: Optional[list] = None) -> int:
 
     p_ver = sub.add_parser("verify", help="run a named property suite")
     p_ver.add_argument("suite",
-                       help=f"one of: {', '.join(sorted(_SUITES))}")
+                       help=f"one of: {', '.join(sorted(SUITES))}")
     p_ver.add_argument("--quiet", action="store_true",
                        help="suppress informational output")
 

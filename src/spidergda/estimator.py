@@ -18,10 +18,9 @@ Mini-batch randomness comes from counter-based Philox streams keyed by
 oracle's default uniform draw it runs Philox4x64-10 and numpy's bounded
 integer draw as array code over all keys (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011), bit for bit what each key's
-generator would return; a custom draw, a count above a few hundred ids
-per key (where numpy's own loop is cheaper), and the rare key whose draw
-numpy would reject and redraw get the key's own generator instead.  The
-solver fills one such table per window of refresh steps.
+generator would return; a custom draw and the rare key whose draw numpy
+would reject and redraw get the key's own generator instead.  The solver
+fills one such table per window of refresh steps.
 """
 
 from __future__ import annotations
@@ -94,10 +93,6 @@ _PHILOX_MUL = _split(np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
 _PHILOX_BUMP = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
 
-# ids per key above which a generator per key is cheaper: the array code
-# costs ~40 ns an id, a generator ~15 us a key plus ~5 ns an id
-_BULK_MAX_COUNT = 256
-
 
 def _philox_words(seed: int, tags: np.ndarray, blocks: int) -> np.ndarray:
     """First `blocks` output blocks of every key (seed, tags[j]), as uint64
@@ -138,15 +133,14 @@ def batch_ids(draw, seed: int, epochs, taus, count: int, purpose: int = 0):
 
     Row j equals ``draw(batch_rng(seed, epochs[j], taus[j], purpose),
     count)`` bit for bit; `epochs` and `taus` broadcast against each other.
-    For the default `UniformDraw` and at most `_BULK_MAX_COUNT` ids per key
-    all rows come from one vectorized Philox pass; a key on which numpy's
-    bounded draw would reject a value (odds below high / 2**32 per draw),
-    every key of a custom draw, and every key of a larger count get their
+    For the default `UniformDraw` all rows come from one vectorized Philox
+    pass; a key on which numpy's bounded draw would reject a value (odds
+    below high / 2**32 per draw) and every key of a custom draw get their
     own generator.
     """
     epochs, taus = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(epochs, dtype=np.int64), np.asarray(taus, dtype=np.int64)))
-    if not isinstance(draw, UniformDraw) or count > _BULK_MAX_COUNT:
+    if not isinstance(draw, UniformDraw):
         return np.array([draw(batch_rng(seed, k, t, purpose), count)
                          for k, t in zip(epochs.tolist(), taus.tolist())])
     tags = _tag(purpose, epochs.astype(np.uint64), taus.astype(np.uint64))

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import FiniteSum, ProblemInstance, SmoothnessMeta, StochasticOracle
-from .projections import Box, ConstraintSet, Simplex
+from .projections import Ball, Box, ConstraintSet, Simplex
 from .smoothing import CompositeConstants, Hinge, MoreauComposite, ScaledIdentity
 
 __all__ = [
@@ -107,10 +107,9 @@ def _set_radius(cset: ConstraintSet) -> float:
     # sup_{v in set} ||v||, used for honest Lipschitz bounds
     if isinstance(cset, Box):
         return float(np.linalg.norm(np.maximum(np.abs(cset.lo), np.abs(cset.hi))))
-    from .projections import Ball, FullSpace, Simplex as _Sx
     if isinstance(cset, Ball):
         return float(np.linalg.norm(cset.center) + cset.radius)
-    if isinstance(cset, _Sx):
+    if isinstance(cset, Simplex):
         return 1.0
     raise ValueError("group-DRO needs a bounded primal set")
 
@@ -511,10 +510,11 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     if set_y is None:
         set_y = Box(y_star - 1.0, y_star + 3.0)
 
-    spec_norms_A = np.array([np.linalg.norm(As[i], 2) for i in range(n)])
-    spec_norms_B = np.array([np.linalg.norm(Bs[i], 2) for i in range(n)])
-    spec_norms_C = np.array([np.linalg.norm(Cs[i], 2) for i in range(n)])
-    min_eig_A = min(float(np.linalg.eigvalsh(As[i])[0]) for i in range(n))
+    # stacked calls run the per-matrix LAPACK routine on each sample
+    spec_norms_A = np.linalg.norm(As, 2, axis=(1, 2))
+    spec_norms_B = np.linalg.norm(Bs, 2, axis=(1, 2))
+    spec_norms_C = np.linalg.norm(Cs, 2, axis=(1, 2))
+    min_eig_A = float(np.linalg.eigvalsh(As)[:, 0].min())
     min_eig_C = float(np.linalg.eigvalsh(C)[0])
     L_x = float(np.max(spec_norms_A))
     L_y = float(max(np.max(spec_norms_B), np.max(spec_norms_C)))

@@ -4,7 +4,12 @@ Each test prints a single ``[pass]``/``[FAIL]`` line with the measured
 quantities before asserting, so ``pytest tests/test_acceptance.py -v -s``
 doubles as a human-readable report.  Oracles are computed inside this file
 (closed forms, exhaustive enumerations, dense grids) so every check is
-independent of the library code it validates.
+independent of the library code it validates.  Criteria 01 and 11 and the
+anchor exactness of criterion 02 instead report the checks of the
+`spidergda verify` suites (`spidergda.verify.SUITES`), the one place those
+checks are written.  Their references are a dense grid bound, exact
+rationals, and the library's exact gradients `full_grad_x`/`full_grad_y`,
+which `tests/test_core.py` checks against a sequential loop.
 """
 
 import itertools
@@ -18,21 +23,24 @@ from spidergda import (AbsValue, Ball, Box, CompositeConstants, FiniteSum,
                        FullSpace, Hinge, IterativeProx, MoreauComposite,
                        ProblemInstance, ScaledIdentity, Simplex,
                        SmoothnessMeta, SolverConfig, StochasticOracle,
-                       TunerInput, anchor, as_problem, batch_rng,
-                       compute_alpha_x, compute_r, dz_norm, estimator_mse,
-                       fd_check, full_grad_x, full_grad_y, group_losses,
-                       gs_residuals, kl_example_grad, kl_example_value,
-                       lyapunov, make_group_dro, make_kl_example,
+                       TunerInput, anchor, as_problem, batch_rng, dz_norm,
+                       estimator_mse, fd_check, full_grad_x, full_grad_y,
+                       group_losses, gs_residuals, lyapunov, make_group_dro,
                        make_quadratic_saddle, make_two_group_regression,
                        normal_cone_dist, recurse, run, smooth_grad_x,
                        smooth_grad_y, smooth_value, tune_smooth)
-from spidergda.tuner import alpha_x_interval
 
 
 def _report(num: int, slug: str, ok: bool, detail: str) -> None:
     line = f"[{'pass' if ok else 'FAIL'}] criterion {num:02d} {slug}: {detail}"
     print(line)
     assert ok, line
+
+
+def _report_suite(num: int, slug: str, checks: dict) -> None:
+    """Report every check of a `spidergda.verify` suite as one criterion."""
+    _report(num, slug, all(c.ok for c in checks.values()),
+            "; ".join(f"{c.name} ({c.detail})" for c in checks.values()))
 
 
 # ----------------------------------------------------------------------------
@@ -122,29 +130,18 @@ def quad_run():
 # ----------------------------------------------------------------------------
 # criteria
 
-def test_criterion_01_kl_grid_bound():
-    prob = make_kl_example()
-    grid = np.linspace(-2.0, 2.0, 4001)
-    margin = math.inf
-    for yv in grid:
-        lhs = normal_cone_dist(prob.set_y, np.array([yv]),
-                               np.array([-kl_example_grad(float(yv))]))
-        rhs = 0.1 * math.sqrt(2.0 - kl_example_value(float(yv)))
-        margin = min(margin, lhs - rhs)
-        if lhs < rhs:
-            break
-    _report(1, "kl-grid-error-bound", margin >= 0.0,
-            f"min(lhs - rhs) = {margin:.2e} over 4001 grid points "
-            f"(tight at the interior stationary point)")
+def test_criterion_01_kl_grid_bound(suite_checks):
+    _report_suite(1, "kl-grid-error-bound", suite_checks("kl-example"))
 
 
-def test_criterion_02_estimator_exactness():
+def test_criterion_02_estimator_exactness(suite_checks):
+    # the estimator suite checks this anchor bit for bit
+    anchor_exact = suite_checks("estimator")[
+        "finite-sum anchor equals the exact gradient (bitwise)"].ok
     prob = make_quadratic_saddle(8, 8, n_samples=64, seed=2)
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=8), rng.normal(size=8)
     G = anchor(prob, x, y, B=64, rng=batch_rng(0, 0, 0))
-    anchor_exact = (np.array_equal(G[0], full_grad_x(prob, x, y))
-                    and np.array_equal(G[1], full_grad_y(prob, x, y)))
     prob.oracle.draw = lambda _rng, count: np.arange(64)  # full-batch sweep
     dev = 0.0
     for t in range(1, 11):
@@ -450,25 +447,8 @@ def test_criterion_10_complexity_trend(quad_run):
             f"[1.2, 2.8]; measured hitting steps {hits} for eps {epsilons}")
 
 
-def test_criterion_11_tuner_fidelity():
-    meta = SmoothnessMeta(L_x=1.0, L_y=1.0, rho=1.0, ell=1.0, mu=1.0,
-                          theta=0.5)
-    r = compute_r(meta)
-    ax = compute_alpha_x(meta, r)
-    ulps = abs(ax - 1.0 / 8148.0) / math.ulp(1.0 / 8148.0)
-    lower, upper = alpha_x_interval(meta, r)
-    # interval recomputed from scratch
-    lower_ref = 24.0 * 2.0 / (r - 1.0) ** 2
-    upper_ref = min(1.0 / (12.0 * (r + 1.0 + 2.0)),
-                    (r - 1.0) ** 2 / (24.0 * (r + 1.0) ** 2 * 2.0),
-                    (r - 3.0) / (2.0 * (1.0 + r)))
-    ok = (r == 676.0 and ulps <= 1.0
-          and math.isclose(lower, lower_ref, rel_tol=1e-12)
-          and math.isclose(upper, upper_ref, rel_tol=1e-12)
-          and lower <= ax <= upper)
-    _report(11, "tuner-fidelity", ok,
-            f"r = {r} (expect 676 exactly), alpha_x off by {ulps:.0f} ulp "
-            f"from 1/8148, interval [{lower:.3e}, {upper:.3e}] contains it")
+def test_criterion_11_tuner_fidelity(suite_checks):
+    _report_suite(11, "tuner-fidelity", suite_checks("tuner"))
 
 
 def test_criterion_12_merit_lower_bound():

@@ -15,6 +15,7 @@ from spidergda.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                            EXIT_NUMERICAL, EXIT_OK, TRACE_HEADER, ConfigError,
                            ExperimentConfig, main, run_experiment, verify)
 from spidergda.tuner import OVERRIDE_KEYS
+from spidergda.verify import SUITES, Check
 
 
 def _kl_config(**extra):
@@ -369,8 +370,7 @@ def test_malformed_input_exits_before_output(cfg, flags, where, tmp_path,
 # ----------------------------------------------------------------------------
 # verify command
 
-@pytest.mark.parametrize("suite", ["kl-example", "projections", "tuner",
-                                   "estimator"])
+@pytest.mark.parametrize("suite", sorted(SUITES))
 def test_verify_suites_pass(suite, capsys):
     assert verify(suite) == EXIT_OK
     out = capsys.readouterr().out
@@ -380,6 +380,36 @@ def test_verify_suites_pass(suite, capsys):
 
 def test_verify_unknown_suite():
     assert verify("nope") == EXIT_CONFIG
+
+
+def test_verify_failing_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setitem(SUITES, "tuner", lambda: [
+        Check("holds", True), Check("broken", False, "measured 3")])
+    assert main(["verify", "tuner", "--quiet"]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.splitlines() == [
+        "[pass] holds", "[FAIL] broken  (measured 3)"]
+
+
+# every check of every suite, in order: dropping or renaming one fails here
+_SUITE_CHECKS = {
+    "kl-example": ["error-bound margin >= 0 on the 4001-point grid",
+                   "peak value max g = g(0) = 2",
+                   "continuity at the piece boundaries"],
+    "projections": ["projection idempotent (exact)",
+                    "projection nonexpansive",
+                    "variational inequality (u - Pu)'(w - Pu) <= 0"],
+    "tuner": ["prox weight r = 676 at unit constants",
+              "primal step alpha_x = 1/8148 at unit constants",
+              "primal step lower bound = 48/455625 at unit constants",
+              "dual step alpha_y = min(alpha_x, 1/40, 1/12)"],
+    "estimator": ["finite-sum anchor equals the exact gradient (bitwise)",
+                  "zero-displacement recursion leaves estimates unchanged "
+                  "(bitwise)"],
+}
+
+
+def test_verify_suite_check_names(suite_checks):
+    assert {suite: list(suite_checks(suite)) for suite in SUITES} == _SUITE_CHECKS
 
 
 # ----------------------------------------------------------------------------

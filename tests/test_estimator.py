@@ -96,9 +96,9 @@ def test_batch_ids_fall_back_on_rejected_draws(monkeypatch):
     calls.clear()
     batch_ids(UniformDraw(2 ** 63), 7, 2, np.arange(64), 4)
     assert calls == []
-    # past a few hundred ids per key every key takes its generator
+    # the bulk pass serves any count per key
     ids = batch_ids(UniformDraw(16), 7, 2, np.arange(3), 1000)
-    assert len(calls) == 3
+    assert calls == []
     for tau, row in enumerate(ids):
         assert np.array_equal(row, UniformDraw(16)(batch_rng(7, 2, tau), 1000))
 
@@ -119,13 +119,9 @@ def test_batch_ids_call_a_custom_draw_with_each_keyed_generator():
 # ----------------------------------------------------------------------------
 # anchor
 
-def test_finite_sum_anchor_is_exact_bitwise():
-    p = _quadratic_problem()
-    rng = np.random.default_rng(1)
-    x, y = rng.normal(size=3), rng.normal(size=3)
-    G = anchor(p, x, y, B=999, rng=batch_rng(0, 0, 0))
-    assert np.array_equal(G[0], full_grad_x(p, x, y))
-    assert np.array_equal(G[1], full_grad_y(p, x, y))
+def test_finite_sum_anchor_is_exact_bitwise(suite_checks):
+    assert suite_checks("estimator")[
+        "finite-sum anchor equals the exact gradient (bitwise)"].ok
 
 
 def test_online_anchor_uses_b_fresh_draws():
@@ -156,14 +152,9 @@ def test_online_anchor_uses_b_fresh_draws():
 # ----------------------------------------------------------------------------
 # recursion
 
-def test_zero_displacement_is_bit_exact_noop():
-    p = _quadratic_problem()
-    x, y = np.ones(3), -np.ones(3)
-    G = anchor(p, x, y, B=6, rng=batch_rng(0, 0, 0))
-    G2 = recurse(p, G, (x, y), (x.copy(), y.copy()),
-                 p.oracle.draw(batch_rng(0, 0, 1), 4))
-    assert np.array_equal(G2[0], G[0])
-    assert np.array_equal(G2[1], G[1])
+def test_zero_displacement_is_bit_exact_noop(suite_checks):
+    assert suite_checks("estimator")[
+        "zero-displacement recursion leaves estimates unchanged (bitwise)"].ok
 
 
 def test_full_batch_recursion_telescopes_to_exact_gradient():

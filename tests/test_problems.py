@@ -19,11 +19,11 @@ from spidergda import (Box, DomainError, EmptyGroupError, GroupDroSpec,
                        group_losses, kl_example_grad, kl_example_value,
                        load_dataset_csv, make_group_dro, make_kl_example,
                        make_phi_div_dro, make_quadratic_saddle,
-                       make_two_group_regression, normal_cone_dist,
+                       make_two_group_regression,
                        save_dataset_csv, smooth_value, spec_from_csv,
                        spot_check_composite, as_problem)
 from spidergda.diagnostics import fd_check
-from spidergda.problems import PSI_BUILTINS
+from spidergda.problems import PSI_BUILTINS, _set_radius
 
 
 # ----------------------------------------------------------------------------
@@ -63,13 +63,9 @@ def test_kl_example_domain():
         kl_example_grad(-2.0001)
 
 
-def test_kl_example_error_bound_on_grid():
+def test_kl_example_error_bound_on_grid(suite_checks):
     # dist(0, -g'(y) + N_{[-2,2]}(y)) >= (1/10) sqrt(2 - g(y)) everywhere
-    box = Box([-2.0], [2.0])
-    for y in np.linspace(-2.0, 2.0, 4001):
-        res = normal_cone_dist(box, np.array([y]),
-                               np.array([-kl_example_grad(y)]))
-        assert res >= 0.1 * math.sqrt(max(0.0, 2.0 - kl_example_value(y))) - 1e-12
+    assert suite_checks("kl-example")["error-bound margin >= 0 on the 4001-point grid"].ok
 
 
 def test_make_kl_example_problem():
@@ -347,6 +343,27 @@ def test_saddle_batch_path_matches_loop():
         for row, i in enumerate(ids):
             assert np.array_equal(gx[row], p.oracle.grad_x(X[0], Y[0], int(i)))
             assert np.array_equal(gy[row], p.oracle.grad_y(X[0], Y[0], int(i)))
+
+
+@pytest.mark.parametrize("n, d_x, d_y", [(16, 4, 3), (64, 3, 3), (200, 1, 2),
+                                         (1024, 16, 16)])
+def test_saddle_constants_match_per_matrix_loop(n, d_x, d_y):
+    # the constants come from stacked LAPACK calls; a loop over the samples,
+    # one matrix at a time, gives the same bits
+    p = make_quadratic_saddle(d_x, d_y, n_samples=n, seed=n)
+    hook = p.oracle.grads_batch
+    per_sample = dict(zip(hook.__code__.co_freevars,
+                          (cell.cell_contents for cell in hook.__closure__)))
+    A, B, C = ([float(np.linalg.norm(M[i], 2)) for i in range(n)]
+               for M in (per_sample["As"], per_sample["Bs"], per_sample["Cs"]))
+    min_eig = min(float(np.linalg.eigvalsh(per_sample["As"][i])[0]) for i in range(n))
+    ell = ((max(A) + max(B)) * _set_radius(p.set_x)
+           + (max(B) + max(C)) * _set_radius(p.set_y)
+           + np.max(np.linalg.norm(per_sample["a_s"], axis=1))
+           + np.max(np.linalg.norm(per_sample["b_s"], axis=1)))
+    c = p.constants
+    assert (c.L_x, c.L_y, c.rho, c.ell) == (max(A), max(max(B), max(C)),
+                                            max(0.0, -min_eig), ell)
 
 
 def test_saddle_one_dimensional_spectra():

@@ -161,36 +161,18 @@ def test_projection_matches_qp_oracle():
 # ----------------------------------------------------------------------------
 # invariants (property tests)
 
-def test_idempotence_exact():
-    rng = np.random.default_rng(13)
-    for _ in range(2000):
-        d = int(rng.integers(1, 7))
-        cset = _random_set(rng, d)
-        p = cset.project(4.0 * rng.normal(size=d))
-        assert np.array_equal(cset.project(p), p)
+# the `projections` verify suite runs each invariant on 10,200 random sets
+
+def test_idempotence_exact(suite_checks):
+    assert suite_checks("projections")["projection idempotent (exact)"].ok
 
 
-def test_nonexpansiveness_10k_trials():
-    rng = np.random.default_rng(14)
-    for _ in range(10_000):
-        d = int(rng.integers(1, 6))
-        cset = _random_set(rng, d)
-        u = 3.0 * rng.normal(size=d)
-        v = 3.0 * rng.normal(size=d)
-        lhs = np.linalg.norm(cset.project(u) - cset.project(v))
-        assert lhs <= np.linalg.norm(u - v) + 1e-12
+def test_nonexpansiveness_10k_trials(suite_checks):
+    assert suite_checks("projections")["projection nonexpansive"].ok
 
 
-def test_variational_inequality():
-    rng = np.random.default_rng(15)
-    for _ in range(500):
-        d = int(rng.integers(1, 6))
-        cset = _random_set(rng, d)
-        v = 3.0 * rng.normal(size=d)
-        p = cset.project(v)
-        for _ in range(5):
-            u = cset.project(3.0 * rng.normal(size=d))
-            assert float((v - p) @ (u - p)) <= 1e-10
+def test_variational_inequality(suite_checks):
+    assert suite_checks("projections")["variational inequality (u - Pu)'(w - Pu) <= 0"].ok
 
 
 @settings(deadline=None)

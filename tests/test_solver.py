@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from spidergda import (Box, DimError, FiniteSum, FullSpace, NonFiniteError,
-                       ProblemInstance, Simplex, SmoothnessMeta, SolverConfig,
-                       StochasticOracle, anchor, batch_rng,
+                       Online, ProblemInstance, Simplex, SmoothnessMeta,
+                       SolverConfig, StochasticOracle, anchor, batch_rng,
                        default_initial_point, make_quadratic_saddle, run, step)
 
 
@@ -271,25 +271,49 @@ def test_run_makes_one_oracle_call_per_refresh(monkeypatch):
     assert len(generators) == K + 1
 
 
+def _online_problem():
+    """f(x, y; xi) = (1 + token mod 7) * x * y, sampled online; the token
+    scales the gradient, so a recursion's increment depends on its ids."""
+    oracle = StochasticOracle(
+        regime=Online(), dim_x=1, dim_y=1,
+        eval_f=lambda x, y, i: float((1 + i % 7) * x[0] * y[0]),
+        grad_x=lambda x, y, i: (1 + i % 7) * y,
+        grad_y=lambda x, y, i: (1 + i % 7) * x)
+    # boxes off the origin, which is stationary
+    return ProblemInstance(oracle=oracle, set_x=Box([0.5], [2.0]),
+                           set_y=Box([0.5], [2.0]),
+                           constants=SmoothnessMeta(L_x=0, L_y=7, rho=0, ell=28))
+
+
 def test_custom_draw_gets_each_recursions_keyed_generator():
-    p = make_quadratic_saddle(3, 2, n_samples=12, seed=4)
+    # online, the ids are 63-bit tokens (the bulk ids' 64-bit branch) and
+    # each epoch's anchor draws its batch on key (k, 0) as well
     cfg = SolverConfig(**_GUARD_SCHEDULE)
-    tables = run(p, cfg)
-    keys = []
 
-    def draw(rng, count):
-        keys.append(rng.bit_generator.state["state"]["key"].tolist())
-        return rng.integers(0, 12, size=count)
+    def keys_of(taus):
+        return [batch_rng(cfg.seed, k, tau).bit_generator.state["state"]["key"].tolist()
+                for k in range(cfg.K) for tau in taus]
 
-    p.oracle.draw = draw
-    per_step = run(p, cfg)
-    assert keys == [batch_rng(cfg.seed, k, tau).bit_generator.state["state"]["key"].tolist()
-                    for k in range(cfg.K) for tau in range(1, cfg.T)]
-    # the same draw through per-step generators gives the same run
-    assert len(tables.rows) == len(per_step.rows) == cfg.K * cfg.T
-    for a, b in zip(tables.rows, per_step.rows):
-        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
-    assert tables.output_index == per_step.output_index
+    for p, high in ((make_quadratic_saddle(3, 2, n_samples=12, seed=4), 12),
+                    (_online_problem(), 2 ** 63)):
+        tables = run(p, cfg)
+        keys = []
+
+        def draw(rng, count):
+            keys.append(rng.bit_generator.state["state"]["key"].tolist())
+            return rng.integers(0, high, size=count)
+
+        p.oracle.draw = draw
+        per_step = run(p, cfg)
+        # the low 32 bits of a key's second word are tau
+        assert [key for key in keys if key[1] & 0xFFFFFFFF] == keys_of(range(1, cfg.T))
+        assert [key for key in keys if not key[1] & 0xFFFFFFFF] == (
+            keys_of([0]) if isinstance(p.regime, Online) else [])
+        # the same draw through per-step generators gives the same run
+        assert len(tables.rows) == len(per_step.rows) == cfg.K * cfg.T
+        for a, b in zip(tables.rows, per_step.rows):
+            assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+        assert tables.output_index == per_step.output_index
 
 
 def test_step_rejects_non_finite_update_before_projecting():

@@ -4,7 +4,8 @@ the arithmetic permits.
 
 The "unit" fixture (all constants 1, theta = 1/2) makes each branch easy to
 check by hand: r = 2 + 325*2 + 12*sqrt(4) = 676, alpha_x = 1/(12*679)
-= 1/8148, lower bound 48/675^2 = 48/455625.
+= 1/8148, lower bound 48/675^2 = 48/455625.  The `tuner` verify suite
+checks these three values; the unit-constant tests assert its checks.
 """
 
 import logging
@@ -22,7 +23,7 @@ from spidergda import (AbsValue, Box, CompositeConstants, FiniteSum,
                        compute_budget, make_quadratic_saddle, run,
                        samples_drawn, smoothed_constants, tune_nonsmooth,
                        tune_smooth)
-from spidergda.tuner import _kt_branches, alpha_x_interval
+from spidergda.tuner import _kt_branches
 
 
 def _unit_meta(**kw):
@@ -34,9 +35,9 @@ def _unit_meta(**kw):
 # ----------------------------------------------------------------------------
 # individual schedules against hand values
 
-def test_r_unit_constants():
+def test_r_unit_constants(suite_checks):
     # branch 1: 2*1 + 325*(1+1) + 12*sqrt(1)*sqrt(2*(1+1)) = 2 + 650 + 24
-    assert compute_r(_unit_meta()) == 676.0
+    assert suite_checks("tuner")["prox weight r = 676 at unit constants"].ok
 
 
 def test_r_picks_larger_branch():
@@ -46,14 +47,12 @@ def test_r_picks_larger_branch():
     assert compute_r(m) == 5940.0
 
 
-def test_alpha_x_unit_constants():
-    m = _unit_meta()
-    lower, upper = alpha_x_interval(m, 676.0)
+def test_alpha_x_unit_constants(suite_checks):
     # branches: 1/(12*(676+1+2)) = 1/8148; (675^2)/(24*677^2*2) ~ 2.07e-2;
     # (676-3)/(2*677) ~ 0.497 -> min is the first
-    assert upper == 1.0 / 8148.0
-    assert lower == 48.0 / 455625.0
-    assert compute_alpha_x(m, 676.0) == 1.0 / 8148.0
+    checks = suite_checks("tuner")
+    assert checks["primal step alpha_x = 1/8148 at unit constants"].ok
+    assert checks["primal step lower bound = 48/455625 at unit constants"].ok
 
 
 def test_alpha_x_infeasible_when_r_too_small():
