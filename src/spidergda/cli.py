@@ -283,7 +283,7 @@ def _tune(cfg: ExperimentConfig, built: Union[ProblemInstance, MoreauComposite])
     if entry.composite:
         return tune_nonsmooth(dataclasses.replace(built, **updates), eps,
                               t.get("lambda", "auto"), **settings)
-    built.constants = built.constants.with_updates(**updates)
+    built.constants = dataclasses.replace(built.constants, **updates)
     config, audit = tune_smooth(TunerInput(meta=built.constants, epsilon=eps,
                                            regime=built.regime, **settings))
     return built, config, audit

@@ -8,7 +8,7 @@ only through per-sample value/gradient oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "RegimeError",
     "DimError",
     "as_vector",
-    "check_vector",
     "full_grads",
     "full_grad_x",
     "full_grad_y",
@@ -78,7 +77,7 @@ def as_vector(v, dim: Optional[int] = None) -> np.ndarray:
     return arr
 
 
-def check_vector(v: np.ndarray, dim: int, name: str = "vector") -> None:
+def _check_vector(v: np.ndarray, dim: int, name: str = "vector") -> None:
     if v.shape != (dim,):
         raise DimError(f"{name}: expected dim {dim}, got shape {v.shape}")
 
@@ -192,13 +191,6 @@ class StochasticOracle:
             self.draw = UniformDraw(self.regime.n if isinstance(self.regime, FiniteSum)
                                     else 2 ** 63)
 
-    # -- convenience ---------------------------------------------------------
-
-    @property
-    def n_samples(self) -> Optional[int]:
-        """Component count under FiniteSum, None under Online."""
-        return self.regime.n if isinstance(self.regime, FiniteSum) else None
-
     def batch_grads(self, X: np.ndarray, Y: np.ndarray,
                     ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked per-sample gradients, row r at (X[r], Y[r]) for sample
@@ -255,7 +247,7 @@ def _stack_rows(grad, X, Y, ids, dim: int, side: str) -> np.ndarray:
     out = np.empty((len(ids), dim))
     for row, i in enumerate(ids):
         g = np.asarray(grad(X[row], Y[row], int(i)), dtype=np.float64)
-        check_vector(g, dim, f"grad_{side}(id={int(i)})")
+        _check_vector(g, dim, f"grad_{side}(id={int(i)})")
         out[row] = g
     return out
 
@@ -311,9 +303,6 @@ class SmoothnessMeta:
             raise ValueError("mu must be positive")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-
-    def with_updates(self, **kw) -> "SmoothnessMeta":
-        return replace(self, **kw)
 
 
 # ----------------------------------------------------------------------------
@@ -388,8 +377,8 @@ def _all_rows(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     `grads_batch` hook only that side's scalar gradient is called."""
     if not isinstance(problem.regime, FiniteSum):
         raise RegimeError("full gradient requires the finite-sum regime")
-    check_vector(x, problem.dim_x, "x")
-    check_vector(y, problem.dim_y, "y")
+    _check_vector(x, problem.dim_x, "x")
+    _check_vector(y, problem.dim_y, "y")
     oracle, n = problem.oracle, problem.regime.n
     ids = np.arange(n)
     X, Y = _rows(x, n), _rows(y, n)
@@ -442,8 +431,8 @@ def full_value(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> float:
     """
     if not isinstance(problem.regime, FiniteSum):
         raise RegimeError("full value requires the finite-sum regime")
-    check_vector(x, problem.dim_x, "x")
-    check_vector(y, problem.dim_y, "y")
+    _check_vector(x, problem.dim_x, "x")
+    _check_vector(y, problem.dim_y, "y")
     acc = 0.0
     for i in range(problem.regime.n):
         acc = acc + float(problem.oracle.eval_f(x, y, i))

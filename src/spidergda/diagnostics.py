@@ -55,23 +55,18 @@ class MaxItersError(Exception):
 
 @dataclass(frozen=True)
 class InnerSolveConfig:
-    """Settings for the strongly convex inner solves.
-
-    step=None selects 1/(r + L_x), a safe constant step for the
-    (L_x + r)-smooth proximal objective.
-    """
+    """Settings for the strongly convex inner solves, which take the
+    constant step 1/(r + L_x), safe for the (L_x + r)-smooth proximal
+    objective."""
 
     tol: float = 1e-8
     max_iters: int = 100_000
-    step: Optional[float] = None
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step is not None and not self.step > 0:
-            raise ValueError("step must be positive")
 
 
 # ----------------------------------------------------------------------------
@@ -156,7 +151,7 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
                          f"(r={r}, rho={meta.rho})")
     y = as_vector(y, problem.dim_y)
     z = as_vector(z, problem.dim_x)
-    step = cfg.step if cfg.step is not None else 1.0 / (r + meta.L_x)
+    step = 1.0 / (r + meta.L_x)
     x = problem.set_x.project(as_vector(x0, problem.dim_x) if x0 is not None else z)
     best, best_res = x, math.inf
     for _ in range(cfg.max_iters):

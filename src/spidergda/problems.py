@@ -33,6 +33,7 @@ __all__ = [
     "make_quadratic_saddle",
     "save_dataset_csv",
     "load_dataset_csv",
+    "spec_from_csv",
 ]
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "as_problem",
     "near_stationarity_certificate",
     "spot_check_composite",
+    "PROX_TOL",
 ]
 
 PROX_TOL = 1e-10

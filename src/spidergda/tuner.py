@@ -23,16 +23,18 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
-from .core import FiniteSum, Online, ProblemInstance, Regime, SmoothnessMeta
+from .core import FiniteSum, ProblemInstance, Regime, SmoothnessMeta
 from .smoothing import MoreauComposite, as_problem
 from .solver import SolverConfig, samples_drawn
 
 __all__ = [
+    "BETA_CAP",
     "OVERRIDE_KEYS",
     "TunerInput",
     "TunerAudit",
     "InfeasibleScheduleError",
     "compute_r",
+    "alpha_x_interval",
     "compute_alpha_x",
     "compute_alpha_y",
     "compute_varpi",

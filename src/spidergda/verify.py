@@ -5,8 +5,9 @@ Each suite checks a contract that the analysis rests on and returns one
 
 - `kl-example`: the dual error bound with theta = 1/2 of the 1-D example
   on a 4001-point grid, and the example's closed-form values;
-- `projections`: idempotence, nonexpansiveness and the variational
-  inequality of the projections onto boxes, balls and simplexes;
+- `projections`: idempotence, nonexpansiveness, the variational
+  inequality and landing on the boundary of the projections onto boxes,
+  balls and simplexes;
 - `tuner`: the closed-form step schedule at unit constants, compared with
   exact rationals;
 - `estimator`: the finite-sum anchor equals the exact gradient and a
@@ -66,10 +67,13 @@ def _kl_example() -> list[Check]:
 
 def _projections() -> list[Check]:
     """Projection contracts on random boxes, balls and simplexes of
-    dimension 1-6: one idempotence, nonexpansiveness and variational
-    inequality trial per set."""
+    dimension 1-6: one idempotence, nonexpansiveness, variational
+    inequality and boundary trial per set.  The boundary trial steps 1e-6
+    from Pu towards an outside u, which must leave the set; a projection
+    that stops short of the boundary passes the other three."""
     rng = np.random.default_rng(7)
     idempotent, expansion, violation = True, 0.0, 0.0
+    outside, inside_after_step = 0, 0
     for _ in range(3400):  # a box, a ball and a simplex each
         dim = int(rng.integers(1, 7))
         lo = rng.normal(size=dim)
@@ -82,6 +86,10 @@ def _projections() -> list[Check]:
             expansion = max(expansion, float(np.linalg.norm(pu - pv)
                                              - np.linalg.norm(u - v)))
             violation = max(violation, float((u - pu) @ (pw - pu)))
+            gap = float(np.linalg.norm(u - pu))
+            if gap >= 1e-6:
+                outside += 1
+                inside_after_step += cset.contains(pu + 1e-6 * (u - pu) / gap)
     trials = f"{3 * 3400} trials"
     return [
         Check("projection idempotent (exact)", idempotent, trials),
@@ -89,6 +97,8 @@ def _projections() -> list[Check]:
               f"max expansion {expansion:.2e} over {trials}"),
         Check("variational inequality (u - Pu)'(w - Pu) <= 0", violation <= 1e-10,
               f"max violation {violation:.2e} over {trials}"),
+        Check("outside points project onto the boundary", inside_after_step == 0,
+              f"{inside_after_step} of {outside} points 1e-6 beyond Pu in the set"),
     ]
 
 

@@ -327,9 +327,10 @@ def _simplex_project_oracle(v):
 def _simplex_ncd_oracle(x, g):
     # members of the normal cone are c on the support and <= c elsewhere;
     # minimizing ||g + u|| over them is a 1-d convex piecewise quadratic in c
+    # (tied breakpoints would only add empty pieces, so each is taken once)
     supp = x > 1e-9
     off = ~supp
-    breakpoints = sorted(-g[off]) if off.any() else []
+    breakpoints = sorted(set(-g[off]))
     cands = list(breakpoints)
     for lo, hi in zip([-math.inf] + breakpoints, breakpoints + [math.inf]):
         mid = (max(lo, -1e6) + min(hi, 1e6)) / 2.0

@@ -1,7 +1,11 @@
-"""Public-name tests: every name a module lists in `__all__` resolves."""
+"""Public-name tests: each module's `__all__` is the one list of its public
+names, the package root re-exports those lists, and every name resolves.
+Also: no module imports a name that it never reads."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,27 @@ import spidergda
 MODULES = ["spidergda"] + [f"spidergda.{m.name}"
                            for m in pkgutil.iter_modules(spidergda.__path__)]
 
+# the modules the root re-exports, in the root's order; `cli` and `verify`
+# stay out of it
+REEXPORTED = ["core", "projections", "estimator", "solver", "tuner",
+              "smoothing", "diagnostics", "problems"]
+
+
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
+def _top_level_names(tree):
+    """Names bound by the module's top-level defs, classes and assignments."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_listed_name_resolves(name):
@@ -17,3 +42,36 @@ def test_every_listed_name_resolves(name):
     assert module.__all__, f"{name} lists no public names"
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", REEXPORTED)
+def test_every_public_name_is_listed(name):
+    module = importlib.import_module(f"spidergda.{name}")
+    public = [n for n in _top_level_names(_tree(module))
+              if not n.startswith("_") and n != "logger"]
+    assert [n for n in public if n not in module.__all__] == []
+
+
+def test_root_reexports_each_modules_list():
+    expected = ["__version__", "problems"]
+    for name in REEXPORTED:
+        expected += importlib.import_module(f"spidergda.{name}").__all__
+    assert spidergda.__all__ == expected
+    assert len(set(expected)) == len(expected), "a name is listed twice"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    module = importlib.import_module(name)
+    tree = _tree(module)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {a.asname or a.name for a in node.names
+                         if a.name not in ("*", "annotations")}
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= set(module.__all__)
+    assert sorted(imported - read) == []

@@ -397,7 +397,8 @@ _SUITE_CHECKS = {
                    "continuity at the piece boundaries"],
     "projections": ["projection idempotent (exact)",
                     "projection nonexpansive",
-                    "variational inequality (u - Pu)'(w - Pu) <= 0"],
+                    "variational inequality (u - Pu)'(w - Pu) <= 0",
+                    "outside points project onto the boundary"],
     "tuner": ["prox weight r = 676 at unit constants",
               "primal step alpha_x = 1/8148 at unit constants",
               "primal step lower bound = 48/455625 at unit constants",

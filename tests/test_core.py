@@ -1,5 +1,7 @@
 """Oracle-interface and exact-gradient tests for the core domain types."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,7 +297,7 @@ def test_meta_validation():
     with pytest.raises(ValueError):
         SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=0, theta=1.5)
     m = SmoothnessMeta(L_x=1, L_y=2, rho=0, ell=3, theta=0.5)
-    m2 = m.with_updates(L_x=9.0)
+    m2 = replace(m, L_x=9.0)
     assert m2.L_x == 9.0 and m.L_x == 1.0
 
 

@@ -8,6 +8,7 @@ explicit formulas when the solutions stay interior).
 """
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -69,7 +70,8 @@ def test_inner_solve_config_defaults():
     cfg = InnerSolveConfig()
     assert cfg.tol == 1e-8
     assert cfg.max_iters == 100_000
-    assert cfg.step is None
+    # the inner step is always 1/(r + L_x), so it is not a setting
+    assert [f.name for f in fields(cfg)] == ["tol", "max_iters"]
 
 
 def test_gs_residuals_hand_example():
@@ -160,7 +162,7 @@ def test_solve_x_r_large_r_pins_to_center():
 def test_solve_x_r_requires_strong_convexity():
     p = _scalar_saddle()
     p = ProblemInstance(oracle=p.oracle, set_x=p.set_x, set_y=p.set_y,
-                        constants=p.constants.with_updates(rho=1.0))
+                        constants=replace(p.constants, rho=1.0))
     with pytest.raises(ValueError):
         solve_x_r(p, 1.0, np.zeros(1), np.zeros(1))
 

@@ -8,6 +8,8 @@ Oracles (independent of the library implementation):
   * `_tangent_dist_fd` recovers ||proj_T(-g)|| from the projection operator
     itself via (P(x - t g) - x) / t at small t (exact for polyhedral sets
     once the active set stabilizes).
+  * `_simplex_ncd_oracle` (shared with acceptance criterion 07) minimizes
+    ||g + u|| over the simplex normal cone as a 1-d piecewise quadratic.
 """
 
 import itertools
@@ -20,7 +22,9 @@ from scipy import optimize
 
 from spidergda import (Ball, Box, DimError, FullSpace, InfeasibleError,
                        Simplex, normal_cone_dist)
-from spidergda.projections import ACTIVE_TOL
+from spidergda.projections import ACTIVE_TOL, FEAS_TOL
+from spidergda.verify import SUITES
+from test_acceptance import _simplex_ncd_oracle
 
 
 # ----------------------------------------------------------------------------
@@ -175,6 +179,24 @@ def test_variational_inequality(suite_checks):
     assert suite_checks("projections")["variational inequality (u - Pu)'(w - Pu) <= 0"].ok
 
 
+def test_outside_points_project_onto_the_boundary(suite_checks):
+    assert suite_checks("projections")["outside points project onto the boundary"].ok
+
+
+def test_boundary_check_catches_a_short_ball_projection(monkeypatch):
+    # a ball projection that stops at 0.999 of the radius keeps idempotence,
+    # nonexpansiveness and the VI; only the boundary check sees it
+    def short(self, v):
+        if self._contains(v, FEAS_TOL):
+            return v.copy()
+        d = v - self.center
+        return self.center + d * (0.999 * self.radius / np.linalg.norm(d))
+
+    monkeypatch.setattr(Ball, "_project", short)
+    failed = [c.name for c in SUITES["projections"]() if not c.ok]
+    assert failed == ["outside points project onto the boundary"]
+
+
 @settings(deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=6),
        st.lists(st.floats(-50, 50), min_size=1, max_size=6))
@@ -302,6 +324,18 @@ def test_simplex_tangent_dist_tied_closed_form(dim):
     g[0] = 0.0
     assert Simplex(dim).tangent_dist(x, g) == pytest.approx(
         np.sqrt(1.0 - 1.0 / dim), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [1024, 4096])
+@pytest.mark.parametrize("tied", [False, True])
+def test_simplex_normal_cone_dist_matches_oracle_at_large_dims(dim, tied):
+    rng = np.random.default_rng(dim + tied)
+    x = Simplex(dim).project(rng.normal(size=dim))
+    # tied: g from five values, so many entries tie
+    g = (rng.integers(-2, 3, size=dim).astype(np.float64) if tied
+         else rng.normal(size=dim))
+    assert normal_cone_dist(Simplex(dim), x, g) == pytest.approx(
+        _simplex_ncd_oracle(x, g), rel=1e-12, abs=0.0)
 
 
 def test_normal_cone_zero_iff_linear_stationary():

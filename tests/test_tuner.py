@@ -10,6 +10,7 @@ checks these three values; the unit-constant tests assert its checks.
 
 import logging
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -120,8 +121,8 @@ def test_beta_theta_below_half_ignores_epsilon():
     m1 = _unit_meta(theta=0.25)
     ax = compute_alpha_x(m0, 676.0)
     # ell*D_Y = 1 makes the (ell D_Y)^(1-2 theta) factor 1 at every theta
-    b0 = compute_beta(m0.with_updates(D_Y=1.0), 676.0, ax, epsilon=0.1)
-    b1 = compute_beta(m1.with_updates(D_Y=1.0), 676.0, ax, epsilon=0.01)
+    b0 = compute_beta(replace(m0, D_Y=1.0), 676.0, ax, epsilon=0.1)
+    b1 = compute_beta(replace(m1, D_Y=1.0), 676.0, ax, epsilon=0.01)
     assert b0 == b1
 
 
