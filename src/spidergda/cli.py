@@ -23,8 +23,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .core import DimError, FiniteSum, ProblemInstance, as_vector
-from .diagnostics import (InnerSolveConfig, dz_norm, gs_residuals, lyapunov,
-                          mc_gs_residuals)
+from .diagnostics import dz_norm, gs_residuals, lyapunov, mc_gs_residuals
 from .smoothing import MoreauComposite
 from .solver import NonFiniteError, SolverConfig, run
 from .tuner import InfeasibleScheduleError, TunerInput, tune_nonsmooth, tune_smooth
@@ -392,7 +391,6 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
         cfg.output["directory"] = out_dir
     out = Path(cfg.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
-    inner = InnerSolveConfig()
     summary = {"tuner_audit": {"inputs": audit.inputs, "outputs": audit.outputs},
                "problem": cfg.problem, "runs": []}
     for s in cfg.seeds:
@@ -422,7 +420,7 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
             entry["output_res_y_se"] = o_sy
         if cfg.diagnostics.get("dz_norm", False):
             entry["dz_norm"] = dz_norm(problem, run_config.r, y_out,
-                                       trace.output_z, inner)
+                                       trace.output_z)
         summary["runs"].append(entry)
 
         if "csv" in cfg.output["formats"]:

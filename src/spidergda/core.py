@@ -132,12 +132,6 @@ class StochasticOracle:
     eval_f : callable(x, y, sample_id) -> float
     grad_x : callable(x, y, sample_id) -> ndarray of shape (dim_x,)
     grad_y : callable(x, y, sample_id) -> ndarray of shape (dim_y,)
-    draw : callable(rng, count) -> ndarray of sample ids, optional
-        Defaults to `UniformDraw`: i.i.d. uniform indices (finite-sum) or
-        fresh 63-bit tokens (online), both with replacement.  The solver
-        computes a default draw's ids in bulk (`estimator.batch_ids`), bit
-        for bit what ``draw(rng, count)`` returns; a custom draw is called
-        with the same keyed generator at every refresh.
     grads_batch : callable(X, Y, sample_ids) -> (ndarray, ndarray), optional
         Vectorized fast path with one point per row: X has shape
         (len(ids), dim_x), Y shape (len(ids), dim_y), and row r of each
@@ -169,6 +163,12 @@ class StochasticOracle:
         Without the hook, `batch_grads` calls grad_x and grad_y once per
         row; that path is the reference the hook is tested against.
 
+    The sampling law is not a parameter: `draw` is the `UniformDraw` the
+    regime fixes, i.i.d. uniform indices in [0, N) under FiniteSum(N) or
+    fresh 63-bit tokens online, both with replacement.  The solver
+    computes its ids in bulk (`estimator.batch_ids`), bit for bit what
+    ``draw(rng, count)`` returns.
+
     Under FiniteSum, `full_grads(problem, x, y)` reduces one `batch_grads`
     call over all N ids to both exact partial gradients; `full_grad_x` and
     `full_grad_y` reduce only their own side of the same call.
@@ -180,16 +180,15 @@ class StochasticOracle:
     eval_f: Callable[[np.ndarray, np.ndarray, int], float]
     grad_x: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     grad_y: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-    draw: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     grads_batch: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray],
                                    tuple[np.ndarray, np.ndarray]]] = None
+    draw: UniformDraw = field(init=False)
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_y < 1:
             raise DimError("oracle dims must be positive")
-        if self.draw is None:
-            self.draw = UniformDraw(self.regime.n if isinstance(self.regime, FiniteSum)
-                                    else 2 ** 63)
+        self.draw = UniformDraw(self.regime.n if isinstance(self.regime, FiniteSum)
+                                else 2 ** 63)
 
     def batch_grads(self, X: np.ndarray, Y: np.ndarray,
                     ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +231,7 @@ def _rows(v: np.ndarray, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UniformDraw:
-    """The default `draw`: `count` i.i.d. uniform ids in [0, high), with
+    """An oracle's `draw`: `count` i.i.d. uniform ids in [0, high), with
     replacement, as ``rng.integers(0, high, size=count)``.  `high` is N
     under FiniteSum(N) and 2**63 (fresh tokens) online."""
 
@@ -297,7 +296,7 @@ class SmoothnessMeta:
 
     def __post_init__(self):
         for name in ("L_x", "L_y", "rho", "ell", "sigma_x", "sigma_y"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
         if not self.mu > 0:
             raise ValueError("mu must be positive")
@@ -442,18 +441,21 @@ def full_value(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> float:
 # ----------------------------------------------------------------------------
 # pilot variance estimation
 
+_PILOT = 1024
+
+
 def estimate_sigmas(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
-                    pilot: int = 1024, rng: Optional[np.random.Generator] = None
+                    rng: Optional[np.random.Generator] = None
                     ) -> tuple[float, float]:
     """Monte-Carlo pilot estimate of the per-sample gradient deviations.
 
-    Draws `pilot` samples and returns sqrt of the mean squared deviation of
+    Draws `_PILOT` samples and returns sqrt of the mean squared deviation of
     the per-sample gradients from their sample mean, for x and y.  These are
     *estimates*; callers storing them in SmoothnessMeta should set
     `sigma_is_estimate=True`.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    ids = problem.oracle.draw(rng, pilot)
+    ids = problem.oracle.draw(rng, _PILOT)
     sx, sy = (float(np.sqrt(np.mean(np.sum((g - g.mean(axis=0)) ** 2, axis=1))))
               for g in problem.oracle.grads_at(x, y, ids))
     return sx, sy

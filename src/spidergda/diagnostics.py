@@ -21,7 +21,6 @@ from .core import (FiniteSum, ProblemInstance, RegimeError, as_vector,
 from .projections import Box, normal_cone_dist
 
 __all__ = [
-    "InnerSolveConfig",
     "MaxItersError",
     "LyapunovValue",
     "gs_residuals",
@@ -53,20 +52,15 @@ class MaxItersError(Exception):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class InnerSolveConfig:
-    """Settings for the strongly convex inner solves, which take the
-    constant step 1/(r + L_x), safe for the (L_x + r)-smooth proximal
-    objective."""
+# The strongly convex inner solves take the constant step 1/(r + L_x), safe
+# for the (L_x + r)-smooth proximal objective, and stop at this
+# projected-gradient residual or iteration count.
+_INNER_TOL = 1e-8
+_INNER_MAX_ITERS = 100_000
 
-    tol: float = 1e-8
-    max_iters: int = 100_000
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+# Monte-Carlo residual batch, and seeded ascent starts of the merit's p_r
+_MC_BATCH = 10_000
+_P_R_STARTS = 8
 
 
 # ----------------------------------------------------------------------------
@@ -101,24 +95,23 @@ def gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
 
 
 def mc_gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
-                    batch: int = 10_000,
                     rng: Optional[np.random.Generator] = None
                     ) -> tuple[float, float, float, float]:
     """Monte-Carlo residuals (res_x, res_y, se_x, se_y) for either regime.
 
-    Residuals are computed on the batch-mean gradient.  The normal-cone
-    distance is 1-Lipschitz in the gradient argument, so the reported
-    standard error of the mean-gradient estimate (in L2) also bounds the
-    standard error of each residual.
+    Residuals are computed on the mean gradient of `_MC_BATCH` draws.  The
+    normal-cone distance is 1-Lipschitz in the gradient argument, so the
+    reported standard error of the mean-gradient estimate (in L2) also
+    bounds the standard error of each residual.
     """
     x = as_vector(x, problem.dim_x)
     y = as_vector(y, problem.dim_y)
     rng = rng if rng is not None else np.random.default_rng(0)
-    ids = problem.oracle.draw(rng, batch)
+    ids = problem.oracle.draw(rng, _MC_BATCH)
     gx, gy = problem.oracle.grads_at(x, y, ids)
     mx, my = gx.mean(axis=0), gy.mean(axis=0)
-    se_x = float(np.sqrt(np.sum(gx.var(axis=0, ddof=1)) / batch))
-    se_y = float(np.sqrt(np.sum(gy.var(axis=0, ddof=1)) / batch))
+    se_x = float(np.sqrt(np.sum(gx.var(axis=0, ddof=1)) / _MC_BATCH))
+    se_y = float(np.sqrt(np.sum(gy.var(axis=0, ddof=1)) / _MC_BATCH))
     res_x = normal_cone_dist(problem.set_x, x, mx)
     res_y = normal_cone_dist(problem.set_y, y, -my)
     return res_x, res_y, se_x, se_y
@@ -128,14 +121,13 @@ def mc_gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
 # inner proximal solve
 
 def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
-              z: np.ndarray, cfg: Optional[InnerSolveConfig] = None,
-              x0: Optional[np.ndarray] = None) -> np.ndarray:
+              z: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
     """Minimize F(x, y) + (r/2)||x - z||^2 over X by projected gradient.
 
     Starts from proj_X(z) (or the warm start x0) and stops once the
     projected-gradient residual ||x - proj_X(x - step g)|| / step at the
-    current iterate is <= cfg.tol; the returned point is the one at which
-    that residual was measured.
+    current iterate is <= `_INNER_TOL`; the returned point is the one at
+    which that residual was measured.
 
     Raises
     ------
@@ -144,7 +136,6 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
     MaxItersError
         If the tolerance is not reached; carries the best iterate.
     """
-    cfg = cfg if cfg is not None else InnerSolveConfig()
     meta = problem.constants
     if not r > meta.rho:
         raise ValueError(f"need r > rho for a strongly convex inner problem "
@@ -154,30 +145,29 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
     step = 1.0 / (r + meta.L_x)
     x = problem.set_x.project(as_vector(x0, problem.dim_x) if x0 is not None else z)
     best, best_res = x, math.inf
-    for _ in range(cfg.max_iters):
+    for _ in range(_INNER_MAX_ITERS):
         g = full_grad_x(problem, x, y) + r * (x - z)
         x_next = problem.set_x.project(x - step * g)
         res = float(np.linalg.norm(x_next - x)) / step
         if res < best_res:
             best, best_res = x, res
-        if res <= cfg.tol:
+        if res <= _INNER_TOL:
             return x
         x = x_next
     raise MaxItersError(
         f"inner solve stalled at residual {best_res:.3e} "
-        f"(tol {cfg.tol:.1e}) after {cfg.max_iters} iterations",
+        f"(tol {_INNER_TOL:.1e}) after {_INNER_MAX_ITERS} iterations",
         best=best, residual=best_res)
 
 
-def dz_norm(problem: ProblemInstance, r: float, y: np.ndarray, z: np.ndarray,
-            cfg: Optional[InnerSolveConfig] = None,
-            x0: Optional[np.ndarray] = None) -> float:
+def dz_norm(problem: ProblemInstance, r: float, y: np.ndarray, z: np.ndarray
+            ) -> float:
     """r * ||z - x_r(y, z)||, the proximal-tracking stationarity measure.
 
     Zero exactly when z is the fixed point of the proximal map; the solver's
     convergence guarantee is stated on this quantity at the sampled output.
     """
-    x_r = solve_x_r(problem, r, y, z, cfg, x0=x0)
+    x_r = solve_x_r(problem, r, y, z)
     z = as_vector(z, problem.dim_x)
     return float(r * np.linalg.norm(z - x_r))
 
@@ -211,14 +201,14 @@ class LyapunovValue:
 
 
 def _d_r(problem: ProblemInstance, r: float, y: np.ndarray, z: np.ndarray,
-         cfg: InnerSolveConfig, x0=None) -> tuple[float, np.ndarray]:
-    x_r = solve_x_r(problem, r, y, z, cfg, x0=x0)
+         x0=None) -> tuple[float, np.ndarray]:
+    x_r = solve_x_r(problem, r, y, z, x0=x0)
     val = full_value(problem, x_r, y) + 0.5 * r * float(np.sum((x_r - z) ** 2))
     return val, x_r
 
 
 def _ascend_d_r(problem: ProblemInstance, r: float, y0: np.ndarray,
-                z: np.ndarray, cfg: InnerSolveConfig, max_ascent: int = 2000
+                z: np.ndarray, max_ascent: int = 2000
                 ) -> tuple[float, np.ndarray]:
     """Projected gradient ascent on d_r(., z) from y0 (Danskin gradient:
     grad_y d_r(y, z) = grad_y F(x_r(y, z), y))."""
@@ -228,31 +218,26 @@ def _ascend_d_r(problem: ProblemInstance, r: float, y0: np.ndarray,
     y = problem.set_y.project(y0)
     x_warm = None
     for _ in range(max_ascent):
-        x_warm = solve_x_r(problem, r, y, z, cfg, x0=x_warm)
+        x_warm = solve_x_r(problem, r, y, z, x0=x_warm)
         g = full_grad_y(problem, x_warm, y)
-        y_next = problem.set_y.project(y + step * g)
-        if float(np.linalg.norm(y_next - y)) / step <= cfg.tol * 10:
-            y = y_next
+        y, y_prev = problem.set_y.project(y + step * g), y
+        if float(np.linalg.norm(y - y_prev)) / step <= _INNER_TOL * 10:
             break
-        y = y_next
-    val, _ = _d_r(problem, r, y, z, cfg, x0=x_warm)
+    val, _ = _d_r(problem, r, y, z, x0=x_warm)
     return val, y
 
 
 def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
-             y: np.ndarray, z: np.ndarray,
-             cfg: Optional[InnerSolveConfig] = None, n_starts: int = 8,
-             seed: int = 0) -> LyapunovValue:
+             y: np.ndarray, z: np.ndarray) -> LyapunovValue:
     """Merit-function value Phi_r(x, y, z) via nested inner solves.
 
     d_r values use the strongly convex inner solve.  p_r(z) is a global
     maximum of d_r(., z): on a 1-D box dual it is certified by a dense grid
-    plus local ascent; otherwise it is the best of `n_starts` seeded ascent
+    plus local ascent; otherwise it is the best of `_P_R_STARTS` seeded ascent
     starts (the given y plus random perturbations) and flagged heuristic.
 
     Requires the finite-sum regime (exact values/gradients).
     """
-    cfg = cfg if cfg is not None else InnerSolveConfig()
     if not isinstance(problem.regime, FiniteSum):
         raise RegimeError("merit tracking needs the finite-sum regime")
     x = as_vector(x, problem.dim_x)
@@ -260,28 +245,27 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     z = as_vector(z, problem.dim_x)
 
     f_r = full_value(problem, x, y) + 0.5 * r * float(np.sum((x - z) ** 2))
-    d_here, x_r_here = _d_r(problem, r, y, z, cfg)
+    d_here, _ = _d_r(problem, r, y, z)
 
-    certified = False
-    if problem.dim_y == 1 and isinstance(problem.set_y, Box):
+    certified = problem.dim_y == 1 and isinstance(problem.set_y, Box)
+    if certified:
         lo, hi = float(problem.set_y.lo[0]), float(problem.set_y.hi[0])
         grid = np.linspace(lo, hi, 513)
         best_val, best_y = -math.inf, y
         x_warm = None
         for gy in grid:
-            val, x_warm = _d_r(problem, r, np.array([gy]), z, cfg, x0=x_warm)
+            val, x_warm = _d_r(problem, r, np.array([gy]), z, x0=x_warm)
             if val > best_val:
                 best_val, best_y = val, np.array([gy])
-        val, _ = _ascend_d_r(problem, r, best_y, z, cfg)
+        val, _ = _ascend_d_r(problem, r, best_y, z)
         p_r = max(best_val, val)
-        certified = True
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         span = problem.constants.D_Y or 1.0
         p_r = -math.inf
-        for s in range(n_starts):
+        for s in range(_P_R_STARTS):
             y_start = y if s == 0 else y + span * rng.normal(size=problem.dim_y)
-            val, _ = _ascend_d_r(problem, r, y_start, z, cfg)
+            val, _ = _ascend_d_r(problem, r, y_start, z)
             p_r = max(p_r, val)
 
     p_r = max(p_r, d_here)  # d_r(y, z) itself is a valid lower bound

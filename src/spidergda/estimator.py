@@ -14,13 +14,13 @@ formed at (`prev`) and the step's sample ids to `recurse`.
 
 Mini-batch randomness comes from counter-based Philox streams keyed by
 (seed, epoch, step), so any batch is reproducible in isolation
-(`batch_rng`).  `batch_ids` computes the ids of many keys at once: for the
-oracle's default uniform draw it runs Philox4x64-10 and numpy's bounded
-integer draw as array code over all keys (Salmon et al., "Parallel random
+(`batch_rng`).  `batch_ids` computes the ids of many keys at once: it runs
+Philox4x64-10 and numpy's bounded integer draw of the oracle's
+`UniformDraw` as array code over all keys (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011), bit for bit what each key's
-generator would return; a custom draw and the rare key whose draw numpy
-would reject and redraw get the key's own generator instead.  The solver
-fills one such table per window of refresh steps.
+generator would return; the rare key whose draw numpy would reject and
+redraw gets the key's own generator instead.  The solver fills one such
+table per window of refresh steps.
 """
 
 from __future__ import annotations
@@ -128,21 +128,18 @@ def _uniform_ids(high: int, seed: int, tags: np.ndarray, count: int
     return hi.astype(np.int64), (lo < np.uint64(threshold)).any(axis=1)
 
 
-def batch_ids(draw, seed: int, epochs, taus, count: int, purpose: int = 0):
+def batch_ids(draw: UniformDraw, seed: int, epochs, taus, count: int,
+              purpose: int = 0):
     """Mini-batch ids of many (epoch, tau) keys, one row per key.
 
     Row j equals ``draw(batch_rng(seed, epochs[j], taus[j], purpose),
     count)`` bit for bit; `epochs` and `taus` broadcast against each other.
-    For the default `UniformDraw` all rows come from one vectorized Philox
-    pass; a key on which numpy's bounded draw would reject a value (odds
-    below high / 2**32 per draw) and every key of a custom draw get their
-    own generator.
+    All rows come from one vectorized Philox pass; a key on which numpy's
+    bounded draw would reject a value (odds below high / 2**32 per draw)
+    gets its own generator.
     """
     epochs, taus = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(epochs, dtype=np.int64), np.asarray(taus, dtype=np.int64)))
-    if not isinstance(draw, UniformDraw):
-        return np.array([draw(batch_rng(seed, k, t, purpose), count)
-                         for k, t in zip(epochs.tolist(), taus.tolist())])
     tags = _tag(purpose, epochs.astype(np.uint64), taus.astype(np.uint64))
     ids, rejected = _uniform_ids(draw.high, seed & _MASK64, tags, count)
     for j in np.flatnonzero(rejected).tolist():

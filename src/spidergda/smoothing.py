@@ -473,9 +473,11 @@ def near_stationarity_certificate(comp: MoreauComposite, lam: float,
 # ----------------------------------------------------------------------------
 # contract spot checks
 
-def spot_check_composite(comp: MoreauComposite, rng: np.random.Generator,
-                         n_trials: int = 64, span: float = 3.0,
-                         tol: float = 1e-9) -> None:
+# trials per contract, half-width of the sampled interval, and slack
+_SPOT_TRIALS, _SPOT_SPAN, _SPOT_TOL = 64, 3.0, 1e-9
+
+
+def spot_check_composite(comp: MoreauComposite, rng: np.random.Generator) -> None:
     """Randomized checks of the composite's declared contracts.
 
     Secant tests of each h_j for convexity (midpoint inequality) and
@@ -484,18 +486,17 @@ def spot_check_composite(comp: MoreauComposite, rng: np.random.Generator,
     """
     lh = comp.constants.ell_h
     for j, hj in enumerate(comp.h):
-        for _ in range(n_trials):
-            a, b = sorted(rng.uniform(-span, span, size=2))
+        for _ in range(_SPOT_TRIALS):
+            a, b = sorted(rng.uniform(-_SPOT_SPAN, _SPOT_SPAN, size=2))
             va, vb = hj.value(a), hj.value(b)
             mid = hj.value(0.5 * (a + b))
-            if mid > 0.5 * (va + vb) + tol:
+            if mid > 0.5 * (va + vb) + _SPOT_TOL:
                 raise ValueError(f"h[{j}] fails the midpoint convexity test")
-            if abs(va - vb) > lh * abs(a - b) + tol:
+            if abs(va - vb) > lh * abs(a - b) + _SPOT_TOL:
                 raise ValueError(f"h[{j}] is not ell_h={lh}-Lipschitz")
     y0 = comp.set_y.project(rng.uniform(-1.0, 1.0, size=comp.dim_y))
-    for _ in range(n_trials):
-        u = rng.uniform(-span, span, size=comp.d_h)
-        bump = rng.uniform(0.0, span, size=comp.d_h)
-        sample = 0
-        if comp.phi(u + bump, y0, sample) < comp.phi(u, y0, sample) - tol:
+    for _ in range(_SPOT_TRIALS):
+        u = rng.uniform(-_SPOT_SPAN, _SPOT_SPAN, size=comp.d_h)
+        bump = rng.uniform(0.0, _SPOT_SPAN, size=comp.d_h)
+        if comp.phi(u + bump, y0, 0) < comp.phi(u, y0, 0) - _SPOT_TOL:
             raise ValueError("phi is not nondecreasing in its first argument")

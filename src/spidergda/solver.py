@@ -18,8 +18,7 @@ one sample-accounting formula, shared with the tuner.
 
 Random numbers come in windows: `run` takes the recursions' sample ids
 from one `estimator.batch_ids` table per window of at most `_ID_BUDGET`
-ids (the same ids a generator per step would draw; a custom `draw` is
-still called with each step's keyed generator), and the reservoir's
+ids (the same ids a generator per step would draw), and the reservoir's
 uniforms from one draw per window of `_RESERVOIR_WINDOW` steps.  Inputs
 are checked at the boundaries: the start points once, and per step only
 the finiteness of the raw update (before projecting) and of z+.
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -68,13 +68,20 @@ class NonFiniteError(Exception):
 # ----------------------------------------------------------------------------
 # configuration and state
 
+def _is_count(v) -> bool:
+    """True for an integer >= 1: Python and numpy integers, not bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass
 class SolverConfig:
     """Static schedule for one run.
 
     K epochs of T inner steps; M recursion batch size; B anchor batch size
     (ignored under the finite-sum regime, which anchors on all N
-    components).  beta must lie in (0, 1]; step sizes and r are positive.
+    components).  Counts are integers (numpy's too, stored as int; bool
+    not); beta must lie in (0, 1]; step sizes and r are positive and
+    finite.
     """
 
     K: int
@@ -90,16 +97,18 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("K", "T", "M", "B", "trace_stride"):
-            if int(getattr(self, name)) < 1:
+            if not _is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be a positive integer")
+            # a numpy count would wrap in the id tables' arithmetic
+            setattr(self, name, int(getattr(self, name)))
         for name in ("alpha_x", "alpha_y", "r"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
         # batch_rng keys epochs 0..K-1 with 31 bits and steps 0..T-1 with 32
         for name, bits in (("K", 31), ("T", 32)):
-            if int(getattr(self, name)) > 2 ** bits:
+            if getattr(self, name) > 2 ** bits:
                 raise OverflowError(f"{name}={getattr(self, name)} exceeds 2**{bits}; "
                                     "longer schedules would reuse mini-batch streams")
 
@@ -239,7 +248,6 @@ def _start_point(cset: ConstraintSet, v) -> np.ndarray:
 
 def run(problem: ProblemInstance, config: SolverConfig,
         x0: Optional[np.ndarray] = None, y0: Optional[np.ndarray] = None,
-        z0: Optional[np.ndarray] = None,
         sink: Optional[Callable[[TraceRow], None]] = None) -> RunTrace:
     """Execute the full K*T-step schedule and return the trace.
 
@@ -250,9 +258,11 @@ def run(problem: ProblemInstance, config: SolverConfig,
 
     The start points are checked once (dimension and finiteness, DimError
     otherwise); infeasible x0/y0 are projected with a logged warning, into
-    a copy, never into the caller's array.  Trace rows are recorded every
-    `trace_stride` steps (plus the final step) with iterate snapshots;
-    `sink`, when given, receives each row as produced.
+    a copy, never into the caller's array.  The prox center z starts at
+    the projected x0, so every z, a running average of iterates in X,
+    stays in X.  Trace rows are recorded every `trace_stride` steps (plus
+    the final step) with iterate snapshots; `sink`, when given, receives
+    each row as produced.
 
     Raises
     ------
@@ -261,11 +271,11 @@ def run(problem: ProblemInstance, config: SolverConfig,
     """
     x = _start_point(problem.set_x, x0)
     y = _start_point(problem.set_y, y0)
-    z = x.copy() if z0 is None else _start_point(problem.set_x, z0)
     for name, v, cset in (("x0", x, problem.set_x), ("y0", y, problem.set_y)):
         if not cset._contains(v, FEAS_TOL):
             logger.warning("initial %s infeasible; projecting onto the set", name)
             v[:] = cset._project(v)
+    z = x.copy()
 
     T, total_steps = config.T, config.K * config.T
     drawn = partial(samples_drawn, problem.regime, T, config.M, config.B)

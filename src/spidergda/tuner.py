@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 from .core import FiniteSum, ProblemInstance, Regime, SmoothnessMeta
 from .smoothing import MoreauComposite, as_problem
-from .solver import SolverConfig, samples_drawn
+from .solver import SolverConfig, _is_count, samples_drawn
 
 __all__ = [
     "BETA_CAP",
@@ -90,6 +90,9 @@ class TunerInput:
         unknown = set(self.overrides) - OVERRIDE_KEYS
         if unknown:
             raise ValueError(f"unknown override keys: {sorted(unknown)}")
+        for name in ("K", "T", "M", "B"):
+            if name in self.overrides and not _is_count(self.overrides[name]):
+                raise ValueError(f"override {name} must be a positive integer")
 
 
 # ----------------------------------------------------------------------------
@@ -357,9 +360,7 @@ def tune_nonsmooth(comp: MoreauComposite, epsilon: float,
            if cc.ell_h > 0 else math.inf)
     ac = settings.get("asymptotic_constant", TunerInput.asymptotic_constant)
     requested = ac * epsilon if lambda_choice == "auto" else float(lambda_choice)
-    if not requested > 0:
-        raise ValueError("lambda must be positive")
-    lam = min(requested, cap)
+    lam = min(requested, cap)  # as_problem rejects a non-positive or NaN lambda
     if lam < requested:
         logger.warning("smoothing level clamped from %g to the admissible "
                        "ceiling %g", requested, cap)

@@ -1,0 +1,70 @@
+"""Noise-free cost guards: Python-level calls into the package per unit of work.
+
+Seconds vary too much between runs of one host to guard a regression in
+the fast tier; call counts do not.  `sys.setprofile` reports a `call` event
+for every Python function entered (and for every generator resumed); only
+frames whose code lies in the `spidergda` package are counted, so the
+numbers do not depend on numpy's version.  Operators that numpy dispatches
+through type slots make no call event, so these counts complement timing
+and do not replace it.
+
+Each budget is the count measured when the test was written.  Lower a
+budget when a change removes calls; raising one loosens the guard.
+"""
+
+import os
+import sys
+
+import spidergda
+from spidergda import (TunerInput, default_initial_point, gs_residuals,
+                       make_quadratic_saddle, run, tune_smooth)
+
+_PACKAGE = os.path.dirname(os.path.abspath(spidergda.__file__)) + os.sep
+
+# package calls of one run of K*T = 400 steps (12.39 per step)
+RUN_CALLS = 4956
+# package calls of one exact residual evaluation
+GS_RESIDUALS_CALLS = 30
+
+
+def _package_calls(fn) -> int:
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(_PACKAGE):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _tuned_quadratic():
+    """The benchmark's `quad_tuned` problem and schedule, at K = 50."""
+    p = make_quadratic_saddle(4, 3, n_samples=16, a_range=(4.0, 6.0),
+                              c_range=(0.05, 0.08), coupling=0.05,
+                              linear_scale=0.1, noise=0.01, seed=11)
+    cfg, _ = tune_smooth(TunerInput(
+        meta=p.constants, epsilon=1e-3, regime=p.regime,
+        overrides={"alpha_y": 4.0, "beta": 0.016, "T": 8, "M": 16, "K": 50}))
+    cfg.seed = 7
+    cfg.trace_stride = cfg.T
+    return p, cfg
+
+
+def test_solver_run_call_budget():
+    p, cfg = _tuned_quadratic()
+    assert cfg.K * cfg.T == 400
+    calls = _package_calls(lambda: run(p, cfg))
+    assert calls <= RUN_CALLS, f"{calls / 400:.2f} package calls per step"
+
+
+def test_gs_residuals_call_budget():
+    p, _ = _tuned_quadratic()
+    x, y = default_initial_point(p.set_x), default_initial_point(p.set_y)
+    calls = _package_calls(lambda: gs_residuals(p, x, y))
+    assert calls <= GS_RESIDUALS_CALLS, f"{calls} package calls"

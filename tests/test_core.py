@@ -301,6 +301,15 @@ def test_meta_validation():
     assert m2.L_x == 9.0 and m.L_x == 1.0
 
 
+@pytest.mark.parametrize("name", ["L_x", "L_y", "rho", "ell", "sigma_x",
+                                  "sigma_y"])
+def test_meta_rejects_nan_constants(name):
+    # NaN < 0 is false, so the check is written as "not v >= 0"
+    base = dict(L_x=1.0, L_y=1.0, rho=0.0, ell=1.0)
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+        SmoothnessMeta(**dict(base, **{name: float("nan")}))
+
+
 def test_problem_fills_dual_diameter():
     p = _const_grad_problem()
     assert p.constants.D_Y == pytest.approx(2.0)  # Box [-1, 1]
@@ -335,6 +344,6 @@ def test_estimate_sigmas_zero_for_constant_components():
     p = _const_grad_problem()
     # per-sample grads sit 1 away from the population mean in the first
     # coordinate; the pilot uses the *sample* mean, so allow MC slack
-    sx, sy = estimate_sigmas(p, np.zeros(2), np.zeros(1), pilot=1024)
+    sx, sy = estimate_sigmas(p, np.zeros(2), np.zeros(1))
     assert sx == pytest.approx(1.0, abs=0.05)
     assert sy == 0.0

@@ -8,15 +8,15 @@ explicit formulas when the solutions stay interior).
 """
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spidergda import (Box, FiniteSum, InnerSolveConfig, MaxItersError,
-                       Online, ProblemInstance, RegimeError, SmoothnessMeta,
-                       StochasticOracle, dz_norm, fd_check, gs_residuals,
-                       lyapunov, mc_gs_residuals, solve_x_r)
+from spidergda import (Box, FiniteSum, MaxItersError, Online,
+                       ProblemInstance, RegimeError, SmoothnessMeta,
+                       StochasticOracle, diagnostics, dz_norm, fd_check,
+                       gs_residuals, lyapunov, mc_gs_residuals, solve_x_r)
 
 
 def _bilinear_problem():
@@ -66,14 +66,6 @@ def _quadratic_x_problem(seed=0, d=3):
 # ----------------------------------------------------------------------------
 # first-order residuals
 
-def test_inner_solve_config_defaults():
-    cfg = InnerSolveConfig()
-    assert cfg.tol == 1e-8
-    assert cfg.max_iters == 100_000
-    # the inner step is always 1/(r + L_x), so it is not a setting
-    assert [f.name for f in fields(cfg)] == ["tol", "max_iters"]
-
-
 def test_gs_residuals_hand_example():
     # F = x y at the corner (1, 1): gradient (1, 1) points out of the box on
     # the x side and into it on the y (ascent) side -> residuals (1, 1)
@@ -103,7 +95,7 @@ def test_mc_residuals_track_exact_on_finite_sum():
     x = p.set_x.project(rng.normal(size=3))
     y = p.set_y.project(rng.normal(size=2))
     ex_x, ex_y = gs_residuals(p, x, y)
-    mc_x, mc_y, se_x, se_y = mc_gs_residuals(p, x, y, batch=4000,
+    mc_x, mc_y, se_x, se_y = mc_gs_residuals(p, x, y,
                                              rng=np.random.default_rng(3))
     assert se_x > 0 and se_y > 0
     assert abs(mc_x - ex_x) <= 5 * se_x + 1e-9
@@ -126,8 +118,7 @@ def test_mc_residuals_online():
                         constants=SmoothnessMeta(L_x=1, L_y=1, rho=0, ell=1,
                                                  sigma_x=0.1, sigma_y=0.1))
     res_x, res_y, se_x, se_y = mc_gs_residuals(
-        p, np.array([2.0]), np.array([0.5]), batch=2000,
-        rng=np.random.default_rng(4))
+        p, np.array([2.0]), np.array([0.5]), rng=np.random.default_rng(4))
     assert res_x == pytest.approx(2.0, abs=5 * se_x + 1e-9)
     assert res_y == pytest.approx(0.5, abs=5 * se_y + 1e-9)
 
@@ -167,11 +158,12 @@ def test_solve_x_r_requires_strong_convexity():
         solve_x_r(p, 1.0, np.zeros(1), np.zeros(1))
 
 
-def test_solve_x_r_max_iters_carries_best():
+def test_solve_x_r_max_iters_carries_best(monkeypatch):
     p, Q, c = _quadratic_x_problem(seed=8)
-    cfg = InnerSolveConfig(max_iters=2, tol=1e-16)
+    monkeypatch.setattr(diagnostics, "_INNER_MAX_ITERS", 2)
+    monkeypatch.setattr(diagnostics, "_INNER_TOL", 1e-16)
     with pytest.raises(MaxItersError) as exc:
-        solve_x_r(p, 1.0, np.zeros(1), 40 * np.ones(3), cfg=cfg)
+        solve_x_r(p, 1.0, np.zeros(1), 40 * np.ones(3))
     assert exc.value.best is not None
     assert exc.value.best.shape == (3,)
     assert exc.value.residual > 0

@@ -103,19 +103,6 @@ def test_batch_ids_fall_back_on_rejected_draws(monkeypatch):
         assert np.array_equal(row, UniformDraw(16)(batch_rng(7, 2, tau), 1000))
 
 
-def test_batch_ids_call_a_custom_draw_with_each_keyed_generator():
-    seen = []
-
-    def draw(rng, count):
-        seen.append(rng.bit_generator.state["state"]["key"].tolist())
-        return np.arange(count)
-
-    ids = batch_ids(draw, 3, [0, 0, 5], [1, 2, 1], 2)
-    assert ids.tolist() == [[0, 1]] * 3
-    assert seen == [batch_rng(3, k, tau).bit_generator.state["state"]["key"].tolist()
-                    for k, tau in ((0, 1), (0, 2), (5, 1))]
-
-
 # ----------------------------------------------------------------------------
 # anchor
 
@@ -125,26 +112,27 @@ def test_finite_sum_anchor_is_exact_bitwise(suite_checks):
 
 
 def test_online_anchor_uses_b_fresh_draws():
-    calls = []
+    seen = []
 
-    def draw(rng, count):
-        calls.append(count)
-        return rng.integers(0, 4, size=count)
+    def grad_x(x, y, i):
+        seen.append(i)
+        return grads[i % 4].copy()
 
     grads = np.eye(4)
     oracle = StochasticOracle(
         regime=Online(), dim_x=4, dim_y=1,
         eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: grads[i % 4].copy(),
-        grad_y=lambda x, y, i: np.zeros(1),
-        draw=draw)
+        grad_x=grad_x,
+        grad_y=lambda x, y, i: np.zeros(1))
     p = ProblemInstance(oracle=oracle,
                         set_x=Box(-np.ones(4), np.ones(4)),
                         set_y=Box([-1.0], [1.0]),
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=1))
     G1 = anchor(p, np.zeros(4), np.zeros(1), B=64, rng=batch_rng(5, 2, 0))
     G2 = anchor(p, np.zeros(4), np.zeros(1), B=64, rng=batch_rng(5, 2, 0))
-    assert calls == [64, 64]
+    # one oracle row per draw: B fresh 63-bit tokens from the keyed stream
+    want = UniformDraw(2 ** 63)(batch_rng(5, 2, 0), 64).tolist()
+    assert seen == want + want
     assert np.array_equal(G1[0], G2[0])  # same keyed stream, same batch
     assert abs(float(G1[0].sum()) - 1.0) < 1e-12  # rows are unit vectors
 

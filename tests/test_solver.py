@@ -6,14 +6,16 @@ binary floating point and can be asserted with equality.
 """
 
 import logging
+import math
 
 import numpy as np
 import pytest
 
-from spidergda import (Box, DimError, FiniteSum, FullSpace, NonFiniteError,
-                       Online, ProblemInstance, Simplex, SmoothnessMeta,
-                       SolverConfig, StochasticOracle, anchor, batch_rng,
-                       default_initial_point, make_quadratic_saddle, run, step)
+from spidergda import (FEAS_TOL, Box, DimError, FiniteSum, FullSpace,
+                       NonFiniteError, Online, ProblemInstance, Simplex,
+                       SmoothnessMeta, SolverConfig, StochasticOracle,
+                       UniformDraw, anchor, batch_rng, default_initial_point,
+                       make_quadratic_saddle, run, step)
 
 
 def _bilinear_problem(set_x=None, set_y=None):
@@ -217,11 +219,28 @@ def test_run_leaves_callers_start_arrays_unchanged():
                        beta=0.25, r=4.0, seed=1)
     x0 = np.array([1e6, -1e6])
     y0 = np.array([-1e6, 1e6])
-    z0 = np.array([0.5, -0.5])
-    run(p, cfg, x0=x0, y0=y0, z0=z0)
+    run(p, cfg, x0=x0, y0=y0)
     assert x0.tolist() == [1e6, -1e6]
     assert y0.tolist() == [-1e6, 1e6]
-    assert z0.tolist() == [0.5, -0.5]
+
+
+def test_infeasible_start_runs_as_its_projection():
+    # z starts at the projected x0, so the run equals the run from the
+    # projection bit for bit and every recorded z stays in the box
+    p = make_quadratic_saddle(2, 2, n_samples=8, seed=1)
+    cfg = SolverConfig(K=3, T=4, M=2, B=8, alpha_x=0.05, alpha_y=0.1,
+                       beta=0.25, r=4.0, seed=1)
+    x0 = np.array([1e6, -1e6])
+    far = run(p, cfg, x0=x0)
+    near = run(p, cfg, x0=p.set_x.project(x0))
+    assert len(far.rows) == len(near.rows) == cfg.K * cfg.T
+    for a, b in zip(far.rows, near.rows):
+        for side in ("x", "y", "z"):
+            assert getattr(a, side).tobytes() == getattr(b, side).tobytes()
+        assert p.set_x.contains(a.z, FEAS_TOL)
+    for a, b in zip(far.output_pair + (far.output_z,),
+                    near.output_pair + (near.output_z,)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_run_checks_start_points():
@@ -232,8 +251,6 @@ def test_run_checks_start_points():
         run(p, cfg, x0=np.zeros(3))
     with pytest.raises(DimError):
         run(p, cfg, y0=np.array([0.0, np.nan]))
-    with pytest.raises(DimError):
-        run(p, cfg, z0=np.array([np.inf, 0.0]))
 
 
 # ----------------------------------------------------------------------------
@@ -273,47 +290,81 @@ def test_run_makes_one_oracle_call_per_refresh(monkeypatch):
 
 def _online_problem():
     """f(x, y; xi) = (1 + token mod 7) * x * y, sampled online; the token
-    scales the gradient, so a recursion's increment depends on its ids."""
+    scales the gradient, so a recursion's increment depends on its ids.
+    `p.calls` records the ids of every `grads_batch` call."""
+    calls = []
+
+    def grads_batch(X, Y, ids):
+        calls.append(ids.copy())
+        scale = (1 + ids % 7)[:, None]
+        return scale * Y, scale * X
+
     oracle = StochasticOracle(
         regime=Online(), dim_x=1, dim_y=1,
         eval_f=lambda x, y, i: float((1 + i % 7) * x[0] * y[0]),
         grad_x=lambda x, y, i: (1 + i % 7) * y,
-        grad_y=lambda x, y, i: (1 + i % 7) * x)
+        grad_y=lambda x, y, i: (1 + i % 7) * x,
+        grads_batch=grads_batch)
     # boxes off the origin, which is stationary
-    return ProblemInstance(oracle=oracle, set_x=Box([0.5], [2.0]),
-                           set_y=Box([0.5], [2.0]),
-                           constants=SmoothnessMeta(L_x=0, L_y=7, rho=0, ell=28))
+    p = ProblemInstance(oracle=oracle, set_x=Box([0.5], [2.0]),
+                        set_y=Box([0.5], [2.0]),
+                        constants=SmoothnessMeta(L_x=0, L_y=7, rho=0, ell=28))
+    p.calls = calls
+    return p
 
 
-def test_custom_draw_gets_each_recursions_keyed_generator():
-    # online, the ids are 63-bit tokens (the bulk ids' 64-bit branch) and
-    # each epoch's anchor draws its batch on key (k, 0) as well
+def _finite_sum_problem():
+    """`make_quadratic_saddle` with N = 12 whose `p.calls` records the ids
+    of every `grads_batch` call."""
+    p = make_quadratic_saddle(3, 2, n_samples=12, seed=4)
+    p.calls, inner = [], p.oracle.grads_batch
+
+    def grads_batch(X, Y, ids):
+        p.calls.append(ids.copy())
+        return inner(X, Y, ids)
+
+    p.oracle.grads_batch = grads_batch
+    return p
+
+
+def test_recursion_ids_equal_a_keyed_generator_per_step():
+    # the bulk id tables give recursion (k, tau) the ids its own keyed
+    # generator draws; online, the ids are 63-bit tokens (the tables'
+    # 64-bit branch) and epoch k's anchor draws its B ids on key (k, 0)
     cfg = SolverConfig(**_GUARD_SCHEDULE)
+    for p, high in ((_finite_sum_problem(), 12), (_online_problem(), 2 ** 63)):
+        run(p, cfg)
+        assert len(p.calls) == cfg.K * cfg.T  # first anchor + K*T - 1 refreshes
+        for j, ids in enumerate(p.calls):
+            k, tau = divmod(j, cfg.T)
+            if tau:  # a recursion: its M ids at the new, then the old point
+                want = UniformDraw(high)(batch_rng(cfg.seed, k, tau), cfg.M)
+                assert ids.tolist() == want.tolist() * 2
+            elif isinstance(p.regime, Online):
+                want = UniformDraw(high)(batch_rng(cfg.seed, k, 0), cfg.B)
+                assert ids.tolist() == want.tolist()
+            else:
+                assert ids.tolist() == list(range(high))
 
-    def keys_of(taus):
-        return [batch_rng(cfg.seed, k, tau).bit_generator.state["state"]["key"].tolist()
-                for k in range(cfg.K) for tau in taus]
 
-    for p, high in ((make_quadratic_saddle(3, 2, n_samples=12, seed=4), 12),
-                    (_online_problem(), 2 ** 63)):
-        tables = run(p, cfg)
-        keys = []
-
-        def draw(rng, count):
-            keys.append(rng.bit_generator.state["state"]["key"].tolist())
-            return rng.integers(0, high, size=count)
-
-        p.oracle.draw = draw
-        per_step = run(p, cfg)
-        # the low 32 bits of a key's second word are tau
-        assert [key for key in keys if key[1] & 0xFFFFFFFF] == keys_of(range(1, cfg.T))
-        assert [key for key in keys if not key[1] & 0xFFFFFFFF] == (
-            keys_of([0]) if isinstance(p.regime, Online) else [])
-        # the same draw through per-step generators gives the same run
-        assert len(tables.rows) == len(per_step.rows) == cfg.K * cfg.T
-        for a, b in zip(tables.rows, per_step.rows):
-            assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
-        assert tables.output_index == per_step.output_index
+def test_online_anchor_per_epoch_end_to_end():
+    # epoch k's anchor draws B tokens on key (k, 0), the first step ascends
+    # along the mean of all B rows, and the run counts B draws per anchor
+    cfg = SolverConfig(**dict(_GUARD_SCHEDULE, B=3))
+    p = _online_problem()
+    trace = run(p, cfg)
+    anchors = [ids for j, ids in enumerate(p.calls) if j % cfg.T == 0]
+    assert len(anchors) == cfg.K
+    for k, ids in enumerate(anchors):
+        want = UniformDraw(2 ** 63)(batch_rng(cfg.seed, k, 0), cfg.B)
+        assert ids.tolist() == want.tolist()
+    x0, y0 = default_initial_point(p.set_x), default_initial_point(p.set_y)
+    gy = (1 + anchors[0] % 7)[:, None] * x0
+    assert len(set((anchors[0] % 7).tolist())) > 1  # the rows differ
+    want_y = p.set_y.project(y0 + cfg.alpha_y * gy.mean(axis=0))
+    assert trace.rows[0].y.tobytes() == want_y.tobytes()
+    assert trace.total_samples == (cfg.K * cfg.B
+                                   + cfg.K * (cfg.T - 1) * cfg.M)
 
 
 def test_step_rejects_non_finite_update_before_projecting():
@@ -360,6 +411,36 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(K=1, T=1, M=1, B=1, alpha_x=-0.1, alpha_y=0.1, beta=0.5,
                      r=1.0)
+
+
+_VALID = dict(K=2, T=3, M=1, B=1, alpha_x=0.1, alpha_y=0.1, beta=0.5, r=1.0)
+
+
+@pytest.mark.parametrize("name", ["K", "T", "M", "B", "trace_stride"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, 0, np.int64(-1)])
+def test_config_counts_must_be_positive_integers(name, bad):
+    # K = 2.5 used to pass here and fail inside run with a TypeError
+    with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+        SolverConfig(**dict(_VALID, **{name: bad}))
+
+
+@pytest.mark.parametrize("name", ["alpha_x", "alpha_y", "r"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_config_steps_and_r_must_be_positive_and_finite(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        SolverConfig(**dict(_VALID, **{name: bad}))
+
+
+@pytest.mark.parametrize("kind", [np.int32, np.uint64])
+def test_config_stores_numpy_counts_as_int(kind):
+    # a uint64 M used to wrap in the id tables' block count
+    p = _quadratic_problem()
+    counts = dict(K=3, T=3, M=2, trace_stride=2)
+    cfg = SolverConfig(**dict(_VALID, **{k: kind(v) for k, v in counts.items()}))
+    assert all(type(getattr(cfg, k)) is int for k in counts)
+    want = run(p, SolverConfig(**dict(_VALID, **counts)))
+    got = run(p, cfg)
+    assert [r.x.tobytes() for r in got.rows] == [r.x.tobytes() for r in want.rows]
 
 
 def test_config_rejects_schedules_that_alias_batch_streams():

@@ -306,6 +306,23 @@ def test_tuner_input_validation():
                    asymptotic_constant=0.0)
 
 
+@pytest.mark.parametrize("name", ["K", "T", "M", "B"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, 0, -1, "4"])
+def test_count_overrides_must_be_positive_integers(name, bad):
+    # a float count used to be truncated by the tuner while the audit kept
+    # the float
+    with pytest.raises(ValueError, match=f"override {name} must be a positive integer"):
+        TunerInput(meta=_unit_meta(), epsilon=0.1, regime=FiniteSum(8),
+                   overrides={name: bad})
+
+
+def test_numpy_integer_overrides_pass():
+    cfg, _ = tune_smooth(TunerInput(
+        meta=_unit_meta(), epsilon=0.1, regime=FiniteSum(8),
+        overrides={"K": np.int64(3), "T": np.int32(2), "M": np.uint8(1)}))
+    assert (cfg.K, cfg.T, cfg.M) == (3, 2, 1)
+
+
 def test_audit_replay_is_bit_exact():
     tin = TunerInput(meta=_unit_meta(sigma_x=0.3, sigma_y=0.7), epsilon=0.07,
                      regime=FiniteSum(33), delta_phi_estimate=2.5,
@@ -393,5 +410,6 @@ def test_lambda_explicit_choice():
     problem, _, audit = tune_nonsmooth(comp, 0.1, lambda_choice=0.25)
     assert problem.metadata["lambda"] == 0.25
     assert audit.outputs["smoothed_L_x"] == math.sqrt(54.0)
-    with pytest.raises(ValueError):
-        tune_nonsmooth(comp, 0.1, lambda_choice=-1.0)
+    for bad in (-1.0, 0.0, math.nan):  # as_problem's check rejects each
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            tune_nonsmooth(comp, 0.1, lambda_choice=bad)
