@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .core import DimError, FiniteSum, ProblemInstance, as_vector
-from .diagnostics import dz_norm, gs_residuals, lyapunov, mc_gs_residuals
+from .diagnostics import _gs_residual_rows, dz_norm, lyapunov, mc_gs_residuals
 from .smoothing import MoreauComposite
 from .solver import NonFiniteError, SolverConfig, run
 from .tuner import InfeasibleScheduleError, TunerInput, tune_nonsmooth, tune_smooth
@@ -307,42 +307,49 @@ def _config_point(solver: dict, key: str, cset) -> Optional[np.ndarray]:
 _OUTPUT_TAG = 2 ** 63
 
 
-def _row_residuals(problem: ProblemInstance, x, y, seed: int, index: int
-                   ) -> tuple[float, float, Optional[float], Optional[float]]:
-    """Residuals of trace row `index`, or of the output pair for index -1.
+def _residuals(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray,
+               seed: int, indices: list) -> list:
+    """Residuals (res_x, res_y, se_x, se_y) at the points (X[j], Y[j]) of
+    the trace rows `indices`; index -1 is the output pair.
 
-    Finite-sum problems get the exact residuals (no standard errors);
-    online problems get Monte-Carlo ones on a stream keyed by the seed and
-    the row.
+    Finite-sum problems get the exact residuals of all points from one rows
+    call (no standard errors); online problems get Monte-Carlo ones, each
+    on a stream keyed by the seed and the row.
     """
     if isinstance(problem.regime, FiniteSum):
-        rx, ry = gs_residuals(problem, x, y)
-        return rx, ry, None, None
-    tag = _OUTPUT_TAG if index < 0 else index
-    rng = np.random.default_rng((seed, tag))
-    return mc_gs_residuals(problem, x, y, rng=rng)
+        return [(rx, ry, None, None) for rx, ry in _gs_residual_rows(problem, X, Y)]
+    return [mc_gs_residuals(problem, x, y, rng=np.random.default_rng(
+        (seed, _OUTPUT_TAG if i < 0 else i))) for x, y, i in zip(X, Y, indices)]
+
+
+# trace rows per window of residuals; a finite-sum window takes its exact
+# gradients from one rows call
+_RESIDUAL_WINDOW = 64
 
 
 def _annotate_rows(problem: ProblemInstance, rows, config: SolverConfig,
                    diag: dict) -> None:
     res_stride = diag.get("residual_stride")
     lya_stride = diag.get("lyapunov_stride")
-    finite = isinstance(problem.regime, FiniteSum)
-    if lya_stride is not None and not finite:
+    if lya_stride is not None and not isinstance(problem.regime, FiniteSum):
         logger.warning("merit tracking needs exact values; skipping in the "
                        "online regime")
         lya_stride = None
     last = len(rows) - 1
-    for i, row in enumerate(rows):
-        want_res = (i == last) or (res_stride is not None
-                                   and i % res_stride == 0)
-        if want_res:
-            rx, ry, _, _ = _row_residuals(problem, row.x, row.y,
-                                          config.seed, i)
-            row.res_x, row.res_y = rx, ry
-        if lya_stride is not None and (i % lya_stride == 0 or i == last):
-            row.lyapunov = lyapunov(problem, config.r, row.x, row.y,
-                                    row.z).value
+    want = [i for i in range(len(rows))
+            if i == last or (res_stride is not None and i % res_stride == 0)]
+    for lo in range(0, len(want), _RESIDUAL_WINDOW):
+        window = want[lo:lo + _RESIDUAL_WINDOW]
+        res = _residuals(problem, np.array([rows[i].x for i in window]),
+                         np.array([rows[i].y for i in window]), config.seed,
+                         window)
+        for i, (rx, ry, _, _) in zip(window, res):
+            rows[i].res_x, rows[i].res_y = rx, ry
+    if lya_stride is not None:
+        for i, row in enumerate(rows):
+            if i % lya_stride == 0 or i == last:
+                row.lyapunov = lyapunov(problem, config.r, row.x, row.y,
+                                        row.z).value
 
 
 def _fmt(v) -> str:
@@ -404,7 +411,8 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
 
         _annotate_rows(problem, trace.rows, run_config, cfg.diagnostics)
         x_out, y_out = trace.output_pair
-        o_rx, o_ry, o_sx, o_sy = _row_residuals(problem, x_out, y_out, s, -1)
+        (o_rx, o_ry, o_sx, o_sy), = _residuals(problem, x_out[None],
+                                               y_out[None], s, [-1])
         final = trace.rows[-1]
         entry = {
             "seed": s,

@@ -219,14 +219,11 @@ class StochasticOracle:
 
     def grads_at(self, x: np.ndarray, y: np.ndarray,
                  ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`batch_grads` at the single point (x, y), given to every row."""
-        return self.batch_grads(_rows(x, len(ids)), _rows(y, len(ids)), ids)
-
-
-def _rows(v: np.ndarray, count: int) -> np.ndarray:
-    """`count` copies of the vector v as rows (contiguous, which the
-    stacked matmul kernels take without a copy of their own)."""
-    return v[None].repeat(count, axis=0)
+        """`batch_grads` at the single point (x, y), given to every row (as
+        contiguous copies, which the stacked matmul kernels take without a
+        copy of their own)."""
+        return self.batch_grads(x[None].repeat(len(ids), axis=0),
+                                y[None].repeat(len(ids), axis=0), ids)
 
 
 @dataclass(frozen=True)
@@ -349,15 +346,22 @@ class ProblemInstance:
 # ----------------------------------------------------------------------------
 # exact finite-sum gradients
 #
-# The N component gradients come from one batch_grads call and are summed
-# in ascending sample index starting from 0.0.  This pins the result
+# The N component gradients at a point come from a batch_grads call and are
+# summed in ascending sample index starting from 0.0.  This pins the result
 # bit-for-bit, which the variance-reduced estimator relies on (its
-# finite-sum anchor must equal these exactly).
+# finite-sum anchor must equal these exactly).  Several points share one
+# call: each point's N rows are its own, and each is reduced on its own.
+
+# oracle rows per exact-gradient call: a call takes at most
+# max(1, _ROW_BUDGET // N) points, so it never exceeds max(N, _ROW_BUDGET)
+# rows (a y side may be dense (rows, N), as make_phi_div_dro's is)
+_ROW_BUDGET = 2 ** 12
+
 
 def sequential_sum(rows: np.ndarray) -> np.ndarray:
-    """Column sums of `rows`, bit-identical to the ascending loop
+    """Sums of `rows` along its first axis, bit-identical to the ascending loop
 
-        acc = np.zeros(dim)
+        acc = np.zeros(rows.shape[1:])
         for g in rows: acc = acc + g
 
     numpy's `sum` adds pairwise and can differ from that loop in the last
@@ -370,23 +374,48 @@ def sequential_sum(rows: np.ndarray) -> np.ndarray:
     return np.cumsum(rows, axis=0)[-1] + 0.0
 
 
-def _all_rows(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
-              side: Optional[str] = None):
-    """All N rows of both sides, or of `side` ("x" or "y") alone; without a
-    `grads_batch` hook only that side's scalar gradient is called."""
-    if not isinstance(problem.regime, FiniteSum):
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of V, equal to `np.linalg.norm` of that
+    row bit for bit (``np.linalg.norm(V, axis=1)`` is not: it squares and
+    adds instead of taking the dot product)."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
+def _exact_grads(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray,
+                 side: Optional[str] = None):
+    """Exact partial gradients at the points (X[s], Y[s]), one row per
+    point: both sides, or only `side` ("x" or "y"), for which an oracle
+    without `grads_batch` is asked for that side's scalar gradient alone.
+
+    Each `batch_grads` call covers up to max(1, _ROW_BUDGET // N) points,
+    each repeated over the N ids; a point's rows are reduced by
+    `sequential_sum` on their own, so its row equals `full_grads` at that
+    point bit for bit.
+    """
+    oracle = problem.oracle
+    if not isinstance(oracle.regime, FiniteSum):
         raise RegimeError("full gradient requires the finite-sum regime")
-    _check_vector(x, problem.dim_x, "x")
-    _check_vector(y, problem.dim_y, "y")
-    oracle, n = problem.oracle, problem.regime.n
-    ids = np.arange(n)
-    X, Y = _rows(x, n), _rows(y, n)
-    if side is None:
-        return oracle.batch_grads(X, Y, ids)
-    if oracle.grads_batch is not None:
-        return oracle.batch_grads(X, Y, ids)["xy".index(side)]
-    return _stack_rows(getattr(oracle, f"grad_{side}"), X, Y, ids,
-                       getattr(oracle, f"dim_{side}"), side)
+    if X.shape[1:] != (oracle.dim_x,) or Y.shape[1:] != (oracle.dim_y,):
+        raise DimError(f"points: expected dims ({oracle.dim_x}, {oracle.dim_y})"
+                       f" per row, got shapes {X.shape} and {Y.shape}")
+    n = oracle.regime.n
+    per_call = max(1, _ROW_BUDGET // n)
+    chunks = []
+    for lo in range(0, len(X), per_call):
+        XR = X[lo:lo + per_call].repeat(n, axis=0)
+        YR = Y[lo:lo + per_call].repeat(n, axis=0)
+        ids = np.arange(len(XR)) % n
+        if side is None or oracle.grads_batch is not None:
+            rows = oracle.batch_grads(XR, YR, ids)
+            rows = rows if side is None else [rows["xy".index(side)]]
+        else:
+            rows = [_stack_rows(getattr(oracle, f"grad_{side}"), XR, YR, ids,
+                                getattr(oracle, f"dim_{side}"), side)]
+        # axis 0 of the view runs over a point's ids, axis 1 over points
+        chunks.append([sequential_sum(g.reshape(-1, n, g.shape[1]).swapaxes(0, 1)) / n
+                       for g in rows])
+    means = chunks[0] if len(chunks) == 1 else [np.concatenate(c) for c in zip(*chunks)]
+    return means if side is None else means[0]
 
 
 def full_grads(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
@@ -404,20 +433,20 @@ def full_grads(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
     DimError
         On dimension mismatch.
     """
-    gx, gy = _all_rows(problem, x, y)
-    return sequential_sum(gx) / len(gx), sequential_sum(gy) / len(gy)
+    gx, gy = _exact_grads(problem, x[None], y[None])
+    return gx[0], gy[0]
 
 
 def full_grad_x(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The x side of `full_grads`; only that side is reduced, and an oracle
     without `grads_batch` is asked for grad_x alone."""
-    return sequential_sum(_all_rows(problem, x, y, "x")) / problem.regime.n
+    return _exact_grads(problem, x[None], y[None], "x")[0]
 
 
 def full_grad_y(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The y side of `full_grads`; only that side is reduced, and an oracle
     without `grads_batch` is asked for grad_y alone."""
-    return sequential_sum(_all_rows(problem, x, y, "y")) / problem.regime.n
+    return _exact_grads(problem, x[None], y[None], "y")[0]
 
 
 def full_value(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> float:

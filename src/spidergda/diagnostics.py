@@ -9,16 +9,15 @@ and a tight residual tolerance is cheap to hit.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (FiniteSum, ProblemInstance, RegimeError, as_vector,
-                   full_grad_x, full_grad_y, full_grads, full_value)
-from .projections import Box, normal_cone_dist
+from .core import (FiniteSum, ProblemInstance, RegimeError, _exact_grads,
+                   _row_norms, as_vector, full_value)
+from .projections import Box, _project_rows, normal_cone_dist
 
 __all__ = [
     "MaxItersError",
@@ -30,9 +29,6 @@ __all__ = [
     "lyapunov",
     "fd_check",
 ]
-
-logger = logging.getLogger("spidergda.diagnostics")
-
 
 class MaxItersError(Exception):
     """An inner solve ran out of iterations.
@@ -58,9 +54,11 @@ class MaxItersError(Exception):
 _INNER_TOL = 1e-8
 _INNER_MAX_ITERS = 100_000
 
-# Monte-Carlo residual batch, and seeded ascent starts of the merit's p_r
+# Monte-Carlo residual batch; seeded ascent starts of the merit's p_r, run
+# as the rows of one ascent, and the ascent's step limit
 _MC_BATCH = 10_000
 _P_R_STARTS = 8
+_MAX_ASCENT = 2000
 
 
 # ----------------------------------------------------------------------------
@@ -88,10 +86,18 @@ def gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
                           "see mc_gs_residuals for the online variant")
     x = as_vector(x, problem.dim_x)
     y = as_vector(y, problem.dim_y)
-    gx, gy = full_grads(problem, x, y)
-    res_x = normal_cone_dist(problem.set_x, x, gx)
-    res_y = normal_cone_dist(problem.set_y, y, -gy)
-    return res_x, res_y
+    return _gs_residual_rows(problem, x[None], y[None])[0]
+
+
+def _gs_residual_rows(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray
+                      ) -> list[tuple[float, float]]:
+    """`gs_residuals` at each finite-sum point (X[s], Y[s]), bit for bit,
+    with the exact gradients of all rows from one `_exact_grads` call; the
+    normal-cone distances check each row's feasibility."""
+    GX, GY = _exact_grads(problem, X, Y)
+    return [(normal_cone_dist(problem.set_x, x, gx),
+             normal_cone_dist(problem.set_y, y, -gy))
+            for x, y, gx, gy in zip(X, Y, GX, GY)]
 
 
 def mc_gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
@@ -136,28 +142,49 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
     MaxItersError
         If the tolerance is not reached; carries the best iterate.
     """
+    y = as_vector(y, problem.dim_y)
+    z = as_vector(z, problem.dim_x)
+    x0 = z if x0 is None else as_vector(x0, problem.dim_x)
+    return _solve_rows(problem, r, y[None], z, x0[None])[0]
+
+
+def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray,
+                z: np.ndarray, X0: np.ndarray) -> np.ndarray:
+    """The solve of `solve_x_r` at each row Y[s] from X0[s], all rows in
+    lockstep: a row leaves at its first iterate whose residual is within
+    tolerance and keeps it while the others go on, so each row's result
+    equals its one-row solve bit for bit.  A MaxItersError carries the
+    best iterate and residual of the first row that stalled."""
     meta = problem.constants
     if not r > meta.rho:
         raise ValueError(f"need r > rho for a strongly convex inner problem "
                          f"(r={r}, rho={meta.rho})")
-    y = as_vector(y, problem.dim_y)
-    z = as_vector(z, problem.dim_x)
     step = 1.0 / (r + meta.L_x)
-    x = problem.set_x.project(as_vector(x0, problem.dim_x) if x0 is not None else z)
-    best, best_res = x, math.inf
+    X = _project_rows(problem.set_x, X0)
+    # x, Y, best and best_res hold the rows still going, whose indices into
+    # X are `live`; a row is written back to X when it leaves
+    live, x = np.arange(len(X)), X
+    best, best_res = X.copy(), np.full(len(X), math.inf)
     for _ in range(_INNER_MAX_ITERS):
-        g = full_grad_x(problem, x, y) + r * (x - z)
-        x_next = problem.set_x.project(x - step * g)
-        res = float(np.linalg.norm(x_next - x)) / step
-        if res < best_res:
-            best, best_res = x, res
-        if res <= _INNER_TOL:
-            return x
+        g = _exact_grads(problem, x, Y, "x") + r * (x - z)
+        x_next = _project_rows(problem.set_x, x - step * g)
+        res = _row_norms(x_next - x) / step
+        better = res < best_res
+        np.copyto(best, x, where=better[:, None])
+        np.copyto(best_res, res, where=better)
+        done = res <= _INNER_TOL
+        if done.any():
+            X[live[done]] = x[done]
+            keep = ~done
+            live, x_next, Y = live[keep], x_next[keep], Y[keep]
+            best, best_res = best[keep], best_res[keep]
+            if not live.size:
+                return X
         x = x_next
     raise MaxItersError(
-        f"inner solve stalled at residual {best_res:.3e} "
+        f"inner solve stalled at residual {best_res[0]:.3e} "
         f"(tol {_INNER_TOL:.1e}) after {_INNER_MAX_ITERS} iterations",
-        best=best, residual=best_res)
+        best=best[0], residual=float(best_res[0]))
 
 
 def dz_norm(problem: ProblemInstance, r: float, y: np.ndarray, z: np.ndarray
@@ -200,31 +227,41 @@ class LyapunovValue:
         return self.value
 
 
-def _d_r(problem: ProblemInstance, r: float, y: np.ndarray, z: np.ndarray,
-         x0=None) -> tuple[float, np.ndarray]:
-    x_r = solve_x_r(problem, r, y, z, x0=x0)
-    val = full_value(problem, x_r, y) + 0.5 * r * float(np.sum((x_r - z) ** 2))
-    return val, x_r
+def _d_r(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray,
+         X0: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """d_r(Y[s], z) for each row, with the x_r rows of its inner solves
+    (run from X0 in lockstep)."""
+    X = _solve_rows(problem, r, Y, z, X0)
+    return [full_value(problem, x, y) + 0.5 * r * float(np.sum((x - z) ** 2))
+            for x, y in zip(X, Y)], X
 
 
-def _ascend_d_r(problem: ProblemInstance, r: float, y0: np.ndarray,
-                z: np.ndarray, max_ascent: int = 2000
-                ) -> tuple[float, np.ndarray]:
-    """Projected gradient ascent on d_r(., z) from y0 (Danskin gradient:
-    grad_y d_r(y, z) = grad_y F(x_r(y, z), y))."""
+def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray,
+                z: np.ndarray) -> list[float]:
+    """Projected gradient ascent on d_r(., z) from each row of Y0, all rows
+    in lockstep (Danskin gradient: grad_y d_r(y, z) = grad_y F(x_r(y, z), y));
+    returns d_r at each row's last point.
+
+    Every inner solve warm-starts from its row's previous x_r, the first
+    from z.  A row stops after its first step shorter than 10 `_INNER_TOL`
+    times the step size and keeps its point while the others go on, so
+    each row's value equals its one-row ascent bit for bit.
+    """
     meta = problem.constants
     denom = meta.L_y + meta.L_y ** 2 / max(r - meta.rho, 1e-12)
     step = 1.0 / denom if denom > 0 else 1.0
-    y = problem.set_y.project(y0)
-    x_warm = None
-    for _ in range(max_ascent):
-        x_warm = solve_x_r(problem, r, y, z, x0=x_warm)
-        g = full_grad_y(problem, x_warm, y)
-        y, y_prev = problem.set_y.project(y + step * g), y
-        if float(np.linalg.norm(y - y_prev)) / step <= _INNER_TOL * 10:
+    Y = _project_rows(problem.set_y, Y0)
+    X = np.repeat(z[None], len(Y), axis=0)
+    live = np.arange(len(Y))
+    for _ in range(_MAX_ASCENT):
+        y = Y[live]
+        X[live] = x = _solve_rows(problem, r, y, z, X[live])
+        Y[live] = y_next = _project_rows(
+            problem.set_y, y + step * _exact_grads(problem, x, y, "y"))
+        live = live[~(_row_norms(y_next - y) / step <= _INNER_TOL * 10)]
+        if not live.size:
             break
-    val, _ = _d_r(problem, r, y, z, x0=x_warm)
-    return val, y
+    return _d_r(problem, r, Y, z, X)[0]
 
 
 def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
@@ -234,7 +271,8 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     d_r values use the strongly convex inner solve.  p_r(z) is a global
     maximum of d_r(., z): on a 1-D box dual it is certified by a dense grid
     plus local ascent; otherwise it is the best of `_P_R_STARTS` seeded ascent
-    starts (the given y plus random perturbations) and flagged heuristic.
+    starts (the given y plus random perturbations), ascended together as
+    rows, and flagged heuristic.
 
     Requires the finite-sum regime (exact values/gradients).
     """
@@ -245,28 +283,27 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     z = as_vector(z, problem.dim_x)
 
     f_r = full_value(problem, x, y) + 0.5 * r * float(np.sum((x - z) ** 2))
-    d_here, _ = _d_r(problem, r, y, z)
+    (d_here,), _ = _d_r(problem, r, y[None], z, z[None])
 
     certified = problem.dim_y == 1 and isinstance(problem.set_y, Box)
     if certified:
+        # a warm-start chain: each grid point's solve starts from the last
         lo, hi = float(problem.set_y.lo[0]), float(problem.set_y.hi[0])
         grid = np.linspace(lo, hi, 513)
         best_val, best_y = -math.inf, y
-        x_warm = None
+        x_warm = z[None]
         for gy in grid:
-            val, x_warm = _d_r(problem, r, np.array([gy]), z, x0=x_warm)
+            (val,), x_warm = _d_r(problem, r, np.array([[gy]]), z, x_warm)
             if val > best_val:
                 best_val, best_y = val, np.array([gy])
-        val, _ = _ascend_d_r(problem, r, best_y, z)
+        (val,) = _ascend_d_r(problem, r, best_y[None], z)
         p_r = max(best_val, val)
     else:
         rng = np.random.default_rng(0)
         span = problem.constants.D_Y or 1.0
-        p_r = -math.inf
-        for s in range(_P_R_STARTS):
-            y_start = y if s == 0 else y + span * rng.normal(size=problem.dim_y)
-            val, _ = _ascend_d_r(problem, r, y_start, z)
-            p_r = max(p_r, val)
+        starts = np.vstack([y, y + span * rng.normal(
+            size=(_P_R_STARTS - 1, problem.dim_y))])
+        p_r = max(-math.inf, *_ascend_d_r(problem, r, starts, z))
 
     p_r = max(p_r, d_here)  # d_r(y, z) itself is a valid lower bound
     value = (f_r - d_here) + (p_r - d_here) + p_r

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector
+from .core import DimError, as_vector
 
 __all__ = [
     "ConstraintSet",
@@ -237,6 +237,23 @@ class FullSpace(ConstraintSet):
 
 # ----------------------------------------------------------------------------
 # module-level operations
+
+def _project_rows(cset: ConstraintSet, V: np.ndarray) -> np.ndarray:
+    """Each row of V projected onto the set, bit for bit `cset.project` of
+    that row: a box clips and full space copies elementwise, a ball or a
+    simplex projects row by row.
+
+    Raises
+    ------
+    DimError
+        If V has a non-finite entry, as `project` does for its row.
+    """
+    if not np.isfinite(V).all():
+        raise DimError("vector has non-finite entries")
+    if isinstance(cset, (Box, FullSpace)):
+        return cset._project(V)
+    return np.array([cset._project(v) for v in V]).reshape(V.shape)
+
 
 def normal_cone_dist(cset: ConstraintSet, x: np.ndarray, g: np.ndarray) -> float:
     """dist(0, g + N_set(x)) — the constrained stationarity residual at x.

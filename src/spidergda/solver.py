@@ -79,9 +79,9 @@ class SolverConfig:
 
     K epochs of T inner steps; M recursion batch size; B anchor batch size
     (ignored under the finite-sum regime, which anchors on all N
-    components).  Counts are integers (numpy's too, stored as int; bool
-    not); beta must lie in (0, 1]; step sizes and r are positive and
-    finite.
+    components).  Counts and the seed are integers (numpy's too, stored as
+    int; bool not), and counts are positive; beta must lie in (0, 1]; step
+    sizes and r are positive and finite.
     """
 
     K: int
@@ -101,6 +101,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be a positive integer")
             # a numpy count would wrap in the id tables' arithmetic
             setattr(self, name, int(getattr(self, name)))
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError("seed must be an integer")
+        self.seed = int(self.seed)
         for name in ("alpha_x", "alpha_y", "r"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")

@@ -355,6 +355,9 @@ def tune_nonsmooth(comp: MoreauComposite, epsilon: float,
     also records the composite's constants, lambda_choice, lambda, its
     ceiling and the smoothed L_x, L_y, rho and ell.
     """
+    # epsilon sets the smoothing level, so it is checked before lambda
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     cc = comp.constants
     cap = (2.0 * cc.delta_tilde / (cc.ell_h ** 2 * math.sqrt(cc.d_h))
            if cc.ell_h > 0 else math.inf)

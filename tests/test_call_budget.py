@@ -17,22 +17,30 @@ import sys
 
 import spidergda
 from spidergda import (TunerInput, default_initial_point, gs_residuals,
-                       make_quadratic_saddle, run, tune_smooth)
+                       lyapunov, make_quadratic_saddle, run, tune_smooth)
 
 _PACKAGE = os.path.dirname(os.path.abspath(spidergda.__file__)) + os.sep
 
-# package calls of one run of K*T = 400 steps (12.39 per step)
-RUN_CALLS = 4956
+# package calls of one run of K*T = 400 steps (11.52 per step)
+RUN_CALLS = 4606
 # package calls of one exact residual evaluation
-GS_RESIDUALS_CALLS = 30
+GS_RESIDUALS_CALLS = 24
+# package calls, and oracle calls among them, of one merit evaluation at a
+# trace row of the benchmark's diagnostics schedule (34,028 and 1,717 when
+# its 8 ascent starts ran one after another)
+LYAPUNOV_CALLS = 2347
+LYAPUNOV_ORACLE_CALLS = 238
 
 
-def _package_calls(fn) -> int:
+def _package_calls(fn, name=None) -> int:
+    """Package calls that `fn()` makes, or only those of functions `name`."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(_PACKAGE):
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith(_PACKAGE)
+                and name in (None, code.co_name)):
             calls += 1
 
     sys.setprofile(profile)
@@ -68,3 +76,22 @@ def test_gs_residuals_call_budget():
     x, y = default_initial_point(p.set_x), default_initial_point(p.set_y)
     calls = _package_calls(lambda: gs_residuals(p, x, y))
     assert calls <= GS_RESIDUALS_CALLS, f"{calls} package calls"
+
+
+def test_lyapunov_row_call_budget():
+    # row 200 of the cli_diagnostics workload's schedule (quadratic_saddle
+    # 4x3, N = 16, K = 50, T = 8, M = 16), seed 22: p_r comes from 8 ascents
+    p = make_quadratic_saddle(4, 3, n_samples=16, seed=11)
+    cfg, _ = tune_smooth(TunerInput(
+        meta=p.constants, epsilon=1e-3, regime=p.regime,
+        overrides={"alpha_y": 4.0, "beta": 0.016, "K": 50, "T": 8, "M": 16}))
+    cfg.seed = 22
+    row = run(p, cfg).rows[200]
+
+    def merit():
+        return lyapunov(p, cfg.r, row.x, row.y, row.z)
+
+    calls = _package_calls(merit)
+    assert calls <= LYAPUNOV_CALLS, f"{calls} package calls"
+    oracle_calls = _package_calls(merit, "batch_grads")
+    assert oracle_calls <= LYAPUNOV_ORACLE_CALLS, f"{oracle_calls} oracle calls"

@@ -10,7 +10,7 @@ import pytest
 
 from spidergda import (Box, NonFiniteError, Online, ProblemInstance,
                        SmoothnessMeta, StochasticOracle, save_dataset_csv)
-from spidergda.cli import _SCHEMA, _row_residuals
+from spidergda.cli import _SCHEMA, _residuals
 from spidergda.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                            EXIT_NUMERICAL, EXIT_OK, TRACE_HEADER, ConfigError,
                            ExperimentConfig, main, run_experiment, verify)
@@ -216,10 +216,10 @@ def test_online_output_residuals():
     # index -1 is the output pair; its stream must be a valid, distinct one
     p = _online_problem()
     x, y = np.array([0.25]), np.array([0.5])
-    out = _row_residuals(p, x, y, 3, -1)
+    (out,) = _residuals(p, x[None], y[None], 3, [-1])
     assert all(np.isfinite(v) for v in out)
-    assert _row_residuals(p, x, y, 3, -1) == out
-    assert _row_residuals(p, x, y, 3, 0) != out
+    assert _residuals(p, x[None], y[None], 3, [-1]) == [out]
+    assert _residuals(p, x[None], y[None], 3, [0]) != [out]
 
 
 def test_seed_flag_overrides_config(tmp_path):

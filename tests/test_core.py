@@ -12,6 +12,7 @@ from spidergda import (Box, DimError, FiniteSum, Online, ProblemInstance,
                        estimate_sigmas, full_grad_x, full_grad_y, full_grads,
                        full_value, gs_residuals, make_quadratic_saddle,
                        sequential_sum)
+from spidergda import core
 
 
 def _const_grad_problem():
@@ -287,6 +288,52 @@ def test_one_side_full_grad_calls_only_that_scalar_side():
     both = full_grads(p, x, y)
     assert gx.tobytes() == both[0].tobytes()
     assert gy.tobytes() == both[1].tobytes()
+
+
+@pytest.mark.parametrize("budget", [core._ROW_BUDGET, 40, 1])
+def test_rows_of_exact_gradients_equal_full_grads_per_point(monkeypatch, budget):
+    # at budget 40 a call takes 2 of the 16-sample points, at budget 1 one
+    monkeypatch.setattr(core, "_ROW_BUDGET", budget)
+    p = make_quadratic_saddle(4, 3, n_samples=16, seed=5)
+    rng = np.random.default_rng(7)
+    X, Y = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+    calls = _counting(p)
+    GX, GY = core._exact_grads(p, X, Y)
+    assert len(calls) == -(-5 // max(1, budget // 16))
+    assert max(map(len, calls)) <= max(16, budget)
+    # each call repeats its points over the ids 0..15 in order
+    assert all(c.tolist() == list(range(16)) * (len(c) // 16) for c in calls)
+    for s in range(5):
+        gx, gy = full_grads(p, X[s], Y[s])
+        assert GX[s].tobytes() == gx.tobytes()
+        assert GY[s].tobytes() == gy.tobytes()
+        assert core._exact_grads(p, X, Y, "y")[s].tobytes() == gy.tobytes()
+
+
+def test_rows_of_one_side_without_the_hook_call_that_side_alone():
+    p = make_quadratic_saddle(2, 2, n_samples=6, seed=1)
+    rng = np.random.default_rng(2)
+    X, Y = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    want = [full_grad_x(p, x, y) for x, y in zip(X, Y)]
+    grad_y = p.oracle.grad_y
+    p.oracle.grads_batch = None
+    p.oracle.grad_y = None  # calling it would raise
+    GX = core._exact_grads(p, X, Y, "x")
+    assert [g.tobytes() for g in GX] == [g.tobytes() for g in want]
+    p.oracle.grad_y = grad_y
+    with pytest.raises(RegimeError):
+        core._exact_grads(replace(p, oracle=replace(p.oracle, regime=Online())),
+                          X, Y)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 33, 200])
+def test_row_norms_equal_linalg_norm_per_row(dim):
+    rng = np.random.default_rng(dim)
+    V = rng.normal(size=(300, dim)) * rng.choice([1e-150, 1e-3, 1.0, 1e5, 1e150],
+                                                 size=(300, 1))
+    V[0] = 0.0
+    want = np.array([np.linalg.norm(v) for v in V])
+    assert core._row_norms(V).tobytes() == want.tobytes()
 
 
 def test_meta_validation():

@@ -4,7 +4,9 @@ Oracles: the inner proximal solve is compared against the KKT closed form
 (Q + rI) x = r z - c on interior quadratics and against hand-clipped 1-D
 solutions on the box boundary; the merit value is compared against a fully
 closed-form nested evaluation for quadratic saddles (d_r and p_r both admit
-explicit formulas when the solutions stay interior).
+explicit formulas when the solutions stay interior).  The rows kernels (the
+lockstep inner solve and ascent, the windowed residuals) are compared bit
+for bit against a plain one-point-at-a-time reference kept in this file.
 """
 
 import math
@@ -13,10 +15,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spidergda import (Box, FiniteSum, MaxItersError, Online,
-                       ProblemInstance, RegimeError, SmoothnessMeta,
-                       StochasticOracle, diagnostics, dz_norm, fd_check,
-                       gs_residuals, lyapunov, mc_gs_residuals, solve_x_r)
+from spidergda import (Ball, Box, DimError, FiniteSum, MaxItersError, Online,
+                       ProblemInstance, RegimeError, Simplex, SmoothnessMeta,
+                       SolverConfig, StochasticOracle, as_problem, diagnostics,
+                       dz_norm, fd_check, full_grad_x, full_grad_y, full_value,
+                       gs_residuals, lyapunov, make_group_dro,
+                       make_quadratic_saddle, make_two_group_regression,
+                       mc_gs_residuals, run, solve_x_r)
+from spidergda.cli import _RESIDUAL_WINDOW, _annotate_rows
 
 
 def _bilinear_problem():
@@ -292,6 +298,164 @@ def test_lyapunov_online_rejected():
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=1))
     with pytest.raises(RegimeError):
         lyapunov(p, 1.0, np.zeros(1), np.zeros(1), np.zeros(1))
+
+
+# ----------------------------------------------------------------------------
+# rows kernels against the one-point reference
+#
+# The reference below is the merit evaluation as it ran before its ascent
+# starts were batched: one inner solve and one ascent at a time, each point
+# through the public one-point gradients, projections and np.linalg.norm.
+
+def _ref_solve(p, r, y, z, x0=None):
+    step = 1.0 / (r + p.constants.L_x)
+    x = p.set_x.project(z if x0 is None else x0)
+    for _ in range(diagnostics._INNER_MAX_ITERS):
+        x_next = p.set_x.project(x - step * (full_grad_x(p, x, y) + r * (x - z)))
+        if float(np.linalg.norm(x_next - x)) / step <= diagnostics._INNER_TOL:
+            return x
+        x = x_next
+    raise AssertionError("reference inner solve stalled")
+
+
+def _ref_d_r(p, r, y, z, x0=None):
+    x = _ref_solve(p, r, y, z, x0)
+    return full_value(p, x, y) + 0.5 * r * float(np.sum((x - z) ** 2)), x
+
+
+def _ref_ascent(p, r, y0, z):
+    c = p.constants
+    denom = c.L_y + c.L_y ** 2 / max(r - c.rho, 1e-12)
+    step = 1.0 / denom if denom > 0 else 1.0
+    y, x = p.set_y.project(y0), None
+    for _ in range(diagnostics._MAX_ASCENT):
+        x = _ref_solve(p, r, y, z, x)
+        y, y_prev = p.set_y.project(y + step * full_grad_y(p, x, y)), y
+        if float(np.linalg.norm(y - y_prev)) / step <= 10 * diagnostics._INNER_TOL:
+            break
+    return _ref_d_r(p, r, y, z, x)[0]
+
+
+def _ref_starts(p, y):
+    rng = np.random.default_rng(0)
+    span = p.constants.D_Y or 1.0
+    return [y] + [y + span * rng.normal(size=p.dim_y)
+                  for _ in range(diagnostics._P_R_STARTS - 1)]
+
+
+def _ref_lyapunov(p, r, x, y, z):
+    """(value, f_r, d_r, p_r) of the uncertified merit, one start at a time."""
+    f_r = full_value(p, x, y) + 0.5 * r * float(np.sum((x - z) ** 2))
+    d_here, _ = _ref_d_r(p, r, y, z)
+    p_r = -math.inf
+    for start in _ref_starts(p, y):
+        p_r = max(p_r, _ref_ascent(p, r, start, z))
+    p_r = max(p_r, d_here)
+    return (f_r - d_here) + (p_r - d_here) + p_r, f_r, d_here, p_r
+
+
+def _dual_set_problem(kind):
+    """A 4x3 quadratic saddle whose dual set is a box, a ball or a simplex,
+    with a feasible point (x, y, z) away from its solution."""
+    set_y = {"box": None, "ball": Ball(np.zeros(3), 0.5),
+             "simplex": Simplex(3)}[kind]
+    p = make_quadratic_saddle(4, 3, n_samples=4, seed=4, set_y=set_y)
+    rng = np.random.default_rng(1)
+    x = p.set_x.project(rng.normal(size=4))
+    return p, x, p.set_y.project(rng.normal(size=3)), p.set_x.project(x + 0.3)
+
+
+@pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
+def test_lockstep_ascent_rows_equal_one_start_at_a_time(kind):
+    p, x, y, z = _dual_set_problem(kind)
+    starts = _ref_starts(p, y)
+    got = diagnostics._ascend_d_r(p, 4.0, np.array(starts), z)
+    assert got == [_ref_ascent(p, 4.0, s, z) for s in starts]
+
+
+@pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
+def test_lockstep_lyapunov_equals_sequential_reference(kind):
+    p, x, y, z = _dual_set_problem(kind)
+    lv = lyapunov(p, 4.0, x, y, z)
+    assert not lv.certified
+    assert (lv.value, lv.f_r, lv.d_r, lv.p_r) == _ref_lyapunov(p, 4.0, x, y, z)
+
+
+def test_certified_grid_chain_equals_one_point_reference():
+    # the 1-D box dual: a warm-start chain over the grid, then one ascent
+    p, r, x, y, z = _scalar_saddle(), 1.0, 0.6, -0.8, 2.0
+    x, y, z = np.array([x]), np.array([y]), np.array([z])
+    best_val, best_y, warm = -math.inf, y, None
+    for gy in np.linspace(-10.0, 10.0, 513):
+        val, warm = _ref_d_r(p, r, np.array([gy]), z, warm)
+        if val > best_val:
+            best_val, best_y = val, np.array([gy])
+    p_r = max(best_val, _ref_ascent(p, r, best_y, z), _ref_d_r(p, r, y, z)[0])
+    assert lyapunov(p, r, x, y, z).p_r == p_r
+
+
+def test_lockstep_solve_rows_equal_one_row_solves():
+    p, Q, c = _quadratic_x_problem(seed=10)
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=3)
+    # row 1 starts at its solution, so it leaves at once and the rest go on
+    X0 = np.array([rng.normal(size=3), solve_x_r(p, 1.0, np.zeros(1), z),
+                   40.0 * np.ones(3)])
+    got = diagnostics._solve_rows(p, 1.0, np.zeros((3, 1)), z, X0)
+    for row, x0 in zip(got, X0):
+        assert row.tobytes() == _ref_solve(p, 1.0, np.zeros(1), z, x0).tobytes()
+
+
+def test_lockstep_solve_stall_carries_the_stalled_rows_best(monkeypatch):
+    p, Q, c = _quadratic_x_problem(seed=8)
+    z = 40 * np.ones(3)
+    x_sol = solve_x_r(p, 1.0, np.zeros(1), z)
+    monkeypatch.setattr(diagnostics, "_INNER_MAX_ITERS", 2)
+    monkeypatch.setattr(diagnostics, "_INNER_TOL", 1e-6)
+    with pytest.raises(MaxItersError) as one:
+        solve_x_r(p, 1.0, np.zeros(1), z)
+    # row 0 converges at once; row 1 stalls as the one-row solve does
+    with pytest.raises(MaxItersError) as rows:
+        diagnostics._solve_rows(p, 1.0, np.zeros((2, 1)), z,
+                                np.array([x_sol, z]))
+    assert rows.value.best.tobytes() == one.value.best.tobytes()
+    assert rows.value.residual == one.value.residual
+
+
+def test_lockstep_rows_reject_non_finite_like_project():
+    p, Q, c = _quadratic_x_problem(seed=8)
+    with pytest.raises(DimError, match="non-finite"):
+        diagnostics._solve_rows(p, 1.0, np.zeros((2, 1)), np.zeros(3),
+                                np.array([np.zeros(3), [np.nan, 0.0, 0.0]]))
+
+
+def _residual_cases():
+    quad = make_quadratic_saddle(4, 3, n_samples=16, seed=11)
+    ball = make_quadratic_saddle(3, 2, n_samples=8, seed=2,
+                                 set_x=Ball(np.zeros(3), 1.0),
+                                 set_y=Ball(np.zeros(2), 0.5))
+    base = make_two_group_regression(n=40, d=2, minority_frac=0.25, seed=3)
+    dro = as_problem(make_group_dro(base), 0.05)
+    return {"box": (quad, 0.05, 1.0), "ball": (ball, 0.05, 1.0),
+            "simplex": (dro, 1e-3, 0.01)}
+
+
+@pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_windowed_residuals_equal_per_row_gs_residuals(kind, stride):
+    p, alpha_x, alpha_y = _residual_cases()[kind]
+    # 2 windows and a part at stride 1, so rows sit on both sides of a
+    # window boundary
+    cfg = SolverConfig(K=33, T=4, M=4, B=1, alpha_x=alpha_x, alpha_y=alpha_y,
+                       beta=0.5, r=1.0, seed=5)
+    rows = run(p, cfg).rows
+    assert len(rows) > 2 * _RESIDUAL_WINDOW
+    _annotate_rows(p, rows, cfg, {"residual_stride": stride})
+    for i, row in enumerate(rows):
+        if i % stride == 0 or i == len(rows) - 1:
+            assert (row.res_x, row.res_y) == gs_residuals(p, row.x, row.y)
+        else:
+            assert row.res_x is None and row.res_y is None
 
 
 # ----------------------------------------------------------------------------

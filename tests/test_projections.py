@@ -22,7 +22,7 @@ from scipy import optimize
 
 from spidergda import (Ball, Box, DimError, FullSpace, InfeasibleError,
                        Simplex, normal_cone_dist)
-from spidergda.projections import ACTIVE_TOL, FEAS_TOL
+from spidergda.projections import ACTIVE_TOL, FEAS_TOL, _project_rows
 from spidergda.verify import SUITES
 from test_acceptance import _simplex_ncd_oracle
 
@@ -353,3 +353,22 @@ def test_degenerate_box_interval():
     box = Box([0.0, -1.0], [0.0, 1.0])
     assert normal_cone_dist(box, np.array([0.0, 0.0]), np.array([9.0, 0.5])) \
         == pytest.approx(0.5)
+
+
+# ----------------------------------------------------------------------------
+# rows
+
+@pytest.mark.parametrize("cset", [
+    Box([-1.0, 0.0, 2.0], [1.0, 0.5, 2.0]), Ball([0.5, -1.0, 0.0], 0.7),
+    Simplex(3), FullSpace(3)], ids=lambda c: type(c).__name__)
+def test_project_rows_equals_project_per_row(cset):
+    rng = np.random.default_rng(3)
+    V = 2.0 * rng.normal(size=(40, 3))
+    V[1] = cset.project(V[0])  # already in the set: the short-circuit
+    got = _project_rows(cset, V)
+    assert got.shape == V.shape
+    for v, row in zip(V, got):
+        assert row.tobytes() == cset.project(v).tobytes()
+    V[7, 2] = np.inf
+    with pytest.raises(DimError, match="non-finite"):
+        _project_rows(cset, V)

@@ -424,6 +424,14 @@ def test_config_counts_must_be_positive_integers(name, bad):
         SolverConfig(**dict(_VALID, **{name: bad}))
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+def test_config_seed_must_be_an_integer(bad):
+    # seed = 2.5 used to pass here and fail inside run's batch_rng with a
+    # TypeError; True passed as the seed 1
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SolverConfig(**dict(_VALID, seed=bad))
+
+
 @pytest.mark.parametrize("name", ["alpha_x", "alpha_y", "r"])
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
 def test_config_steps_and_r_must_be_positive_and_finite(name, bad):
@@ -433,9 +441,10 @@ def test_config_steps_and_r_must_be_positive_and_finite(name, bad):
 
 @pytest.mark.parametrize("kind", [np.int32, np.uint64])
 def test_config_stores_numpy_counts_as_int(kind):
-    # a uint64 M used to wrap in the id tables' block count
+    # a uint64 M used to wrap in the id tables' block count; the seed, here
+    # np.uint64(3) among others, is stored as int like the counts
     p = _quadratic_problem()
-    counts = dict(K=3, T=3, M=2, trace_stride=2)
+    counts = dict(K=3, T=3, M=2, trace_stride=2, seed=3)
     cfg = SolverConfig(**dict(_VALID, **{k: kind(v) for k, v in counts.items()}))
     assert all(type(getattr(cfg, k)) is int for k in counts)
     want = run(p, SolverConfig(**dict(_VALID, **counts)))

@@ -405,6 +405,14 @@ def test_lambda_clamped_with_warning(caplog):
     assert any("clamped" in rec.message for rec in caplog.records)
 
 
+@pytest.mark.parametrize("bad", [-0.1, 0.0, math.nan])
+@pytest.mark.parametrize("choice", ["auto", 0.25])
+def test_nonsmooth_names_a_bad_epsilon(bad, choice):
+    # an auto lambda of a bad epsilon used to fail as "lambda must be positive"
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        tune_nonsmooth(_unit_moreau(), bad, lambda_choice=choice)
+
+
 def test_lambda_explicit_choice():
     comp = _unit_moreau()
     problem, _, audit = tune_nonsmooth(comp, 0.1, lambda_choice=0.25)
