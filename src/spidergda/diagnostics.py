@@ -60,6 +60,9 @@ _MC_BATCH = 10_000
 _P_R_STARTS = 8
 _MAX_ASCENT = 2000
 
+# central-difference step of `fd_check`
+_FD_STEP = 1e-5
+
 
 # ----------------------------------------------------------------------------
 # stationarity residuals
@@ -127,13 +130,13 @@ def mc_gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
 # inner proximal solve
 
 def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
-              z: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
+              z: np.ndarray) -> np.ndarray:
     """Minimize F(x, y) + (r/2)||x - z||^2 over X by projected gradient.
 
-    Starts from proj_X(z) (or the warm start x0) and stops once the
-    projected-gradient residual ||x - proj_X(x - step g)|| / step at the
-    current iterate is <= `_INNER_TOL`; the returned point is the one at
-    which that residual was measured.
+    Starts from proj_X(z) and stops once the projected-gradient residual
+    ||x - proj_X(x - step g)|| / step at the current iterate is <=
+    `_INNER_TOL`; the returned point is the one at which that residual was
+    measured.
 
     Raises
     ------
@@ -144,8 +147,7 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
     """
     y = as_vector(y, problem.dim_y)
     z = as_vector(z, problem.dim_x)
-    x0 = z if x0 is None else as_vector(x0, problem.dim_x)
-    return _solve_rows(problem, r, y[None], z, x0[None])[0]
+    return _solve_rows(problem, r, y[None], z, z[None])[0]
 
 
 def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray,
@@ -222,9 +224,6 @@ class LyapunovValue:
     d_r: float
     p_r: float
     certified: bool
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _d_r(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray,
@@ -316,7 +315,7 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
 
 def fd_check(value_fn: Callable[[np.ndarray], float],
              grad_fn: Callable[[np.ndarray], np.ndarray],
-             point: np.ndarray, h: float = 1e-5) -> float:
+             point: np.ndarray) -> float:
     """Max relative error of grad_fn against central differences of value_fn.
 
     Per-coordinate error |fd_j - g_j| is normalized by max(1, ||g||), so the
@@ -327,7 +326,7 @@ def fd_check(value_fn: Callable[[np.ndarray], float],
     fd = np.empty_like(grad)
     for j in range(point.size):
         e = np.zeros_like(point)
-        e[j] = h
-        fd[j] = (value_fn(point + e) - value_fn(point - e)) / (2.0 * h)
+        e[j] = _FD_STEP
+        fd[j] = (value_fn(point + e) - value_fn(point - e)) / (2.0 * _FD_STEP)
     denom = max(1.0, float(np.linalg.norm(grad)))
     return float(np.max(np.abs(fd - grad)) / denom)

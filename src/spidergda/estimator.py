@@ -128,22 +128,21 @@ def _uniform_ids(high: int, seed: int, tags: np.ndarray, count: int
     return hi.astype(np.int64), (lo < np.uint64(threshold)).any(axis=1)
 
 
-def batch_ids(draw: UniformDraw, seed: int, epochs, taus, count: int,
-              purpose: int = 0):
+def batch_ids(draw: UniformDraw, seed: int, epochs, taus, count: int):
     """Mini-batch ids of many (epoch, tau) keys, one row per key.
 
-    Row j equals ``draw(batch_rng(seed, epochs[j], taus[j], purpose),
-    count)`` bit for bit; `epochs` and `taus` broadcast against each other.
-    All rows come from one vectorized Philox pass; a key on which numpy's
-    bounded draw would reject a value (odds below high / 2**32 per draw)
-    gets its own generator.
+    Row j equals ``draw(batch_rng(seed, epochs[j], taus[j]), count)`` bit
+    for bit; `epochs` and `taus` broadcast against each other.  All rows
+    come from one vectorized Philox pass; a key on which numpy's bounded
+    draw would reject a value (odds below high / 2**32 per draw) gets its
+    own generator.
     """
     epochs, taus = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(epochs, dtype=np.int64), np.asarray(taus, dtype=np.int64)))
-    tags = _tag(purpose, epochs.astype(np.uint64), taus.astype(np.uint64))
+    tags = _tag(0, epochs.astype(np.uint64), taus.astype(np.uint64))
     ids, rejected = _uniform_ids(draw.high, seed & _MASK64, tags, count)
     for j in np.flatnonzero(rejected).tolist():
-        ids[j] = draw(batch_rng(seed, int(epochs[j]), int(taus[j]), purpose), count)
+        ids[j] = draw(batch_rng(seed, int(epochs[j]), int(taus[j])), count)
     return ids
 
 
@@ -224,14 +223,14 @@ class EstimatorMse:
     bound_y: np.ndarray
 
 
-def estimator_mse(problem: ProblemInstance, trajectory, M: int, B: int,
+def estimator_mse(problem: ProblemInstance, trajectory, M: int,
                   trials: int, rng: np.random.Generator) -> EstimatorMse:
     """Monte-Carlo estimator MSE per step along a fixed (x, y) trajectory.
 
     Replays the anchor + recursion `trials` times over `trajectory` (a list
     of (x, y) pairs, the first being the anchor point) and compares against
-    the exact gradients.  Finite-sum regime only; B is ignored there (the
-    anchor uses all N components).
+    the exact gradients.  Finite-sum regime only: the anchor uses all N
+    components.
 
     Raises
     ------

@@ -68,7 +68,6 @@ class GroupDroSpec:
     groups: Sequence[tuple]
     loss: str = "squared"
     set_x: Optional[ConstraintSet] = None
-    delta_tilde: float = 1.0
 
     def __post_init__(self):
         if len(self.groups) < 1:
@@ -90,10 +89,6 @@ class GroupDroSpec:
     @property
     def m_groups(self) -> int:
         return len(self.groups)
-
-    @property
-    def d_x(self) -> int:
-        return np.asarray(self.groups[0][0]).shape[1]
 
 
 def _flatten_groups(spec: GroupDroSpec):
@@ -199,7 +194,7 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
     constants = CompositeConstants(
         ell_c=ell_c, ell_h=1.0,
         ell_phi=w_max * math.sqrt(1.0 + u_max ** 2),
-        L_c=L_c, L_phi=w_max, d_h=1, delta_tilde=spec.delta_tilde)
+        L_c=L_c, L_phi=w_max, d_h=1)
     return MoreauComposite(
         c=c, c_jac=c_jac, h=h, phi=phi, phi_grad1=phi_grad1,
         phi_grad_y=phi_grad_y, constants=constants,
@@ -307,10 +302,6 @@ class PhiDivDroSpec:
                 raise ValueError(f"unknown psi {self.psi!r}")
             return PSI_BUILTINS[self.psi]
         return self.psi
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
 
 
 def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
@@ -562,18 +553,33 @@ def save_dataset_csv(path, features: np.ndarray, targets: np.ndarray,
 
 def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a dataset CSV written by save_dataset_csv; returns
-    (features, targets, groups)."""
+    (features, targets, groups).
+
+    Raises
+    ------
+    ValueError
+        Naming the path, on a missing or unexpected header or no data rows,
+        and naming the line too, on a row whose field count differs from the
+        header's or whose value does not parse.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         d = len(header) - 2
         if header != [f"feature_{j}" for j in range(d)] + ["target", "group"]:
-            raise ValueError(f"unexpected CSV header: {header}")
+            raise ValueError(f"{path}: unexpected CSV header: {header}")
         feats, targs, grps = [], [], []
         for row in reader:
-            feats.append([float(v) for v in row[:d]])
-            targs.append(float(row[d]))
-            grps.append(int(row[d + 1]))
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                feats.append([float(v) for v in row[:d]])
+                targs.append(float(row[d]))
+                grps.append(int(row[d + 1]))
+            except ValueError as err:
+                raise ValueError(f"{path} line {reader.line_num}: {err}") from None
+    if not grps:
+        raise ValueError(f"{path}: no data rows")
     return (np.asarray(feats, dtype=np.float64),
             np.asarray(targs, dtype=np.float64),
             np.asarray(grps, dtype=np.int64))

@@ -61,14 +61,14 @@ class ConstraintSet:
         """Euclidean projection of v onto the set, as a new array."""
         return self._project(as_vector(v, self.dim))
 
-    def contains(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-        """Whether x lies in the set, within `tol`."""
-        return self._contains(as_vector(x, self.dim), tol)
+    def contains(self, x: np.ndarray) -> bool:
+        """Whether x lies in the set, within `FEAS_TOL`."""
+        return self._contains(as_vector(x, self.dim))
 
     def _project(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _contains(self, x: np.ndarray, tol: float) -> bool:
+    def _contains(self, x: np.ndarray) -> bool:
         raise NotImplementedError
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
@@ -98,8 +98,8 @@ class Box(ConstraintSet):
     def _project(self, v: np.ndarray) -> np.ndarray:
         return np.clip(v, self.lo, self.hi)
 
-    def _contains(self, x: np.ndarray, tol: float) -> bool:
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+    def _contains(self, x: np.ndarray) -> bool:
+        return bool(np.all(x >= self.lo - FEAS_TOL) and np.all(x <= self.hi + FEAS_TOL))
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
         # tangent cone is a product of per-coordinate intervals:
@@ -136,18 +136,19 @@ class Ball(ConstraintSet):
     def _project(self, v: np.ndarray) -> np.ndarray:
         # short-circuit within the feasibility band so that re-projecting a
         # projected point returns it bit-identically (exact idempotence)
-        if self._contains(v, FEAS_TOL):
+        if self._contains(v):
             return v.copy()
         d = v - self.center
         return self.center + d * (self.radius / np.linalg.norm(d))
 
-    def _contains(self, x: np.ndarray, tol: float) -> bool:
-        return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
+    def _contains(self, x: np.ndarray) -> bool:
+        return bool(np.linalg.norm(x - self.center) <= self.radius + FEAS_TOL)
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
         d = x - self.center
         nrm = np.linalg.norm(d)
-        if nrm < self.radius - ACTIVE_TOL:
+        # the center is interior even when the radius is within ACTIVE_TOL
+        if nrm < self.radius - ACTIVE_TOL or nrm == 0:
             return float(np.linalg.norm(g))
         # boundary: T = {v : <v, u> <= 0} with outward unit u
         u = d / nrm
@@ -175,7 +176,7 @@ class Simplex(ConstraintSet):
         # short-circuit within the feasibility band: keeps idempotence exact
         # (the sorted threshold recomputed on a projected point would shift
         # it by rounding noise)
-        if self._contains(v, FEAS_TOL):
+        if self._contains(v):
             return v.copy()
         # sort-based threshold algorithm; ties broken by ascending index
         order = np.argsort(-v, kind="stable")
@@ -187,8 +188,8 @@ class Simplex(ConstraintSet):
         lam = css[rho - 1] / rho
         return np.maximum(v - lam, 0.0)
 
-    def _contains(self, x: np.ndarray, tol: float) -> bool:
-        return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - 1.0) <= tol)
+    def _contains(self, x: np.ndarray) -> bool:
+        return bool(np.all(x >= -FEAS_TOL) and abs(float(np.sum(x)) - 1.0) <= FEAS_TOL)
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
         # T = {v : sum(v) = 0,  v_i >= 0 for active i};  project w = -g by
@@ -228,7 +229,7 @@ class FullSpace(ConstraintSet):
     def _project(self, v: np.ndarray) -> np.ndarray:
         return v.copy()
 
-    def _contains(self, x: np.ndarray, tol: float) -> bool:
+    def _contains(self, x: np.ndarray) -> bool:
         return True
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
@@ -270,6 +271,6 @@ def normal_cone_dist(cset: ConstraintSet, x: np.ndarray, g: np.ndarray) -> float
     """
     x = as_vector(x, cset.dim)
     g = as_vector(g, cset.dim)
-    if not cset._contains(x, FEAS_TOL):
+    if not cset._contains(x):
         raise InfeasibleError(f"point is not in the set (tol {FEAS_TOL})")
     return cset.tangent_dist(x, g)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import FiniteSum, ProblemInstance, Regime, as_vector
 from .estimator import anchor, batch_ids, batch_rng, recurse
-from .projections import FEAS_TOL, Ball, Box, ConstraintSet, FullSpace, Simplex
+from .projections import Ball, Box, ConstraintSet, FullSpace, Simplex
 
 __all__ = [
     "SolverConfig",
@@ -120,7 +120,7 @@ class SolverConfig:
 class TraceRow:
     """One recorded step: counters, displacement norms, prox-center gap
     ||x+ - z|| (z as used in the x-update), cumulative sample draws, and
-    optional iterate snapshots / residuals filled in by diagnostics."""
+    snapshots of the iterates after the step."""
 
     k: int
     tau: int
@@ -128,12 +128,9 @@ class TraceRow:
     dy_norm: float
     xz_gap: float
     samples_used: int
-    x: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
-    z: Optional[np.ndarray] = None
-    res_x: Optional[float] = None
-    res_y: Optional[float] = None
-    lyapunov: Optional[float] = None
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
 
 
 @dataclass
@@ -275,7 +272,7 @@ def run(problem: ProblemInstance, config: SolverConfig,
     x = _start_point(problem.set_x, x0)
     y = _start_point(problem.set_y, y0)
     for name, v, cset in (("x0", x, problem.set_x), ("y0", y, problem.set_y)):
-        if not cset._contains(v, FEAS_TOL):
+        if not cset._contains(v):
             logger.warning("initial %s infeasible; projecting onto the set", name)
             v[:] = cset._project(v)
     z = x.copy()

@@ -21,7 +21,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from .core import FiniteSum, ProblemInstance, Regime, SmoothnessMeta
 from .smoothing import MoreauComposite, as_problem
@@ -137,7 +137,7 @@ def compute_alpha_x(meta: SmoothnessMeta, r: float) -> float:
         If the admissible interval is empty (an overridden r too small).
     """
     lower, upper = alpha_x_interval(meta, r)
-    if not lower <= upper or upper <= 0:
+    if not lower <= upper:
         raise InfeasibleScheduleError(
             f"no valid alpha_x for r={r}: required lower bound {lower} exceeds "
             f"branch minimum {upper}")
@@ -167,18 +167,14 @@ def compute_varpi(meta: SmoothnessMeta, r: float, alpha_y: float) -> float:
 
 
 def compute_beta(meta: SmoothnessMeta, r: float, alpha_x: float, epsilon: float,
-                 alpha_y: Optional[float] = None,
-                 asymptotic_constant: float = 1.0) -> float:
+                 alpha_y: float, asymptotic_constant: float = 1.0) -> float:
     """Averaging weight for the prox-center sequence.
 
     theta <= 1/2: exact min{1/30, 1/(30 r), L_y/(20 r varpi)} with varpi
-    evaluated at the configured alpha_y (derived from alpha_x when not
-    given).  theta > 1/2: asymptotic_constant times the min of the four
-    asymptotic branches, clamped to (0, 1/30].
+    evaluated at the configured alpha_y.  theta > 1/2: asymptotic_constant
+    times the min of the four asymptotic branches, clamped to (0, 1/30].
     """
     L_y, mu, theta = meta.L_y, meta.mu, meta.theta
-    if alpha_y is None:
-        alpha_y = compute_alpha_y(meta, alpha_x)
     if theta <= 0.5:
         varpi = compute_varpi(meta, r, alpha_y)
         b3 = L_y / (20.0 * r * varpi) if (L_y > 0 and varpi > 0) else math.inf
@@ -267,9 +263,9 @@ class TunerAudit:
     inputs: dict
     outputs: dict
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         return json.dumps({"inputs": self.inputs, "outputs": self.outputs},
-                          indent=indent, sort_keys=True)
+                          indent=2, sort_keys=True)
 
 
 def _regime_dict(regime: Regime) -> dict:
@@ -317,8 +313,7 @@ def tune_smooth(tin: TunerInput) -> tuple[SolverConfig, TunerAudit]:
     alpha_y = float(ov["alpha_y"]) if "alpha_y" in ov else compute_alpha_y(meta, alpha_x)
     varpi = compute_varpi(meta, r, alpha_y) if meta.theta <= 0.5 else None
     beta = float(ov["beta"]) if "beta" in ov else compute_beta(
-        meta, r, alpha_x, tin.epsilon, alpha_y=alpha_y,
-        asymptotic_constant=tin.asymptotic_constant)
+        meta, r, alpha_x, tin.epsilon, alpha_y, tin.asymptotic_constant)
     K, T, M, B, kt_target = compute_budget(tin)
 
     config = SolverConfig(K=K, T=T, M=M, B=B, alpha_x=alpha_x, alpha_y=alpha_y,

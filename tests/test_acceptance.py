@@ -167,7 +167,7 @@ def test_criterion_03_estimator_mse_bounds():
         x = x + 1.25e-3 * rng.normal(size=16)
         y = y + 1.25e-3 * rng.normal(size=16)
         traj.append((x.copy(), y.copy()))
-    res = estimator_mse(prob, traj, M=8, B=1024, trials=10_000,
+    res = estimator_mse(prob, traj, M=8, trials=10_000,
                         rng=np.random.default_rng(7))
     ok_bounds = (bool(np.all(res.mse_x <= res.bound_x + 5 * res.se_x))
                  and bool(np.all(res.mse_y <= res.bound_y + 5 * res.se_y)))

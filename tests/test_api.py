@@ -1,15 +1,24 @@
 """Public-name tests: each module's `__all__` is the one list of its public
 names, the package root re-exports those lists, and every name resolves.
-Also: no module imports a name that it never reads."""
+Also: no module imports a name that it never reads, and `src/` stays within
+its code-line budget."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import spidergda
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# code lines of src/ by tools/code_lines.py when the test was written.
+# Lower the budget when a change removes code; raising it loosens the
+# guard, and CHANGES.md must say so.
+SRC_CODE_LINES = 2184
 
 MODULES = ["spidergda"] + [f"spidergda.{m.name}"
                            for m in pkgutil.iter_modules(spidergda.__path__)]
@@ -75,3 +84,12 @@ def test_no_unused_imports(name):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     read |= set(module.__all__)
     assert sorted(imported - read) == []
+
+
+def test_src_code_lines_within_budget():
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", ROOT / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    total = sum(map(tool.code_lines, (ROOT / "src").rglob("*.py")))
+    assert total <= SRC_CODE_LINES, f"{total} code lines in src/"

@@ -16,8 +16,10 @@ import os
 import sys
 
 import spidergda
-from spidergda import (TunerInput, default_initial_point, gs_residuals,
-                       lyapunov, make_quadratic_saddle, run, tune_smooth)
+from spidergda import (SolverConfig, TunerInput, as_problem,
+                       default_initial_point, gs_residuals, lyapunov,
+                       make_group_dro, make_quadratic_saddle,
+                       make_two_group_regression, run, tune_smooth)
 
 _PACKAGE = os.path.dirname(os.path.abspath(spidergda.__file__)) + os.sep
 
@@ -30,6 +32,10 @@ GS_RESIDUALS_CALLS = 24
 # its 8 ascent starts ran one after another)
 LYAPUNOV_CALLS = 2347
 LYAPUNOV_ORACLE_CALLS = 238
+# package calls, and oracle calls among them, of one epoch of the
+# benchmark's smoothed group-DRO run (one anchor and T - 1 = 24 recursions)
+GDRO_EPOCH_CALLS = 497
+GDRO_EPOCH_ORACLE_CALLS = 25
 
 
 def _package_calls(fn, name=None) -> int:
@@ -95,3 +101,17 @@ def test_lyapunov_row_call_budget():
     assert calls <= LYAPUNOV_CALLS, f"{calls} package calls"
     oracle_calls = _package_calls(merit, "batch_grads")
     assert oracle_calls <= LYAPUNOV_ORACLE_CALLS, f"{oracle_calls} oracle calls"
+
+
+def test_group_dro_epoch_call_budget():
+    # the gdro_smoothed workload's problem and schedule (n = 200,
+    # lambda = 1e-3, T = 25, M = 32) at K = 1, seed 7
+    spec = make_two_group_regression(n=200, d=3, minority_frac=0.1, noise=0.1,
+                                     noise_ratio=10.0, seed=0)
+    p = as_problem(make_group_dro(spec), lam=1e-3)
+    cfg = SolverConfig(K=1, T=25, M=32, B=200, alpha_x=5e-3, alpha_y=0.05,
+                       beta=0.05, r=0.5, seed=7, trace_stride=25)
+    calls = _package_calls(lambda: run(p, cfg))
+    assert calls <= GDRO_EPOCH_CALLS, f"{calls} package calls"
+    oracle_calls = _package_calls(lambda: run(p, cfg), "batch_grads")
+    assert oracle_calls <= GDRO_EPOCH_ORACLE_CALLS, f"{oracle_calls} oracle calls"

@@ -335,6 +335,34 @@ def test_malformed_problem_is_config_error(problem, tmp_path, capsys):
     assert f"config error: problem[{problem['kind']}]" in capsys.readouterr().err
 
 
+# dataset files that `load_dataset_csv` rejects, with the line it names
+_BAD_CSV = {
+    "empty": ("", None),
+    "header-only": ("feature_0,target,group\n", None),
+    "short-row": ("feature_0,target,group\n1.0,2.0,0\n3.0,4.0\n", "line 3"),
+    "long-row": ("feature_0,target,group\n1.0,2.0,0,7\n", "line 2"),
+    "not-a-number": ("feature_0,target,group\n1.0,x,0\n", "line 2"),
+}
+
+
+@pytest.mark.parametrize("kind", ["group_dro", "phi_div_dro"])
+@pytest.mark.parametrize("name", sorted(_BAD_CSV))
+def test_malformed_dataset_is_config_error(kind, name, tmp_path, capsys):
+    text, line = _BAD_CSV[name]
+    data = tmp_path / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    cfg = {"problem": {"kind": kind, "dataset": str(data)},
+           "tuner": {"epsilon": 0.1, "mu": 1.0}}
+    out = tmp_path / "never"
+    assert run_experiment(_write(tmp_path, cfg), quiet=True,
+                          out_dir=str(out)) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: problem[{kind}]: {data}")
+    if line is not None:
+        assert err.startswith(f"config error: problem[{kind}]: {data} {line}: ")
+
+
 def _with(section, **entries):
     cfg = _kl_config()
     cfg[section] = {**cfg.get(section, {}), **entries}
@@ -385,7 +413,7 @@ def test_verify_unknown_suite():
 def test_verify_failing_check_exits_1(monkeypatch, capsys):
     monkeypatch.setitem(SUITES, "tuner", lambda: [
         Check("holds", True), Check("broken", False, "measured 3")])
-    assert main(["verify", "tuner", "--quiet"]) == EXIT_CHECK_FAILED
+    assert main(["verify", "tuner"]) == EXIT_CHECK_FAILED
     assert capsys.readouterr().out.splitlines() == [
         "[pass] holds", "[FAIL] broken  (measured 3)"]
 
@@ -426,4 +454,4 @@ def test_main_run_and_verify(tmp_path):
     ks = [int(line.split(",")[0]) for line in lines[1:]]
     assert ks[1] - ks[0] == 4  # stride applied (one inner step per epoch)
     assert len(lines) - 1 < 50  # strictly fewer rows than epochs
-    assert main(["verify", "kl-example", "--quiet"]) == EXIT_OK
+    assert main(["verify", "kl-example"]) == EXIT_OK

@@ -22,7 +22,7 @@ from spidergda import (Ball, Box, DimError, FiniteSum, MaxItersError, Online,
                        gs_residuals, lyapunov, make_group_dro,
                        make_quadratic_saddle, make_two_group_regression,
                        mc_gs_residuals, run, solve_x_r)
-from spidergda.cli import _RESIDUAL_WINDOW, _annotate_rows
+from spidergda.cli import _RESIDUAL_WINDOW, _diagnose
 
 
 def _bilinear_problem():
@@ -175,14 +175,6 @@ def test_solve_x_r_max_iters_carries_best(monkeypatch):
     assert exc.value.residual > 0
 
 
-def test_solve_x_r_warm_start_returns_solution():
-    p, Q, c = _quadratic_x_problem(seed=9)
-    z = np.array([1.0, -0.5, 0.25])
-    want = np.linalg.solve(Q + np.eye(3), z - c)
-    got = solve_x_r(p, 1.0, np.zeros(1), z, x0=want)
-    assert np.array_equal(got, want)  # residual already below tol
-
-
 # ----------------------------------------------------------------------------
 # proximal tracking norm
 
@@ -235,7 +227,6 @@ def test_lyapunov_matches_closed_form_1d():
     assert lv.p_r == pytest.approx(p_r, abs=1e-6)
     want = (f_r - d_r) + (p_r - d_r) + p_r
     assert lv.value == pytest.approx(want, abs=1e-5)
-    assert float(lv) == lv.value
     # p_r(z) = 3 z^2 / 8 for these constants
     assert p_r == pytest.approx(3.0 * z * z / 8.0, rel=1e-12)
 
@@ -448,14 +439,17 @@ def test_windowed_residuals_equal_per_row_gs_residuals(kind, stride):
     # window boundary
     cfg = SolverConfig(K=33, T=4, M=4, B=1, alpha_x=alpha_x, alpha_y=alpha_y,
                        beta=0.5, r=1.0, seed=5)
-    rows = run(p, cfg).rows
+    trace = run(p, cfg)
+    rows = trace.rows
     assert len(rows) > 2 * _RESIDUAL_WINDOW
-    _annotate_rows(p, rows, cfg, {"residual_stride": stride})
-    for i, row in enumerate(rows):
-        if i % stride == 0 or i == len(rows) - 1:
-            assert (row.res_x, row.res_y) == gs_residuals(p, row.x, row.y)
-        else:
-            assert row.res_x is None and row.res_y is None
+    res, lya = _diagnose(p, trace, cfg, {"residual_stride": stride})
+    assert lya == {}
+    want = [i for i in range(len(rows)) if i % stride == 0 or i == len(rows) - 1]
+    assert list(res) == want + [-1]
+    for i in want:
+        assert res[i] == gs_residuals(p, rows[i].x, rows[i].y) + (None, None)
+    # the output pair rides in the last window
+    assert res[-1] == gs_residuals(p, *trace.output_pair) + (None, None)
 
 
 # ----------------------------------------------------------------------------

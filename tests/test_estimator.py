@@ -65,15 +65,15 @@ _HIGHS = [1, 2, 16, 2 ** 31, 3, 200, 400, 10 ** 9, 3 * 2 ** 30 + 1,
        st.integers(0, 2 ** 64 - 1),
        st.lists(st.tuples(st.integers(0, 2 ** 31 - 1),
                           st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=12),
-       st.integers(1, 40), st.integers(0, 1))
-def test_batch_ids_match_numpy_generator(high, seed, keys, count, purpose):
+       st.integers(1, 40))
+def test_batch_ids_match_numpy_generator(high, seed, keys, count):
     draw = UniformDraw(high)
     epochs, taus = (np.array(v) for v in zip(*keys))
-    ids = batch_ids(draw, seed, epochs, taus, count, purpose)
+    ids = batch_ids(draw, seed, epochs, taus, count)
     assert ids.dtype == np.int64 and ids.shape == (len(keys), count)
     for row, (k, tau) in zip(ids, keys):
         want = np.random.Generator(np.random.Philox(key=np.array(
-            [seed, (purpose << 63) | (k << 32) | tau], dtype=np.uint64)))
+            [seed, (k << 32) | tau], dtype=np.uint64)))
         assert row.tobytes() == want.integers(0, high, size=count).tobytes()
 
 
@@ -221,7 +221,7 @@ def test_recurse_rejects_bad_m():
 def test_estimator_mse_zero_on_frozen_trajectory():
     p = _quadratic_problem()
     pt = (np.ones(3), np.ones(3))
-    out = estimator_mse(p, [pt, pt, pt], M=2, B=6, trials=8,
+    out = estimator_mse(p, [pt, pt, pt], M=2, trials=8,
                         rng=batch_rng(0, 0, 0, purpose=1))
     assert np.all(out.mse_x == 0.0)
     assert np.all(out.mse_y == 0.0)
@@ -239,7 +239,7 @@ def test_estimator_mse_online_rejected():
                         set_y=Box([-1.0], [1.0]),
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=1))
     with pytest.raises(RegimeError):
-        estimator_mse(p, [(np.zeros(1), np.zeros(1))], M=1, B=1, trials=1,
+        estimator_mse(p, [(np.zeros(1), np.zeros(1))], M=1, trials=1,
                       rng=batch_rng(0, 0, 0))
 
 
@@ -252,7 +252,7 @@ def test_estimator_mse_bounds_hold_on_small_steps():
         x = x + 0.02 * rng.normal(size=3)
         y = y + 0.02 * rng.normal(size=3)
         traj.append((x.copy(), y.copy()))
-    out = estimator_mse(p, traj, M=4, B=8, trials=400,
+    out = estimator_mse(p, traj, M=4, trials=400,
                         rng=batch_rng(1, 0, 0, purpose=1))
     assert np.all(out.mse_x <= out.bound_x + 3.0 * out.se_x + 1e-15)
     assert np.all(out.mse_y <= out.bound_y + 3.0 * out.se_y + 1e-15)

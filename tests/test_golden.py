@@ -75,7 +75,7 @@ def test_estimator_mse_digest():
         x = x + 0.05 * rng.normal(size=4)
         y = y + 0.05 * rng.normal(size=3)
         traj.append((x, y))
-    res = estimator_mse(prob, traj, M=4, B=32, trials=64,
+    res = estimator_mse(prob, traj, M=4, trials=64,
                         rng=np.random.default_rng(9))
     h = hashlib.sha256()
     for a in (res.mse_x, res.mse_y, res.se_x, res.se_y):

@@ -22,7 +22,7 @@ from scipy import optimize
 
 from spidergda import (Ball, Box, DimError, FullSpace, InfeasibleError,
                        Simplex, normal_cone_dist)
-from spidergda.projections import ACTIVE_TOL, FEAS_TOL, _project_rows
+from spidergda.projections import ACTIVE_TOL, _project_rows
 from spidergda.verify import SUITES
 from test_acceptance import _simplex_ncd_oracle
 
@@ -187,7 +187,7 @@ def test_boundary_check_catches_a_short_ball_projection(monkeypatch):
     # a ball projection that stops at 0.999 of the radius keeps idempotence,
     # nonexpansiveness and the VI; only the boundary check sees it
     def short(self, v):
-        if self._contains(v, FEAS_TOL):
+        if self._contains(v):
             return v.copy()
         d = v - self.center
         return self.center + d * (0.999 * self.radius / np.linalg.norm(d))
@@ -257,6 +257,16 @@ def test_normal_cone_interior_is_gradient_norm():
         == pytest.approx(np.linalg.norm(g))
     assert normal_cone_dist(FullSpace(4), rng.normal(size=4), g) \
         == pytest.approx(np.linalg.norm(g))
+
+
+@pytest.mark.parametrize("radius", [1e-10, ACTIVE_TOL, 1.0])
+def test_ball_center_is_interior_at_any_radius(radius):
+    # a radius within ACTIVE_TOL puts the center in the boundary band, where
+    # the outward direction d / ||d|| would be 0 / 0
+    with np.errstate(all="raise"):
+        got = normal_cone_dist(Ball([0.0, 0.0], radius), np.zeros(2),
+                               np.array([1.0, 2.0]))
+    assert got == np.linalg.norm([1.0, 2.0])
 
 
 def test_tangent_dist_matches_projection_finite_difference():

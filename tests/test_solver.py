@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from spidergda import (FEAS_TOL, Box, DimError, FiniteSum, FullSpace,
+from spidergda import (Box, DimError, FiniteSum, FullSpace,
                        NonFiniteError, Online, ProblemInstance, Simplex,
                        SmoothnessMeta, SolverConfig, StochasticOracle,
                        UniformDraw, anchor, batch_rng, default_initial_point,
@@ -237,7 +237,7 @@ def test_infeasible_start_runs_as_its_projection():
     for a, b in zip(far.rows, near.rows):
         for side in ("x", "y", "z"):
             assert getattr(a, side).tobytes() == getattr(b, side).tobytes()
-        assert p.set_x.contains(a.z, FEAS_TOL)
+        assert p.set_x.contains(a.z)
     for a, b in zip(far.output_pair + (far.output_z,),
                     near.output_pair + (near.output_z,)):
         assert a.tobytes() == b.tobytes()
@@ -378,9 +378,21 @@ def test_step_rejects_non_finite_update_before_projecting():
         step(p, cfg, np.zeros(1), np.ones(1), np.zeros(1), G)
 
 
-def test_non_finite_iterate_raises_with_partial_trace():
-    # unconstrained x with an exploding gradient: the estimator feedback
-    # doubles the iterate until it overflows to inf
+def test_step_rejects_a_non_finite_center():
+    # the raw x update 0 - (-1.79e308 + 0.5 * 1e308) = 1.29e308 is finite,
+    # but z+ = z + (x+ - z) overflows in x+ - z = 2.29e308
+    p = _bilinear_problem(set_x=FullSpace(1))
+    cfg = SolverConfig(K=1, T=2, M=1, B=1, alpha_x=1.0, alpha_y=0.25,
+                       beta=1.0, r=0.5, seed=0)
+    x, z, G = np.zeros(1), np.array([-1e308]), (np.array([-1.79e308]), np.zeros(1))
+    assert np.isfinite(x - cfg.alpha_x * (G[0] + cfg.r * (x - z))).all()
+    with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+        step(p, cfg, x, np.zeros(1), z, G)
+
+
+def _exploding_run(sink=None):
+    """A run on unconstrained x with an exploding gradient: the estimator
+    feedback doubles the iterate until it overflows to inf."""
     oracle = StochasticOracle(
         regime=FiniteSum(1), dim_x=1, dim_y=1,
         eval_f=lambda x, y, i: 0.0,
@@ -392,10 +404,30 @@ def test_non_finite_iterate_raises_with_partial_trace():
     cfg = SolverConfig(K=1, T=50, M=1, B=1, alpha_x=1.0, alpha_y=0.1,
                        beta=0.5, r=1.0, seed=0)
     with pytest.raises(NonFiniteError) as exc, np.errstate(over="ignore"):
-        run(p, cfg, x0=np.array([1.0]))
-    assert exc.value.trace is not None
-    assert not exc.value.trace.completed
-    assert len(exc.value.trace.rows) >= 1
+        run(p, cfg, x0=np.array([1.0]), sink=sink)
+    return exc.value.trace
+
+
+def test_non_finite_iterate_raises_with_partial_trace():
+    trace = _exploding_run()
+    assert trace is not None
+    assert not trace.completed
+    assert len(trace.rows) >= 1
+
+
+def test_sink_receives_each_recorded_row_in_order():
+    p = _quadratic_problem()
+    cfg = SolverConfig(K=3, T=4, M=2, B=8, alpha_x=0.05, alpha_y=0.1,
+                       beta=0.25, r=4.0, seed=1, trace_stride=3)
+    got = []
+    trace = run(p, cfg, sink=got.append)
+    assert len(got) == len(trace.rows) == 4
+    assert all(a is b for a, b in zip(got, trace.rows))
+    # a failed run's sink has seen exactly the partial trace's rows
+    got.clear()
+    trace = _exploding_run(sink=got.append)
+    assert len(got) == len(trace.rows) >= 1
+    assert all(a is b for a, b in zip(got, trace.rows))
 
 
 def test_config_validation():

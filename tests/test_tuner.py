@@ -87,8 +87,9 @@ def test_beta_low_theta_unit_constants():
     # the error-bound branch dominates: L_y/(20 r varpi) ~ 1.9e-10
     m = _unit_meta()
     alpha_x = compute_alpha_x(m, 676.0)
-    beta = compute_beta(m, 676.0, alpha_x, epsilon=0.1)
-    varpi = compute_varpi(m, 676.0, compute_alpha_y(m, alpha_x))
+    alpha_y = compute_alpha_y(m, alpha_x)
+    beta = compute_beta(m, 676.0, alpha_x, 0.1, alpha_y)
+    varpi = compute_varpi(m, 676.0, alpha_y)
     assert beta == 1.0 / (20.0 * 676.0 * varpi)
     assert beta == 1.8800310261948302e-10
 
@@ -97,7 +98,7 @@ def test_beta_high_theta_worked_example():
     # theta=1, mu=1, L_y=1, r=10, alpha_x=0.01, eps=0.1:
     # branches 0.1, 0.01, 0.001, 0.01 -> 0.001
     m = _unit_meta(theta=1.0)
-    beta = compute_beta(m, 10.0, 0.01, epsilon=0.1)
+    beta = compute_beta(m, 10.0, 0.01, 0.1, compute_alpha_y(m, 0.01))
     assert beta == pytest.approx(1e-3, rel=1e-12)
 
 
@@ -111,7 +112,8 @@ def test_beta_never_exceeds_cap():
                            mu=rnd.uniform(0.01, 10), theta=theta)
         r = compute_r(m) * rnd.uniform(1.0, 3.0)
         alpha_x = compute_alpha_x(m, r)
-        beta = compute_beta(m, r, alpha_x, epsilon=rnd.uniform(1e-3, 1.0),
+        beta = compute_beta(m, r, alpha_x, rnd.uniform(1e-3, 1.0),
+                            compute_alpha_y(m, alpha_x),
                             asymptotic_constant=rnd.uniform(0.1, 100.0))
         assert 0.0 < beta <= 1.0 / 30.0
 
@@ -121,8 +123,10 @@ def test_beta_theta_below_half_ignores_epsilon():
     m1 = _unit_meta(theta=0.25)
     ax = compute_alpha_x(m0, 676.0)
     # ell*D_Y = 1 makes the (ell D_Y)^(1-2 theta) factor 1 at every theta
-    b0 = compute_beta(replace(m0, D_Y=1.0), 676.0, ax, epsilon=0.1)
-    b1 = compute_beta(replace(m1, D_Y=1.0), 676.0, ax, epsilon=0.01)
+    b0 = compute_beta(replace(m0, D_Y=1.0), 676.0, ax, 0.1,
+                      compute_alpha_y(m0, ax))
+    b1 = compute_beta(replace(m1, D_Y=1.0), 676.0, ax, 0.01,
+                      compute_alpha_y(m1, ax))
     assert b0 == b1
 
 
