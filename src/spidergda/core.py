@@ -197,7 +197,10 @@ class StochasticOracle:
 
         Both sides come from one `grads_batch` call when the oracle has
         the hook, else from one scalar grad_x and grad_y call per row; the
-        per-row values are identical either way.
+        per-row values are identical either way.  Hook results are
+        converted to float64 arrays (a float64 ndarray is returned as it
+        is), and their shapes are checked side by side only when the pair
+        does not match.
 
         Raises
         ------
@@ -211,10 +214,12 @@ class StochasticOracle:
                     _stack_rows(self.grad_y, X, Y, ids, self.dim_y, "y"))
         gx, gy = self.grads_batch(X, Y, ids)
         gx, gy = np.asarray(gx, dtype=np.float64), np.asarray(gy, dtype=np.float64)
-        for side, g, dim in (("x", gx, self.dim_x), ("y", gy, self.dim_y)):
-            if g.shape != (len(ids), dim):
-                raise DimError(f"grads_batch {side} rows: expected shape "
-                               f"{(len(ids), dim)}, got {g.shape}")
+        shapes = (len(ids), self.dim_x), (len(ids), self.dim_y)
+        if (gx.shape, gy.shape) != shapes:
+            for side, g, shape in zip("xy", (gx, gy), shapes):
+                if g.shape != shape:
+                    raise DimError(f"grads_batch {side} rows: expected shape "
+                                   f"{shape}, got {g.shape}")
         return gx, gy
 
     def grads_at(self, x: np.ndarray, y: np.ndarray,

@@ -10,7 +10,8 @@ with M fresh i.i.d. draws per inner step, the same draws feeding both the
 x- and y-estimates, and the new and the previous point evaluated in one
 oracle call of 2M rows.  An estimate is the plain pair G = (Gx, Gy); the
 estimator keeps no state of its own, so the caller passes the point G was
-formed at (`prev`) and the step's sample ids to `recurse`.
+formed at (`prev`) and the step's sample ids, as both rows of a (2, M)
+array (one id per oracle row), to `recurse`.
 
 Mini-batch randomness comes from counter-based Philox streams keyed by
 (seed, epoch, step), so any batch is reproducible in isolation
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteSum, ProblemInstance, RegimeError, UniformDraw, full_grads
+from .core import (FiniteSum, ProblemInstance, RegimeError, UniformDraw,
+                   _exact_grads, full_grads)
 
 __all__ = [
     "anchor",
@@ -150,14 +152,14 @@ def batch_ids(draw: UniformDraw, seed: int, epochs, taus, count: int):
 # anchor / recurse
 
 def anchor(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
-           B: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+           B: int, rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
     """Start-of-epoch gradient estimate G = (Gx, Gy) at (x, y).
 
-    Finite-sum regime: B is ignored and all N component gradients are
-    averaged in one `full_grads` pass, so Gx/Gy equal the exact partial
-    gradients bit for bit.  Online regime: Gx/Gy are means over B fresh
-    i.i.d. draws from `rng`.  Neither `anchor` nor `recurse` checks its
-    points; `run` checks its start points once.
+    Finite-sum regime: B and `rng` are ignored (`run` passes None) and all
+    N component gradients are averaged in one `full_grads` pass, so Gx/Gy
+    equal the exact partial gradients bit for bit.  Online regime: Gx/Gy
+    are means over B fresh i.i.d. draws from `rng`.  Neither `anchor` nor
+    `recurse` checks its points; `run` checks its start points once.
     """
     if isinstance(problem.regime, FiniteSum):
         return full_grads(problem, x, y)
@@ -170,31 +172,35 @@ def anchor(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
 def recurse(problem: ProblemInstance, G: tuple, prev: tuple, new: tuple,
             ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One recursive momentum update of G = (Gx, Gy), formed at the point
-    `prev` = (x, y), onto the point `new` = (x, y), over the M sample ids
-    `ids` (i.i.d., with replacement; `batch_ids` computes them):
+    `prev` = (x, y), onto the point `new` = (x, y), over M sample ids xi_i
+    (i.i.d., with replacement; `batch_ids` computes them):
 
         G <- mean_i[grad f(new; xi_i) - grad f(prev; xi_i)] + G_old
 
     with the *same* ids for Gx and Gy, from one oracle call of 2M rows
-    (M at the new point, then M at the previous one).  Zero displacement
-    leaves the estimates unchanged bit-exactly.  No input is copied or
-    written to.
+    (M at the new point, then M at the previous one).  `ids` is a (2, M)
+    array holding the M ids in both rows, one id per oracle row
+    (``np.tile(m_ids, (2, 1))``; the solver tiles a whole id table at
+    once); any other shape raises `ValueError`.  Zero displacement leaves
+    the estimates unchanged bit-exactly.  No input is copied or written
+    to.
     """
-    M = len(ids)
-    if M < 1:
-        raise ValueError("a recursion needs at least one sample id")
-    (x_prev, y_prev), (x_new, y_new) = prev, new
-    gx, gy = problem.oracle.batch_grads(np.array((x_new, x_prev)).repeat(M, axis=0),
-                                        np.array((y_new, y_prev)).repeat(M, axis=0),
-                                        np.concatenate((ids, ids)))
-    # np.add.reduce(., axis=0) / M is what .mean(axis=0) computes, minus
-    # the Python-level wrapper
+    if ids.ndim != 2 or len(ids) != 2 or ids.shape[1] < 1:
+        raise ValueError(f"recursion ids form a (2, M) array, M >= 1, not {ids.shape}")
+    M = ids.shape[1]
+    # rows 0..M-1 at the new point, rows M..2M-1 at the previous one
+    X, Y = np.empty((2 * M,) + new[0].shape), np.empty((2 * M,) + new[1].shape)
+    (X[:M], Y[:M]), (X[M:], Y[M:]) = new, prev
+    gx, gy = problem.oracle.batch_grads(X, Y, ids.ravel())
+    # np.add.reduce(., axis=0) / M is what .mean(axis=0) computes, and
+    # np.logical_or.reduce what .any() computes, minus the Python-level
+    # wrappers
     dx = np.add.reduce(gx[:M] - gx[M:], axis=0) / M
     dy = np.add.reduce(gy[:M] - gy[M:], axis=0) / M
     # avoid 0.0 + -0.0 sign flips so a zero increment is a bit-exact no-op
     Gx, Gy = G
-    return (Gx if not dx.any() else Gx + dx,
-            Gy if not dy.any() else Gy + dy)
+    return (Gx + dx if np.logical_or.reduce(dx) else Gx,
+            Gy + dy if np.logical_or.reduce(dy) else Gy)
 
 
 # ----------------------------------------------------------------------------
@@ -245,40 +251,34 @@ def estimator_mse(problem: ProblemInstance, trajectory, M: int,
     if steps < 1:
         raise ValueError("trajectory must be nonempty")
 
-    xs = [np.asarray(p[0], dtype=np.float64) for p in trajectory]
-    ys = [np.asarray(p[1], dtype=np.float64) for p in trajectory]
-    grads_x, grads_y = zip(*(full_grads(problem, xs[t], ys[t])
-                             for t in range(steps)))
+    X = np.array([p[0] for p in trajectory], dtype=np.float64)
+    Y = np.array([p[1] for p in trajectory], dtype=np.float64)
+    # row t is full_grads at point t, bit for bit
+    grads_x, grads_y = _exact_grads(problem, X, Y)
 
     # all trials share the exact anchor; each step draws the ids of every
     # trial at once and replays trial i's recursion on its M of them, so
     # the oracle sees 2M rows at a time, never trials * M
-    points = list(zip(xs, ys))
+    points = list(zip(X, Y))
     G = [(grads_x[0], grads_y[0])] * trials
-    sq_x = [np.zeros(trials)]
-    sq_y = [np.zeros(trials)]
+    sq = [np.zeros((2, trials))]
     for t in range(1, steps):
-        ids = problem.oracle.draw(rng, trials * M)
-        G = [recurse(problem, G[i], points[t - 1], points[t], ids[i * M:(i + 1) * M])
-             for i in range(trials)]
+        ids = np.tile(problem.oracle.draw(rng, trials * M).reshape(trials, 1, M), (2, 1))
+        G = [recurse(problem, g, points[t - 1], points[t], row) for g, row in zip(G, ids)]
         Gx, Gy = (np.array(g) for g in zip(*G))
-        sq_x.append(np.sum((Gx - grads_x[t]) ** 2, axis=1))
-        sq_y.append(np.sum((Gy - grads_y[t]) ** 2, axis=1))
+        sq.append([np.sum((Gx - grads_x[t]) ** 2, axis=1),
+                   np.sum((Gy - grads_y[t]) ** 2, axis=1)])
 
-    mse_x = np.array([s.mean() for s in sq_x])
-    mse_y = np.array([s.mean() for s in sq_y])
-    se_x = np.array([s.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
-                     for s in sq_x])
-    se_y = np.array([s.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
-                     for s in sq_y])
+    # (steps, side, trial); each reduction runs over one contiguous row,
+    # as over a 1-D array
+    sq = np.array(sq)
+    mse_x, mse_y = sq.mean(axis=2).T
+    se_x, se_y = (sq.std(axis=2, ddof=1) / np.sqrt(trials) if trials > 1
+                  else np.zeros((steps, 2))).T
 
     c = problem.constants
-    dx2 = np.array([0.0] + [float(np.sum((xs[t + 1] - xs[t]) ** 2))
-                            for t in range(steps - 1)])
-    dy2 = np.array([0.0] + [float(np.sum((ys[t + 1] - ys[t]) ** 2))
-                            for t in range(steps - 1)])
-    cum_dx2 = np.cumsum(dx2)
-    cum_dy2 = np.cumsum(dy2)
+    cum_dx2, cum_dy2 = (np.cumsum(np.sum(np.diff(V, axis=0, prepend=V[:1]) ** 2, axis=1))
+                        for V in (X, Y))
     bound_x = (2.0 * c.L_x ** 2 / M) * cum_dx2 + (2.0 * c.L_y ** 2 / M) * cum_dy2
     bound_y = (c.L_y ** 2 / M) * cum_dx2 + (c.L_y ** 2 / M) * cum_dy2
 

@@ -487,15 +487,16 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
 
     # a stacked matmul against one column per row runs the scalar path's
     # matrix-vector kernel per row, so rows match grad_x/grad_y bit for bit
-    # (einsum does not)
+    # (einsum does not); `take` gathers the same rows as fancy indexing, at
+    # half its overhead on small batches
     def grads_batch(X, Y, ids):
-        Xc, Yc, Bi = X[:, :, None], Y[:, :, None], Bs[ids]
-        by, bx = Bi @ Yc, np.swapaxes(Bi, 1, 2) @ Xc
+        Xc, Yc, Bi = X[:, :, None], Y[:, :, None], Bs.take(ids, axis=0)
+        by, bx = Bi @ Yc, Bi.swapaxes(1, 2) @ Xc
         # one gathered (len(ids), d, d) stack alive at a time: the largest
         # batch, a full gradient's N ids, would otherwise hold three
         del Bi
-        return ((As[ids] @ Xc + by)[:, :, 0] + a_s[ids],
-                (bx - Cs[ids] @ Yc)[:, :, 0] - b_s[ids])
+        gx = (As.take(ids, axis=0) @ Xc + by)[:, :, 0] + a_s.take(ids, axis=0)
+        return gx, (bx - Cs.take(ids, axis=0) @ Yc)[:, :, 0] - b_s.take(ids, axis=0)
 
     if set_x is None:
         set_x = Box(x_star - 1.0, x_star + 3.0)
@@ -560,7 +561,8 @@ def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ValueError
         Naming the path, on a missing or unexpected header or no data rows,
         and naming the line too, on a row whose field count differs from the
-        header's or whose value does not parse.
+        header's or whose value does not parse.  Any integer group id is
+        accepted; `spec_from_csv` rejects negative ones.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -587,8 +589,22 @@ def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def spec_from_csv(path, loss: str = "squared",
                   set_x: Optional[ConstraintSet] = None) -> GroupDroSpec:
-    """Load a dataset CSV into a GroupDroSpec (groups by the group column)."""
+    """Load a dataset CSV into a GroupDroSpec (groups by the group column).
+
+    Raises
+    ------
+    ValueError
+        As `load_dataset_csv` does, and naming the path and the line of the
+        first row whose group id is negative (that row would join no group).
+    EmptyGroupError
+        When a group id in 0..max is missing.
+    """
     X, t, g = load_dataset_csv(path)
+    negative = np.flatnonzero(g < 0)
+    if len(negative):
+        # data row i sits on line i + 2, below the header
+        i = int(negative[0])
+        raise ValueError(f"{path} line {i + 2}: group id {g[i]} is negative")
     m = int(g.max()) + 1 if len(g) else 0
     groups = [(X[g == gi], t[g == gi]) for gi in range(m)]
     for gi, (Xg, _) in enumerate(groups):

@@ -96,7 +96,10 @@ class Box(ConstraintSet):
         return float(np.linalg.norm(self.hi - self.lo))
 
     def _project(self, v: np.ndarray) -> np.ndarray:
-        return np.clip(v, self.lo, self.hi)
+        # np.clip's values on a vector, without its Python-level wrapper: on
+        # a tie (-0.0 against +0.0) the bound wins, also for rows against
+        # broadcast bounds, where np.clip itself can let the value win
+        return np.minimum(np.maximum(v, self.lo), self.hi)
 
     def _contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lo - FEAS_TOL) and np.all(x <= self.hi + FEAS_TOL))

@@ -18,10 +18,19 @@ one sample-accounting formula, shared with the tuner.
 
 Random numbers come in windows: `run` takes the recursions' sample ids
 from one `estimator.batch_ids` table per window of at most `_ID_BUDGET`
-ids (the same ids a generator per step would draw), and the reservoir's
-uniforms from one draw per window of `_RESERVOIR_WINDOW` steps.  Inputs
-are checked at the boundaries: the start points once, and per step only
-the finiteness of the raw update (before projecting) and of z+.
+ids (the same ids a generator per step would draw), doubled once into the
+(2, M) id arrays that `recurse` takes, and the reservoir's uniforms from one
+draw per window of `_RESERVOIR_WINDOW` steps.  Inputs are checked at the
+boundaries: the start points once, and per step only the finiteness of
+the raw x and y updates (each on its own, before projecting) and of z+.
+
+A step at the problem sizes this package targets (d <= 10, 2M = 32 rows)
+costs Python call overhead more than arithmetic, so the per-step path
+calls no Python-level numpy wrapper: the finiteness checks reduce with
+`np.logical_and.reduce` (what `.all()` computes), a box projects with
+`np.minimum`/`np.maximum` (what `np.clip` computes), and the id arrays
+come from C iterators.  Python frames per step are `step`, the two
+`_project`s, `recurse`, `batch_grads` and the oracle's hook.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -178,10 +188,6 @@ def samples_drawn(regime: Regime, T: int, M: int, B: int, refreshes: int) -> int
 # ----------------------------------------------------------------------------
 # single step
 
-def _finite(v: np.ndarray) -> bool:
-    return bool(np.isfinite(v).all())
-
-
 def _norm(v: np.ndarray) -> float:
     # what np.linalg.norm computes for a real vector, minus its dispatch
     return math.sqrt(v.dot(v))
@@ -201,14 +207,17 @@ def step(problem: ProblemInstance, config: SolverConfig, x: np.ndarray,
     """
     # check the raw updates before projecting: clamping would silently mask
     # an overflow, and the simplex projection cannot take non-finite input
+    # (np.logical_and.reduce is what .all() computes, minus its Python-level
+    # wrapper)
     raw_x = x - config.alpha_x * (G[0] + config.r * (x - z))
     raw_y = y + config.alpha_y * G[1]
-    if not (_finite(raw_x) and _finite(raw_y)):
+    if not (np.logical_and.reduce(np.isfinite(raw_x))
+            and np.logical_and.reduce(np.isfinite(raw_y))):
         raise NonFiniteError("iterate became non-finite")
     x_new = problem.set_x._project(raw_x)
     y_new = problem.set_y._project(raw_y)
     z_new = z + config.beta * (x_new - z)
-    if not _finite(z_new):
+    if not np.logical_and.reduce(np.isfinite(z_new)):
         raise NonFiniteError("iterate became non-finite")
     return x_new, y_new, z_new
 
@@ -217,18 +226,26 @@ def step(problem: ProblemInstance, config: SolverConfig, x: np.ndarray,
 # full run
 
 def _recursion_ids(problem: ProblemInstance, config: SolverConfig):
-    """The sample ids of every recursion of the run, in step order, taken
-    from one `batch_ids` table per window of at most `_ID_BUDGET` ids.
+    """An iterator over the ids of every recursion of the run, in step
+    order, each the (2, M) array `recurse` takes (the M ids in both rows),
+    taken from one `batch_ids` table per window of at most `_ID_BUDGET`
+    ids.
 
     The recursions are the keys (k, tau) with tau in 1..T-1 of every epoch
-    k, since the refresh after step (k, tau - 1) is keyed (k, tau).
+    k, since the refresh after step (k, tau - 1) is keyed (k, tau).  Each
+    table is doubled once, and its (2, M) slices are handed out by
+    iterators that run in C, so a step enters no Python frame for its ids.
     """
     T, M = config.T, config.M
     total = config.K * (T - 1)
     window = max(1, _ID_BUDGET // M)
-    for start in range(0, total, window):
+
+    def table(start: int) -> np.ndarray:
         k, tau = np.divmod(np.arange(start, min(start + window, total)), T - 1)
-        yield from batch_ids(problem.oracle.draw, config.seed, k, tau + 1, M)
+        ids = batch_ids(problem.oracle.draw, config.seed, k, tau + 1, M)
+        return np.tile(ids[:, None], (2, 1))
+
+    return chain.from_iterable(map(table, range(0, total, window)))
 
 
 def _reservoir_hits(rng: np.random.Generator, total_steps: int):
@@ -279,7 +296,9 @@ def run(problem: ProblemInstance, config: SolverConfig,
 
     T, total_steps = config.T, config.K * config.T
     drawn = partial(samples_drawn, problem.regime, T, config.M, config.B)
-    G = anchor(problem, x, y, config.B, batch_rng(config.seed, 0, 0))
+    # a finite-sum anchor draws nothing, so it gets no generator to build
+    online = not isinstance(problem.regime, FiniteSum)
+    G = anchor(problem, x, y, config.B, batch_rng(config.seed, 0, 0) if online else None)
     trace = RunTrace()
     recursion_ids = _recursion_ids(problem, config)
     hits = _reservoir_hits(batch_rng(config.seed, 0, 0, purpose=1), total_steps)
@@ -295,7 +314,7 @@ def run(problem: ProblemInstance, config: SolverConfig,
             G = recurse(problem, G, (x, y), (x_new, y_new), next(recursion_ids))
         elif count < total_steps:
             G = anchor(problem, x_new, y_new, config.B,
-                       batch_rng(config.seed, k + 1, 0))
+                       batch_rng(config.seed, k + 1, 0) if online else None)
 
         if count == next_hit:
             trace.output_pair = (x_new.copy(), y_new.copy())

@@ -146,7 +146,8 @@ def test_criterion_02_estimator_exactness(suite_checks):
     for t in range(1, 11):
         x1 = x + 0.1 * rng.normal(size=8)
         y1 = y + 0.1 * rng.normal(size=8)
-        G = recurse(prob, G, (x, y), (x1, y1), np.arange(64))  # full-batch sweep
+        # a full-batch sweep: all 64 ids, in both rows (one per oracle row)
+        G = recurse(prob, G, (x, y), (x1, y1), np.tile(np.arange(64), (2, 1)))
         x, y = x1, y1
         dev = max(dev,
                   float(np.max(np.abs(G[0] - full_grad_x(prob, x, y)))),

@@ -1,4 +1,5 @@
-"""Noise-free cost guards: Python-level calls into the package per unit of work.
+"""Noise-free cost guards: Python-level calls into the package per unit of
+work, and the peak memory of a run.
 
 Seconds vary too much between runs of one host to guard a regression in
 the fast tier; call counts do not.  `sys.setprofile` reports a `call` event
@@ -6,25 +7,37 @@ for every Python function entered (and for every generator resumed); only
 frames whose code lies in the `spidergda` package are counted, so the
 numbers do not depend on numpy's version.  Operators that numpy dispatches
 through type slots make no call event, so these counts complement timing
-and do not replace it.
+and do not replace it.  The counter and the `quad_tuned`/`gdro_smoothed`
+schedules come from `tools/calls_per_step.py`, which prints the same
+package counts per step next to all Python-level and C-level calls.
 
-Each budget is the count measured when the test was written.  Lower a
-budget when a change removes calls; raising one loosens the guard.
+Each call budget is the count measured when the test was written.  Lower a
+budget when a change removes calls; raising one loosens the guard.  The
+peak-bytes budget is the `tracemalloc` peak measured then plus a margin,
+because that peak moves by about a hundred bytes between runs; other
+Python and numpy versions may move it further.
 """
 
-import os
-import sys
+import importlib.util
+import tracemalloc
+from pathlib import Path
 
-import spidergda
-from spidergda import (SolverConfig, TunerInput, as_problem,
-                       default_initial_point, gs_residuals, lyapunov,
-                       make_group_dro, make_quadratic_saddle,
-                       make_two_group_regression, run, tune_smooth)
+from spidergda import (TunerInput, default_initial_point, gs_residuals,
+                       lyapunov, make_quadratic_saddle, run, tune_smooth)
 
-_PACKAGE = os.path.dirname(os.path.abspath(spidergda.__file__)) + os.sep
+_SPEC = importlib.util.spec_from_file_location(
+    "calls_per_step", Path(__file__).resolve().parents[1] / "tools" / "calls_per_step.py")
+_TOOL = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_TOOL)
 
-# package calls of one run of K*T = 400 steps (11.52 per step)
-RUN_CALLS = 4606
+# package calls of one run of K*T = 400 steps (7.40 per step; 4,606 or
+# 11.52 per step while step, recurse and the id tables called Python-level
+# helpers and a finite-sum anchor built an unused generator)
+RUN_CALLS = 2959
+# tracemalloc peak of the same run, in bytes: 169,615 measured on Python
+# 3.11 with numpy 2.4 (not yet on 3.10), set by the temporaries of the
+# first id table
+RUN_PEAK_BYTES = 180_000
 # package calls of one exact residual evaluation
 GS_RESIDUALS_CALLS = 24
 # package calls, and oracle calls among them, of one merit evaluation at a
@@ -33,41 +46,19 @@ GS_RESIDUALS_CALLS = 24
 LYAPUNOV_CALLS = 2347
 LYAPUNOV_ORACLE_CALLS = 238
 # package calls, and oracle calls among them, of one epoch of the
-# benchmark's smoothed group-DRO run (one anchor and T - 1 = 24 recursions)
-GDRO_EPOCH_CALLS = 497
+# benchmark's smoothed group-DRO run (one anchor and T - 1 = 24 recursions;
+# 497 calls before the lean step path)
+GDRO_EPOCH_CALLS = 398
 GDRO_EPOCH_ORACLE_CALLS = 25
 
 
 def _package_calls(fn, name=None) -> int:
     """Package calls that `fn()` makes, or only those of functions `name`."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        code = frame.f_code
-        if (event == "call" and code.co_filename.startswith(_PACKAGE)
-                and name in (None, code.co_name)):
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
+    return _TOOL.count_calls(fn, name)["package"]
 
 
-def _tuned_quadratic():
-    """The benchmark's `quad_tuned` problem and schedule, at K = 50."""
-    p = make_quadratic_saddle(4, 3, n_samples=16, a_range=(4.0, 6.0),
-                              c_range=(0.05, 0.08), coupling=0.05,
-                              linear_scale=0.1, noise=0.01, seed=11)
-    cfg, _ = tune_smooth(TunerInput(
-        meta=p.constants, epsilon=1e-3, regime=p.regime,
-        overrides={"alpha_y": 4.0, "beta": 0.016, "T": 8, "M": 16, "K": 50}))
-    cfg.seed = 7
-    cfg.trace_stride = cfg.T
-    return p, cfg
+# the benchmark's `quad_tuned` problem and schedule, at K = 50
+_tuned_quadratic = _TOOL.quad_tuned
 
 
 def test_solver_run_call_budget():
@@ -75,6 +66,18 @@ def test_solver_run_call_budget():
     assert cfg.K * cfg.T == 400
     calls = _package_calls(lambda: run(p, cfg))
     assert calls <= RUN_CALLS, f"{calls / 400:.2f} package calls per step"
+
+
+def test_solver_run_peak_bytes_budget():
+    p, cfg = _tuned_quadratic()
+    run(p, cfg)  # first-call set-up is not the run's cost
+    tracemalloc.start()
+    try:
+        run(p, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= RUN_PEAK_BYTES, f"{peak:,} bytes at the peak"
 
 
 def test_gs_residuals_call_budget():
@@ -106,11 +109,7 @@ def test_lyapunov_row_call_budget():
 def test_group_dro_epoch_call_budget():
     # the gdro_smoothed workload's problem and schedule (n = 200,
     # lambda = 1e-3, T = 25, M = 32) at K = 1, seed 7
-    spec = make_two_group_regression(n=200, d=3, minority_frac=0.1, noise=0.1,
-                                     noise_ratio=10.0, seed=0)
-    p = as_problem(make_group_dro(spec), lam=1e-3)
-    cfg = SolverConfig(K=1, T=25, M=32, B=200, alpha_x=5e-3, alpha_y=0.05,
-                       beta=0.05, r=0.5, seed=7, trace_stride=25)
+    p, cfg = _TOOL.gdro_epoch()
     calls = _package_calls(lambda: run(p, cfg))
     assert calls <= GDRO_EPOCH_CALLS, f"{calls} package calls"
     oracle_calls = _package_calls(lambda: run(p, cfg), "batch_grads")

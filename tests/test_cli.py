@@ -10,7 +10,7 @@ import pytest
 
 from spidergda import (Box, NonFiniteError, Online, ProblemInstance,
                        SmoothnessMeta, StochasticOracle, save_dataset_csv)
-from spidergda.cli import _SCHEMA, _residuals
+from spidergda.cli import _SCHEMA, _build_problem, _residuals
 from spidergda.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                            EXIT_NUMERICAL, EXIT_OK, TRACE_HEADER, ConfigError,
                            ExperimentConfig, main, run_experiment, verify)
@@ -361,6 +361,26 @@ def test_malformed_dataset_is_config_error(kind, name, tmp_path, capsys):
     assert err.startswith(f"config error: problem[{kind}]: {data}")
     if line is not None:
         assert err.startswith(f"config error: problem[{kind}]: {data} {line}: ")
+
+
+def test_negative_group_id_is_config_error_for_group_dro_only(tmp_path, capsys):
+    # groups 0, -1, 1: in a group-DRO problem the row of group -1 would join
+    # no group; phi-divergence DRO ignores the group column, so the same
+    # file still loads there
+    data = tmp_path / "data.csv"
+    data.write_text("feature_0,target,group\n1.0,2.0,0\n3.0,4.0,-1\n5.0,6.0,1\n",
+                    encoding="utf-8")
+    tuner = {"epsilon": 0.1, "mu": 1.0}
+    cfg = {"problem": {"kind": "group_dro", "dataset": str(data)}, "tuner": tuner}
+    out = tmp_path / "never"
+    assert run_experiment(_write(tmp_path, cfg), quiet=True,
+                          out_dir=str(out)) == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(
+        f"config error: problem[group_dro]: {data} line 3: group id -1 is negative")
+    phi = ExperimentConfig.from_dict(
+        {"problem": {"kind": "phi_div_dro", "dataset": str(data)}, "tuner": tuner})
+    assert _build_problem(phi).regime.n == 3
 
 
 def _with(section, **entries):

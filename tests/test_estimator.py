@@ -156,7 +156,7 @@ def test_full_batch_recursion_telescopes_to_exact_gradient():
     for t in range(1, 11):
         x1 = x + 0.1 * rng.normal(size=d)
         y1 = y + 0.1 * rng.normal(size=d)
-        G = recurse(p, G, (x, y), (x1, y1), np.arange(n))
+        G = recurse(p, G, (x, y), (x1, y1), np.tile(np.arange(n), (2, 1)))
         x, y = x1, y1
         np.testing.assert_allclose(G[0], full_grad_x(p, x, y),
                                    rtol=0, atol=1e-12)
@@ -176,7 +176,7 @@ def test_single_draw_recursion_conditionally_unbiased():
 
     outs_x, outs_y = [], []
     for forced in range(n):
-        nxt = recurse(p, G, (x0, y0), (x1, y1), np.full(1, forced))
+        nxt = recurse(p, G, (x0, y0), (x1, y1), np.full((2, 1), forced))
         outs_x.append(nxt[0])
         outs_y.append(nxt[1])
     expect_x = full_grad_x(p, x1, y1) - full_grad_x(p, x0, y0) + G[0]
@@ -202,17 +202,22 @@ def test_same_ids_feed_both_sides():
     one = (np.array([1.0]), np.array([1.0]))
     G = anchor(p, *one, B=n, rng=batch_rng(0, 0, 0))
     nxt = recurse(p, G, one, (np.array([2.0]), np.array([2.0])),
-                  p.oracle.draw(batch_rng(0, 0, 1), 5))
+                  np.tile(p.oracle.draw(batch_rng(0, 0, 1), 5), (2, 1)))
     # grad difference per sample i is (i*1, i*1): increments must match
     assert float(nxt[0][0] - G[0][0]) == pytest.approx(float(nxt[1][0] - G[1][0]))
 
 
 def test_recurse_rejects_bad_m():
+    # the ids must be the 2 rows of a (2, M) array with M >= 1: no ids, the
+    # M ids as a flat list (M even or odd, the old call shape), 2M ids flat,
+    # and a third row are all refused
     p = _quadratic_problem()
     zero = (np.zeros(3), np.zeros(3))
     G = anchor(p, *zero, B=6, rng=batch_rng(0, 0, 0))
-    with pytest.raises(ValueError):
-        recurse(p, G, zero, zero, np.zeros(0, dtype=np.int64))
+    for ids in (np.zeros((2, 0), dtype=np.int64), np.arange(4), np.arange(3),
+                np.tile(np.arange(2), 2), np.zeros((3, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match=r"\(2, M\) array"):
+            recurse(p, G, zero, zero, ids)
 
 
 # ----------------------------------------------------------------------------

@@ -7,6 +7,7 @@ and finite differences for every analytic gradient.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -432,6 +433,15 @@ def test_spec_from_csv(tmp_path):
     assert spec.m_groups == 2
     assert spec.groups[0][0].shape == (2, 1)
     assert spec.groups[1][1].tolist() == [0.0]
+
+
+def test_spec_from_csv_rejects_a_negative_group_id(tmp_path):
+    # groups 0, -1, 1: the row of group -1 would belong to no group
+    path = tmp_path / "negative.csv"
+    save_dataset_csv(path, np.ones((3, 1)), np.zeros(3), np.array([0, -1, 1]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: "
+                                         "group id -1 is negative$"):
+        spec_from_csv(path)
 
 
 def test_spec_from_csv_missing_group(tmp_path):

@@ -382,3 +382,15 @@ def test_project_rows_equals_project_per_row(cset):
     V[7, 2] = np.inf
     with pytest.raises(DimError, match="non-finite"):
         _project_rows(cset, V)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_project_rows_signed_zero_ties_equal_project(d):
+    # a coordinate at +0.0 against a -0.0 bound (or the reverse) is a tie,
+    # which the bound wins; rows against broadcast bounds must resolve it
+    # as one vector does, also at d = 1, where numpy runs all rows as one
+    # loop against a stride-0 bound
+    box = Box(np.full(d, -0.0), np.full(d, 0.0))
+    V = np.array([[0.0] * d, [-0.0] * d, [1.0] * d, [-1.0] * d])
+    for row, v in zip(_project_rows(box, V), V):
+        assert row.tobytes() == box.project(v).tobytes()

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from spidergda import (Box, DimError, FiniteSum, FullSpace,
+from spidergda import (Ball, Box, DimError, FiniteSum, FullSpace,
                        NonFiniteError, Online, ProblemInstance, Simplex,
                        SmoothnessMeta, SolverConfig, StochasticOracle,
                        UniformDraw, anchor, batch_rng, default_initial_point,
@@ -93,6 +93,89 @@ def test_step_projects_onto_sets():
     x1, y1, _ = step(p, cfg, x, y, z, G)
     assert x1[0] == -1.0  # clipped at the lower box bound
     assert y1[0] == 2.0   # clipped at the upper box bound
+
+
+def _reference_step(problem, config, x, y, z, G):
+    """The three update lines with np.clip for a box and .all() for the
+    finiteness checks: what `step` must equal bit for bit."""
+    raw_x = x - config.alpha_x * (G[0] + config.r * (x - z))
+    raw_y = y + config.alpha_y * G[1]
+    if not (np.isfinite(raw_x).all() and np.isfinite(raw_y).all()):
+        raise NonFiniteError("iterate became non-finite")
+    x_new, y_new = (np.clip(v, s.lo, s.hi) if isinstance(s, Box) else s._project(v)
+                    for s, v in ((problem.set_x, raw_x), (problem.set_y, raw_y)))
+    z_new = z + config.beta * (x_new - z)
+    if not np.isfinite(z_new).all():
+        raise NonFiniteError("iterate became non-finite")
+    return x_new, y_new, z_new
+
+
+# signed zeros, subnormals, the smallest normal and small values (the set
+# bounds and centres come from these eight), then values that overflow
+_STEP_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                         2.2250738585072014e-308, 0.5, -1.0, 2.0, 1e308, -1e308])
+
+
+def test_step_equals_the_reference_update_bit_for_bit():
+    # Boxes of lengths 1-17 reach every SIMD tail length; their bounds and
+    # the raw updates take signed zeros and subnormals, so ties of -0.0
+    # against +0.0 at a bound occur.  Half the trials pass v through
+    # unchanged (z = x, Gx = +0.0, Gy = -0.0, alpha = 1) so that v is drawn
+    # from the values directly.  Non-finite raw updates must raise in both.
+    rng = np.random.default_rng(14)
+    outcomes = {"equal": 0, "raised": 0, "zero ties": 0}
+    for d in range(1, 18):
+        def box():
+            # a stable sort keeps a -0.0/+0.0 pair in drawn order, so
+            # degenerate coordinates [-0.0, +0.0] and [+0.0, -0.0] occur
+            lo_hi = rng.choice(_STEP_VALUES[:8], (2, d))
+            return Box(*np.sort(lo_hi, axis=0, kind="stable"))
+
+        center = rng.choice(_STEP_VALUES[:8], d)
+        for set_x, set_y in ((box(), box()), (box(), Ball(center, 0.5)),
+                             (Ball(center, 1.0), Simplex(d)),
+                             (FullSpace(d), box())):
+            oracle = StochasticOracle(
+                regime=FiniteSum(1), dim_x=d, dim_y=d,
+                eval_f=lambda x, y, i: 0.0, grad_x=lambda x, y, i: x,
+                grad_y=lambda x, y, i: y)
+            p = ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y,
+                                constants=SmoothnessMeta(L_x=1, L_y=1, rho=0, ell=1))
+            bounds = [b for s in (set_x, set_y) if isinstance(s, Box)
+                      for b in (s.lo, s.hi)]
+            pool = np.concatenate([_STEP_VALUES, center, -center] + bounds)
+            if isinstance(set_y, Simplex):
+                # the simplex sort cannot take sums that overflow
+                pool = pool[np.abs(pool) < 1e300]
+            for trial in range(12):
+                x, y = rng.choice(pool, (2, d))
+                if trial % 2:
+                    cfg = SolverConfig(K=1, T=2, M=1, B=1, alpha_x=1.0, alpha_y=1.0,
+                                       beta=0.5, r=1.0)
+                    z, G = x.copy(), (np.zeros(d), np.full(d, -0.0))
+                else:
+                    cfg = SolverConfig(K=1, T=2, M=1, B=1, alpha_x=rng.uniform(0.1, 2),
+                                       alpha_y=rng.uniform(0.1, 2),
+                                       beta=rng.uniform(0.1, 1), r=rng.uniform(0.1, 2))
+                    z, gx, gy = rng.choice(pool, (3, d))
+                    G = (gx, gy)
+                with np.errstate(all="ignore"):
+                    try:
+                        want = _reference_step(p, cfg, x, y, z, G)
+                    except NonFiniteError:
+                        with pytest.raises(NonFiniteError):
+                            step(p, cfg, x, y, z, G)
+                        outcomes["raised"] += 1
+                        continue
+                    got = step(p, cfg, x, y, z, G)
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+                outcomes["equal"] += 1
+                if isinstance(set_x, Box) and trial % 2:
+                    # v = x equals a bound in value, not in sign bit
+                    outcomes["zero ties"] += any(
+                        np.any((x == b) & (np.signbit(x) != np.signbit(b)))
+                        for b in (set_x.lo, set_x.hi))
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 # ----------------------------------------------------------------------------
@@ -284,8 +367,9 @@ def test_run_makes_one_oracle_call_per_refresh(monkeypatch):
     # an anchor is N rows; a recursion is 2M rows, its new and previous point
     epoch = [2 * M] * (T - 1)
     assert rows == [N] + (epoch + [N]) * (K - 1) + epoch
-    # one generator per anchor plus the reservoir's, none per recursion
-    assert len(generators) == K + 1
+    # the reservoir's generator only: a finite-sum anchor draws nothing,
+    # and a recursion takes its ids from the bulk tables
+    assert len(generators) == 1
 
 
 def _online_problem():

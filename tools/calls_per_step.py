@@ -1,0 +1,94 @@
+"""Print the calls per solver step of two fixed schedules.
+
+    PYTHONPATH=src python3 tools/calls_per_step.py
+
+Each schedule runs once to warm up, then once under `sys.setprofile`.
+Three counts per step are printed:
+
+- package: Python-level calls whose code lies in the `spidergda` package
+  (what `tests/test_call_budget.py` budgets, with this module's schedules
+  and counter);
+- python: every Python-level call, numpy's Python wrappers included (a
+  generator resumed counts as a call);
+- c: every call of a C function or builtin method.
+
+Operators that numpy dispatches through type slots (`a + b`, `a[i]`) and
+calls of ufunc objects make no event, so the counts complement timing and
+do not replace it.  The schedules are the benchmark's `quad_tuned` problem
+at K = 50 (400 steps) and one epoch (K = 1, T = 25) of its `gdro_smoothed`
+run.  The counts depend on the numpy and Python versions, except the
+package count.
+"""
+
+import os
+import sys
+
+import spidergda
+from spidergda import (SolverConfig, TunerInput, as_problem, make_group_dro,
+                       make_quadratic_saddle, make_two_group_regression, run,
+                       tune_smooth)
+
+_PACKAGE = os.path.dirname(os.path.abspath(spidergda.__file__)) + os.sep
+
+
+def quad_tuned():
+    """The `quad_tuned` problem and schedule at K = 50: 400 steps."""
+    p = make_quadratic_saddle(4, 3, n_samples=16, a_range=(4.0, 6.0),
+                              c_range=(0.05, 0.08), coupling=0.05,
+                              linear_scale=0.1, noise=0.01, seed=11)
+    cfg, _ = tune_smooth(TunerInput(
+        meta=p.constants, epsilon=1e-3, regime=p.regime,
+        overrides={"alpha_y": 4.0, "beta": 0.016, "T": 8, "M": 16, "K": 50}))
+    cfg.seed = 7
+    cfg.trace_stride = cfg.T
+    return p, cfg
+
+
+def gdro_epoch():
+    """One epoch of the `gdro_smoothed` schedule: 25 steps."""
+    spec = make_two_group_regression(n=200, d=3, minority_frac=0.1, noise=0.1,
+                                     noise_ratio=10.0, seed=0)
+    p = as_problem(make_group_dro(spec), lam=1e-3)
+    cfg = SolverConfig(K=1, T=25, M=32, B=200, alpha_x=5e-3, alpha_y=0.05,
+                       beta=0.05, r=0.5, seed=7, trace_stride=25)
+    return p, cfg
+
+
+def count_calls(fn, name=None) -> dict:
+    """Package, Python-level and C-level call events of `fn()`; with `name`,
+    the package count holds only the calls of functions so named."""
+    counts = {"package": 0, "python": 0, "c": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts["python"] += 1
+            code = frame.f_code
+            if (code.co_filename.startswith(_PACKAGE)
+                    and name in (None, code.co_name)):
+                counts["package"] += 1
+        elif event == "c_call":
+            counts["c"] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def main() -> int:
+    print(f"{'schedule':<14} {'steps':>6} {'package':>9} {'python':>9} {'c':>9}"
+          "   (calls per step)")
+    for name, build in (("quad_tuned", quad_tuned), ("gdro_smoothed", gdro_epoch)):
+        p, cfg = build()
+        steps = cfg.K * cfg.T
+        run(p, cfg)
+        counts = count_calls(lambda: run(p, cfg))
+        print(f"{name:<14} {steps:>6} " + " ".join(
+            f"{counts[k] / steps:>9.2f}" for k in ("package", "python", "c")))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
