@@ -372,11 +372,12 @@ def sequential_sum(rows: np.ndarray) -> np.ndarray:
     numpy's `sum` adds pairwise and can differ from that loop in the last
     bit; `cumsum` accumulates strictly in row order, and the final `+ 0.0`
     stands in for the loop's 0.0 start (it turns an all-`-0.0` column into
-    `+0.0`, as the loop does).
+    `+0.0`, as the loop does).  The method skips `np.cumsum`'s Python-level
+    wrapper, which forwards to it.
     """
     if len(rows) == 0:
         return np.zeros(rows.shape[1:])
-    return np.cumsum(rows, axis=0)[-1] + 0.0
+    return rows.cumsum(axis=0)[-1] + 0.0
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:

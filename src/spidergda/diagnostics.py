@@ -5,6 +5,13 @@ The inner solve computes x_r(y, z) = argmin_{x in X} F_r(x, y, z) where
 F_r(x, y, z) = F(x, y) + (r/2) ||x - z||^2.  For r > rho this objective is
 (r - rho)-strongly convex, so projected gradient descent converges linearly
 and a tight residual tolerance is cheap to hit.
+
+The finite-sum diagnostics run over whole windows of points, bit for bit
+their one-point results: the exact residuals of many points take their
+gradients from one rows call and their normal-cone distances from one
+rows call per side; inner solves run many rows in lockstep, and the merit
+function's ascent reuses the y gradient that each inner solve's last
+oracle call gave, instead of asking the oracle for it again.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from .core import (FiniteSum, ProblemInstance, RegimeError, _exact_grads,
                    _row_norms, as_vector, full_value)
-from .projections import Box, _project_rows, normal_cone_dist
+from .projections import Box, _normal_cone_rows, _project_rows, normal_cone_dist
 
 __all__ = [
     "MaxItersError",
@@ -95,12 +102,12 @@ def gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
 def _gs_residual_rows(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray
                       ) -> list[tuple[float, float]]:
     """`gs_residuals` at each finite-sum point (X[s], Y[s]), bit for bit,
-    with the exact gradients of all rows from one `_exact_grads` call; the
-    normal-cone distances check each row's feasibility."""
+    with the exact gradients of all rows from one `_exact_grads` call and
+    the normal-cone distances of all rows from one `_normal_cone_rows` call
+    per side, which checks each row's feasibility."""
     GX, GY = _exact_grads(problem, X, Y)
-    return [(normal_cone_dist(problem.set_x, x, gx),
-             normal_cone_dist(problem.set_y, y, -gy))
-            for x, y, gx, gy in zip(X, Y, GX, GY)]
+    return list(zip(_normal_cone_rows(problem.set_x, X, GX).tolist(),
+                    _normal_cone_rows(problem.set_y, Y, -GY).tolist()))
 
 
 def mc_gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
@@ -121,9 +128,8 @@ def mc_gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     mx, my = gx.mean(axis=0), gy.mean(axis=0)
     se_x = float(np.sqrt(np.sum(gx.var(axis=0, ddof=1)) / _MC_BATCH))
     se_y = float(np.sqrt(np.sum(gy.var(axis=0, ddof=1)) / _MC_BATCH))
-    res_x = normal_cone_dist(problem.set_x, x, mx)
-    res_y = normal_cone_dist(problem.set_y, y, -my)
-    return res_x, res_y, se_x, se_y
+    return (normal_cone_dist(problem.set_x, x, mx),
+            normal_cone_dist(problem.set_y, y, -my), se_x, se_y)
 
 
 # ----------------------------------------------------------------------------
@@ -147,29 +153,37 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
     """
     y = as_vector(y, problem.dim_y)
     z = as_vector(z, problem.dim_x)
-    return _solve_rows(problem, r, y[None], z, z[None])[0]
+    return _solve_rows(problem, r, y[None], z, z[None])[0][0]
 
 
-def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray,
-                z: np.ndarray, X0: np.ndarray) -> np.ndarray:
+def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray,
+                X0: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The solve of `solve_x_r` at each row Y[s] from X0[s], all rows in
     lockstep: a row leaves at its first iterate whose residual is within
     tolerance and keeps it while the others go on, so each row's result
     equals its one-row solve bit for bit.  A MaxItersError carries the
-    best iterate and residual of the first row that stalled."""
+    best iterate and residual of the first row that stalled.
+
+    Returns the rows X[s] = x_r(Y[s], z) and GY, whose row s is the exact
+    grad_y F(X[s], Y[s]) that the oracle call of row s's last iteration
+    gave along with its x side; GY is None for an oracle without
+    `grads_batch`, which is asked for the x side alone.
+    """
     meta = problem.constants
     if not r > meta.rho:
         raise ValueError(f"need r > rho for a strongly convex inner problem "
                          f"(r={r}, rho={meta.rho})")
     step = 1.0 / (r + meta.L_x)
     X = _project_rows(problem.set_x, X0)
+    GY = None if problem.oracle.grads_batch is None else np.empty(Y.shape)
     # x, Y, best and best_res hold the rows still going, whose indices into
-    # X are `live`; a row is written back to X when it leaves
+    # X are `live`; a row is written back to X (and GY) when it leaves
     live, x = np.arange(len(X)), X
     best, best_res = X.copy(), np.full(len(X), math.inf)
     for _ in range(_INNER_MAX_ITERS):
-        g = _exact_grads(problem, x, Y, "x") + r * (x - z)
-        x_next = _project_rows(problem.set_x, x - step * g)
+        gx, gy = (_exact_grads(problem, x, Y) if GY is not None
+                  else (_exact_grads(problem, x, Y, "x"), None))
+        x_next = _project_rows(problem.set_x, x - step * (gx + r * (x - z)))
         res = _row_norms(x_next - x) / step
         better = res < best_res
         np.copyto(best, x, where=better[:, None])
@@ -177,11 +191,13 @@ def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray,
         done = res <= _INNER_TOL
         if done.any():
             X[live[done]] = x[done]
+            if GY is not None:
+                GY[live[done]] = gy[done]
             keep = ~done
             live, x_next, Y = live[keep], x_next[keep], Y[keep]
             best, best_res = best[keep], best_res[keep]
             if not live.size:
-                return X
+                return X, GY
         x = x_next
     raise MaxItersError(
         f"inner solve stalled at residual {best_res[0]:.3e} "
@@ -230,7 +246,7 @@ def _d_r(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray,
          X0: np.ndarray) -> tuple[list[float], np.ndarray]:
     """d_r(Y[s], z) for each row, with the x_r rows of its inner solves
     (run from X0 in lockstep)."""
-    X = _solve_rows(problem, r, Y, z, X0)
+    X, _ = _solve_rows(problem, r, Y, z, X0)
     return [full_value(problem, x, y) + 0.5 * r * float(np.sum((x - z) ** 2))
             for x, y in zip(X, Y)], X
 
@@ -242,9 +258,11 @@ def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray,
     returns d_r at each row's last point.
 
     Every inner solve warm-starts from its row's previous x_r, the first
-    from z.  A row stops after its first step shorter than 10 `_INNER_TOL`
-    times the step size and keeps its point while the others go on, so
-    each row's value equals its one-row ascent bit for bit.
+    from z, and gives the Danskin gradient from its last oracle call (an
+    oracle without `grads_batch` is asked for it separately).  A row stops
+    after its first step shorter than 10 `_INNER_TOL` times the step size
+    and keeps its point while the others go on, so each row's value
+    equals its one-row ascent bit for bit.
     """
     meta = problem.constants
     denom = meta.L_y + meta.L_y ** 2 / max(r - meta.rho, 1e-12)
@@ -254,9 +272,9 @@ def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray,
     live = np.arange(len(Y))
     for _ in range(_MAX_ASCENT):
         y = Y[live]
-        X[live] = x = _solve_rows(problem, r, y, z, X[live])
-        Y[live] = y_next = _project_rows(
-            problem.set_y, y + step * _exact_grads(problem, x, y, "y"))
+        X[live], gy = _solve_rows(problem, r, y, z, X[live])
+        gy = _exact_grads(problem, X[live], y, "y") if gy is None else gy
+        Y[live] = y_next = _project_rows(problem.set_y, y + step * gy)
         live = live[~(_row_norms(y_next - y) / step <= _INNER_TOL * 10)]
         if not live.size:
             break
@@ -287,11 +305,8 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     certified = problem.dim_y == 1 and isinstance(problem.set_y, Box)
     if certified:
         # a warm-start chain: each grid point's solve starts from the last
-        lo, hi = float(problem.set_y.lo[0]), float(problem.set_y.hi[0])
-        grid = np.linspace(lo, hi, 513)
-        best_val, best_y = -math.inf, y
-        x_warm = z[None]
-        for gy in grid:
+        best_val, best_y, x_warm = -math.inf, y, z[None]
+        for gy in np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513):
             (val,), x_warm = _d_r(problem, r, np.array([[gy]]), z, x_warm)
             if val > best_val:
                 best_val, best_y = val, np.array([gy])

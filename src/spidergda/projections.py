@@ -4,7 +4,8 @@ sets, and exact normal-cone distances for stationarity measurement.
 All projections are exact closed forms; the simplex uses the sort-based
 threshold algorithm.  `normal_cone_dist(set, x, g)` returns
 dist(0, g + N_set(x)) = || proj_{T_set(x)}(-g) ||  (Moreau decomposition),
-again in closed form per set kind.
+again in closed form per set kind; `_normal_cone_rows` gives it for many
+points at once, elementwise over all rows on a box or full space.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimError, as_vector
+from .core import DimError, _row_norms, as_vector
 
 __all__ = [
     "ConstraintSet",
@@ -44,8 +45,11 @@ class ConstraintSet:
     """Base class for the supported closed convex sets.
 
     Concrete kinds: Box, Ball, Simplex, FullSpace.  Each provides the
-    unchecked `_project` and `_contains`, `tangent_dist` (distance of -g
-    to the tangent cone complement, i.e. ||proj_T(-g)||) and a `diameter`.
+    unchecked `_project` and `_contains`, a `diameter`, and either
+    `tangent_dist` (distance of -g to the tangent cone complement, i.e.
+    ||proj_T(-g)||; a ball and a simplex) or its rows form `_tangent_rows`
+    (a box and full space, elementwise over all rows); each of the two
+    defaults to the other.
     The public `project` and `contains` check the input's dimension and
     finiteness first; the solver's step, whose input `run` has already
     checked, calls `_project` directly.
@@ -72,7 +76,11 @@ class ConstraintSet:
         raise NotImplementedError
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
-        raise NotImplementedError
+        return float(self._tangent_rows(x[None], g[None])[0])
+
+    def _tangent_rows(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """`tangent_dist` at each row (X[s], G[s]), one row at a time."""
+        return np.array([self.tangent_dist(x, g) for x, g in zip(X, G)])
 
 
 @dataclass(frozen=True, init=False)
@@ -104,17 +112,13 @@ class Box(ConstraintSet):
     def _contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lo - FEAS_TOL) and np.all(x <= self.hi + FEAS_TOL))
 
-    def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
+    def _tangent_rows(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
         # tangent cone is a product of per-coordinate intervals:
         #   at the lower bound  T_i = [0, inf), at the upper  T_i = (-inf, 0],
-        #   interior  T_i = R, degenerate (lo == hi)  T_i = {0}.
-        w = -g
-        at_lo = x <= self.lo + ACTIVE_TOL
-        at_hi = x >= self.hi - ACTIVE_TOL
-        t = np.where(at_lo & at_hi, 0.0,
-                     np.where(at_lo, np.maximum(w, 0.0),
-                              np.where(at_hi, np.minimum(w, 0.0), w)))
-        return float(np.linalg.norm(t))
+        #   interior  T_i = R, degenerate (lo == hi)  T_i = {0}, which the
+        #   two clamps in turn give (as +-0.0, of the same norm)
+        T = np.where(X <= self.lo + ACTIVE_TOL, np.maximum(-G, 0.0), -G)
+        return _row_norms(np.where(X >= self.hi - ACTIVE_TOL, np.minimum(T, 0.0), T))
 
 
 @dataclass(frozen=True, init=False)
@@ -235,8 +239,8 @@ class FullSpace(ConstraintSet):
     def _contains(self, x: np.ndarray) -> bool:
         return True
 
-    def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
-        return float(np.linalg.norm(g))
+    def _tangent_rows(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+        return _row_norms(G)
 
 
 # ----------------------------------------------------------------------------
@@ -259,11 +263,29 @@ def _project_rows(cset: ConstraintSet, V: np.ndarray) -> np.ndarray:
     return np.array([cset._project(v) for v in V]).reshape(V.shape)
 
 
+def _normal_cone_rows(cset: ConstraintSet, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """`normal_cone_dist` at each row (X[s], G[s]), bit for bit: a box or
+    full space checks and measures all rows elementwise at once, a ball or
+    a simplex goes row by row.
+
+    Raises
+    ------
+    InfeasibleError
+        Naming the first row of X that is not in the set.
+    """
+    if not isinstance(cset, (Box, FullSpace)) or not cset._contains(X):
+        for s, x in enumerate(X):
+            if not cset._contains(x):
+                raise InfeasibleError(f"row {s} is not in the set (tol {FEAS_TOL})")
+    return cset._tangent_rows(X, G)
+
+
 def normal_cone_dist(cset: ConstraintSet, x: np.ndarray, g: np.ndarray) -> float:
     """dist(0, g + N_set(x)) — the constrained stationarity residual at x.
 
     Equals || proj_{T_set(x)}(-g) || by Moreau decomposition; computed in
     closed form per set kind, with active constraints detected within 1e-9.
+    The checked one-row case of `_normal_cone_rows`.
 
     Raises
     ------
@@ -272,8 +294,5 @@ def normal_cone_dist(cset: ConstraintSet, x: np.ndarray, g: np.ndarray) -> float
     DimError
         On dimension mismatch.
     """
-    x = as_vector(x, cset.dim)
-    g = as_vector(g, cset.dim)
-    if not cset._contains(x):
-        raise InfeasibleError(f"point is not in the set (tol {FEAS_TOL})")
-    return cset.tangent_dist(x, g)
+    return float(_normal_cone_rows(cset, as_vector(x, cset.dim)[None],
+                                   as_vector(g, cset.dim)[None])[0])

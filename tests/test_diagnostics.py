@@ -392,9 +392,22 @@ def test_lockstep_solve_rows_equal_one_row_solves():
     # row 1 starts at its solution, so it leaves at once and the rest go on
     X0 = np.array([rng.normal(size=3), solve_x_r(p, 1.0, np.zeros(1), z),
                    40.0 * np.ones(3)])
-    got = diagnostics._solve_rows(p, 1.0, np.zeros((3, 1)), z, X0)
+    got, gy = diagnostics._solve_rows(p, 1.0, np.zeros((3, 1)), z, X0)
+    assert gy is None  # no grads_batch: the oracle gave the x side alone
     for row, x0 in zip(got, X0):
         assert row.tobytes() == _ref_solve(p, 1.0, np.zeros(1), z, x0).tobytes()
+    # with grads_batch, each row also brings grad_y F at (x_r, y) from its
+    # last oracle call; the rows leave at different iterations
+    q = make_quadratic_saddle(4, 3, n_samples=16, seed=11)
+    r = q.constants.rho + 1.0
+    Y = q.set_y.project(np.zeros(3)) + 0.3 * rng.normal(size=(5, 3))
+    Y = np.array([q.set_y.project(y) for y in Y])
+    z = 0.5 * rng.normal(size=4)
+    X0 = np.vstack([z, rng.normal(size=(4, 4))])
+    got, gy = diagnostics._solve_rows(q, r, Y, z, X0)
+    for x, g, y, x0 in zip(got, gy, Y, X0):
+        assert x.tobytes() == _ref_solve(q, r, y, z, x0).tobytes()
+        assert g.tobytes() == full_grad_y(q, x, y).tobytes()
 
 
 def test_lockstep_solve_stall_carries_the_stalled_rows_best(monkeypatch):

@@ -22,7 +22,8 @@ from scipy import optimize
 
 from spidergda import (Ball, Box, DimError, FullSpace, InfeasibleError,
                        Simplex, normal_cone_dist)
-from spidergda.projections import ACTIVE_TOL, _project_rows
+from spidergda.projections import (ACTIVE_TOL, FEAS_TOL, _normal_cone_rows,
+                                   _project_rows)
 from spidergda.verify import SUITES
 from test_acceptance import _simplex_ncd_oracle
 
@@ -394,3 +395,72 @@ def test_project_rows_signed_zero_ties_equal_project(d):
     V = np.array([[0.0] * d, [-0.0] * d, [1.0] * d, [-1.0] * d])
     for row, v in zip(_project_rows(box, V), V):
         assert row.tobytes() == box.project(v).tobytes()
+
+
+def _ncd_rows_cases():
+    """(set, X, G) per set kind: random feasible rows plus the edge rows of
+    the normal-cone formulas, with g drawn so that coordinates point both
+    into and out of the set, and signed zeros."""
+    rng = np.random.default_rng(23)
+    box = Box([-1.0, 0.0, 2.0], [1.0, 0.5, 2.0])  # coordinate 2: lo == hi
+    band = 0.5 * ACTIVE_TOL
+    box_edges = [box.lo, box.hi, box.lo + band, box.hi - band,
+                 [-1.0 + 3 * ACTIVE_TOL, 3 * ACTIVE_TOL, 2.0],
+                 box.lo - 0.5 * FEAS_TOL,
+                 [-1.0 + band, 0.5 - band, 2.0]]
+    ball = Ball([0.5, -1.0, 0.0], 0.7)
+    u = np.array([0.6, 0.0, 0.8])
+    ball_edges = [ball.center, ball.center + 0.7 * u,
+                  ball.center + (0.7 - band) * u, ball.center + 0.5 * u]
+    simplex_edges = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0],
+                     [band, 1.0 - band, 0.0], np.full(3, 1.0 / 3.0)]
+    cases = []
+    for cset, edges in ((box, box_edges), (ball, ball_edges),
+                        (Simplex(3), simplex_edges), (FullSpace(3), [np.zeros(3)])):
+        X = np.vstack([np.asarray(edges, dtype=np.float64),
+                       [cset.project(2.0 * rng.normal(size=3)) for _ in range(100)]])
+        X = np.repeat(X, 4, axis=0)
+        G = rng.normal(size=X.shape)
+        G[0::4] = 0.0
+        G[1::4] = -0.0
+        G[2::4, 0] = -0.0
+        cases.append((cset, X, G))
+    return cases
+
+
+def _box_tangent_dist_ref(box, x, g) -> float:
+    """The box distance as one nested np.where per coordinate case and
+    np.linalg.norm of the one vector."""
+    w = -g
+    at_lo = x <= box.lo + ACTIVE_TOL
+    at_hi = x >= box.hi - ACTIVE_TOL
+    return float(np.linalg.norm(np.where(
+        at_lo & at_hi, 0.0, np.where(at_lo, np.maximum(w, 0.0),
+                                     np.where(at_hi, np.minimum(w, 0.0), w)))))
+
+
+@pytest.mark.parametrize("case", _ncd_rows_cases(),
+                         ids=lambda c: type(c[0]).__name__)
+def test_normal_cone_rows_equal_normal_cone_dist_per_row(case):
+    cset, X, G = case
+    got = _normal_cone_rows(cset, X, G)
+    assert got.shape == (len(X),)
+    for x, g, d in zip(X, G, got):
+        assert float(d).hex() == normal_cone_dist(cset, x, g).hex()
+        assert float(d).hex() == cset.tangent_dist(x, g).hex()
+        if isinstance(cset, Box):
+            assert float(d).hex() == _box_tangent_dist_ref(cset, x, g).hex()
+        elif isinstance(cset, FullSpace):
+            assert float(d).hex() == float(np.linalg.norm(g)).hex()
+
+
+@pytest.mark.parametrize("case", _ncd_rows_cases()[:3],
+                         ids=lambda c: type(c[0]).__name__)
+def test_normal_cone_rows_name_the_first_infeasible_row(case):
+    cset, X, G = case
+    X = X.copy()
+    X[5] = X[9] = 10.0
+    with pytest.raises(InfeasibleError, match=r"^row 5 is not in the set"):
+        _normal_cone_rows(cset, X, G)
+    with pytest.raises(InfeasibleError, match=r"^row 0 is not in the set"):
+        normal_cone_dist(cset, X[5], G[5])

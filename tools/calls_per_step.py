@@ -1,9 +1,10 @@
-"""Print the calls per solver step of two fixed schedules.
+"""Print the calls per solver step of two fixed schedules, and the calls of
+two diagnostics units.
 
     PYTHONPATH=src python3 tools/calls_per_step.py
 
-Each schedule runs once to warm up, then once under `sys.setprofile`.
-Three counts per step are printed:
+Each schedule and unit runs once to warm up, then once under
+`sys.setprofile`.  Three counts per step (or per unit) are printed:
 
 - package: Python-level calls whose code lies in the `spidergda` package
   (what `tests/test_call_budget.py` budgets, with this module's schedules
@@ -16,17 +17,23 @@ Operators that numpy dispatches through type slots (`a + b`, `a[i]`) and
 calls of ufunc objects make no event, so the counts complement timing and
 do not replace it.  The schedules are the benchmark's `quad_tuned` problem
 at K = 50 (400 steps) and one epoch (K = 1, T = 25) of its `gdro_smoothed`
-run.  The counts depend on the numpy and Python versions, except the
-package count.
+run.  The units come from the first run of its `cli_diagnostics` command:
+the exact residuals of one window of trace rows, and the merit function
+at one row.  The counts depend on the numpy and Python versions, except
+the package count.
 """
 
 import os
 import sys
 
+import numpy as np
+
 import spidergda
-from spidergda import (SolverConfig, TunerInput, as_problem, make_group_dro,
-                       make_quadratic_saddle, make_two_group_regression, run,
-                       tune_smooth)
+from spidergda import (SolverConfig, TunerInput, as_problem, lyapunov,
+                       make_group_dro, make_quadratic_saddle,
+                       make_two_group_regression, run, tune_smooth)
+from spidergda.cli import _RESIDUAL_WINDOW
+from spidergda.diagnostics import _gs_residual_rows
 
 _PACKAGE = os.path.dirname(os.path.abspath(spidergda.__file__)) + os.sep
 
@@ -52,6 +59,35 @@ def gdro_epoch():
     cfg = SolverConfig(K=1, T=25, M=32, B=200, alpha_x=5e-3, alpha_y=0.05,
                        beta=0.05, r=0.5, seed=7, trace_stride=25)
     return p, cfg
+
+
+def cli_diagnostics():
+    """The `cli_diagnostics` problem and schedule (quadratic_saddle 4x3,
+    N = 16, K = 50, T = 8, M = 16) at its first seed, 22, with the trace
+    of that run."""
+    p = make_quadratic_saddle(4, 3, n_samples=16, seed=11)
+    cfg, _ = tune_smooth(TunerInput(
+        meta=p.constants, epsilon=1e-3, regime=p.regime,
+        overrides={"alpha_y": 4.0, "beta": 0.016, "K": 50, "T": 8, "M": 16}))
+    cfg.seed = 22
+    return p, cfg, run(p, cfg)
+
+
+def residual_window():
+    """The first residual window of `cli_diagnostics` (trace rows 0-63),
+    as a call of no arguments."""
+    p, _, trace = cli_diagnostics()
+    rows = trace.rows[:_RESIDUAL_WINDOW]
+    X, Y = np.array([row.x for row in rows]), np.array([row.y for row in rows])
+    return lambda: _gs_residual_rows(p, X, Y)
+
+
+def merit_row():
+    """The merit evaluation at row 200 of `cli_diagnostics`, whose p_r
+    comes from 8 ascents, as a call of no arguments."""
+    p, cfg, trace = cli_diagnostics()
+    row = trace.rows[200]
+    return lambda: lyapunov(p, cfg.r, row.x, row.y, row.z)
 
 
 def count_calls(fn, name=None) -> dict:
@@ -87,6 +123,14 @@ def main() -> int:
         counts = count_calls(lambda: run(p, cfg))
         print(f"{name:<14} {steps:>6} " + " ".join(
             f"{counts[k] / steps:>9.2f}" for k in ("package", "python", "c")))
+    print(f"{'unit':<21} {'package':>9} {'python':>9} {'c':>9}   (calls per unit)")
+    for name, build in (("residual_window", residual_window),
+                        ("merit_row", merit_row)):
+        unit = build()
+        unit()
+        counts = count_calls(unit)
+        print(f"{name:<21} " + " ".join(
+            f"{counts[k]:>9}" for k in ("package", "python", "c")))
     return 0
 
 
