@@ -23,7 +23,8 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .core import DimError, FiniteSum, ProblemInstance, as_vector
-from .diagnostics import _gs_residual_rows, dz_norm, lyapunov, mc_gs_residuals
+from .diagnostics import (MaxItersError, _gs_residual_rows, dz_norm, lyapunov,
+                          mc_gs_residuals)
 from .smoothing import MoreauComposite
 from .solver import NonFiniteError, RunTrace, SolverConfig, run
 from .tuner import InfeasibleScheduleError, TunerInput, tune_nonsmooth, tune_smooth
@@ -411,13 +412,18 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
     for s in cfg.seeds:
         run_config = dataclasses.replace(
             config, seed=s, trace_stride=cfg.solver.get("trace_stride", 1))
+        # a run can go non-finite, and a diagnostic's inner solve can stall
+        stage = ""
         try:
             trace = run(problem, run_config, x0=x0, y0=y0)
-        except NonFiniteError as err:
-            print(f"numerical failure (seed {s}): {err}", file=sys.stderr)
+            stage = "lyapunov: "
+            res, lya = _diagnose(problem, trace, run_config, cfg.diagnostics)
+            stage = "dz_norm: "
+            dz = (dz_norm(problem, run_config.r, trace.output_pair[1], trace.output_z)
+                  if cfg.diagnostics.get("dz_norm", False) else None)
+        except (NonFiniteError, MaxItersError) as err:
+            print(f"numerical failure (seed {s}): {stage}{err}", file=sys.stderr)
             return EXIT_NUMERICAL
-
-        res, lya = _diagnose(problem, trace, run_config, cfg.diagnostics)
         f_rx, f_ry, _, _ = res[len(trace.rows) - 1]
         o_rx, o_ry, o_sx, o_sy = res[-1]
         entry = {
@@ -432,9 +438,8 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
         if o_sx is not None:
             entry["output_res_x_se"] = o_sx
             entry["output_res_y_se"] = o_sy
-        if cfg.diagnostics.get("dz_norm", False):
-            entry["dz_norm"] = dz_norm(problem, run_config.r,
-                                       trace.output_pair[1], trace.output_z)
+        if dz is not None:
+            entry["dz_norm"] = dz
         summary["runs"].append(entry)
 
         if "csv" in cfg.output["formats"]:

@@ -1,8 +1,14 @@
 """Euclidean projections onto box / ball / simplex / full-space constraint
 sets, and exact normal-cone distances for stationarity measurement.
 
-All projections are exact closed forms; the simplex uses the sort-based
-threshold algorithm.  `normal_cone_dist(set, x, g)` returns
+All projections are exact closed forms.  The simplex uses the sort-based
+threshold rule over Python floats: for a small simplex (group DRO's dual
+has one coordinate per group) that costs a few list operations where the
+array form made eight numpy calls, with the same bits.  Above about 80
+coordinates the array form is faster (about 3x at 400 on a 2-vCPU x86-64
+host).
+
+`normal_cone_dist(set, x, g)` returns
 dist(0, g + N_set(x)) = || proj_{T_set(x)}(-g) ||  (Moreau decomposition),
 again in closed form per set kind; `_normal_cone_rows` gives it for many
 points at once, elementwise over all rows on a box or full space.
@@ -168,7 +174,11 @@ class Ball(ConstraintSet):
 
 @dataclass(frozen=True, init=False)
 class Simplex(ConstraintSet):
-    """Probability simplex {v : v >= 0, sum(v) = 1}."""
+    """Probability simplex {v : v >= 0, sum(v) = 1}.
+
+    Projects by the sort-based threshold rule (Duchi et al., ICML 2008),
+    evaluated over Python floats.
+    """
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -185,18 +195,29 @@ class Simplex(ConstraintSet):
         # it by rounding noise)
         if self._contains(v):
             return v.copy()
-        # sort-based threshold algorithm; ties broken by ascending index
-        order = np.argsort(-v, kind="stable")
-        u = v[order]
-        css = np.cumsum(u) - 1.0
-        j = np.arange(1, self.dim + 1)
-        cond = u - css / j > 0.0
-        rho = int(np.nonzero(cond)[0][-1]) + 1
-        lam = css[rho - 1] / rho
+        # sort-based threshold rule: lam = css_rho / rho at the last j with
+        # u_j - css_j / j > 0, where u is v sorted descending and css_j + 1
+        # its running sum; the same IEEE operations in the same order as
+        # np.cumsum and the array comparisons would do
+        lam = None
+        total = 0.0
+        for j, uj in enumerate(sorted(v.tolist(), reverse=True), 1):
+            total += uj
+            t = (total - 1.0) / j
+            if uj - t > 0.0:
+                lam = t
+        if lam is None:
+            # j = 1 passes in exact arithmetic, so no j passes only when
+            # u_1 - 1 rounds to u_1 (|u_1| >= 2**53): a coordinate below u_1
+            # is then at least 2 below it, and the ties at u_1 share the mass
+            top = v == v.max()
+            return top / np.count_nonzero(top)
         return np.maximum(v - lam, 0.0)
 
     def _contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= -FEAS_TOL) and abs(float(np.sum(x)) - 1.0) <= FEAS_TOL)
+        # np.all and np.sum, minus their Python-level wrappers
+        return bool(np.logical_and.reduce(x >= -FEAS_TOL, axis=None)
+                    and abs(float(np.add.reduce(x, axis=None)) - 1.0) <= FEAS_TOL)
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
         # T = {v : sum(v) = 0,  v_i >= 0 for active i};  project w = -g by

@@ -14,6 +14,7 @@ solver and tuner can run unchanged on the wrapped problem.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -416,8 +417,7 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
         grad_y=lambda x, y, i: smooth_grad_y(comp, lam, x, y, i),
     )
     if comp.c_batch is not None and comp.phi_grads_batch is not None:
-        oracle.grads_batch = (
-            lambda X, Y, ids: _smooth_grads_batch(comp, lam, X, Y, ids))
+        oracle.grads_batch = functools.partial(_smooth_grads_batch, comp, lam)
     return ProblemInstance(oracle=oracle, set_x=comp.set_x, set_y=comp.set_y,
                            constants=meta,
                            metadata={"lambda": lam, "composite": comp,

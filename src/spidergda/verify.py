@@ -28,7 +28,7 @@ from .core import SmoothnessMeta, full_grad_x, full_grad_y
 from .estimator import anchor, batch_rng, recurse
 from .problems import (kl_example_grad, kl_example_value, make_kl_example,
                        make_quadratic_saddle)
-from .projections import Ball, Box, Simplex, normal_cone_dist
+from .projections import Ball, Box, Simplex, _normal_cone_rows
 from .tuner import (alpha_x_interval, compute_alpha_x, compute_alpha_y,
                     compute_r)
 
@@ -47,11 +47,11 @@ class Check(NamedTuple):
 def _kl_example() -> list[Check]:
     """dist(0, -g'(y) + N_[-2,2](y)) >= 0.1 sqrt(2 - g(y)) on the grid, and
     the peak and the piece boundaries of g."""
-    box = make_kl_example().set_y
     grid = np.linspace(-2.0, 2.0, 4001)
     values = [kl_example_value(y) for y in grid]
-    margins = [normal_cone_dist(box, np.array([y]), np.array([-kl_example_grad(y)]))
-               - 0.1 * math.sqrt(max(2.0 - g, 0.0)) for y, g in zip(grid, values)]
+    G = np.array([[-kl_example_grad(y)] for y in grid])
+    margins = (_normal_cone_rows(make_kl_example().set_y, grid[:, None], G)
+               - [0.1 * math.sqrt(max(2.0 - g, 0.0)) for g in values])
     worst = int(np.argmin(margins))
     return [
         Check("error-bound margin >= 0 on the 4001-point grid",

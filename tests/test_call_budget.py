@@ -59,8 +59,9 @@ LYAPUNOV_ORACLE_CALLS = 178
 KL_LYAPUNOV_SCALAR_CALLS = {"grad_x": 516, "grad_y": 1}
 # package calls, and oracle calls among them, of one epoch of the
 # benchmark's smoothed group-DRO run (one anchor and T - 1 = 24 recursions;
-# 497 calls before the lean step path)
-GDRO_EPOCH_CALLS = 398
+# 497 calls before the lean step path, 398 while the smoothed batch hook
+# was a lambda around `_smooth_grads_batch`)
+GDRO_EPOCH_CALLS = 373
 GDRO_EPOCH_ORACLE_CALLS = 25
 
 

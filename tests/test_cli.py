@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spidergda import (Box, NonFiniteError, Online, ProblemInstance,
-                       SmoothnessMeta, StochasticOracle, save_dataset_csv)
+                       SmoothnessMeta, StochasticOracle)
 from spidergda.cli import _SCHEMA, _build_problem, _residuals
 from spidergda.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                            EXIT_NUMERICAL, EXIT_OK, TRACE_HEADER, ConfigError,
@@ -179,6 +179,29 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
                           quiet=True) == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("diagnostics, name", [
+    ({"dz_norm": True}, "dz_norm"), ({"lyapunov_stride": 4}, "lyapunov")])
+def test_stalled_inner_solve_exit_code(tmp_path, monkeypatch, capsys,
+                                       diagnostics, name):
+    # a diagnostic whose inner solve runs out of iterations is a numerical
+    # failure of that seed, reported in one line, not a traceback
+    import spidergda.diagnostics as diag_mod
+    monkeypatch.setattr(diag_mod, "_INNER_MAX_ITERS", 2)
+    cfg = {
+        "problem": {"kind": "quadratic_saddle", "dim_x": 2, "dim_y": 2,
+                    "n_samples": 8},
+        "tuner": {"epsilon": 0.1, "overrides": {"K": 2, "T": 2, "M": 2}},
+        "diagnostics": diagnostics,
+        "seeds": [3],
+    }
+    assert run_experiment(_write(tmp_path, cfg), out_dir=str(tmp_path / "x"),
+                          quiet=True) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure (seed 3): {name}: inner solve "
+                          "stalled at residual ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def _online_problem():
     """f(x, y; xi) = x*y + (token mod 7) * x, sampled online."""
     def grads(X, Y, ids):
@@ -322,7 +345,8 @@ def test_group_dro_requires_dataset(tmp_path):
     # synthetic-set keys do not apply with a dataset ("<csv>": a real file)
     {"kind": "phi_div_dro", "dataset": "<csv>", "n": 0, "d": 0},
 ])
-def test_malformed_problem_is_config_error(problem, tmp_path, capsys):
+def test_malformed_problem_is_config_error(problem, tmp_path, capsys,
+                                           save_dataset_csv):
     if problem.get("dataset") == "<csv>":
         csv_path = tmp_path / "data.csv"
         save_dataset_csv(csv_path, np.ones((4, 2)), np.zeros(4), np.zeros(4))

@@ -21,7 +21,7 @@ from spidergda import (Box, DomainError, EmptyGroupError, GroupDroSpec,
                        load_dataset_csv, make_group_dro, make_kl_example,
                        make_phi_div_dro, make_quadratic_saddle,
                        make_two_group_regression,
-                       save_dataset_csv, smooth_value, spec_from_csv,
+                       smooth_value, spec_from_csv,
                        spot_check_composite, as_problem)
 from spidergda.diagnostics import fd_check
 from spidergda.problems import PSI_BUILTINS, _set_radius
@@ -399,7 +399,7 @@ def test_saddle_singular_system_raises():
 # ----------------------------------------------------------------------------
 # dataset CSV round trip
 
-def test_csv_round_trip_exact(tmp_path):
+def test_csv_round_trip_exact(tmp_path, save_dataset_csv):
     rng = np.random.default_rng(13)
     X = np.concatenate([rng.normal(size=(5, 2)) * 1e-8,
                         rng.normal(size=(5, 2)) * 1e8])
@@ -423,7 +423,7 @@ def test_csv_rejects_foreign_header(tmp_path):
         load_dataset_csv(path)
 
 
-def test_spec_from_csv(tmp_path):
+def test_spec_from_csv(tmp_path, save_dataset_csv):
     X = np.array([[1.0], [2.0], [3.0]])
     t = np.array([1.0, 0.0, 2.0])
     g = np.array([0, 1, 0])
@@ -435,7 +435,7 @@ def test_spec_from_csv(tmp_path):
     assert spec.groups[1][1].tolist() == [0.0]
 
 
-def test_spec_from_csv_rejects_a_negative_group_id(tmp_path):
+def test_spec_from_csv_rejects_a_negative_group_id(tmp_path, save_dataset_csv):
     # groups 0, -1, 1: the row of group -1 would belong to no group
     path = tmp_path / "negative.csv"
     save_dataset_csv(path, np.ones((3, 1)), np.zeros(3), np.array([0, -1, 1]))
@@ -444,7 +444,7 @@ def test_spec_from_csv_rejects_a_negative_group_id(tmp_path):
         spec_from_csv(path)
 
 
-def test_spec_from_csv_missing_group(tmp_path):
+def test_spec_from_csv_missing_group(tmp_path, save_dataset_csv):
     X = np.ones((2, 1))
     t = np.zeros(2)
     g = np.array([0, 2])  # group 1 has no rows

@@ -13,6 +13,7 @@ Oracles (independent of the library implementation):
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from spidergda import (Ball, Box, DimError, FullSpace, InfeasibleError,
-                       Simplex, normal_cone_dist)
+                       Simplex, kl_example_grad, kl_example_value,
+                       normal_cone_dist, verify)
 from spidergda.projections import (ACTIVE_TOL, FEAS_TOL, _normal_cone_rows,
                                    _project_rows)
 from spidergda.verify import SUITES
@@ -215,6 +217,85 @@ def test_simplex_output_feasible_hypothesis(a):
     p = Simplex(len(a)).project(np.array(a))
     assert np.all(p >= 0.0)
     assert abs(float(np.sum(p)) - 1.0) <= 1e-9
+
+
+# ----------------------------------------------------------------------------
+# the simplex rule over Python floats against the array rule, bit for bit
+
+def _simplex_contains_ref(x: np.ndarray) -> bool:
+    return bool(np.all(x >= -FEAS_TOL) and abs(float(np.sum(x)) - 1.0) <= FEAS_TOL)
+
+
+def _simplex_project_ref(v: np.ndarray) -> np.ndarray:
+    """The reference: `Simplex._project`'s short-circuit, then the
+    sort-based threshold rule over arrays (argsort, cumsum, comparisons)."""
+    if _simplex_contains_ref(v):
+        return v.copy()
+    order = np.argsort(-v, kind="stable")
+    u = v[order]
+    css = np.cumsum(u) - 1.0
+    j = np.arange(1, v.shape[0] + 1)
+    cond = u - css / j > 0.0
+    rho = int(np.nonzero(cond)[0][-1]) + 1
+    lam = css[rho - 1] / rho
+    return np.maximum(v - lam, 0.0)
+
+
+def _simplex_point(kind: str, dim: int, rng) -> np.ndarray:
+    """A point of one of the kinds the rule must agree on."""
+    if kind == "normal":
+        return rng.normal(size=dim) * 10.0 ** rng.integers(-3, 3)
+    if kind == "ties":
+        return np.round(rng.normal(size=dim), 1)
+    if kind == "signed zeros":
+        v = np.round(rng.normal(size=dim), 0)
+        v[v == 0.0] = rng.choice([0.0, -0.0], size=int(np.sum(v == 0.0)))
+        return v
+    # a point of the simplex moved within (x 0.5) or just past (x 2) the
+    # feasibility band: its sum, or one coordinate below zero
+    v = rng.dirichlet(np.ones(dim))
+    i = rng.integers(dim)
+    if kind == "band":
+        v[i] += rng.choice([-2.0, -0.5, 0.5, 2.0]) * FEAS_TOL
+    else:
+        v[i - 1] += v[i]
+        v[i] = rng.choice([-2.0, -0.5]) * FEAS_TOL
+    return v
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 3, 5, 32, 80, 400]),
+       st.sampled_from(["normal", "ties", "signed zeros", "band", "band, a zero"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_simplex_project_equals_the_array_rule_bit_for_bit(dim, kind, seed):
+    v = _simplex_point(kind, dim, np.random.default_rng(seed))
+    s = Simplex(dim)
+    assert s._contains(v) == _simplex_contains_ref(v)
+    p = s._project(v)
+    assert p.tobytes() == _simplex_project_ref(v).tobytes()
+    assert s._contains(p) == _simplex_contains_ref(p)
+    assert s._project(p).tobytes() == p.tobytes()
+
+
+
+@pytest.mark.parametrize("v", [
+    [0.6, -0.4, -0.4], [1.7, -0.0, -0.9, 0.7, 0.7],
+    [-0.3, -0.2, -0.2, -0.3, -0.0, -0.1, -0.1, -0.2]])
+def test_simplex_project_keeps_the_last_j_that_passes(v):
+    # at a tie the rounded threshold test fails at one j and passes at the
+    # next; stopping at the first failure would give other bits
+    v = np.array(v)
+    assert Simplex(v.size)._project(v).tobytes() == _simplex_project_ref(v).tobytes()
+
+@pytest.mark.parametrize("v, want", [
+    ([1e17, 0.0], [1.0, 0.0]), ([1e17, 1e17], [0.5, 0.5]),
+    ([-1e17, -3e17, -1e17], [0.5, 0.0, 0.5]),
+    ([-2.0 ** 53, -2.0 ** 53 - 2.0], [1.0, 0.0])])
+def test_simplex_project_huge_coordinates(v, want):
+    # u_1 - 1 rounds to u_1, so no j passes the threshold test (the array
+    # rule raised IndexError); the exact projection shares the mass equally
+    # among the coordinates equal to the largest
+    assert Simplex(len(v)).project(np.array(v)).tolist() == want
 
 
 # ----------------------------------------------------------------------------
@@ -452,6 +533,31 @@ def test_normal_cone_rows_equal_normal_cone_dist_per_row(case):
             assert float(d).hex() == _box_tangent_dist_ref(cset, x, g).hex()
         elif isinstance(cset, FullSpace):
             assert float(d).hex() == float(np.linalg.norm(g)).hex()
+
+
+def test_kl_example_suite_margins_equal_the_per_point_values(monkeypatch):
+    # the suite takes its 4001 normal-cone distances from one rows call;
+    # each must equal the per-point normal_cone_dist bit for bit, and the
+    # worst margin must be the one the per-point margins give
+    seen = []
+
+    def rows(cset, X, G):
+        seen.append((cset, X, G, _normal_cone_rows(cset, X, G)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(verify, "_normal_cone_rows", rows)
+    check = SUITES["kl-example"]()[0]
+    (box, X, G, dists), = seen
+    grid = np.linspace(-2.0, 2.0, 4001)
+    assert np.array_equal(X, grid[:, None])
+    margins = []
+    for y, g, d in zip(grid, G, dists):
+        want = normal_cone_dist(box, np.array([y]), np.array([-kl_example_grad(y)]))
+        assert g[0] == -kl_example_grad(y) and float(d).hex() == want.hex()
+        margins.append(want - 0.1 * math.sqrt(max(2.0 - kl_example_value(y), 0.0)))
+    worst = int(np.argmin(margins))
+    assert check.ok == (margins[worst] >= 0.0)
+    assert check.detail == f"min margin {margins[worst]:.2e} at y={grid[worst]:.3f}"
 
 
 @pytest.mark.parametrize("case", _ncd_rows_cases()[:3],

@@ -1,5 +1,5 @@
-"""Print the calls per solver step of two fixed schedules, and the calls of
-two diagnostics units.
+"""Print the calls per solver step of three fixed schedules, and the calls
+of two diagnostics units.
 
     PYTHONPATH=src python3 tools/calls_per_step.py
 
@@ -16,8 +16,10 @@ Each schedule and unit runs once to warm up, then once under
 Operators that numpy dispatches through type slots (`a + b`, `a[i]`) and
 calls of ufunc objects make no event, so the counts complement timing and
 do not replace it.  The schedules are the benchmark's `quad_tuned` problem
-at K = 50 (400 steps) and one epoch (K = 1, T = 25) of its `gdro_smoothed`
-run.  The units come from the first run of its `cli_diagnostics` command:
+at K = 50 (400 steps), one epoch (K = 1, T = 25) of its `gdro_smoothed`
+run, and one epoch of `phi_div_dro` at n = 400, whose dual is a
+`Simplex(400)` where `gdro_smoothed`'s is a `Simplex(2)`.  The units come
+from the first run of the benchmark's `cli_diagnostics` command:
 the exact residuals of one window of trace rows, and the merit function
 at one row.  The counts depend on the numpy and Python versions, except
 the package count.
@@ -32,7 +34,7 @@ import spidergda
 from spidergda import (SolverConfig, TunerInput, as_problem, lyapunov,
                        make_group_dro, make_quadratic_saddle,
                        make_two_group_regression, run, tune_smooth)
-from spidergda.cli import _RESIDUAL_WINDOW
+from spidergda.cli import _RESIDUAL_WINDOW, _phi_div_dro
 from spidergda.diagnostics import _gs_residual_rows
 
 _PACKAGE = os.path.dirname(os.path.abspath(spidergda.__file__)) + os.sep
@@ -57,6 +59,15 @@ def gdro_epoch():
                                      noise_ratio=10.0, seed=0)
     p = as_problem(make_group_dro(spec), lam=1e-3)
     cfg = SolverConfig(K=1, T=25, M=32, B=200, alpha_x=5e-3, alpha_y=0.05,
+                       beta=0.05, r=0.5, seed=7, trace_stride=25)
+    return p, cfg
+
+
+def phi_div_epoch():
+    """One epoch (K = 1, T = 25) of `phi_div_dro` on the CLI's synthetic
+    set at n = 400 (d = 3, seed 0): its dual is a `Simplex(400)`."""
+    p = _phi_div_dro({"n": 400})
+    cfg = SolverConfig(K=1, T=25, M=32, B=400, alpha_x=1e-3, alpha_y=1e-3,
                        beta=0.05, r=0.5, seed=7, trace_stride=25)
     return p, cfg
 
@@ -116,7 +127,8 @@ def count_calls(fn, name=None) -> dict:
 def main() -> int:
     print(f"{'schedule':<14} {'steps':>6} {'package':>9} {'python':>9} {'c':>9}"
           "   (calls per step)")
-    for name, build in (("quad_tuned", quad_tuned), ("gdro_smoothed", gdro_epoch)):
+    for name, build in (("quad_tuned", quad_tuned), ("gdro_smoothed", gdro_epoch),
+                        ("phi_div_dro", phi_div_epoch)):
         p, cfg = build()
         steps = cfg.K * cfg.T
         run(p, cfg)
