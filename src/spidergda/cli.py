@@ -31,7 +31,7 @@ from .tuner import InfeasibleScheduleError, TunerInput, tune_nonsmooth, tune_smo
 from .verify import SUITES
 from . import problems
 
-__all__ = ["ExperimentConfig", "ConfigError", "run_experiment", "verify", "main"]
+__all__ = ["ConfigError", "run_experiment", "verify", "main"]
 
 logger = logging.getLogger("spidergda.cli")
 
@@ -219,68 +219,57 @@ _SCHEMA = {
 }
 
 
-@dataclasses.dataclass
-class ExperimentConfig:
-    """Validated experiment description (see `_SCHEMA` for its rules)."""
-
-    problem: dict
-    tuner: dict
-    solver: dict
-    output: dict
-    seeds: list
-    diagnostics: dict
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Validate a parsed JSON object; unknown keys anywhere are errors."""
-        _check(raw, _SCHEMA)
-        prob, tun = raw["problem"], raw["tuner"]
-        kind = _require(_KIND, prob.get("kind"), "problem.kind")
-        _check(prob, {"kind": _KIND, **_KINDS[kind].keys}, f"problem[{kind}]")
-        if "lambda" in tun and not _KINDS[kind].composite:
-            raise ConfigError("tuner.lambda only applies to composite "
-                              f"problems, not {kind!r}")
-        out = raw.get("output", {})
-        return cls(problem=dict(prob), tuner=dict(tun),
-                   solver=dict(raw.get("solver", {})),
-                   output={"directory": out.get("directory", "out"),
-                           "formats": list(out.get("formats", ["csv", "json"]))},
-                   seeds=list(raw.get("seeds", [0])),
-                   diagnostics=dict(raw.get("diagnostics", {})))
+def _load_config(raw) -> dict:
+    """Validate a parsed JSON object (see `_SCHEMA` for its rules; unknown
+    keys anywhere are errors) into the experiment's sections: problem,
+    tuner, solver, output, seeds and diagnostics, with the defaults of the
+    optional ones filled in."""
+    _check(raw, _SCHEMA)
+    prob, tun = raw["problem"], raw["tuner"]
+    kind = _require(_KIND, prob.get("kind"), "problem.kind")
+    _check(prob, {"kind": _KIND, **_KINDS[kind].keys}, f"problem[{kind}]")
+    if "lambda" in tun and not _KINDS[kind].composite:
+        raise ConfigError("tuner.lambda only applies to composite "
+                          f"problems, not {kind!r}")
+    out = raw.get("output", {})
+    return {"problem": dict(prob), "tuner": dict(tun),
+            "solver": dict(raw.get("solver", {})),
+            "output": {"directory": out.get("directory", "out"),
+                       "formats": list(out.get("formats", ["csv", "json"]))},
+            "seeds": list(raw.get("seeds", [0])),
+            "diagnostics": dict(raw.get("diagnostics", {}))}
 
 
 # ----------------------------------------------------------------------------
 # problem construction
 
-def _build_problem(cfg: ExperimentConfig
-                   ) -> Union[ProblemInstance, MoreauComposite]:
+def _build_problem(cfg: dict) -> Union[ProblemInstance, MoreauComposite]:
     """Instantiate the configured problem; a composite comes back unsmoothed
     (the tuner picks its smoothing level)."""
-    kind = cfg.problem["kind"]
+    kind = cfg["problem"]["kind"]
     keys = _KINDS[kind].keys
     try:
         return _KINDS[kind].build({k: float(v) if keys[k] is _FLOAT else v
-                                   for k, v in cfg.problem.items() if k != "kind"})
+                                   for k, v in cfg["problem"].items() if k != "kind"})
     except (ValueError, OverflowError, OSError, problems.EmptyGroupError,
             problems.SingularityError) as err:
         raise ConfigError(f"problem[{kind}]: {err}") from None
 
 
-def _tune(cfg: ExperimentConfig, built: Union[ProblemInstance, MoreauComposite]):
+def _tune(cfg: dict, built: Union[ProblemInstance, MoreauComposite]):
     """Run the tuner on the built problem; returns (problem, config, audit)."""
-    t = cfg.tuner
-    entry = _KINDS[cfg.problem["kind"]]
-    if entry.placeholder_mu and "mu" not in t:
+    t, kind = cfg["tuner"], cfg["problem"]["kind"]
+    if _KINDS[kind].placeholder_mu and "mu" not in t:
         logger.warning(
             "no dual error-bound constants supplied for %s; using defaults "
-            "mu=1, theta=1 (schedules may be mis-scaled)", cfg.problem["kind"])
+            "mu=1, theta=1 (schedules may be mis-scaled)", kind)
     updates = {k: float(t[k]) for k in ("mu", "theta") if k in t}
     settings = {k: float(t[k]) for k in ("delta_phi_estimate",
                                          "asymptotic_constant", "sample_cap")
                 if k in t}
     settings["overrides"] = dict(t.get("overrides", {}))
     eps = float(t["epsilon"])
-    if entry.composite:
+    if _KINDS[kind].composite:
         return tune_nonsmooth(dataclasses.replace(built, **updates), eps,
                               t.get("lambda", "auto"), **settings)
     built.constants = dataclasses.replace(built.constants, **updates)
@@ -386,14 +375,14 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
     """Execute a config end to end; returns the process exit code."""
     try:
         raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        cfg = ExperimentConfig.from_dict(raw)
+        cfg = _load_config(raw)
         if seed is not None:
-            cfg.seeds = _require(_SCHEMA["seeds"], [seed], "seeds")
+            cfg["seeds"] = _require(_SCHEMA["seeds"], [seed], "seeds")
         if trace_stride is not None:
-            cfg.solver["trace_stride"] = _require(
+            cfg["solver"]["trace_stride"] = _require(
                 _SCHEMA["solver"]["trace_stride"], trace_stride, "solver.trace_stride")
         built = _build_problem(cfg)
-        x0, y0 = (_config_point(cfg.solver, key, cset)
+        x0, y0 = (_config_point(cfg["solver"], key, cset)
                   for key, cset in (("x0", built.set_x), ("y0", built.set_y)))
         problem, config, audit = _tune(cfg, built)
     except (OSError, json.JSONDecodeError, ConfigError) as err:
@@ -404,23 +393,23 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
         return EXIT_INFEASIBLE
 
     if out_dir is not None:
-        cfg.output["directory"] = out_dir
-    out = Path(cfg.output["directory"])
+        cfg["output"]["directory"] = out_dir
+    out = Path(cfg["output"]["directory"])
     out.mkdir(parents=True, exist_ok=True)
     summary = {"tuner_audit": {"inputs": audit.inputs, "outputs": audit.outputs},
-               "problem": cfg.problem, "runs": []}
-    for s in cfg.seeds:
+               "problem": cfg["problem"], "runs": []}
+    for s in cfg["seeds"]:
         run_config = dataclasses.replace(
-            config, seed=s, trace_stride=cfg.solver.get("trace_stride", 1))
+            config, seed=s, trace_stride=cfg["solver"].get("trace_stride", 1))
         # a run can go non-finite, and a diagnostic's inner solve can stall
         stage = ""
         try:
             trace = run(problem, run_config, x0=x0, y0=y0)
             stage = "lyapunov: "
-            res, lya = _diagnose(problem, trace, run_config, cfg.diagnostics)
+            res, lya = _diagnose(problem, trace, run_config, cfg["diagnostics"])
             stage = "dz_norm: "
             dz = (dz_norm(problem, run_config.r, trace.output_pair[1], trace.output_z)
-                  if cfg.diagnostics.get("dz_norm", False) else None)
+                  if cfg["diagnostics"].get("dz_norm", False) else None)
         except (NonFiniteError, MaxItersError) as err:
             print(f"numerical failure (seed {s}): {stage}{err}", file=sys.stderr)
             return EXIT_NUMERICAL
@@ -442,13 +431,13 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
             entry["dz_norm"] = dz
         summary["runs"].append(entry)
 
-        if "csv" in cfg.output["formats"]:
+        if "csv" in cfg["output"]["formats"]:
             path = out / f"trace_seed{s}.csv"
             _write_trace_csv(path, trace.rows, res, lya)
             if not quiet:
                 print(f"wrote {path}")
 
-    if "json" in cfg.output["formats"]:
+    if "json" in cfg["output"]["formats"]:
         path = out / "summary.json"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)

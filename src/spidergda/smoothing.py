@@ -26,14 +26,11 @@ from .projections import ConstraintSet
 
 __all__ = [
     "CompositeConstants",
-    "ProxFailure",
     "ScalarConvex",
     "AbsValue",
     "Hinge",
     "ScaledIdentity",
-    "IterativeProx",
     "MoreauComposite",
-    "CertificateInput",
     "envelope",
     "smooth_value",
     "smooth_grad_x",
@@ -42,16 +39,7 @@ __all__ = [
     "as_problem",
     "near_stationarity_certificate",
     "spot_check_composite",
-    "PROX_TOL",
 ]
-
-PROX_TOL = 1e-10
-_PROX_MAX_ITERS = 500
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class ProxFailure(Exception):
-    """A proximal oracle failed to converge to the required tolerance."""
 
 
 # ----------------------------------------------------------------------------
@@ -61,11 +49,9 @@ class ScalarConvex:
     """A scalar convex function with a value oracle and a prox oracle.
 
     Subclasses implement value(w) and prox(lam, w) = argmin_q h(q) +
-    (q - w)^2/(2 lam).  Closed forms are preferred; IterativeProx wraps a
-    value-only component with a 1e-10-tolerance numerical prox.
-    `envelopes` evaluates the Moreau envelope over an array of w; closed
-    forms override it with numpy expressions that reproduce `envelope`
-    bit for bit.
+    (q - w)^2/(2 lam).  `envelopes` evaluates the Moreau envelope over an
+    array of w; the built-in closed forms override it with numpy
+    expressions that reproduce `envelope` bit for bit.
     """
 
     def value(self, w: float) -> float:
@@ -151,50 +137,6 @@ class ScaledIdentity(ScalarConvex):
                   ) -> tuple[np.ndarray, np.ndarray]:
         p = w - lam * self.a
         return _envelope_from_prox(lam, w, p, self.a * p)
-
-
-class IterativeProx(ScalarConvex):
-    """Numerical prox for a component given only its value oracle.
-
-    Solves the strongly convex 1-D problem by golden-section search over
-    [w - lam*lip - 1, w + lam*lip + 1] down to a bracket of width 1e-10
-    (or ~9 ulps of w, if wider, below which the bracket cannot shrink);
-    raises ProxFailure when the objective is not finite or the bracket
-    stalls.
-    """
-
-    def __init__(self, value_fn: Callable[[float], float], lipschitz: float = 1.0):
-        self._value = value_fn
-        self.lipschitz = float(lipschitz)
-
-    def value(self, w: float) -> float:
-        return self._value(w)
-
-    def prox(self, lam: float, w: float) -> float:
-        def objective(q: float) -> float:
-            return self._value(q) + (q - w) ** 2 / (2.0 * lam)
-
-        half = lam * self.lipschitz + 1.0
-        a, b = w - half, w + half
-        c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
-        fc, fd = objective(c), objective(d)
-        for _ in range(_PROX_MAX_ITERS):
-            if not (math.isfinite(fc) and math.isfinite(fd)):
-                raise ProxFailure(f"prox objective is {fc}, {fd} at q={c}, {d} "
-                                  f"(w={w}, lam={lam})")
-            # floats near w are spaced ~2.2e-16 |w| apart
-            if b - a <= max(PROX_TOL, 2e-15 * abs(w)):
-                return 0.5 * (a + b)
-            if fc < fd:  # the minimizer lies in [a, d]
-                b, d, fd = d, c, fc
-                c = b - _INV_GOLDEN * (b - a)
-                fc = objective(c)
-            else:        # ... or in [c, b]
-                a, c, fc = c, d, fd
-                d = a + _INV_GOLDEN * (b - a)
-                fd = objective(d)
-        raise ProxFailure(f"prox solve stalled at w={w}, lam={lam}: bracket "
-                          f"[{a}, {b}] after {_PROX_MAX_ITERS} iterations")
 
 
 # ----------------------------------------------------------------------------
@@ -427,45 +369,35 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
 # ----------------------------------------------------------------------------
 # stationarity translation
 
-@dataclass
-class CertificateInput:
-    """Measurements on the smoothed proximal problem needed to certify the
-    original nonsmooth problem: the prox-center weight r, the norm
-    g = ||grad_z d_r^lam(y, x)|| from the inner solve, the primal set
-    diameter D_X, and the smoothed problem's y-residual."""
-
-    r: float
-    grad_z_norm: float
-    D_X: float
-    res_y_smoothed: float = 0.0
-
-
-def near_stationarity_certificate(comp: MoreauComposite, lam: float,
-                                  solution: CertificateInput
+def near_stationarity_certificate(comp: MoreauComposite, lam: float, r: float,
+                                  grad_z_norm: float, D_X: float,
+                                  res_y_smoothed: float = 0.0
                                   ) -> tuple[float, float, float]:
     """Translate smoothed-problem residuals into a certificate for the
     original nonsmooth problem.
 
-    Returns (delta, residual_x, residual_y):
+    The inputs are measurements on the smoothed proximal problem: the
+    prox-center weight r, the norm g = ||grad_z d_r^lam(y, x)|| from the
+    inner solve (`grad_z_norm`), the primal set diameter D_X, and the
+    smoothed problem's y-residual.  Returns (delta, residual_x, residual_y):
 
         delta = (rho_lam D_X / r) g + (ell_phi ell_h ell_c sqrt(d_h) / r) g
                 + (rho_lam/(2 r^2) + 1/r) g^2 + lam ell_phi ell_h^2 sqrt(d_h)
 
-    with g = ||grad_z d_r^lam||, so that dist(0, delta-subdifferential of
-    F + indicator of X at x) <= g = residual_x, and
+    so that dist(0, delta-subdifferential of F + indicator of X at x)
+    <= g = residual_x, and
 
         residual_y = sqrt( 2 res_y_smoothed^2 + lam^2 d_h L_phi^2 ell_h^4 / 2 ).
     """
     cc = comp.constants
     rho_lam = smoothed_constants(cc, lam)["rho"]
-    g = solution.grad_z_norm
-    r = solution.r
+    g = grad_z_norm
     sqrt_dh = math.sqrt(cc.d_h)
-    delta = ((rho_lam * solution.D_X / r) * g
+    delta = ((rho_lam * D_X / r) * g
              + (cc.ell_phi * cc.ell_h * cc.ell_c * sqrt_dh / r) * g
              + (rho_lam / (2.0 * r ** 2) + 1.0 / r) * g ** 2
              + lam * cc.ell_phi * cc.ell_h ** 2 * sqrt_dh)
-    res_y = math.sqrt(2.0 * solution.res_y_smoothed ** 2
+    res_y = math.sqrt(2.0 * res_y_smoothed ** 2
                       + lam ** 2 * cc.d_h * cc.L_phi ** 2 * cc.ell_h ** 4 / 2.0)
     return delta, g, res_y
 

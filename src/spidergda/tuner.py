@@ -17,7 +17,6 @@ bit-exactly.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
@@ -83,6 +82,8 @@ class TunerInput:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if not self.sample_cap > 0:
+            raise ValueError("sample_cap must be positive")
         if not self.delta_phi_estimate > 0:
             raise ValueError("delta_phi_estimate must be positive")
         if not self.asymptotic_constant > 0:
@@ -262,10 +263,6 @@ class TunerAudit:
 
     inputs: dict
     outputs: dict
-
-    def to_json(self) -> str:
-        return json.dumps({"inputs": self.inputs, "outputs": self.outputs},
-                          indent=2, sort_keys=True)
 
 
 def _regime_dict(regime: Regime) -> dict:

@@ -20,15 +20,15 @@ import pytest
 from scipy import stats
 
 from spidergda import (AbsValue, Ball, Box, CompositeConstants, FiniteSum,
-                       FullSpace, Hinge, IterativeProx, MoreauComposite,
-                       ProblemInstance, ScaledIdentity, Simplex,
-                       SmoothnessMeta, SolverConfig, StochasticOracle,
-                       TunerInput, anchor, as_problem, batch_rng, dz_norm,
-                       estimator_mse, fd_check, full_grad_x, full_grad_y,
-                       group_losses, gs_residuals, lyapunov, make_group_dro,
-                       make_quadratic_saddle, make_two_group_regression,
-                       normal_cone_dist, recurse, run, smooth_grad_x,
-                       smooth_grad_y, smooth_value, tune_smooth)
+                       FullSpace, Hinge, MoreauComposite, ProblemInstance,
+                       ScaledIdentity, Simplex, SmoothnessMeta, SolverConfig,
+                       StochasticOracle, TunerInput, anchor, as_problem,
+                       batch_rng, dz_norm, estimator_mse, fd_check,
+                       full_grad_x, full_grad_y, group_losses, gs_residuals,
+                       lyapunov, make_group_dro, make_quadratic_saddle,
+                       make_two_group_regression, normal_cone_dist, recurse,
+                       run, smooth_grad_x, smooth_grad_y, smooth_value,
+                       tune_smooth)
 
 
 def _report(num: int, slug: str, ok: bool, detail: str) -> None:
@@ -46,13 +46,12 @@ def _report_suite(num: int, slug: str, checks: dict) -> None:
 # ----------------------------------------------------------------------------
 # shared fixtures
 
-def _random_composite(seed, allow_iterative=False):
+def _random_composite(seed):
     """Random affine-inner composite with verifiable constants.
 
     c is affine (column norms capped at 3), h mixes the closed-form scalar
-    kinds (optionally one numerically-proxed component), and the outer
-    function s'u + y'Eu - ||y||^2/2 is kept nondecreasing in u by giving s a
-    margin over the column sums of |E|.  Returns the composite plus the
+    kinds, and the outer function s'u + y'Eu - ||y||^2/2 is kept
+    nondecreasing in u by giving s a margin over the column sums of |E|.  Returns the composite plus the
     per-component envelope-kink locations used for exclusion zones.
     """
     rng = np.random.default_rng(seed)
@@ -64,7 +63,7 @@ def _random_composite(seed, allow_iterative=False):
     v = rng.normal(size=d_h)
     kinds, kinks, ell_hs = [], [], []
     for _ in range(d_h):
-        pick = rng.integers(0, 4 if allow_iterative else 3)
+        pick = rng.integers(0, 3)
         if pick == 0:
             kinds.append(AbsValue())
             ell_hs.append(1.0)
@@ -73,15 +72,11 @@ def _random_composite(seed, allow_iterative=False):
             kinds.append(Hinge())
             ell_hs.append(1.0)
             kinks.append("hinge")
-        elif pick == 2:
+        else:
             a = float(rng.uniform(-2.0, 2.0))
             kinds.append(ScaledIdentity(a))
             ell_hs.append(abs(a))
             kinks.append("none")
-        else:
-            kinds.append(IterativeProx(abs, lipschitz=1.0))
-            ell_hs.append(1.0)
-            kinks.append("abs")
     E = 0.1 * rng.normal(size=(d_y, d_h))
     s = np.abs(E).sum(axis=0) + rng.uniform(0.05, 1.0, size=d_h)
     ell_phi = float(np.linalg.norm(s) + np.linalg.norm(E, 2) * math.sqrt(d_y))
@@ -204,7 +199,7 @@ def test_criterion_04_quadratic_saddle_convergence(quad_run):
 def test_criterion_05_smoothing_bias_bound():
     violations, closest = 0, math.inf
     for seed in range(100):
-        comp, _kinks, rng = _random_composite(seed, allow_iterative=(seed < 10))
+        comp, _kinks, rng = _random_composite(seed)
         cc = comp.constants
         lam = float(rng.uniform(1e-3, 0.5))
         bound = lam * cc.L_phi * cc.ell_h ** 2 * math.sqrt(cc.d_h) / 2.0

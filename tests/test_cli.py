@@ -10,10 +10,10 @@ import pytest
 
 from spidergda import (Box, NonFiniteError, Online, ProblemInstance,
                        SmoothnessMeta, StochasticOracle)
-from spidergda.cli import _SCHEMA, _build_problem, _residuals
+from spidergda.cli import _SCHEMA, _build_problem, _load_config, _residuals
 from spidergda.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                            EXIT_NUMERICAL, EXIT_OK, TRACE_HEADER, ConfigError,
-                           ExperimentConfig, main, run_experiment, verify)
+                           main, run_experiment, verify)
 from spidergda.tuner import OVERRIDE_KEYS
 from spidergda.verify import SUITES, Check
 
@@ -260,11 +260,12 @@ def test_seed_flag_overrides_config(tmp_path):
 # config schema
 
 def test_config_defaults():
-    cfg = ExperimentConfig.from_dict({"problem": {"kind": "kl_example"},
-                                      "tuner": {"epsilon": 0.5}})
-    assert cfg.seeds == [0]
-    assert cfg.output == {"directory": "out", "formats": ["csv", "json"]}
-    assert cfg.solver == {}
+    cfg = _load_config({"problem": {"kind": "kl_example"},
+                        "tuner": {"epsilon": 0.5}})
+    assert cfg["seeds"] == [0]
+    assert cfg["output"] == {"directory": "out", "formats": ["csv", "json"]}
+    assert cfg["solver"] == {}
+    assert cfg["diagnostics"] == {}
 
 
 @pytest.mark.parametrize("raw", [
@@ -305,7 +306,7 @@ def test_config_defaults():
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(raw)
+        _load_config(raw)
 
 
 def test_override_rules_cover_the_tuner_keys():
@@ -313,10 +314,10 @@ def test_override_rules_cover_the_tuner_keys():
 
 
 def test_composite_kind_accepts_lambda():
-    cfg = ExperimentConfig.from_dict({
+    cfg = _load_config({
         "problem": {"kind": "two_group_regression", "n": 40},
         "tuner": {"epsilon": 0.1, "mu": 1.0, "lambda": 0.5}})
-    assert cfg.tuner["lambda"] == 0.5
+    assert cfg["tuner"]["lambda"] == 0.5
 
 
 def test_group_dro_requires_dataset(tmp_path):
@@ -366,6 +367,7 @@ _BAD_CSV = {
     "short-row": ("feature_0,target,group\n1.0,2.0,0\n3.0,4.0\n", "line 3"),
     "long-row": ("feature_0,target,group\n1.0,2.0,0,7\n", "line 2"),
     "not-a-number": ("feature_0,target,group\n1.0,x,0\n", "line 2"),
+    "no-features": ("target,group\n2.0,0\n4.0,1\n", None),
 }
 
 
@@ -402,7 +404,7 @@ def test_negative_group_id_is_config_error_for_group_dro_only(tmp_path, capsys):
     assert not out.exists()
     assert capsys.readouterr().err.startswith(
         f"config error: problem[group_dro]: {data} line 3: group id -1 is negative")
-    phi = ExperimentConfig.from_dict(
+    phi = _load_config(
         {"problem": {"kind": "phi_div_dro", "dataset": str(data)}, "tuner": tuner})
     assert _build_problem(phi).regime.n == 3
 

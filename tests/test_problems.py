@@ -228,9 +228,7 @@ def test_phi_div_gradients_fd():
         assert ey <= 1e-7
 
 
-@pytest.mark.parametrize("psi", ["chi2", "kl",
-                                 (lambda tv: tv * tv - 1.0, lambda tv: 2 * tv)],
-                         ids=["chi2", "kl", "custom"])
+@pytest.mark.parametrize("psi", ["chi2", "kl"])
 def test_phi_div_batch_rows_match_scalar_bitwise(psi):
     rng = np.random.default_rng(9)
     n = 40
@@ -278,19 +276,12 @@ def test_phi_div_no_penalty_points_at_worst_sample():
 
 def test_phi_div_psi_validation():
     X, t = np.ones((2, 1)), np.zeros(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown psi 'hellinger'"):
         PhiDivDroSpec(features=X, targets=t, psi="hellinger")
-    with pytest.raises(ValueError):
-        # psi(1) != 0
-        PhiDivDroSpec(features=X, targets=t,
-                      psi=(lambda v: v, lambda v: 1.0))
     with pytest.raises(ValueError):
         PhiDivDroSpec(features=X, targets=t, lambda_pen=-1.0)
     with pytest.raises(ValueError):
         PhiDivDroSpec(features=np.ones((3, 1)), targets=np.zeros(2))
-    # a valid custom pair is accepted
-    PhiDivDroSpec(features=X, targets=t,
-                  psi=(lambda v: (v - 1.0) ** 4, lambda v: 4 * (v - 1.0) ** 3))
 
 
 def test_kl_psi_edge_cases():

