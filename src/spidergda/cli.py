@@ -385,17 +385,17 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
         x0, y0 = (_config_point(cfg["solver"], key, cset)
                   for key, cset in (("x0", built.set_x), ("y0", built.set_y)))
         problem, config, audit = _tune(cfg, built)
-    except (OSError, json.JSONDecodeError, ConfigError) as err:
+        if out_dir is not None:
+            cfg["output"]["directory"] = out_dir
+        out = Path(cfg["output"]["directory"])
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleScheduleError, OverflowError) as err:
         print(f"infeasible schedule: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    if out_dir is not None:
-        cfg["output"]["directory"] = out_dir
-    out = Path(cfg["output"]["directory"])
-    out.mkdir(parents=True, exist_ok=True)
     summary = {"tuner_audit": {"inputs": audit.inputs, "outputs": audit.outputs},
                "problem": cfg["problem"], "runs": []}
     for s in cfg["seeds"]:

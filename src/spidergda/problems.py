@@ -8,12 +8,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import FiniteSum, ProblemInstance, SmoothnessMeta, StochasticOracle
-from .projections import Ball, Box, ConstraintSet, Simplex
+from .projections import Box, Simplex
 from .smoothing import CompositeConstants, Hinge, MoreauComposite, ScaledIdentity
 
 __all__ = [
@@ -61,12 +61,13 @@ class GroupDroSpec:
 
     groups is a list of (features, targets) pairs; the dual variable lives
     on Simplex(M_groups).  loss is "squared" or "hinge" (the latter smoothed
-    via the envelope machinery downstream).
+    via the envelope machinery downstream).  `make_group_dro` fixes the
+    sets: the primal box [-5, 5]^d and the dual simplex.  A problem on other
+    sets is a `MoreauComposite` of one's own, with constants for those sets.
     """
 
     groups: Sequence[tuple]
     loss: str = "squared"
-    set_x: Optional[ConstraintSet] = None
 
     def __post_init__(self):
         if len(self.groups) < 1:
@@ -98,15 +99,14 @@ def _flatten_groups(spec: GroupDroSpec):
     return X, t, g
 
 
-def _set_radius(cset: ConstraintSet) -> float:
-    # sup_{v in set} ||v||, used for honest Lipschitz bounds
-    if isinstance(cset, Box):
-        return float(np.linalg.norm(np.maximum(np.abs(cset.lo), np.abs(cset.hi))))
-    if isinstance(cset, Ball):
-        return float(np.linalg.norm(cset.center) + cset.radius)
-    if isinstance(cset, Simplex):
-        return 1.0
-    raise ValueError("group-DRO needs a bounded primal set")
+def _dro_box(d: int) -> Box:
+    # the primal set of both DRO kinds
+    return Box(-5.0 * np.ones(d), 5.0 * np.ones(d))
+
+
+def _box_radius(box: Box) -> float:
+    # sup_{v in box} ||v||, used for honest Lipschitz bounds
+    return float(np.linalg.norm(np.maximum(np.abs(box.lo), np.abs(box.hi))))
 
 
 def _row_dots(Xi: np.ndarray, Theta: np.ndarray) -> np.ndarray:
@@ -129,10 +129,9 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
     n, d = X.shape
     counts = np.bincount(g, minlength=spec.m_groups).astype(np.float64)
     w = n / counts[g]  # per-sample weight N / |G_{g_i}|
-    set_x = spec.set_x if spec.set_x is not None else Box(-5.0 * np.ones(d),
-                                                          5.0 * np.ones(d))
+    set_x = _dro_box(d)
     set_y = Simplex(spec.m_groups)
-    R_x = _set_radius(set_x)
+    R_x = _box_radius(set_x)
     row_norms = np.linalg.norm(X, axis=1)
 
     if spec.loss == "squared":
@@ -224,9 +223,7 @@ def group_losses(spec: GroupDroSpec, theta: np.ndarray) -> np.ndarray:
 def make_two_group_regression(n: int = 200, d: int = 3,
                               minority_frac: float = 0.1,
                               noise: float = 0.1, noise_ratio: float = 10.0,
-                              seed: int = 0,
-                              set_x: Optional[ConstraintSet] = None
-                              ) -> GroupDroSpec:
+                              seed: int = 0) -> GroupDroSpec:
     """Two-group linear regression where the minority group (minority_frac
     of the data, noise_ratio x the noise) follows a different ground-truth
     slope, so pooled least squares sacrifices it."""
@@ -243,10 +240,7 @@ def make_two_group_regression(n: int = 200, d: int = 3,
     t1 = X1 @ w_maj + noise * rng.normal(size=n_maj)
     X2 = rng.normal(size=(n_min, d))
     t2 = X2 @ w_min + noise_ratio * noise * rng.normal(size=n_min)
-    if set_x is None:
-        set_x = Box(-5.0 * np.ones(d), 5.0 * np.ones(d))
-    return GroupDroSpec(groups=[(X1, t1), (X2, t2)], loss="squared",
-                        set_x=set_x)
+    return GroupDroSpec(groups=[(X1, t1), (X2, t2)], loss="squared")
 
 
 # ----------------------------------------------------------------------------
@@ -275,14 +269,16 @@ class PhiDivDroSpec:
         min_theta max_{q in Simplex(N)} (1/N) sum_i [ N q_i loss_i(theta)
                                                       - lambda_pen psi(N q_i) ]
 
-    psi names one of `PSI_BUILTINS`: "chi2" or "kl".
+    psi names one of `PSI_BUILTINS`: "chi2" or "kl".  `make_phi_div_dro`
+    fixes the sets: theta in the box [-5, 5]^d and q in Simplex(N).  A
+    problem on other sets is a `ProblemInstance` of one's own, with
+    constants for those sets.
     """
 
     features: np.ndarray
     targets: np.ndarray
     psi: str = "chi2"
     lambda_pen: float = 1.0
-    set_x: Optional[ConstraintSet] = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -302,8 +298,7 @@ def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
     n, d = X.shape
     psi, psi_prime = PSI_BUILTINS[spec.psi]
     lam_pen = spec.lambda_pen
-    set_x = spec.set_x if spec.set_x is not None else Box(-5.0 * np.ones(d),
-                                                          5.0 * np.ones(d))
+    set_x = _dro_box(d)
     set_y = Simplex(n)
 
     def loss(theta, i):
@@ -331,9 +326,8 @@ def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
         gy[rows, ids] = n * (np.float_power(resid, 2) - lam_pen * dpsi)
         return (n * qi * 2.0 * resid)[:, None] * Xi, gy
 
-    R_x = _set_radius(set_x)
     row_norms = np.linalg.norm(X, axis=1)
-    res_bound = row_norms * R_x + np.abs(t)
+    res_bound = row_norms * _box_radius(set_x) + np.abs(t)
     L_x = float(2.0 * n * np.max(row_norms ** 2))
     cross = float(n * np.max(2.0 * res_bound * row_norms))
     # psi'' over (0, N]: chi2 -> 1; kl -> 1/t, clamped at the iterate floor
@@ -403,9 +397,7 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
                           a_range: tuple = (0.5, 2.0),
                           c_range: tuple = (1.0, 3.0),
                           coupling: float = 1.0, linear_scale: float = 1.0,
-                          noise: float = 0.3, seed: int = 0,
-                          set_x: Optional[ConstraintSet] = None,
-                          set_y: Optional[ConstraintSet] = None
+                          noise: float = 0.3, seed: int = 0
                           ) -> ProblemInstance:
     """Finite-sum quadratic minimax fixture with a closed-form saddle.
 
@@ -416,9 +408,11 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     is strongly concave: the dual error bound holds with theta = 1/2,
     mu = sqrt(2 min eig C)).  Per-sample quadratics are mean-centered
     perturbations of (A, B, C, a, b), so their average recovers F.  The
-    saddle solves the first-order system and is stored in metadata; the
-    default boxes contain it strictly in their interior but are not
-    centered on it.
+    saddle solves the first-order system and is stored in metadata.  The
+    sets are fixed: the boxes [x* - 1, x* + 3] and [y* - 1, y* + 3], which
+    contain the saddle strictly in their interior but are not centered on
+    it.  A problem on other sets is a `ProblemInstance` of one's own, with
+    constants for those sets.
 
     Raises
     ------
@@ -490,10 +484,8 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
         gx = (As.take(ids, axis=0) @ Xc + by)[:, :, 0] + a_s.take(ids, axis=0)
         return gx, (bx - Cs.take(ids, axis=0) @ Yc)[:, :, 0] - b_s.take(ids, axis=0)
 
-    if set_x is None:
-        set_x = Box(x_star - 1.0, x_star + 3.0)
-    if set_y is None:
-        set_y = Box(y_star - 1.0, y_star + 3.0)
+    set_x = Box(x_star - 1.0, x_star + 3.0)
+    set_y = Box(y_star - 1.0, y_star + 3.0)
 
     # stacked calls run the per-matrix LAPACK routine on each sample
     spec_norms_A = np.linalg.norm(As, 2, axis=(1, 2))
@@ -504,10 +496,8 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     L_x = float(np.max(spec_norms_A))
     L_y = float(max(np.max(spec_norms_B), np.max(spec_norms_C)))
     rho = max(0.0, -min_eig_A)
-    R_x = _set_radius(set_x)
-    R_y = _set_radius(set_y)
-    ell = float((np.max(spec_norms_A) + np.max(spec_norms_B)) * R_x
-                + (np.max(spec_norms_B) + np.max(spec_norms_C)) * R_y
+    ell = float((np.max(spec_norms_A) + np.max(spec_norms_B)) * _box_radius(set_x)
+                + (np.max(spec_norms_B) + np.max(spec_norms_C)) * _box_radius(set_y)
                 + np.max(np.linalg.norm(a_s, axis=1))
                 + np.max(np.linalg.norm(b_s, axis=1)))
     meta = SmoothnessMeta(L_x=L_x, L_y=L_y, rho=rho, ell=ell,
@@ -515,8 +505,7 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     oracle = StochasticOracle(regime=FiniteSum(n), dim_x=d_x, dim_y=d_y,
                               eval_f=eval_f, grad_x=grad_x, grad_y=grad_y,
                               grads_batch=grads_batch)
-    interior = (bool(np.all(x_star > set_x.lo) and np.all(x_star < set_x.hi))
-                if isinstance(set_x, Box) else True)
+    interior = bool(np.all(x_star > set_x.lo) and np.all(x_star < set_x.hi))
     return ProblemInstance(
         oracle=oracle, set_x=set_x, set_y=set_y, constants=meta,
         metadata={"kind": "quadratic_saddle", "A": A, "B": B, "C": C,
@@ -539,8 +528,8 @@ def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         Naming the path, on a missing or unexpected header, a header with
         no feature column or no data rows, and naming the line too, on a
         row whose field count differs from the header's or whose value
-        does not parse.  Any integer group id is accepted; `spec_from_csv`
-        rejects negative ones.
+        does not parse or is not finite (nan, inf).  Any integer group id
+        is accepted; `spec_from_csv` rejects negative ones.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -555,8 +544,12 @@ def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields, the header has {len(header)}")
-                feats.append([float(v) for v in row[:d]])
-                targs.append(float(row[d]))
+                vals = [float(v) for v in row[:d + 1]]
+                bad = [v for v, x in zip(row, vals) if not math.isfinite(x)]
+                if bad:
+                    raise ValueError(f"value {bad[0]!r} is not finite")
+                feats.append(vals[:d])
+                targs.append(vals[d])
                 grps.append(int(row[d + 1]))
             except ValueError as err:
                 raise ValueError(f"{path} line {reader.line_num}: {err}") from None
@@ -567,8 +560,7 @@ def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.asarray(grps, dtype=np.int64))
 
 
-def spec_from_csv(path, loss: str = "squared",
-                  set_x: Optional[ConstraintSet] = None) -> GroupDroSpec:
+def spec_from_csv(path, loss: str = "squared") -> GroupDroSpec:
     """Load a dataset CSV into a GroupDroSpec (groups by the group column).
 
     Raises
@@ -590,4 +582,4 @@ def spec_from_csv(path, loss: str = "squared",
     for gi, (Xg, _) in enumerate(groups):
         if Xg.shape[0] == 0:
             raise EmptyGroupError(f"group {gi} has no rows in {path}")
-    return GroupDroSpec(groups=groups, loss=loss, set_x=set_x)
+    return GroupDroSpec(groups=groups, loss=loss)

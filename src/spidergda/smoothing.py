@@ -176,9 +176,13 @@ class MoreauComposite:
     constants : CompositeConstants
         (ell_c, ell_h, ell_phi, L_c, L_phi, d_h, delta_tilde).
     regime, set_x, set_y : sampling regime and constraint sets, passed
-        through unchanged by as_problem.
-    mu, theta, sigma_x, sigma_y : extra regularity data for the wrapped
-        problem's SmoothnessMeta.
+        through unchanged by as_problem.  The constants must hold on these
+        sets; each built-in builder fixes its own.
+    mu, theta : dual error-bound data for the wrapped problem's
+        SmoothnessMeta.  Its sigma_x and sigma_y stay 0.0, exact for a
+        finite sum.  For an online composite, set them on the constants of
+        `as_problem`'s result and tune that with `tune_smooth`;
+        `tune_nonsmooth` keeps them 0.
     c_batch : callable(X, sample_ids) -> (ndarray, ndarray), optional
         Inner map and Jacobian over a batch with one point per row, X of
         shape (len(ids), dim_x): shapes (len(ids), d_h) and
@@ -219,8 +223,6 @@ class MoreauComposite:
     set_y: ConstraintSet
     mu: float = 1.0
     theta: float = 1.0
-    sigma_x: float = 0.0
-    sigma_y: float = 0.0
     metadata: dict = field(default_factory=dict)
     c_batch: Optional[Callable[[np.ndarray, np.ndarray],
                                tuple[np.ndarray, np.ndarray]]] = None
@@ -337,7 +339,7 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
     This is the one place that maps (composite, lambda) to the smoothed
     problem: its SmoothnessMeta carries the smoothed constants (L_x, L_y,
     rho, ell from `smoothed_constants` at this lambda) and the composite's
-    sigma_x, sigma_y, mu and theta; D_Y comes from set_y, and regime and
+    mu and theta; D_Y comes from set_y, and regime and
     constraint sets pass through unchanged.  A composite with both batched
     hooks (`c_batch`, `phi_grads_batch`) also gets the oracle's one
     vectorized `grads_batch`, which returns both gradient sides from a
@@ -348,7 +350,6 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
     sc = smoothed_constants(comp.constants, lam)
     meta = SmoothnessMeta(
         L_x=sc["L_x"], L_y=sc["L_y"], rho=sc["rho"], ell=sc["ell"],
-        sigma_x=comp.sigma_x, sigma_y=comp.sigma_y,
         mu=comp.mu, theta=comp.theta)
     oracle = StochasticOracle(
         regime=comp.regime,

@@ -368,6 +368,10 @@ _BAD_CSV = {
     "long-row": ("feature_0,target,group\n1.0,2.0,0,7\n", "line 2"),
     "not-a-number": ("feature_0,target,group\n1.0,x,0\n", "line 2"),
     "no-features": ("target,group\n2.0,0\n4.0,1\n", None),
+    # float() parses both; the tuner would see non-finite constants
+    "nan-feature": ("feature_0,target,group\n1.0,2.0,0\nnan,4.0,1\n3.0,1.0,0\n",
+                    "line 3"),
+    "inf-target": ("feature_0,target,group\n1.0,-inf,0\n3.0,4.0,1\n", "line 2"),
 }
 
 
@@ -385,6 +389,7 @@ def test_malformed_dataset_is_config_error(kind, name, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith(f"config error: problem[{kind}]: {data}")
+    assert err.count("\n") == 1 and "Traceback" not in err
     if line is not None:
         assert err.startswith(f"config error: problem[{kind}]: {data} {line}: ")
 
@@ -438,6 +443,40 @@ def test_malformed_input_exits_before_output(cfg, flags, where, tmp_path,
     out = ["--out", str(tmp_path / "never")] if "output" not in cfg else []
     assert main(["run", cfg_path, *out, *flags, "--quiet"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {where}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("via", ["output.directory", "--out"])
+def test_output_directory_on_a_file_is_config_error(via, under, tmp_path,
+                                                    monkeypatch, capsys):
+    # an output directory that is an existing file, or lies under one,
+    # cannot be made: one config error line before any run
+    monkeypatch.chdir(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n", encoding="utf-8")
+    target = str(blocker / "out" if under else blocker)
+    if via == "--out":
+        cfg, flags = _kl_config(), ["--out", target]
+    else:
+        cfg, flags = _with("output", directory=target), []
+    assert main(["run", _write(tmp_path, cfg), *flags, "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+    assert blocker.read_text(encoding="utf-8") == "a file\n"
+
+
+def test_config_not_utf8_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(json.dumps(_with("output", directory="résultats"),
+                                    ensure_ascii=False).encode("latin-1"))
+    assert main(["run", str(cfg_path), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 

@@ -348,9 +348,13 @@ def _ref_lyapunov(p, r, x, y, z):
 def _dual_set_problem(kind):
     """A 4x3 quadratic saddle whose dual set is a box, a ball or a simplex,
     with a feasible point (x, y, z) away from its solution."""
-    set_y = {"box": None, "ball": Ball(np.zeros(3), 0.5),
-             "simplex": Simplex(3)}[kind]
-    p = make_quadratic_saddle(4, 3, n_samples=4, seed=4, set_y=set_y)
+    p = make_quadratic_saddle(4, 3, n_samples=4, seed=4)
+    if kind != "box":
+        # D_Y is refilled from the new set; L_x, L_y and rho do not depend
+        # on the sets, and ell stays the box's, which these tests do not read
+        p = replace(p, set_y={"ball": Ball(np.zeros(3), 0.5),
+                              "simplex": Simplex(3)}[kind],
+                    constants=replace(p.constants, D_Y=None))
     rng = np.random.default_rng(1)
     x = p.set_x.project(rng.normal(size=4))
     return p, x, p.set_y.project(rng.normal(size=3)), p.set_x.project(x + 0.3)
@@ -435,9 +439,12 @@ def test_lockstep_rows_reject_non_finite_like_project():
 
 def _residual_cases():
     quad = make_quadratic_saddle(4, 3, n_samples=16, seed=11)
-    ball = make_quadratic_saddle(3, 2, n_samples=8, seed=2,
-                                 set_x=Ball(np.zeros(3), 1.0),
-                                 set_y=Ball(np.zeros(2), 0.5))
+    ball = make_quadratic_saddle(3, 2, n_samples=8, seed=2)
+    # D_Y is refilled from the new set; L_x, L_y and rho do not depend on
+    # the sets, and ell stays the boxes', which these tests do not read
+    ball = replace(ball, set_x=Ball(np.zeros(3), 1.0),
+                   set_y=Ball(np.zeros(2), 0.5),
+                   constants=replace(ball.constants, D_Y=None))
     base = make_two_group_regression(n=40, d=2, minority_frac=0.25, seed=3)
     dro = as_problem(make_group_dro(base), 0.05)
     return {"box": (quad, 0.05, 1.0), "ball": (ball, 0.05, 1.0),

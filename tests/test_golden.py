@@ -41,7 +41,7 @@ def test_group_dro_trajectory_digest(loss):
         base = make_two_group_regression(n=200, d=3, minority_frac=0.1,
                                          noise=0.1, noise_ratio=10.0,
                                          seed=seed)
-        spec = GroupDroSpec(groups=base.groups, loss=loss, set_x=base.set_x)
+        spec = GroupDroSpec(groups=base.groups, loss=loss)
         prob = as_problem(make_group_dro(spec), lam=1e-3)
         config = SolverConfig(K=40, T=25, M=32, B=200, alpha_x=5e-3,
                               alpha_y=0.05, beta=0.05, r=0.5, seed=seed)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spidergda import (Box, DomainError, EmptyGroupError, GroupDroSpec,
+from spidergda import (DomainError, EmptyGroupError, GroupDroSpec,
                        PhiDivDroSpec, Simplex, SingularityError,
                        full_grad_x, full_grad_y, full_value,
                        group_losses, kl_example_grad, kl_example_value,
@@ -24,7 +24,7 @@ from spidergda import (Box, DomainError, EmptyGroupError, GroupDroSpec,
                        smooth_value, spec_from_csv,
                        spot_check_composite, as_problem)
 from spidergda.diagnostics import fd_check
-from spidergda.problems import PSI_BUILTINS, _set_radius
+from spidergda.problems import PSI_BUILTINS, _box_radius
 
 
 # ----------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def _tiny_spec():
     # (2 theta - 2)^2
     return GroupDroSpec(groups=[(np.array([[1.0]]), np.array([0.0])),
                                 (np.array([[2.0]]), np.array([2.0]))],
-                        loss="squared", set_x=Box([-5.0], [5.0]))
+                        loss="squared")
 
 
 def test_group_losses_by_hand():
@@ -128,7 +128,7 @@ def test_group_dro_inner_map_by_hand():
 
 def test_group_dro_hinge_loss():
     spec = GroupDroSpec(groups=[(np.array([[2.0]]), np.array([1.0]))],
-                        loss="hinge", set_x=Box([-5.0], [5.0]))
+                        loss="hinge")
     comp = make_group_dro(spec)
     theta = np.array([0.25])
     assert comp.c(theta, 0).tolist() == [0.5]  # 1 - 1 * (2 * 0.25)
@@ -140,8 +140,7 @@ def test_group_dro_hinge_loss():
 
 def test_group_dro_contracts_hold():
     for loss in ("squared", "hinge"):
-        spec = GroupDroSpec(groups=_tiny_spec().groups, loss=loss,
-                            set_x=Box([-5.0], [5.0]))
+        spec = GroupDroSpec(groups=_tiny_spec().groups, loss=loss)
         spot_check_composite(make_group_dro(spec), np.random.default_rng(1))
 
 
@@ -153,7 +152,7 @@ def test_group_dro_contracts_hold():
        st.lists(st.integers(0, 29), min_size=1, max_size=40))
 def test_group_dro_batch_rows_match_scalar_bitwise(loss, seed, theta, q, ids):
     base = make_two_group_regression(n=30, d=3, seed=seed)
-    spec = GroupDroSpec(groups=base.groups, loss=loss, set_x=base.set_x)
+    spec = GroupDroSpec(groups=base.groups, loss=loss)
     p = as_problem(make_group_dro(spec), lam=1e-3)
     assert p.oracle.grads_batch is not None
     theta = np.array(theta)
@@ -349,8 +348,8 @@ def test_saddle_constants_match_per_matrix_loop(n, d_x, d_y):
     A, B, C = ([float(np.linalg.norm(M[i], 2)) for i in range(n)]
                for M in (per_sample["As"], per_sample["Bs"], per_sample["Cs"]))
     min_eig = min(float(np.linalg.eigvalsh(per_sample["As"][i])[0]) for i in range(n))
-    ell = ((max(A) + max(B)) * _set_radius(p.set_x)
-           + (max(B) + max(C)) * _set_radius(p.set_y)
+    ell = ((max(A) + max(B)) * _box_radius(p.set_x)
+           + (max(B) + max(C)) * _box_radius(p.set_y)
            + np.max(np.linalg.norm(per_sample["a_s"], axis=1))
            + np.max(np.linalg.norm(per_sample["b_s"], axis=1)))
     c = p.constants
@@ -420,7 +419,7 @@ def test_spec_from_csv(tmp_path, save_dataset_csv):
     g = np.array([0, 1, 0])
     path = tmp_path / "groups.csv"
     save_dataset_csv(path, X, t, g)
-    spec = spec_from_csv(path, loss="squared", set_x=Box([-1.0], [1.0]))
+    spec = spec_from_csv(path, loss="squared")
     assert spec.m_groups == 2
     assert spec.groups[0][0].shape == (2, 1)
     assert spec.groups[1][1].tolist() == [0.0]
