@@ -246,12 +246,16 @@ def _load_config(raw) -> dict:
 def _build_problem(cfg: dict) -> Union[ProblemInstance, MoreauComposite]:
     """Instantiate the configured problem; a composite comes back unsmoothed
     (the tuner picks its smoothing level)."""
-    kind = cfg["problem"]["kind"]
-    keys = _KINDS[kind].keys
+    prob = cfg["problem"]
+    kind, keys = prob["kind"], _KINDS[prob["kind"]].keys
     try:
         return _KINDS[kind].build({k: float(v) if keys[k] is _FLOAT else v
-                                   for k, v in cfg["problem"].items() if k != "kind"})
-    except (ValueError, OverflowError, OSError, problems.EmptyGroupError,
+                                   for k, v in prob.items() if k != "kind"})
+    except OverflowError as err:
+        # a key or a constant left the float64 range; name the data too
+        data = f"{prob['dataset']}: " if "dataset" in prob else ""
+        raise ConfigError(f"problem[{kind}]: {data}{err}") from None
+    except (ValueError, DimError, OSError, problems.EmptyGroupError,
             problems.SingularityError) as err:
         raise ConfigError(f"problem[{kind}]: {err}") from None
 
@@ -392,7 +396,7 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
     except (OSError, json.JSONDecodeError, UnicodeDecodeError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleScheduleError, OverflowError) as err:
+    except (InfeasibleScheduleError, ArithmeticError) as err:
         print(f"infeasible schedule: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -17,7 +17,6 @@ __all__ = [
     "Online",
     "Regime",
     "StochasticOracle",
-    "UniformDraw",
     "SmoothnessMeta",
     "ProblemInstance",
     "RegimeError",
@@ -163,11 +162,12 @@ class StochasticOracle:
         Without the hook, `batch_grads` calls grad_x and grad_y once per
         row; that path is the reference the hook is tested against.
 
-    The sampling law is not a parameter: `draw` is the `UniformDraw` the
-    regime fixes, i.i.d. uniform indices in [0, N) under FiniteSum(N) or
-    fresh 63-bit tokens online, both with replacement.  The solver
-    computes its ids in bulk (`estimator.batch_ids`), bit for bit what
-    ``draw(rng, count)`` returns.
+    The sampling law is not a parameter: the regime fixes it as i.i.d.
+    uniform ids in [0, `id_high`), with replacement, where `id_high` is N
+    under FiniteSum(N) and 2**63 online (fresh 63-bit tokens); `draw`
+    takes them from a generator.  The solver computes its ids in bulk
+    (`estimator.batch_ids`), bit for bit what ``draw(rng, count)``
+    returns.
 
     Under FiniteSum, `full_grads(problem, x, y)` reduces one `batch_grads`
     call over all N ids to both exact partial gradients; `full_grad_x` and
@@ -182,13 +182,17 @@ class StochasticOracle:
     grad_y: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     grads_batch: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray],
                                    tuple[np.ndarray, np.ndarray]]] = None
-    draw: UniformDraw = field(init=False)
+    id_high: int = field(init=False)
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_y < 1:
             raise DimError("oracle dims must be positive")
-        self.draw = UniformDraw(self.regime.n if isinstance(self.regime, FiniteSum)
-                                else 2 ** 63)
+        self.id_high = self.regime.n if isinstance(self.regime, FiniteSum) else 2 ** 63
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """`count` i.i.d. uniform sample ids in [0, id_high), with
+        replacement."""
+        return rng.integers(0, self.id_high, size=count)
 
     def batch_grads(self, X: np.ndarray, Y: np.ndarray,
                     ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,18 +235,6 @@ class StochasticOracle:
                                 y[None].repeat(len(ids), axis=0), ids)
 
 
-@dataclass(frozen=True)
-class UniformDraw:
-    """An oracle's `draw`: `count` i.i.d. uniform ids in [0, high), with
-    replacement, as ``rng.integers(0, high, size=count)``.  `high` is N
-    under FiniteSum(N) and 2**63 (fresh tokens) online."""
-
-    high: int
-
-    def __call__(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.integers(0, self.high, size=count)
-
-
 def _stack_rows(grad, X, Y, ids, dim: int, side: str) -> np.ndarray:
     """Per-sample fallback of batch_grads: one scalar call per row."""
     out = np.empty((len(ids), dim))
@@ -256,13 +248,27 @@ def _stack_rows(grad, X, Y, ids, dim: int, side: str) -> np.ndarray:
 # ----------------------------------------------------------------------------
 # metadata
 
+def _check_constants(obj, names) -> None:
+    """Reject a named constant of `obj` that is NaN or negative
+    (ValueError) or infinite (OverflowError: the constant left the float64
+    range, say from huge problem data)."""
+    for name in names:
+        v = getattr(obj, name)
+        if not v >= 0:
+            raise ValueError(f"{name} must be nonnegative")
+        if v == np.inf:
+            raise OverflowError(f"{name} is inf: it exceeds the float64 range")
+
+
 @dataclass
 class SmoothnessMeta:
     """Known regularity constants of the objective.
 
     These are user-supplied; the artifact never estimates L_x, L_y or rho
     automatically.  sigma_x/sigma_y may be pilot estimates (see
-    `estimate_sigmas`), in which case `sigma_is_estimate` is set.
+    `estimate_sigmas`), in which case `sigma_is_estimate` is set.  The
+    constants L_x through sigma_y must be nonnegative (ValueError) and
+    finite (OverflowError, naming the constant).
 
     Parameters
     ----------
@@ -297,9 +303,7 @@ class SmoothnessMeta:
     sigma_is_estimate: bool = False
 
     def __post_init__(self):
-        for name in ("L_x", "L_y", "rho", "ell", "sigma_x", "sigma_y"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
+        _check_constants(self, ("L_x", "L_y", "rho", "ell", "sigma_x", "sigma_y"))
         if not self.mu > 0:
             raise ValueError("mu must be positive")
         if not 0.0 <= self.theta <= 1.0:

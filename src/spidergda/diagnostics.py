@@ -48,8 +48,7 @@ class MaxItersError(Exception):
         Its projected-gradient residual.
     """
 
-    def __init__(self, message: str, best: Optional[np.ndarray] = None,
-                 residual: Optional[float] = None):
+    def __init__(self, message: str, best: np.ndarray, residual: float):
         super().__init__(message)
         self.best = best
         self.residual = residual

@@ -16,12 +16,12 @@ array (one id per oracle row), to `recurse`.
 Mini-batch randomness comes from counter-based Philox streams keyed by
 (seed, epoch, step), so any batch is reproducible in isolation
 (`batch_rng`).  `batch_ids` computes the ids of many keys at once: it runs
-Philox4x64-10 and numpy's bounded integer draw of the oracle's
-`UniformDraw` as array code over all keys (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011), bit for bit what each key's
-generator would return; the rare key whose draw numpy would reject and
-redraw gets the key's own generator instead.  The solver fills one such
-table per window of refresh steps.
+Philox4x64-10 and numpy's bounded integer draw ``integers(0, high)``,
+with `high` the oracle's `id_high`, as array code over all keys (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011), bit for
+bit what each key's generator would return; the rare key whose draw numpy
+would reject and redraw gets the key's own generator instead.  The solver
+fills one such table per window of refresh steps.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FiniteSum, ProblemInstance, RegimeError, UniformDraw,
-                   _exact_grads, full_grads)
+from .core import FiniteSum, ProblemInstance, RegimeError, _exact_grads, full_grads
 
 __all__ = [
     "anchor",
@@ -41,8 +40,6 @@ __all__ = [
     "batch_rng",
     "batch_ids",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 
 def _tag(purpose, epoch, tau):
@@ -54,11 +51,12 @@ def _tag(purpose, epoch, tau):
 def batch_rng(seed: int, epoch: int, tau: int, purpose: int = 0) -> np.random.Generator:
     """Counter-based generator for the (epoch, tau) mini-batch.
 
-    Philox keyed by (seed, purpose<<63 | epoch<<32 | tau); draws within the
-    batch advance the counter.  Any batch is reproducible independently of
-    execution order, which the replay and enumeration tests rely on.
+    Philox keyed by (seed, purpose<<63 | epoch<<32 | tau), seed in
+    [0, 2**64); draws within the batch advance the counter.  Any batch is
+    reproducible independently of execution order, which the replay and
+    enumeration tests rely on.
     """
-    key = np.array([seed & _MASK64, _tag(purpose, epoch, tau)], dtype=np.uint64)
+    key = np.array([seed, _tag(purpose, epoch, tau)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -130,11 +128,13 @@ def _uniform_ids(high: int, seed: int, tags: np.ndarray, count: int
     return hi.astype(np.int64), (lo < np.uint64(threshold)).any(axis=1)
 
 
-def batch_ids(draw: UniformDraw, seed: int, epochs, taus, count: int):
-    """Mini-batch ids of many (epoch, tau) keys, one row per key.
+def batch_ids(high: int, seed: int, epochs, taus, count: int):
+    """Mini-batch ids of many (epoch, tau) keys, one row per key, each id
+    uniform in [0, high) (an oracle's `id_high`).
 
-    Row j equals ``draw(batch_rng(seed, epochs[j], taus[j]), count)`` bit
-    for bit; `epochs` and `taus` broadcast against each other.  All rows
+    Row j equals ``batch_rng(seed, epochs[j], taus[j]).integers(0, high,
+    size=count)`` bit for bit, which is the oracle's `draw` from that
+    generator; `epochs` and `taus` broadcast against each other.  All rows
     come from one vectorized Philox pass; a key on which numpy's bounded
     draw would reject a value (odds below high / 2**32 per draw) gets its
     own generator.
@@ -142,9 +142,10 @@ def batch_ids(draw: UniformDraw, seed: int, epochs, taus, count: int):
     epochs, taus = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(epochs, dtype=np.int64), np.asarray(taus, dtype=np.int64)))
     tags = _tag(0, epochs.astype(np.uint64), taus.astype(np.uint64))
-    ids, rejected = _uniform_ids(draw.high, seed & _MASK64, tags, count)
+    ids, rejected = _uniform_ids(high, seed, tags, count)
     for j in np.flatnonzero(rejected).tolist():
-        ids[j] = draw(batch_rng(seed, int(epochs[j]), int(taus[j])), count)
+        rng = batch_rng(seed, int(epochs[j]), int(taus[j]))
+        ids[j] = rng.integers(0, high, size=count)
     return ids
 
 

@@ -199,9 +199,7 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
         c=c, c_jac=c_jac, h=h, phi=phi, phi_grad1=phi_grad1,
         phi_grad_y=phi_grad_y, constants=constants,
         regime=FiniteSum(n), set_x=set_x, set_y=set_y,
-        c_batch=c_batch, phi_grads_batch=phi_grads_batch,
-        metadata={"kind": "group_dro", "loss": spec.loss, "group_index": g,
-                  "group_counts": counts, "features": X, "targets": t})
+        c_batch=c_batch, phi_grads_batch=phi_grads_batch)
 
 
 def group_losses(spec: GroupDroSpec, theta: np.ndarray) -> np.ndarray:
@@ -339,9 +337,7 @@ def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
                               eval_f=eval_f, grad_x=grad_x, grad_y=grad_y,
                               grads_batch=grads_batch)
     return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y,
-                           constants=meta,
-                           metadata={"kind": "phi_div_dro",
-                                     "lambda_pen": lam_pen})
+                           constants=meta)
 
 
 # ----------------------------------------------------------------------------
@@ -387,7 +383,7 @@ def make_kl_example() -> ProblemInstance:
     )
     meta = SmoothnessMeta(L_x=0.0, L_y=2.0, rho=0.0, ell=2.0, mu=0.1, theta=0.5)
     return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y,
-                           constants=meta, metadata={"kind": "kl_example"})
+                           constants=meta)
 
 
 # ----------------------------------------------------------------------------
@@ -505,12 +501,10 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     oracle = StochasticOracle(regime=FiniteSum(n), dim_x=d_x, dim_y=d_y,
                               eval_f=eval_f, grad_x=grad_x, grad_y=grad_y,
                               grads_batch=grads_batch)
-    interior = bool(np.all(x_star > set_x.lo) and np.all(x_star < set_x.hi))
     return ProblemInstance(
         oracle=oracle, set_x=set_x, set_y=set_y, constants=meta,
-        metadata={"kind": "quadratic_saddle", "A": A, "B": B, "C": C,
-                  "a": a_vec, "b": b_vec, "saddle_x": x_star,
-                  "saddle_y": y_star, "interior": interior})
+        metadata={"A": A, "B": B, "C": C, "a": a_vec, "b": b_vec,
+                  "saddle_x": x_star, "saddle_y": y_star})
 
 
 # ----------------------------------------------------------------------------

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ProblemInstance, Regime, SmoothnessMeta, StochasticOracle
+from .core import (ProblemInstance, Regime, SmoothnessMeta, StochasticOracle,
+                   _check_constants)
 from .projections import ConstraintSet
 
 __all__ = [
@@ -145,7 +146,9 @@ class ScaledIdentity(ScalarConvex):
 @dataclass
 class CompositeConstants:
     """Regularity constants of a composite objective phi(h(c(x)), y) needed
-    to derive the smoothed problem's constants."""
+    to derive the smoothed problem's constants.  The five Lipschitz
+    constants are checked as `SmoothnessMeta`'s are: NaN or negative raises
+    ValueError, infinite raises OverflowError naming the constant."""
 
     ell_c: float
     ell_h: float
@@ -154,6 +157,9 @@ class CompositeConstants:
     L_phi: float
     d_h: int
     delta_tilde: float = 1.0
+
+    def __post_init__(self):
+        _check_constants(self, ("ell_c", "ell_h", "ell_phi", "L_c", "L_phi"))
 
 
 @dataclass
@@ -182,7 +188,7 @@ class MoreauComposite:
         SmoothnessMeta.  Its sigma_x and sigma_y stay 0.0, exact for a
         finite sum.  For an online composite, set them on the constants of
         `as_problem`'s result and tune that with `tune_smooth`;
-        `tune_nonsmooth` keeps them 0.
+        `tune_nonsmooth` refuses one.
     c_batch : callable(X, sample_ids) -> (ndarray, ndarray), optional
         Inner map and Jacobian over a batch with one point per row, X of
         shape (len(ids), dim_x): shapes (len(ids), d_h) and
@@ -223,7 +229,6 @@ class MoreauComposite:
     set_y: ConstraintSet
     mu: float = 1.0
     theta: float = 1.0
-    metadata: dict = field(default_factory=dict)
     c_batch: Optional[Callable[[np.ndarray, np.ndarray],
                                tuple[np.ndarray, np.ndarray]]] = None
     phi_grads_batch: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray],
@@ -339,11 +344,12 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
     This is the one place that maps (composite, lambda) to the smoothed
     problem: its SmoothnessMeta carries the smoothed constants (L_x, L_y,
     rho, ell from `smoothed_constants` at this lambda) and the composite's
-    mu and theta; D_Y comes from set_y, and regime and
-    constraint sets pass through unchanged.  A composite with both batched
-    hooks (`c_batch`, `phi_grads_batch`) also gets the oracle's one
-    vectorized `grads_batch`, which returns both gradient sides from a
-    single pass; otherwise the oracle keeps the per-sample path.
+    mu and theta; D_Y comes from set_y, and regime and constraint sets
+    pass through unchanged; its metadata holds lambda.  A composite with
+    both batched hooks (`c_batch`, `phi_grads_batch`) also gets the
+    oracle's one vectorized `grads_batch`, which returns both gradient
+    sides from a single pass; otherwise the oracle keeps the per-sample
+    path.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
@@ -362,9 +368,7 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
     if comp.c_batch is not None and comp.phi_grads_batch is not None:
         oracle.grads_batch = functools.partial(_smooth_grads_batch, comp, lam)
     return ProblemInstance(oracle=oracle, set_x=comp.set_x, set_y=comp.set_y,
-                           constants=meta,
-                           metadata={"lambda": lam, "composite": comp,
-                                     **comp.metadata})
+                           constants=meta, metadata={"lambda": lam})
 
 
 # ----------------------------------------------------------------------------

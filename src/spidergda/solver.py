@@ -90,8 +90,9 @@ class SolverConfig:
     K epochs of T inner steps; M recursion batch size; B anchor batch size
     (ignored under the finite-sum regime, which anchors on all N
     components).  Counts and the seed are integers (numpy's too, stored as
-    int; bool not), and counts are positive; beta must lie in (0, 1]; step
-    sizes and r are positive and finite.
+    int; bool not); counts are positive, and the seed lies in [0, 2**64),
+    the range of a Philox key word, so no two seeds share a run.  beta must
+    lie in (0, 1]; step sizes and r are positive and finite.
     """
 
     K: int
@@ -111,8 +112,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be a positive integer")
             # a numpy count would wrap in the id tables' arithmetic
             setattr(self, name, int(getattr(self, name)))
-        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
-            raise ValueError("seed must be an integer")
+        if (not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool)
+                or not 0 <= self.seed < 2 ** 64):
+            raise ValueError("seed must be an integer in [0, 2**64)")
         self.seed = int(self.seed)
         for name in ("alpha_x", "alpha_y", "r"):
             if not 0 < getattr(self, name) < math.inf:
@@ -242,7 +244,7 @@ def _recursion_ids(problem: ProblemInstance, config: SolverConfig):
 
     def table(start: int) -> np.ndarray:
         k, tau = np.divmod(np.arange(start, min(start + window, total)), T - 1)
-        ids = batch_ids(problem.oracle.draw, config.seed, k, tau + 1, M)
+        ids = batch_ids(problem.oracle.id_high, config.seed, k, tau + 1, M)
         return np.tile(ids[:, None], (2, 1))
 
     return chain.from_iterable(map(table, range(0, total, window)))

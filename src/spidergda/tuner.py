@@ -52,7 +52,8 @@ OVERRIDE_KEYS = frozenset({"r", "alpha_x", "alpha_y", "beta", "K", "T", "M", "B"
 
 
 class InfeasibleScheduleError(Exception):
-    """No valid alpha_x exists for the given (possibly user-overridden) r."""
+    """No schedule can be planned: no valid alpha_x exists for the given
+    (possibly user-overridden) r, or the smoothing level underflows to 0."""
 
 
 # ----------------------------------------------------------------------------
@@ -271,19 +272,6 @@ def _regime_dict(regime: Regime) -> dict:
     return {"kind": "online"}
 
 
-def _audit_inputs(tin: TunerInput) -> dict:
-    return {
-        "meta": {k: v for k, v in asdict(tin.meta).items()},
-        "epsilon": tin.epsilon,
-        "regime": _regime_dict(tin.regime),
-        "delta_phi_estimate": tin.delta_phi_estimate,
-        "overrides": dict(tin.overrides),
-        "asymptotic_constant": tin.asymptotic_constant,
-        "sample_cap": tin.sample_cap,
-        "seed": tin.seed,
-    }
-
-
 # ----------------------------------------------------------------------------
 # pipelines
 
@@ -316,7 +304,8 @@ def tune_smooth(tin: TunerInput) -> tuple[SolverConfig, TunerAudit]:
     config = SolverConfig(K=K, T=T, M=M, B=B, alpha_x=alpha_x, alpha_y=alpha_y,
                           beta=beta, r=r, seed=tin.seed)
     audit = TunerAudit(
-        inputs=_audit_inputs(tin),
+        # every TunerInput field, so that a replay of the audit sees them all
+        inputs={**asdict(tin), "regime": _regime_dict(tin.regime)},
         outputs={
             "r": r,
             "alpha_x": alpha_x,
@@ -346,7 +335,15 @@ def tune_nonsmooth(comp: MoreauComposite, epsilon: float,
     fields.  Returns that problem with the config and the audit, which
     also records the composite's constants, lambda_choice, lambda, its
     ceiling and the smoothed L_x, L_y, rho and ell.
+
+    Finite-sum composites only: the smoothed constants carry sigma = 0,
+    which would plan an online run from no variance at all (ValueError).
+    An automatic lambda that underflows to 0 raises
+    InfeasibleScheduleError; an explicit non-positive one, ValueError.
     """
+    if not isinstance(comp.regime, FiniteSum):
+        raise ValueError("an online composite goes through as_problem, with sigma "
+                         "set on its constants, and then tune_smooth")
     # epsilon sets the smoothing level, so it is checked before lambda
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -355,6 +352,9 @@ def tune_nonsmooth(comp: MoreauComposite, epsilon: float,
            if cc.ell_h > 0 else math.inf)
     ac = settings.get("asymptotic_constant", TunerInput.asymptotic_constant)
     requested = ac * epsilon if lambda_choice == "auto" else float(lambda_choice)
+    if lambda_choice == "auto" and requested == 0.0 and ac > 0:
+        raise InfeasibleScheduleError(f"smoothing level asymptotic_constant * epsilon"
+                                      f" = {ac:g} * {epsilon:g} underflows to 0")
     lam = min(requested, cap)  # as_problem rejects a non-positive or NaN lambda
     if lam < requested:
         logger.warning("smoothing level clamped from %g to the admissible "

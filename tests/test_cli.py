@@ -360,6 +360,43 @@ def test_malformed_problem_is_config_error(problem, tmp_path, capsys,
     assert f"config error: problem[{problem['kind']}]" in capsys.readouterr().err
 
 
+# configs whose values sit at the edge of the float64 range: a problem
+# constant that overflows is a config error (2) naming it, and schedule
+# arithmetic that leaves the range is an infeasible schedule (4)
+@pytest.mark.parametrize("problem, tuner, code, words", [
+    ({"kind": "quadratic_saddle", "noise": 1e300}, {}, EXIT_CONFIG, "ell is inf"),
+    ({"kind": "quadratic_saddle", "linear_scale": 1e308}, {}, EXIT_CONFIG,
+     "non-finite"),
+    ({"kind": "quadratic_saddle", "coupling": 1e200}, {}, EXIT_INFEASIBLE,
+     "division by zero"),
+    ({"kind": "quadratic_saddle"}, {"mu": 1e-300}, EXIT_INFEASIBLE,
+     "division by zero"),
+    ({"kind": "quadratic_saddle"}, {"epsilon": 1e-300, "theta": 1.0},
+     EXIT_INFEASIBLE, "division by zero"),
+    ({"kind": "kl_example"}, {"overrides": {"r": 1e-300}}, EXIT_INFEASIBLE,
+     "division by zero"),
+    ({"kind": "two_group_regression", "n": 20},
+     {"lambda": 1e-320, "sample_cap": 1e300}, EXIT_INFEASIBLE, "division by zero"),
+    ({"kind": "two_group_regression", "n": 20},
+     {"epsilon": 1e-300, "asymptotic_constant": 1e-300, "sample_cap": 1e300},
+     EXIT_INFEASIBLE, "underflows to 0"),
+    ({"kind": "phi_div_dro", "lambda_pen": 1e308}, {"sample_cap": 1e300},
+     EXIT_CONFIG, "L_y is inf"),
+])
+def test_float_range_edges_exit_with_one_line(problem, tuner, code, words,
+                                              tmp_path, capsys):
+    cfg = {"problem": problem,
+           "tuner": {"epsilon": 0.1, "overrides": {"K": 1}, **tuner}}
+    out = tmp_path / "out"
+    assert run_experiment(_write(tmp_path, cfg), quiet=True,
+                          out_dir=str(out)) == code
+    err = capsys.readouterr().err
+    prefix = "config error:" if code == EXIT_CONFIG else "infeasible schedule:"
+    assert err.startswith(prefix) and words in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()  # no trace CSV
+
+
 # dataset files that `load_dataset_csv` rejects, with the line it names
 _BAD_CSV = {
     "empty": ("", None),
@@ -372,6 +409,8 @@ _BAD_CSV = {
     "nan-feature": ("feature_0,target,group\n1.0,2.0,0\nnan,4.0,1\n3.0,1.0,0\n",
                     "line 3"),
     "inf-target": ("feature_0,target,group\n1.0,-inf,0\n3.0,4.0,1\n", "line 2"),
+    # finite, but the problem constants it gives overflow to inf
+    "huge-feature": ("feature_0,target,group\n1e200,1.0,0\n1.0,2.0,1\n", None),
 }
 
 

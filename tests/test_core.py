@@ -357,6 +357,16 @@ def test_meta_rejects_nan_constants(name):
         SmoothnessMeta(**dict(base, **{name: float("nan")}))
 
 
+@pytest.mark.parametrize("name", ["L_x", "L_y", "rho", "ell", "sigma_x",
+                                  "sigma_y"])
+def test_meta_rejects_infinite_constants(name):
+    # a constant that left the float64 range (say, from huge data) is named,
+    # not passed on to fail as a division by zero in the tuner
+    base = dict(L_x=1.0, L_y=1.0, rho=0.0, ell=1.0)
+    with pytest.raises(OverflowError, match=f"{name} is inf"):
+        SmoothnessMeta(**dict(base, **{name: float("inf")}))
+
+
 def test_problem_fills_dual_diameter():
     p = _const_grad_problem()
     assert p.constants.D_Y == pytest.approx(2.0)  # Box [-1, 1]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import spidergda.estimator as estimator_mod
 from spidergda import (Box, FiniteSum, Online,
                        ProblemInstance, RegimeError, SmoothnessMeta,
-                       StochasticOracle, UniformDraw, anchor, batch_ids,
+                       StochasticOracle, anchor, batch_ids,
                        batch_rng, estimator_mse, full_grad_x, full_grad_y,
                        recurse)
 
@@ -67,9 +67,8 @@ _HIGHS = [1, 2, 16, 2 ** 31, 3, 200, 400, 10 ** 9, 3 * 2 ** 30 + 1,
                           st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=12),
        st.integers(1, 40))
 def test_batch_ids_match_numpy_generator(high, seed, keys, count):
-    draw = UniformDraw(high)
     epochs, taus = (np.array(v) for v in zip(*keys))
-    ids = batch_ids(draw, seed, epochs, taus, count)
+    ids = batch_ids(high, seed, epochs, taus, count)
     assert ids.dtype == np.int64 and ids.shape == (len(keys), count)
     for row, (k, tau) in zip(ids, keys):
         want = np.random.Generator(np.random.Philox(key=np.array(
@@ -87,20 +86,20 @@ def test_batch_ids_fall_back_on_rejected_draws(monkeypatch):
         return batch_rng(*args)
 
     monkeypatch.setattr(estimator_mod, "batch_rng", counting_rng)
-    draw = UniformDraw(3 * 2 ** 30 + 1)
-    ids = batch_ids(draw, 7, 2, np.arange(64), 4)
+    high = 3 * 2 ** 30 + 1
+    ids = batch_ids(high, 7, 2, np.arange(64), 4)
     assert 0 < len(calls) < 64
     for tau, row in enumerate(ids):
-        assert np.array_equal(row, draw(batch_rng(7, 2, tau), 4))
+        assert np.array_equal(row, batch_rng(7, 2, tau).integers(0, high, size=4))
     # the online range never rejects
     calls.clear()
-    batch_ids(UniformDraw(2 ** 63), 7, 2, np.arange(64), 4)
+    batch_ids(2 ** 63, 7, 2, np.arange(64), 4)
     assert calls == []
     # the bulk pass serves any count per key
-    ids = batch_ids(UniformDraw(16), 7, 2, np.arange(3), 1000)
+    ids = batch_ids(16, 7, 2, np.arange(3), 1000)
     assert calls == []
     for tau, row in enumerate(ids):
-        assert np.array_equal(row, UniformDraw(16)(batch_rng(7, 2, tau), 1000))
+        assert np.array_equal(row, batch_rng(7, 2, tau).integers(0, 16, size=1000))
 
 
 # ----------------------------------------------------------------------------
@@ -131,7 +130,7 @@ def test_online_anchor_uses_b_fresh_draws():
     G1 = anchor(p, np.zeros(4), np.zeros(1), B=64, rng=batch_rng(5, 2, 0))
     G2 = anchor(p, np.zeros(4), np.zeros(1), B=64, rng=batch_rng(5, 2, 0))
     # one oracle row per draw: B fresh 63-bit tokens from the keyed stream
-    want = UniformDraw(2 ** 63)(batch_rng(5, 2, 0), 64).tolist()
+    want = batch_rng(5, 2, 0).integers(0, 2 ** 63, size=64).tolist()
     assert seen == want + want
     assert np.array_equal(G1[0], G2[0])  # same keyed stream, same batch
     assert abs(float(G1[0].sum()) - 1.0) < 1e-12  # rows are unit vectors

@@ -301,7 +301,6 @@ def test_saddle_solves_first_order_system():
     xs, ys = md["saddle_x"], md["saddle_y"]
     assert np.linalg.norm(A @ xs + B @ ys + md["a"]) <= 1e-10
     assert np.linalg.norm(B.T @ xs - C @ ys - md["b"]) <= 1e-10
-    assert md["interior"]
     assert np.all(xs > p.set_x.lo) and np.all(xs < p.set_x.hi)
 
 

@@ -436,3 +436,12 @@ def test_import_does_not_load_scipy():
             "sys.exit('scipy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("name", ["ell_c", "ell_h", "ell_phi", "L_c", "L_phi"])
+def test_composite_constants_must_be_nonnegative_and_finite(name):
+    base = dict(ell_c=1.0, ell_h=1.0, ell_phi=1.0, L_c=1.0, L_phi=1.0, d_h=1)
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+        CompositeConstants(**dict(base, **{name: float("nan")}))
+    with pytest.raises(OverflowError, match=f"{name} is inf"):
+        CompositeConstants(**dict(base, **{name: float("inf")}))

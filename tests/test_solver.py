@@ -14,7 +14,7 @@ import pytest
 from spidergda import (Ball, Box, DimError, FiniteSum, FullSpace,
                        NonFiniteError, Online, ProblemInstance, Simplex,
                        SmoothnessMeta, SolverConfig, StochasticOracle,
-                       UniformDraw, anchor, batch_rng, default_initial_point,
+                       anchor, batch_rng, default_initial_point,
                        make_quadratic_saddle, run, step)
 
 
@@ -422,10 +422,10 @@ def test_recursion_ids_equal_a_keyed_generator_per_step():
         for j, ids in enumerate(p.calls):
             k, tau = divmod(j, cfg.T)
             if tau:  # a recursion: its M ids at the new, then the old point
-                want = UniformDraw(high)(batch_rng(cfg.seed, k, tau), cfg.M)
+                want = batch_rng(cfg.seed, k, tau).integers(0, high, size=cfg.M)
                 assert ids.tolist() == want.tolist() * 2
             elif isinstance(p.regime, Online):
-                want = UniformDraw(high)(batch_rng(cfg.seed, k, 0), cfg.B)
+                want = batch_rng(cfg.seed, k, 0).integers(0, high, size=cfg.B)
                 assert ids.tolist() == want.tolist()
             else:
                 assert ids.tolist() == list(range(high))
@@ -440,7 +440,7 @@ def test_online_anchor_per_epoch_end_to_end():
     anchors = [ids for j, ids in enumerate(p.calls) if j % cfg.T == 0]
     assert len(anchors) == cfg.K
     for k, ids in enumerate(anchors):
-        want = UniformDraw(2 ** 63)(batch_rng(cfg.seed, k, 0), cfg.B)
+        want = batch_rng(cfg.seed, k, 0).integers(0, 2 ** 63, size=cfg.B)
         assert ids.tolist() == want.tolist()
     x0, y0 = default_initial_point(p.set_x), default_initial_point(p.set_y)
     gy = (1 + anchors[0] % 7)[:, None] * x0
@@ -540,7 +540,7 @@ def test_config_counts_must_be_positive_integers(name, bad):
         SolverConfig(**dict(_VALID, **{name: bad}))
 
 
-@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None, -1, 2 ** 64])
 def test_config_seed_must_be_an_integer(bad):
     # seed = 2.5 used to pass here and fail inside run's batch_rng with a
     # TypeError; True passed as the seed 1

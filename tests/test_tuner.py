@@ -434,3 +434,11 @@ def test_lambda_explicit_choice():
     for bad in (-1.0, 0.0, math.nan):  # as_problem's check rejects each
         with pytest.raises(ValueError, match="lambda must be positive"):
             tune_nonsmooth(comp, 0.1, lambda_choice=bad)
+
+
+def test_nonsmooth_refuses_an_online_composite():
+    # the smoothed constants carry sigma = 0, which used to plan an online
+    # run with B = T = M = 1 from no variance at all
+    comp = replace(_unit_moreau(), regime=Online())
+    with pytest.raises(ValueError, match="online composite goes through as_problem"):
+        tune_nonsmooth(comp, 0.1, overrides={"K": 1})
