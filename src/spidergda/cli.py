@@ -17,6 +17,7 @@ import dataclasses
 import json
 import logging
 import sys
+import traceback
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -249,14 +250,17 @@ def _build_problem(cfg: dict) -> Union[ProblemInstance, MoreauComposite]:
     prob = cfg["problem"]
     kind, keys = prob["kind"], _KINDS[prob["kind"]].keys
     try:
-        return _KINDS[kind].build({k: float(v) if keys[k] is _FLOAT else v
-                                   for k, v in prob.items() if k != "kind"})
-    except OverflowError as err:
-        # a key or a constant left the float64 range; name the data too
+        # a huge key or datum overflows in the builder's arithmetic; the
+        # constant check that follows names it, so numpy need not warn first
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _KINDS[kind].build({k: float(v) if keys[k] is _FLOAT else v
+                                       for k, v in prob.items() if k != "kind"})
+    except (OverflowError, problems.EmptyGroupError) as err:
+        # a key or a constant left the float64 range, or a group id of the
+        # data has no rows; name the data too
         data = f"{prob['dataset']}: " if "dataset" in prob else ""
         raise ConfigError(f"problem[{kind}]: {data}{err}") from None
-    except (ValueError, DimError, OSError, problems.EmptyGroupError,
-            problems.SingularityError) as err:
+    except (ValueError, DimError, OSError, problems.SingularityError) as err:
         raise ConfigError(f"problem[{kind}]: {err}") from None
 
 
@@ -316,19 +320,13 @@ def _residuals(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray,
         (seed, _OUTPUT_TAG if i < 0 else i))) for x, y, i in zip(X, Y, indices)]
 
 
-# trace rows per window of residuals; a finite-sum window takes its exact
-# gradients from one rows call.  The windows also bound the memory: one
-# call for all rows of the cli_diagnostics benchmark run (N = 16) held
-# gathers of 4,096 rows and raised its peak RSS from 40.6 MB to 41.7 MB.
-_RESIDUAL_WINDOW = 64
-
-
 def _diagnose(problem: ProblemInstance, trace: RunTrace, config: SolverConfig,
               diag: dict) -> tuple[dict, dict]:
     """The diagnostics of one run, keyed by trace row index: residuals
     (res_x, res_y, se_x, se_y) at every `residual_stride`-th row, the last
-    row and the output pair (index -1), in windows of `_RESIDUAL_WINDOW`
-    points; merit values at every `lyapunov_stride`-th row and the last."""
+    row and the output pair (index -1), from one `_residuals` call (the
+    exact gradients bound their rows per oracle call); merit values at
+    every `lyapunov_stride`-th row and the last."""
     rows = trace.rows
     res_stride = diag.get("residual_stride")
     lya_stride = diag.get("lyapunov_stride")
@@ -340,11 +338,9 @@ def _diagnose(problem: ProblemInstance, trace: RunTrace, config: SolverConfig,
     points = {i: (row.x, row.y) for i, row in enumerate(rows)
               if i == last or (res_stride is not None and i % res_stride == 0)}
     points[-1] = trace.output_pair
-    want, res = list(points), {}
-    for lo in range(0, len(want), _RESIDUAL_WINDOW):
-        window = want[lo:lo + _RESIDUAL_WINDOW]
-        X, Y = (np.array(v) for v in zip(*map(points.get, window)))
-        res.update(zip(window, _residuals(problem, X, Y, config.seed, window)))
+    want = list(points)
+    X, Y = (np.array(v) for v in zip(*points.values()))
+    res = dict(zip(want, _residuals(problem, X, Y, config.seed, want)))
     lya = {i: lyapunov(problem, config.r, row.x, row.y, row.z).value
            for i, row in enumerate(rows)
            if lya_stride is not None and (i % lya_stride == 0 or i == last)}
@@ -397,7 +393,10 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleScheduleError, ArithmeticError) as err:
-        print(f"infeasible schedule: {err}", file=sys.stderr)
+        # a bare "float division by zero" needs the formula that raised it
+        where = (f"{traceback.extract_tb(err.__traceback__)[-1].name}: "
+                 if isinstance(err, ZeroDivisionError) else "")
+        print(f"infeasible schedule: {where}{err}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
     summary = {"tuner_audit": {"inputs": audit.inputs, "outputs": audit.outputs},

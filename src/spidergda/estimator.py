@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteSum, ProblemInstance, RegimeError, _exact_grads, full_grads
+from .core import FiniteSum, ProblemInstance, _exact_grads, full_grads
 
 __all__ = [
     "anchor",
@@ -244,8 +244,6 @@ def estimator_mse(problem: ProblemInstance, trajectory, M: int,
     RegimeError
         If the problem is in the online regime.
     """
-    if not isinstance(problem.regime, FiniteSum):
-        raise RegimeError("estimator_mse requires the finite-sum regime")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     steps = len(trajectory)

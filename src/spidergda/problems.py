@@ -563,7 +563,7 @@ def spec_from_csv(path, loss: str = "squared") -> GroupDroSpec:
         As `load_dataset_csv` does, and naming the path and the line of the
         first row whose group id is negative (that row would join no group).
     EmptyGroupError
-        When a group id in 0..max is missing.
+        When a group id in 0..max is missing (`GroupDroSpec` checks it).
     """
     X, t, g = load_dataset_csv(path)
     negative = np.flatnonzero(g < 0)
@@ -571,9 +571,5 @@ def spec_from_csv(path, loss: str = "squared") -> GroupDroSpec:
         # data row i sits on line i + 2, below the header
         i = int(negative[0])
         raise ValueError(f"{path} line {i + 2}: group id {g[i]} is negative")
-    m = int(g.max()) + 1 if len(g) else 0
-    groups = [(X[g == gi], t[g == gi]) for gi in range(m)]
-    for gi, (Xg, _) in enumerate(groups):
-        if Xg.shape[0] == 0:
-            raise EmptyGroupError(f"group {gi} has no rows in {path}")
+    groups = [(X[g == gi], t[g == gi]) for gi in range(int(g.max()) + 1)]
     return GroupDroSpec(groups=groups, loss=loss)

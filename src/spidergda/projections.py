@@ -152,7 +152,12 @@ class Ball(ConstraintSet):
         if self._contains(v):
             return v.copy()
         d = v - self.center
-        return self.center + d * (self.radius / np.linalg.norm(d))
+        nrm = np.linalg.norm(d)
+        if nrm == np.inf:
+            # the norm of a finite d above ~1.3e154 overflows; scale first
+            d = d / np.max(np.abs(d))
+            nrm = np.linalg.norm(d)
+        return self.center + d * (self.radius / nrm)
 
     def _contains(self, x: np.ndarray) -> bool:
         return bool(np.linalg.norm(x - self.center) <= self.radius + FEAS_TOL)

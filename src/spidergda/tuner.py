@@ -34,7 +34,6 @@ __all__ = [
     "InfeasibleScheduleError",
     "compute_r",
     "alpha_x_interval",
-    "compute_alpha_x",
     "compute_alpha_y",
     "compute_varpi",
     "compute_beta",
@@ -116,7 +115,8 @@ def alpha_x_interval(meta: SmoothnessMeta, r: float) -> tuple[float, float]:
     """Admissible interval [lower, upper] for alpha_x at this r.
 
     upper is the min of the three step-size branches (L_y = 0 removes the
-    third); lower is the required 24 (L_y + 1)/(r - rho)^2.
+    third), the primal step unless overridden; lower is the required
+    24 (L_y + 1)/(r - rho)^2.
     """
     L_x, L_y, rho = meta.L_x, meta.L_y, meta.rho
     if r <= rho:
@@ -127,23 +127,6 @@ def alpha_x_interval(meta: SmoothnessMeta, r: float) -> tuple[float, float]:
     upper = min(b1, b2, b3)
     lower = 24.0 * (L_y + 1.0) / (r - rho) ** 2
     return lower, upper
-
-
-def compute_alpha_x(meta: SmoothnessMeta, r: float) -> float:
-    """Primal step size: min of the three branches, validated against the
-    required lower bound 24 (L_y + 1)/(r - rho)^2.
-
-    Raises
-    ------
-    InfeasibleScheduleError
-        If the admissible interval is empty (an overridden r too small).
-    """
-    lower, upper = alpha_x_interval(meta, r)
-    if not lower <= upper:
-        raise InfeasibleScheduleError(
-            f"no valid alpha_x for r={r}: required lower bound {lower} exceeds "
-            f"branch minimum {upper}")
-    return upper
 
 
 def compute_alpha_y(meta: SmoothnessMeta, alpha_x: float) -> float:
@@ -287,14 +270,11 @@ def tune_smooth(tin: TunerInput) -> tuple[SolverConfig, TunerAudit]:
 
     r = float(ov["r"]) if "r" in ov else compute_r(meta)
     lower, upper = alpha_x_interval(meta, r)
-    if "alpha_x" in ov:
-        alpha_x = float(ov["alpha_x"])
-        if not (lower <= alpha_x <= upper):
-            raise InfeasibleScheduleError(
-                f"overridden alpha_x={alpha_x} outside admissible "
-                f"[{lower}, {upper}] at r={r}")
-    else:
-        alpha_x = compute_alpha_x(meta, r)
+    alpha_x = float(ov["alpha_x"]) if "alpha_x" in ov else upper
+    if not lower <= alpha_x <= upper:
+        raise InfeasibleScheduleError(
+            f"no valid alpha_x={alpha_x} at r={r}: the admissible interval "
+            f"is [{lower}, {upper}]")
     alpha_y = float(ov["alpha_y"]) if "alpha_y" in ov else compute_alpha_y(meta, alpha_x)
     varpi = compute_varpi(meta, r, alpha_y) if meta.theta <= 0.5 else None
     beta = float(ov["beta"]) if "beta" in ov else compute_beta(

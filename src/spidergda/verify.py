@@ -29,8 +29,7 @@ from .estimator import anchor, batch_rng, recurse
 from .problems import (kl_example_grad, kl_example_value, make_kl_example,
                        make_quadratic_saddle)
 from .projections import Ball, Box, Simplex, _normal_cone_rows
-from .tuner import (alpha_x_interval, compute_alpha_x, compute_alpha_y,
-                    compute_r)
+from .tuner import alpha_x_interval, compute_alpha_y, compute_r
 
 __all__ = ["Check", "SUITES"]
 
@@ -108,13 +107,12 @@ def _tuner() -> list[Check]:
     interval whose lower end is 24 * 2 / 675^2 = 48/455625."""
     meta = SmoothnessMeta(L_x=1.0, L_y=1.0, rho=1.0, ell=1.0)
     r = compute_r(meta)
-    ax = compute_alpha_x(meta, r)
-    lower, upper = alpha_x_interval(meta, r)
+    lower, ax = alpha_x_interval(meta, r)
     ay = compute_alpha_y(meta, ax)
     return [
         Check("prox weight r = 676 at unit constants", r == 676.0, f"r={r}"),
         Check("primal step alpha_x = 1/8148 at unit constants",
-              ax == upper == 1.0 / 8148.0, f"alpha_x={ax}"),
+              ax == 1.0 / 8148.0, f"alpha_x={ax}"),
         Check("primal step lower bound = 48/455625 at unit constants",
               lower == 48.0 / 455625.0, f"lower={lower}"),
         Check("dual step alpha_y = min(alpha_x, 1/40, 1/12)",

@@ -51,8 +51,9 @@ RESIDUAL_WINDOW_CALLS = 15
 # package calls, and oracle calls among them, of one merit evaluation at a
 # trace row of the benchmark's diagnostics schedule (34,028 and 1,717 when
 # its 8 ascent starts ran one after another; 2,347 and 238 while each
-# ascent step asked the oracle again for the y gradient at x_r)
-LYAPUNOV_CALLS = 2225
+# ascent step asked the oracle again for the y gradient at x_r; 2,225
+# while `lyapunov` checked the regime itself)
+LYAPUNOV_CALLS = 2224
 LYAPUNOV_ORACLE_CALLS = 178
 # scalar grad_x and grad_y calls of a certified merit evaluation on the
 # 1-D example, whose oracle has no `grads_batch`

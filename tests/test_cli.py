@@ -368,21 +368,23 @@ def test_malformed_problem_is_config_error(problem, tmp_path, capsys,
     ({"kind": "quadratic_saddle", "linear_scale": 1e308}, {}, EXIT_CONFIG,
      "non-finite"),
     ({"kind": "quadratic_saddle", "coupling": 1e200}, {}, EXIT_INFEASIBLE,
-     "division by zero"),
+     "compute_varpi: float division by zero"),
     ({"kind": "quadratic_saddle"}, {"mu": 1e-300}, EXIT_INFEASIBLE,
-     "division by zero"),
+     "compute_varpi: float division by zero"),
     ({"kind": "quadratic_saddle"}, {"epsilon": 1e-300, "theta": 1.0},
-     EXIT_INFEASIBLE, "division by zero"),
+     EXIT_INFEASIBLE, "_kt_branches: float division by zero"),
     ({"kind": "kl_example"}, {"overrides": {"r": 1e-300}}, EXIT_INFEASIBLE,
-     "division by zero"),
+     "alpha_x_interval: float division by zero"),
     ({"kind": "two_group_regression", "n": 20},
-     {"lambda": 1e-320, "sample_cap": 1e300}, EXIT_INFEASIBLE, "division by zero"),
+     {"lambda": 1e-320, "sample_cap": 1e300}, EXIT_INFEASIBLE,
+     "smoothed_constants: float division by zero"),
     ({"kind": "two_group_regression", "n": 20},
      {"epsilon": 1e-300, "asymptotic_constant": 1e-300, "sample_cap": 1e300},
      EXIT_INFEASIBLE, "underflows to 0"),
     ({"kind": "phi_div_dro", "lambda_pen": 1e308}, {"sample_cap": 1e300},
      EXIT_CONFIG, "L_y is inf"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_float_range_edges_exit_with_one_line(problem, tuner, code, words,
                                               tmp_path, capsys):
     cfg = {"problem": problem,
@@ -416,6 +418,7 @@ _BAD_CSV = {
 
 @pytest.mark.parametrize("kind", ["group_dro", "phi_div_dro"])
 @pytest.mark.parametrize("name", sorted(_BAD_CSV))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_dataset_is_config_error(kind, name, tmp_path, capsys):
     text, line = _BAD_CSV[name]
     data = tmp_path / "data.csv"
@@ -435,22 +438,26 @@ def test_malformed_dataset_is_config_error(kind, name, tmp_path, capsys):
 
 def test_negative_group_id_is_config_error_for_group_dro_only(tmp_path, capsys):
     # groups 0, -1, 1: in a group-DRO problem the row of group -1 would join
-    # no group; phi-divergence DRO ignores the group column, so the same
-    # file still loads there
-    data = tmp_path / "data.csv"
-    data.write_text("feature_0,target,group\n1.0,2.0,0\n3.0,4.0,-1\n5.0,6.0,1\n",
-                    encoding="utf-8")
+    # no group; groups 0, 2: group 1 has no rows.  Phi-divergence DRO
+    # ignores the group column, so the same files still load there
     tuner = {"epsilon": 0.1, "mu": 1.0}
-    cfg = {"problem": {"kind": "group_dro", "dataset": str(data)}, "tuner": tuner}
-    out = tmp_path / "never"
-    assert run_experiment(_write(tmp_path, cfg), quiet=True,
-                          out_dir=str(out)) == EXIT_CONFIG
-    assert not out.exists()
-    assert capsys.readouterr().err.startswith(
-        f"config error: problem[group_dro]: {data} line 3: group id -1 is negative")
-    phi = _load_config(
-        {"problem": {"kind": "phi_div_dro", "dataset": str(data)}, "tuner": tuner})
-    assert _build_problem(phi).regime.n == 3
+    for groups, message in ((["0", "-1", "1"], " line 3: group id -1 is negative"),
+                            (["0", "2"], ": group 1 is empty")):
+        data = tmp_path / f"data{len(groups)}.csv"
+        data.write_text("feature_0,target,group\n" + "".join(
+            f"{2 * i + 1}.0,{2 * i + 2}.0,{g}\n" for i, g in enumerate(groups)),
+            encoding="utf-8")
+        cfg = {"problem": {"kind": "group_dro", "dataset": str(data)},
+               "tuner": tuner}
+        out = tmp_path / "never"
+        assert run_experiment(_write(tmp_path, cfg), quiet=True,
+                              out_dir=str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"config error: problem[group_dro]: {data}{message}\n")
+        phi = _load_config({"problem": {"kind": "phi_div_dro",
+                                        "dataset": str(data)}, "tuner": tuner})
+        assert _build_problem(phi).regime.n == len(groups)
 
 
 def _with(section, **entries):

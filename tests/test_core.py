@@ -290,9 +290,10 @@ def test_one_side_full_grad_calls_only_that_scalar_side():
     assert gy.tobytes() == both[1].tobytes()
 
 
-@pytest.mark.parametrize("budget", [core._ROW_BUDGET, 40, 1])
+@pytest.mark.parametrize("budget", [2 ** 12, core._ROW_BUDGET, 40, 1])
 def test_rows_of_exact_gradients_equal_full_grads_per_point(monkeypatch, budget):
-    # at budget 40 a call takes 2 of the 16-sample points, at budget 1 one
+    # at the default budget and a larger one a call takes all 5 points, at
+    # budget 40 2 of the 16-sample points, at budget 1 one
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     p = make_quadratic_saddle(4, 3, n_samples=16, seed=5)
     rng = np.random.default_rng(7)

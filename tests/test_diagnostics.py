@@ -17,12 +17,12 @@ import pytest
 
 from spidergda import (Ball, Box, DimError, FiniteSum, MaxItersError, Online,
                        ProblemInstance, RegimeError, Simplex, SmoothnessMeta,
-                       SolverConfig, StochasticOracle, as_problem, diagnostics,
-                       dz_norm, fd_check, full_grad_x, full_grad_y, full_value,
-                       gs_residuals, lyapunov, make_group_dro,
+                       SolverConfig, StochasticOracle, as_problem, core,
+                       diagnostics, dz_norm, fd_check, full_grad_x, full_grad_y,
+                       full_value, gs_residuals, lyapunov, make_group_dro,
                        make_quadratic_saddle, make_two_group_regression,
                        mc_gs_residuals, run, solve_x_r)
-from spidergda.cli import _RESIDUAL_WINDOW, _diagnose
+from spidergda.cli import _diagnose
 
 
 def _bilinear_problem():
@@ -455,20 +455,20 @@ def _residual_cases():
 @pytest.mark.parametrize("stride", [1, 3])
 def test_windowed_residuals_equal_per_row_gs_residuals(kind, stride):
     p, alpha_x, alpha_y = _residual_cases()[kind]
-    # 2 windows and a part at stride 1, so rows sit on both sides of a
-    # window boundary
+    # more points than one exact-gradient call takes at stride 1, so rows
+    # sit on both sides of a call boundary
     cfg = SolverConfig(K=33, T=4, M=4, B=1, alpha_x=alpha_x, alpha_y=alpha_y,
                        beta=0.5, r=1.0, seed=5)
     trace = run(p, cfg)
     rows = trace.rows
-    assert len(rows) > 2 * _RESIDUAL_WINDOW
+    assert len(rows) > core._ROW_BUDGET // p.regime.n
     res, lya = _diagnose(p, trace, cfg, {"residual_stride": stride})
     assert lya == {}
     want = [i for i in range(len(rows)) if i % stride == 0 or i == len(rows) - 1]
     assert list(res) == want + [-1]
     for i in want:
         assert res[i] == gs_residuals(p, rows[i].x, rows[i].y) + (None, None)
-    # the output pair rides in the last window
+    # the output pair rides in the last call
     assert res[-1] == gs_residuals(p, *trace.output_pair) + (None, None)
 
 

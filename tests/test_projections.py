@@ -1,9 +1,9 @@
 """Projection and normal-cone-distance tests.
 
 Oracles (independent of the library implementation):
-  * `_simplex_project_oracle` enumerates every candidate support set of the
-    simplex QP and solves each KKT system in closed form -- exact brute force
-    for small dims.
+  * `_simplex_project_oracle` (shared with acceptance criterion 07)
+    enumerates every candidate support set of the simplex QP and solves each
+    KKT system in closed form -- exact brute force for small dims.
   * `_qp_oracle` solves min ||u - v||^2 over the set with scipy's SLSQP.
   * `_tangent_dist_fd` recovers ||proj_T(-g)|| from the projection operator
     itself via (P(x - t g) - x) / t at small t (exact for polyhedral sets
@@ -12,7 +12,6 @@ Oracles (independent of the library implementation):
     ||g + u|| over the simplex normal cone as a 1-d piecewise quadratic.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -27,30 +26,11 @@ from spidergda import (Ball, Box, DimError, FullSpace, InfeasibleError,
 from spidergda.projections import (ACTIVE_TOL, FEAS_TOL, _normal_cone_rows,
                                    _project_rows)
 from spidergda.verify import SUITES
-from test_acceptance import _simplex_ncd_oracle
+from test_acceptance import _simplex_ncd_oracle, _simplex_project_oracle
 
 
 # ----------------------------------------------------------------------------
 # oracles
-
-def _simplex_project_oracle(v: np.ndarray) -> np.ndarray:
-    """Exact simplex projection by enumerating support sets: on support S the
-    minimizer is v_i + (1 - sum_S v)/|S|, feasible iff all entries >= 0."""
-    d = v.shape[0]
-    best, best_dist = None, np.inf
-    for size in range(1, d + 1):
-        for S in itertools.combinations(range(d), size):
-            S = list(S)
-            shift = (1.0 - float(np.sum(v[S]))) / len(S)
-            u = np.zeros(d)
-            u[S] = v[S] + shift
-            if np.any(u[S] < -1e-12):
-                continue
-            dist = float(np.linalg.norm(u - v))
-            if dist < best_dist:
-                best, best_dist = u, dist
-    return best
-
 
 def _qp_oracle(cset, v: np.ndarray) -> np.ndarray:
     """Generic projection via SLSQP on the QP  min ||u - v||^2  s.t. u in set."""
@@ -296,6 +276,16 @@ def test_simplex_project_huge_coordinates(v, want):
     # rule raised IndexError); the exact projection shares the mass equally
     # among the coordinates equal to the largest
     assert Simplex(len(v)).project(np.array(v)).tolist() == want
+
+
+@pytest.mark.parametrize("v, want", [
+    ([1e155, 0.0], [1.0, 0.0]), ([-3e200, 4e200], [-0.6, 0.8]),
+    ([1e300, 1e300], [2 ** -0.5, 2 ** -0.5])])
+def test_ball_project_huge_coordinates(v, want):
+    # the norm of these finite points overflows to inf, and d * (1 / inf)
+    # put them at the centre
+    np.testing.assert_allclose(Ball(np.zeros(2), 1.0).project(np.array(v)),
+                               want, rtol=0, atol=1e-15)
 
 
 # ----------------------------------------------------------------------------

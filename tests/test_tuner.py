@@ -19,7 +19,7 @@ import numpy as np
 from spidergda import (AbsValue, Box, CompositeConstants, FiniteSum,
                        InfeasibleScheduleError, MoreauComposite, Online,
                        ProblemInstance, SmoothnessMeta, StochasticOracle,
-                       TunerInput, compute_alpha_x, compute_alpha_y,
+                       TunerInput, alpha_x_interval, compute_alpha_y,
                        compute_beta, compute_r, compute_varpi,
                        compute_budget, make_quadratic_saddle, run,
                        samples_drawn, smoothed_constants, tune_nonsmooth,
@@ -58,13 +58,14 @@ def test_alpha_x_unit_constants(suite_checks):
 
 def test_alpha_x_infeasible_when_r_too_small():
     # r = 10: lower = 48/81 ~ 0.59 exceeds the 1/(12*13) branch
-    with pytest.raises(InfeasibleScheduleError):
-        compute_alpha_x(_unit_meta(), 10.0)
+    with pytest.raises(InfeasibleScheduleError, match="no valid alpha_x"):
+        tune_smooth(TunerInput(meta=_unit_meta(), epsilon=0.1,
+                               regime=FiniteSum(4), overrides={"r": 10.0}))
 
 
 def test_alpha_x_requires_r_above_rho():
     with pytest.raises(InfeasibleScheduleError):
-        compute_alpha_x(_unit_meta(), 0.5)
+        alpha_x_interval(_unit_meta(), 0.5)
 
 
 def test_alpha_y_caps():
@@ -86,7 +87,7 @@ def test_varpi_matches_hand_expression():
 def test_beta_low_theta_unit_constants():
     # the error-bound branch dominates: L_y/(20 r varpi) ~ 1.9e-10
     m = _unit_meta()
-    alpha_x = compute_alpha_x(m, 676.0)
+    alpha_x = alpha_x_interval(m, 676.0)[1]
     alpha_y = compute_alpha_y(m, alpha_x)
     beta = compute_beta(m, 676.0, alpha_x, 0.1, alpha_y)
     varpi = compute_varpi(m, 676.0, alpha_y)
@@ -111,7 +112,7 @@ def test_beta_never_exceeds_cap():
                            rho=rnd.uniform(0, 5), ell=rnd.uniform(0.1, 10),
                            mu=rnd.uniform(0.01, 10), theta=theta)
         r = compute_r(m) * rnd.uniform(1.0, 3.0)
-        alpha_x = compute_alpha_x(m, r)
+        alpha_x = alpha_x_interval(m, r)[1]
         beta = compute_beta(m, r, alpha_x, rnd.uniform(1e-3, 1.0),
                             compute_alpha_y(m, alpha_x),
                             asymptotic_constant=rnd.uniform(0.1, 100.0))
@@ -121,7 +122,7 @@ def test_beta_never_exceeds_cap():
 def test_beta_theta_below_half_ignores_epsilon():
     m0 = _unit_meta(theta=0.0)
     m1 = _unit_meta(theta=0.25)
-    ax = compute_alpha_x(m0, 676.0)
+    ax = alpha_x_interval(m0, 676.0)[1]
     # ell*D_Y = 1 makes the (ell D_Y)^(1-2 theta) factor 1 at every theta
     b0 = compute_beta(replace(m0, D_Y=1.0), 676.0, ax, 0.1,
                       compute_alpha_y(m0, ax))

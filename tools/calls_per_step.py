@@ -20,8 +20,8 @@ at K = 50 (400 steps), one epoch (K = 1, T = 25) of its `gdro_smoothed`
 run, and one epoch of `phi_div_dro` at n = 400, whose dual is a
 `Simplex(400)` where `gdro_smoothed`'s is a `Simplex(2)`.  The units come
 from the first run of the benchmark's `cli_diagnostics` command:
-the exact residuals of one window of trace rows, and the merit function
-at one row.  The counts depend on the numpy and Python versions, except
+the exact residuals of the 64 trace rows that one exact-gradient call
+takes at N = 16, and the merit function at one row.  The counts depend on the numpy and Python versions, except
 the package count.
 """
 
@@ -34,7 +34,7 @@ import spidergda
 from spidergda import (SolverConfig, TunerInput, as_problem, lyapunov,
                        make_group_dro, make_quadratic_saddle,
                        make_two_group_regression, run, tune_smooth)
-from spidergda.cli import _RESIDUAL_WINDOW, _phi_div_dro
+from spidergda.cli import _phi_div_dro
 from spidergda.diagnostics import _gs_residual_rows
 
 _PACKAGE = os.path.dirname(os.path.abspath(spidergda.__file__)) + os.sep
@@ -85,10 +85,11 @@ def cli_diagnostics():
 
 
 def residual_window():
-    """The first residual window of `cli_diagnostics` (trace rows 0-63),
-    as a call of no arguments."""
+    """The exact residuals of the first 64 trace rows of `cli_diagnostics`,
+    the points of one exact-gradient call at N = 16, as a call of no
+    arguments."""
     p, _, trace = cli_diagnostics()
-    rows = trace.rows[:_RESIDUAL_WINDOW]
+    rows = trace.rows[:64]
     X, Y = np.array([row.x for row in rows]), np.array([row.y for row in rows])
     return lambda: _gs_residual_rows(p, X, Y)
 
