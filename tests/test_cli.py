@@ -360,6 +360,19 @@ def test_malformed_problem_is_config_error(problem, tmp_path, capsys,
     assert f"config error: problem[{problem['kind']}]" in capsys.readouterr().err
 
 
+# schedule arithmetic that divides by a float64 that underflowed to 0, with
+# the function that raises the ZeroDivisionError
+_ZERO_DIVISION = [
+    ({"kind": "quadratic_saddle", "coupling": 1e200}, {}, "compute_varpi"),
+    ({"kind": "quadratic_saddle"}, {"mu": 1e-300}, "compute_varpi"),
+    ({"kind": "quadratic_saddle"}, {"epsilon": 1e-300, "theta": 1.0},
+     "_kt_branches"),
+    ({"kind": "kl_example"}, {"overrides": {"r": 1e-300}}, "alpha_x_interval"),
+    ({"kind": "two_group_regression", "n": 20},
+     {"lambda": 1e-320, "sample_cap": 1e300}, "smoothed_constants"),
+]
+
+
 # configs whose values sit at the edge of the float64 range: a problem
 # constant that overflows is a config error (2) naming it, and schedule
 # arithmetic that leaves the range is an infeasible schedule (4)
@@ -367,17 +380,8 @@ def test_malformed_problem_is_config_error(problem, tmp_path, capsys,
     ({"kind": "quadratic_saddle", "noise": 1e300}, {}, EXIT_CONFIG, "ell is inf"),
     ({"kind": "quadratic_saddle", "linear_scale": 1e308}, {}, EXIT_CONFIG,
      "non-finite"),
-    ({"kind": "quadratic_saddle", "coupling": 1e200}, {}, EXIT_INFEASIBLE,
-     "compute_varpi: float division by zero"),
-    ({"kind": "quadratic_saddle"}, {"mu": 1e-300}, EXIT_INFEASIBLE,
-     "compute_varpi: float division by zero"),
-    ({"kind": "quadratic_saddle"}, {"epsilon": 1e-300, "theta": 1.0},
-     EXIT_INFEASIBLE, "_kt_branches: float division by zero"),
-    ({"kind": "kl_example"}, {"overrides": {"r": 1e-300}}, EXIT_INFEASIBLE,
-     "alpha_x_interval: float division by zero"),
-    ({"kind": "two_group_regression", "n": 20},
-     {"lambda": 1e-320, "sample_cap": 1e300}, EXIT_INFEASIBLE,
-     "smoothed_constants: float division by zero"),
+    *[(problem, tuner, EXIT_INFEASIBLE, "division by zero")
+      for problem, tuner, _ in _ZERO_DIVISION],
     ({"kind": "two_group_regression", "n": 20},
      {"epsilon": 1e-300, "asymptotic_constant": 1e-300, "sample_cap": 1e300},
      EXIT_INFEASIBLE, "underflows to 0"),
@@ -397,6 +401,17 @@ def test_float_range_edges_exit_with_one_line(problem, tuner, code, words,
     assert err.startswith(prefix) and words in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()  # no trace CSV
+
+
+@pytest.mark.parametrize("problem, tuner, function", _ZERO_DIVISION)
+def test_zero_division_names_the_raising_function(problem, tuner, function,
+                                                  tmp_path, capsys):
+    cfg = {"problem": problem,
+           "tuner": {"epsilon": 0.1, "overrides": {"K": 1}, **tuner}}
+    assert run_experiment(_write(tmp_path, cfg), quiet=True,
+                          out_dir=str(tmp_path / "out")) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        f"infeasible schedule: {function}: float division by zero\n")
 
 
 # dataset files that `load_dataset_csv` rejects, with the line it names
