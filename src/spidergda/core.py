@@ -2,7 +2,8 @@
 
 A problem is  min_{x in X} max_{y in Y} F(x, y)  with F an expectation (online
 regime) or an average of N component functions (finite-sum regime), accessed
-only through per-sample value/gradient oracles.
+only through row oracles: stacks of per-sample values and gradients, one
+point and one sample id per row.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ def as_vector(v, dim: Optional[int] = None) -> np.ndarray:
     return arr
 
 
-def _check_vector(v: np.ndarray, dim: int, name: str = "vector") -> None:
-    if v.shape != (dim,):
-        raise DimError(f"{name}: expected dim {dim}, got shape {v.shape}")
-
-
 # ----------------------------------------------------------------------------
 # sampling regimes
 
@@ -115,52 +111,49 @@ Regime = Union[FiniteSum, Online]
 
 @dataclass
 class StochasticOracle:
-    """Per-sample value and gradient access to f(x, y; xi).
+    """Row access to the per-sample values and gradients of f(x, y; xi).
 
-    All callables must be pure: identical (x, y, sample_id) inputs give
-    bit-identical outputs, and no shared mutable state is touched, so an
-    oracle is safe to call concurrently.
+    Rows are the one way to query an oracle: each call takes a stack of
+    points with one sample id per row, and row r of its result belongs to
+    (X[r], Y[r], ids[r]).  Both functions must be pure: identical inputs
+    give bit-identical outputs, and no shared mutable state is touched, so
+    an oracle is safe to call concurrently.
 
     Parameters
     ----------
     regime : FiniteSum or Online
-        Sampling regime.  Under FiniteSum(n), the average of grad_x (resp.
-        grad_y) over all n sample ids *is* the exact partial gradient of F.
+        Sampling regime.  Under FiniteSum(n), the mean of the gradient
+        rows over all n sample ids *is* the exact partial gradient of F.
     dim_x, dim_y : int
         Dimensions of the primal and dual variables.
-    eval_f : callable(x, y, sample_id) -> float
-    grad_x : callable(x, y, sample_id) -> ndarray of shape (dim_x,)
-    grad_y : callable(x, y, sample_id) -> ndarray of shape (dim_y,)
-    grads_batch : callable(X, Y, sample_ids) -> (ndarray, ndarray), optional
-        Vectorized fast path with one point per row: X has shape
-        (len(ids), dim_x), Y shape (len(ids), dim_y), and row r of each
-        returned side is the gradient at (X[r], Y[r]) for sample ids[r],
-        of shapes (len(ids), dim_x) and (len(ids), dim_y).  A recursion
-        evaluates its new and its previous point in one call of 2M rows;
-        a single-point caller broadcasts the point to every row
-        (`grads_at`), so one hook serves every consumer.  Each row must be
-        bit-identical to the corresponding scalar-oracle call, because the
-        exact finite-sum gradient and the estimator's anchor are both
-        reduced from these rows.  Three numpy habits break that silently:
+    grads_batch : callable(X, Y, sample_ids) -> (ndarray, ndarray)
+        X has shape (len(ids), dim_x) and Y shape (len(ids), dim_y); row r
+        of each returned side is the gradient of f(., .; ids[r]) at
+        (X[r], Y[r]), of shapes (len(ids), dim_x) and (len(ids), dim_y).
+        A recursion evaluates its new and its previous point in one call
+        of 2M rows; a single-point caller broadcasts the point to every
+        row (`grads_at`).
+    values_batch : callable(X, Y, sample_ids) -> ndarray
+        The values f(X[r], Y[r]; ids[r]), shape (len(ids),).
 
-        - Dot products: one matrix-vector product over stacked rows can
-          differ in the last bit from the per-row product.  The per-row
-          kernel is a stacked matmul against a column per row:
-          row r of ``(A[ids] @ X[:, :, None])[:, :, 0]`` equals
-          ``A[ids[r]] @ X[r]``, and row r of
-          ``(Xs[:, None, :] @ V[:, :, None])[:, 0, 0]`` equals the dot
-          ``Xs[r] @ V[r]``; ``np.einsum`` does not.
-          Matmul also accumulates from +0.0, so where the scalar code
-          multiplies through ``@`` an elementwise product would keep a
-          ``-0.0`` that ``@`` drops.
-        - Squares: ``** 2`` on a numpy or Python scalar calls libm
-          ``pow``, on an array it multiplies; ``np.float_power(a, 2)``
-          matches the scalar.
-        - Sums: ``np.sum`` adds pairwise; reduce rows with
-          `sequential_sum`, which equals the ascending loop.
+    Each row must not depend on the other rows of its call: the row of a
+    many-row call equals the one-row call at (X[r], Y[r], ids[r]) bit for
+    bit, because the exact finite-sum gradient, the estimator's anchor and
+    the diagnostics reduce rows gathered in calls of different shapes.
+    Three numpy habits break that silently:
 
-        Without the hook, `batch_grads` calls grad_x and grad_y once per
-        row; that path is the reference the hook is tested against.
+    - Dot products: one matrix-vector product over stacked rows can
+      differ in the last bit from the product of a single row.  The
+      per-row kernel is a stacked matmul against a column per row: row r
+      of ``(A[ids] @ X[:, :, None])[:, :, 0]`` is ``A[ids[r]] @ X[r]``,
+      and row r of ``(Xs[:, None, :] @ V[:, :, None])[:, 0, 0]`` is the
+      dot ``Xs[r] @ V[r]``; ``np.einsum`` is not.  Matmul also
+      accumulates from +0.0, so an elementwise product in its place would
+      keep a ``-0.0`` that ``@`` drops.
+    - Squares: ``** 2`` on a numpy or Python scalar calls libm ``pow``, on
+      an array it multiplies; ``np.float_power(a, 2)`` matches the scalar.
+    - Sums: ``np.sum`` adds pairwise; reduce rows with `sequential_sum`,
+      which equals the ascending loop.
 
     The sampling law is not a parameter: the regime fixes it as i.i.d.
     uniform ids in [0, `id_high`), with replacement, where `id_high` is N
@@ -170,18 +163,16 @@ class StochasticOracle:
     returns.
 
     Under FiniteSum, `full_grads(problem, x, y)` reduces one `batch_grads`
-    call over all N ids to both exact partial gradients; `full_grad_x` and
-    `full_grad_y` reduce only their own side of the same call.
+    call over all N ids to both exact partial gradients, and `full_value`
+    reduces one `batch_values` call over them to the exact value.
     """
 
     regime: Regime
     dim_x: int
     dim_y: int
-    eval_f: Callable[[np.ndarray, np.ndarray, int], float]
-    grad_x: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-    grad_y: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-    grads_batch: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray],
-                                   tuple[np.ndarray, np.ndarray]]] = None
+    grads_batch: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                          tuple[np.ndarray, np.ndarray]]
+    values_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     id_high: int = field(init=False)
 
     def __post_init__(self):
@@ -196,15 +187,12 @@ class StochasticOracle:
 
     def batch_grads(self, X: np.ndarray, Y: np.ndarray,
                     ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked per-sample gradients, row r at (X[r], Y[r]) for sample
-        ids[r]; shapes (len(ids), dim).
+        """Stacked per-sample gradients from one `grads_batch` call, row r
+        at (X[r], Y[r]) for sample ids[r]; shapes (len(ids), dim).
 
-        Both sides come from one `grads_batch` call when the oracle has
-        the hook, else from one scalar grad_x and grad_y call per row; the
-        per-row values are identical either way.  Hook results are
-        converted to float64 arrays (a float64 ndarray is returned as it
-        is), and their shapes are checked side by side only when the pair
-        does not match.
+        The rows are converted to float64 arrays (a float64 ndarray is
+        returned as it is), and their shapes are checked side by side only
+        when the pair does not match.
 
         Raises
         ------
@@ -213,9 +201,6 @@ class StochasticOracle:
             message names the side and the shape.
         """
         ids = np.asarray(ids)
-        if self.grads_batch is None:
-            return (_stack_rows(self.grad_x, X, Y, ids, self.dim_x, "x"),
-                    _stack_rows(self.grad_y, X, Y, ids, self.dim_y, "y"))
         gx, gy = self.grads_batch(X, Y, ids)
         gx, gy = np.asarray(gx, dtype=np.float64), np.asarray(gy, dtype=np.float64)
         shapes = (len(ids), self.dim_x), (len(ids), self.dim_y)
@@ -226,6 +211,23 @@ class StochasticOracle:
                                    f"{shape}, got {g.shape}")
         return gx, gy
 
+    def batch_values(self, X: np.ndarray, Y: np.ndarray,
+                     ids: np.ndarray) -> np.ndarray:
+        """Per-sample values from one `values_batch` call, entry r at
+        (X[r], Y[r]) for sample ids[r], as a float64 array.
+
+        Raises
+        ------
+        DimError
+            If the values do not have shape (len(ids),).
+        """
+        ids = np.asarray(ids)
+        v = np.asarray(self.values_batch(X, Y, ids), dtype=np.float64)
+        if v.shape != (len(ids),):
+            raise DimError(f"values_batch: expected shape {(len(ids),)}, "
+                           f"got {v.shape}")
+        return v
+
     def grads_at(self, x: np.ndarray, y: np.ndarray,
                  ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`batch_grads` at the single point (x, y), given to every row (as
@@ -233,16 +235,6 @@ class StochasticOracle:
         copy of their own)."""
         return self.batch_grads(x[None].repeat(len(ids), axis=0),
                                 y[None].repeat(len(ids), axis=0), ids)
-
-
-def _stack_rows(grad, X, Y, ids, dim: int, side: str) -> np.ndarray:
-    """Per-sample fallback of batch_grads: one scalar call per row."""
-    out = np.empty((len(ids), dim))
-    for row, i in enumerate(ids):
-        g = np.asarray(grad(X[row], Y[row], int(i)), dtype=np.float64)
-        _check_vector(g, dim, f"grad_{side}(id={int(i)})")
-        out[row] = g
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -353,20 +345,21 @@ class ProblemInstance:
 
 
 # ----------------------------------------------------------------------------
-# exact finite-sum gradients
+# exact finite-sum values and gradients
 #
-# The N component gradients at a point come from a batch_grads call and are
-# summed in ascending sample index starting from 0.0.  This pins the result
+# The N component rows at a point come from one oracle call and are summed
+# in ascending sample index starting from 0.0.  This pins the result
 # bit-for-bit, which the variance-reduced estimator relies on (its
-# finite-sum anchor must equal these exactly).  Several points share one
-# call: each point's N rows are its own, and each is reduced on its own.
+# finite-sum anchor must equal these gradients exactly).  Several points
+# share one call: each point's N rows are its own, and each is reduced on
+# its own.
 
-# oracle rows per exact-gradient call: a call takes at most
-# max(1, _ROW_BUDGET // N) points, so it never exceeds max(N, _ROW_BUDGET)
-# rows (a y side may be dense (rows, N), as make_phi_div_dro's is).  It is
-# the one bound on the memory of the exact diagnostics, which hand all
-# their points to one call: gathers of 4,096 rows raised the peak RSS of
-# the cli_diagnostics benchmark run (N = 16) from 40.6 MB to 41.7 MB.
+# oracle rows per exact call: a call takes at most max(1, _ROW_BUDGET // N)
+# points, so it never exceeds max(N, _ROW_BUDGET) rows (a y side may be
+# dense (rows, N), as make_phi_div_dro's is).  It is the one bound on the
+# memory of the exact diagnostics, which hand all their points to one
+# call: gathers of 4,096 rows raised the peak RSS of the cli_diagnostics
+# benchmark run (N = 16) from 40.6 MB to 41.7 MB.
 _ROW_BUDGET = 2 ** 10
 
 
@@ -394,21 +387,20 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
 
-def _exact_grads(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray,
-                 side: Optional[str] = None):
-    """Exact partial gradients at the points (X[s], Y[s]), one row per
-    point: both sides, or only `side` ("x" or "y"), for which an oracle
-    without `grads_batch` is asked for that side's scalar gradient alone.
+def _exact_means(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray,
+                 rows_of: Callable) -> list:
+    """The finite-sum means at the points (X[s], Y[s]) of each array that
+    ``rows_of(XR, YR, ids)`` returns, one row per point: with the oracle's
+    `batch_grads`, the exact partial gradients [GX, GY].
 
-    Each `batch_grads` call covers up to max(1, _ROW_BUDGET // N) points,
-    each repeated over the N ids; a point's rows are reduced by
-    `sequential_sum` on their own, so its row equals `full_grads` at that
-    point bit for bit.
+    Each call covers up to max(1, _ROW_BUDGET // N) points, each repeated
+    over the N ids; a point's rows are reduced by `sequential_sum` on their
+    own, so its row equals the one-point result bit for bit.
     """
     oracle = problem.oracle
     if not isinstance(oracle.regime, FiniteSum):
-        raise RegimeError("exact gradients need the finite-sum regime; "
-                          "see mc_gs_residuals for Monte-Carlo residuals")
+        raise RegimeError("exact values and gradients need the finite-sum "
+                          "regime; see mc_gs_residuals for Monte-Carlo residuals")
     if X.shape[1:] != (oracle.dim_x,) or Y.shape[1:] != (oracle.dim_y,):
         raise DimError(f"points: expected dims ({oracle.dim_x}, {oracle.dim_y})"
                        f" per row, got shapes {X.shape} and {Y.shape}")
@@ -418,18 +410,18 @@ def _exact_grads(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray,
     for lo in range(0, len(X), per_call):
         XR = X[lo:lo + per_call].repeat(n, axis=0)
         YR = Y[lo:lo + per_call].repeat(n, axis=0)
-        ids = np.arange(len(XR)) % n
-        if side is None or oracle.grads_batch is not None:
-            rows = oracle.batch_grads(XR, YR, ids)
-            rows = rows if side is None else [rows["xy".index(side)]]
-        else:
-            rows = [_stack_rows(getattr(oracle, f"grad_{side}"), XR, YR, ids,
-                                getattr(oracle, f"dim_{side}"), side)]
         # axis 0 of the view runs over a point's ids, axis 1 over points
-        chunks.append([sequential_sum(g.reshape(-1, n, g.shape[1]).swapaxes(0, 1)) / n
-                       for g in rows])
-    means = chunks[0] if len(chunks) == 1 else [np.concatenate(c) for c in zip(*chunks)]
-    return means if side is None else means[0]
+        chunks.append([sequential_sum(g.reshape(-1, n, *g.shape[1:]).swapaxes(0, 1)) / n
+                       for g in rows_of(XR, YR, np.arange(len(XR)) % n)])
+    return chunks[0] if len(chunks) == 1 else [np.concatenate(c) for c in zip(*chunks)]
+
+
+def _exact_values(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray
+                  ) -> np.ndarray:
+    """Exact values of F at the points (X[s], Y[s]), one per point, from
+    the `batch_values` calls of `_exact_means`."""
+    return _exact_means(problem, X, Y,
+                        lambda *rows: [problem.oracle.batch_values(*rows)])[0]
 
 
 def full_grads(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
@@ -447,38 +439,33 @@ def full_grads(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
     DimError
         On dimension mismatch.
     """
-    gx, gy = _exact_grads(problem, x[None], y[None])
+    gx, gy = _exact_means(problem, x[None], y[None], problem.oracle.batch_grads)
     return gx[0], gy[0]
 
 
 def full_grad_x(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The x side of `full_grads`; only that side is reduced, and an oracle
-    without `grads_batch` is asked for grad_x alone."""
-    return _exact_grads(problem, x[None], y[None], "x")[0]
+    """The x side of `full_grads`."""
+    return full_grads(problem, x, y)[0]
 
 
 def full_grad_y(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The y side of `full_grads`; only that side is reduced, and an oracle
-    without `grads_batch` is asked for grad_y alone."""
-    return _exact_grads(problem, x[None], y[None], "y")[0]
+    """The y side of `full_grads`."""
+    return full_grads(problem, x, y)[1]
 
 
 def full_value(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> float:
-    """Exact value of F under the finite-sum regime (sequential mean).
+    """Exact value of F under the finite-sum regime: the mean of one
+    `batch_values` call over all N ids, summed in ascending index order
+    (`sequential_sum`, equal to the loop ``acc = acc + f_i``).
 
     Raises
     ------
     RegimeError
         If the problem is in the online regime.
+    DimError
+        On dimension mismatch.
     """
-    if not isinstance(problem.regime, FiniteSum):
-        raise RegimeError("full value requires the finite-sum regime")
-    _check_vector(x, problem.dim_x, "x")
-    _check_vector(y, problem.dim_y, "y")
-    acc = 0.0
-    for i in range(problem.regime.n):
-        acc = acc + float(problem.oracle.eval_f(x, y, i))
-    return acc / problem.regime.n
+    return float(_exact_values(problem, x[None], y[None])[0])
 
 
 # ----------------------------------------------------------------------------

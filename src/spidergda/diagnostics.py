@@ -22,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ProblemInstance, _exact_grads, _row_norms, as_vector, full_value
+from .core import (ProblemInstance, _exact_means, _exact_values, _row_norms,
+                   as_vector, full_value)
 from .projections import Box, _normal_cone_rows, _project_rows, normal_cone_dist
 
 __all__ = [
@@ -97,10 +98,10 @@ def gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
 def _gs_residual_rows(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray
                       ) -> list[tuple[float, float]]:
     """`gs_residuals` at each finite-sum point (X[s], Y[s]), bit for bit,
-    with the exact gradients of all rows from one `_exact_grads` call and
+    with the exact gradients of all rows from one `_exact_means` pass and
     the normal-cone distances of all rows from one `_normal_cone_rows` call
     per side, which checks each row's feasibility."""
-    GX, GY = _exact_grads(problem, X, Y)
+    GX, GY = _exact_means(problem, X, Y, problem.oracle.batch_grads)
     return list(zip(_normal_cone_rows(problem.set_x, X, GX).tolist(),
                     _normal_cone_rows(problem.set_y, Y, -GY).tolist()))
 
@@ -152,7 +153,7 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
 
 
 def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray,
-                X0: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+                X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The solve of `solve_x_r` at each row Y[s] from X0[s], all rows in
     lockstep: a row leaves at its first iterate whose residual is within
     tolerance and keeps it while the others go on, so each row's result
@@ -161,8 +162,7 @@ def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray
 
     Returns the rows X[s] = x_r(Y[s], z) and GY, whose row s is the exact
     grad_y F(X[s], Y[s]) that the oracle call of row s's last iteration
-    gave along with its x side; GY is None for an oracle without
-    `grads_batch`, which is asked for the x side alone.
+    gave along with its x side.
     """
     meta = problem.constants
     if not r > meta.rho:
@@ -170,14 +170,13 @@ def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray
                          f"(r={r}, rho={meta.rho})")
     step = 1.0 / (r + meta.L_x)
     X = _project_rows(problem.set_x, X0)
-    GY = None if problem.oracle.grads_batch is None else np.empty(Y.shape)
+    GY = np.empty(Y.shape)
     # x, Y, best and best_res hold the rows still going, whose indices into
-    # X are `live`; a row is written back to X (and GY) when it leaves
+    # X are `live`; a row is written back to X and GY when it leaves
     live, x = np.arange(len(X)), X
     best, best_res = X.copy(), np.full(len(X), math.inf)
     for _ in range(_INNER_MAX_ITERS):
-        gx, gy = (_exact_grads(problem, x, Y) if GY is not None
-                  else (_exact_grads(problem, x, Y, "x"), None))
+        gx, gy = _exact_means(problem, x, Y, problem.oracle.batch_grads)
         x_next = _project_rows(problem.set_x, x - step * (gx + r * (x - z)))
         res = _row_norms(x_next - x) / step
         better = res < best_res
@@ -186,8 +185,7 @@ def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray
         done = res <= _INNER_TOL
         if done.any():
             X[live[done]] = x[done]
-            if GY is not None:
-                GY[live[done]] = gy[done]
+            GY[live[done]] = gy[done]
             keep = ~done
             live, x_next, Y = live[keep], x_next[keep], Y[keep]
             best, best_res = best[keep], best_res[keep]
@@ -240,10 +238,11 @@ class LyapunovValue:
 def _d_r(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray,
          X0: np.ndarray) -> tuple[list[float], np.ndarray]:
     """d_r(Y[s], z) for each row, with the x_r rows of its inner solves
-    (run from X0 in lockstep)."""
+    (run from X0 in lockstep) and the exact values of all rows from one
+    `_exact_values` call."""
     X, _ = _solve_rows(problem, r, Y, z, X0)
-    return [full_value(problem, x, y) + 0.5 * r * float(np.sum((x - z) ** 2))
-            for x, y in zip(X, Y)], X
+    return [f + 0.5 * r * float(np.sum((x - z) ** 2))
+            for f, x in zip(_exact_values(problem, X, Y).tolist(), X)], X
 
 
 def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray,
@@ -253,11 +252,10 @@ def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray,
     returns d_r at each row's last point.
 
     Every inner solve warm-starts from its row's previous x_r, the first
-    from z, and gives the Danskin gradient from its last oracle call (an
-    oracle without `grads_batch` is asked for it separately).  A row stops
-    after its first step shorter than 10 `_INNER_TOL` times the step size
-    and keeps its point while the others go on, so each row's value
-    equals its one-row ascent bit for bit.
+    from z, and gives the Danskin gradient from its last oracle call.  A
+    row stops after its first step shorter than 10 `_INNER_TOL` times the
+    step size and keeps its point while the others go on, so each row's
+    value equals its one-row ascent bit for bit.
     """
     meta = problem.constants
     denom = meta.L_y + meta.L_y ** 2 / max(r - meta.rho, 1e-12)
@@ -268,7 +266,6 @@ def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray,
     for _ in range(_MAX_ASCENT):
         y = Y[live]
         X[live], gy = _solve_rows(problem, r, y, z, X[live])
-        gy = _exact_grads(problem, X[live], y, "y") if gy is None else gy
         Y[live] = y_next = _project_rows(problem.set_y, y + step * gy)
         live = live[~(_row_norms(y_next - y) / step <= _INNER_TOL * 10)]
         if not live.size:

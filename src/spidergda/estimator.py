@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteSum, ProblemInstance, _exact_grads, full_grads
+from .core import FiniteSum, ProblemInstance, _exact_means, full_grads
 
 __all__ = [
     "anchor",
@@ -253,7 +253,7 @@ def estimator_mse(problem: ProblemInstance, trajectory, M: int,
     X = np.array([p[0] for p in trajectory], dtype=np.float64)
     Y = np.array([p[1] for p in trajectory], dtype=np.float64)
     # row t is full_grads at point t, bit for bit
-    grads_x, grads_y = _exact_grads(problem, X, Y)
+    grads_x, grads_y = _exact_means(problem, X, Y, problem.oracle.batch_grads)
 
     # all trials share the exact anchor; each step draws the ids of every
     # trial at once and replays trial i's recursion on its M of them, so

@@ -122,8 +122,7 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
     produces the scalar the loss acts on (squared residual for "squared",
     margin 1 - t * prediction for "hinge"), h applies the loss
     (identity / hinge), and phi weights it by N q_{g_i} / |G_{g_i}| so the
-    finite-sum mean is exactly  sum_g q_g * (group-g mean loss).  Both
-    batched hooks are supplied, so the smoothed oracle is vectorized.
+    finite-sum mean is exactly  sum_g q_g * (group-g mean loss).
     """
     X, t, g = _flatten_groups(spec)
     n, d = X.shape
@@ -136,12 +135,6 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
 
     if spec.loss == "squared":
         res_bound = row_norms * R_x + np.abs(t)
-
-        def c(theta, i):
-            return np.array([(X[i] @ theta - t[i]) ** 2])
-
-        def c_jac(theta, i):
-            return (2.0 * (X[i] @ theta - t[i]) * X[i]).reshape(d, 1)
 
         def c_batch(Theta, ids):
             # rows gather faster by .take than by indexing, a 1-D array
@@ -156,12 +149,6 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
         L_c = float(np.max(2.0 * row_norms ** 2))
         u_max = float(np.max(res_bound ** 2))
     else:  # hinge
-        def c(theta, i):
-            return np.array([1.0 - t[i] * (X[i] @ theta)])
-
-        def c_jac(theta, i):
-            return (-t[i] * X[i]).reshape(d, 1)
-
         def c_batch(Theta, ids):
             Xi, ti = X.take(ids, axis=0), t[ids]
             return ((1.0 - ti * _row_dots(Xi, Theta))[:, None],
@@ -174,16 +161,8 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
 
     w_max = float(np.max(w))
 
-    def phi(u, q, i):
-        return w[i] * q[g[i]] * u[0]
-
-    def phi_grad1(u, q, i):
-        return np.array([w[i] * q[g[i]]])
-
-    def phi_grad_y(u, q, i):
-        out = np.zeros(spec.m_groups)
-        out[g[i]] = w[i] * u[0]
-        return out
+    def phi_batch(u, Q, ids):
+        return w[ids] * Q[np.arange(len(ids)), g[ids]] * u[:, 0]
 
     def phi_grads_batch(u, Q, ids):
         rows, gi, wi = np.arange(len(ids)), g[ids], w[ids]
@@ -196,10 +175,9 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
         ell_phi=w_max * math.sqrt(1.0 + u_max ** 2),
         L_c=L_c, L_phi=w_max, d_h=1)
     return MoreauComposite(
-        c=c, c_jac=c_jac, h=h, phi=phi, phi_grad1=phi_grad1,
-        phi_grad_y=phi_grad_y, constants=constants,
-        regime=FiniteSum(n), set_x=set_x, set_y=set_y,
-        c_batch=c_batch, phi_grads_batch=phi_grads_batch)
+        c_batch=c_batch, h=h, phi_batch=phi_batch,
+        phi_grads_batch=phi_grads_batch, constants=constants,
+        regime=FiniteSum(n), set_x=set_x, set_y=set_y)
 
 
 def group_losses(spec: GroupDroSpec, theta: np.ndarray) -> np.ndarray:
@@ -244,19 +222,10 @@ def make_two_group_regression(n: int = 200, d: int = 3,
 # ----------------------------------------------------------------------------
 # phi-divergence DRO (penalty form)
 
-def _psi_kl(tv: float) -> float:
-    if tv <= 0.0:
-        return 1.0
-    return tv * math.log(tv) - tv + 1.0
-
-
-def _psi_kl_prime(tv: float) -> float:
-    return math.log(max(tv, 1e-12))
-
-
+# psi and psi' as elementwise array functions; "chi2" squares with
+# float_power, the libm pow of a scalar `** 2`
 PSI_BUILTINS: dict = {
-    "chi2": (lambda tv: 0.5 * (tv - 1.0) ** 2, lambda tv: tv - 1.0),
-    "kl": (_psi_kl, _psi_kl_prime),
+    "chi2": (lambda tv: 0.5 * np.float_power(tv - 1.0, 2), lambda tv: tv - 1.0),
 }
 
 
@@ -267,7 +236,9 @@ class PhiDivDroSpec:
         min_theta max_{q in Simplex(N)} (1/N) sum_i [ N q_i loss_i(theta)
                                                       - lambda_pen psi(N q_i) ]
 
-    psi names one of `PSI_BUILTINS`: "chi2" or "kl".  `make_phi_div_dro`
+    psi names one of `PSI_BUILTINS`, that is "chi2".  "kl" is refused: its
+    psi''(t) = 1/t is unbounded as q_i -> 0 on Simplex(N), so no dual
+    Lipschitz constant L_y holds there.  `make_phi_div_dro`
     fixes the sets: theta in the box [-5, 5]^d and q in Simplex(N).  A
     problem on other sets is a `ProblemInstance` of one's own, with
     constants for those sets.
@@ -285,6 +256,9 @@ class PhiDivDroSpec:
             raise ValueError("features/targets length mismatch")
         if self.lambda_pen < 0:
             raise ValueError("lambda_pen must be nonnegative")
+        if self.psi == "kl":
+            raise ValueError("psi 'kl' is not supported: its psi''(t) = 1/t is "
+                             "unbounded on Simplex(N), so no L_y holds")
         if self.psi not in PSI_BUILTINS:
             raise ValueError(f"unknown psi {self.psi!r}")
 
@@ -299,43 +273,29 @@ def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
     set_x = _dro_box(d)
     set_y = Simplex(n)
 
-    def loss(theta, i):
-        return (X[i] @ theta - t[i]) ** 2
-
-    def eval_f(theta, q, i):
-        return n * q[i] * loss(theta, i) - lam_pen * psi(n * q[i])
-
-    def grad_x(theta, q, i):
-        return n * q[i] * 2.0 * (X[i] @ theta - t[i]) * X[i]
-
-    def grad_y(theta, q, i):
-        out = np.zeros(n)
-        out[i] = n * (loss(theta, i) - lam_pen * psi_prime(n * q[i]))
-        return out
+    def values_batch(Theta, Q, ids):
+        qi = Q[np.arange(len(ids)), ids]
+        loss = np.float_power(_row_dots(X[ids], Theta) - t[ids], 2)
+        return n * qi * loss - lam_pen * psi(n * qi)
 
     def grads_batch(Theta, Q, ids):
         Xi, rows = X[ids], np.arange(len(ids))
         resid = _row_dots(Xi, Theta) - t[ids]
         qi = Q[rows, ids]
-        # psi' runs per sample: an array form of kl's psi' would have to
-        # match math.log bit for bit
-        dpsi = np.array([psi_prime(v) for v in n * qi], dtype=np.float64)
         gy = np.zeros((len(ids), n))
-        gy[rows, ids] = n * (np.float_power(resid, 2) - lam_pen * dpsi)
+        gy[rows, ids] = n * (np.float_power(resid, 2) - lam_pen * psi_prime(n * qi))
         return (n * qi * 2.0 * resid)[:, None] * Xi, gy
 
     row_norms = np.linalg.norm(X, axis=1)
     res_bound = row_norms * _box_radius(set_x) + np.abs(t)
     L_x = float(2.0 * n * np.max(row_norms ** 2))
     cross = float(n * np.max(2.0 * res_bound * row_norms))
-    # psi'' over (0, N]: chi2 -> 1; kl -> 1/t, clamped at the iterate floor
-    psi_curv = 1.0 if spec.psi == "chi2" else 1e2
-    L_y = max(cross, lam_pen * n ** 2 * psi_curv)
+    # psi'' = 1 for chi2
+    L_y = max(cross, float(lam_pen * n ** 2))
     ell = float(np.max(n * res_bound ** 2) + lam_pen * n * 10.0)
     meta = SmoothnessMeta(L_x=L_x, L_y=L_y, rho=0.0, ell=ell, mu=1.0, theta=1.0)
     oracle = StochasticOracle(regime=FiniteSum(n), dim_x=d, dim_y=n,
-                              eval_f=eval_f, grad_x=grad_x, grad_y=grad_y,
-                              grads_batch=grads_batch)
+                              grads_batch=grads_batch, values_batch=values_batch)
     return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y,
                            constants=meta)
 
@@ -375,11 +335,15 @@ def make_kl_example() -> ProblemInstance:
     constants mu = 1/10, theta = 1/2."""
     set_x = Box(np.zeros(1), np.zeros(1))
     set_y = Box(-2.0 * np.ones(1), 2.0 * np.ones(1))
+    # the rows call the scalar functions once each: their math.exp may
+    # differ from np.exp in the last bit
     oracle = StochasticOracle(
         regime=FiniteSum(1), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: kl_example_value(float(y[0])),
-        grad_x=lambda x, y, i: np.zeros(1),
-        grad_y=lambda x, y, i: np.array([kl_example_grad(float(y[0]))]),
+        grads_batch=lambda X, Y, ids: (
+            np.zeros((len(ids), 1)),
+            np.array([[kl_example_grad(float(v))] for v in Y[:, 0]])),
+        values_batch=lambda X, Y, ids: np.array(
+            [kl_example_value(float(v)) for v in Y[:, 0]]),
     )
     meta = SmoothnessMeta(L_x=0.0, L_y=2.0, rho=0.0, ell=2.0, mu=0.1, theta=0.5)
     return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y,
@@ -457,18 +421,8 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     a_s = a_vec + _centered((d_x,))
     b_s = b_vec + _centered((d_y,))
 
-    def eval_f(x, y, i):
-        return float(0.5 * x @ As[i] @ x + x @ Bs[i] @ y - 0.5 * y @ Cs[i] @ y
-                     + a_s[i] @ x - b_s[i] @ y)
-
-    def grad_x(x, y, i):
-        return As[i] @ x + Bs[i] @ y + a_s[i]
-
-    def grad_y(x, y, i):
-        return Bs[i].T @ x - Cs[i] @ y - b_s[i]
-
-    # a stacked matmul against one column per row runs the scalar path's
-    # matrix-vector kernel per row, so rows match grad_x/grad_y bit for bit
+    # a stacked matmul against one column per row runs the one-row
+    # matrix-vector kernel per row, so a row does not depend on its batch
     # (einsum does not); `take` gathers the same rows as fancy indexing, at
     # half its overhead on small batches
     def grads_batch(X, Y, ids):
@@ -479,6 +433,17 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
         del Bi
         gx = (As.take(ids, axis=0) @ Xc + by)[:, :, 0] + a_s.take(ids, axis=0)
         return gx, (bx - Cs.take(ids, axis=0) @ Yc)[:, :, 0] - b_s.take(ids, axis=0)
+
+    # row r is 1/2 x'A_i x + x'B_i y - 1/2 y'C_i y + a_i'x - b_i'y, each
+    # form a (1, d) @ (d, d) @ (d, 1) product per row
+    def values_batch(X, Y, ids):
+        Xr, Yr, Xc, Yc = X[:, None, :], Y[:, None, :], X[:, :, None], Y[:, :, None]
+        quad = ((0.5 * Xr) @ As.take(ids, axis=0) @ Xc
+                + Xr @ Bs.take(ids, axis=0) @ Yc
+                - (0.5 * Yr) @ Cs.take(ids, axis=0) @ Yc
+                + a_s.take(ids, axis=0)[:, None, :] @ Xc
+                - b_s.take(ids, axis=0)[:, None, :] @ Yc)
+        return quad[:, 0, 0]
 
     set_x = Box(x_star - 1.0, x_star + 3.0)
     set_y = Box(y_star - 1.0, y_star + 3.0)
@@ -499,8 +464,7 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     meta = SmoothnessMeta(L_x=L_x, L_y=L_y, rho=rho, ell=ell,
                           mu=math.sqrt(2.0 * min_eig_C), theta=0.5)
     oracle = StochasticOracle(regime=FiniteSum(n), dim_x=d_x, dim_y=d_y,
-                              eval_f=eval_f, grad_x=grad_x, grad_y=grad_y,
-                              grads_batch=grads_batch)
+                              grads_batch=grads_batch, values_batch=values_batch)
     return ProblemInstance(
         oracle=oracle, set_x=set_x, set_y=set_y, constants=meta,
         metadata={"A": A, "B": B, "C": C, "a": a_vec, "b": b_vec,

@@ -127,6 +127,13 @@ class Box(ConstraintSet):
         return _row_norms(np.where(X >= self.hi - ACTIVE_TOL, np.minimum(T, 0.0), T))
 
 
+def _norm(d: np.ndarray) -> float:
+    """`np.linalg.norm(d)`, which is inf for a finite d above ~1.3e154,
+    without the overflow warning that its dot product raises there."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(d)
+
+
 @dataclass(frozen=True, init=False)
 class Ball(ConstraintSet):
     """Euclidean ball {v : ||v - center|| <= radius}."""
@@ -152,7 +159,7 @@ class Ball(ConstraintSet):
         if self._contains(v):
             return v.copy()
         d = v - self.center
-        nrm = np.linalg.norm(d)
+        nrm = _norm(d)
         if nrm == np.inf:
             # the norm of a finite d above ~1.3e154 overflows; scale first
             d = d / np.max(np.abs(d))
@@ -160,7 +167,7 @@ class Ball(ConstraintSet):
         return self.center + d * (self.radius / nrm)
 
     def _contains(self, x: np.ndarray) -> bool:
-        return bool(np.linalg.norm(x - self.center) <= self.radius + FEAS_TOL)
+        return bool(_norm(x - self.center) <= self.radius + FEAS_TOL)
 
     def tangent_dist(self, x: np.ndarray, g: np.ndarray) -> float:
         d = x - self.center

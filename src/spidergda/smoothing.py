@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,9 +33,6 @@ __all__ = [
     "ScaledIdentity",
     "MoreauComposite",
     "envelope",
-    "smooth_value",
-    "smooth_grad_x",
-    "smooth_grad_y",
     "smoothed_constants",
     "as_problem",
     "near_stationarity_certificate",
@@ -66,7 +63,7 @@ class ScalarConvex:
         """Envelope values and derivatives at every entry of the 1-D `w`.
 
         The default loops the scalar `envelope`, so any component with a
-        prox oracle works on the batch path.
+        prox oracle works in the smoothed oracle.
         """
         vals = np.empty(len(w))
         ders = np.empty(len(w))
@@ -164,21 +161,31 @@ class CompositeConstants:
 
 @dataclass
 class MoreauComposite:
-    """A composite objective phi(h(c(x; xi)), y; xi) and its constants.
+    """A composite objective phi(h(c(x; xi)), y; xi) and its constants,
+    given by row functions (one point and one sample id per row, as a
+    `StochasticOracle`'s are).
 
     Parameters
     ----------
-    c : callable(x, sample_id) -> ndarray of shape (d_h,)
-        Inner smooth map (one scalar output per h component).
-    c_jac : callable(x, sample_id) -> ndarray of shape (dim_x, d_h)
-        Analytic Jacobian of c.
+    c_batch : callable(X, sample_ids) -> (ndarray, ndarray)
+        Inner smooth map and its analytic Jacobian, X of shape
+        (len(ids), dim_x): shapes (len(ids), d_h) (one scalar output per
+        h component) and (len(ids), dim_x, d_h), row r at (X[r], ids[r]).
+        The Jacobian rows enter a stacked (dim_x, d_h) @ (d_h, 1) product
+        whose last bit depends on their memory layout, so a row must not
+        change with the batch it is gathered in
+        (``np.swapaxes(A[ids], 1, 2)`` for the rows ``A[i].T``).
     h : sequence of ScalarConvex
         The d_h scalar convex components (convex, ell_h-Lipschitz by
         contract; see spot_check_composite).
-    phi : callable(u, y, sample_id) -> float
-        Outer function, nondecreasing in each entry of u (contract).
-    phi_grad1 : callable(u, y, sample_id) -> ndarray of shape (d_h,)
-    phi_grad_y : callable(u, y, sample_id) -> ndarray of shape (dim_y,)
+    phi_batch : callable(u, Y, sample_ids) -> ndarray
+        Outer function over a batch, u of shape (len(ids), d_h) and one
+        dual point per row, Y of shape (len(ids), dim_y): the values
+        (len(ids),), row r at (u[r], Y[r], ids[r]).  Nondecreasing in each
+        entry of u (contract).
+    phi_grads_batch : callable(u, Y, sample_ids) -> (ndarray, ndarray)
+        Its gradients in u and in y over the same rows: shapes
+        (len(ids), d_h) and (len(ids), dim_y).
     constants : CompositeConstants
         (ell_c, ell_h, ell_phi, L_c, L_phi, d_h, delta_tilde).
     regime, set_x, set_y : sampling regime and constraint sets, passed
@@ -189,50 +196,25 @@ class MoreauComposite:
         finite sum.  For an online composite, set them on the constants of
         `as_problem`'s result and tune that with `tune_smooth`;
         `tune_nonsmooth` refuses one.
-    c_batch : callable(X, sample_ids) -> (ndarray, ndarray), optional
-        Inner map and Jacobian over a batch with one point per row, X of
-        shape (len(ids), dim_x): shapes (len(ids), d_h) and
-        (len(ids), dim_x, d_h), row r equal to c(X[r], ids[r]) and
-        c_jac(X[r], ids[r]).  Each Jacobian row must also have the memory
-        layout of c_jac's result (``np.swapaxes(A[ids], 1, 2)`` for
-        ``A[i].T``), because the matmul kernel, and with it the last bit
-        of the gradient, depends on the layout.
-    phi_grads_batch : callable(u, Y, sample_ids) -> (ndarray, ndarray), optional
-        Outer gradients over a batch, with u of shape (len(ids), d_h) and
-        one dual point per row, Y of shape (len(ids), dim_y): the stacked
-        phi_grad1 rows (len(ids), d_h) and phi_grad_y rows
-        (len(ids), dim_y), row r at (u[r], Y[r], ids[r]).
 
-    When both hooks are given, `as_problem` installs one vectorized
-    `grads_batch(X, Y, ids)` on the wrapped oracle, which runs `c_batch`,
-    the envelopes and `phi_grads_batch` once per batch and returns both
-    gradient sides; otherwise it keeps the per-sample path.  A caller at
-    a single point broadcasts it to every row.  Every row the hooks
-    return must equal the per-sample callables bit for bit, so the batch
-    path reproduces `smooth_grad_x`/`smooth_grad_y` exactly.
-    `StochasticOracle` lists the numpy habits that break this silently: a
-    single matrix-vector product over the rows instead of the per-row
-    kernel ``(A[ids] @ X[:, :, None])[:, :, 0]``, array ``** 2`` instead
-    of ``np.float_power(a, 2)``, and ``np.sum`` instead of
-    `sequential_sum`.
+    `as_problem` builds the smoothed oracle's `grads_batch` and
+    `values_batch` from these: each runs `c_batch`, the envelopes and one
+    outer function once per batch.  Every row must equal the one-row call
+    at the same point and id bit for bit; `StochasticOracle` lists the
+    numpy habits that break this silently.
     """
 
-    c: Callable[[np.ndarray, int], np.ndarray]
-    c_jac: Callable[[np.ndarray, int], np.ndarray]
+    c_batch: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     h: Sequence[ScalarConvex]
-    phi: Callable[[np.ndarray, np.ndarray, int], float]
-    phi_grad1: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-    phi_grad_y: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+    phi_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    phi_grads_batch: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                              tuple[np.ndarray, np.ndarray]]
     constants: CompositeConstants
     regime: Regime
     set_x: ConstraintSet
     set_y: ConstraintSet
     mu: float = 1.0
     theta: float = 1.0
-    c_batch: Optional[Callable[[np.ndarray, np.ndarray],
-                               tuple[np.ndarray, np.ndarray]]] = None
-    phi_grads_batch: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray],
-                                       tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if len(self.h) != self.constants.d_h:
@@ -268,58 +250,33 @@ def envelope(h_j: ScalarConvex, lam: float, w: float) -> tuple[float, float]:
     return value, (w - p) / lam
 
 
-def _envelopes(comp: MoreauComposite, lam: float, v: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    vals = np.empty(comp.d_h)
-    ders = np.empty(comp.d_h)
-    for j, hj in enumerate(comp.h):
-        vals[j], ders[j] = envelope(hj, lam, float(v[j]))
-    return vals, ders
-
-
-def smooth_value(comp: MoreauComposite, lam: float, x: np.ndarray,
-                 y: np.ndarray, sample_id: int) -> float:
-    """phi(h^lam(c(x; xi)), y; xi) with the envelope applied per component."""
-    v = np.asarray(comp.c(x, sample_id), dtype=np.float64)
-    u, _ = _envelopes(comp, lam, v)
-    return float(comp.phi(u, y, sample_id))
-
-
-def smooth_grad_x(comp: MoreauComposite, lam: float, x: np.ndarray,
-                  y: np.ndarray, sample_id: int) -> np.ndarray:
-    """Chain-rule gradient:  jac_c(x) @ (envelope derivs * grad_1 phi).
-
-    The middle factor is the diagonal Jacobian of the componentwise
-    envelope, so the product collapses to a weighted column combination.
-    """
-    v = np.asarray(comp.c(x, sample_id), dtype=np.float64)
-    u, e = _envelopes(comp, lam, v)
-    g1 = np.asarray(comp.phi_grad1(u, y, sample_id), dtype=np.float64)
-    jac = np.asarray(comp.c_jac(x, sample_id), dtype=np.float64)
-    return jac @ (e * g1)
-
-
-def smooth_grad_y(comp: MoreauComposite, lam: float, x: np.ndarray,
-                  y: np.ndarray, sample_id: int) -> np.ndarray:
-    """grad_y phi(h^lam(c(x; xi)), y; xi)."""
-    v = np.asarray(comp.c(x, sample_id), dtype=np.float64)
-    u, _ = _envelopes(comp, lam, v)
-    return np.asarray(comp.phi_grad_y(u, y, sample_id), dtype=np.float64)
-
-
 def _smooth_grads_batch(comp: MoreauComposite, lam: float, X: np.ndarray,
                         Y: np.ndarray, ids: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Both smoothed gradient sides over ids, row r at (X[r], Y[r]), from
-    one pass of c_batch, the envelopes and phi_grads_batch."""
+    """Both smoothed gradient sides over ids, row r at (X[r], Y[r]), by the
+    chain rule jac_c(x) @ (envelope derivatives * grad_1 phi); the middle
+    factor is the diagonal Jacobian of the componentwise envelope."""
     v, jac = comp.c_batch(X, ids)
     u, e = np.empty(v.shape), np.empty(v.shape)
     for j, hj in enumerate(comp.h):
         u[:, j], e[:, j] = hj.envelopes(lam, v[:, j])
     g1, gy = comp.phi_grads_batch(u, Y, ids)
-    # a stacked (dim_x, d_h) @ (d_h, 1) product per row, as in
-    # smooth_grad_x; an elementwise product would keep -0.0 terms
+    # a stacked (dim_x, d_h) @ (d_h, 1) product per row; an elementwise
+    # product would keep -0.0 terms
     return (jac @ (e * g1)[:, :, None])[:, :, 0], gy
+
+
+def _smooth_values_batch(comp: MoreauComposite, lam: float, X: np.ndarray,
+                         Y: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """phi(h^lam(c(X[r]; ids[r])), Y[r]; ids[r]) for each row, with the
+    envelope applied per component (the loop is repeated here, not shared,
+    so that `_smooth_grads_batch`, which every step runs, stays one
+    package call)."""
+    v, _ = comp.c_batch(X, ids)
+    u = np.empty(v.shape)
+    for j, hj in enumerate(comp.h):
+        u[:, j] = hj.envelopes(lam, v[:, j])[0]
+    return comp.phi_batch(u, Y, ids)
 
 
 # ----------------------------------------------------------------------------
@@ -345,11 +302,10 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
     problem: its SmoothnessMeta carries the smoothed constants (L_x, L_y,
     rho, ell from `smoothed_constants` at this lambda) and the composite's
     mu and theta; D_Y comes from set_y, and regime and constraint sets
-    pass through unchanged; its metadata holds lambda.  A composite with
-    both batched hooks (`c_batch`, `phi_grads_batch`) also gets the
-    oracle's one vectorized `grads_batch`, which returns both gradient
-    sides from a single pass; otherwise the oracle keeps the per-sample
-    path.
+    pass through unchanged; its metadata holds lambda.  The oracle's
+    `grads_batch` returns both smoothed gradient sides from one pass of
+    the composite's row functions, and its `values_batch` the smoothed
+    values.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
@@ -358,15 +314,9 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
         L_x=sc["L_x"], L_y=sc["L_y"], rho=sc["rho"], ell=sc["ell"],
         mu=comp.mu, theta=comp.theta)
     oracle = StochasticOracle(
-        regime=comp.regime,
-        dim_x=comp.dim_x,
-        dim_y=comp.dim_y,
-        eval_f=lambda x, y, i: smooth_value(comp, lam, x, y, i),
-        grad_x=lambda x, y, i: smooth_grad_x(comp, lam, x, y, i),
-        grad_y=lambda x, y, i: smooth_grad_y(comp, lam, x, y, i),
-    )
-    if comp.c_batch is not None and comp.phi_grads_batch is not None:
-        oracle.grads_batch = functools.partial(_smooth_grads_batch, comp, lam)
+        regime=comp.regime, dim_x=comp.dim_x, dim_y=comp.dim_y,
+        grads_batch=functools.partial(_smooth_grads_batch, comp, lam),
+        values_batch=functools.partial(_smooth_values_batch, comp, lam))
     return ProblemInstance(oracle=oracle, set_x=comp.set_x, set_y=comp.set_y,
                            constants=meta, metadata={"lambda": lam})
 
@@ -435,5 +385,8 @@ def spot_check_composite(comp: MoreauComposite, rng: np.random.Generator) -> Non
     for _ in range(_SPOT_TRIALS):
         u = rng.uniform(-_SPOT_SPAN, _SPOT_SPAN, size=comp.d_h)
         bump = rng.uniform(0.0, _SPOT_SPAN, size=comp.d_h)
-        if comp.phi(u + bump, y0, 0) < comp.phi(u, y0, 0) - _SPOT_TOL:
+        # the pair as two rows of sample 0
+        up, low = comp.phi_batch(np.array([u + bump, u]), np.array([y0, y0]),
+                                 np.zeros(2, dtype=np.int64))
+        if up < low - _SPOT_TOL:
             raise ValueError("phi is not nondecreasing in its first argument")

@@ -27,8 +27,17 @@ from spidergda import (AbsValue, Ball, Box, CompositeConstants, FiniteSum,
                        full_grad_x, full_grad_y, group_losses, gs_residuals,
                        lyapunov, make_group_dro, make_quadratic_saddle,
                        make_two_group_regression, normal_cone_dist, recurse,
-                       run, smooth_grad_x, smooth_grad_y, smooth_value,
-                       tune_smooth)
+                       run, tune_smooth)
+
+
+# the one sample id of a one-row call
+_ID0 = np.zeros(1, dtype=np.int64)
+
+
+def _one_row(oracle, x, y):
+    """(value, grad_x, grad_y) of sample 0 at (x, y), from one-row calls."""
+    gx, gy = oracle.batch_grads(x[None], y[None], _ID0)
+    return oracle.batch_values(x[None], y[None], _ID0)[0], gx[0], gy[0]
 
 
 def _report(num: int, slug: str, ok: bool, detail: str) -> None:
@@ -85,13 +94,15 @@ def _random_composite(seed):
         ell_phi=ell_phi, L_c=0.0,
         L_phi=max(1.0 + float(np.linalg.norm(E, 2)), ell_phi),
         d_h=d_h, delta_tilde=1.0)
+    # one sample: every row shares c(x) = W^T x + v and
+    # phi(u, y) = s.u + y'E u - y.y/2
     comp = MoreauComposite(
-        c=lambda x, i: W.T @ x + v,
-        c_jac=lambda x, i: W,
+        c_batch=lambda X, ids: ((W.T @ X[:, :, None])[:, :, 0] + v,
+                                np.repeat(W[None], len(ids), axis=0)),
         h=kinds,
-        phi=lambda u, y, i: float(s @ u + y @ E @ u - 0.5 * y @ y),
-        phi_grad1=lambda u, y, i: s + E.T @ y,
-        phi_grad_y=lambda u, y, i: E @ u - y,
+        phi_batch=lambda u, Y, ids: (u @ s + np.sum((Y @ E) * u, axis=1)
+                                     - 0.5 * np.sum(Y * Y, axis=1)),
+        phi_grads_batch=lambda u, Y, ids: (s + Y @ E, u @ E.T - Y),
         constants=constants, regime=FiniteSum(1),
         set_x=Box(-3.0 * np.ones(d_x), 3.0 * np.ones(d_x)),
         set_y=Box(-np.ones(d_y), np.ones(d_y)))
@@ -203,13 +214,15 @@ def test_criterion_05_smoothing_bias_bound():
         cc = comp.constants
         lam = float(rng.uniform(1e-3, 0.5))
         bound = lam * cc.L_phi * cc.ell_h ** 2 * math.sqrt(cc.d_h) / 2.0
+        oracle = as_problem(comp, lam).oracle
         for _ in range(100):
             x = rng.uniform(-3.0, 3.0, size=comp.dim_x)
             y = rng.uniform(-1.0, 1.0, size=comp.dim_y)
-            w = comp.c(x, 0)
+            w = comp.c_batch(x[None], _ID0)[0][0]
             u = np.array([hj.value(float(w[j]))
                           for j, hj in enumerate(comp.h)])
-            gap = abs(comp.phi(u, y, 0) - smooth_value(comp, lam, x, y, 0))
+            gap = abs(comp.phi_batch(u[None], y[None], _ID0)[0]
+                      - _one_row(oracle, x, y)[0])
             closest = min(closest, bound - gap)
             violations += gap > bound
     _report(5, "smoothing-bias-bound", violations == 0,
@@ -238,17 +251,18 @@ def test_criterion_06_smoothed_gradient_fd():
         lam = float(rng.uniform(0.05, 0.5))
         for _ in range(200):
             x = rng.uniform(-3.0, 3.0, size=comp.dim_x)
-            if _kink_distance(comp.c(x, 0), kinks, lam) > 1e-4:
+            if _kink_distance(comp.c_batch(x[None], _ID0)[0][0], kinks, lam) > 1e-4:
                 break
         else:
             raise RuntimeError("could not sample a kink-free point")
         y = rng.uniform(-1.0, 1.0, size=comp.dim_y)
+        oracle = as_problem(comp, lam).oracle
         worst = max(
             worst,
-            fd_check(lambda xx: smooth_value(comp, lam, xx, y, 0),
-                     lambda xx: smooth_grad_x(comp, lam, xx, y, 0), x),
-            fd_check(lambda yy: smooth_value(comp, lam, x, yy, 0),
-                     lambda yy: smooth_grad_y(comp, lam, x, yy, 0), y))
+            fd_check(lambda xx: _one_row(oracle, xx, y)[0],
+                     lambda xx: _one_row(oracle, xx, y)[1], x),
+            fd_check(lambda yy: _one_row(oracle, x, yy)[0],
+                     lambda yy: _one_row(oracle, x, yy)[2], y))
     _report(6, "smoothed-gradient-fd", worst <= 1e-5,
             f"max relative error {worst:.2e} <= 1e-5 over 100 instances")
 
@@ -451,10 +465,9 @@ def test_criterion_12_merit_lower_bound():
     a, b, c, r = 2.0, 1.0, 1.0, 1.0
     oracle = StochasticOracle(
         regime=FiniteSum(1), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: float(0.5 * a * x[0] ** 2 + b * x[0] * y[0]
-                                     - 0.5 * c * y[0] ** 2),
-        grad_x=lambda x, y, i: np.array([a * x[0] + b * y[0]]),
-        grad_y=lambda x, y, i: np.array([b * x[0] - c * y[0]]))
+        grads_batch=lambda X, Y, ids: (a * X + b * Y, b * X - c * Y),
+        values_batch=lambda X, Y, ids: (0.5 * a * X ** 2 + b * X * Y
+                                        - 0.5 * c * Y ** 2)[:, 0])
     meta = SmoothnessMeta(L_x=a, L_y=max(b, c), rho=0.0, ell=10.0,
                           mu=math.sqrt(2.0 * c), theta=0.5)
     prob = ProblemInstance(oracle=oracle, set_x=Box([-4.0], [4.0]),

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # code lines of src/ by tools/code_lines.py when the test was written.
 # Lower the budget when a change removes code; raising it loosens the
 # guard, and CHANGES.md must say so.
-SRC_CODE_LINES = 2067
+SRC_CODE_LINES = 1995
 
 MODULES = ["spidergda"] + [f"spidergda.{m.name}"
                            for m in pkgutil.iter_modules(spidergda.__path__)]

@@ -52,12 +52,14 @@ RESIDUAL_WINDOW_CALLS = 15
 # trace row of the benchmark's diagnostics schedule (34,028 and 1,717 when
 # its 8 ascent starts ran one after another; 2,347 and 238 while each
 # ascent step asked the oracle again for the y gradient at x_r; 2,225
-# while `lyapunov` checked the regime itself)
-LYAPUNOV_CALLS = 2224
+# while `lyapunov` checked the regime itself; 2,224 while each d_r value
+# looped over the per-sample values)
+LYAPUNOV_CALLS = 2006
 LYAPUNOV_ORACLE_CALLS = 178
-# scalar grad_x and grad_y calls of a certified merit evaluation on the
-# 1-D example, whose oracle has no `grads_batch`
-KL_LYAPUNOV_SCALAR_CALLS = {"grad_x": 516, "grad_y": 1}
+# `batch_grads` calls of a certified merit evaluation on the 1-D example:
+# one per inner-solve iteration, and each ascent step reuses the y side of
+# its inner solve's last call
+KL_LYAPUNOV_ORACLE_CALLS = 516
 # package calls, and oracle calls among them, of one epoch of the
 # benchmark's smoothed group-DRO run (one anchor and T - 1 = 24 recursions;
 # 497 calls before the lean step path, 398 while the smoothed batch hook
@@ -117,25 +119,17 @@ def test_lyapunov_row_call_budget():
     assert oracle_calls <= LYAPUNOV_ORACLE_CALLS, f"{oracle_calls} oracle calls"
 
 
-def test_scalar_oracle_merit_asks_no_extra_sides():
-    # without grads_batch the inner solves ask for grad_x alone, and the
-    # ascent asks for grad_y once per step
+def test_kl_example_merit_oracle_call_budget():
     p = make_kl_example()
-    calls = dict.fromkeys(KL_LYAPUNOV_SCALAR_CALLS, 0)
+    certified = []
 
-    def counted(name):
-        grad = getattr(p.oracle, name)
+    def merit():
+        lv = lyapunov(p, 1.0, np.zeros(1), np.array([0.3]), np.zeros(1))
+        certified.append(lv.certified)
 
-        def call(x, y, i):
-            calls[name] += 1
-            return grad(x, y, i)
-        return call
-
-    for name in calls:
-        setattr(p.oracle, name, counted(name))
-    assert lyapunov(p, 1.0, np.zeros(1), np.array([0.3]), np.zeros(1)).certified
-    for name, budget in KL_LYAPUNOV_SCALAR_CALLS.items():
-        assert calls[name] <= budget, f"{calls[name]} {name} calls"
+    oracle_calls = _package_calls(merit, "batch_grads")
+    assert certified == [True]
+    assert oracle_calls <= KL_LYAPUNOV_ORACLE_CALLS, f"{oracle_calls} oracle calls"
 
 
 def test_group_dro_epoch_call_budget():

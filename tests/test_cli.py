@@ -209,11 +209,9 @@ def _online_problem():
                 X[:, :1].copy())
 
     oracle = StochasticOracle(
-        regime=Online(), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: float(x[0] * y[0] + (i % 7) * x[0]),
-        grad_x=lambda x, y, i: grads(x[None], y[None], [i])[0][0],
-        grad_y=lambda x, y, i: grads(x[None], y[None], [i])[1][0],
-        grads_batch=grads)
+        regime=Online(), dim_x=1, dim_y=1, grads_batch=grads,
+        values_batch=lambda X, Y, ids: (X[:, 0] * Y[:, 0]
+                                        + (np.asarray(ids) % 7) * X[:, 0]))
     return ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),
                            set_y=Box([-1.0], [1.0]),
                            constants=SmoothnessMeta(L_x=0, L_y=1, rho=0,
@@ -358,6 +356,18 @@ def test_malformed_problem_is_config_error(problem, tmp_path, capsys,
                           out_dir=str(out)) == EXIT_CONFIG
     assert not out.exists()
     assert f"config error: problem[{problem['kind']}]" in capsys.readouterr().err
+
+
+def test_kl_psi_is_refused_with_its_reason(tmp_path, capsys):
+    # psi'' = 1/t of kl is unbounded on the simplex, so no L_y holds
+    cfg = {"problem": {"kind": "phi_div_dro", "psi": "kl"},
+           "tuner": {"epsilon": 0.1, "mu": 1.0}}
+    assert run_experiment(_write(tmp_path, cfg), quiet=True,
+                          out_dir=str(tmp_path / "never")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error: problem[phi_div_dro]")
+    assert "psi 'kl' is not supported" in err and "no L_y holds" in err
 
 
 # schedule arithmetic that divides by a float64 that underflowed to 0, with

@@ -15,14 +15,22 @@ from spidergda import (Box, DimError, FiniteSum, Online, ProblemInstance,
 from spidergda import core
 
 
+def _zero_rows(regime, dim_x, dim_y, **rows):
+    """An oracle whose values and gradients are all zero, but for the row
+    functions that `rows` replaces."""
+    rows = {"grads_batch": lambda X, Y, ids: (np.zeros((len(ids), dim_x)),
+                                              np.zeros((len(ids), dim_y))),
+            "values_batch": lambda X, Y, ids: np.zeros(len(ids)), **rows}
+    return StochasticOracle(regime=regime, dim_x=dim_x, dim_y=dim_y, **rows)
+
+
 def _const_grad_problem():
     """Two components with grad_x (1,0) and (3,0): mean must be (2,0)."""
-    grads = [np.array([1.0, 0.0]), np.array([3.0, 0.0])]
+    grads = np.array([[1.0, 0.0], [3.0, 0.0]])
     oracle = StochasticOracle(
         regime=FiniteSum(2), dim_x=2, dim_y=1,
-        eval_f=lambda x, y, i: float(grads[i] @ x),
-        grad_x=lambda x, y, i: grads[i].copy(),
-        grad_y=lambda x, y, i: np.zeros(1))
+        grads_batch=lambda X, Y, ids: (grads[ids], np.zeros((len(ids), 1))),
+        values_batch=lambda X, Y, ids: np.sum(grads[ids] * X, axis=1))
     return ProblemInstance(oracle=oracle, set_x=Box([-5.0, -5.0], [5.0, 5.0]),
                            set_y=Box([-1.0], [1.0]),
                            constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=4))
@@ -36,12 +44,11 @@ def test_full_grad_x_two_component_mean():
 
 def test_full_grad_quadratic_centers_cancel():
     # f_i = 0.5||x - a_i||^2 with a = (0), (2): exact gradient at x=1 is 0
-    a = [np.array([0.0]), np.array([2.0])]
+    a = np.array([[0.0], [2.0]])
     oracle = StochasticOracle(
         regime=FiniteSum(2), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: 0.5 * float(np.sum((x - a[i]) ** 2)),
-        grad_x=lambda x, y, i: x - a[i],
-        grad_y=lambda x, y, i: np.zeros(1))
+        grads_batch=lambda X, Y, ids: (X - a[ids], np.zeros((len(ids), 1))),
+        values_batch=lambda X, Y, ids: 0.5 * (X - a[ids])[:, 0] ** 2)
     p = ProblemInstance(oracle=oracle, set_x=Box([-5.0], [5.0]),
                         set_y=Box([-1.0], [1.0]),
                         constants=SmoothnessMeta(L_x=1, L_y=0, rho=0, ell=10))
@@ -52,12 +59,11 @@ def test_full_grad_quadratic_centers_cancel():
 
 def test_full_grad_y_bilinear_mean():
     # f_i(x, y) = c_i * x * y with c = (1, 3): grad_y F at x=1 is mean(c)=2
-    c = [1.0, 3.0]
+    c = np.array([[1.0], [3.0]])
     oracle = StochasticOracle(
         regime=FiniteSum(2), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: c[i] * float(x[0] * y[0]),
-        grad_x=lambda x, y, i: np.array([c[i] * y[0]]),
-        grad_y=lambda x, y, i: np.array([c[i] * x[0]]))
+        grads_batch=lambda X, Y, ids: (c[ids] * Y, c[ids] * X),
+        values_batch=lambda X, Y, ids: (c[ids] * X * Y)[:, 0])
     p = ProblemInstance(oracle=oracle, set_x=Box([-2.0], [2.0]),
                         set_y=Box([-2.0], [2.0]),
                         constants=SmoothnessMeta(L_x=0, L_y=3, rho=0, ell=12))
@@ -71,9 +77,8 @@ def test_full_grad_bit_reproducible():
     A = rng.normal(size=(n, d))
     oracle = StochasticOracle(
         regime=FiniteSum(n), dim_x=d, dim_y=1,
-        eval_f=lambda x, y, i: float(A[i] @ x),
-        grad_x=lambda x, y, i: A[i].copy(),
-        grad_y=lambda x, y, i: np.zeros(1))
+        grads_batch=lambda X, Y, ids: (A[ids], np.zeros((len(ids), 1))),
+        values_batch=lambda X, Y, ids: np.sum(A[ids] * X, axis=1))
     p = ProblemInstance(oracle=oracle,
                         set_x=Box(-5 * np.ones(d), 5 * np.ones(d)),
                         set_y=Box([-1.0], [1.0]),
@@ -85,12 +90,7 @@ def test_full_grad_bit_reproducible():
 
 
 def test_full_grad_online_regime_rejected():
-    oracle = StochasticOracle(
-        regime=Online(), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: np.zeros(1),
-        grad_y=lambda x, y, i: np.zeros(1))
-    p = ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),
+    p = ProblemInstance(oracle=_zero_rows(Online(), 1, 1), set_x=Box([-1.0], [1.0]),
                         set_y=Box([-1.0], [1.0]),
                         constants=SmoothnessMeta(L_x=1, L_y=1, rho=0, ell=1))
     with pytest.raises(RegimeError):
@@ -100,41 +100,38 @@ def test_full_grad_online_regime_rejected():
 
 
 def test_default_draw_ranges():
-    fs = StochasticOracle(
-        regime=FiniteSum(7), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: np.zeros(1),
-        grad_y=lambda x, y, i: np.zeros(1))
-    ids = fs.draw(np.random.default_rng(0), 500)
+    ids = _zero_rows(FiniteSum(7), 1, 1).draw(np.random.default_rng(0), 500)
     assert ids.min() >= 0 and ids.max() < 7
-    onl = StochasticOracle(
-        regime=Online(), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: np.zeros(1),
-        grad_y=lambda x, y, i: np.zeros(1))
+    onl = _zero_rows(Online(), 1, 1)
     tokens = onl.draw(np.random.default_rng(0), 100)
     assert tokens.min() >= 0
     assert len(np.unique(tokens)) == 100  # fresh draws, collisions unlikely
 
 
 def test_batch_grads_matches_scalar_oracle():
+    # the scalar form of a rows oracle is its one-row call; each row of a
+    # many-row call equals it, and the values come through `batch_values`
     rng = np.random.default_rng(1)
     n = 6
     A = rng.normal(size=(n, 3))
     oracle = StochasticOracle(
         regime=FiniteSum(n), dim_x=3, dim_y=2,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: A[i] * y[0],
-        grad_y=lambda x, y, i: np.array([A[i, 0] * x[0], 1.0]),
         grads_batch=lambda X, Y, ids: (A[ids] * Y[:, :1], np.stack(
-            [A[ids, 0] * X[:, 0], np.ones(len(ids))], axis=1)))
+            [A[ids, 0] * X[:, 0], np.ones(len(ids))], axis=1)),
+        values_batch=lambda X, Y, ids: A[ids, 0] * X[:, 0] * Y[:, 0] + Y[:, 1])
     # one point per row
     X, Y = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
     ids = np.array([0, 3, 3, 5])
     gx, gy = oracle.batch_grads(X, Y, ids)
+    values = oracle.batch_values(X, Y, ids)
     for row, i in enumerate(ids):
-        assert np.array_equal(gx[row], oracle.grad_x(X[row], Y[row], int(i)))
-        assert np.array_equal(gy[row], oracle.grad_y(X[row], Y[row], int(i)))
+        one = X[row:row + 1], Y[row:row + 1], ids[row:row + 1]
+        gx1, gy1 = oracle.batch_grads(*one)
+        assert gx[row].tobytes() == gx1[0].tobytes()
+        assert gy[row].tobytes() == gy1[0].tobytes()
+        assert values[row] == oracle.batch_values(*one)[0]
+    assert gy[:, 1].tolist() == [1.0] * 4
+    assert values.dtype == np.float64
 
 
 def _loop_sum(rows, dim):
@@ -172,27 +169,37 @@ def test_full_grad_equals_sequential_loop_bitwise():
     A = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=(n, d))
     oracle = StochasticOracle(
         regime=FiniteSum(n), dim_x=d, dim_y=1,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: A[i] * y[0],
-        grad_y=lambda x, y, i: np.array([A[i] @ x]))
+        grads_batch=lambda X, Y, ids: (
+            A[ids] * Y, (A[ids][:, None, :] @ X[:, :, None])[:, 0]),
+        values_batch=lambda X, Y, ids: (A[ids][:, None, :] @ X[:, :, None])[:, 0, 0])
     p = ProblemInstance(oracle=oracle,
                         set_x=Box(-5 * np.ones(d), 5 * np.ones(d)),
                         set_y=Box([-2.0], [2.0]),
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=50))
     x, y = rng.normal(size=d), np.array([1.5])
-    want_x = _loop_sum([oracle.grad_x(x, y, i) for i in range(n)], d) / n
-    want_y = _loop_sum([oracle.grad_y(x, y, i) for i in range(n)], 1) / n
+    want_x = _loop_sum([A[i] * y for i in range(n)], d) / n
+    want_y = _loop_sum([np.array([A[i] @ x]) for i in range(n)], 1) / n
     assert full_grad_x(p, x, y).tobytes() == want_x.tobytes()
     assert full_grad_y(p, x, y).tobytes() == want_y.tobytes()
 
 
+def test_full_value_equals_ascending_loop_bitwise():
+    # mixed magnitudes make the summation order visible in the last bit;
+    # the loop adds the one-row values from 0.0 in ascending id order
+    rng = np.random.default_rng(4)
+    p = make_quadratic_saddle(4, 3, n_samples=16, seed=5, linear_scale=1e6)
+    n = p.regime.n
+    for _ in range(20):
+        x, y = rng.normal(size=4) * 1e3, rng.normal(size=3) * 1e-3
+        acc = 0.0
+        for i in range(n):
+            acc = acc + float(p.oracle.batch_values(x[None], y[None], [i])[0])
+        assert full_value(p, x, y) == acc / n
+        assert type(full_value(p, x, y)) is float
+
+
 def _wrong_dim_problem(**oracle_kw):
-    kw = dict(regime=FiniteSum(3), dim_x=2, dim_y=1,
-              eval_f=lambda x, y, i: 0.0,
-              grad_x=lambda x, y, i: np.zeros(2),
-              grad_y=lambda x, y, i: np.zeros(1))
-    kw.update(oracle_kw)
-    return ProblemInstance(oracle=StochasticOracle(**kw),
+    return ProblemInstance(oracle=_zero_rows(FiniteSum(3), 2, 1, **oracle_kw),
                            set_x=Box([-1.0, -1.0], [1.0, 1.0]),
                            set_y=Box([-1.0], [1.0]),
                            constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=0))
@@ -210,12 +217,14 @@ def test_full_grad_rejects_wrong_batch_shape():
         full_grad_y(p, np.zeros(2), np.zeros(1))
 
 
-def test_full_grad_rejects_wrong_scalar_row():
-    # a length-1 row would broadcast silently into a 2-wide batch row
-    p = _wrong_dim_problem(
-        grad_x=lambda x, y, i: np.zeros(1 if i == 2 else 2))
-    with pytest.raises(DimError, match=r"grad_x\(id=2\).*\(1,\)"):
-        full_grad_x(p, np.zeros(2), np.zeros(1))
+def test_full_value_rejects_wrong_values_shape():
+    # a (rows, 1) column or a scalar would broadcast silently in a sum
+    for bad in (lambda x, y, ids: np.zeros((len(ids), 1)), lambda x, y, ids: 0.0):
+        p = _wrong_dim_problem(values_batch=bad)
+        with pytest.raises(DimError, match=r"values_batch: expected shape \(3,\)"):
+            full_value(p, np.zeros(2), np.zeros(1))
+    with pytest.raises(DimError):
+        full_value(_wrong_dim_problem(), np.zeros(3), np.zeros(1))
 
 
 # ----------------------------------------------------------------------------
@@ -261,35 +270,6 @@ def test_exact_gradient_consumers_make_one_batch_call():
     assert len(calls) == 1
 
 
-def test_one_side_full_grad_calls_only_that_scalar_side():
-    # without grads_batch, full_grad_x must not pay for grad_y (and back)
-    calls = {"x": 0, "y": 0}
-    w = np.arange(1.0, 6.0)
-
-    def grad(side, value):
-        def g(x, y, i):
-            calls[side] += 1
-            return np.array([value(x, y, i)])
-        return g
-
-    oracle = StochasticOracle(
-        regime=FiniteSum(5), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: float(w[i] * x[0] * y[0]),
-        grad_x=grad("x", lambda x, y, i: w[i] * y[0]),
-        grad_y=grad("y", lambda x, y, i: w[i] * x[0]))
-    p = ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),
-                        set_y=Box([-1.0], [1.0]),
-                        constants=SmoothnessMeta(L_x=0, L_y=5, rho=0, ell=5))
-    x, y = np.array([0.5]), np.array([-0.25])
-    gx = full_grad_x(p, x, y)
-    assert calls == {"x": 5, "y": 0}
-    gy = full_grad_y(p, x, y)
-    assert calls == {"x": 5, "y": 5}
-    both = full_grads(p, x, y)
-    assert gx.tobytes() == both[0].tobytes()
-    assert gy.tobytes() == both[1].tobytes()
-
-
 @pytest.mark.parametrize("budget", [2 ** 12, core._ROW_BUDGET, 40, 1])
 def test_rows_of_exact_gradients_equal_full_grads_per_point(monkeypatch, budget):
     # at the default budget and a larger one a call takes all 5 points, at
@@ -299,7 +279,7 @@ def test_rows_of_exact_gradients_equal_full_grads_per_point(monkeypatch, budget)
     rng = np.random.default_rng(7)
     X, Y = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
     calls = _counting(p)
-    GX, GY = core._exact_grads(p, X, Y)
+    GX, GY = core._exact_means(p, X, Y, p.oracle.batch_grads)
     assert len(calls) == -(-5 // max(1, budget // 16))
     assert max(map(len, calls)) <= max(16, budget)
     # each call repeats its points over the ids 0..15 in order
@@ -308,23 +288,25 @@ def test_rows_of_exact_gradients_equal_full_grads_per_point(monkeypatch, budget)
         gx, gy = full_grads(p, X[s], Y[s])
         assert GX[s].tobytes() == gx.tobytes()
         assert GY[s].tobytes() == gy.tobytes()
-        assert core._exact_grads(p, X, Y, "y")[s].tobytes() == gy.tobytes()
 
 
-def test_rows_of_one_side_without_the_hook_call_that_side_alone():
+@pytest.mark.parametrize("budget", [core._ROW_BUDGET, 40, 1])
+def test_rows_of_exact_values_equal_full_value_per_point(monkeypatch, budget):
+    monkeypatch.setattr(core, "_ROW_BUDGET", budget)
+    p = make_quadratic_saddle(4, 3, n_samples=16, seed=5)
+    rng = np.random.default_rng(8)
+    X, Y = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+    values = core._exact_values(p, X, Y)
+    assert values.tolist() == [full_value(p, x, y) for x, y in zip(X, Y)]
+
+
+def test_rows_of_exact_gradients_reject_online_regime():
     p = make_quadratic_saddle(2, 2, n_samples=6, seed=1)
-    rng = np.random.default_rng(2)
-    X, Y = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-    want = [full_grad_x(p, x, y) for x, y in zip(X, Y)]
-    grad_y = p.oracle.grad_y
-    p.oracle.grads_batch = None
-    p.oracle.grad_y = None  # calling it would raise
-    GX = core._exact_grads(p, X, Y, "x")
-    assert [g.tobytes() for g in GX] == [g.tobytes() for g in want]
-    p.oracle.grad_y = grad_y
-    with pytest.raises(RegimeError):
-        core._exact_grads(replace(p, oracle=replace(p.oracle, regime=Online())),
-                          X, Y)
+    online = replace(p, oracle=replace(p.oracle, regime=Online()))
+    X, Y = np.zeros((3, 2)), np.zeros((3, 2))
+    for rows_of in (online.oracle.batch_grads, online.oracle.batch_values):
+        with pytest.raises(RegimeError, match="see mc_gs_residuals"):
+            core._exact_means(online, X, Y, rows_of)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 33, 200])
@@ -375,25 +357,15 @@ def test_problem_fills_dual_diameter():
 
 def test_problem_rejects_unbounded_dual_set():
     from spidergda import FullSpace
-    oracle = StochasticOracle(
-        regime=FiniteSum(1), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: np.zeros(1),
-        grad_y=lambda x, y, i: np.zeros(1))
     with pytest.raises(ValueError):
-        ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),
+        ProblemInstance(oracle=_zero_rows(FiniteSum(1), 1, 1), set_x=Box([-1.0], [1.0]),
                         set_y=FullSpace(1),
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=0))
 
 
 def test_problem_dim_mismatch():
-    oracle = StochasticOracle(
-        regime=FiniteSum(1), dim_x=2, dim_y=1,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: np.zeros(2),
-        grad_y=lambda x, y, i: np.zeros(1))
     with pytest.raises(DimError):
-        ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),
+        ProblemInstance(oracle=_zero_rows(FiniteSum(1), 2, 1), set_x=Box([-1.0], [1.0]),
                         set_y=Box([-1.0], [1.0]),
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=0))
 

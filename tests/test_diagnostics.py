@@ -25,12 +25,20 @@ from spidergda import (Ball, Box, DimError, FiniteSum, MaxItersError, Online,
 from spidergda.cli import _diagnose
 
 
+def _zero_oracle(regime):
+    """A 1-D oracle whose values and gradients are all zero."""
+    return StochasticOracle(
+        regime=regime, dim_x=1, dim_y=1,
+        grads_batch=lambda X, Y, ids: (np.zeros((len(ids), 1)),
+                                       np.zeros((len(ids), 1))),
+        values_batch=lambda X, Y, ids: np.zeros(len(ids)))
+
+
 def _bilinear_problem():
     oracle = StochasticOracle(
         regime=FiniteSum(1), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: float(x[0] * y[0]),
-        grad_x=lambda x, y, i: np.array([y[0]]),
-        grad_y=lambda x, y, i: np.array([x[0]]))
+        grads_batch=lambda X, Y, ids: (Y.copy(), X.copy()),
+        values_batch=lambda X, Y, ids: (X * Y)[:, 0])
     return ProblemInstance(
         oracle=oracle, set_x=Box([-1.0], [1.0]), set_y=Box([-2.0], [2.0]),
         constants=SmoothnessMeta(L_x=0.0, L_y=1.0, rho=0.0, ell=2.0))
@@ -40,10 +48,9 @@ def _scalar_saddle(a=2.0, b=1.0, c=1.0, lim=10.0):
     """F(x, y) = a x^2/2 + b x y - c y^2/2 on wide boxes (1-D each side)."""
     oracle = StochasticOracle(
         regime=FiniteSum(1), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: float(0.5 * a * x[0] ** 2 + b * x[0] * y[0]
-                                     - 0.5 * c * y[0] ** 2),
-        grad_x=lambda x, y, i: np.array([a * x[0] + b * y[0]]),
-        grad_y=lambda x, y, i: np.array([b * x[0] - c * y[0]]))
+        grads_batch=lambda X, Y, ids: (a * X + b * Y, b * X - c * Y),
+        values_batch=lambda X, Y, ids: (0.5 * a * X ** 2 + b * X * Y
+                                        - 0.5 * c * Y ** 2)[:, 0])
     return ProblemInstance(
         oracle=oracle, set_x=Box([-lim], [lim]), set_y=Box([-lim], [lim]),
         constants=SmoothnessMeta(L_x=a, L_y=max(b, c), rho=0.0, ell=10.0,
@@ -56,11 +63,15 @@ def _quadratic_x_problem(seed=0, d=3):
     M = rng.normal(size=(d, d))
     Q = M @ M.T + np.eye(d)
     c = rng.normal(size=d)
+    # stacked matmuls against a column per row, so that a row does not
+    # depend on the rows it is batched with
     oracle = StochasticOracle(
         regime=FiniteSum(1), dim_x=d, dim_y=1,
-        eval_f=lambda x, y, i: float(0.5 * x @ Q @ x + c @ x),
-        grad_x=lambda x, y, i: Q @ x + c,
-        grad_y=lambda x, y, i: np.zeros(1))
+        grads_batch=lambda X, Y, ids: ((Q @ X[:, :, None])[:, :, 0] + c,
+                                       np.zeros((len(ids), 1))),
+        values_batch=lambda X, Y, ids: (
+            (0.5 * X[:, None, :]) @ Q @ X[:, :, None]
+            + X[:, None, :] @ c[:, None])[:, 0, 0])
     p = ProblemInstance(
         oracle=oracle, set_x=Box(-50 * np.ones(d), 50 * np.ones(d)),
         set_y=Box([-1.0], [1.0]),
@@ -82,12 +93,7 @@ def test_gs_residuals_hand_example():
 
 
 def test_gs_residuals_online_rejected():
-    oracle = StochasticOracle(
-        regime=Online(), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: np.zeros(1),
-        grad_y=lambda x, y, i: np.zeros(1))
-    p = ProblemInstance(oracle=oracle, set_x=Box([-1], [1]),
+    p = ProblemInstance(oracle=_zero_oracle(Online()), set_x=Box([-1], [1]),
                         set_y=Box([-1], [1]),
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=1))
     with pytest.raises(RegimeError):
@@ -110,15 +116,13 @@ def test_mc_residuals_track_exact_on_finite_sum():
 
 def test_mc_residuals_online():
     # token-keyed noise around a deterministic gradient field
-    def gx(x, y, i):
-        return x + 0.1 * np.random.default_rng(i).normal(size=1)
+    def noise(ids, k):
+        return 0.1 * np.sin(np.asarray(ids, dtype=np.float64) * k)[:, None]
 
-    def gy(x, y, i):
-        return -y + 0.1 * np.random.default_rng(i + 1).normal(size=1)
-
-    oracle = StochasticOracle(regime=Online(), dim_x=1, dim_y=1,
-                              eval_f=lambda x, y, i: 0.0,
-                              grad_x=gx, grad_y=gy)
+    oracle = StochasticOracle(
+        regime=Online(), dim_x=1, dim_y=1,
+        grads_batch=lambda X, Y, ids: (X + noise(ids, 1.0), -Y + noise(ids, 3.0)),
+        values_batch=lambda X, Y, ids: np.zeros(len(ids)))
     p = ProblemInstance(oracle=oracle, set_x=Box([-5], [5]),
                         set_y=Box([-5], [5]),
                         constants=SmoothnessMeta(L_x=1, L_y=1, rho=0, ell=1,
@@ -252,10 +256,11 @@ def test_lyapunov_multistart_heuristic_2d():
     C = np.diag([1.0, 2.0])
     oracle = StochasticOracle(
         regime=FiniteSum(1), dim_x=1, dim_y=2,
-        eval_f=lambda x, y, i: float(0.5 * a * x[0] ** 2
-                                     + x[0] * (bvec @ y) - 0.5 * y @ C @ y),
-        grad_x=lambda x, y, i: np.array([a * x[0] + bvec @ y]),
-        grad_y=lambda x, y, i: x[0] * bvec - C @ y)
+        grads_batch=lambda X, Y, ids: (a * X + (Y @ bvec)[:, None],
+                                       X * bvec - Y @ C),
+        values_batch=lambda X, Y, ids: (0.5 * a * X[:, 0] ** 2
+                                        + X[:, 0] * (Y @ bvec)
+                                        - 0.5 * np.sum((Y @ C) * Y, axis=1)))
     p = ProblemInstance(
         oracle=oracle, set_x=Box([-10.0], [10.0]),
         set_y=Box([-10.0, -10.0], [10.0, 10.0]),
@@ -279,12 +284,7 @@ def test_lyapunov_multistart_heuristic_2d():
 
 
 def test_lyapunov_online_rejected():
-    oracle = StochasticOracle(
-        regime=Online(), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: np.zeros(1),
-        grad_y=lambda x, y, i: np.zeros(1))
-    p = ProblemInstance(oracle=oracle, set_x=Box([-1], [1]),
+    p = ProblemInstance(oracle=_zero_oracle(Online()), set_x=Box([-1], [1]),
                         set_y=Box([-1], [1]),
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=1))
     with pytest.raises(RegimeError):
@@ -397,11 +397,11 @@ def test_lockstep_solve_rows_equal_one_row_solves():
     X0 = np.array([rng.normal(size=3), solve_x_r(p, 1.0, np.zeros(1), z),
                    40.0 * np.ones(3)])
     got, gy = diagnostics._solve_rows(p, 1.0, np.zeros((3, 1)), z, X0)
-    assert gy is None  # no grads_batch: the oracle gave the x side alone
+    assert gy.tolist() == [[0.0]] * 3  # F does not depend on y
     for row, x0 in zip(got, X0):
         assert row.tobytes() == _ref_solve(p, 1.0, np.zeros(1), z, x0).tobytes()
-    # with grads_batch, each row also brings grad_y F at (x_r, y) from its
-    # last oracle call; the rows leave at different iterations
+    # each row also brings grad_y F at (x_r, y) from its last oracle call;
+    # the rows leave at different iterations
     q = make_quadratic_saddle(4, 3, n_samples=16, seed=11)
     r = q.constants.rho + 1.0
     Y = q.set_y.project(np.zeros(3)) + 0.3 * rng.normal(size=(5, 3))

@@ -24,11 +24,16 @@ def _quadratic_problem(n=6, d=3, seed=0):
     Q = rng.normal(size=(n, d, d))
     Q = 0.5 * (Q + np.swapaxes(Q, 1, 2))
     Bm = rng.normal(size=(n, d, d))
+    # stacked matmuls against a column per row: a row does not depend on
+    # the rows it is batched with
     oracle = StochasticOracle(
         regime=FiniteSum(n), dim_x=d, dim_y=d,
-        eval_f=lambda x, y, i: float(0.5 * x @ Q[i] @ x + x @ Bm[i] @ y),
-        grad_x=lambda x, y, i: Q[i] @ x + Bm[i] @ y,
-        grad_y=lambda x, y, i: Bm[i].T @ x)
+        grads_batch=lambda X, Y, ids: (
+            (Q[ids] @ X[:, :, None] + Bm[ids] @ Y[:, :, None])[:, :, 0],
+            (np.swapaxes(Bm[ids], 1, 2) @ X[:, :, None])[:, :, 0]),
+        values_batch=lambda X, Y, ids: (
+            (0.5 * X[:, None, :]) @ Q[ids] @ X[:, :, None]
+            + X[:, None, :] @ Bm[ids] @ Y[:, :, None])[:, 0, 0])
     L = float(max(np.linalg.norm(Q[i], 2) for i in range(n)))
     Lb = float(max(np.linalg.norm(Bm[i], 2) for i in range(n)))
     return ProblemInstance(
@@ -113,16 +118,14 @@ def test_finite_sum_anchor_is_exact_bitwise(suite_checks):
 def test_online_anchor_uses_b_fresh_draws():
     seen = []
 
-    def grad_x(x, y, i):
-        seen.append(i)
-        return grads[i % 4].copy()
+    def grads_batch(X, Y, ids):
+        seen.extend(ids.tolist())
+        return grads[ids % 4], np.zeros((len(ids), 1))
 
     grads = np.eye(4)
     oracle = StochasticOracle(
-        regime=Online(), dim_x=4, dim_y=1,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=grad_x,
-        grad_y=lambda x, y, i: np.zeros(1))
+        regime=Online(), dim_x=4, dim_y=1, grads_batch=grads_batch,
+        values_batch=lambda X, Y, ids: np.zeros(len(ids)))
     p = ProblemInstance(oracle=oracle,
                         set_x=Box(-np.ones(4), np.ones(4)),
                         set_y=Box([-1.0], [1.0]),
@@ -192,9 +195,8 @@ def test_same_ids_feed_both_sides():
     n = 8
     oracle = StochasticOracle(
         regime=FiniteSum(n), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: np.array([float(i) * x[0]]),
-        grad_y=lambda x, y, i: np.array([float(i) * y[0]]))
+        grads_batch=lambda X, Y, ids: (ids[:, None] * X, ids[:, None] * Y),
+        values_batch=lambda X, Y, ids: np.zeros(len(ids)))
     p = ProblemInstance(oracle=oracle, set_x=Box([-9.0], [9.0]),
                         set_y=Box([-9.0], [9.0]),
                         constants=SmoothnessMeta(L_x=8, L_y=8, rho=8, ell=99))
@@ -236,9 +238,9 @@ def test_estimator_mse_zero_on_frozen_trajectory():
 def test_estimator_mse_online_rejected():
     oracle = StochasticOracle(
         regime=Online(), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: np.zeros(1),
-        grad_y=lambda x, y, i: np.zeros(1))
+        grads_batch=lambda X, Y, ids: (np.zeros((len(ids), 1)),
+                                       np.zeros((len(ids), 1))),
+        values_batch=lambda X, Y, ids: np.zeros(len(ids)))
     p = ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),
                         set_y=Box([-1.0], [1.0]),
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=1))

@@ -20,11 +20,25 @@ from spidergda import (DomainError, EmptyGroupError, GroupDroSpec,
                        group_losses, kl_example_grad, kl_example_value,
                        load_dataset_csv, make_group_dro, make_kl_example,
                        make_phi_div_dro, make_quadratic_saddle,
-                       make_two_group_regression,
-                       smooth_value, spec_from_csv,
+                       make_two_group_regression, spec_from_csv,
                        spot_check_composite, as_problem)
 from spidergda.diagnostics import fd_check
-from spidergda.problems import PSI_BUILTINS, _box_radius
+from spidergda.problems import _box_radius
+
+
+def _assert_rows_are_one_row_calls(oracle, X, Y, ids):
+    """Row r of a many-row `batch_grads` and `batch_values` call equals the
+    one-row call at (X[r], Y[r], ids[r]) in its raw bytes, so a -0.0 /
+    +0.0 mismatch fails too: the batch invariance that lets the exact
+    gradient and the anchor be reduced from rows of calls of any shape."""
+    gx, gy = oracle.batch_grads(X, Y, ids)
+    values = oracle.batch_values(X, Y, ids)
+    for row in range(len(ids)):
+        one = X[row:row + 1], Y[row:row + 1], ids[row:row + 1]
+        gx1, gy1 = oracle.batch_grads(*one)
+        assert gx[row].tobytes() == gx1[0].tobytes()
+        assert gy[row].tobytes() == gy1[0].tobytes()
+        assert values[row].tobytes() == oracle.batch_values(*one)[0].tobytes()
 
 
 # ----------------------------------------------------------------------------
@@ -73,6 +87,16 @@ def test_make_kl_example_problem():
     p = make_kl_example()
     assert full_value(p, np.zeros(1), np.array([0.5])) == kl_example_value(0.5)
     assert full_grad_y(p, np.zeros(1), np.array([0.5]))[0] == -1.0
+    # each row calls the scalar functions (their math.exp may differ from
+    # np.exp in the last bit)
+    Y = np.linspace(-2.0, 2.0, 41)[:, None]
+    values = p.oracle.batch_values(np.zeros((41, 1)), Y, np.zeros(41, dtype=int))
+    gx, gy = p.oracle.batch_grads(np.zeros((41, 1)), Y, np.zeros(41, dtype=int))
+    assert values.tolist() == [kl_example_value(v) for v in Y[:, 0].tolist()]
+    assert gy[:, 0].tolist() == [kl_example_grad(v) for v in Y[:, 0].tolist()]
+    assert gx.tolist() == [[0.0]] * 41
+    _assert_rows_are_one_row_calls(p.oracle, np.zeros((41, 1)), Y[::-1],
+                                   np.zeros(41, dtype=int))
     assert p.constants.mu == 0.1
     assert p.constants.theta == 0.5
     assert p.constants.D_Y == 4.0
@@ -114,16 +138,17 @@ def test_group_dro_mean_is_weighted_group_loss():
 
 def test_group_dro_inner_map_by_hand():
     comp = make_group_dro(_tiny_spec())
-    theta = np.array([3.0])
-    assert comp.c(theta, 0).tolist() == [9.0]       # (3 - 0)^2
-    assert comp.c_jac(theta, 0).tolist() == [[6.0]]  # 2 * 3 * 1
-    assert comp.c(theta, 1).tolist() == [16.0]      # (6 - 2)^2
-    assert comp.c_jac(theta, 1).tolist() == [[16.0]]  # 2 * 4 * 2
+    v, jac = comp.c_batch(np.array([[3.0], [3.0]]), np.array([0, 1]))
+    assert v.tolist() == [[9.0], [16.0]]       # (3 - 0)^2, (6 - 2)^2
+    assert jac.tolist() == [[[6.0]], [[16.0]]]  # 2 * 3 * 1, 2 * 4 * 2
     # phi routes sample i to its group's dual coordinate, weight N/|G_g| = 2
-    q = np.array([0.75, 0.25])
-    u = np.array([9.0])
-    assert comp.phi(u, q, 0) == 2.0 * 0.75 * 9.0
-    assert comp.phi_grad_y(u, q, 1).tolist() == [0.0, 2.0 * 9.0]
+    Q = np.array([[0.75, 0.25], [0.75, 0.25]])
+    u = np.array([[9.0], [9.0]])
+    ids = np.array([0, 1])
+    assert comp.phi_batch(u, Q, ids).tolist() == [2.0 * 0.75 * 9.0, 2.0 * 0.25 * 9.0]
+    g1, gy = comp.phi_grads_batch(u, Q, ids)
+    assert g1.tolist() == [[2.0 * 0.75], [2.0 * 0.25]]
+    assert gy.tolist() == [[2.0 * 9.0, 0.0], [0.0, 2.0 * 9.0]]
 
 
 def test_group_dro_hinge_loss():
@@ -131,10 +156,12 @@ def test_group_dro_hinge_loss():
                         loss="hinge")
     comp = make_group_dro(spec)
     theta = np.array([0.25])
-    assert comp.c(theta, 0).tolist() == [0.5]  # 1 - 1 * (2 * 0.25)
-    assert comp.c_jac(theta, 0).tolist() == [[-2.0]]
+    v, jac = comp.c_batch(theta[None], np.array([0]))
+    assert v.tolist() == [[0.5]]  # 1 - 1 * (2 * 0.25)
+    assert jac.tolist() == [[[-2.0]]]
     # hinge envelope at 0.5 with lam = 1/4: 0.5 - 0.125 = 0.375, weight 1
-    assert smooth_value(comp, 0.25, theta, np.array([1.0]), 0) == 0.375
+    p = as_problem(comp, 0.25)
+    assert full_value(p, theta, np.array([1.0])) == 0.375
     assert group_losses(spec, theta)[0] == 0.5
 
 
@@ -154,7 +181,6 @@ def test_group_dro_batch_rows_match_scalar_bitwise(loss, seed, theta, q, ids):
     base = make_two_group_regression(n=30, d=3, seed=seed)
     spec = GroupDroSpec(groups=base.groups, loss=loss)
     p = as_problem(make_group_dro(spec), lam=1e-3)
-    assert p.oracle.grads_batch is not None
     theta = np.array(theta)
     q = np.array(q) / sum(q)  # on the simplex, with exact zeros allowed
     ids = np.array(ids)
@@ -162,11 +188,7 @@ def test_group_dro_batch_rows_match_scalar_bitwise(loss, seed, theta, q, ids):
     odd = np.arange(len(ids)) % 2 == 1
     Theta = np.where(odd[:, None], -theta, theta)
     Q = np.where(odd[:, None], q[::-1], q)
-    gx, gy = p.oracle.batch_grads(Theta, Q, ids)
-    for row, i in enumerate(ids):
-        # raw bytes, so a -0.0 / +0.0 mismatch fails too
-        assert gx[row].tobytes() == p.oracle.grad_x(Theta[row], Q[row], int(i)).tobytes()
-        assert gy[row].tobytes() == p.oracle.grad_y(Theta[row], Q[row], int(i)).tobytes()
+    _assert_rows_are_one_row_calls(p.oracle, Theta, Q, ids)
 
 
 def test_group_dro_validation():
@@ -214,20 +236,19 @@ def test_phi_div_gradients_fd():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(4, 2))
     t = rng.normal(size=4)
-    for psi in ("chi2", "kl"):
-        p = make_phi_div_dro(PhiDivDroSpec(features=X, targets=t, psi=psi,
-                                           lambda_pen=0.7))
-        theta = np.array([0.4, -0.2])
-        q = np.array([0.3, 0.2, 0.25, 0.25])  # interior keeps kl smooth
-        ex = fd_check(lambda v: full_value(p, v, q),
-                      lambda v: full_grad_x(p, v, q), theta)
-        ey = fd_check(lambda v: full_value(p, theta, v),
-                      lambda v: full_grad_y(p, theta, v), q)
-        assert ex <= 1e-7
-        assert ey <= 1e-7
+    p = make_phi_div_dro(PhiDivDroSpec(features=X, targets=t, psi="chi2",
+                                       lambda_pen=0.7))
+    theta = np.array([0.4, -0.2])
+    q = np.array([0.3, 0.2, 0.25, 0.25])
+    ex = fd_check(lambda v: full_value(p, v, q),
+                  lambda v: full_grad_x(p, v, q), theta)
+    ey = fd_check(lambda v: full_value(p, theta, v),
+                  lambda v: full_grad_y(p, theta, v), q)
+    assert ex <= 1e-7
+    assert ey <= 1e-7
 
 
-@pytest.mark.parametrize("psi", ["chi2", "kl"])
+@pytest.mark.parametrize("psi", ["chi2"])
 def test_phi_div_batch_rows_match_scalar_bitwise(psi):
     rng = np.random.default_rng(9)
     n = 40
@@ -241,10 +262,7 @@ def test_phi_div_batch_rows_match_scalar_bitwise(psi):
         Q[~Q.any(axis=1)] = 1.0
         Q = Q / Q.sum(axis=1, keepdims=True)  # exact zeros
         ids = rng.integers(0, n, size=25)
-        gx, gy = p.oracle.batch_grads(Theta, Q, ids)
-        for row, i in enumerate(ids):
-            assert gx[row].tobytes() == p.oracle.grad_x(Theta[row], Q[row], int(i)).tobytes()
-            assert gy[row].tobytes() == p.oracle.grad_y(Theta[row], Q[row], int(i)).tobytes()
+        _assert_rows_are_one_row_calls(p.oracle, Theta, Q, ids)
 
 
 def test_phi_div_two_sample_stationarity():
@@ -283,12 +301,10 @@ def test_phi_div_psi_validation():
         PhiDivDroSpec(features=np.ones((3, 1)), targets=np.zeros(2))
 
 
-def test_kl_psi_edge_cases():
-    val, der = PSI_BUILTINS["kl"]
-    assert val(1.0) == 0.0
-    assert val(0.0) == 1.0  # limit t log t -> 0
-    assert der(1.0) == 0.0
-    assert math.isfinite(der(0.0))  # clamped log
+def test_phi_div_refuses_kl_psi():
+    # psi'' = 1/t of kl is unbounded on the simplex: no L_y would hold
+    with pytest.raises(ValueError, match=r"psi 'kl' is not supported.*no L_y"):
+        PhiDivDroSpec(features=np.ones((2, 1)), targets=np.zeros(2), psi="kl")
 
 
 # ----------------------------------------------------------------------------
@@ -317,22 +333,33 @@ def test_saddle_per_sample_means_recover_population():
 
 
 def test_saddle_batch_path_matches_loop():
-    # the oracle contract: every batch row is bit-identical to the scalar
-    # call, which keeps full_grad (fed from the batch path) exact
+    # the oracle contract: every row is bit-identical to the one-row call,
+    # which keeps full_grad (reduced from N rows) exact
     p = make_quadratic_saddle(2, 2, seed=7)
     rng = np.random.default_rng(8)
     for _ in range(200):
         ids = rng.integers(0, 16, size=int(rng.integers(1, 17)))
         # one point per row, and one point broadcast to every row
         X, Y = rng.normal(size=(len(ids), 2)), rng.normal(size=(len(ids), 2))
-        gx, gy = p.oracle.batch_grads(X, Y, ids)
-        for row, i in enumerate(ids):
-            assert np.array_equal(gx[row], p.oracle.grad_x(X[row], Y[row], int(i)))
-            assert np.array_equal(gy[row], p.oracle.grad_y(X[row], Y[row], int(i)))
+        _assert_rows_are_one_row_calls(p.oracle, X, Y, ids)
         gx, gy = p.oracle.grads_at(X[0], Y[0], ids)
         for row, i in enumerate(ids):
-            assert np.array_equal(gx[row], p.oracle.grad_x(X[0], Y[0], int(i)))
-            assert np.array_equal(gy[row], p.oracle.grad_y(X[0], Y[0], int(i)))
+            gx1, gy1 = p.oracle.batch_grads(X[:1], Y[:1], ids[row:row + 1])
+            assert gx[row].tobytes() == gx1[0].tobytes()
+            assert gy[row].tobytes() == gy1[0].tobytes()
+
+
+def test_saddle_values_by_closed_form():
+    # the per-sample quadratics average to F = 1/2 x'Ax + x'By - 1/2 y'Cy
+    # + a'x - b'y of the metadata
+    p = make_quadratic_saddle(3, 2, seed=5, noise=0.4)
+    md = p.metadata
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        x, y = rng.normal(size=3), rng.normal(size=2)
+        want = (0.5 * x @ md["A"] @ x + x @ md["B"] @ y - 0.5 * y @ md["C"] @ y
+                + md["a"] @ x - md["b"] @ y)
+        assert full_value(p, x, y) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("n, d_x, d_y", [(16, 4, 3), (64, 3, 3), (200, 1, 2),

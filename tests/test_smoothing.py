@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from spidergda import (AbsValue, Box, FiniteSum, Hinge, MoreauComposite,
                        ScalarConvex, ScaledIdentity, as_problem, envelope,
-                       near_stationarity_certificate, smooth_grad_x,
-                       smooth_grad_y, smooth_value, spot_check_composite)
+                       near_stationarity_certificate, spot_check_composite)
 from spidergda.diagnostics import fd_check
 from spidergda.smoothing import CompositeConstants
 
@@ -110,6 +109,22 @@ def test_envelope_rejects_bad_lambda():
 # ----------------------------------------------------------------------------
 # composite smoothing
 
+def _affine_rows(A, b):
+    """c_batch of the affine maps c_i(x) = A_i x + b_i, built the way the
+    docstring of StochasticOracle asks (stacked matmul; Jacobian rows A_i^T
+    as a swapped view of A's rows)."""
+    return lambda X, ids: ((A[ids] @ X[:, :, None])[:, :, 0] + b[ids],
+                           np.swapaxes(A[ids], 1, 2))
+
+
+def _one_row(oracle, x, y, i):
+    """The oracle's values and gradients at (x, y) for sample i, from
+    one-row calls: (value, grad_x, grad_y)."""
+    X, Y, ids = x[None], y[None], np.array([i])
+    gx, gy = oracle.batch_grads(X, Y, ids)
+    return oracle.batch_values(X, Y, ids)[0], gx[0], gy[0]
+
+
 def _affine_composite(seed=0, d_x=3, d_h=2, n=4):
     """phi(u, y) = u.y + y.y/2 over nonnegative y, c affine per sample."""
     rng = np.random.default_rng(seed)
@@ -117,12 +132,10 @@ def _affine_composite(seed=0, d_x=3, d_h=2, n=4):
     b = rng.normal(size=(n, d_h))
     ell_c = float(max(np.linalg.norm(A[i], 2) for i in range(n)))
     return MoreauComposite(
-        c=lambda x, i: A[i] @ x + b[i],
-        c_jac=lambda x, i: A[i].T,
+        c_batch=_affine_rows(A, b),
         h=[AbsValue(), Hinge()],
-        phi=lambda u, y, i: float(u @ y + 0.5 * y @ y),
-        phi_grad1=lambda u, y, i: y.copy(),
-        phi_grad_y=lambda u, y, i: u + y,
+        phi_batch=lambda u, Y, ids: np.sum(u * Y, axis=1) + 0.5 * np.sum(Y * Y, axis=1),
+        phi_grads_batch=lambda u, Y, ids: (Y.copy(), u + Y),
         constants=CompositeConstants(ell_c=ell_c, ell_h=1.0, ell_phi=3.0,
                                      L_c=0.0, L_phi=1.0, d_h=d_h),
         regime=FiniteSum(n),
@@ -134,36 +147,35 @@ def test_smooth_value_by_hand():
     # single sample, c(x) = x (identity), h = (|.|, hinge), y = (1, 2):
     # u = (0.375, 0.875) at x = (0.5, 1.0), lam = 1/4
     comp = MoreauComposite(
-        c=lambda x, i: x.copy(),
-        c_jac=lambda x, i: np.eye(2),
+        c_batch=_affine_rows(np.eye(2)[None], np.zeros((1, 2))),
         h=[AbsValue(), Hinge()],
-        phi=lambda u, y, i: float(u @ y),
-        phi_grad1=lambda u, y, i: y.copy(),
-        phi_grad_y=lambda u, y, i: u.copy(),
+        phi_batch=lambda u, Y, ids: np.sum(u * Y, axis=1),
+        phi_grads_batch=lambda u, Y, ids: (Y.copy(), u.copy()),
         constants=CompositeConstants(ell_c=1.0, ell_h=1.0, ell_phi=3.0,
                                      L_c=0.0, L_phi=1.0, d_h=2),
         regime=FiniteSum(1),
         set_x=Box([-2, -2], [2, 2]), set_y=Box([0, 0], [4, 4]))
     x = np.array([0.5, 1.0])
     y = np.array([1.0, 2.0])
-    assert smooth_value(comp, 0.25, x, y, 0) == 0.375 * 1.0 + 0.875 * 2.0
+    value, gx, gy = _one_row(as_problem(comp, 0.25).oracle, x, y, 0)
+    assert value == 0.375 * 1.0 + 0.875 * 2.0
     # grad_x = I @ (envelope derivs * y) = (1*1, 1*2)
-    assert smooth_grad_x(comp, 0.25, x, y, 0).tolist() == [1.0, 2.0]
-    assert smooth_grad_y(comp, 0.25, x, y, 0).tolist() == [0.375, 0.875]
+    assert gx.tolist() == [1.0, 2.0]
+    assert gy.tolist() == [0.375, 0.875]
 
 
 def test_smooth_gradients_pass_fd_check():
     comp = _affine_composite(seed=1)
-    lam = 0.3
+    oracle = as_problem(comp, 0.3).oracle
     rng = np.random.default_rng(2)
     for trial in range(5):
         x0 = comp.set_x.project(rng.uniform(-1.5, 1.5, size=comp.dim_x))
         y0 = comp.set_y.project(rng.uniform(0.3, 1.8, size=comp.dim_y))
         i = int(rng.integers(4))
-        err_x = fd_check(lambda x: smooth_value(comp, lam, x, y0, i),
-                         lambda x: smooth_grad_x(comp, lam, x, y0, i), x0)
-        err_y = fd_check(lambda y: smooth_value(comp, lam, x0, y, i),
-                         lambda y: smooth_grad_y(comp, lam, x0, y, i), y0)
+        err_x = fd_check(lambda x: _one_row(oracle, x, y0, i)[0],
+                         lambda x: _one_row(oracle, x, y0, i)[1], x0)
+        err_y = fd_check(lambda y: _one_row(oracle, x0, y, i)[0],
+                         lambda y: _one_row(oracle, x0, y, i)[2], y0)
         assert err_x <= 1e-5
         assert err_y <= 1e-5
 
@@ -180,10 +192,13 @@ def test_as_problem_carries_smoothed_constants():
     assert p.constants.rho == (cc.d_h * cc.L_phi * cc.ell_h ** 2 * cc.ell_c ** 2
                                + cc.L_c * cc.ell_phi * cc.ell_h * math.sqrt(cc.d_h))
     assert p.metadata["lambda"] == lam
-    # the oracle is the smoothed objective
+    # the oracle is the smoothed objective: h^lam(c(x)).y + y.y/2
     x = np.array([0.3, -0.4, 0.8])
     y = np.array([0.5, 1.0])
-    assert p.oracle.eval_f(x, y, 2) == smooth_value(comp, lam, x, y, 2)
+    w = comp.c_batch(x[None], np.array([2]))[0][0]
+    u = np.array([envelope(h, lam, float(wj))[0] for h, wj in zip(comp.h, w)])
+    assert _one_row(p.oracle, x, y, 2)[0] == pytest.approx(u @ y + 0.5 * y @ y,
+                                                           rel=1e-15)
     with pytest.raises(ValueError):
         as_problem(comp, 0.0)
 
@@ -192,29 +207,29 @@ def test_linear_pieces_smooth_to_constant_shift():
     # ScaledIdentity components make the envelope an exact downward shift
     # by lam a^2/2, so the smoothed objective never bends the landscape
     comp = MoreauComposite(
-        c=lambda x, i: np.array([x[0] + float(i)]),
-        c_jac=lambda x, i: np.array([[1.0]]),
+        c_batch=_affine_rows(np.ones((3, 1, 1)), np.arange(3.0)[:, None]),
         h=[ScaledIdentity(2.0)],
-        phi=lambda u, y, i: float(u[0] * y[0]),
-        phi_grad1=lambda u, y, i: y.copy(),
-        phi_grad_y=lambda u, y, i: u.copy(),
+        phi_batch=lambda u, Y, ids: u[:, 0] * Y[:, 0],
+        phi_grads_batch=lambda u, Y, ids: (Y.copy(), u.copy()),
         constants=CompositeConstants(ell_c=1.0, ell_h=2.0, ell_phi=1.0,
                                      L_c=0.0, L_phi=1.0, d_h=1),
         regime=FiniteSum(3),
         set_x=Box([-2], [2]), set_y=Box([0.5], [1.5]))
     lam = 0.125
+    oracle = as_problem(comp, lam).oracle
     x, y = np.array([0.75]), np.array([1.0])
     for i in range(3):
         raw = 2.0 * (x[0] + i) * y[0]
         shift = lam * 4.0 / 2.0 * y[0]
-        assert smooth_value(comp, lam, x, y, i) == raw - shift
+        assert _one_row(oracle, x, y, i)[0] == raw - shift
 
 
 # ----------------------------------------------------------------------------
-# array envelopes and the batch path
+# array envelopes and the row path
 #
-# The vectorized path must reproduce the scalar one bit for bit, so these
-# compare raw bytes (which also tells -0.0 from +0.0), not values.
+# The array envelopes must reproduce the scalar `envelope` bit for bit, and
+# a row of a many-row call its one-row call, so these compare raw bytes
+# (which also tells -0.0 from +0.0), not values.
 
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
@@ -293,56 +308,53 @@ def test_default_array_envelopes_loop_the_scalar_prox():
     assert _same_bits(ders, [d for _, d in ref])
 
 
-def _with_batch_hooks(comp, A, b):
-    """The affine composite plus its batched hooks, built the way the
-    docstring of StochasticOracle asks (stacked matmul, same layouts)."""
-    comp.c_batch = lambda X, ids: ((A[ids] @ X[:, :, None])[:, :, 0] + b[ids],
-                                   np.swapaxes(A[ids], 1, 2))
-    comp.phi_grads_batch = lambda u, Y, ids: (Y.copy(), u + Y)
-    return comp
-
-
 def test_as_problem_installs_batch_path_only_with_both_hooks():
+    # the row functions are required fields: a composite without one of
+    # them is refused, so every smoothed oracle has the batch path
     comp = _affine_composite(seed=3)
-    assert as_problem(comp, 0.25).oracle.grads_batch is None
-    comp.c_batch = lambda x, ids: None
-    assert as_problem(comp, 0.25).oracle.grads_batch is None
-    comp.phi_grads_batch = lambda u, y, ids: None
-    assert as_problem(comp, 0.25).oracle.grads_batch is not None
+    fields = dict(c_batch=comp.c_batch, h=comp.h, phi_batch=comp.phi_batch,
+                  phi_grads_batch=comp.phi_grads_batch, constants=comp.constants,
+                  regime=comp.regime, set_x=comp.set_x, set_y=comp.set_y)
+    for name in ("c_batch", "phi_batch", "phi_grads_batch"):
+        with pytest.raises(TypeError, match=name):
+            MoreauComposite(**{k: v for k, v in fields.items() if k != name})
 
 
 def test_composite_batch_rows_match_per_sample_path():
     # two h pieces (|.| and hinge), so the envelope loop over components
-    # and the stacked Jacobian product both run with d_h > 1
+    # and the stacked Jacobian product both run with d_h > 1; each row of a
+    # many-row call equals the one-row call at its point and id
     n, d_x, d_h = 6, 3, 2
     rng = np.random.default_rng(4)
     A = rng.normal(size=(n, d_h, d_x))
     b = rng.normal(size=(n, d_h))
     comp = MoreauComposite(
-        c=lambda x, i: A[i] @ x + b[i],
-        c_jac=lambda x, i: A[i].T,
+        c_batch=_affine_rows(A, b),
         h=[AbsValue(), Hinge()],
-        phi=lambda u, y, i: float(u @ y),
-        phi_grad1=lambda u, y, i: y.copy(),
-        phi_grad_y=lambda u, y, i: u + y,
+        phi_batch=lambda u, Y, ids: (u[:, None, :] @ Y[:, :, None])[:, 0, 0],
+        phi_grads_batch=lambda u, Y, ids: (Y.copy(), u + Y),
         constants=CompositeConstants(ell_c=3.0, ell_h=1.0, ell_phi=3.0,
                                      L_c=0.0, L_phi=1.0, d_h=d_h),
         regime=FiniteSum(n),
         set_x=Box(-2 * np.ones(d_x), 2 * np.ones(d_x)),
         set_y=Box(np.zeros(d_h), 2 * np.ones(d_h)))
-    scalar = as_problem(comp, 0.3)
-    batch = as_problem(_with_batch_hooks(comp, A, b), 0.3)
+    oracle = as_problem(comp, 0.3).oracle
     for _ in range(50):
         # one point per row
         X = rng.normal(size=(9, d_x))
         Y = rng.choice([0.0, 0.5, 1.25], size=(9, d_h))  # zeros reach -0.0 terms
         ids = rng.integers(0, n, size=9)
-        gx, gy = batch.oracle.batch_grads(X, Y, ids)
-        rx, ry = scalar.oracle.batch_grads(X, Y, ids)
-        assert _same_bits(gx, rx) and _same_bits(gy, ry)
+        gx, gy = oracle.batch_grads(X, Y, ids)
+        values = oracle.batch_values(X, Y, ids)
         for row, i in enumerate(ids):
-            assert _same_bits(gx[row], smooth_grad_x(comp, 0.3, X[row], Y[row], int(i)))
-            assert _same_bits(gy[row], smooth_grad_y(comp, 0.3, X[row], Y[row], int(i)))
+            value, rx, ry = _one_row(oracle, X[row], Y[row], i)
+            assert _same_bits(gx[row], rx) and _same_bits(gy[row], ry)
+            assert _same_bits(values[row], value)
+            # the chain rule, entry by entry: jac_c^T (envelope derivs * y)
+            e = [envelope(h, 0.3, float(w))[1]
+                 for h, w in zip(comp.h, A[i] @ X[row] + b[i])]
+            assert rx == pytest.approx(A[i].T @ (np.array(e) * Y[row]),
+                                       rel=1e-12, abs=1e-12)
 
 
 # ----------------------------------------------------------------------------
@@ -350,11 +362,10 @@ def test_composite_batch_rows_match_per_sample_path():
 
 def test_certificate_hand_example():
     comp = MoreauComposite(
-        c=lambda x, i: x.copy(), c_jac=lambda x, i: np.eye(1),
+        c_batch=_affine_rows(np.eye(1)[None], np.zeros((1, 1))),
         h=[AbsValue()],
-        phi=lambda u, y, i: float(u @ y),
-        phi_grad1=lambda u, y, i: y.copy(),
-        phi_grad_y=lambda u, y, i: u.copy(),
+        phi_batch=lambda u, Y, ids: np.sum(u * Y, axis=1),
+        phi_grads_batch=lambda u, Y, ids: (Y.copy(), u.copy()),
         constants=CompositeConstants(ell_c=1.0, ell_h=1.0, ell_phi=1.0,
                                      L_c=1.0, L_phi=1.0, d_h=1),
         regime=FiniteSum(1), set_x=Box([-1], [1]), set_y=Box([0], [1]))
@@ -418,7 +429,7 @@ def test_spot_check_rejects_nonconvex_h():
 
 def test_spot_check_rejects_decreasing_phi():
     comp = _affine_composite(seed=10)
-    comp.phi = lambda u, y, i: float(-u @ y)
+    comp.phi_batch = lambda u, Y, ids: -np.sum(u * Y, axis=1)
     with pytest.raises(ValueError, match="nondecreasing"):
         spot_check_composite(comp, np.random.default_rng(11))
 

@@ -22,9 +22,8 @@ def _bilinear_problem(set_x=None, set_y=None):
     """F(x, y) = x*y as a single-component finite sum."""
     oracle = StochasticOracle(
         regime=FiniteSum(1), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: float(x[0] * y[0]),
-        grad_x=lambda x, y, i: np.array([y[0]]),
-        grad_y=lambda x, y, i: np.array([x[0]]))
+        grads_batch=lambda X, Y, ids: (Y.copy(), X.copy()),
+        values_batch=lambda X, Y, ids: (X * Y)[:, 0])
     return ProblemInstance(
         oracle=oracle,
         set_x=set_x if set_x is not None else Box([-1.0], [1.0]),
@@ -41,13 +40,19 @@ def _quadratic_problem(n=8, d=2, seed=0):
     # so the default start is not a stationary point
     a = rng.normal(size=(n, d)) + 0.5
     b = rng.normal(size=(n, d)) - 0.5
+    # stacked matmuls against a column per row: a row does not depend on
+    # the rows it is batched with
     oracle = StochasticOracle(
         regime=FiniteSum(n), dim_x=d, dim_y=d,
-        eval_f=lambda x, y, i: float(0.5 * x @ Q[i] @ x + x @ y
-                                     - 0.5 * y @ C @ y
-                                     + a[i] @ x + b[i] @ y),
-        grad_x=lambda x, y, i: Q[i] @ x + y + a[i],
-        grad_y=lambda x, y, i: x - C @ y + b[i])
+        grads_batch=lambda X, Y, ids: (
+            (Q[ids] @ X[:, :, None])[:, :, 0] + Y + a[ids],
+            X - (C @ Y[:, :, None])[:, :, 0] + b[ids]),
+        values_batch=lambda X, Y, ids: (
+            (0.5 * X[:, None, :]) @ Q[ids] @ X[:, :, None]
+            + X[:, None, :] @ Y[:, :, None]
+            - (0.5 * Y[:, None, :]) @ C @ Y[:, :, None]
+            + a[ids][:, None, :] @ X[:, :, None]
+            + b[ids][:, None, :] @ Y[:, :, None])[:, 0, 0])
     L = float(max(np.linalg.norm(Q[i], 2) for i in range(n)))
     return ProblemInstance(
         oracle=oracle, set_x=Box(-2 * np.ones(d), 2 * np.ones(d)),
@@ -137,8 +142,8 @@ def test_step_equals_the_reference_update_bit_for_bit():
                              (FullSpace(d), box())):
             oracle = StochasticOracle(
                 regime=FiniteSum(1), dim_x=d, dim_y=d,
-                eval_f=lambda x, y, i: 0.0, grad_x=lambda x, y, i: x,
-                grad_y=lambda x, y, i: y)
+                grads_batch=lambda X, Y, ids: (X.copy(), Y.copy()),
+                values_batch=lambda X, Y, ids: np.zeros(len(ids)))
             p = ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y,
                                 constants=SmoothnessMeta(L_x=1, L_y=1, rho=0, ell=1))
             bounds = [b for s in (set_x, set_y) if isinstance(s, Box)
@@ -384,11 +389,8 @@ def _online_problem():
         return scale * Y, scale * X
 
     oracle = StochasticOracle(
-        regime=Online(), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: float((1 + i % 7) * x[0] * y[0]),
-        grad_x=lambda x, y, i: (1 + i % 7) * y,
-        grad_y=lambda x, y, i: (1 + i % 7) * x,
-        grads_batch=grads_batch)
+        regime=Online(), dim_x=1, dim_y=1, grads_batch=grads_batch,
+        values_batch=lambda X, Y, ids: (1 + ids % 7) * X[:, 0] * Y[:, 0])
     # boxes off the origin, which is stationary
     p = ProblemInstance(oracle=oracle, set_x=Box([0.5], [2.0]),
                         set_y=Box([0.5], [2.0]),
@@ -479,9 +481,8 @@ def _exploding_run(sink=None):
     feedback doubles the iterate until it overflows to inf."""
     oracle = StochasticOracle(
         regime=FiniteSum(1), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: 0.0,
-        grad_x=lambda x, y, i: np.array([-x[0] * 1e200]),
-        grad_y=lambda x, y, i: np.zeros(1))
+        grads_batch=lambda X, Y, ids: (-X * 1e200, np.zeros((len(ids), 1))),
+        values_batch=lambda X, Y, ids: np.zeros(len(ids)))
     p = ProblemInstance(oracle=oracle, set_x=FullSpace(1),
                         set_y=Box([-1.0], [1.0]),
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=1))

@@ -173,9 +173,8 @@ def _online_toy_problem():
     """f(x, y; xi) = x*y for every online sample xi."""
     oracle = StochasticOracle(
         regime=Online(), dim_x=1, dim_y=1,
-        eval_f=lambda x, y, i: float(x[0] * y[0]),
-        grad_x=lambda x, y, i: y.copy(),
-        grad_y=lambda x, y, i: x.copy())
+        grads_batch=lambda X, Y, ids: (Y.copy(), X.copy()),
+        values_batch=lambda X, Y, ids: (X * Y)[:, 0])
     return ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),
                            set_y=Box([-1.0], [1.0]),
                            constants=SmoothnessMeta(L_x=0, L_y=1, rho=0, ell=8))
@@ -393,9 +392,10 @@ def _unit_moreau(**kw):
     """f(x, y; i) = y |x| on [-1, 1]^2 with 8 samples, declaring the unit
     composite constants (the tuner reads only those)."""
     return MoreauComposite(
-        c=lambda x, i: x.copy(), c_jac=lambda x, i: np.eye(1), h=[AbsValue()],
-        phi=lambda u, y, i: float(y[0] * u[0]),
-        phi_grad1=lambda u, y, i: y.copy(), phi_grad_y=lambda u, y, i: u.copy(),
+        c_batch=lambda X, ids: (X.copy(), np.ones((len(ids), 1, 1))),
+        h=[AbsValue()],
+        phi_batch=lambda u, Y, ids: (Y * u)[:, 0],
+        phi_grads_batch=lambda u, Y, ids: (Y.copy(), u.copy()),
         constants=_unit_composite(**kw), regime=FiniteSum(8),
         set_x=Box([-1.0], [1.0]), set_y=Box([-1.0], [1.0]))
 
