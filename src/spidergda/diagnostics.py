@@ -1,5 +1,5 @@
-"""Stationarity residuals, proximal inner solves, merit-function tracking,
-and a finite-difference harness for gradient oracles.
+"""Stationarity residuals, proximal inner solves and merit-function
+tracking.
 
 The inner solve computes x_r(y, z) = argmin_{x in X} F_r(x, y, z) where
 F_r(x, y, z) = F(x, y) + (r/2) ||x - z||^2.  For r > rho this objective is
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "solve_x_r",
     "dz_norm",
     "lyapunov",
-    "fd_check",
 ]
 
 class MaxItersError(Exception):
@@ -65,9 +64,6 @@ _INNER_MAX_ITERS = 100_000
 _MC_BATCH = 10_000
 _P_R_STARTS = 8
 _MAX_ASCENT = 2000
-
-# central-difference step of `fd_check`
-_FD_STEP = 1e-5
 
 
 # ----------------------------------------------------------------------------
@@ -313,25 +309,3 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     value = (f_r - d_here) + (p_r - d_here) + p_r
     return LyapunovValue(value=value, f_r=f_r, d_r=d_here, p_r=p_r,
                          certified=certified)
-
-
-# ----------------------------------------------------------------------------
-# finite-difference harness
-
-def fd_check(value_fn: Callable[[np.ndarray], float],
-             grad_fn: Callable[[np.ndarray], np.ndarray],
-             point: np.ndarray) -> float:
-    """Max relative error of grad_fn against central differences of value_fn.
-
-    Per-coordinate error |fd_j - g_j| is normalized by max(1, ||g||), so the
-    result is meaningful for both tiny and large gradients.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    grad = np.asarray(grad_fn(point), dtype=np.float64)
-    fd = np.empty_like(grad)
-    for j in range(point.size):
-        e = np.zeros_like(point)
-        e[j] = _FD_STEP
-        fd[j] = (value_fn(point + e) - value_fn(point - e)) / (2.0 * _FD_STEP)
-    denom = max(1.0, float(np.linalg.norm(grad)))
-    return float(np.max(np.abs(fd - grad)) / denom)

@@ -23,7 +23,6 @@ __all__ = [
     "GroupDroSpec",
     "PhiDivDroSpec",
     "make_group_dro",
-    "group_losses",
     "make_two_group_regression",
     "make_phi_div_dro",
     "PSI_BUILTINS",
@@ -178,22 +177,6 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
         c_batch=c_batch, h=h, phi_batch=phi_batch,
         phi_grads_batch=phi_grads_batch, constants=constants,
         regime=FiniteSum(n), set_x=set_x, set_y=set_y)
-
-
-def group_losses(spec: GroupDroSpec, theta: np.ndarray) -> np.ndarray:
-    """Per-group mean loss of the linear predictor theta (true nonsmooth
-    loss, not the smoothed surrogate)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    out = np.empty(spec.m_groups)
-    for gi, (X, t) in enumerate(spec.groups):
-        X = np.asarray(X, dtype=np.float64)
-        t = np.asarray(t, dtype=np.float64)
-        pred = X @ theta
-        if spec.loss == "squared":
-            out[gi] = float(np.mean((pred - t) ** 2))
-        else:
-            out[gi] = float(np.mean(np.maximum(0.0, 1.0 - t * pred)))
-    return out
 
 
 def make_two_group_regression(n: int = 200, d: int = 3,
@@ -535,5 +518,8 @@ def spec_from_csv(path, loss: str = "squared") -> GroupDroSpec:
         # data row i sits on line i + 2, below the header
         i = int(negative[0])
         raise ValueError(f"{path} line {i + 2}: group id {g[i]} is negative")
-    groups = [(X[g == gi], t[g == gi]) for gi in range(int(g.max()) + 1)]
+    # the first missing id is at most the number of distinct ids, so a
+    # huge id costs one pair per distinct id, not one per id below it
+    groups = [(X[g == gi], t[g == gi])
+              for gi in range(min(int(g.max()), len(np.unique(g))) + 1)]
     return GroupDroSpec(groups=groups, loss=loss)

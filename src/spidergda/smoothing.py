@@ -7,7 +7,8 @@ Each h_j is replaced by its envelope
 
 whose value and 1/lam-Lipschitz derivative come from the proximal point
 p = prox_{lam h_j}(w):  value = h_j(p) + (w - p)^2/(2 lam),  derivative
-= (w - p)/lam.  The smoothed objective is smooth in x with constants
+= (w - p)/lam.  A component gives both over an array of w in one call,
+`envelopes(lam, w)`.  The smoothed objective is smooth in x with constants
 computable from the composite's (ell_c, ell_h, ell_phi, L_c, L_phi), so the
 solver and tuner can run unchanged on the wrapped problem.
 """
@@ -28,15 +29,12 @@ from .projections import ConstraintSet
 __all__ = [
     "CompositeConstants",
     "ScalarConvex",
-    "AbsValue",
     "Hinge",
     "ScaledIdentity",
     "MoreauComposite",
-    "envelope",
     "smoothed_constants",
     "as_problem",
     "near_stationarity_certificate",
-    "spot_check_composite",
 ]
 
 
@@ -44,78 +42,37 @@ __all__ = [
 # scalar convex components
 
 class ScalarConvex:
-    """A scalar convex function with a value oracle and a prox oracle.
+    """A scalar convex function h, given by its Moreau envelope over arrays.
 
-    Subclasses implement value(w) and prox(lam, w) = argmin_q h(q) +
-    (q - w)^2/(2 lam).  `envelopes` evaluates the Moreau envelope over an
-    array of w; the built-in closed forms override it with numpy
-    expressions that reproduce `envelope` bit for bit.
+    Subclasses implement `envelopes`.  Entry k of its result must not
+    depend on the other entries of `w`: the same bits however `w` is
+    batched, as for an oracle's rows.
     """
-
-    def value(self, w: float) -> float:
-        raise NotImplementedError
-
-    def prox(self, lam: float, w: float) -> float:
-        raise NotImplementedError
 
     def envelopes(self, lam: float, w: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Envelope values and derivatives at every entry of the 1-D `w`.
-
-        The default loops the scalar `envelope`, so any component with a
-        prox oracle works in the smoothed oracle.
-        """
-        vals = np.empty(len(w))
-        ders = np.empty(len(w))
-        for k, wk in enumerate(w):
-            vals[k], ders[k] = envelope(self, lam, float(wk))
-        return vals, ders
+        """Envelope values h^lam(w_k) and derivatives (w_k - p_k)/lam at
+        every entry of the 1-D `w`; ValueError unless lam > 0."""
+        raise NotImplementedError
 
 
 def _envelope_from_prox(lam: float, w: np.ndarray, p: np.ndarray,
                         hp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of `envelope` given the prox points p and h(p)."""
+    """Envelope values and derivatives given the prox points p and h(p)."""
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    # the scalar `envelope` squares a scalar with `** 2` (libm pow);
-    # float_power calls the same pow, array `** 2` would multiply instead
+    # float_power squares with libm pow, as a scalar `** 2` does; array
+    # `** 2` would multiply instead, and the pinned digests hold pow's bits
     return hp + np.float_power(w - p, 2) / (2.0 * lam), (w - p) / lam
-
-
-class AbsValue(ScalarConvex):
-    """h(q) = |q|; prox is soft thresholding."""
-
-    def value(self, w: float) -> float:
-        return abs(w)
-
-    def prox(self, lam: float, w: float) -> float:
-        return math.copysign(max(abs(w) - lam, 0.0), w)
-
-    def envelopes(self, lam: float, w: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        shrunk = np.abs(w) - lam
-        # max(s, 0.0) keeps s unless 0.0 > s
-        p = np.copysign(np.where(0.0 > shrunk, 0.0, shrunk), w)
-        return _envelope_from_prox(lam, w, p, np.abs(p))
 
 
 class Hinge(ScalarConvex):
     """h(q) = max(0, q)."""
 
-    def value(self, w: float) -> float:
-        return max(0.0, w)
-
-    def prox(self, lam: float, w: float) -> float:
-        if w <= 0.0:
-            return w
-        if w >= lam:
-            return w - lam
-        return 0.0
-
     def envelopes(self, lam: float, w: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
         p = np.where(w <= 0.0, w, np.where(w >= lam, w - lam, 0.0))
-        # max(0.0, p) returns p only if p > 0.0
+        # +0.0 for a p of -0.0, where np.maximum(0.0, p) would give -0.0
         return _envelope_from_prox(lam, w, p, np.where(p > 0.0, p, 0.0))
 
 
@@ -124,12 +81,6 @@ class ScaledIdentity(ScalarConvex):
 
     def __init__(self, a: float = 1.0):
         self.a = float(a)
-
-    def value(self, w: float) -> float:
-        return self.a * w
-
-    def prox(self, lam: float, w: float) -> float:
-        return w - lam * self.a
 
     def envelopes(self, lam: float, w: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -176,8 +127,8 @@ class MoreauComposite:
         change with the batch it is gathered in
         (``np.swapaxes(A[ids], 1, 2)`` for the rows ``A[i].T``).
     h : sequence of ScalarConvex
-        The d_h scalar convex components (convex, ell_h-Lipschitz by
-        contract; see spot_check_composite).
+        The d_h scalar convex components, each given by its `envelopes`
+        (convex and ell_h-Lipschitz by contract; nothing checks it).
     phi_batch : callable(u, Y, sample_ids) -> ndarray
         Outer function over a batch, u of shape (len(ids), d_h) and one
         dual point per row, Y of shape (len(ids), dim_y): the values
@@ -235,20 +186,7 @@ class MoreauComposite:
 
 
 # ----------------------------------------------------------------------------
-# envelope and smoothed oracles
-
-def envelope(h_j: ScalarConvex, lam: float, w: float) -> tuple[float, float]:
-    """Value and derivative of the Moreau envelope of h_j at w.
-
-    value = h_j(p) + (w - p)^2/(2 lam),  derivative = (w - p)/lam,  where
-    p = prox_{lam h_j}(w).  The derivative is 1/lam-Lipschitz in w.
-    """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    p = h_j.prox(lam, w)
-    value = h_j.value(p) + (w - p) ** 2 / (2.0 * lam)
-    return value, (w - p) / lam
-
+# smoothed oracles
 
 def _smooth_grads_batch(comp: MoreauComposite, lam: float, X: np.ndarray,
                         Y: np.ndarray, ids: np.ndarray
@@ -355,38 +293,3 @@ def near_stationarity_certificate(comp: MoreauComposite, lam: float, r: float,
     res_y = math.sqrt(2.0 * res_y_smoothed ** 2
                       + lam ** 2 * cc.d_h * cc.L_phi ** 2 * cc.ell_h ** 4 / 2.0)
     return delta, g, res_y
-
-
-# ----------------------------------------------------------------------------
-# contract spot checks
-
-# trials per contract, half-width of the sampled interval, and slack
-_SPOT_TRIALS, _SPOT_SPAN, _SPOT_TOL = 64, 3.0, 1e-9
-
-
-def spot_check_composite(comp: MoreauComposite, rng: np.random.Generator) -> None:
-    """Randomized checks of the composite's declared contracts.
-
-    Secant tests of each h_j for convexity (midpoint inequality) and
-    ell_h-Lipschitzness, and monotonicity of phi in its first argument on
-    random ordered pairs.  Raises ValueError on a violation.
-    """
-    lh = comp.constants.ell_h
-    for j, hj in enumerate(comp.h):
-        for _ in range(_SPOT_TRIALS):
-            a, b = sorted(rng.uniform(-_SPOT_SPAN, _SPOT_SPAN, size=2))
-            va, vb = hj.value(a), hj.value(b)
-            mid = hj.value(0.5 * (a + b))
-            if mid > 0.5 * (va + vb) + _SPOT_TOL:
-                raise ValueError(f"h[{j}] fails the midpoint convexity test")
-            if abs(va - vb) > lh * abs(a - b) + _SPOT_TOL:
-                raise ValueError(f"h[{j}] is not ell_h={lh}-Lipschitz")
-    y0 = comp.set_y.project(rng.uniform(-1.0, 1.0, size=comp.dim_y))
-    for _ in range(_SPOT_TRIALS):
-        u = rng.uniform(-_SPOT_SPAN, _SPOT_SPAN, size=comp.d_h)
-        bump = rng.uniform(0.0, _SPOT_SPAN, size=comp.d_h)
-        # the pair as two rows of sample 0
-        up, low = comp.phi_batch(np.array([u + bump, u]), np.array([y0, y0]),
-                                 np.zeros(2, dtype=np.int64))
-        if up < low - _SPOT_TOL:
-            raise ValueError("phi is not nondecreasing in its first argument")

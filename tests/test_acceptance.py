@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spidergda import (AbsValue, Ball, Box, CompositeConstants, FiniteSum,
+from spidergda import (Ball, Box, CompositeConstants, FiniteSum,
                        FullSpace, Hinge, MoreauComposite, ProblemInstance,
                        ScaledIdentity, Simplex, SmoothnessMeta, SolverConfig,
                        StochasticOracle, TunerInput, anchor, as_problem,
-                       batch_rng, dz_norm, estimator_mse, fd_check,
-                       full_grad_x, full_grad_y, group_losses, gs_residuals,
+                       batch_rng, dz_norm, estimator_mse,
+                       full_grad_x, full_grad_y, gs_residuals,
                        lyapunov, make_group_dro, make_quadratic_saddle,
                        make_two_group_regression, normal_cone_dist, recurse,
                        run, tune_smooth)
@@ -55,12 +55,13 @@ def _report_suite(num: int, slug: str, checks: dict) -> None:
 # ----------------------------------------------------------------------------
 # shared fixtures
 
-def _random_composite(seed):
+def _random_composite(seed, abs_value):
     """Random affine-inner composite with verifiable constants.
 
-    c is affine (column norms capped at 3), h mixes the closed-form scalar
-    kinds, and the outer function s'u + y'Eu - ||y||^2/2 is kept
-    nondecreasing in u by giving s a margin over the column sums of |E|.  Returns the composite plus the
+    c is affine (column norms capped at 3), h mixes |q| (the `abs_value`
+    fixture), hinge and scaled-identity components, and the outer function
+    s'u + y'Eu - ||y||^2/2 is kept nondecreasing in u by giving s a margin
+    over the column sums of |E|.  Returns the composite plus the
     per-component envelope-kink locations used for exclusion zones.
     """
     rng = np.random.default_rng(seed)
@@ -74,7 +75,7 @@ def _random_composite(seed):
     for _ in range(d_h):
         pick = rng.integers(0, 3)
         if pick == 0:
-            kinds.append(AbsValue())
+            kinds.append(abs_value())
             ell_hs.append(1.0)
             kinks.append("abs")
         elif pick == 1:
@@ -207,10 +208,17 @@ def test_criterion_04_quadratic_saddle_convergence(quad_run):
             f"output dz_norm = {dz:.2e} <= 1e-2 (seed 3)")
 
 
-def test_criterion_05_smoothing_bias_bound():
+def _h_value(hj, w):
+    """h_j(w) by its closed form: a w, max(0, w) or |w|."""
+    if isinstance(hj, ScaledIdentity):
+        return hj.a * w
+    return max(0.0, w) if isinstance(hj, Hinge) else abs(w)
+
+
+def test_criterion_05_smoothing_bias_bound(abs_value):
     violations, closest = 0, math.inf
     for seed in range(100):
-        comp, _kinks, rng = _random_composite(seed)
+        comp, _kinks, rng = _random_composite(seed, abs_value)
         cc = comp.constants
         lam = float(rng.uniform(1e-3, 0.5))
         bound = lam * cc.L_phi * cc.ell_h ** 2 * math.sqrt(cc.d_h) / 2.0
@@ -219,7 +227,7 @@ def test_criterion_05_smoothing_bias_bound():
             x = rng.uniform(-3.0, 3.0, size=comp.dim_x)
             y = rng.uniform(-1.0, 1.0, size=comp.dim_y)
             w = comp.c_batch(x[None], _ID0)[0][0]
-            u = np.array([hj.value(float(w[j]))
+            u = np.array([_h_value(hj, float(w[j]))
                           for j, hj in enumerate(comp.h)])
             gap = abs(comp.phi_batch(u[None], y[None], _ID0)[0]
                       - _one_row(oracle, x, y)[0])
@@ -244,10 +252,10 @@ def _kink_distance(w, kinks, lam):
     return dmin
 
 
-def test_criterion_06_smoothed_gradient_fd():
+def test_criterion_06_smoothed_gradient_fd(abs_value, fd_check):
     worst = 0.0
     for seed in range(100):
-        comp, kinks, rng = _random_composite(seed)
+        comp, kinks, rng = _random_composite(seed, abs_value)
         lam = float(rng.uniform(0.05, 0.5))
         for _ in range(200):
             x = rng.uniform(-3.0, 3.0, size=comp.dim_x)
@@ -389,7 +397,7 @@ def test_criterion_07_projection_oracles():
             f"(4 set kinds x 1000 cases)")
 
 
-def test_criterion_08_group_dro_beats_erm():
+def test_criterion_08_group_dro_beats_erm(group_losses):
     worst_ratio = 0.0
     for seed in range(5):
         spec = make_two_group_regression(n=200, d=3, minority_frac=0.1,

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # code lines of src/ by tools/code_lines.py when the test was written.
 # Lower the budget when a change removes code; raising it loosens the
 # guard, and CHANGES.md must say so.
-SRC_CODE_LINES = 1995
+SRC_CODE_LINES = 1910
 
 MODULES = ["spidergda"] + [f"spidergda.{m.name}"
                            for m in pkgutil.iter_modules(spidergda.__path__)]
@@ -91,13 +91,10 @@ def test_no_unused_imports(name):
 UNREAD_PUBLIC = {
     "gs_residuals": "the README quick start and the benchmark call it",
     "estimate_sigmas": "the sigma constants of item 5's online CLI kind",
-    "estimator_mse": "the estimator error that item 4's est_err column reports",
-    "fd_check": "item 15's `verify oracles` suite",
-    "spot_check_composite": "item 15's `verify composites` suite",
-    "group_losses": "item 15's worst-group loss in a group-DRO summary",
-    "near_stationarity_certificate": "item 15's certificate in a composite "
-                                     "summary, after item 14",
-    "AbsValue": "the tests' |q| component, until item 15 places or drops it",
+    "estimator_mse": "the estimator error that item 4's est_err column "
+                     "reports; criterion 03 and ESTIMATOR_MSE_DIGEST pin it",
+    "near_stationarity_certificate": "item 19's certificate in a composite "
+                                     "summary",
 }
 
 

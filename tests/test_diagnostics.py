@@ -18,7 +18,7 @@ import pytest
 from spidergda import (Ball, Box, DimError, FiniteSum, MaxItersError, Online,
                        ProblemInstance, RegimeError, Simplex, SmoothnessMeta,
                        SolverConfig, StochasticOracle, as_problem, core,
-                       diagnostics, dz_norm, fd_check, full_grad_x, full_grad_y,
+                       diagnostics, dz_norm, full_grad_x, full_grad_y,
                        full_value, gs_residuals, lyapunov, make_group_dro,
                        make_quadratic_saddle, make_two_group_regression,
                        mc_gs_residuals, run, solve_x_r)
@@ -473,9 +473,9 @@ def test_windowed_residuals_equal_per_row_gs_residuals(kind, stride):
 
 
 # ----------------------------------------------------------------------------
-# finite-difference harness
+# finite-difference harness (the `fd_check` fixture other tests rely on)
 
-def test_fd_check_tiers():
+def test_fd_check_tiers(fd_check):
     c = np.array([1.5, -2.0, 0.25])
     lin = fd_check(lambda v: float(c @ v), lambda v: c,
                    np.array([0.3, 0.7, -1.1]))
@@ -485,7 +485,7 @@ def test_fd_check_tiers():
     assert quad <= 1e-9
 
 
-def test_fd_check_flags_wrong_gradient():
+def test_fd_check_flags_wrong_gradient(fd_check):
     err = fd_check(lambda v: float(0.5 * v @ v), lambda v: 2.0 * v,
                    np.array([1.0, 2.0]))
     assert err > 1e-2

@@ -8,6 +8,7 @@ and finite differences for every analytic gradient.
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -17,12 +18,10 @@ from hypothesis import strategies as st
 from spidergda import (DomainError, EmptyGroupError, GroupDroSpec,
                        PhiDivDroSpec, Simplex, SingularityError,
                        full_grad_x, full_grad_y, full_value,
-                       group_losses, kl_example_grad, kl_example_value,
+                       kl_example_grad, kl_example_value,
                        load_dataset_csv, make_group_dro, make_kl_example,
                        make_phi_div_dro, make_quadratic_saddle,
-                       make_two_group_regression, spec_from_csv,
-                       spot_check_composite, as_problem)
-from spidergda.diagnostics import fd_check
+                       make_two_group_regression, spec_from_csv, as_problem)
 from spidergda.problems import _box_radius
 
 
@@ -113,14 +112,14 @@ def _tiny_spec():
                         loss="squared")
 
 
-def test_group_losses_by_hand():
+def test_group_losses_by_hand(group_losses):
     losses = group_losses(_tiny_spec(), np.array([1.0]))
     assert losses.tolist() == [1.0, 0.0]
     losses = group_losses(_tiny_spec(), np.array([3.0]))
     assert losses.tolist() == [9.0, 16.0]
 
 
-def test_group_dro_mean_is_weighted_group_loss():
+def test_group_dro_mean_is_weighted_group_loss(group_losses):
     # phi weights by N q_g / |G_g|, so the finite-sum mean of the *unsmoothed*
     # composite is exactly sum_g q_g loss_g; with the identity piece the
     # envelope is a rigid shift by lam/2, uniformly in (theta, q)
@@ -151,7 +150,7 @@ def test_group_dro_inner_map_by_hand():
     assert gy.tolist() == [[2.0 * 9.0, 0.0], [0.0, 2.0 * 9.0]]
 
 
-def test_group_dro_hinge_loss():
+def test_group_dro_hinge_loss(group_losses):
     spec = GroupDroSpec(groups=[(np.array([[2.0]]), np.array([1.0]))],
                         loss="hinge")
     comp = make_group_dro(spec)
@@ -166,9 +165,17 @@ def test_group_dro_hinge_loss():
 
 
 def test_group_dro_contracts_hold():
+    # phi does not decrease in u: each row at a simplex point, u against
+    # u plus a nonnegative bump
+    rng = np.random.default_rng(1)
     for loss in ("squared", "hinge"):
-        spec = GroupDroSpec(groups=_tiny_spec().groups, loss=loss)
-        spot_check_composite(make_group_dro(spec), np.random.default_rng(1))
+        comp = make_group_dro(GroupDroSpec(groups=_tiny_spec().groups, loss=loss))
+        Q = np.array([comp.set_y.project(q) for q in rng.uniform(0, 1, (64, 2))])
+        Q[:2] = [[1.0, 0.0], [0.0, 1.0]]  # the vertices, where one weight is 0
+        u = rng.uniform(-3.0, 3.0, size=(64, 1))
+        bump = rng.uniform(0.0, 3.0, size=(64, 1))
+        ids = rng.integers(0, 2, size=64)
+        assert np.all(comp.phi_batch(u + bump, Q, ids) >= comp.phi_batch(u, Q, ids))
 
 
 @settings(deadline=None, max_examples=60)
@@ -232,7 +239,7 @@ def test_phi_div_value_by_hand():
     assert isinstance(p.set_y, Simplex)
 
 
-def test_phi_div_gradients_fd():
+def test_phi_div_gradients_fd(fd_check):
     rng = np.random.default_rng(2)
     X = rng.normal(size=(4, 2))
     t = rng.normal(size=4)
@@ -458,6 +465,17 @@ def test_spec_from_csv_rejects_a_negative_group_id(tmp_path, save_dataset_csv):
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: "
                                          "group id -1 is negative$"):
         spec_from_csv(path)
+
+
+def test_spec_from_csv_huge_group_id(tmp_path, save_dataset_csv):
+    # ids 0 and 10**9: group 1 is the first missing one, found without a
+    # masked pair per id below 10**9 (about 400 GB of them)
+    path = tmp_path / "huge_id.csv"
+    save_dataset_csv(path, np.ones((2, 1)), np.zeros(2), np.array([0, 10 ** 9]))
+    start = time.perf_counter()
+    with pytest.raises(EmptyGroupError, match="^group 1 is empty$"):
+        spec_from_csv(path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_spec_from_csv_missing_group(tmp_path, save_dataset_csv):

@@ -1,5 +1,5 @@
-"""The README's rows-contract example runs as written and prints what its
-comment says."""
+"""The README's rows-contract and h-component examples run as written and
+print what their comments say."""
 
 import contextlib
 import io
@@ -10,15 +10,25 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _snippet(heading: str) -> str:
-    """The first ```python block under the README section `heading`."""
+    """The first ```python block under the README heading `heading`."""
     text = README.read_text(encoding="utf-8")
-    section = text[text.index(f"### {heading}\n"):]
+    section = text[re.search(f"^#+ {re.escape(heading)}\n", text, re.M).end():]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
-def test_rows_contract_snippet_runs():
+def _printed(heading: str) -> str:
+    """What the README snippet under `heading` prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(compile(_snippet("The rows contract"), "README.md", "exec"), {})
+        exec(compile(_snippet(heading), "README.md", "exec"), {})
+    return out.getvalue()
+
+
+def test_rows_contract_snippet_runs():
     # grad_x = mean(w) y, grad_y = mean(w) x and F = mean(w) x y
-    assert out.getvalue() == "(array([-2.5]), array([1.25])) -1.25\n"
+    assert _printed("The rows contract") == "(array([-2.5]), array([1.25])) -1.25\n"
+
+
+def test_h_component_snippet_runs():
+    # |q| at lam = 1/2: Huber values |w| - 1/4 outside, w^2 inside
+    assert _printed("h components") == "[1.75, 0.0625, 0.75] [-1.0, 0.5, 1.0]\n"

@@ -16,7 +16,7 @@ import pytest
 
 import numpy as np
 
-from spidergda import (AbsValue, Box, CompositeConstants, FiniteSum,
+from spidergda import (Box, CompositeConstants, FiniteSum,
                        InfeasibleScheduleError, MoreauComposite, Online,
                        ProblemInstance, SmoothnessMeta, StochasticOracle,
                        TunerInput, alpha_x_interval, compute_alpha_y,
@@ -388,20 +388,20 @@ def test_smoothed_L_x_scales_inversely_with_lambda():
     assert big > 50 * small  # ~1/lam in the dominant term
 
 
-def _unit_moreau(**kw):
+def _unit_moreau(abs_value, **kw):
     """f(x, y; i) = y |x| on [-1, 1]^2 with 8 samples, declaring the unit
     composite constants (the tuner reads only those)."""
     return MoreauComposite(
         c_batch=lambda X, ids: (X.copy(), np.ones((len(ids), 1, 1))),
-        h=[AbsValue()],
+        h=[abs_value()],
         phi_batch=lambda u, Y, ids: (Y * u)[:, 0],
         phi_grads_batch=lambda u, Y, ids: (Y.copy(), u.copy()),
         constants=_unit_composite(**kw), regime=FiniteSum(8),
         set_x=Box([-1.0], [1.0]), set_y=Box([-1.0], [1.0]))
 
 
-def test_lambda_auto_tracks_epsilon():
-    problem, cfg, audit = tune_nonsmooth(_unit_moreau(), 0.05)
+def test_lambda_auto_tracks_epsilon(abs_value):
+    problem, cfg, audit = tune_nonsmooth(_unit_moreau(abs_value), 0.05)
     assert problem.metadata["lambda"] == 0.05
     assert audit.outputs["lambda"] == 0.05
     assert audit.outputs["lambda_cap"] == 2.0
@@ -411,9 +411,10 @@ def test_lambda_auto_tracks_epsilon():
     assert problem.constants.L_x == audit.outputs["smoothed_L_x"]
 
 
-def test_lambda_clamped_with_warning(caplog):
+def test_lambda_clamped_with_warning(abs_value, caplog):
     with caplog.at_level(logging.WARNING, logger="spidergda.tuner"):
-        problem, _, audit = tune_nonsmooth(_unit_moreau(delta_tilde=0.001), 0.1)
+        problem, _, audit = tune_nonsmooth(
+            _unit_moreau(abs_value, delta_tilde=0.001), 0.1)
     # ceiling 2*delta_tilde/(ell_h^2 sqrt(d_h))
     assert problem.metadata["lambda"] == 0.002
     assert any("clamped" in rec.message for rec in caplog.records)
@@ -421,14 +422,14 @@ def test_lambda_clamped_with_warning(caplog):
 
 @pytest.mark.parametrize("bad", [-0.1, 0.0, math.nan])
 @pytest.mark.parametrize("choice", ["auto", 0.25])
-def test_nonsmooth_names_a_bad_epsilon(bad, choice):
+def test_nonsmooth_names_a_bad_epsilon(abs_value, bad, choice):
     # an auto lambda of a bad epsilon used to fail as "lambda must be positive"
     with pytest.raises(ValueError, match="epsilon must be positive"):
-        tune_nonsmooth(_unit_moreau(), bad, lambda_choice=choice)
+        tune_nonsmooth(_unit_moreau(abs_value), bad, lambda_choice=choice)
 
 
-def test_lambda_explicit_choice():
-    comp = _unit_moreau()
+def test_lambda_explicit_choice(abs_value):
+    comp = _unit_moreau(abs_value)
     problem, _, audit = tune_nonsmooth(comp, 0.1, lambda_choice=0.25)
     assert problem.metadata["lambda"] == 0.25
     assert audit.outputs["smoothed_L_x"] == math.sqrt(54.0)
@@ -437,9 +438,9 @@ def test_lambda_explicit_choice():
             tune_nonsmooth(comp, 0.1, lambda_choice=bad)
 
 
-def test_nonsmooth_refuses_an_online_composite():
+def test_nonsmooth_refuses_an_online_composite(abs_value):
     # the smoothed constants carry sigma = 0, which used to plan an online
     # run with B = T = M = 1 from no variance at all
-    comp = replace(_unit_moreau(), regime=Online())
+    comp = replace(_unit_moreau(abs_value), regime=Online())
     with pytest.raises(ValueError, match="online composite goes through as_problem"):
         tune_nonsmooth(comp, 0.1, overrides={"K": 1})
