@@ -3,28 +3,34 @@ tracking.
 
 The inner solve computes x_r(y, z) = argmin_{x in X} F_r(x, y, z) where
 F_r(x, y, z) = F(x, y) + (r/2) ||x - z||^2.  For r > rho this objective is
-(r - rho)-strongly convex, so projected gradient descent converges linearly
-and a tight residual tolerance is cheap to hit.
+(r - rho)-strongly convex and (r + L_x)-smooth, so accelerated projected
+gradient with the constant momentum of its condition number
+kappa = (r + L_x)/(r - rho) converges linearly at a rate set by
+sqrt(kappa), not kappa.  The merit function's dual maximum p_r(z) comes
+from a FISTA ascent on d_r(., z).  Both loops are one routine,
+`_descend_rows`, with gradient restart, and each also stops once its step
+is within float resolution of its point, so a solve at a huge r + L_x
+does not run until an iterate rounds onto itself.
 
 The finite-sum diagnostics run over whole windows of points, bit for bit
 their one-point results: the exact residuals of many points take their
 gradients from one rows call and their normal-cone distances from one
-rows call per side; inner solves run many rows in lockstep, and the merit
-function's ascent reuses the y gradient that each inner solve's last
-oracle call gave, instead of asking the oracle for it again.
+rows call per side; inner solves and ascents run many rows in lockstep,
+and the merit function's ascent reuses the y gradient that each inner
+solve's last oracle call gave, instead of asking the oracle for it again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import (ProblemInstance, _exact_means, _exact_values, _row_norms,
                    as_vector, full_value)
-from .projections import Box, _normal_cone_rows, _project_rows, normal_cone_dist
+from .projections import Box, ConstraintSet, _normal_cone_rows, _project_rows, normal_cone_dist
 
 __all__ = [
     "MaxItersError",
@@ -53,11 +59,12 @@ class MaxItersError(Exception):
         self.residual = residual
 
 
-# The strongly convex inner solves take the constant step 1/(r + L_x), safe
-# for the (L_x + r)-smooth proximal objective, and stop at this
-# projected-gradient residual or iteration count.
+# The inner solves stop at this projected-gradient residual or iteration
+# count; any descent also stops at a step within this multiple of
+# (1 + ||w||) (a few ulps), which no finer tolerance can improve on.
 _INNER_TOL = 1e-8
 _INNER_MAX_ITERS = 100_000
+_FLOAT_RES = 4 * np.finfo(float).eps
 
 # Monte-Carlo residual batch; seeded ascent starts of the merit's p_r, run
 # as the rows of one ascent, and the ascent's step limit
@@ -125,23 +132,79 @@ def mc_gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
 
 
 # ----------------------------------------------------------------------------
+# accelerated descent over rows
+
+def _descend_rows(cset: ConstraintSet, P: np.ndarray, step: float, tol: float,
+                  max_iters: int, grad: Callable, momentum: Optional[float] = None):
+    """Accelerated projected gradient descent from each row of P, all rows
+    in lockstep.
+
+    Each iteration asks ``grad(W, live)`` for the descent directions G at
+    the rows W (`live` holds their indices into P), steps to
+    P_new = proj(W - step G) and extrapolates the next
+    W = P_new + beta (P_new - P) from the last two iterates; the first W is
+    proj(P).  beta is `momentum` if given, else FISTA's (t - 1)/t_new with
+    t_new = (1 + sqrt(1 + 4 t^2))/2 (Beck & Teboulle, 2009); either way a
+    row whose gradient mapping (W - P_new)/step points along its step
+    P_new - P restarts with beta = 0 and t = 1 (gradient restart;
+    O'Donoghue & Candes, 2015).  A row leaves at its first W whose
+    residual ||P_new - W|| / step is <= tol, or whose step ||P_new - W|| is
+    <= `_FLOAT_RES` (1 + ||W||), the float resolution at W, and keeps that
+    W while the others go on, so its result equals its one-row descent bit
+    for bit.
+
+    Returns the rows W at which each row left (a row still going after
+    `max_iters` iterations keeps its last W) and, of the rows still going,
+    the W of the smallest residual seen and that residual (both empty when
+    every row left).
+    """
+    W = P = _project_rows(cset, P)
+    live, out, t = np.arange(len(P)), np.empty_like(P), np.ones(len(P))
+    best, best_res = P.copy(), np.full(len(P), math.inf)
+    for _ in range(max_iters):
+        out[live] = W
+        P_new = _project_rows(cset, W - step * grad(W, live))
+        res = _row_norms(P_new - W) / step
+        better = res < best_res
+        np.copyto(best, W, where=better[:, None])
+        np.copyto(best_res, res, where=better)
+        done = (res <= tol) | (res * step <= _FLOAT_RES * (1.0 + _row_norms(W)))
+        if np.logical_and.reduce(done):
+            return out, best[:0], best_res[:0]
+        if np.logical_or.reduce(done):
+            keep = ~done
+            live, W, P, P_new, t, best, best_res = [
+                a[keep] for a in (live, W, P, P_new, t, best, best_res)]
+        restart = ((P_new - W)[:, None, :] @ (P_new - P)[:, :, None])[:, 0, 0] < 0.0
+        t_new = np.where(restart, 1.0, 0.5 + np.sqrt(0.25 + t * t)) if momentum is None else t
+        beta = np.where(restart, 0.0, (t - 1.0) / t_new if momentum is None else momentum)
+        W, P, t = P_new + beta[:, None] * (P_new - P), P_new, t_new
+    return out, best, best_res
+
+
+# ----------------------------------------------------------------------------
 # inner proximal solve
 
 def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
               z: np.ndarray) -> np.ndarray:
-    """Minimize F(x, y) + (r/2)||x - z||^2 over X by projected gradient.
+    """Minimize F(x, y) + (r/2)||x - z||^2 over X by accelerated projected
+    gradient.
 
-    Starts from proj_X(z) and stops once the projected-gradient residual
-    ||x - proj_X(x - step g)|| / step at the current iterate is <=
-    `_INNER_TOL`; the returned point is the one at which that residual was
-    measured.
+    The objective is (r - rho)-strongly convex and (r + L_x)-smooth, so the
+    solve takes the step 1/(r + L_x) with the constant momentum
+    (sqrt(kappa) - 1)/(sqrt(kappa) + 1), kappa = (r + L_x)/(r - rho), from
+    proj_X(z), restarting the momentum whenever it runs against the
+    gradient.  It stops at the first extrapolated point w whose
+    projected-gradient residual ||w - proj_X(w - step g)|| / step is <=
+    `_INNER_TOL`, or whose step is within float resolution of w, and
+    returns that w, which lies within the length of that step of X.
 
     Raises
     ------
     ValueError
         If r <= rho (the objective would not be strongly convex).
     MaxItersError
-        If the tolerance is not reached; carries the best iterate.
+        If no stop rule is met; carries the best iterate.
     """
     y = as_vector(y, problem.dim_y)
     z = as_vector(z, problem.dim_x)
@@ -151,47 +214,32 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
 def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray,
                 X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The solve of `solve_x_r` at each row Y[s] from X0[s], all rows in
-    lockstep: a row leaves at its first iterate whose residual is within
-    tolerance and keeps it while the others go on, so each row's result
-    equals its one-row solve bit for bit.  A MaxItersError carries the
-    best iterate and residual of the first row that stalled.
+    lockstep by `_descend_rows`, so each row's result equals its one-row
+    solve bit for bit.  A MaxItersError carries the best iterate and
+    residual of the first row that stalled.
 
-    Returns the rows X[s] = x_r(Y[s], z) and GY, whose row s is the exact
-    grad_y F(X[s], Y[s]) that the oracle call of row s's last iteration
-    gave along with its x side.
+    Returns the rows X[s] = x_r(Y[s], z), each the point at which its
+    residual was measured, and GY, whose row s is the exact
+    grad_y F(X[s], Y[s]) that the same oracle call gave with its x side.
     """
     meta = problem.constants
     if not r > meta.rho:
-        raise ValueError(f"need r > rho for a strongly convex inner problem "
-                         f"(r={r}, rho={meta.rho})")
-    step = 1.0 / (r + meta.L_x)
-    X = _project_rows(problem.set_x, X0)
+        raise ValueError(f"need r > rho for a strongly convex inner problem (r={r}, rho={meta.rho})")
+    # (sqrt(kappa) - 1)/(sqrt(kappa) + 1), kappa = (r + L_x)/(r - rho)
+    momentum = 1.0 - 2.0 / (1.0 + math.sqrt((r + meta.L_x) / (r - meta.rho)))
     GY = np.empty(Y.shape)
-    # x, Y, best and best_res hold the rows still going, whose indices into
-    # X are `live`; a row is written back to X and GY when it leaves
-    live, x = np.arange(len(X)), X
-    best, best_res = X.copy(), np.full(len(X), math.inf)
-    for _ in range(_INNER_MAX_ITERS):
-        gx, gy = _exact_means(problem, x, Y, problem.oracle.batch_grads)
-        x_next = _project_rows(problem.set_x, x - step * (gx + r * (x - z)))
-        res = _row_norms(x_next - x) / step
-        better = res < best_res
-        np.copyto(best, x, where=better[:, None])
-        np.copyto(best_res, res, where=better)
-        done = res <= _INNER_TOL
-        if done.any():
-            X[live[done]] = x[done]
-            GY[live[done]] = gy[done]
-            keep = ~done
-            live, x_next, Y = live[keep], x_next[keep], Y[keep]
-            best, best_res = best[keep], best_res[keep]
-            if not live.size:
-                return X, GY
-        x = x_next
-    raise MaxItersError(
-        f"inner solve stalled at residual {best_res[0]:.3e} "
-        f"(tol {_INNER_TOL:.1e}) after {_INNER_MAX_ITERS} iterations",
-        best=best[0], residual=float(best_res[0]))
+
+    def grad(W, live):
+        gx, GY[live] = _exact_means(problem, W, Y[live], problem.oracle.batch_grads)
+        return gx + r * (W - z)
+
+    X, best, best_res = _descend_rows(problem.set_x, X0, 1.0 / (r + meta.L_x),
+                                      _INNER_TOL, _INNER_MAX_ITERS, grad, momentum)
+    if best_res.size:
+        raise MaxItersError(f"inner solve stalled at residual {best_res[0]:.3e} (tol "
+                            f"{_INNER_TOL:.1e}) after {_INNER_MAX_ITERS} iterations",
+                            best=best[0], residual=float(best_res[0]))
+    return X, GY
 
 
 def dz_norm(problem: ProblemInstance, r: float, y: np.ndarray, z: np.ndarray
@@ -231,42 +279,40 @@ class LyapunovValue:
     certified: bool
 
 
-def _d_r(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray,
-         X0: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """d_r(Y[s], z) for each row, with the x_r rows of its inner solves
-    (run from X0 in lockstep) and the exact values of all rows from one
-    `_exact_values` call."""
-    X, _ = _solve_rows(problem, r, Y, z, X0)
+def _f_r(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndarray,
+         z: np.ndarray) -> list[float]:
+    """F_r(X[s], Y[s], z) for each row, with the exact values of all rows
+    from one `_exact_values` call."""
     return [f + 0.5 * r * float(np.sum((x - z) ** 2))
-            for f, x in zip(_exact_values(problem, X, Y).tolist(), X)], X
+            for f, x in zip(_exact_values(problem, X, Y).tolist(), X)]
 
 
 def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray,
                 z: np.ndarray) -> list[float]:
-    """Projected gradient ascent on d_r(., z) from each row of Y0, all rows
-    in lockstep (Danskin gradient: grad_y d_r(y, z) = grad_y F(x_r(y, z), y));
-    returns d_r at each row's last point.
+    """FISTA ascent on d_r(., z) with gradient restart from each row of Y0,
+    all rows in lockstep by `_descend_rows` (Danskin gradient at the
+    extrapolated point w: grad_y d_r(w, z) = grad_y F(x_r(w, z), w));
+    returns d_r at each row's last w.
 
-    Every inner solve warm-starts from its row's previous x_r, the first
-    from z, and gives the Danskin gradient from its last oracle call.  A
-    row stops after its first step shorter than 10 `_INNER_TOL` times the
-    step size and keeps its point while the others go on, so each row's
-    value equals its one-row ascent bit for bit.
+    The step is 1/(L_y + L_y^2/(r - rho)).  Every inner solve warm-starts
+    from its row's previous x_r, the first from z, and gives the Danskin
+    gradient from its last oracle call, so d_r at the last w needs no
+    further solve.  A row stops at its first w whose step is shorter than
+    10 `_INNER_TOL` times the step size (or within float resolution), or
+    after `_MAX_ASCENT` steps, and keeps its point while the others go on,
+    so each row's value equals its one-row ascent bit for bit.
     """
     meta = problem.constants
     denom = meta.L_y + meta.L_y ** 2 / max(r - meta.rho, 1e-12)
-    step = 1.0 / denom if denom > 0 else 1.0
-    Y = _project_rows(problem.set_y, Y0)
-    X = np.repeat(z[None], len(Y), axis=0)
-    live = np.arange(len(Y))
-    for _ in range(_MAX_ASCENT):
-        y = Y[live]
-        X[live], gy = _solve_rows(problem, r, y, z, X[live])
-        Y[live] = y_next = _project_rows(problem.set_y, y + step * gy)
-        live = live[~(_row_norms(y_next - y) / step <= _INNER_TOL * 10)]
-        if not live.size:
-            break
-    return _d_r(problem, r, Y, z, X)[0]
+    X = np.repeat(z[None], len(Y0), axis=0)
+
+    def grad(W, live):
+        X[live], gy = _solve_rows(problem, r, W, z, X[live])
+        return -gy
+
+    Y, _, _ = _descend_rows(problem.set_y, Y0, 1.0 / denom if denom > 0 else 1.0,
+                            10 * _INNER_TOL, _MAX_ASCENT, grad)
+    return _f_r(problem, r, X, Y, z)
 
 
 def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
@@ -277,7 +323,7 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     maximum of d_r(., z): on a 1-D box dual it is certified by a dense grid
     plus local ascent; otherwise it is the best of `_P_R_STARTS` seeded ascent
     starts (the given y plus random perturbations), ascended together as
-    rows, and flagged heuristic.
+    rows, and flagged heuristic.  Either way p_r is at least d_r(y, z).
 
     Requires the finite-sum regime (exact values/gradients).
     """
@@ -286,26 +332,23 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     z = as_vector(z, problem.dim_x)
 
     f_r = full_value(problem, x, y) + 0.5 * r * float(np.sum((x - z) ** 2))
-    (d_here,), _ = _d_r(problem, r, y[None], z, z[None])
+    (d_here,) = _f_r(problem, r, _solve_rows(problem, r, y[None], z, z[None])[0], y[None], z)
 
+    # p_r: the best of d_r(y, z), the grid and an ascent from the best grid
+    # point (certified), or of d_r(y, z) and the seeded ascent starts
     certified = problem.dim_y == 1 and isinstance(problem.set_y, Box)
+    best_val, starts, x_warm = -math.inf, y[None], z[None]
     if certified:
         # a warm-start chain: each grid point's solve starts from the last
-        best_val, best_y, x_warm = -math.inf, y, z[None]
-        for gy in np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513):
-            (val,), x_warm = _d_r(problem, r, np.array([[gy]]), z, x_warm)
+        for gy in np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513)[:, None, None]:
+            x_warm, _ = _solve_rows(problem, r, gy, z, x_warm)
+            (val,) = _f_r(problem, r, x_warm, gy, z)
             if val > best_val:
-                best_val, best_y = val, np.array([gy])
-        (val,) = _ascend_d_r(problem, r, best_y[None], z)
-        p_r = max(best_val, val)
+                best_val, starts = val, gy
     else:
-        rng = np.random.default_rng(0)
-        span = problem.constants.D_Y or 1.0
-        starts = np.vstack([y, y + span * rng.normal(
-            size=(_P_R_STARTS - 1, problem.dim_y))])
-        p_r = max(-math.inf, *_ascend_d_r(problem, r, starts, z))
-
-    p_r = max(p_r, d_here)  # d_r(y, z) itself is a valid lower bound
+        noise = np.random.default_rng(0).normal(size=(_P_R_STARTS - 1, problem.dim_y))
+        starts = np.vstack([y, y + (problem.constants.D_Y or 1.0) * noise])
+    p_r = max(best_val, d_here, *_ascend_d_r(problem, r, starts, z))
     value = (f_r - d_here) + (p_r - d_here) + p_r
     return LyapunovValue(value=value, f_r=f_r, d_r=d_here, p_r=p_r,
                          certified=certified)

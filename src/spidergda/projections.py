@@ -289,7 +289,7 @@ def _project_rows(cset: ConstraintSet, V: np.ndarray) -> np.ndarray:
     DimError
         If V has a non-finite entry, as `project` does for its row.
     """
-    if not np.isfinite(V).all():
+    if not np.logical_and.reduce(np.isfinite(V), axis=None):
         raise DimError("vector has non-finite entries")
     if isinstance(cset, (Box, FullSpace)):
         return cset._project(V)

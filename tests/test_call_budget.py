@@ -25,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from spidergda import (default_initial_point, gs_residuals, lyapunov,
-                       make_kl_example, run)
+from spidergda import (as_problem, default_initial_point, gs_residuals,
+                       lyapunov, make_group_dro, make_kl_example,
+                       make_two_group_regression, run, solve_x_r)
 
 _SPEC = importlib.util.spec_from_file_location(
     "calls_per_step", Path(__file__).resolve().parents[1] / "tools" / "calls_per_step.py")
@@ -53,13 +54,23 @@ RESIDUAL_WINDOW_CALLS = 15
 # its 8 ascent starts ran one after another; 2,347 and 238 while each
 # ascent step asked the oracle again for the y gradient at x_r; 2,225
 # while `lyapunov` checked the regime itself; 2,224 while each d_r value
-# looped over the per-sample values)
-LYAPUNOV_CALLS = 2006
-LYAPUNOV_ORACLE_CALLS = 178
+# looped over the per-sample values; 2,006 and 178 while the inner solve
+# and the ascent were plain projected gradient, 62 ascent steps where the
+# restarted FISTA ascent takes 34)
+LYAPUNOV_CALLS = 1495
+LYAPUNOV_ORACLE_CALLS = 100
 # `batch_grads` calls of a certified merit evaluation on the 1-D example:
 # one per inner-solve iteration, and each ascent step reuses the y side of
-# its inner solve's last call
-KL_LYAPUNOV_ORACLE_CALLS = 516
+# its inner solve's last call (516 with plain projected gradient)
+KL_LYAPUNOV_ORACLE_CALLS = 515
+# `batch_grads` calls of one cold inner solve at r = 2 rho + 1 on a
+# smoothed group DRO (n = 24), where kappa = (r + L_x)/(r - rho) = 7,287:
+# 403 measured with the accelerated, restarted solve (67,783 with plain
+# projected gradient, 998 with constant momentum and no restart).  The
+# budget sits above the count because at this conditioning the restarts,
+# and so the count, follow the last bits of the arithmetic, which other
+# numpy builds may round differently
+COMPOSITE_SOLVE_ORACLE_CALLS = 1500
 # package calls, and oracle calls among them, of one epoch of the
 # benchmark's smoothed group-DRO run (one anchor and T - 1 = 24 recursions;
 # 497 calls before the lean step path, 398 while the smoothed batch hook
@@ -130,6 +141,15 @@ def test_kl_example_merit_oracle_call_budget():
     oracle_calls = _package_calls(merit, "batch_grads")
     assert certified == [True]
     assert oracle_calls <= KL_LYAPUNOV_ORACLE_CALLS, f"{oracle_calls} oracle calls"
+
+
+def test_composite_cold_inner_solve_oracle_call_budget():
+    p = as_problem(make_group_dro(make_two_group_regression(
+        n=24, d=2, minority_frac=0.25, seed=3)), 0.1)
+    r = 2 * p.constants.rho + 1
+    y, z = default_initial_point(p.set_y), default_initial_point(p.set_x)
+    oracle_calls = _package_calls(lambda: solve_x_r(p, r, y, z), "batch_grads")
+    assert oracle_calls <= COMPOSITE_SOLVE_ORACLE_CALLS, f"{oracle_calls} oracle calls"
 
 
 def test_group_dro_epoch_call_budget():

@@ -6,7 +6,8 @@ solutions on the box boundary; the merit value is compared against a fully
 closed-form nested evaluation for quadratic saddles (d_r and p_r both admit
 explicit formulas when the solutions stay interior).  The rows kernels (the
 lockstep inner solve and ascent, the windowed residuals) are compared bit
-for bit against a plain one-point-at-a-time reference kept in this file.
+for bit against one-point-at-a-time references kept in this file, and the
+accelerated merit against plain projected gradient within tolerance.
 """
 
 import math
@@ -294,37 +295,65 @@ def test_lyapunov_online_rejected():
 # ----------------------------------------------------------------------------
 # rows kernels against the one-point reference
 #
-# The reference below is the merit evaluation as it ran before its ascent
-# starts were batched: one inner solve and one ascent at a time, each point
-# through the public one-point gradients, projections and np.linalg.norm.
+# The reference below is the merit evaluation one inner solve and one ascent
+# at a time, written as the one-row form of the accelerated descent: each
+# point goes through the public one-point gradients, projections and
+# np.linalg.norm, so the lockstep rows must equal it bit for bit.
+
+def _ref_descend(cset, p0, step, tol, max_iters, grad, momentum=None):
+    """One row of `diagnostics._descend_rows`: the extrapolated point w at
+    which the row stops."""
+    w = x = cset.project(p0)
+    t = 1.0
+    for _ in range(max_iters):
+        x_new = cset.project(w - step * grad(w))
+        dist = float(np.linalg.norm(x_new - w))
+        if (dist / step <= tol
+                or dist <= diagnostics._FLOAT_RES * (1.0 + float(np.linalg.norm(w)))):
+            return w
+        if float((x_new - w) @ (x_new - x)) < 0.0:  # gradient restart
+            beta, t_new = 0.0, 1.0
+        else:
+            t_new = 0.5 + math.sqrt(0.25 + t * t)
+            beta = (t - 1.0) / t_new if momentum is None else momentum
+        w, x, t = x_new + beta * (x_new - x), x_new, t_new
+    raise AssertionError("reference descent did not stop")
+
 
 def _ref_solve(p, r, y, z, x0=None):
-    step = 1.0 / (r + p.constants.L_x)
-    x = p.set_x.project(z if x0 is None else x0)
-    for _ in range(diagnostics._INNER_MAX_ITERS):
-        x_next = p.set_x.project(x - step * (full_grad_x(p, x, y) + r * (x - z)))
-        if float(np.linalg.norm(x_next - x)) / step <= diagnostics._INNER_TOL:
-            return x
-        x = x_next
-    raise AssertionError("reference inner solve stalled")
+    c = p.constants
+    momentum = 1.0 - 2.0 / (1.0 + math.sqrt((r + c.L_x) / (r - c.rho)))
+    return _ref_descend(p.set_x, z if x0 is None else x0, 1.0 / (r + c.L_x),
+                        diagnostics._INNER_TOL, diagnostics._INNER_MAX_ITERS,
+                        lambda x: full_grad_x(p, x, y) + r * (x - z), momentum)
+
+
+def _f_r(p, r, x, y, z):
+    return full_value(p, x, y) + 0.5 * r * float(np.sum((x - z) ** 2))
 
 
 def _ref_d_r(p, r, y, z, x0=None):
     x = _ref_solve(p, r, y, z, x0)
-    return full_value(p, x, y) + 0.5 * r * float(np.sum((x - z) ** 2)), x
+    return _f_r(p, r, x, y, z), x
+
+
+def _ascent_step(p, r):
+    c = p.constants
+    denom = c.L_y + c.L_y ** 2 / max(r - c.rho, 1e-12)
+    return 1.0 / denom if denom > 0 else 1.0
 
 
 def _ref_ascent(p, r, y0, z):
-    c = p.constants
-    denom = c.L_y + c.L_y ** 2 / max(r - c.rho, 1e-12)
-    step = 1.0 / denom if denom > 0 else 1.0
-    y, x = p.set_y.project(y0), None
-    for _ in range(diagnostics._MAX_ASCENT):
+    x = z  # each inner solve warm-starts from the last x_r
+
+    def grad(y):
+        nonlocal x
         x = _ref_solve(p, r, y, z, x)
-        y, y_prev = p.set_y.project(y + step * full_grad_y(p, x, y)), y
-        if float(np.linalg.norm(y - y_prev)) / step <= 10 * diagnostics._INNER_TOL:
-            break
-    return _ref_d_r(p, r, y, z, x)[0]
+        return -full_grad_y(p, x, y)
+
+    y = _ref_descend(p.set_y, y0, _ascent_step(p, r), 10 * diagnostics._INNER_TOL,
+                     diagnostics._MAX_ASCENT, grad)
+    return _f_r(p, r, x, y, z)
 
 
 def _ref_starts(p, y):
@@ -334,15 +363,22 @@ def _ref_starts(p, y):
                   for _ in range(diagnostics._P_R_STARTS - 1)]
 
 
-def _ref_lyapunov(p, r, x, y, z):
+def _ref_lyapunov(p, r, x, y, z, d_r=_ref_d_r, ascent=_ref_ascent):
     """(value, f_r, d_r, p_r) of the uncertified merit, one start at a time."""
-    f_r = full_value(p, x, y) + 0.5 * r * float(np.sum((x - z) ** 2))
-    d_here, _ = _ref_d_r(p, r, y, z)
-    p_r = -math.inf
-    for start in _ref_starts(p, y):
-        p_r = max(p_r, _ref_ascent(p, r, start, z))
-    p_r = max(p_r, d_here)
+    f_r, (d_here, _) = _f_r(p, r, x, y, z), d_r(p, r, y, z)
+    p_r = max(d_here, *(ascent(p, r, start, z) for start in _ref_starts(p, y)))
     return (f_r - d_here) + (p_r - d_here) + p_r, f_r, d_here, p_r
+
+
+def _ref_certified_p_r(p, r, y, z, d_r=_ref_d_r, ascent=_ref_ascent):
+    """p_r of the certified 1-D box dual: a warm-start chain over the grid,
+    then one ascent from its best point."""
+    best_val, best_y, warm = -math.inf, y, None
+    for gy in np.linspace(p.set_y.lo[0], p.set_y.hi[0], 513):
+        val, warm = d_r(p, r, np.array([gy]), z, warm)
+        if val > best_val:
+            best_val, best_y = val, np.array([gy])
+    return max(best_val, ascent(p, r, best_y, z), d_r(p, r, y, z)[0])
 
 
 def _dual_set_problem(kind):
@@ -377,16 +413,73 @@ def test_lockstep_lyapunov_equals_sequential_reference(kind):
 
 
 def test_certified_grid_chain_equals_one_point_reference():
-    # the 1-D box dual: a warm-start chain over the grid, then one ascent
-    p, r, x, y, z = _scalar_saddle(), 1.0, 0.6, -0.8, 2.0
-    x, y, z = np.array([x]), np.array([y]), np.array([z])
-    best_val, best_y, warm = -math.inf, y, None
-    for gy in np.linspace(-10.0, 10.0, 513):
-        val, warm = _ref_d_r(p, r, np.array([gy]), z, warm)
-        if val > best_val:
-            best_val, best_y = val, np.array([gy])
-    p_r = max(best_val, _ref_ascent(p, r, best_y, z), _ref_d_r(p, r, y, z)[0])
-    assert lyapunov(p, r, x, y, z).p_r == p_r
+    p, r = _scalar_saddle(), 1.0
+    x, y, z = np.array([0.6]), np.array([-0.8]), np.array([2.0])
+    assert lyapunov(p, r, x, y, z).p_r == _ref_certified_p_r(p, r, y, z)
+
+
+# ----------------------------------------------------------------------------
+# the accelerated merit against plain projected gradient
+#
+# The plain references are the inner solve and the ascent as they ran
+# before acceleration: projected gradient from the same starts with the
+# same steps, stopping at the first iterate whose residual (its step over
+# the step size) is within the same tolerance.
+
+def _plain_solve(p, r, y, z, x0=None):
+    step = 1.0 / (r + p.constants.L_x)
+    x = p.set_x.project(z if x0 is None else x0)
+    for _ in range(diagnostics._INNER_MAX_ITERS):
+        x_next = p.set_x.project(x - step * (full_grad_x(p, x, y) + r * (x - z)))
+        if float(np.linalg.norm(x_next - x)) / step <= diagnostics._INNER_TOL:
+            return x
+        x = x_next
+    raise AssertionError("plain inner solve stalled")
+
+
+def _plain_d_r(p, r, y, z, x0=None):
+    x = _plain_solve(p, r, y, z, x0)
+    return _f_r(p, r, x, y, z), x
+
+
+def _plain_ascent(p, r, y0, z):
+    step = _ascent_step(p, r)
+    y, x = p.set_y.project(y0), None
+    for _ in range(diagnostics._MAX_ASCENT):
+        x = _plain_solve(p, r, y, z, x)
+        y, y_prev = p.set_y.project(y + step * full_grad_y(p, x, y)), y
+        if float(np.linalg.norm(y - y_prev)) / step <= 10 * diagnostics._INNER_TOL:
+            break
+    return _plain_d_r(p, r, y, z, x)[0]
+
+
+def _agreement_cases():
+    cases = {kind: _dual_set_problem(kind) + (4.0,)
+             for kind in ("box", "ball", "simplex")}
+    cases["certified"] = (_scalar_saddle(), np.array([0.6]), np.array([-0.8]),
+                          np.array([2.0]), 1.0)
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["box", "ball", "simplex", "certified"])
+def test_accelerated_merit_agrees_with_plain_projected_gradient(kind, monkeypatch):
+    p, x, y, z, r = _agreement_cases()[kind]
+    lv = lyapunov(p, r, x, y, z)
+    assert lv.certified == (kind == "certified")
+    if lv.certified:
+        d_here = _plain_d_r(p, r, y, z)[0]
+        p_r = _ref_certified_p_r(p, r, y, z, _plain_d_r, _plain_ascent)
+        value = (_f_r(p, r, x, y, z) - d_here) + (p_r - d_here) + p_r
+    else:
+        value, _, d_here, p_r = _ref_lyapunov(p, r, x, y, z, _plain_d_r, _plain_ascent)
+    for got, want in ((lv.value, value), (lv.d_r, d_here), (lv.p_r, p_r)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # both solves stop within _INNER_TOL / (r - rho) of x_r, on opposite
+    # sides of it at times (their distance reaches 1.2 times that), so each
+    # is held to x_r from a plain solve at a tolerance near float resolution
+    x_r, tol = solve_x_r(p, r, y, z), diagnostics._INNER_TOL / (r - p.constants.rho)
+    monkeypatch.setattr(diagnostics, "_INNER_TOL", 1e-14)
+    assert float(np.linalg.norm(x_r - _plain_solve(p, r, y, z))) <= tol
 
 
 def test_lockstep_solve_rows_equal_one_row_solves():

@@ -121,11 +121,11 @@ CLI_CONFIGS = {
 CLI_DIGESTS = {
     "quadratic": {
         "summary.json":
-            "1909981b396403670b220a4f2f9050421a5a234582c11191a551520054167429",
+            "ac8d971e3acda10204ffeb44cfbfe1c11d381c35c497b00e4b556c8864732da5",
         "trace_seed0.csv":
-            "17c5648b338404cffb4ed1798a62a656c019baaca37f351193c314a3fea59ae2",
+            "36cdd47e960e41417d18e383644841e3a6cef4f9030f62290cc8f4c57975df07",
         "trace_seed1.csv":
-            "7ccfde24083c44f6aa590eeeb2f125667a60e3a62a9a5a17e04eb1c068430030",
+            "48f13004b6f94dfa30d87a53bb2078a7da5953bbedba9cf3f68c8ed45a92fbc2",
     },
     "kl_example": {
         "summary.json":
