@@ -124,12 +124,10 @@ class StochasticOracle:
     regime : FiniteSum or Online
         Sampling regime.  Under FiniteSum(n), the mean of the gradient
         rows over all n sample ids *is* the exact partial gradient of F.
-    dim_x, dim_y : int
-        Dimensions of the primal and dual variables.
     grads_batch : callable(X, Y, sample_ids) -> (ndarray, ndarray)
         X has shape (len(ids), dim_x) and Y shape (len(ids), dim_y); row r
         of each returned side is the gradient of f(., .; ids[r]) at
-        (X[r], Y[r]), of shapes (len(ids), dim_x) and (len(ids), dim_y).
+        (X[r], Y[r]), so each side has the shape of its points.
         A recursion evaluates its new and its previous point in one call
         of 2M rows; a single-point caller broadcasts the point to every
         row (`grads_at`).
@@ -165,19 +163,18 @@ class StochasticOracle:
     Under FiniteSum, `full_grads(problem, x, y)` reduces one `batch_grads`
     call over all N ids to both exact partial gradients, and `full_value`
     reduces one `batch_values` call over them to the exact value.
+
+    An oracle declares no dimensions: those of x and y are the dims of the
+    constraint sets of its `ProblemInstance`.
     """
 
     regime: Regime
-    dim_x: int
-    dim_y: int
     grads_batch: Callable[[np.ndarray, np.ndarray, np.ndarray],
                           tuple[np.ndarray, np.ndarray]]
     values_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     id_high: int = field(init=False)
 
     def __post_init__(self):
-        if self.dim_x < 1 or self.dim_y < 1:
-            raise DimError("oracle dims must be positive")
         self.id_high = self.regime.n if isinstance(self.regime, FiniteSum) else 2 ** 63
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -188,7 +185,8 @@ class StochasticOracle:
     def batch_grads(self, X: np.ndarray, Y: np.ndarray,
                     ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked per-sample gradients from one `grads_batch` call, row r
-        at (X[r], Y[r]) for sample ids[r]; shapes (len(ids), dim).
+        at (X[r], Y[r]) for sample ids[r]; each side has the shape of its
+        point rows, X and Y being arrays of shape (len(ids), dim).
 
         The rows are converted to float64 arrays (a float64 ndarray is
         returned as it is), and their shapes are checked side by side only
@@ -197,18 +195,17 @@ class StochasticOracle:
         Raises
         ------
         DimError
-            If either side's rows do not have shape (len(ids), dim); the
+            If either side's rows do not have the shape of its points; the
             message names the side and the shape.
         """
         ids = np.asarray(ids)
         gx, gy = self.grads_batch(X, Y, ids)
         gx, gy = np.asarray(gx, dtype=np.float64), np.asarray(gy, dtype=np.float64)
-        shapes = (len(ids), self.dim_x), (len(ids), self.dim_y)
-        if (gx.shape, gy.shape) != shapes:
-            for side, g, shape in zip("xy", (gx, gy), shapes):
-                if g.shape != shape:
+        if (gx.shape, gy.shape) != (X.shape, Y.shape):
+            for side, g, P in zip("xy", (gx, gy), (X, Y)):
+                if g.shape != P.shape:
                     raise DimError(f"grads_batch {side} rows: expected shape "
-                                   f"{shape}, got {g.shape}")
+                                   f"{P.shape}, got {g.shape}")
         return gx, gy
 
     def batch_values(self, X: np.ndarray, Y: np.ndarray,
@@ -310,7 +307,8 @@ class ProblemInstance:
     """A constrained stochastic minimax problem.
 
     Bundles the sampling oracle, the primal/dual constraint sets and the
-    regularity constants.  The dual set must be bounded.
+    regularity constants.  The sets fix the dimensions of x and y (each at
+    least 1), and the dual set must be bounded.
     """
 
     oracle: StochasticOracle
@@ -320,12 +318,8 @@ class ProblemInstance:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.set_x.dim != self.oracle.dim_x:
-            raise DimError(
-                f"set_x dim {self.set_x.dim} != oracle dim_x {self.oracle.dim_x}")
-        if self.set_y.dim != self.oracle.dim_y:
-            raise DimError(
-                f"set_y dim {self.set_y.dim} != oracle dim_y {self.oracle.dim_y}")
+        if self.set_x.dim < 1 or self.set_y.dim < 1:
+            raise DimError(f"set dims must be >= 1, got {self.set_x.dim}, {self.set_y.dim}")
         if not np.isfinite(self.set_y.diameter):
             raise ValueError("set_y must be bounded (finite diameter)")
         if self.constants.D_Y is None:
@@ -337,11 +331,11 @@ class ProblemInstance:
 
     @property
     def dim_x(self) -> int:
-        return self.oracle.dim_x
+        return self.set_x.dim
 
     @property
     def dim_y(self) -> int:
-        return self.oracle.dim_y
+        return self.set_y.dim
 
 
 # ----------------------------------------------------------------------------
@@ -401,8 +395,8 @@ def _exact_means(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray,
     if not isinstance(oracle.regime, FiniteSum):
         raise RegimeError("exact values and gradients need the finite-sum "
                           "regime; see mc_gs_residuals for Monte-Carlo residuals")
-    if X.shape[1:] != (oracle.dim_x,) or Y.shape[1:] != (oracle.dim_y,):
-        raise DimError(f"points: expected dims ({oracle.dim_x}, {oracle.dim_y})"
+    if X.shape[1:] != (problem.set_x.dim,) or Y.shape[1:] != (problem.set_y.dim,):
+        raise DimError(f"points: expected dims ({problem.set_x.dim}, {problem.set_y.dim})"
                        f" per row, got shapes {X.shape} and {Y.shape}")
     n = oracle.regime.n
     per_call = max(1, _ROW_BUDGET // n)
@@ -483,7 +477,14 @@ def estimate_sigmas(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     the per-sample gradients from their sample mean, for x and y.  These are
     *estimates*; callers storing them in SmoothnessMeta should set
     `sigma_is_estimate=True`.
+
+    Raises
+    ------
+    DimError
+        If x or y is not a finite vector of its set's dimension.
     """
+    x = as_vector(x, problem.dim_x)
+    y = as_vector(y, problem.dim_y)
     rng = rng if rng is not None else np.random.default_rng(0)
     ids = problem.oracle.draw(rng, _PILOT)
     sx, sy = (float(np.sqrt(np.mean(np.sum((g - g.mean(axis=0)) ** 2, axis=1))))

@@ -337,14 +337,18 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     # p_r: the best of d_r(y, z), the grid and an ascent from the best grid
     # point (certified), or of d_r(y, z) and the seeded ascent starts
     certified = problem.dim_y == 1 and isinstance(problem.set_y, Box)
-    best_val, starts, x_warm = -math.inf, y[None], z[None]
+    best_val, starts = -math.inf, y[None]
     if certified:
-        # a warm-start chain: each grid point's solve starts from the last
-        for gy in np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513)[:, None, None]:
-            x_warm, _ = _solve_rows(problem, r, gy, z, x_warm)
-            (val,) = _f_r(problem, r, x_warm, gy, z)
+        # a warm-start chain: each grid point's solve starts from the last;
+        # the d_r values of the whole chain come from one exact-values call,
+        # and the ascent starts at the first strict maximum (never a NaN)
+        grid = np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513)[:, None]
+        chain = [z[None]]
+        for gy in grid[:, None]:
+            chain.append(_solve_rows(problem, r, gy, z, chain[-1])[0])
+        for val, gy in zip(_f_r(problem, r, np.concatenate(chain[1:]), grid, z), grid):
             if val > best_val:
-                best_val, starts = val, gy
+                best_val, starts = val, gy[None]
     else:
         noise = np.random.default_rng(0).normal(size=(_P_R_STARTS - 1, problem.dim_y))
         starts = np.vstack([y, y + (problem.constants.D_Y or 1.0) * noise])

@@ -277,10 +277,9 @@ def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
     L_y = max(cross, float(lam_pen * n ** 2))
     ell = float(np.max(n * res_bound ** 2) + lam_pen * n * 10.0)
     meta = SmoothnessMeta(L_x=L_x, L_y=L_y, rho=0.0, ell=ell, mu=1.0, theta=1.0)
-    oracle = StochasticOracle(regime=FiniteSum(n), dim_x=d, dim_y=n,
-                              grads_batch=grads_batch, values_batch=values_batch)
-    return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y,
-                           constants=meta)
+    oracle = StochasticOracle(regime=FiniteSum(n), grads_batch=grads_batch,
+                              values_batch=values_batch)
+    return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y, constants=meta)
 
 
 # ----------------------------------------------------------------------------
@@ -321,7 +320,7 @@ def make_kl_example() -> ProblemInstance:
     # the rows call the scalar functions once each: their math.exp may
     # differ from np.exp in the last bit
     oracle = StochasticOracle(
-        regime=FiniteSum(1), dim_x=1, dim_y=1,
+        regime=FiniteSum(1),
         grads_batch=lambda X, Y, ids: (
             np.zeros((len(ids), 1)),
             np.array([[kl_example_grad(float(v))] for v in Y[:, 0]])),
@@ -446,8 +445,8 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
                 + np.max(np.linalg.norm(b_s, axis=1)))
     meta = SmoothnessMeta(L_x=L_x, L_y=L_y, rho=rho, ell=ell,
                           mu=math.sqrt(2.0 * min_eig_C), theta=0.5)
-    oracle = StochasticOracle(regime=FiniteSum(n), dim_x=d_x, dim_y=d_y,
-                              grads_batch=grads_batch, values_batch=values_batch)
+    oracle = StochasticOracle(regime=FiniteSum(n), grads_batch=grads_batch,
+                              values_batch=values_batch)
     return ProblemInstance(
         oracle=oracle, set_x=set_x, set_y=set_y, constants=meta,
         metadata={"A": A, "B": B, "C": C, "a": a_vec, "b": b_vec,

@@ -140,8 +140,9 @@ class MoreauComposite:
     constants : CompositeConstants
         (ell_c, ell_h, ell_phi, L_c, L_phi, d_h, delta_tilde).
     regime, set_x, set_y : sampling regime and constraint sets, passed
-        through unchanged by as_problem.  The constants must hold on these
-        sets; each built-in builder fixes its own.
+        through unchanged by as_problem.  The sets fix dim_x and dim_y,
+        and len(h) is d_h.  The constants must hold on these sets; each
+        built-in builder fixes its own.
     mu, theta : dual error-bound data for the wrapped problem's
         SmoothnessMeta.  Its sigma_x and sigma_y stay 0.0, exact for a
         finite sum.  For an online composite, set them on the constants of
@@ -171,18 +172,6 @@ class MoreauComposite:
         if len(self.h) != self.constants.d_h:
             raise ValueError(
                 f"got {len(self.h)} h components, constants say d_h={self.constants.d_h}")
-
-    @property
-    def d_h(self) -> int:
-        return len(self.h)
-
-    @property
-    def dim_x(self) -> int:
-        return self.set_x.dim
-
-    @property
-    def dim_y(self) -> int:
-        return self.set_y.dim
 
 
 # ----------------------------------------------------------------------------
@@ -252,7 +241,7 @@ def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
         L_x=sc["L_x"], L_y=sc["L_y"], rho=sc["rho"], ell=sc["ell"],
         mu=comp.mu, theta=comp.theta)
     oracle = StochasticOracle(
-        regime=comp.regime, dim_x=comp.dim_x, dim_y=comp.dim_y,
+        regime=comp.regime,
         grads_batch=functools.partial(_smooth_grads_batch, comp, lam),
         values_batch=functools.partial(_smooth_values_batch, comp, lam))
     return ProblemInstance(oracle=oracle, set_x=comp.set_x, set_y=comp.set_y,

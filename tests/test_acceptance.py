@@ -224,8 +224,8 @@ def test_criterion_05_smoothing_bias_bound(abs_value):
         bound = lam * cc.L_phi * cc.ell_h ** 2 * math.sqrt(cc.d_h) / 2.0
         oracle = as_problem(comp, lam).oracle
         for _ in range(100):
-            x = rng.uniform(-3.0, 3.0, size=comp.dim_x)
-            y = rng.uniform(-1.0, 1.0, size=comp.dim_y)
+            x = rng.uniform(-3.0, 3.0, size=comp.set_x.dim)
+            y = rng.uniform(-1.0, 1.0, size=comp.set_y.dim)
             w = comp.c_batch(x[None], _ID0)[0][0]
             u = np.array([_h_value(hj, float(w[j]))
                           for j, hj in enumerate(comp.h)])
@@ -258,12 +258,12 @@ def test_criterion_06_smoothed_gradient_fd(abs_value, fd_check):
         comp, kinks, rng = _random_composite(seed, abs_value)
         lam = float(rng.uniform(0.05, 0.5))
         for _ in range(200):
-            x = rng.uniform(-3.0, 3.0, size=comp.dim_x)
+            x = rng.uniform(-3.0, 3.0, size=comp.set_x.dim)
             if _kink_distance(comp.c_batch(x[None], _ID0)[0][0], kinks, lam) > 1e-4:
                 break
         else:
             raise RuntimeError("could not sample a kink-free point")
-        y = rng.uniform(-1.0, 1.0, size=comp.dim_y)
+        y = rng.uniform(-1.0, 1.0, size=comp.set_y.dim)
         oracle = as_problem(comp, lam).oracle
         worst = max(
             worst,
@@ -472,7 +472,7 @@ def test_criterion_11_tuner_fidelity(suite_checks):
 def test_criterion_12_merit_lower_bound():
     a, b, c, r = 2.0, 1.0, 1.0, 1.0
     oracle = StochasticOracle(
-        regime=FiniteSum(1), dim_x=1, dim_y=1,
+        regime=FiniteSum(1),
         grads_batch=lambda X, Y, ids: (a * X + b * Y, b * X - c * Y),
         values_batch=lambda X, Y, ids: (0.5 * a * X ** 2 + b * X * Y
                                         - 0.5 * c * Y ** 2)[:, 0])

@@ -20,14 +20,14 @@ Python and numpy versions may move it further.
 """
 
 import importlib.util
+import json
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
-
 from spidergda import (as_problem, default_initial_point, gs_residuals,
-                       lyapunov, make_group_dro, make_kl_example,
-                       make_two_group_regression, run, solve_x_r)
+                       make_group_dro, make_two_group_regression, run,
+                       solve_x_r)
+from spidergda.cli import EXIT_OK, run_experiment
 
 _SPEC = importlib.util.spec_from_file_location(
     "calls_per_step", Path(__file__).resolve().parents[1] / "tools" / "calls_per_step.py")
@@ -63,6 +63,10 @@ LYAPUNOV_ORACLE_CALLS = 100
 # one per inner-solve iteration, and each ascent step reuses the y side of
 # its inner solve's last call (516 with plain projected gradient)
 KL_LYAPUNOV_ORACLE_CALLS = 515
+# `batch_values` calls of the same evaluation: F_r at (x, y), d_r(y, z),
+# the d_r values of the whole 513-point grid and the ascent's d_r (516
+# while each grid point's d_r was a call of its own)
+KL_LYAPUNOV_VALUES_CALLS = 4
 # `batch_grads` calls of one cold inner solve at r = 2 rho + 1 on a
 # smoothed group DRO (n = 24), where kappa = (r + L_x)/(r - rho) = 7,287:
 # 403 measured with the accelerated, restarted solve (67,783 with plain
@@ -71,6 +75,11 @@ KL_LYAPUNOV_ORACLE_CALLS = 515
 # and so the count, follow the last bits of the arithmetic, which other
 # numpy builds may round differently
 COMPOSITE_SOLVE_ORACLE_CALLS = 1500
+# `batch_grads` calls of the console run with merit tracking on a smoothed
+# two_group_regression (n = 60, seed 2, eps 0.05, K = 5, T = 4, merit every
+# 10th trace row), which CI also runs under a 30 s timeout: 7,899 with the
+# accelerated inner solve (477,555 with plain projected gradient)
+COMPOSITE_MERIT_RUN_ORACLE_CALLS = 7899
 # package calls, and oracle calls among them, of one epoch of the
 # benchmark's smoothed group-DRO run (one anchor and T - 1 = 24 recursions;
 # 497 calls before the lean step path, 398 while the smoothed batch hook
@@ -131,16 +140,13 @@ def test_lyapunov_row_call_budget():
 
 
 def test_kl_example_merit_oracle_call_budget():
-    p = make_kl_example()
-    certified = []
-
-    def merit():
-        lv = lyapunov(p, 1.0, np.zeros(1), np.array([0.3]), np.zeros(1))
-        certified.append(lv.certified)
-
+    # the 1-D example at (x, y, z) = (0, 0.3, 0), r = 1: p_r is certified
+    merit = _TOOL.certified_merit()
+    assert merit().certified
     oracle_calls = _package_calls(merit, "batch_grads")
-    assert certified == [True]
     assert oracle_calls <= KL_LYAPUNOV_ORACLE_CALLS, f"{oracle_calls} oracle calls"
+    values_calls = _package_calls(merit, "batch_values")
+    assert values_calls <= KL_LYAPUNOV_VALUES_CALLS, f"{values_calls} values calls"
 
 
 def test_composite_cold_inner_solve_oracle_call_budget():
@@ -150,6 +156,20 @@ def test_composite_cold_inner_solve_oracle_call_budget():
     y, z = default_initial_point(p.set_y), default_initial_point(p.set_x)
     oracle_calls = _package_calls(lambda: solve_x_r(p, r, y, z), "batch_grads")
     assert oracle_calls <= COMPOSITE_SOLVE_ORACLE_CALLS, f"{oracle_calls} oracle calls"
+
+
+def test_composite_merit_run_oracle_call_budget(tmp_path):
+    cfg = tmp_path / "composite_merit.json"
+    cfg.write_text(json.dumps({
+        "problem": {"kind": "two_group_regression", "n": 60, "seed": 2},
+        "tuner": {"epsilon": 0.05, "overrides": {"K": 5, "T": 4}},
+        "diagnostics": {"lyapunov_stride": 10},
+        "output": {"directory": str(tmp_path / "out")}}))
+    codes = []
+    oracle_calls = _package_calls(
+        lambda: codes.append(run_experiment(str(cfg), quiet=True)), "batch_grads")
+    assert codes == [EXIT_OK]
+    assert oracle_calls <= COMPOSITE_MERIT_RUN_ORACLE_CALLS, f"{oracle_calls} oracle calls"
 
 
 def test_group_dro_epoch_call_budget():

@@ -209,7 +209,7 @@ def _online_problem():
                 X[:, :1].copy())
 
     oracle = StochasticOracle(
-        regime=Online(), dim_x=1, dim_y=1, grads_batch=grads,
+        regime=Online(), grads_batch=grads,
         values_batch=lambda X, Y, ids: (X[:, 0] * Y[:, 0]
                                         + (np.asarray(ids) % 7) * X[:, 0]))
     return ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),

@@ -15,20 +15,19 @@ from spidergda import (Box, DimError, FiniteSum, Online, ProblemInstance,
 from spidergda import core
 
 
-def _zero_rows(regime, dim_x, dim_y, **rows):
+def _zero_rows(regime, **rows):
     """An oracle whose values and gradients are all zero, but for the row
     functions that `rows` replaces."""
-    rows = {"grads_batch": lambda X, Y, ids: (np.zeros((len(ids), dim_x)),
-                                              np.zeros((len(ids), dim_y))),
+    rows = {"grads_batch": lambda X, Y, ids: (np.zeros(X.shape), np.zeros(Y.shape)),
             "values_batch": lambda X, Y, ids: np.zeros(len(ids)), **rows}
-    return StochasticOracle(regime=regime, dim_x=dim_x, dim_y=dim_y, **rows)
+    return StochasticOracle(regime=regime, **rows)
 
 
 def _const_grad_problem():
     """Two components with grad_x (1,0) and (3,0): mean must be (2,0)."""
     grads = np.array([[1.0, 0.0], [3.0, 0.0]])
     oracle = StochasticOracle(
-        regime=FiniteSum(2), dim_x=2, dim_y=1,
+        regime=FiniteSum(2),
         grads_batch=lambda X, Y, ids: (grads[ids], np.zeros((len(ids), 1))),
         values_batch=lambda X, Y, ids: np.sum(grads[ids] * X, axis=1))
     return ProblemInstance(oracle=oracle, set_x=Box([-5.0, -5.0], [5.0, 5.0]),
@@ -46,7 +45,7 @@ def test_full_grad_quadratic_centers_cancel():
     # f_i = 0.5||x - a_i||^2 with a = (0), (2): exact gradient at x=1 is 0
     a = np.array([[0.0], [2.0]])
     oracle = StochasticOracle(
-        regime=FiniteSum(2), dim_x=1, dim_y=1,
+        regime=FiniteSum(2),
         grads_batch=lambda X, Y, ids: (X - a[ids], np.zeros((len(ids), 1))),
         values_batch=lambda X, Y, ids: 0.5 * (X - a[ids])[:, 0] ** 2)
     p = ProblemInstance(oracle=oracle, set_x=Box([-5.0], [5.0]),
@@ -61,7 +60,7 @@ def test_full_grad_y_bilinear_mean():
     # f_i(x, y) = c_i * x * y with c = (1, 3): grad_y F at x=1 is mean(c)=2
     c = np.array([[1.0], [3.0]])
     oracle = StochasticOracle(
-        regime=FiniteSum(2), dim_x=1, dim_y=1,
+        regime=FiniteSum(2),
         grads_batch=lambda X, Y, ids: (c[ids] * Y, c[ids] * X),
         values_batch=lambda X, Y, ids: (c[ids] * X * Y)[:, 0])
     p = ProblemInstance(oracle=oracle, set_x=Box([-2.0], [2.0]),
@@ -76,7 +75,7 @@ def test_full_grad_bit_reproducible():
     n, d = 17, 4
     A = rng.normal(size=(n, d))
     oracle = StochasticOracle(
-        regime=FiniteSum(n), dim_x=d, dim_y=1,
+        regime=FiniteSum(n),
         grads_batch=lambda X, Y, ids: (A[ids], np.zeros((len(ids), 1))),
         values_batch=lambda X, Y, ids: np.sum(A[ids] * X, axis=1))
     p = ProblemInstance(oracle=oracle,
@@ -90,7 +89,7 @@ def test_full_grad_bit_reproducible():
 
 
 def test_full_grad_online_regime_rejected():
-    p = ProblemInstance(oracle=_zero_rows(Online(), 1, 1), set_x=Box([-1.0], [1.0]),
+    p = ProblemInstance(oracle=_zero_rows(Online()), set_x=Box([-1.0], [1.0]),
                         set_y=Box([-1.0], [1.0]),
                         constants=SmoothnessMeta(L_x=1, L_y=1, rho=0, ell=1))
     with pytest.raises(RegimeError):
@@ -100,9 +99,9 @@ def test_full_grad_online_regime_rejected():
 
 
 def test_default_draw_ranges():
-    ids = _zero_rows(FiniteSum(7), 1, 1).draw(np.random.default_rng(0), 500)
+    ids = _zero_rows(FiniteSum(7)).draw(np.random.default_rng(0), 500)
     assert ids.min() >= 0 and ids.max() < 7
-    onl = _zero_rows(Online(), 1, 1)
+    onl = _zero_rows(Online())
     tokens = onl.draw(np.random.default_rng(0), 100)
     assert tokens.min() >= 0
     assert len(np.unique(tokens)) == 100  # fresh draws, collisions unlikely
@@ -115,7 +114,7 @@ def test_batch_grads_matches_scalar_oracle():
     n = 6
     A = rng.normal(size=(n, 3))
     oracle = StochasticOracle(
-        regime=FiniteSum(n), dim_x=3, dim_y=2,
+        regime=FiniteSum(n),
         grads_batch=lambda X, Y, ids: (A[ids] * Y[:, :1], np.stack(
             [A[ids, 0] * X[:, 0], np.ones(len(ids))], axis=1)),
         values_batch=lambda X, Y, ids: A[ids, 0] * X[:, 0] * Y[:, 0] + Y[:, 1])
@@ -168,7 +167,7 @@ def test_full_grad_equals_sequential_loop_bitwise():
     n, d = 33, 3
     A = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=(n, d))
     oracle = StochasticOracle(
-        regime=FiniteSum(n), dim_x=d, dim_y=1,
+        regime=FiniteSum(n),
         grads_batch=lambda X, Y, ids: (
             A[ids] * Y, (A[ids][:, None, :] @ X[:, :, None])[:, 0]),
         values_batch=lambda X, Y, ids: (A[ids][:, None, :] @ X[:, :, None])[:, 0, 0])
@@ -199,7 +198,7 @@ def test_full_value_equals_ascending_loop_bitwise():
 
 
 def _wrong_dim_problem(**oracle_kw):
-    return ProblemInstance(oracle=_zero_rows(FiniteSum(3), 2, 1, **oracle_kw),
+    return ProblemInstance(oracle=_zero_rows(FiniteSum(3), **oracle_kw),
                            set_x=Box([-1.0, -1.0], [1.0, 1.0]),
                            set_y=Box([-1.0], [1.0]),
                            constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=0))
@@ -358,16 +357,19 @@ def test_problem_fills_dual_diameter():
 def test_problem_rejects_unbounded_dual_set():
     from spidergda import FullSpace
     with pytest.raises(ValueError):
-        ProblemInstance(oracle=_zero_rows(FiniteSum(1), 1, 1), set_x=Box([-1.0], [1.0]),
+        ProblemInstance(oracle=_zero_rows(FiniteSum(1)), set_x=Box([-1.0], [1.0]),
                         set_y=FullSpace(1),
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=0))
 
 
-def test_problem_dim_mismatch():
-    with pytest.raises(DimError):
-        ProblemInstance(oracle=_zero_rows(FiniteSum(1), 2, 1), set_x=Box([-1.0], [1.0]),
-                        set_y=Box([-1.0], [1.0]),
-                        constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=0))
+def test_problem_rejects_zero_dim_set():
+    # the sets declare the dimensions, and a box of no coordinates builds
+    unit, empty = Box([-1.0], [1.0]), Box([], [])
+    assert empty.dim == 0
+    for set_x, set_y in ((empty, unit), (unit, empty)):
+        with pytest.raises(DimError, match="set dims must be >= 1"):
+            ProblemInstance(oracle=_zero_rows(FiniteSum(1)), set_x=set_x, set_y=set_y,
+                            constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=0))
 
 
 def test_estimate_sigmas_zero_for_constant_components():
@@ -377,3 +379,14 @@ def test_estimate_sigmas_zero_for_constant_components():
     sx, sy = estimate_sigmas(p, np.zeros(2), np.zeros(1))
     assert sx == pytest.approx(1.0, abs=0.05)
     assert sy == 0.0
+
+
+def test_estimate_sigmas_checks_its_point():
+    p = make_quadratic_saddle(3, 2, n_samples=8, seed=1)
+    x, y = np.zeros(3), np.zeros(2)
+    # a list of the right dim is coerced like an array
+    assert estimate_sigmas(p, [0.0] * 3, [0.0] * 2) == estimate_sigmas(p, x, y)
+    for bad_x, bad_y in (([0.0] * 2, y), ([[0.0] * 3], y), (np.zeros(4), y),
+                         (x, np.array([0.0, np.nan]))):
+        with pytest.raises(DimError):
+            estimate_sigmas(p, bad_x, bad_y)

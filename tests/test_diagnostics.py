@@ -29,7 +29,7 @@ from spidergda.cli import _diagnose
 def _zero_oracle(regime):
     """A 1-D oracle whose values and gradients are all zero."""
     return StochasticOracle(
-        regime=regime, dim_x=1, dim_y=1,
+        regime=regime,
         grads_batch=lambda X, Y, ids: (np.zeros((len(ids), 1)),
                                        np.zeros((len(ids), 1))),
         values_batch=lambda X, Y, ids: np.zeros(len(ids)))
@@ -37,7 +37,7 @@ def _zero_oracle(regime):
 
 def _bilinear_problem():
     oracle = StochasticOracle(
-        regime=FiniteSum(1), dim_x=1, dim_y=1,
+        regime=FiniteSum(1),
         grads_batch=lambda X, Y, ids: (Y.copy(), X.copy()),
         values_batch=lambda X, Y, ids: (X * Y)[:, 0])
     return ProblemInstance(
@@ -48,7 +48,7 @@ def _bilinear_problem():
 def _scalar_saddle(a=2.0, b=1.0, c=1.0, lim=10.0):
     """F(x, y) = a x^2/2 + b x y - c y^2/2 on wide boxes (1-D each side)."""
     oracle = StochasticOracle(
-        regime=FiniteSum(1), dim_x=1, dim_y=1,
+        regime=FiniteSum(1),
         grads_batch=lambda X, Y, ids: (a * X + b * Y, b * X - c * Y),
         values_batch=lambda X, Y, ids: (0.5 * a * X ** 2 + b * X * Y
                                         - 0.5 * c * Y ** 2)[:, 0])
@@ -67,7 +67,7 @@ def _quadratic_x_problem(seed=0, d=3):
     # stacked matmuls against a column per row, so that a row does not
     # depend on the rows it is batched with
     oracle = StochasticOracle(
-        regime=FiniteSum(1), dim_x=d, dim_y=1,
+        regime=FiniteSum(1),
         grads_batch=lambda X, Y, ids: ((Q @ X[:, :, None])[:, :, 0] + c,
                                        np.zeros((len(ids), 1))),
         values_batch=lambda X, Y, ids: (
@@ -121,7 +121,7 @@ def test_mc_residuals_online():
         return 0.1 * np.sin(np.asarray(ids, dtype=np.float64) * k)[:, None]
 
     oracle = StochasticOracle(
-        regime=Online(), dim_x=1, dim_y=1,
+        regime=Online(),
         grads_batch=lambda X, Y, ids: (X + noise(ids, 1.0), -Y + noise(ids, 3.0)),
         values_batch=lambda X, Y, ids: np.zeros(len(ids)))
     p = ProblemInstance(oracle=oracle, set_x=Box([-5], [5]),
@@ -256,7 +256,7 @@ def test_lyapunov_multistart_heuristic_2d():
     bvec = np.array([1.0, 0.5])
     C = np.diag([1.0, 2.0])
     oracle = StochasticOracle(
-        regime=FiniteSum(1), dim_x=1, dim_y=2,
+        regime=FiniteSum(1),
         grads_batch=lambda X, Y, ids: (a * X + (Y @ bvec)[:, None],
                                        X * bvec - Y @ C),
         values_batch=lambda X, Y, ids: (0.5 * a * X[:, 0] ** 2

@@ -27,7 +27,7 @@ def _quadratic_problem(n=6, d=3, seed=0):
     # stacked matmuls against a column per row: a row does not depend on
     # the rows it is batched with
     oracle = StochasticOracle(
-        regime=FiniteSum(n), dim_x=d, dim_y=d,
+        regime=FiniteSum(n),
         grads_batch=lambda X, Y, ids: (
             (Q[ids] @ X[:, :, None] + Bm[ids] @ Y[:, :, None])[:, :, 0],
             (np.swapaxes(Bm[ids], 1, 2) @ X[:, :, None])[:, :, 0]),
@@ -124,7 +124,7 @@ def test_online_anchor_uses_b_fresh_draws():
 
     grads = np.eye(4)
     oracle = StochasticOracle(
-        regime=Online(), dim_x=4, dim_y=1, grads_batch=grads_batch,
+        regime=Online(), grads_batch=grads_batch,
         values_batch=lambda X, Y, ids: np.zeros(len(ids)))
     p = ProblemInstance(oracle=oracle,
                         set_x=Box(-np.ones(4), np.ones(4)),
@@ -194,7 +194,7 @@ def test_same_ids_feed_both_sides():
     # consistent in every recursion
     n = 8
     oracle = StochasticOracle(
-        regime=FiniteSum(n), dim_x=1, dim_y=1,
+        regime=FiniteSum(n),
         grads_batch=lambda X, Y, ids: (ids[:, None] * X, ids[:, None] * Y),
         values_batch=lambda X, Y, ids: np.zeros(len(ids)))
     p = ProblemInstance(oracle=oracle, set_x=Box([-9.0], [9.0]),
@@ -237,7 +237,7 @@ def test_estimator_mse_zero_on_frozen_trajectory():
 
 def test_estimator_mse_online_rejected():
     oracle = StochasticOracle(
-        regime=Online(), dim_x=1, dim_y=1,
+        regime=Online(),
         grads_batch=lambda X, Y, ids: (np.zeros((len(ids), 1)),
                                        np.zeros((len(ids), 1))),
         values_batch=lambda X, Y, ids: np.zeros(len(ids)))

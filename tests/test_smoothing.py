@@ -206,8 +206,8 @@ def test_smooth_gradients_pass_fd_check(abs_value, fd_check):
     oracle = as_problem(comp, 0.3).oracle
     rng = np.random.default_rng(2)
     for trial in range(5):
-        x0 = comp.set_x.project(rng.uniform(-1.5, 1.5, size=comp.dim_x))
-        y0 = comp.set_y.project(rng.uniform(0.3, 1.8, size=comp.dim_y))
+        x0 = comp.set_x.project(rng.uniform(-1.5, 1.5, size=comp.set_x.dim))
+        y0 = comp.set_y.project(rng.uniform(0.3, 1.8, size=comp.set_y.dim))
         i = int(rng.integers(4))
         err_x = fd_check(lambda x: _one_row(oracle, x, y0, i)[0],
                          lambda x: _one_row(oracle, x, y0, i)[1], x0)

@@ -21,7 +21,7 @@ from spidergda import (Ball, Box, DimError, FiniteSum, FullSpace,
 def _bilinear_problem(set_x=None, set_y=None):
     """F(x, y) = x*y as a single-component finite sum."""
     oracle = StochasticOracle(
-        regime=FiniteSum(1), dim_x=1, dim_y=1,
+        regime=FiniteSum(1),
         grads_batch=lambda X, Y, ids: (Y.copy(), X.copy()),
         values_batch=lambda X, Y, ids: (X * Y)[:, 0])
     return ProblemInstance(
@@ -43,7 +43,7 @@ def _quadratic_problem(n=8, d=2, seed=0):
     # stacked matmuls against a column per row: a row does not depend on
     # the rows it is batched with
     oracle = StochasticOracle(
-        regime=FiniteSum(n), dim_x=d, dim_y=d,
+        regime=FiniteSum(n),
         grads_batch=lambda X, Y, ids: (
             (Q[ids] @ X[:, :, None])[:, :, 0] + Y + a[ids],
             X - (C @ Y[:, :, None])[:, :, 0] + b[ids]),
@@ -141,7 +141,7 @@ def test_step_equals_the_reference_update_bit_for_bit():
                              (Ball(center, 1.0), Simplex(d)),
                              (FullSpace(d), box())):
             oracle = StochasticOracle(
-                regime=FiniteSum(1), dim_x=d, dim_y=d,
+                regime=FiniteSum(1),
                 grads_batch=lambda X, Y, ids: (X.copy(), Y.copy()),
                 values_batch=lambda X, Y, ids: np.zeros(len(ids)))
             p = ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y,
@@ -389,7 +389,7 @@ def _online_problem():
         return scale * Y, scale * X
 
     oracle = StochasticOracle(
-        regime=Online(), dim_x=1, dim_y=1, grads_batch=grads_batch,
+        regime=Online(), grads_batch=grads_batch,
         values_batch=lambda X, Y, ids: (1 + ids % 7) * X[:, 0] * Y[:, 0])
     # boxes off the origin, which is stationary
     p = ProblemInstance(oracle=oracle, set_x=Box([0.5], [2.0]),
@@ -480,7 +480,7 @@ def _exploding_run(sink=None):
     """A run on unconstrained x with an exploding gradient: the estimator
     feedback doubles the iterate until it overflows to inf."""
     oracle = StochasticOracle(
-        regime=FiniteSum(1), dim_x=1, dim_y=1,
+        regime=FiniteSum(1),
         grads_batch=lambda X, Y, ids: (-X * 1e200, np.zeros((len(ids), 1))),
         values_batch=lambda X, Y, ids: np.zeros(len(ids)))
     p = ProblemInstance(oracle=oracle, set_x=FullSpace(1),

@@ -172,7 +172,7 @@ def test_budget_sample_cap_overflow():
 def _online_toy_problem():
     """f(x, y; xi) = x*y for every online sample xi."""
     oracle = StochasticOracle(
-        regime=Online(), dim_x=1, dim_y=1,
+        regime=Online(),
         grads_batch=lambda X, Y, ids: (Y.copy(), X.copy()),
         values_batch=lambda X, Y, ids: (X * Y)[:, 0])
     return ProblemInstance(oracle=oracle, set_x=Box([-1.0], [1.0]),

@@ -1,5 +1,5 @@
 """Print the calls per solver step of three fixed schedules, and the calls
-of two diagnostics units.
+of three diagnostics units.
 
     PYTHONPATH=src python3 tools/calls_per_step.py
 
@@ -18,10 +18,12 @@ calls of ufunc objects make no event, so the counts complement timing and
 do not replace it.  The schedules are the benchmark's `quad_tuned` problem
 at K = 50 (400 steps), one epoch (K = 1, T = 25) of its `gdro_smoothed`
 run, and one epoch of `phi_div_dro` at n = 400, whose dual is a
-`Simplex(400)` where `gdro_smoothed`'s is a `Simplex(2)`.  The units come
+`Simplex(400)` where `gdro_smoothed`'s is a `Simplex(2)`.  Two units come
 from the first run of the benchmark's `cli_diagnostics` command:
 the exact residuals of the 64 trace rows that one exact-gradient call
-takes at N = 16, and the merit function at one row.  The counts depend on the numpy and Python versions, except
+takes at N = 16, and the merit function at one row.  The third is the
+certified merit function of the 1-D example, whose p_r comes from a
+513-point grid.  The counts depend on the numpy and Python versions, except
 the package count.
 """
 
@@ -32,7 +34,7 @@ import numpy as np
 
 import spidergda
 from spidergda import (SolverConfig, TunerInput, as_problem, lyapunov,
-                       make_group_dro, make_quadratic_saddle,
+                       make_group_dro, make_kl_example, make_quadratic_saddle,
                        make_two_group_regression, run, tune_smooth)
 from spidergda.cli import _phi_div_dro
 from spidergda.diagnostics import _gs_residual_rows
@@ -102,6 +104,14 @@ def merit_row():
     return lambda: lyapunov(p, cfg.r, row.x, row.y, row.z)
 
 
+def certified_merit():
+    """The merit evaluation of the 1-D example at (x, y, z) = (0, 0.3, 0),
+    r = 1, which is certified by a 513-point grid on its box dual, as a
+    call of no arguments that returns the `LyapunovValue`."""
+    p = make_kl_example()
+    return lambda: lyapunov(p, 1.0, np.zeros(1), np.array([0.3]), np.zeros(1))
+
+
 def count_calls(fn, name=None) -> dict:
     """Package, Python-level and C-level call events of `fn()`; with `name`,
     the package count holds only the calls of functions so named."""
@@ -138,7 +148,7 @@ def main() -> int:
             f"{counts[k] / steps:>9.2f}" for k in ("package", "python", "c")))
     print(f"{'unit':<21} {'package':>9} {'python':>9} {'c':>9}   (calls per unit)")
     for name, build in (("residual_window", residual_window),
-                        ("merit_row", merit_row)):
+                        ("merit_row", merit_row), ("certified_merit", certified_merit)):
         unit = build()
         unit()
         counts = count_calls(unit)
