@@ -15,9 +15,11 @@ does not run until an iterate rounds onto itself.
 The finite-sum diagnostics run over whole windows of points, bit for bit
 their one-point results: the exact residuals of many points take their
 gradients from one rows call and their normal-cone distances from one
-rows call per side; inner solves and ascents run many rows in lockstep,
-and the merit function's ascent reuses the y gradient that each inner
-solve's last oracle call gave, instead of asking the oracle for it again.
+rows call per side; inner solves and ascents run many rows in lockstep
+(the merit function's d_r(y, z) and the grid of its certified p_r are the
+rows of one solve), and the merit function's ascent reuses the y gradient
+that each inner solve's last oracle call gave, instead of asking the oracle
+for it again.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 
 from .core import (ProblemInstance, _exact_means, _exact_values, _row_norms,
                    as_vector, full_value)
-from .projections import Box, ConstraintSet, _normal_cone_rows, _project_rows, normal_cone_dist
+from .projections import (FEAS_TOL, Box, ConstraintSet, InfeasibleError, _normal_cone_rows,
+                          _project_rows, normal_cone_dist)
 
 __all__ = [
     "MaxItersError",
@@ -202,7 +205,8 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
     Raises
     ------
     ValueError
-        If r <= rho (the objective would not be strongly convex).
+        Unless rho < r < inf (the objective must be strongly convex, and
+        the step 1/(r + L_x) positive).
     MaxItersError
         If no stop rule is met; carries the best iterate.
     """
@@ -223,8 +227,9 @@ def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray
     grad_y F(X[s], Y[s]) that the same oracle call gave with its x side.
     """
     meta = problem.constants
-    if not r > meta.rho:
-        raise ValueError(f"need r > rho for a strongly convex inner problem (r={r}, rho={meta.rho})")
+    if not meta.rho < r < math.inf:
+        raise ValueError(f"need rho < r < inf for a strongly convex inner problem (r={r}, "
+                         f"rho={meta.rho})")
     # (sqrt(kappa) - 1)/(sqrt(kappa) + 1), kappa = (r + L_x)/(r - rho)
     momentum = 1.0 - 2.0 / (1.0 + math.sqrt((r + meta.L_x) / (r - meta.rho)))
     GY = np.empty(Y.shape)
@@ -317,7 +322,8 @@ def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray,
 
 def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
              y: np.ndarray, z: np.ndarray) -> LyapunovValue:
-    """Merit-function value Phi_r(x, y, z) via nested inner solves.
+    """Merit-function value Phi_r(x, y, z) at a feasible (x, y) via nested
+    inner solves.
 
     d_r values use the strongly convex inner solve.  p_r(z) is a global
     maximum of d_r(., z): on a 1-D box dual it is certified by a dense grid
@@ -325,33 +331,46 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     starts (the given y plus random perturbations), ascended together as
     rows, and flagged heuristic.  Either way p_r is at least d_r(y, z).
 
+    d_r(y, z) and the grid's d_r values are the rows of one lockstep solve,
+    each started from z, and of one exact-values call; the ascent starts at
+    the grid's first strict maximum (never a NaN).  Cold rows cost more
+    oracle rows than a chain of solves each warm-started from the last, but
+    far fewer oracle calls while the grid points share them: on a 3x1
+    quadratic saddle at N = 16, 300 calls of 166,736 rows against the
+    chain's 8,033 calls of 128,528.  Above N = 1,024 each grid point is an
+    exact call of its own, so the calls outnumber the chain's too (8,266
+    against 5,782 at N = 2,048).
+
     Requires the finite-sum regime (exact values/gradients).
+
+    Raises
+    ------
+    InfeasibleError
+        If x is not in X or y is not in Y (z may be any prox centre).
     """
     x = as_vector(x, problem.dim_x)
     y = as_vector(y, problem.dim_y)
     z = as_vector(z, problem.dim_x)
+    for name, v, cset in (("x", x, problem.set_x), ("y", y, problem.set_y)):
+        if not cset._contains(v):
+            raise InfeasibleError(f"{name} is not in its set (tol {FEAS_TOL})")
 
     f_r = full_value(problem, x, y) + 0.5 * r * float(np.sum((x - z) ** 2))
-    (d_here,) = _f_r(problem, r, _solve_rows(problem, r, y[None], z, z[None])[0], y[None], z)
-
     # p_r: the best of d_r(y, z), the grid and an ascent from the best grid
-    # point (certified), or of d_r(y, z) and the seeded ascent starts
+    # point (certified), or of d_r(y, z) and the seeded ascent starts; the
+    # rows Y are y and, when certified, the grid after it
     certified = problem.dim_y == 1 and isinstance(problem.set_y, Box)
-    best_val, starts = -math.inf, y[None]
     if certified:
-        # a warm-start chain: each grid point's solve starts from the last;
-        # the d_r values of the whole chain come from one exact-values call,
-        # and the ascent starts at the first strict maximum (never a NaN)
-        grid = np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513)[:, None]
-        chain = [z[None]]
-        for gy in grid[:, None]:
-            chain.append(_solve_rows(problem, r, gy, z, chain[-1])[0])
-        for val, gy in zip(_f_r(problem, r, np.concatenate(chain[1:]), grid, z), grid):
-            if val > best_val:
-                best_val, starts = val, gy[None]
+        Y, starts = np.vstack([y, np.linspace(problem.set_y.lo, problem.set_y.hi, 513)]), y[None]
     else:
         noise = np.random.default_rng(0).normal(size=(_P_R_STARTS - 1, problem.dim_y))
-        starts = np.vstack([y, y + (problem.constants.D_Y or 1.0) * noise])
+        Y, starts = y[None], np.vstack([y, y + (problem.constants.D_Y or 1.0) * noise])
+    X = _solve_rows(problem, r, Y, z, z[None].repeat(len(Y), axis=0))[0]
+    d_here, *grid_vals = _f_r(problem, r, X, Y, z)
+    best_val = -math.inf
+    for val, gy in zip(grid_vals, Y[1:]):
+        if val > best_val:
+            best_val, starts = val, gy[None]
     p_r = max(best_val, d_here, *_ascend_d_r(problem, r, starts, z))
     value = (f_r - d_here) + (p_r - d_here) + p_r
     return LyapunovValue(value=value, f_r=f_r, d_r=d_here, p_r=p_r,

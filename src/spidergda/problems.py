@@ -85,10 +85,6 @@ class GroupDroSpec:
         if self.loss not in ("squared", "hinge"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
-    @property
-    def m_groups(self) -> int:
-        return len(self.groups)
-
 
 def _flatten_groups(spec: GroupDroSpec):
     X = np.concatenate([np.asarray(g[0], dtype=np.float64) for g in spec.groups])
@@ -125,10 +121,10 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
     """
     X, t, g = _flatten_groups(spec)
     n, d = X.shape
-    counts = np.bincount(g, minlength=spec.m_groups).astype(np.float64)
+    counts = np.bincount(g, minlength=len(spec.groups)).astype(np.float64)
     w = n / counts[g]  # per-sample weight N / |G_{g_i}|
     set_x = _dro_box(d)
-    set_y = Simplex(spec.m_groups)
+    set_y = Simplex(len(spec.groups))
     R_x = _box_radius(set_x)
     row_norms = np.linalg.norm(X, axis=1)
 
@@ -165,7 +161,7 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
 
     def phi_grads_batch(u, Q, ids):
         rows, gi, wi = np.arange(len(ids)), g[ids], w[ids]
-        out_y = np.zeros((len(ids), spec.m_groups))
+        out_y = np.zeros((len(ids), set_y.dim))
         out_y[rows, gi] = wi * u[:, 0]
         return (wi * Q[rows, gi])[:, None], out_y
 

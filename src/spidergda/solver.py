@@ -148,14 +148,16 @@ class TraceRow:
 @dataclass
 class RunTrace:
     """Output of one run: recorded rows, the uniformly sampled output pair,
-    its (k, tau) index, and the z iterate alongside it (auxiliary)."""
+    its (k, tau) index, and the z iterate alongside it (auxiliary).
+
+    A trace that `run` returns is complete; the one that a `NonFiniteError`
+    carries holds only the rows recorded before the failure."""
 
     rows: list = field(default_factory=list)
     output_pair: Optional[tuple] = None
     output_index: Optional[tuple] = None
     output_z: Optional[np.ndarray] = None
     total_samples: int = 0
-    completed: bool = False
 
 
 # ----------------------------------------------------------------------------
@@ -340,5 +342,4 @@ def run(problem: ProblemInstance, config: SolverConfig,
         x, y, z = x_new, y_new, z_new
 
     trace.total_samples = drawn(total_steps - 1)
-    trace.completed = True
     return trace

@@ -73,7 +73,7 @@ def _group_losses(spec, theta) -> np.ndarray:
     """Per-group mean loss of the linear predictor theta (true nonsmooth
     loss, not the smoothed surrogate)."""
     theta = np.asarray(theta, dtype=np.float64)
-    out = np.empty(spec.m_groups)
+    out = np.empty(len(spec.groups))
     for gi, (X, t) in enumerate(spec.groups):
         pred = np.asarray(X, dtype=np.float64) @ theta
         t = np.asarray(t, dtype=np.float64)

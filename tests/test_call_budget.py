@@ -8,9 +8,9 @@ frames whose code lies in the `spidergda` package are counted, so the
 numbers do not depend on numpy's version.  Operators that numpy dispatches
 through type slots make no call event, so these counts complement timing
 and do not replace it.  The counter, the `quad_tuned`/`gdro_smoothed`
-schedules and the `cli_diagnostics` units come from
-`tools/calls_per_step.py`, which prints the same package counts next to
-all Python-level and C-level calls.
+schedules, the `cli_diagnostics` units and the certified merit units come
+from `tools/calls_per_step.py`, which prints the same package counts next
+to all Python-level and C-level calls.
 
 Each call budget is the count measured when the test was written.  Lower a
 budget when a change removes calls; raising one loosens the guard.  The
@@ -56,17 +56,24 @@ RESIDUAL_WINDOW_CALLS = 15
 # while `lyapunov` checked the regime itself; 2,224 while each d_r value
 # looped over the per-sample values; 2,006 and 178 while the inner solve
 # and the ascent were plain projected gradient, 62 ascent steps where the
-# restarted FISTA ascent takes 34)
+# restarted FISTA ascent takes 34; 1,459 measured before `lyapunov`
+# checked that x and y are feasible, 1,461 after)
 LYAPUNOV_CALLS = 1495
 LYAPUNOV_ORACLE_CALLS = 100
 # `batch_grads` calls of a certified merit evaluation on the 1-D example:
-# one per inner-solve iteration, and each ascent step reuses the y side of
-# its inner solve's last call (516 with plain projected gradient)
-KL_LYAPUNOV_ORACLE_CALLS = 515
-# `batch_values` calls of the same evaluation: F_r at (x, y), d_r(y, z),
-# the d_r values of the whole 513-point grid and the ascent's d_r (516
-# while each grid point's d_r was a call of its own)
-KL_LYAPUNOV_VALUES_CALLS = 4
+# one per lockstep inner-solve iteration of d_r(y, z) and the 513 grid
+# points, and each ascent step reuses the y side of its inner solve's last
+# call (515 while each grid point's solve was warm-started from the last,
+# one after another; 516 with plain projected gradient)
+KL_LYAPUNOV_ORACLE_CALLS = 2
+# `batch_values` calls of the same evaluation: F_r at (x, y), the d_r
+# values of y and the whole 513-point grid, and the ascent's d_r (4 while
+# d_r(y, z) was a call of its own; 516 while each grid point's d_r was)
+KL_LYAPUNOV_VALUES_CALLS = 3
+# `batch_grads` calls of a certified merit evaluation on criterion 12's
+# 1-D saddle at (1.5, 1.0, 1.2), r = 1: 1,572 while the grid's solves were
+# a warm-start chain, where each took 3 momentum iterations
+CERTIFIED_SADDLE_ORACLE_CALLS = 33
 # `batch_grads` calls of one cold inner solve at r = 2 rho + 1 on a
 # smoothed group DRO (n = 24), where kappa = (r + L_x)/(r - rho) = 7,287:
 # 403 measured with the accelerated, restarted solve (67,783 with plain
@@ -83,8 +90,9 @@ COMPOSITE_MERIT_RUN_ORACLE_CALLS = 7899
 # package calls, and oracle calls among them, of one epoch of the
 # benchmark's smoothed group-DRO run (one anchor and T - 1 = 24 recursions;
 # 497 calls before the lean step path, 398 while the smoothed batch hook
-# was a lambda around `_smooth_grads_batch`)
-GDRO_EPOCH_CALLS = 373
+# was a lambda around `_smooth_grads_batch`, 373 while the group count
+# was a property of the spec that each oracle call read)
+GDRO_EPOCH_CALLS = 348
 GDRO_EPOCH_ORACLE_CALLS = 25
 
 
@@ -147,6 +155,13 @@ def test_kl_example_merit_oracle_call_budget():
     assert oracle_calls <= KL_LYAPUNOV_ORACLE_CALLS, f"{oracle_calls} oracle calls"
     values_calls = _package_calls(merit, "batch_values")
     assert values_calls <= KL_LYAPUNOV_VALUES_CALLS, f"{values_calls} values calls"
+
+
+def test_certified_saddle_merit_oracle_call_budget():
+    merit = _TOOL.certified_saddle_merit()
+    assert merit().certified
+    oracle_calls = _package_calls(merit, "batch_grads")
+    assert oracle_calls <= CERTIFIED_SADDLE_ORACLE_CALLS, f"{oracle_calls} oracle calls"
 
 
 def test_composite_cold_inner_solve_oracle_call_budget():

@@ -16,9 +16,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spidergda import (Ball, Box, DimError, FiniteSum, MaxItersError, Online,
-                       ProblemInstance, RegimeError, Simplex, SmoothnessMeta,
-                       SolverConfig, StochasticOracle, as_problem, core,
+from spidergda import (Ball, Box, DimError, FiniteSum, InfeasibleError,
+                       MaxItersError, Online, ProblemInstance, RegimeError,
+                       Simplex, SmoothnessMeta, SolverConfig,
+                       StochasticOracle, as_problem, core,
                        diagnostics, dz_norm, full_grad_x, full_grad_y,
                        full_value, gs_residuals, lyapunov, make_group_dro,
                        make_quadratic_saddle, make_two_group_regression,
@@ -45,15 +46,17 @@ def _bilinear_problem():
         constants=SmoothnessMeta(L_x=0.0, L_y=1.0, rho=0.0, ell=2.0))
 
 
-def _scalar_saddle(a=2.0, b=1.0, c=1.0, lim=10.0):
-    """F(x, y) = a x^2/2 + b x y - c y^2/2 on wide boxes (1-D each side)."""
+def _scalar_saddle(a=2.0, b=1.0, c=1.0, lim=10.0, y_lim=None):
+    """F(x, y) = a x^2/2 + b x y - c y^2/2 on the boxes [-lim, lim] and
+    [-y_lim, y_lim] (1-D each side; y_lim defaults to lim)."""
     oracle = StochasticOracle(
         regime=FiniteSum(1),
         grads_batch=lambda X, Y, ids: (a * X + b * Y, b * X - c * Y),
         values_batch=lambda X, Y, ids: (0.5 * a * X ** 2 + b * X * Y
                                         - 0.5 * c * Y ** 2)[:, 0])
     return ProblemInstance(
-        oracle=oracle, set_x=Box([-lim], [lim]), set_y=Box([-lim], [lim]),
+        oracle=oracle, set_x=Box([-lim], [lim]),
+        set_y=Box([-(y_lim or lim)], [y_lim or lim]),
         constants=SmoothnessMeta(L_x=a, L_y=max(b, c), rho=0.0, ell=10.0,
                                  mu=math.sqrt(2 * c), theta=0.5))
 
@@ -167,6 +170,16 @@ def test_solve_x_r_requires_strong_convexity():
                         constants=replace(p.constants, rho=1.0))
     with pytest.raises(ValueError):
         solve_x_r(p, 1.0, np.zeros(1), np.zeros(1))
+
+
+def test_inner_solve_refuses_an_infinite_r():
+    # the step 1/(r + L_x) would be 0 and r (x - z) non-finite
+    p = make_quadratic_saddle(2, 2, n_samples=4, seed=1)
+    x, y = p.set_x.project(np.zeros(2)), p.set_y.project(np.zeros(2))
+    for call in (lambda: solve_x_r(p, math.inf, y, x), lambda: dz_norm(p, math.inf, y, x),
+                 lambda: lyapunov(p, math.inf, x, y, x)):
+        with pytest.raises(ValueError, match=r"need rho < r < inf .*r=inf"):
+            call()
 
 
 def test_solve_x_r_max_iters_carries_best(monkeypatch):
@@ -284,6 +297,21 @@ def test_lyapunov_multistart_heuristic_2d():
     assert lv.value >= lv.p_r - 1e-9
 
 
+def test_lyapunov_rejects_an_infeasible_x_or_y():
+    # criterion 12's saddle on a wide primal box: outside Y, d_r(5, z) = 150
+    # lies above the max over Y of d_r(., z), 144 at y = 2, so a merit at
+    # y = 5 would certify a p_r that no point of Y attains; z is a prox
+    # centre and may lie anywhere
+    p, r, x, z = _scalar_saddle(lim=40.0, y_lim=2.0), 1.0, np.zeros(1), np.array([20.0])
+    with pytest.raises(InfeasibleError, match=r"^y is not in its set"):
+        lyapunov(p, r, x, np.array([5.0]), z)
+    with pytest.raises(InfeasibleError, match=r"^x is not in its set"):
+        lyapunov(p, r, np.array([41.0]), np.array([2.0]), z)
+    lv = lyapunov(p, r, x, np.array([2.0]), z)
+    assert lv.certified and lv.p_r == pytest.approx(144.0, rel=1e-12)
+    assert lyapunov(p, r, x, np.array([2.0]), np.array([60.0])).certified
+
+
 def test_lyapunov_online_rejected():
     p = ProblemInstance(oracle=_zero_oracle(Online()), set_x=Box([-1], [1]),
                         set_y=Box([-1], [1]),
@@ -371,11 +399,11 @@ def _ref_lyapunov(p, r, x, y, z, d_r=_ref_d_r, ascent=_ref_ascent):
 
 
 def _ref_certified_p_r(p, r, y, z, d_r=_ref_d_r, ascent=_ref_ascent):
-    """p_r of the certified 1-D box dual: a warm-start chain over the grid,
-    then one ascent from its best point."""
-    best_val, best_y, warm = -math.inf, y, None
+    """p_r of the certified 1-D box dual: each grid point's d_r from a cold
+    solve from z, then one ascent from the first strict maximum."""
+    best_val, best_y = -math.inf, y
     for gy in np.linspace(p.set_y.lo[0], p.set_y.hi[0], 513):
-        val, warm = d_r(p, r, np.array([gy]), z, warm)
+        val = d_r(p, r, np.array([gy]), z)[0]
         if val > best_val:
             best_val, best_y = val, np.array([gy])
     return max(best_val, ascent(p, r, best_y, z), d_r(p, r, y, z)[0])
@@ -412,10 +440,26 @@ def test_lockstep_lyapunov_equals_sequential_reference(kind):
     assert (lv.value, lv.f_r, lv.d_r, lv.p_r) == _ref_lyapunov(p, 4.0, x, y, z)
 
 
-def test_certified_grid_chain_equals_one_point_reference():
+def test_certified_grid_rows_equal_one_point_reference():
     p, r = _scalar_saddle(), 1.0
     x, y, z = np.array([0.6]), np.array([-0.8]), np.array([2.0])
     assert lyapunov(p, r, x, y, z).p_r == _ref_certified_p_r(p, r, y, z)
+
+
+def test_certified_merit_solves_d_r_and_its_grid_as_rows_of_one_solve(monkeypatch):
+    p, r = _scalar_saddle(), 1.0
+    y, z = np.array([-0.8]), np.array([2.0])
+    calls = []
+    for name in ("_solve_rows", "_f_r", "_ascend_d_r"):
+        fn = getattr(diagnostics, name)
+        monkeypatch.setattr(diagnostics, name,
+                            lambda *a, fn=fn, name=name: calls.append((name, a)) or fn(*a))
+    lyapunov(p, r, np.array([0.6]), y, z)
+    # the ascent's own solves and its d_r come after it starts
+    assert [name for name, _ in calls[:3]] == ["_solve_rows", "_f_r", "_ascend_d_r"]
+    _, Y, _, X0 = calls[0][1][1:]
+    assert Y[:, 0].tolist() == [-0.8, *np.linspace(-10.0, 10.0, 513).tolist()]
+    assert X0.shape == Y.shape and (X0 == z).all()
 
 
 # ----------------------------------------------------------------------------

@@ -8,13 +8,16 @@ trajectory on purpose updates the digest and says why in CHANGES.md.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from spidergda import (GroupDroSpec, SolverConfig, as_problem, estimator_mse,
-                       full_grad_x, full_grad_y, make_group_dro,
-                       make_quadratic_saddle, make_two_group_regression, run)
+from spidergda import (Box, FiniteSum, GroupDroSpec, ProblemInstance,
+                       SmoothnessMeta, SolverConfig, StochasticOracle,
+                       as_problem, estimator_mse, full_grad_x, full_grad_y,
+                       lyapunov, make_group_dro, make_quadratic_saddle,
+                       make_two_group_regression, run)
 from spidergda.cli import EXIT_OK, run_experiment
 
 # output_pair and every trace row's (x, y) of the criterion-08 group-DRO
@@ -32,6 +35,11 @@ QUAD_FULL_GRAD_DIGEST = \
 # along a six-point trajectory (M=4, 64 trials)
 ESTIMATOR_MSE_DIGEST = \
     "7b54a6e3e510e77737ed10105c2d361c654e7c7f293a84eb7c9ed4d4dd996255"
+
+# value, f_r, d_r and p_r of the certified merit at all 50 trace rows of
+# criterion 12's run (a 1-D saddle whose p_r comes from a 513-point grid)
+CERTIFIED_MERIT_DIGEST = \
+    "de8a3cd1417d5f23f3a73486bca2acfb5007e5dc7f28d576a1f28d8f17e345c0"
 
 
 @pytest.mark.parametrize("loss", sorted(GDRO_DIGESTS))
@@ -81,6 +89,30 @@ def test_estimator_mse_digest():
     for a in (res.mse_x, res.mse_y, res.se_x, res.se_y):
         h.update(a.tobytes())
     assert h.hexdigest() == ESTIMATOR_MSE_DIGEST
+
+
+def test_certified_merit_digest():
+    # criterion 12: F = a x^2/2 + b x y - c y^2/2 on [-4, 4] x [-2, 2]
+    a, b, c, r = 2.0, 1.0, 1.0, 1.0
+    oracle = StochasticOracle(
+        regime=FiniteSum(1),
+        grads_batch=lambda X, Y, ids: (a * X + b * Y, b * X - c * Y),
+        values_batch=lambda X, Y, ids: (0.5 * a * X ** 2 + b * X * Y
+                                        - 0.5 * c * Y ** 2)[:, 0])
+    prob = ProblemInstance(
+        oracle=oracle, set_x=Box([-4.0], [4.0]), set_y=Box([-2.0], [2.0]),
+        constants=SmoothnessMeta(L_x=a, L_y=max(b, c), rho=0.0, ell=10.0,
+                                 mu=math.sqrt(2.0 * c), theta=0.5))
+    config = SolverConfig(K=50, T=1, M=1, B=1, alpha_x=0.05, alpha_y=0.2,
+                          beta=0.1, r=r, seed=0)
+    trace = run(prob, config, x0=np.array([1.5]), y0=np.array([1.0]))
+    assert len(trace.rows) == 50
+    h = hashlib.sha256()
+    for row in trace.rows:
+        lv = lyapunov(prob, r, row.x, row.y, row.z)
+        assert lv.certified
+        h.update(np.array([lv.value, lv.f_r, lv.d_r, lv.p_r]).tobytes())
+    assert h.hexdigest() == CERTIFIED_MERIT_DIGEST
 
 
 # trace_seed*.csv and summary.json of two small `spidergda run` configs.

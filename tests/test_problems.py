@@ -453,7 +453,7 @@ def test_spec_from_csv(tmp_path, save_dataset_csv):
     path = tmp_path / "groups.csv"
     save_dataset_csv(path, X, t, g)
     spec = spec_from_csv(path, loss="squared")
-    assert spec.m_groups == 2
+    assert len(spec.groups) == 2
     assert spec.groups[0][0].shape == (2, 1)
     assert spec.groups[1][1].tolist() == [0.0]
 

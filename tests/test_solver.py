@@ -296,9 +296,8 @@ def test_infeasible_start_projected_with_warning(caplog):
     cfg = SolverConfig(K=1, T=2, M=2, B=8, alpha_x=0.05, alpha_y=0.1,
                        beta=0.25, r=4.0, seed=1)
     with caplog.at_level(logging.WARNING, logger="spidergda.solver"):
-        trace = run(p, cfg, x0=np.array([50.0, 50.0]))
+        run(p, cfg, x0=np.array([50.0, 50.0]))
     assert any("infeasible" in rec.message for rec in caplog.records)
-    assert trace.completed
 
 
 def test_run_leaves_callers_start_arrays_unchanged():
@@ -496,7 +495,6 @@ def _exploding_run(sink=None):
 def test_non_finite_iterate_raises_with_partial_trace():
     trace = _exploding_run()
     assert trace is not None
-    assert not trace.completed
     assert len(trace.rows) >= 1
 
 

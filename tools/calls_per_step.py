@@ -1,5 +1,5 @@
 """Print the calls per solver step of three fixed schedules, and the calls
-of three diagnostics units.
+of four diagnostics units.
 
     PYTHONPATH=src python3 tools/calls_per_step.py
 
@@ -21,21 +21,25 @@ run, and one epoch of `phi_div_dro` at n = 400, whose dual is a
 `Simplex(400)` where `gdro_smoothed`'s is a `Simplex(2)`.  Two units come
 from the first run of the benchmark's `cli_diagnostics` command:
 the exact residuals of the 64 trace rows that one exact-gradient call
-takes at N = 16, and the merit function at one row.  The third is the
-certified merit function of the 1-D example, whose p_r comes from a
-513-point grid.  The counts depend on the numpy and Python versions, except
-the package count.
+takes at N = 16, and the merit function at one row.  The other two are
+certified merit functions, whose p_r comes from a 513-point grid: of the
+1-D example, and of the 1-D saddle of the acceptance suite's criterion 12.
+The counts depend on the numpy and Python versions, except the package
+count.
 """
 
+import math
 import os
 import sys
 
 import numpy as np
 
 import spidergda
-from spidergda import (SolverConfig, TunerInput, as_problem, lyapunov,
-                       make_group_dro, make_kl_example, make_quadratic_saddle,
-                       make_two_group_regression, run, tune_smooth)
+from spidergda import (Box, FiniteSum, ProblemInstance, SmoothnessMeta,
+                       SolverConfig, StochasticOracle, TunerInput, as_problem,
+                       lyapunov, make_group_dro, make_kl_example,
+                       make_quadratic_saddle, make_two_group_regression, run,
+                       tune_smooth)
 from spidergda.cli import _phi_div_dro
 from spidergda.diagnostics import _gs_residual_rows
 
@@ -112,6 +116,22 @@ def certified_merit():
     return lambda: lyapunov(p, 1.0, np.zeros(1), np.array([0.3]), np.zeros(1))
 
 
+def certified_saddle_merit():
+    """The merit evaluation of criterion 12's saddle,
+    F = x^2 + x y - y^2/2 on [-4, 4] x [-2, 2], at (x, y, z) =
+    (1.5, 1.0, 1.2), r = 1, certified by a 513-point grid on its box dual,
+    as a call of no arguments that returns the `LyapunovValue`."""
+    oracle = StochasticOracle(
+        regime=FiniteSum(1),
+        grads_batch=lambda X, Y, ids: (2.0 * X + Y, X - Y),
+        values_batch=lambda X, Y, ids: (X ** 2 + X * Y - 0.5 * Y ** 2)[:, 0])
+    p = ProblemInstance(
+        oracle=oracle, set_x=Box([-4.0], [4.0]), set_y=Box([-2.0], [2.0]),
+        constants=SmoothnessMeta(L_x=2.0, L_y=1.0, rho=0.0, ell=10.0,
+                                 mu=math.sqrt(2.0), theta=0.5))
+    return lambda: lyapunov(p, 1.0, np.array([1.5]), np.array([1.0]), np.array([1.2]))
+
+
 def count_calls(fn, name=None) -> dict:
     """Package, Python-level and C-level call events of `fn()`; with `name`,
     the package count holds only the calls of functions so named."""
@@ -146,13 +166,14 @@ def main() -> int:
         counts = count_calls(lambda: run(p, cfg))
         print(f"{name:<14} {steps:>6} " + " ".join(
             f"{counts[k] / steps:>9.2f}" for k in ("package", "python", "c")))
-    print(f"{'unit':<21} {'package':>9} {'python':>9} {'c':>9}   (calls per unit)")
-    for name, build in (("residual_window", residual_window),
-                        ("merit_row", merit_row), ("certified_merit", certified_merit)):
+    print(f"{'unit':<22} {'package':>9} {'python':>9} {'c':>9}   (calls per unit)")
+    for name, build in (("residual_window", residual_window), ("merit_row", merit_row),
+                        ("certified_merit", certified_merit),
+                        ("certified_saddle_merit", certified_saddle_merit)):
         unit = build()
         unit()
         counts = count_calls(unit)
-        print(f"{name:<21} " + " ".join(
+        print(f"{name:<22} " + " ".join(
             f"{counts[k]:>9}" for k in ("package", "python", "c")))
     return 0
 
