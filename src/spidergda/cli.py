@@ -24,8 +24,8 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .core import DimError, FiniteSum, ProblemInstance, as_vector
-from .diagnostics import (MaxItersError, _gs_residual_rows, dz_norm, lyapunov,
-                          mc_gs_residuals)
+from .diagnostics import (MaxItersError, _gs_residual_rows, _lyapunov_rows, _rows_of,
+                          dz_norm, mc_gs_residuals)
 from .smoothing import MoreauComposite
 from .solver import NonFiniteError, RunTrace, SolverConfig, run
 from .tuner import InfeasibleScheduleError, TunerInput, tune_nonsmooth, tune_smooth
@@ -145,10 +145,8 @@ def _phi_div_dro(p: dict) -> ProblemInstance:
         if n < 1 or d < 1:
             raise ValueError(f"n and d must be at least 1, got n={n}, d={d}")
         rng = np.random.default_rng(seed)
-        w0 = np.zeros(d)
-        w0[0] = 1.0
         X = rng.normal(size=(n, d))
-        t = X @ w0 + noise * rng.normal(size=n)
+        t = X[:, 0] + noise * rng.normal(size=n)
     return problems.make_phi_div_dro(
         problems.PhiDivDroSpec(features=X, targets=t, **p))
 
@@ -326,25 +324,21 @@ def _diagnose(problem: ProblemInstance, trace: RunTrace, config: SolverConfig,
     (res_x, res_y, se_x, se_y) at every `residual_stride`-th row, the last
     row and the output pair (index -1), from one `_residuals` call (the
     exact gradients bound their rows per oracle call); merit values at
-    every `lyapunov_stride`-th row and the last."""
-    rows = trace.rows
-    res_stride = diag.get("residual_stride")
-    lya_stride = diag.get("lyapunov_stride")
+    every `lyapunov_stride`-th row and the last, from one `_lyapunov_rows`
+    call (a MaxItersError carries the trace row whose solve stalled)."""
+    rows, last = trace.rows, len(trace.rows) - 1
+    res_stride, lya_stride = diag.get("residual_stride"), diag.get("lyapunov_stride")
     if lya_stride is not None and not isinstance(problem.regime, FiniteSum):
-        logger.warning("merit tracking needs exact values; skipping in the "
-                       "online regime")
+        logger.warning("merit tracking needs exact values; skipping in the online regime")
         lya_stride = None
-    last = len(rows) - 1
-    points = {i: (row.x, row.y) for i, row in enumerate(rows)
-              if i == last or (res_stride is not None and i % res_stride == 0)}
-    points[-1] = trace.output_pair
-    want = list(points)
-    X, Y = (np.array(v) for v in zip(*points.values()))
-    res = dict(zip(want, _residuals(problem, X, Y, config.seed, want)))
-    lya = {i: lyapunov(problem, config.r, row.x, row.y, row.z).value
-           for i, row in enumerate(rows)
-           if lya_stride is not None and (i % lya_stride == 0 or i == last)}
-    return res, lya
+    want = [i for i in range(len(rows)) if i == last or (res_stride and i % res_stride == 0)]
+    X, Y = (np.array([getattr(rows[i], v) for i in want] + [p])
+            for v, p in zip("xy", trace.output_pair))
+    res = dict(zip(want + [-1], _residuals(problem, X, Y, config.seed, want + [-1])))
+    merit = [i for i in range(len(rows)) if lya_stride and (i % lya_stride == 0 or i == last)]
+    X, Y, Z = (np.array([getattr(rows[i], v) for i in merit]) for v in "xyz")
+    lya = _rows_of(merit, _lyapunov_rows, problem, config.r, X, Y, Z) if merit else []
+    return res, {i: lv.value for i, lv in zip(merit, lya)}
 
 
 def _fmt(v) -> str:
@@ -414,7 +408,8 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
             dz = (dz_norm(problem, run_config.r, trace.output_pair[1], trace.output_z)
                   if cfg["diagnostics"].get("dz_norm", False) else None)
         except (NonFiniteError, MaxItersError) as err:
-            print(f"numerical failure (seed {s}): {stage}{err}", file=sys.stderr)
+            where = f" at trace row {err.row}" if stage == "lyapunov: " else ""
+            print(f"numerical failure (seed {s}): {stage}{err}{where}", file=sys.stderr)
             return EXIT_NUMERICAL
         f_rx, f_ry, _, _ = res[len(trace.rows) - 1]
         o_rx, o_ry, o_sx, o_sy = res[-1]

@@ -15,11 +15,14 @@ does not run until an iterate rounds onto itself.
 The finite-sum diagnostics run over whole windows of points, bit for bit
 their one-point results: the exact residuals of many points take their
 gradients from one rows call and their normal-cone distances from one
-rows call per side; inner solves and ascents run many rows in lockstep
-(the merit function's d_r(y, z) and the grid of its certified p_r are the
-rows of one solve), and the merit function's ascent reuses the y gradient
-that each inner solve's last oracle call gave, instead of asking the oracle
-for it again.
+rows call per side; inner solves and ascents run many rows in lockstep,
+and the merit function's ascent reuses the y gradient that each inner
+solve's last oracle call gave, instead of asking the oracle for it again.
+The merit rows of a whole trace are one `_lyapunov_rows` call: the
+d_r(y, z) of every row, and on a 1-D box dual the 513 grid points of each
+row's certified p_r, are the rows of one lockstep solve, each row with its
+own prox centre z, and the ascent starts of every row are the rows of one
+ascent; `lyapunov` is its one-row case.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (ProblemInstance, _exact_means, _exact_values, _row_norms,
-                   as_vector, full_value)
+from .core import ProblemInstance, _exact_means, _exact_values, _row_norms, as_vector
 from .projections import (FEAS_TOL, Box, ConstraintSet, InfeasibleError, _normal_cone_rows,
                           _project_rows, normal_cone_dist)
 
@@ -54,12 +56,24 @@ class MaxItersError(Exception):
         The iterate with the smallest residual seen.
     residual : float
         Its projected-gradient residual.
+    row : int
+        The index of the stalled solve among the rows that the raising
+        function was given (0 for a one-point function).
     """
 
-    def __init__(self, message: str, best: np.ndarray, residual: float):
+    def __init__(self, message: str, best: np.ndarray, residual: float, row: int):
         super().__init__(message)
-        self.best = best
-        self.residual = residual
+        self.best, self.residual, self.row = best, residual, row
+
+
+def _rows_of(owner, fn, *args):
+    """``fn(*args)``; a MaxItersError that it raises leaves with its row
+    mapped to ``owner[row]``, the caller's row that owns the stalled one."""
+    try:
+        return fn(*args)
+    except MaxItersError as err:
+        err.row = int(owner[err.row])
+        raise
 
 
 # The inner solves stop at this projected-gradient residual or iteration
@@ -74,6 +88,9 @@ _FLOAT_RES = 4 * np.finfo(float).eps
 _MC_BATCH = 10_000
 _P_R_STARTS = 8
 _MAX_ASCENT = 2000
+# merit rows per lockstep solve and ascent: a certified merit row is 514
+# solve rows, so this bounds the solve at 32,896 rows
+_MERIT_ROWS = 64
 
 
 # ----------------------------------------------------------------------------
@@ -96,8 +113,7 @@ def gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
     InfeasibleError
         If (x, y) is not feasible.
     """
-    x = as_vector(x, problem.dim_x)
-    y = as_vector(y, problem.dim_y)
+    x, y = as_vector(x, problem.dim_x), as_vector(y, problem.dim_y)
     return _gs_residual_rows(problem, x[None], y[None])[0]
 
 
@@ -122,16 +138,13 @@ def mc_gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     reported standard error of the mean-gradient estimate (in L2) also
     bounds the standard error of each residual.
     """
-    x = as_vector(x, problem.dim_x)
-    y = as_vector(y, problem.dim_y)
+    x, y = as_vector(x, problem.dim_x), as_vector(y, problem.dim_y)
     rng = rng if rng is not None else np.random.default_rng(0)
-    ids = problem.oracle.draw(rng, _MC_BATCH)
-    gx, gy = problem.oracle.grads_at(x, y, ids)
-    mx, my = gx.mean(axis=0), gy.mean(axis=0)
+    gx, gy = problem.oracle.grads_at(x, y, problem.oracle.draw(rng, _MC_BATCH))
     se_x = float(np.sqrt(np.sum(gx.var(axis=0, ddof=1)) / _MC_BATCH))
     se_y = float(np.sqrt(np.sum(gy.var(axis=0, ddof=1)) / _MC_BATCH))
-    return (normal_cone_dist(problem.set_x, x, mx),
-            normal_cone_dist(problem.set_y, y, -my), se_x, se_y)
+    return (normal_cone_dist(problem.set_x, x, gx.mean(axis=0)),
+            normal_cone_dist(problem.set_y, y, -gy.mean(axis=0)), se_x, se_y)
 
 
 # ----------------------------------------------------------------------------
@@ -158,8 +171,8 @@ def _descend_rows(cset: ConstraintSet, P: np.ndarray, step: float, tol: float,
 
     Returns the rows W at which each row left (a row still going after
     `max_iters` iterations keeps its last W) and, of the rows still going,
-    the W of the smallest residual seen and that residual (both empty when
-    every row left).
+    their indices into P, the W of the smallest residual seen and that
+    residual (all three empty when every row left).
     """
     W = P = _project_rows(cset, P)
     live, out, t = np.arange(len(P)), np.empty_like(P), np.ones(len(P))
@@ -168,21 +181,19 @@ def _descend_rows(cset: ConstraintSet, P: np.ndarray, step: float, tol: float,
         out[live] = W
         P_new = _project_rows(cset, W - step * grad(W, live))
         res = _row_norms(P_new - W) / step
-        better = res < best_res
-        np.copyto(best, W, where=better[:, None])
-        np.copyto(best_res, res, where=better)
+        np.copyto(best, W, where=(res < best_res)[:, None])
+        best_res = np.minimum(best_res, res)
         done = (res <= tol) | (res * step <= _FLOAT_RES * (1.0 + _row_norms(W)))
         if np.logical_and.reduce(done):
-            return out, best[:0], best_res[:0]
+            return out, live[:0], best[:0], best_res[:0]
         if np.logical_or.reduce(done):
-            keep = ~done
             live, W, P, P_new, t, best, best_res = [
-                a[keep] for a in (live, W, P, P_new, t, best, best_res)]
+                a[~done] for a in (live, W, P, P_new, t, best, best_res)]
         restart = ((P_new - W)[:, None, :] @ (P_new - P)[:, :, None])[:, 0, 0] < 0.0
         t_new = np.where(restart, 1.0, 0.5 + np.sqrt(0.25 + t * t)) if momentum is None else t
         beta = np.where(restart, 0.0, (t - 1.0) / t_new if momentum is None else momentum)
         W, P, t = P_new + beta[:, None] * (P_new - P), P_new, t_new
-    return out, best, best_res
+    return out, live, best, best_res
 
 
 # ----------------------------------------------------------------------------
@@ -210,19 +221,19 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
     MaxItersError
         If no stop rule is met; carries the best iterate.
     """
-    y = as_vector(y, problem.dim_y)
-    z = as_vector(z, problem.dim_x)
+    y, z = as_vector(y, problem.dim_y), as_vector(z, problem.dim_x)
     return _solve_rows(problem, r, y[None], z, z[None])[0][0]
 
 
 def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray,
                 X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The solve of `solve_x_r` at each row Y[s] from X0[s], all rows in
-    lockstep by `_descend_rows`, so each row's result equals its one-row
-    solve bit for bit.  A MaxItersError carries the best iterate and
-    residual of the first row that stalled.
+    """The solve of `solve_x_r` at each row Y[s] from X0[s] with the prox
+    centre z[s] (a single z is every row's), all rows in lockstep by
+    `_descend_rows`, so each row's result equals its one-row solve bit for
+    bit.  A MaxItersError carries the index, best iterate and residual of
+    the first row that stalled.
 
-    Returns the rows X[s] = x_r(Y[s], z), each the point at which its
+    Returns the rows X[s] = x_r(Y[s], z[s]), each the point at which its
     residual was measured, and GY, whose row s is the exact
     grad_y F(X[s], Y[s]) that the same oracle call gave with its x side.
     """
@@ -232,18 +243,18 @@ def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray
                          f"rho={meta.rho})")
     # (sqrt(kappa) - 1)/(sqrt(kappa) + 1), kappa = (r + L_x)/(r - rho)
     momentum = 1.0 - 2.0 / (1.0 + math.sqrt((r + meta.L_x) / (r - meta.rho)))
-    GY = np.empty(Y.shape)
+    GY, Z = np.empty(Y.shape), np.broadcast_to(z, X0.shape)
 
     def grad(W, live):
         gx, GY[live] = _exact_means(problem, W, Y[live], problem.oracle.batch_grads)
-        return gx + r * (W - z)
+        return gx + r * (W - Z[live])
 
-    X, best, best_res = _descend_rows(problem.set_x, X0, 1.0 / (r + meta.L_x),
-                                      _INNER_TOL, _INNER_MAX_ITERS, grad, momentum)
-    if best_res.size:
+    X, stalled, best, best_res = _descend_rows(problem.set_x, X0, 1.0 / (r + meta.L_x),
+                                               _INNER_TOL, _INNER_MAX_ITERS, grad, momentum)
+    if stalled.size:
         raise MaxItersError(f"inner solve stalled at residual {best_res[0]:.3e} (tol "
                             f"{_INNER_TOL:.1e}) after {_INNER_MAX_ITERS} iterations",
-                            best=best[0], residual=float(best_res[0]))
+                            best=best[0], residual=float(best_res[0]), row=int(stalled[0]))
     return X, GY
 
 
@@ -254,9 +265,8 @@ def dz_norm(problem: ProblemInstance, r: float, y: np.ndarray, z: np.ndarray
     Zero exactly when z is the fixed point of the proximal map; the solver's
     convergence guarantee is stated on this quantity at the sampled output.
     """
-    x_r = solve_x_r(problem, r, y, z)
     z = as_vector(z, problem.dim_x)
-    return float(r * np.linalg.norm(z - x_r))
+    return float(r * np.linalg.norm(z - solve_x_r(problem, r, y, z)))
 
 
 # ----------------------------------------------------------------------------
@@ -286,18 +296,20 @@ class LyapunovValue:
 
 def _f_r(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndarray,
          z: np.ndarray) -> list[float]:
-    """F_r(X[s], Y[s], z) for each row, with the exact values of all rows
-    from one `_exact_values` call."""
-    return [f + 0.5 * r * float(np.sum((x - z) ** 2))
-            for f, x in zip(_exact_values(problem, X, Y).tolist(), X)]
+    """F_r(X[s], Y[s], z[s]) for each row (a single z is every row's), with
+    the exact values of all rows from one `_exact_values` call."""
+    return [f + 0.5 * r * float(np.sum((x - c) ** 2)) for f, x, c in
+            zip(_exact_values(problem, X, Y).tolist(), X, np.broadcast_to(z, X.shape))]
 
 
 def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray,
                 z: np.ndarray) -> list[float]:
-    """FISTA ascent on d_r(., z) with gradient restart from each row of Y0,
-    all rows in lockstep by `_descend_rows` (Danskin gradient at the
-    extrapolated point w: grad_y d_r(w, z) = grad_y F(x_r(w, z), w));
-    returns d_r at each row's last w.
+    """FISTA ascent on d_r(., z[s]) with gradient restart from each row
+    Y0[s] (a single z is every row's), all rows in lockstep by
+    `_descend_rows` (Danskin gradient at the extrapolated point w:
+    grad_y d_r(w, z) = grad_y F(x_r(w, z), w)); returns d_r at each row's
+    last w.  A MaxItersError carries the index of the row whose inner
+    solve stalled.
 
     The step is 1/(L_y + L_y^2/(r - rho)).  Every inner solve warm-starts
     from its row's previous x_r, the first from z, and gives the Danskin
@@ -309,15 +321,16 @@ def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray,
     """
     meta = problem.constants
     denom = meta.L_y + meta.L_y ** 2 / max(r - meta.rho, 1e-12)
-    X = np.repeat(z[None], len(Y0), axis=0)
+    Z = np.broadcast_to(z, (len(Y0), problem.dim_x))
+    X = Z.copy()
 
     def grad(W, live):
-        X[live], gy = _solve_rows(problem, r, W, z, X[live])
+        X[live], gy = _rows_of(live, _solve_rows, problem, r, W, Z[live], X[live])
         return -gy
 
-    Y, _, _ = _descend_rows(problem.set_y, Y0, 1.0 / denom if denom > 0 else 1.0,
-                            10 * _INNER_TOL, _MAX_ASCENT, grad)
-    return _f_r(problem, r, X, Y, z)
+    Y = _descend_rows(problem.set_y, Y0, 1.0 / denom if denom > 0 else 1.0,
+                      10 * _INNER_TOL, _MAX_ASCENT, grad)[0]
+    return _f_r(problem, r, X, Y, Z)
 
 
 def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
@@ -331,15 +344,19 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     starts (the given y plus random perturbations), ascended together as
     rows, and flagged heuristic.  Either way p_r is at least d_r(y, z).
 
-    d_r(y, z) and the grid's d_r values are the rows of one lockstep solve,
-    each started from z, and of one exact-values call; the ascent starts at
-    the grid's first strict maximum (never a NaN).  Cold rows cost more
-    oracle rows than a chain of solves each warm-started from the last, but
-    far fewer oracle calls while the grid points share them: on a 3x1
-    quadratic saddle at N = 16, 300 calls of 166,736 rows against the
-    chain's 8,033 calls of 128,528.  Above N = 1,024 each grid point is an
-    exact call of its own, so the calls outnumber the chain's too (8,266
-    against 5,782 at N = 2,048).
+    This is the one-row case of `_lyapunov_rows`, which takes the merit
+    rows of a trace through one lockstep solve and one ascent.  d_r(y, z)
+    and the grid's d_r values are rows of that solve, each started from z,
+    and F_r(x, y, z) and all of them come from one exact-values call; the
+    ascent starts at the grid's first strict maximum (never a NaN).  Cold
+    rows cost more oracle rows than a chain of solves each warm-started
+    from the last, but far fewer oracle calls while the grid points share
+    them: on a 3x1 quadratic saddle at N = 16, 300 calls of 166,736 rows
+    against the chain's 8,033 calls of 128,528, and three such merit rows
+    in one call make 631 calls, not 910.  Above N = 1,024 each grid point
+    is an exact call of its own, so the calls outnumber the chain's too
+    (8,266 against 5,782 at N = 2,048), and merit rows in one call make
+    the sum of their one-row calls.
 
     Requires the finite-sum regime (exact values/gradients).
 
@@ -348,30 +365,54 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     InfeasibleError
         If x is not in X or y is not in Y (z may be any prox centre).
     """
-    x = as_vector(x, problem.dim_x)
-    y = as_vector(y, problem.dim_y)
-    z = as_vector(z, problem.dim_x)
-    for name, v, cset in (("x", x, problem.set_x), ("y", y, problem.set_y)):
-        if not cset._contains(v):
-            raise InfeasibleError(f"{name} is not in its set (tol {FEAS_TOL})")
+    return _lyapunov_rows(problem, r, *(as_vector(v, cset.dim)[None] for v, cset in (
+        (x, problem.set_x), (y, problem.set_y), (z, problem.set_x))))[0]
 
-    f_r = full_value(problem, x, y) + 0.5 * r * float(np.sum((x - z) ** 2))
-    # p_r: the best of d_r(y, z), the grid and an ascent from the best grid
-    # point (certified), or of d_r(y, z) and the seeded ascent starts; the
-    # rows Y are y and, when certified, the grid after it
-    certified = problem.dim_y == 1 and isinstance(problem.set_y, Box)
-    if certified:
-        Y, starts = np.vstack([y, np.linspace(problem.set_y.lo, problem.set_y.hi, 513)]), y[None]
-    else:
-        noise = np.random.default_rng(0).normal(size=(_P_R_STARTS - 1, problem.dim_y))
-        Y, starts = y[None], np.vstack([y, y + (problem.constants.D_Y or 1.0) * noise])
-    X = _solve_rows(problem, r, Y, z, z[None].repeat(len(Y), axis=0))[0]
-    d_here, *grid_vals = _f_r(problem, r, X, Y, z)
-    best_val = -math.inf
-    for val, gy in zip(grid_vals, Y[1:]):
-        if val > best_val:
-            best_val, starts = val, gy[None]
-    p_r = max(best_val, d_here, *_ascend_d_r(problem, r, starts, z))
-    value = (f_r - d_here) + (p_r - d_here) + p_r
-    return LyapunovValue(value=value, f_r=f_r, d_r=d_here, p_r=p_r,
-                         certified=certified)
+
+def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndarray,
+                   Z: np.ndarray) -> list[LyapunovValue]:
+    """`lyapunov` at each row (X[j], Y[j], Z[j]), each bit for bit its
+    one-row value.  The d_r(Y[j], Z[j]) of every row and, on a 1-D box
+    dual, the 513 grid points of each row after it are the rows of one
+    lockstep solve; F_r and all d_r values come from one exact-values call;
+    the ascent starts of every row are the rows of one ascent.  More than
+    `_MERIT_ROWS` rows go in blocks of that many, each block such a call,
+    which bounds the memory of the lockstep state.
+
+    Raises
+    ------
+    InfeasibleError
+        Naming the first row j whose X[j] or Y[j] is not in its set.
+    MaxItersError
+        Whose `row` is the first row j with a stalled inner solve.
+    """
+    for j, (x, y) in enumerate(zip(X, Y)):
+        for name, v, cset in (("x", x, problem.set_x), ("y", y, problem.set_y)):
+            if not cset._contains(v):
+                raise InfeasibleError(f"{name} is not in its set at row {j} (tol {FEAS_TOL})")
+    m, dim_y = Y.shape
+    if m > _MERIT_ROWS:  # blocks of _MERIT_ROWS rows, each a call of its own
+        return [lv for lo in range(0, m, _MERIT_ROWS) for lv in _rows_of(np.arange(lo, m),
+                _lyapunov_rows, problem, r, *(V[lo:lo + _MERIT_ROWS] for V in (X, Y, Z)))]
+    # p_r: the best of d_r(y, z), the grid and an ascent from the grid's
+    # first strict maximum (certified), or of d_r(y, z) and the seeded
+    # ascent starts; each row owns a block of solve rows, its y and, when
+    # certified, the grid after it, and k ascent rows
+    certified = dim_y == 1 and isinstance(problem.set_y, Box)
+    grid = np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513) if certified else Y[:0, 0]
+    noise = np.random.default_rng(0).normal(size=(0 if certified else _P_R_STARTS - 1, dim_y))
+    starts = np.concatenate([Y[:, None], Y[:, None] + (problem.constants.D_Y or 1.0) * noise], 1)
+    block, k = 1 + len(grid), starts.shape[1]
+    YS, ZS = np.hstack([Y, np.tile(grid, (m, 1))]).reshape(-1, dim_y), Z.repeat(block, axis=0)
+    XS = _rows_of(np.arange(m * block) // block, _solve_rows, problem, r, YS, ZS, ZS)[0]
+    vals = _f_r(problem, r, np.vstack([X, XS]), np.vstack([Y, YS]), np.vstack([Z, ZS]))
+    best = [-math.inf] * m
+    for j in range(m):
+        for val, gy in zip(vals[m + j * block + 1:m + (j + 1) * block], grid):
+            if val > best[j]:  # never a NaN
+                best[j], starts[j] = val, gy
+    asc = _rows_of(np.arange(m * k) // k, _ascend_d_r, problem, r,
+                   starts.reshape(-1, dim_y), Z.repeat(k, axis=0))
+    return [LyapunovValue((f - d) + (p - d) + p, f, d, p, certified)
+            for j, (f, d, b) in enumerate(zip(vals, vals[m::block], best))
+            for p in [max(b, d, *asc[j * k:(j + 1) * k])]]

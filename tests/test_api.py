@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # code lines of src/ by tools/code_lines.py when the test was written.
 # Lower the budget when a change removes code; raising it loosens the
 # guard, and CHANGES.md must say so.
-SRC_CODE_LINES = 1893
+SRC_CODE_LINES = 1892
 
 MODULES = ["spidergda"] + [f"spidergda.{m.name}"
                            for m in pkgutil.iter_modules(spidergda.__path__)]
@@ -90,6 +90,10 @@ def test_no_unused_imports(name):
 # public names that no module of src/ reads, each with the reason it stays
 UNREAD_PUBLIC = {
     "gs_residuals": "the README quick start and the benchmark call it",
+    "full_value": "the README's oracle example calls it; `src/` takes exact "
+                  "values over rows (`_exact_values`)",
+    "lyapunov": "the one-row case of the CLI's merit rows (`_lyapunov_rows`); "
+                "the benchmark's traced layer and tools/calls_per_step.py call it",
     "estimate_sigmas": "the sigma constants of item 5's online CLI kind",
     "estimator_mse": "the estimator error that item 4's est_err column "
                      "reports; criterion 03 and ESTIMATOR_MSE_DIGEST pin it",

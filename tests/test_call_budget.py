@@ -57,19 +57,30 @@ RESIDUAL_WINDOW_CALLS = 15
 # looped over the per-sample values; 2,006 and 178 while the inner solve
 # and the ascent were plain projected gradient, 62 ascent steps where the
 # restarted FISTA ascent takes 34; 1,459 measured before `lyapunov`
-# checked that x and y are feasible, 1,461 after)
+# checked that x and y are feasible, 1,461 after; 1,491 since it is the
+# one-row case of `_lyapunov_rows`, whose ascent passes each inner solve
+# through `_rows_of` to name a stalled row)
 LYAPUNOV_CALLS = 1495
 LYAPUNOV_ORACLE_CALLS = 100
+# package calls, and oracle calls among them, of the whole merit column of
+# one seed of the benchmark's diagnostics command (trace rows 0, 200 and
+# 399 of seed 22), which the CLI makes as one `_lyapunov_rows` call: its
+# three d_r(y, z) are rows of one lockstep solve and its 24 ascent starts
+# rows of one ascent (300 oracle calls while the CLI called `lyapunov`
+# once per row)
+MERIT_COLUMN_CALLS = 1493
+MERIT_COLUMN_ORACLE_CALLS = 100
 # `batch_grads` calls of a certified merit evaluation on the 1-D example:
 # one per lockstep inner-solve iteration of d_r(y, z) and the 513 grid
 # points, and each ascent step reuses the y side of its inner solve's last
 # call (515 while each grid point's solve was warm-started from the last,
 # one after another; 516 with plain projected gradient)
 KL_LYAPUNOV_ORACLE_CALLS = 2
-# `batch_values` calls of the same evaluation: F_r at (x, y), the d_r
-# values of y and the whole 513-point grid, and the ascent's d_r (4 while
-# d_r(y, z) was a call of its own; 516 while each grid point's d_r was)
-KL_LYAPUNOV_VALUES_CALLS = 3
+# `batch_values` calls of the same evaluation: F_r at (x, y) with the d_r
+# values of y and the whole 513-point grid, and the ascent's d_r (3 while
+# F_r at (x, y) was a call of its own, 4 while d_r(y, z) was too; 516
+# while each grid point's d_r was)
+KL_LYAPUNOV_VALUES_CALLS = 2
 # `batch_grads` calls of a certified merit evaluation on criterion 12's
 # 1-D saddle at (1.5, 1.0, 1.2), r = 1: 1,572 while the grid's solves were
 # a warm-start chain, where each took 3 momentum iterations
@@ -84,9 +95,11 @@ CERTIFIED_SADDLE_ORACLE_CALLS = 33
 COMPOSITE_SOLVE_ORACLE_CALLS = 1500
 # `batch_grads` calls of the console run with merit tracking on a smoothed
 # two_group_regression (n = 60, seed 2, eps 0.05, K = 5, T = 4, merit every
-# 10th trace row), which CI also runs under a 30 s timeout: 7,899 with the
-# accelerated inner solve (477,555 with plain projected gradient)
-COMPOSITE_MERIT_RUN_ORACLE_CALLS = 7899
+# 10th trace row), which CI also runs under a 30 s timeout: 3,052 with its
+# three merit rows as the rows of one lockstep solve and one ascent (7,899
+# while each row was a `lyapunov` call of its own, 477,555 with plain
+# projected gradient)
+COMPOSITE_MERIT_RUN_ORACLE_CALLS = 3052
 # package calls, and oracle calls among them, of one epoch of the
 # benchmark's smoothed group-DRO run (one anchor and T - 1 = 24 recursions;
 # 497 calls before the lean step path, 398 while the smoothed batch hook
@@ -145,6 +158,16 @@ def test_lyapunov_row_call_budget():
     assert calls <= LYAPUNOV_CALLS, f"{calls} package calls"
     oracle_calls = _package_calls(merit, "batch_grads")
     assert oracle_calls <= LYAPUNOV_ORACLE_CALLS, f"{oracle_calls} oracle calls"
+
+
+def test_merit_column_call_budget():
+    # rows 0, 200 and 399 of the cli_diagnostics workload's run with seed
+    # 22, the rows the command's lyapunov_stride of 200 picks
+    merit = _TOOL.merit_column()
+    calls = _package_calls(merit)
+    assert calls <= MERIT_COLUMN_CALLS, f"{calls} package calls"
+    oracle_calls = _package_calls(merit, "batch_grads")
+    assert oracle_calls <= MERIT_COLUMN_ORACLE_CALLS, f"{oracle_calls} oracle calls"
 
 
 def test_kl_example_merit_oracle_call_budget():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spidergda import (Box, NonFiniteError, Online, ProblemInstance,
+from spidergda import (Box, MaxItersError, NonFiniteError, Online, ProblemInstance,
                        SmoothnessMeta, StochasticOracle)
 from spidergda.cli import _SCHEMA, _build_problem, _load_config, _residuals
 from spidergda.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
@@ -200,6 +200,27 @@ def test_stalled_inner_solve_exit_code(tmp_path, monkeypatch, capsys,
     assert err.startswith(f"numerical failure (seed 3): {name}: inner solve "
                           "stalled at residual ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    # every merit row stalls here, so the first, trace row 0, is named
+    assert err.endswith(" iterations at trace row 0\n" if name == "lyapunov"
+                        else " iterations\n")
+
+
+def test_merit_stall_names_its_trace_row(tmp_path, monkeypatch, capsys):
+    # the merit rows of a trace are one `_lyapunov_rows` call, whose
+    # MaxItersError names the stalled row among them; the one stderr line
+    # names the trace row that row measures
+    import spidergda.cli as cli_mod
+
+    def stall(problem, r, X, Y, Z):
+        assert len(X) == 11  # trace rows 0, 5, ..., 45 and the last, 49
+        raise MaxItersError("inner solve stalled at residual 1.000e+00", best=X[2],
+                            residual=1.0, row=2)
+
+    monkeypatch.setattr(cli_mod, "_lyapunov_rows", stall)
+    cfg = _write(tmp_path, _kl_config(diagnostics={"lyapunov_stride": 5}))
+    assert run_experiment(cfg, out_dir=str(tmp_path / "x"), quiet=True) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure (seed 0): lyapunov: inner solve "
+                                       "stalled at residual 1.000e+00 at trace row 10\n")
 
 
 def _online_problem():

@@ -11,7 +11,7 @@ accelerated merit against plain projected gradient within tolerance.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from spidergda import (Ball, Box, DimError, FiniteSum, InfeasibleError,
                        full_value, gs_residuals, lyapunov, make_group_dro,
                        make_quadratic_saddle, make_two_group_regression,
                        mc_gs_residuals, run, solve_x_r)
-from spidergda.cli import _diagnose
+from spidergda.cli import _build_problem, _diagnose, _load_config, _tune
 
 
 def _zero_oracle(regime):
@@ -460,6 +460,101 @@ def test_certified_merit_solves_d_r_and_its_grid_as_rows_of_one_solve(monkeypatc
     _, Y, _, X0 = calls[0][1][1:]
     assert Y[:, 0].tolist() == [-0.8, *np.linspace(-10.0, 10.0, 513).tolist()]
     assert X0.shape == Y.shape and (X0 == z).all()
+
+
+# ----------------------------------------------------------------------------
+# the merit rows of a trace
+#
+# The CLI evaluates the merit rows of a trace in one `_lyapunov_rows` call;
+# each row must equal its one-row `lyapunov` call bit for bit.
+
+def _merit_trace_rows(kind):
+    """The problem, r and the rows (X, Y, Z) of a CLI-tuned trace: the 3-D
+    box dual of the benchmark's quadratic at rows 0, 8, 16 and 23; the
+    certified 1-D example at every 10th of its 90 rows; the smoothed
+    two-group regression of CI's merit run at rows 0, 10 and 19."""
+    problem, solver, pick = {
+        "box": ({"kind": "quadratic_saddle", "dim_x": 4, "dim_y": 3, "n_samples": 16,
+                 "seed": 11}, {}, [0, 8, 16, 23]),
+        "certified": ({"kind": "kl_example"}, {"y0": [1.8]}, list(range(0, 90, 10))),
+        "composite": ({"kind": "two_group_regression", "n": 60, "seed": 2}, {}, [0, 10, 19]),
+    }[kind]
+    tuner = {"box": {"epsilon": 1e-3, "overrides": {"alpha_y": 4.0, "beta": 0.016, "K": 3,
+                                                     "T": 8, "M": 16}},
+             "certified": {"epsilon": 0.1, "overrides": {"alpha_y": 0.2, "K": 30, "T": 3,
+                                                         "M": 2, "B": 1}},
+             "composite": {"epsilon": 0.05, "overrides": {"K": 5, "T": 4}}}[kind]
+    cfg = _load_config({"problem": problem, "tuner": tuner, "solver": solver})
+    p, config, _ = _tune(cfg, _build_problem(cfg))
+    config.seed, config.trace_stride = 22, 1
+    y0 = np.array(solver["y0"]) if "y0" in solver else None
+    rows = [run(p, config, y0=y0).rows[i] for i in pick]
+    return p, config.r, *(np.array([getattr(row, v) for row in rows]) for v in "xyz")
+
+
+@pytest.mark.parametrize("kind, block", [("box", None), ("certified", None),
+                                         ("certified", 4), ("composite", None)])
+def test_merit_rows_equal_one_row_lyapunov_calls(kind, block, monkeypatch):
+    p, r, X, Y, Z = _merit_trace_rows(kind)
+    if block:
+        # the 9 certified rows go through lockstep solves of 4, 4 and 1 rows
+        monkeypatch.setattr(diagnostics, "_MERIT_ROWS", block)
+    got = diagnostics._lyapunov_rows(p, r, X, Y, Z)
+    want = [lyapunov(p, r, x, y, z) for x, y, z in zip(X, Y, Z)]
+    assert [astuple(lv) for lv in got] == [astuple(lv) for lv in want]
+    assert {lv.certified for lv in got} == {kind == "certified"}
+
+
+def test_merit_rows_share_one_solve_and_one_ascent(monkeypatch):
+    p, r, X, Y, Z = _merit_trace_rows("box")
+    calls = []
+    for name in ("_solve_rows", "_ascend_d_r"):
+        fn = getattr(diagnostics, name)
+        monkeypatch.setattr(diagnostics, name,
+                            lambda *a, fn=fn, name=name: calls.append((name, a)) or fn(*a))
+    diagnostics._lyapunov_rows(p, r, X, Y, Z)
+    # one solve of d_r(y, z) at the 4 rows, then one ascent from their 8
+    # starts each, which makes the other inner solves
+    assert [name for name, _ in calls[:2]] == ["_solve_rows", "_ascend_d_r"]
+    assert [name for name, _ in calls].count("_ascend_d_r") == 1
+    (_, _, Ys, Zs, _), (_, _, starts, Za) = calls[0][1], calls[1][1]
+    assert Ys.tolist() == Y.tolist() and Zs.tolist() == Z.tolist()
+    assert len(starts) == 4 * diagnostics._P_R_STARTS
+    assert Za.tolist() == Z.repeat(diagnostics._P_R_STARTS, axis=0).tolist()
+
+
+def test_merit_rows_name_an_infeasible_row():
+    p, r = _scalar_saddle(lim=40.0, y_lim=2.0), 1.0
+    X, Z = np.zeros((3, 1)), np.full((3, 1), 20.0)
+    with pytest.raises(InfeasibleError, match=r"^y is not in its set at row 2 "):
+        diagnostics._lyapunov_rows(p, r, X, np.array([[2.0], [1.0], [5.0]]), Z)
+    with pytest.raises(InfeasibleError, match=r"^x is not in its set at row 1 "):
+        diagnostics._lyapunov_rows(p, r, np.array([[0.0], [41.0], [0.0]]), np.ones((3, 1)), Z)
+
+
+def test_merit_rows_stall_names_the_stalled_row(monkeypatch):
+    # F(x) = x'Qx/2 + c'x does not depend on y, so at z = argmin F every
+    # inner solve of row 0 (its d_r, its 513 grid points and its ascent)
+    # stops at once, while row 1's cold solves from far away stall
+    p, Q, c = _quadratic_x_problem(seed=8)
+    x_min = np.linalg.solve(Q, -c)
+    X, Y, Z = np.zeros((2, 3)), np.zeros((2, 1)), np.array([x_min, 40.0 * np.ones(3)])
+    assert diagnostics._lyapunov_rows(p, 1.0, X, Y, Z)[0].certified
+    monkeypatch.setattr(diagnostics, "_INNER_MAX_ITERS", 2)
+    monkeypatch.setattr(diagnostics, "_INNER_TOL", 1e-6)
+    lyapunov(p, 1.0, X[0], Y[0], Z[0])
+    with pytest.raises(MaxItersError) as err:
+        diagnostics._lyapunov_rows(p, 1.0, X, Y, Z)
+    assert err.value.row == 1
+    # also when each row is a block of its own
+    monkeypatch.setattr(diagnostics, "_MERIT_ROWS", 1)
+    with pytest.raises(MaxItersError) as blocks:
+        diagnostics._lyapunov_rows(p, 1.0, X, Y, Z)
+    assert blocks.value.row == 1
+    with pytest.raises(MaxItersError) as one:
+        lyapunov(p, 1.0, X[1], Y[1], Z[1])
+    assert one.value.row == 0
+    assert err.value.best.tobytes() == one.value.best.tobytes()
 
 
 # ----------------------------------------------------------------------------

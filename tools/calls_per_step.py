@@ -1,5 +1,5 @@
 """Print the calls per solver step of three fixed schedules, and the calls
-of four diagnostics units.
+of five diagnostics units.
 
     PYTHONPATH=src python3 tools/calls_per_step.py
 
@@ -18,12 +18,14 @@ calls of ufunc objects make no event, so the counts complement timing and
 do not replace it.  The schedules are the benchmark's `quad_tuned` problem
 at K = 50 (400 steps), one epoch (K = 1, T = 25) of its `gdro_smoothed`
 run, and one epoch of `phi_div_dro` at n = 400, whose dual is a
-`Simplex(400)` where `gdro_smoothed`'s is a `Simplex(2)`.  Two units come
-from the first run of the benchmark's `cli_diagnostics` command:
-the exact residuals of the 64 trace rows that one exact-gradient call
-takes at N = 16, and the merit function at one row.  The other two are
-certified merit functions, whose p_r comes from a 513-point grid: of the
-1-D example, and of the 1-D saddle of the acceptance suite's criterion 12.
+`Simplex(400)` where `gdro_smoothed`'s is a `Simplex(2)`.  Three units
+come from the first run of the benchmark's `cli_diagnostics` command: the
+exact residuals of the 64 trace rows that one exact-gradient call takes at
+N = 16, the merit function at one row, and the command's whole merit
+column of that seed, three rows of one lockstep solve and ascent.  The
+other two are certified merit functions, whose p_r comes from a 513-point
+grid: of the 1-D example, and of the 1-D saddle of the acceptance suite's
+criterion 12.
 The counts depend on the numpy and Python versions, except the package
 count.
 """
@@ -41,7 +43,7 @@ from spidergda import (Box, FiniteSum, ProblemInstance, SmoothnessMeta,
                        make_quadratic_saddle, make_two_group_regression, run,
                        tune_smooth)
 from spidergda.cli import _phi_div_dro
-from spidergda.diagnostics import _gs_residual_rows
+from spidergda.diagnostics import _gs_residual_rows, _lyapunov_rows
 
 _PACKAGE = os.path.dirname(os.path.abspath(spidergda.__file__)) + os.sep
 
@@ -108,6 +110,17 @@ def merit_row():
     return lambda: lyapunov(p, cfg.r, row.x, row.y, row.z)
 
 
+def merit_column():
+    """The merit column of `cli_diagnostics` at its first seed: trace rows
+    0, 200 and 399 (every `lyapunov_stride`-th row and the last), the rows
+    of one `_lyapunov_rows` call as the command makes it, as a call of no
+    arguments."""
+    p, cfg, trace = cli_diagnostics()
+    rows = [trace.rows[i] for i in (0, 200, 399)]
+    X, Y, Z = (np.array([getattr(row, v) for row in rows]) for v in "xyz")
+    return lambda: _lyapunov_rows(p, cfg.r, X, Y, Z)
+
+
 def certified_merit():
     """The merit evaluation of the 1-D example at (x, y, z) = (0, 0.3, 0),
     r = 1, which is certified by a 513-point grid on its box dual, as a
@@ -168,7 +181,7 @@ def main() -> int:
             f"{counts[k] / steps:>9.2f}" for k in ("package", "python", "c")))
     print(f"{'unit':<22} {'package':>9} {'python':>9} {'c':>9}   (calls per unit)")
     for name, build in (("residual_window", residual_window), ("merit_row", merit_row),
-                        ("certified_merit", certified_merit),
+                        ("merit_column", merit_column), ("certified_merit", certified_merit),
                         ("certified_saddle_merit", certified_saddle_merit)):
         unit = build()
         unit()
