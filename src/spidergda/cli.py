@@ -24,10 +24,9 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .core import DimError, FiniteSum, ProblemInstance, as_vector
-from .diagnostics import (MaxItersError, _gs_residual_rows, _lyapunov_rows, _rows_of,
-                          dz_norm, mc_gs_residuals)
+from .diagnostics import MaxItersError, diagnose, dz_norm
 from .smoothing import MoreauComposite
-from .solver import NonFiniteError, RunTrace, SolverConfig, run
+from .solver import NonFiniteError, run
 from .tuner import InfeasibleScheduleError, TunerInput, tune_nonsmooth, tune_smooth
 from .verify import SUITES
 from . import problems
@@ -296,57 +295,14 @@ def _config_point(solver: dict, key: str, cset) -> Optional[np.ndarray]:
 
 
 # ----------------------------------------------------------------------------
-# residual/trace post-processing
-
-# stream tag of the output pair's Monte-Carlo residuals; row indices are
-# list positions, far below it, so the two never share a stream
-_OUTPUT_TAG = 2 ** 63
-
-
-def _residuals(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray,
-               seed: int, indices: list) -> list:
-    """Residuals (res_x, res_y, se_x, se_y) at the points (X[j], Y[j]) of
-    the trace rows `indices`; index -1 is the output pair.
-
-    Finite-sum problems get the exact residuals of all points from one rows
-    call (no standard errors); online problems get Monte-Carlo ones, each
-    on a stream keyed by the seed and the row.
-    """
-    if isinstance(problem.regime, FiniteSum):
-        return [(rx, ry, None, None) for rx, ry in _gs_residual_rows(problem, X, Y)]
-    return [mc_gs_residuals(problem, x, y, rng=np.random.default_rng(
-        (seed, _OUTPUT_TAG if i < 0 else i))) for x, y, i in zip(X, Y, indices)]
-
-
-def _diagnose(problem: ProblemInstance, trace: RunTrace, config: SolverConfig,
-              diag: dict) -> tuple[dict, dict]:
-    """The diagnostics of one run, keyed by trace row index: residuals
-    (res_x, res_y, se_x, se_y) at every `residual_stride`-th row, the last
-    row and the output pair (index -1), from one `_residuals` call (the
-    exact gradients bound their rows per oracle call); merit values at
-    every `lyapunov_stride`-th row and the last, from one `_lyapunov_rows`
-    call (a MaxItersError carries the trace row whose solve stalled)."""
-    rows, last = trace.rows, len(trace.rows) - 1
-    res_stride, lya_stride = diag.get("residual_stride"), diag.get("lyapunov_stride")
-    if lya_stride is not None and not isinstance(problem.regime, FiniteSum):
-        logger.warning("merit tracking needs exact values; skipping in the online regime")
-        lya_stride = None
-    want = [i for i in range(len(rows)) if i == last or (res_stride and i % res_stride == 0)]
-    X, Y = (np.array([getattr(rows[i], v) for i in want] + [p])
-            for v, p in zip("xy", trace.output_pair))
-    res = dict(zip(want + [-1], _residuals(problem, X, Y, config.seed, want + [-1])))
-    merit = [i for i in range(len(rows)) if lya_stride and (i % lya_stride == 0 or i == last)]
-    X, Y, Z = (np.array([getattr(rows[i], v) for i in merit]) for v in "xyz")
-    lya = _rows_of(merit, _lyapunov_rows, problem, config.r, X, Y, Z) if merit else []
-    return res, {i: lv.value for i, lv in zip(merit, lya)}
-
+# trace output
 
 def _fmt(v) -> str:
     return "" if v is None else repr(float(v))
 
 
 def _write_trace_csv(path: Path, rows, res: dict, lya: dict) -> None:
-    """The trace rows with the residual and merit columns of `_diagnose`,
+    """The trace rows with the residual and merit columns of `diagnose`,
     empty where a row was not measured."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
@@ -395,6 +351,11 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
 
     summary = {"tuner_audit": {"inputs": audit.inputs, "outputs": audit.outputs},
                "problem": cfg["problem"], "runs": []}
+    diag = cfg["diagnostics"]
+    res_stride, lya_stride = diag.get("residual_stride"), diag.get("lyapunov_stride")
+    if lya_stride is not None and not isinstance(problem.regime, FiniteSum):
+        logger.warning("merit tracking needs exact values; skipping in the online regime")
+        lya_stride = None
     for s in cfg["seeds"]:
         run_config = dataclasses.replace(
             config, seed=s, trace_stride=cfg["solver"].get("trace_stride", 1))
@@ -403,10 +364,10 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
         try:
             trace = run(problem, run_config, x0=x0, y0=y0)
             stage = "lyapunov: "
-            res, lya = _diagnose(problem, trace, run_config, cfg["diagnostics"])
+            res, lya = diagnose(problem, trace, run_config, res_stride, lya_stride)
             stage = "dz_norm: "
             dz = (dz_norm(problem, run_config.r, trace.output_pair[1], trace.output_z)
-                  if cfg["diagnostics"].get("dz_norm", False) else None)
+                  if diag.get("dz_norm", False) else None)
         except (NonFiniteError, MaxItersError) as err:
             where = f" at trace row {err.row}" if stage == "lyapunov: " else ""
             print(f"numerical failure (seed {s}): {stage}{err}{where}", file=sys.stderr)

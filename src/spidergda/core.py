@@ -255,9 +255,9 @@ class SmoothnessMeta:
 
     These are user-supplied; the artifact never estimates L_x, L_y or rho
     automatically.  sigma_x/sigma_y may be pilot estimates (see
-    `estimate_sigmas`), in which case `sigma_is_estimate` is set.  The
-    constants L_x through sigma_y must be nonnegative (ValueError) and
-    finite (OverflowError, naming the constant).
+    `estimate_sigmas`).  The constants L_x through sigma_y must be
+    nonnegative (ValueError) and finite (OverflowError, naming the
+    constant).
 
     Parameters
     ----------
@@ -289,7 +289,6 @@ class SmoothnessMeta:
     mu: float = 1.0
     theta: float = 1.0
     D_Y: Optional[float] = None
-    sigma_is_estimate: bool = False
 
     def __post_init__(self):
         _check_constants(self, ("L_x", "L_y", "rho", "ell", "sigma_x", "sigma_y"))
@@ -475,8 +474,7 @@ def estimate_sigmas(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
 
     Draws `_PILOT` samples and returns sqrt of the mean squared deviation of
     the per-sample gradients from their sample mean, for x and y.  These are
-    *estimates*; callers storing them in SmoothnessMeta should set
-    `sigma_is_estimate=True`.
+    *estimates* from one pilot batch, not bounds.
 
     Raises
     ------

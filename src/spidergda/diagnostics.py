@@ -1,5 +1,5 @@
 """Stationarity residuals, proximal inner solves and merit-function
-tracking.
+tracking, and `diagnose`, the one pass that measures a run's trace.
 
 The inner solve computes x_r(y, z) = argmin_{x in X} F_r(x, y, z) where
 F_r(x, y, z) = F(x, y) + (r/2) ||x - z||^2.  For r > rho this objective is
@@ -22,7 +22,16 @@ The merit rows of a whole trace are one `_lyapunov_rows` call: the
 d_r(y, z) of every row, and on a 1-D box dual the 513 grid points of each
 row's certified p_r, are the rows of one lockstep solve, each row with its
 own prox centre z, and the ascent starts of every row are the rows of one
-ascent; `lyapunov` is its one-row case.
+ascent; `lyapunov` is its one-row case.  Each merit row carries a label,
+its trace row in `diagnose`, which the solve and the ascent repeat over the
+rows they run for it, so a stalled inner solve raises one MaxItersError
+that names the caller's row.
+
+`diagnose` owns which trace rows are measured: the residuals of every
+`residual_stride`-th row, the last row and the output pair, and the merit
+values of every `lyapunov_stride`-th row and the last.  Online residuals
+are Monte-Carlo, each on its own stream keyed by the run's seed and the
+row.  The CLI formats what it returns.
 """
 
 from __future__ import annotations
@@ -33,9 +42,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ProblemInstance, _exact_means, _exact_values, _row_norms, as_vector
+from .core import FiniteSum, ProblemInstance, _exact_means, _exact_values, _row_norms, as_vector
 from .projections import (FEAS_TOL, Box, ConstraintSet, InfeasibleError, _normal_cone_rows,
                           _project_rows, normal_cone_dist)
+from .solver import RunTrace, SolverConfig
 
 __all__ = [
     "MaxItersError",
@@ -45,6 +55,7 @@ __all__ = [
     "solve_x_r",
     "dz_norm",
     "lyapunov",
+    "diagnose",
 ]
 
 class MaxItersError(Exception):
@@ -57,23 +68,15 @@ class MaxItersError(Exception):
     residual : float
         Its projected-gradient residual.
     row : int
-        The index of the stalled solve among the rows that the raising
-        function was given (0 for a one-point function).
+        The label of the row whose solve stalled: the label its caller gave
+        that row (a trace row index for `diagnose`), else its index among
+        the rows that the raising function was given (0 for a one-point
+        function).
     """
 
     def __init__(self, message: str, best: np.ndarray, residual: float, row: int):
         super().__init__(message)
         self.best, self.residual, self.row = best, residual, row
-
-
-def _rows_of(owner, fn, *args):
-    """``fn(*args)``; a MaxItersError that it raises leaves with its row
-    mapped to ``owner[row]``, the caller's row that owns the stalled one."""
-    try:
-        return fn(*args)
-    except MaxItersError as err:
-        err.row = int(owner[err.row])
-        raise
 
 
 # The inner solves stop at this projected-gradient residual or iteration
@@ -91,6 +94,9 @@ _MAX_ASCENT = 2000
 # merit rows per lockstep solve and ascent: a certified merit row is 514
 # solve rows, so this bounds the solve at 32,896 rows
 _MERIT_ROWS = 64
+# stream tag of the output pair's Monte-Carlo residuals in `diagnose`; trace
+# row indices are far below it, so the two never share a stream
+_OUTPUT_TAG = 2 ** 63
 
 
 # ----------------------------------------------------------------------------
@@ -226,12 +232,13 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
 
 
 def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray,
-                X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                X0: np.ndarray, labels: Optional[np.ndarray] = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """The solve of `solve_x_r` at each row Y[s] from X0[s] with the prox
     centre z[s] (a single z is every row's), all rows in lockstep by
     `_descend_rows`, so each row's result equals its one-row solve bit for
-    bit.  A MaxItersError carries the index, best iterate and residual of
-    the first row that stalled.
+    bit.  A MaxItersError carries the label (labels[s], by default s), best
+    iterate and residual of the first row that stalled.
 
     Returns the rows X[s] = x_r(Y[s], z[s]), each the point at which its
     residual was measured, and GY, whose row s is the exact
@@ -254,7 +261,8 @@ def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray
     if stalled.size:
         raise MaxItersError(f"inner solve stalled at residual {best_res[0]:.3e} (tol "
                             f"{_INNER_TOL:.1e}) after {_INNER_MAX_ITERS} iterations",
-                            best=best[0], residual=float(best_res[0]), row=int(stalled[0]))
+                            best=best[0], residual=float(best_res[0]),
+                            row=int(stalled[0] if labels is None else labels[stalled[0]]))
     return X, GY
 
 
@@ -302,14 +310,14 @@ def _f_r(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndarray,
             zip(_exact_values(problem, X, Y).tolist(), X, np.broadcast_to(z, X.shape))]
 
 
-def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray,
-                z: np.ndarray) -> list[float]:
+def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray, z: np.ndarray,
+                labels: Optional[np.ndarray] = None) -> list[float]:
     """FISTA ascent on d_r(., z[s]) with gradient restart from each row
     Y0[s] (a single z is every row's), all rows in lockstep by
     `_descend_rows` (Danskin gradient at the extrapolated point w:
     grad_y d_r(w, z) = grad_y F(x_r(w, z), w)); returns d_r at each row's
-    last w.  A MaxItersError carries the index of the row whose inner
-    solve stalled.
+    last w.  A MaxItersError carries the label (labels[s], by default s) of
+    the row whose inner solve stalled.
 
     The step is 1/(L_y + L_y^2/(r - rho)).  Every inner solve warm-starts
     from its row's previous x_r, the first from z, and gives the Danskin
@@ -322,10 +330,10 @@ def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray,
     meta = problem.constants
     denom = meta.L_y + meta.L_y ** 2 / max(r - meta.rho, 1e-12)
     Z = np.broadcast_to(z, (len(Y0), problem.dim_x))
-    X = Z.copy()
+    X, labels = Z.copy(), np.arange(len(Y0)) if labels is None else labels
 
     def grad(W, live):
-        X[live], gy = _rows_of(live, _solve_rows, problem, r, W, Z[live], X[live])
+        X[live], gy = _solve_rows(problem, r, W, Z[live], X[live], labels[live])
         return -gy
 
     Y = _descend_rows(problem.set_y, Y0, 1.0 / denom if denom > 0 else 1.0,
@@ -370,30 +378,35 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
 
 
 def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndarray,
-                   Z: np.ndarray) -> list[LyapunovValue]:
+                   Z: np.ndarray, labels: Optional[np.ndarray] = None
+                   ) -> list[LyapunovValue]:
     """`lyapunov` at each row (X[j], Y[j], Z[j]), each bit for bit its
     one-row value.  The d_r(Y[j], Z[j]) of every row and, on a 1-D box
     dual, the 513 grid points of each row after it are the rows of one
     lockstep solve; F_r and all d_r values come from one exact-values call;
     the ascent starts of every row are the rows of one ascent.  More than
     `_MERIT_ROWS` rows go in blocks of that many, each block such a call,
-    which bounds the memory of the lockstep state.
+    which bounds the memory of the lockstep state.  Row j's label is
+    labels[j] (by default j); the solve and the ascent repeat it over the
+    solve and ascent rows that row j owns.
 
     Raises
     ------
     InfeasibleError
-        Naming the first row j whose X[j] or Y[j] is not in its set.
+        Naming the label of the first row whose x or y is not in its set.
     MaxItersError
-        Whose `row` is the first row j with a stalled inner solve.
+        Whose `row` is the label of the first row with a stalled inner
+        solve.
     """
-    for j, (x, y) in enumerate(zip(X, Y)):
+    labels = np.arange(len(Y)) if labels is None else labels
+    for j, x, y in zip(labels, X, Y):
         for name, v, cset in (("x", x, problem.set_x), ("y", y, problem.set_y)):
             if not cset._contains(v):
                 raise InfeasibleError(f"{name} is not in its set at row {j} (tol {FEAS_TOL})")
     m, dim_y = Y.shape
     if m > _MERIT_ROWS:  # blocks of _MERIT_ROWS rows, each a call of its own
-        return [lv for lo in range(0, m, _MERIT_ROWS) for lv in _rows_of(np.arange(lo, m),
-                _lyapunov_rows, problem, r, *(V[lo:lo + _MERIT_ROWS] for V in (X, Y, Z)))]
+        return [lv for lo in range(0, m, _MERIT_ROWS) for lv in _lyapunov_rows(
+            problem, r, *(V[lo:lo + _MERIT_ROWS] for V in (X, Y, Z, labels)))]
     # p_r: the best of d_r(y, z), the grid and an ascent from the grid's
     # first strict maximum (certified), or of d_r(y, z) and the seeded
     # ascent starts; each row owns a block of solve rows, its y and, when
@@ -404,15 +417,57 @@ def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndar
     starts = np.concatenate([Y[:, None], Y[:, None] + (problem.constants.D_Y or 1.0) * noise], 1)
     block, k = 1 + len(grid), starts.shape[1]
     YS, ZS = np.hstack([Y, np.tile(grid, (m, 1))]).reshape(-1, dim_y), Z.repeat(block, axis=0)
-    XS = _rows_of(np.arange(m * block) // block, _solve_rows, problem, r, YS, ZS, ZS)[0]
+    XS = _solve_rows(problem, r, YS, ZS, ZS, labels.repeat(block))[0]
     vals = _f_r(problem, r, np.vstack([X, XS]), np.vstack([Y, YS]), np.vstack([Z, ZS]))
     best = [-math.inf] * m
     for j in range(m):
         for val, gy in zip(vals[m + j * block + 1:m + (j + 1) * block], grid):
             if val > best[j]:  # never a NaN
                 best[j], starts[j] = val, gy
-    asc = _rows_of(np.arange(m * k) // k, _ascend_d_r, problem, r,
-                   starts.reshape(-1, dim_y), Z.repeat(k, axis=0))
+    asc = _ascend_d_r(problem, r, starts.reshape(-1, dim_y), Z.repeat(k, axis=0),
+                      labels.repeat(k))
     return [LyapunovValue((f - d) + (p - d) + p, f, d, p, certified)
             for j, (f, d, b) in enumerate(zip(vals, vals[m::block], best))
             for p in [max(b, d, *asc[j * k:(j + 1) * k])]]
+
+
+# ----------------------------------------------------------------------------
+# a run's diagnostics
+
+def diagnose(problem: ProblemInstance, trace: RunTrace, config: SolverConfig,
+             residual_stride: Optional[int], lyapunov_stride: Optional[int]
+             ) -> tuple[dict, dict]:
+    """The diagnostics of the run `trace` of `config`, keyed by trace row
+    index; a stride of None is off.
+
+    Returns the residuals (res_x, res_y, se_x, se_y) at every
+    `residual_stride`-th row, the last row and the output pair (key -1),
+    and the merit values Phi_r at every `lyapunov_stride`-th row and the
+    last.  Finite-sum residuals are exact, all of them from one rows call
+    (no standard errors); online ones are Monte-Carlo, each on a stream
+    keyed by (config.seed, row), the output pair's by (config.seed, 2**63).
+    The merit rows are one `_lyapunov_rows` call, labelled by their trace
+    rows.
+
+    Raises
+    ------
+    RegimeError
+        If `lyapunov_stride` is set in the online regime.
+    MaxItersError
+        Whose `row` is the trace row of the first merit row with a stalled
+        inner solve.
+    """
+    rows, last = trace.rows, len(trace.rows) - 1
+    want = [i for i in range(last) if residual_stride and i % residual_stride == 0] + [last]
+    X, Y = (np.array([getattr(rows[i], v) for i in want] + [p])
+            for v, p in zip("xy", trace.output_pair))
+    if isinstance(problem.regime, FiniteSum):
+        res = [(rx, ry, None, None) for rx, ry in _gs_residual_rows(problem, X, Y)]
+    else:
+        res = [mc_gs_residuals(problem, x, y, rng=np.random.default_rng(
+            (config.seed, _OUTPUT_TAG if i < 0 else i))) for x, y, i in zip(X, Y, want + [-1])]
+    merit = [i for i in range(len(rows))
+             if lyapunov_stride and (i % lyapunov_stride == 0 or i == last)]
+    X, Y, Z = (np.array([getattr(rows[i], v) for i in merit]) for v in "xyz")
+    lya = _lyapunov_rows(problem, config.r, X, Y, Z, np.array(merit)) if merit else []
+    return dict(zip(want + [-1], res)), {i: lv.value for i, lv in zip(merit, lya)}

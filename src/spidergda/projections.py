@@ -204,8 +204,9 @@ class Simplex(ConstraintSet):
     def _project(self, v: np.ndarray) -> np.ndarray:
         # short-circuit within the feasibility band: keeps idempotence exact
         # (the sorted threshold recomputed on a projected point would shift
-        # it by rounding noise)
-        if self._contains(v):
+        # it by rounding noise); a coordinate below 0 takes the rule, whose
+        # coordinates are never below 0
+        if self._contains(v) and np.logical_and.reduce(v >= 0.0, axis=None):
             return v.copy()
         # sort-based threshold rule: lam = css_rho / rho at the last j with
         # u_j - css_j / j > 0, where u is v sorted descending and css_j + 1

@@ -77,7 +77,6 @@ class TunerInput:
     overrides: dict = field(default_factory=dict)
     asymptotic_constant: float = 1.0
     sample_cap: float = 1e9
-    seed: int = 0
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -282,7 +281,7 @@ def tune_smooth(tin: TunerInput) -> tuple[SolverConfig, TunerAudit]:
     K, T, M, B, kt_target = compute_budget(tin)
 
     config = SolverConfig(K=K, T=T, M=M, B=B, alpha_x=alpha_x, alpha_y=alpha_y,
-                          beta=beta, r=r, seed=tin.seed)
+                          beta=beta, r=r)
     audit = TunerAudit(
         # every TunerInput field, so that a replay of the audit sees them all
         inputs={**asdict(tin), "regime": _regime_dict(tin.regime)},

@@ -1,8 +1,9 @@
 """Public-name tests: each module's `__all__` is the one list of its public
 names, the package root re-exports those lists, and every name resolves.
 Also: no module imports a name that it never reads, no public name goes
-without a reader in `src/` unless it is pinned below with its reason, and
-`src/` stays within its code-line budget."""
+without a reader in `src/` unless it is pinned below with its reason, the
+CLI imports only public names of the package, and `src/` stays within its
+code-line budget."""
 
 import ast
 import importlib
@@ -19,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # code lines of src/ by tools/code_lines.py when the test was written.
 # Lower the budget when a change removes code; raising it loosens the
 # guard, and CHANGES.md must say so.
-SRC_CODE_LINES = 1892
+SRC_CODE_LINES = 1890
 
 MODULES = ["spidergda"] + [f"spidergda.{m.name}"
                            for m in pkgutil.iter_modules(spidergda.__path__)]
@@ -89,11 +90,12 @@ def test_no_unused_imports(name):
 
 # public names that no module of src/ reads, each with the reason it stays
 UNREAD_PUBLIC = {
-    "gs_residuals": "the README quick start and the benchmark call it",
+    "gs_residuals": "the one-point exact residuals; the benchmark calls it",
     "full_value": "the README's oracle example calls it; `src/` takes exact "
                   "values over rows (`_exact_values`)",
-    "lyapunov": "the one-row case of the CLI's merit rows (`_lyapunov_rows`); "
-                "the benchmark's traced layer and tools/calls_per_step.py call it",
+    "lyapunov": "the one-row case of the merit rows of `diagnose` "
+                "(`_lyapunov_rows`); the benchmark's traced layer and "
+                "tools/calls_per_step.py call it",
     "estimate_sigmas": "the sigma constants of item 5's online CLI kind",
     "estimator_mse": "the estimator error that item 4's est_err column "
                      "reports; criterion 03 and ESTIMATOR_MSE_DIGEST pin it",
@@ -118,6 +120,17 @@ def test_every_public_name_has_a_reader():
     public = {n for name in MODULES if name != "spidergda"
               for n in importlib.import_module(name).__all__}
     assert sorted(public - read) == sorted(UNREAD_PUBLIC)
+
+
+def test_cli_imports_no_private_package_name():
+    # the CLI checks configs and formats what the public API returns, so
+    # no decision of the library leaks into it through a private name
+    tree = _tree(importlib.import_module("spidergda.cli"))
+    private = [f"{'.' * node.level}{node.module or ''}:{a.name}"
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "spidergda")
+               for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def test_src_code_lines_within_budget():

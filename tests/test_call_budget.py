@@ -57,19 +57,29 @@ RESIDUAL_WINDOW_CALLS = 15
 # looped over the per-sample values; 2,006 and 178 while the inner solve
 # and the ascent were plain projected gradient, 62 ascent steps where the
 # restarted FISTA ascent takes 34; 1,459 measured before `lyapunov`
-# checked that x and y are feasible, 1,461 after; 1,491 since it is the
-# one-row case of `_lyapunov_rows`, whose ascent passes each inner solve
-# through `_rows_of` to name a stalled row)
-LYAPUNOV_CALLS = 1495
+# checked that x and y are feasible, 1,461 after; 1,491 while it was the
+# one-row case of a `_lyapunov_rows` whose ascent passed each inner solve
+# through a wrapper that mapped a stalled row to its owner, 1,455 since
+# each row's label is passed down to the solve)
+LYAPUNOV_CALLS = 1455
 LYAPUNOV_ORACLE_CALLS = 100
 # package calls, and oracle calls among them, of the whole merit column of
 # one seed of the benchmark's diagnostics command (trace rows 0, 200 and
 # 399 of seed 22), which the CLI makes as one `_lyapunov_rows` call: its
 # three d_r(y, z) are rows of one lockstep solve and its 24 ascent starts
 # rows of one ascent (300 oracle calls while the CLI called `lyapunov`
-# once per row)
-MERIT_COLUMN_CALLS = 1493
+# once per row; 1,493 package calls while the ascent's inner solves went
+# through a wrapper that mapped a stalled row to its owner)
+MERIT_COLUMN_CALLS = 1457
 MERIT_COLUMN_ORACLE_CALLS = 100
+# package calls, and `batch_grads` and `batch_values` calls among them, of
+# all the diagnostics of that seed as the command makes them: one
+# `diagnose` call with residual_stride 1 and lyapunov_stride 200, the exact
+# residuals of its 400 trace rows and the output pair (7 oracle calls of at
+# most 64 points) and the merit column above
+DIAGNOSE_SEED_CALLS = 1521
+DIAGNOSE_SEED_ORACLE_CALLS = 107
+DIAGNOSE_SEED_VALUES_CALLS = 2
 # `batch_grads` calls of a certified merit evaluation on the 1-D example:
 # one per lockstep inner-solve iteration of d_r(y, z) and the 513 grid
 # points, and each ascent step reuses the y side of its inner solve's last
@@ -168,6 +178,18 @@ def test_merit_column_call_budget():
     assert calls <= MERIT_COLUMN_CALLS, f"{calls} package calls"
     oracle_calls = _package_calls(merit, "batch_grads")
     assert oracle_calls <= MERIT_COLUMN_ORACLE_CALLS, f"{oracle_calls} oracle calls"
+
+
+def test_diagnose_seed_call_budget():
+    # the residuals and merit column of the cli_diagnostics workload's run
+    # with seed 22, as the command asks for them
+    diagnose_seed = _TOOL.diagnose_seed()
+    calls = _package_calls(diagnose_seed)
+    assert calls <= DIAGNOSE_SEED_CALLS, f"{calls} package calls"
+    oracle_calls = _package_calls(diagnose_seed, "batch_grads")
+    assert oracle_calls <= DIAGNOSE_SEED_ORACLE_CALLS, f"{oracle_calls} oracle calls"
+    values_calls = _package_calls(diagnose_seed, "batch_values")
+    assert values_calls <= DIAGNOSE_SEED_VALUES_CALLS, f"{values_calls} values calls"
 
 
 def test_kl_example_merit_oracle_call_budget():

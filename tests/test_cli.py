@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from spidergda import (Box, MaxItersError, NonFiniteError, Online, ProblemInstance,
-                       SmoothnessMeta, StochasticOracle)
-from spidergda.cli import _SCHEMA, _build_problem, _load_config, _residuals
+                       RegimeError, SmoothnessMeta, SolverConfig, StochasticOracle,
+                       diagnose, mc_gs_residuals, run)
+from spidergda.cli import _SCHEMA, _build_problem, _load_config
 from spidergda.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                            EXIT_NUMERICAL, EXIT_OK, TRACE_HEADER, ConfigError,
                            main, run_experiment, verify)
@@ -206,17 +207,18 @@ def test_stalled_inner_solve_exit_code(tmp_path, monkeypatch, capsys,
 
 
 def test_merit_stall_names_its_trace_row(tmp_path, monkeypatch, capsys):
-    # the merit rows of a trace are one `_lyapunov_rows` call, whose
-    # MaxItersError names the stalled row among them; the one stderr line
-    # names the trace row that row measures
-    import spidergda.cli as cli_mod
+    # the merit rows of a trace are one `_lyapunov_rows` call, labelled by
+    # their trace rows, whose MaxItersError carries the label of the row
+    # that stalled; the one stderr line names that trace row
+    import spidergda.diagnostics as diag_mod
 
-    def stall(problem, r, X, Y, Z):
-        assert len(X) == 11  # trace rows 0, 5, ..., 45 and the last, 49
+    def stall(problem, r, X, Y, Z, labels):
+        # trace rows 0, 5, ..., 45 and the last, 49
+        assert labels.tolist() == [*range(0, 50, 5), 49] and len(X) == 11
         raise MaxItersError("inner solve stalled at residual 1.000e+00", best=X[2],
-                            residual=1.0, row=2)
+                            residual=1.0, row=int(labels[2]))
 
-    monkeypatch.setattr(cli_mod, "_lyapunov_rows", stall)
+    monkeypatch.setattr(diag_mod, "_lyapunov_rows", stall)
     cfg = _write(tmp_path, _kl_config(diagnostics={"lyapunov_stride": 5}))
     assert run_experiment(cfg, out_dir=str(tmp_path / "x"), quiet=True) == EXIT_NUMERICAL
     assert capsys.readouterr().err == ("numerical failure (seed 0): lyapunov: inner solve "
@@ -255,13 +257,26 @@ def test_aliasing_schedule_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_online_output_residuals():
-    # index -1 is the output pair; its stream must be a valid, distinct one
+    # online residuals are Monte-Carlo, each on a stream keyed by the seed
+    # and the trace row; index -1 is the output pair, whose stream must be
+    # a valid, distinct one
     p = _online_problem()
-    x, y = np.array([0.25]), np.array([0.5])
-    (out,) = _residuals(p, x[None], y[None], 3, [-1])
-    assert all(np.isfinite(v) for v in out)
-    assert _residuals(p, x[None], y[None], 3, [-1]) == [out]
-    assert _residuals(p, x[None], y[None], 3, [0]) != [out]
+    cfg = SolverConfig(K=2, T=2, M=2, B=4, alpha_x=0.1, alpha_y=0.1, beta=0.5,
+                       r=1.0, seed=3)
+    trace = run(p, cfg)
+    res, lya = diagnose(p, trace, cfg, 1, None)
+    assert lya == {} and list(res) == [0, 1, 2, 3, -1]
+    assert all(np.isfinite(v) for out in res.values() for v in out)
+    assert diagnose(p, trace, cfg, 1, None) == (res, lya)
+    for i, out in res.items():
+        x, y = trace.output_pair if i < 0 else (trace.rows[i].x, trace.rows[i].y)
+        key = 2 ** 63 if i < 0 else i
+        assert out == mc_gs_residuals(p, x, y, rng=np.random.default_rng((3, key)))
+    assert res[-1] != mc_gs_residuals(p, *trace.output_pair,
+                                      rng=np.random.default_rng((3, 0)))
+    # merit values need exact ones
+    with pytest.raises(RegimeError):
+        diagnose(p, trace, cfg, None, 1)
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -19,12 +19,12 @@ import pytest
 from spidergda import (Ball, Box, DimError, FiniteSum, InfeasibleError,
                        MaxItersError, Online, ProblemInstance, RegimeError,
                        Simplex, SmoothnessMeta, SolverConfig,
-                       StochasticOracle, as_problem, core,
+                       StochasticOracle, as_problem, core, diagnose,
                        diagnostics, dz_norm, full_grad_x, full_grad_y,
                        full_value, gs_residuals, lyapunov, make_group_dro,
                        make_quadratic_saddle, make_two_group_regression,
                        mc_gs_residuals, run, solve_x_r)
-from spidergda.cli import _build_problem, _diagnose, _load_config, _tune
+from spidergda.cli import _build_problem, _load_config, _tune
 
 
 def _zero_oracle(regime):
@@ -457,9 +457,11 @@ def test_certified_merit_solves_d_r_and_its_grid_as_rows_of_one_solve(monkeypatc
     lyapunov(p, r, np.array([0.6]), y, z)
     # the ascent's own solves and its d_r come after it starts
     assert [name for name, _ in calls[:3]] == ["_solve_rows", "_f_r", "_ascend_d_r"]
-    _, Y, _, X0 = calls[0][1][1:]
+    _, Y, _, X0, labels = calls[0][1][1:]
     assert Y[:, 0].tolist() == [-0.8, *np.linspace(-10.0, 10.0, 513).tolist()]
     assert X0.shape == Y.shape and (X0 == z).all()
+    # every solve row is row 0's, the one merit row
+    assert labels.tolist() == [0] * 514
 
 
 # ----------------------------------------------------------------------------
@@ -517,10 +519,14 @@ def test_merit_rows_share_one_solve_and_one_ascent(monkeypatch):
     # starts each, which makes the other inner solves
     assert [name for name, _ in calls[:2]] == ["_solve_rows", "_ascend_d_r"]
     assert [name for name, _ in calls].count("_ascend_d_r") == 1
-    (_, _, Ys, Zs, _), (_, _, starts, Za) = calls[0][1], calls[1][1]
+    (_, _, Ys, Zs, _, solve_labels), (_, _, starts, Za, ascent_labels) = (
+        calls[0][1], calls[1][1])
     assert Ys.tolist() == Y.tolist() and Zs.tolist() == Z.tolist()
     assert len(starts) == 4 * diagnostics._P_R_STARTS
     assert Za.tolist() == Z.repeat(diagnostics._P_R_STARTS, axis=0).tolist()
+    # each solve and ascent row carries the label of the merit row it serves
+    assert solve_labels.tolist() == [0, 1, 2, 3]
+    assert ascent_labels.tolist() == np.arange(4).repeat(diagnostics._P_R_STARTS).tolist()
 
 
 def test_merit_rows_name_an_infeasible_row():
@@ -530,6 +536,10 @@ def test_merit_rows_name_an_infeasible_row():
         diagnostics._lyapunov_rows(p, r, X, np.array([[2.0], [1.0], [5.0]]), Z)
     with pytest.raises(InfeasibleError, match=r"^x is not in its set at row 1 "):
         diagnostics._lyapunov_rows(p, r, np.array([[0.0], [41.0], [0.0]]), np.ones((3, 1)), Z)
+    # a labelled row is named by its label
+    with pytest.raises(InfeasibleError, match=r"^y is not in its set at row 30 "):
+        diagnostics._lyapunov_rows(p, r, X, np.array([[2.0], [1.0], [5.0]]), Z,
+                                   np.array([10, 20, 30]))
 
 
 def test_merit_rows_stall_names_the_stalled_row(monkeypatch):
@@ -555,6 +565,42 @@ def test_merit_rows_stall_names_the_stalled_row(monkeypatch):
         lyapunov(p, 1.0, X[1], Y[1], Z[1])
     assert one.value.row == 0
     assert err.value.best.tobytes() == one.value.best.tobytes()
+
+
+def test_merit_rows_stall_past_a_block_names_its_label(monkeypatch):
+    # 65 merit rows make a block of 64 and a block of one; only the last
+    # row's cold solves stall, and it is named by its label, not by its
+    # index in its block or among the rows
+    p, Q, c = _quadratic_x_problem(seed=8)
+    Z = np.vstack([np.tile(np.linalg.solve(Q, -c), (64, 1)), 40.0 * np.ones(3)])
+    assert len(Z) == diagnostics._MERIT_ROWS + 1
+    monkeypatch.setattr(diagnostics, "_INNER_MAX_ITERS", 2)
+    monkeypatch.setattr(diagnostics, "_INNER_TOL", 1e-6)
+    with pytest.raises(MaxItersError) as err:
+        diagnostics._lyapunov_rows(p, 1.0, np.zeros((65, 3)), np.zeros((65, 1)), Z,
+                                   np.arange(65) * 3)
+    assert err.value.row == 192
+
+
+def test_ascent_stall_names_the_label_of_a_live_row(monkeypatch):
+    # F = x^2 + x y - y^2/2 at z = 2, r = 1: d_r(., z) peaks at y = 0.5, so
+    # the ascent row that starts there leaves at its first step, and the
+    # row from -8 goes on alone; its next inner solve stalls
+    p = _scalar_saddle()
+    solve, calls = diagnostics._solve_rows, []
+
+    def stall_second(problem, r, Y, z, X0, labels):
+        calls.append(len(Y))
+        if len(calls) == 2:
+            monkeypatch.setattr(diagnostics, "_INNER_MAX_ITERS", 0)
+        return solve(problem, r, Y, z, X0, labels)
+
+    monkeypatch.setattr(diagnostics, "_solve_rows", stall_second)
+    with pytest.raises(MaxItersError) as err:
+        diagnostics._ascend_d_r(p, 1.0, np.array([[0.5], [-8.0]]), np.array([2.0]),
+                                np.array([5, 12]))
+    assert calls == [2, 1]
+    assert err.value.row == 12
 
 
 # ----------------------------------------------------------------------------
@@ -658,8 +704,14 @@ def test_lockstep_solve_stall_carries_the_stalled_rows_best(monkeypatch):
     with pytest.raises(MaxItersError) as rows:
         diagnostics._solve_rows(p, 1.0, np.zeros((2, 1)), z,
                                 np.array([x_sol, z]))
+    assert rows.value.row == 1
     assert rows.value.best.tobytes() == one.value.best.tobytes()
     assert rows.value.residual == one.value.residual
+    # with labels, the stalled row is named by its label
+    with pytest.raises(MaxItersError) as labelled:
+        diagnostics._solve_rows(p, 1.0, np.zeros((2, 1)), z,
+                                np.array([x_sol, z]), np.array([7, 9]))
+    assert labelled.value.row == 9
 
 
 def test_lockstep_rows_reject_non_finite_like_project():
@@ -694,7 +746,7 @@ def test_windowed_residuals_equal_per_row_gs_residuals(kind, stride):
     trace = run(p, cfg)
     rows = trace.rows
     assert len(rows) > core._ROW_BUDGET // p.regime.n
-    res, lya = _diagnose(p, trace, cfg, {"residual_stride": stride})
+    res, lya = diagnose(p, trace, cfg, stride, None)
     assert lya == {}
     want = [i for i in range(len(rows)) if i % stride == 0 or i == len(rows) - 1]
     assert list(res) == want + [-1]

@@ -153,7 +153,7 @@ CLI_CONFIGS = {
 CLI_DIGESTS = {
     "quadratic": {
         "summary.json":
-            "ac8d971e3acda10204ffeb44cfbfe1c11d381c35c497b00e4b556c8864732da5",
+            "6f622549084f04fe43024b56d0c4717749daf77f43b027001ad71a5769e9ab97",
         "trace_seed0.csv":
             "36cdd47e960e41417d18e383644841e3a6cef4f9030f62290cc8f4c57975df07",
         "trace_seed1.csv":
@@ -161,7 +161,7 @@ CLI_DIGESTS = {
     },
     "kl_example": {
         "summary.json":
-            "ede73c1ad1f93b2935b060a0f46612786d3bd78c853cbc387825657b9a448682",
+            "4676bbd579a627c4b3a018a551629741c63a1a3bb2f2691aef14dd930c087b65",
         "trace_seed0.csv":
             "c85948e0be2165cd29f0206d443bf64586641ea0cae6c66173c3d79df87644d9",
         "trace_seed1.csv":
@@ -169,7 +169,7 @@ CLI_DIGESTS = {
     },
     "two_group_regression": {
         "summary.json":
-            "b1f2d17f456762f25a7edbb6ced9dfd4bc18a6b1f91265b70ecf59197596b392",
+            "78b1baa77c62088a5c4d27a2f2f7b3f5a36119e904f247060588aac4f1f37e5a",
         "trace_seed0.csv":
             "dbcd528455604108f7a64d6b88136ff953082b1d3a80cb5a0be1af98a5648e8a",
         "trace_seed1.csv":

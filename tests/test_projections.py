@@ -207,9 +207,10 @@ def _simplex_contains_ref(x: np.ndarray) -> bool:
 
 
 def _simplex_project_ref(v: np.ndarray) -> np.ndarray:
-    """The reference: `Simplex._project`'s short-circuit, then the
-    sort-based threshold rule over arrays (argsort, cumsum, comparisons)."""
-    if _simplex_contains_ref(v):
+    """The reference: `Simplex._project`'s short-circuit at a point of the
+    feasibility band with no coordinate below 0, then the sort-based
+    threshold rule over arrays (argsort, cumsum, comparisons)."""
+    if _simplex_contains_ref(v) and np.all(v >= 0.0):
         return v.copy()
     order = np.argsort(-v, kind="stable")
     u = v[order]

@@ -1,5 +1,5 @@
-"""The README's rows-contract and h-component examples run as written and
-print what their comments say."""
+"""The README's quick start, rows-contract and h-component examples run as
+written and print what their comments say."""
 
 import contextlib
 import io
@@ -22,6 +22,14 @@ def _printed(heading: str) -> str:
     with contextlib.redirect_stdout(out):
         exec(compile(_snippet(heading), "README.md", "exec"), {})
     return out.getvalue()
+
+
+def test_quick_start_snippet_runs():
+    # the output pair's exact residuals, then the merit values of trace
+    # rows 0, 3000 and 5999, all from one `diagnose` pass
+    assert _printed("Library quick start") == (
+        "(2.511380429987638, 1.6086388633470716e-05)\n"
+        "{0: 2.6419102745195646, 3000: 0.944135123792785, 5999: 0.7567019788227665}\n")
 
 
 def test_rows_contract_snippet_runs():

@@ -339,7 +339,7 @@ def test_numpy_integer_overrides_pass():
 def test_audit_replay_is_bit_exact():
     tin = TunerInput(meta=_unit_meta(sigma_x=0.3, sigma_y=0.7), epsilon=0.07,
                      regime=FiniteSum(33), delta_phi_estimate=2.5,
-                     asymptotic_constant=1.5, seed=11)
+                     asymptotic_constant=1.5)
     _, audit1 = tune_smooth(tin)
     # rebuild the input purely from the recorded audit and re-run
     rec = audit1.inputs
@@ -350,7 +350,7 @@ def test_audit_replay_is_bit_exact():
                       delta_phi_estimate=rec["delta_phi_estimate"],
                       overrides=rec["overrides"],
                       asymptotic_constant=rec["asymptotic_constant"],
-                      sample_cap=rec["sample_cap"], seed=rec["seed"])
+                      sample_cap=rec["sample_cap"])
     _, audit2 = tune_smooth(tin2)
     assert audit1.outputs == audit2.outputs
     assert audit1.inputs == audit2.inputs

@@ -1,5 +1,5 @@
 """Print the calls per solver step of three fixed schedules, and the calls
-of five diagnostics units.
+of six diagnostics units.
 
     PYTHONPATH=src python3 tools/calls_per_step.py
 
@@ -22,10 +22,11 @@ run, and one epoch of `phi_div_dro` at n = 400, whose dual is a
 come from the first run of the benchmark's `cli_diagnostics` command: the
 exact residuals of the 64 trace rows that one exact-gradient call takes at
 N = 16, the merit function at one row, and the command's whole merit
-column of that seed, three rows of one lockstep solve and ascent.  The
-other two are certified merit functions, whose p_r comes from a 513-point
-grid: of the 1-D example, and of the 1-D saddle of the acceptance suite's
-criterion 12.
+column of that seed, three rows of one lockstep solve and ascent.  A
+fourth is all the diagnostics of that seed as the command makes them, one
+`diagnose` call.  The other two are certified merit functions, whose p_r
+comes from a 513-point grid: of the 1-D example, and of the 1-D saddle of
+the acceptance suite's criterion 12.
 The counts depend on the numpy and Python versions, except the package
 count.
 """
@@ -39,7 +40,7 @@ import numpy as np
 import spidergda
 from spidergda import (Box, FiniteSum, ProblemInstance, SmoothnessMeta,
                        SolverConfig, StochasticOracle, TunerInput, as_problem,
-                       lyapunov, make_group_dro, make_kl_example,
+                       diagnose, lyapunov, make_group_dro, make_kl_example,
                        make_quadratic_saddle, make_two_group_regression, run,
                        tune_smooth)
 from spidergda.cli import _phi_div_dro
@@ -121,6 +122,16 @@ def merit_column():
     return lambda: _lyapunov_rows(p, cfg.r, X, Y, Z)
 
 
+def diagnose_seed():
+    """The diagnostics of `cli_diagnostics` at its first seed as the command
+    makes them: one `diagnose` call with residual_stride 1 and
+    lyapunov_stride 200 (the exact residuals of all 400 trace rows and the
+    output pair, and the merit at rows 0, 200 and 399), as a call of no
+    arguments."""
+    p, cfg, trace = cli_diagnostics()
+    return lambda: diagnose(p, trace, cfg, 1, 200)
+
+
 def certified_merit():
     """The merit evaluation of the 1-D example at (x, y, z) = (0, 0.3, 0),
     r = 1, which is certified by a 513-point grid on its box dual, as a
@@ -181,7 +192,8 @@ def main() -> int:
             f"{counts[k] / steps:>9.2f}" for k in ("package", "python", "c")))
     print(f"{'unit':<22} {'package':>9} {'python':>9} {'c':>9}   (calls per unit)")
     for name, build in (("residual_window", residual_window), ("merit_row", merit_row),
-                        ("merit_column", merit_column), ("certified_merit", certified_merit),
+                        ("merit_column", merit_column), ("diagnose_seed", diagnose_seed),
+                        ("certified_merit", certified_merit),
                         ("certified_saddle_merit", certified_saddle_merit)):
         unit = build()
         unit()
