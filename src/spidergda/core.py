@@ -468,13 +468,13 @@ _PILOT = 1024
 
 
 def estimate_sigmas(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
-                    rng: Optional[np.random.Generator] = None
-                    ) -> tuple[float, float]:
+                    rng: np.random.Generator) -> tuple[float, float]:
     """Monte-Carlo pilot estimate of the per-sample gradient deviations.
 
-    Draws `_PILOT` samples and returns sqrt of the mean squared deviation of
-    the per-sample gradients from their sample mean, for x and y.  These are
-    *estimates* from one pilot batch, not bounds.
+    Draws `_PILOT` samples from the caller's `rng` and returns sqrt of the
+    mean squared deviation of the per-sample gradients from their sample
+    mean, for x and y.  These are *estimates* from one pilot batch, not
+    bounds.
 
     Raises
     ------
@@ -483,7 +483,6 @@ def estimate_sigmas(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     """
     x = as_vector(x, problem.dim_x)
     y = as_vector(y, problem.dim_y)
-    rng = rng if rng is not None else np.random.default_rng(0)
     ids = problem.oracle.draw(rng, _PILOT)
     sx, sy = (float(np.sqrt(np.mean(np.sum((g - g.mean(axis=0)) ** 2, axis=1))))
               for g in problem.oracle.grads_at(x, y, ids))

@@ -135,17 +135,17 @@ def _gs_residual_rows(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray
 
 
 def mc_gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
-                    rng: Optional[np.random.Generator] = None
+                    rng: np.random.Generator
                     ) -> tuple[float, float, float, float]:
     """Monte-Carlo residuals (res_x, res_y, se_x, se_y) for either regime.
 
-    Residuals are computed on the mean gradient of `_MC_BATCH` draws.  The
-    normal-cone distance is 1-Lipschitz in the gradient argument, so the
-    reported standard error of the mean-gradient estimate (in L2) also
+    Residuals are computed on the mean gradient of `_MC_BATCH` draws from
+    the caller's `rng` (two calls are independent only on two streams).
+    The normal-cone distance is 1-Lipschitz in the gradient argument, so
+    the reported standard error of the mean-gradient estimate (in L2) also
     bounds the standard error of each residual.
     """
     x, y = as_vector(x, problem.dim_x), as_vector(y, problem.dim_y)
-    rng = rng if rng is not None else np.random.default_rng(0)
     gx, gy = problem.oracle.grads_at(x, y, problem.oracle.draw(rng, _MC_BATCH))
     se_x = float(np.sqrt(np.sum(gx.var(axis=0, ddof=1)) / _MC_BATCH))
     se_y = float(np.sqrt(np.sum(gy.var(axis=0, ddof=1)) / _MC_BATCH))
@@ -349,8 +349,9 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     d_r values use the strongly convex inner solve.  p_r(z) is a global
     maximum of d_r(., z): on a 1-D box dual it is certified by a dense grid
     plus local ascent; otherwise it is the best of `_P_R_STARTS` seeded ascent
-    starts (the given y plus random perturbations), ascended together as
-    rows, and flagged heuristic.  Either way p_r is at least d_r(y, z).
+    starts (the given y plus random perturbations scaled by the diameter
+    of set_y), ascended together as rows, and flagged heuristic.  Either
+    way p_r is at least d_r(y, z).
 
     This is the one-row case of `_lyapunov_rows`, which takes the merit
     rows of a trace through one lockstep solve and one ascent.  d_r(y, z)
@@ -414,7 +415,7 @@ def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndar
     certified = dim_y == 1 and isinstance(problem.set_y, Box)
     grid = np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513) if certified else Y[:0, 0]
     noise = np.random.default_rng(0).normal(size=(0 if certified else _P_R_STARTS - 1, dim_y))
-    starts = np.concatenate([Y[:, None], Y[:, None] + (problem.constants.D_Y or 1.0) * noise], 1)
+    starts = np.concatenate([Y[:, None], Y[:, None] + (problem.set_y.diameter or 1.0) * noise], 1)
     block, k = 1 + len(grid), starts.shape[1]
     YS, ZS = np.hstack([Y, np.tile(grid, (m, 1))]).reshape(-1, dim_y), Z.repeat(block, axis=0)
     XS = _solve_rows(problem, r, YS, ZS, ZS, labels.repeat(block))[0]
@@ -464,7 +465,7 @@ def diagnose(problem: ProblemInstance, trace: RunTrace, config: SolverConfig,
     if isinstance(problem.regime, FiniteSum):
         res = [(rx, ry, None, None) for rx, ry in _gs_residual_rows(problem, X, Y)]
     else:
-        res = [mc_gs_residuals(problem, x, y, rng=np.random.default_rng(
+        res = [mc_gs_residuals(problem, x, y, np.random.default_rng(
             (config.seed, _OUTPUT_TAG if i < 0 else i))) for x, y, i in zip(X, Y, want + [-1])]
     merit = [i for i in range(len(rows))
              if lyapunov_stride and (i % lyapunov_stride == 0 or i == last)]

@@ -168,7 +168,7 @@ def make_group_dro(spec: GroupDroSpec) -> MoreauComposite:
     constants = CompositeConstants(
         ell_c=ell_c, ell_h=1.0,
         ell_phi=w_max * math.sqrt(1.0 + u_max ** 2),
-        L_c=L_c, L_phi=w_max, d_h=1)
+        L_c=L_c, L_phi=w_max)
     return MoreauComposite(
         c_batch=c_batch, h=h, phi_batch=phi_batch,
         phi_grads_batch=phi_grads_batch, constants=constants,

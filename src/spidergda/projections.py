@@ -17,6 +17,7 @@ points at once, elementwise over all rows on a box or full space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,8 @@ class ConstraintSet:
     """Base class for the supported closed convex sets.
 
     Concrete kinds: Box, Ball, Simplex, FullSpace.  Each provides the
-    unchecked `_project` and `_contains`, a `diameter`, and either
+    unchecked `_project` and `_contains`, a `diameter` (computed on first
+    read, then an attribute), and either
     `tangent_dist` (distance of -g to the tangent cone complement, i.e.
     ||proj_T(-g)||; a ball and a simplex) or its rows form `_tangent_rows`
     (a box and full space, elementwise over all rows); each of the two
@@ -105,7 +107,7 @@ class Box(ConstraintSet):
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
@@ -149,7 +151,7 @@ class Ball(ConstraintSet):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(radius))
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         return 2.0 * self.radius
 
@@ -197,7 +199,7 @@ class Simplex(ConstraintSet):
             raise ValueError("simplex dim must be >= 1")
         object.__setattr__(self, "dim", int(dim))
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         return float(np.sqrt(2.0)) if self.dim > 1 else 0.0
 
@@ -263,7 +265,7 @@ class Simplex(ConstraintSet):
 class FullSpace(ConstraintSet):
     """Unconstrained R^dim (allowed for the primal side only)."""
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         return float("inf")
 

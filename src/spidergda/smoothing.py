@@ -94,16 +94,17 @@ class ScaledIdentity(ScalarConvex):
 @dataclass
 class CompositeConstants:
     """Regularity constants of a composite objective phi(h(c(x)), y) needed
-    to derive the smoothed problem's constants.  The five Lipschitz
-    constants are checked as `SmoothnessMeta`'s are: NaN or negative raises
-    ValueError, infinite raises OverflowError naming the constant."""
+    to derive the smoothed problem's constants.  The number d_h of h
+    components is not one of them: it is the length of the composite's h
+    list.  The five Lipschitz constants are checked as `SmoothnessMeta`'s
+    are: NaN or negative raises ValueError, infinite raises OverflowError
+    naming the constant."""
 
     ell_c: float
     ell_h: float
     ell_phi: float
     L_c: float
     L_phi: float
-    d_h: int
     delta_tilde: float = 1.0
 
     def __post_init__(self):
@@ -127,8 +128,9 @@ class MoreauComposite:
         change with the batch it is gathered in
         (``np.swapaxes(A[ids], 1, 2)`` for the rows ``A[i].T``).
     h : sequence of ScalarConvex
-        The d_h scalar convex components, each given by its `envelopes`
-        (convex and ell_h-Lipschitz by contract; nothing checks it).
+        The scalar convex components, each given by its `envelopes`
+        (convex and ell_h-Lipschitz by contract; nothing checks it).  Their
+        number, len(h), is d_h.
     phi_batch : callable(u, Y, sample_ids) -> ndarray
         Outer function over a batch, u of shape (len(ids), d_h) and one
         dual point per row, Y of shape (len(ids), dim_y): the values
@@ -138,11 +140,11 @@ class MoreauComposite:
         Its gradients in u and in y over the same rows: shapes
         (len(ids), d_h) and (len(ids), dim_y).
     constants : CompositeConstants
-        (ell_c, ell_h, ell_phi, L_c, L_phi, d_h, delta_tilde).
+        (ell_c, ell_h, ell_phi, L_c, L_phi, delta_tilde).
     regime, set_x, set_y : sampling regime and constraint sets, passed
         through unchanged by as_problem.  The sets fix dim_x and dim_y,
-        and len(h) is d_h.  The constants must hold on these sets; each
-        built-in builder fixes its own.
+        and set_x's diameter is the certificate's D_X.  The constants must
+        hold on these sets; each built-in builder fixes its own.
     mu, theta : dual error-bound data for the wrapped problem's
         SmoothnessMeta.  Its sigma_x and sigma_y stay 0.0, exact for a
         finite sum.  For an online composite, set them on the constants of
@@ -167,11 +169,6 @@ class MoreauComposite:
     set_y: ConstraintSet
     mu: float = 1.0
     theta: float = 1.0
-
-    def __post_init__(self):
-        if len(self.h) != self.constants.d_h:
-            raise ValueError(
-                f"got {len(self.h)} h components, constants say d_h={self.constants.d_h}")
 
 
 # ----------------------------------------------------------------------------
@@ -209,59 +206,59 @@ def _smooth_values_batch(comp: MoreauComposite, lam: float, X: np.ndarray,
 # ----------------------------------------------------------------------------
 # problem wrapper
 
-def smoothed_constants(comp: CompositeConstants, lam: float) -> dict:
-    """Regularity constants of the lambda-smoothed composite objective."""
-    lc, lh, lphi = comp.ell_c, comp.ell_h, comp.ell_phi
-    Lc, Lphi, dh = comp.L_c, comp.L_phi, float(comp.d_h)
+def smoothed_constants(comp: MoreauComposite, lam: float) -> SmoothnessMeta:
+    """The lambda-smoothed problem's `SmoothnessMeta`: L_x, L_y, rho and ell
+    from the composite's constants and d_h = len(comp.h), with its mu and
+    theta."""
+    cc = comp.constants
+    lc, lh, lphi = cc.ell_c, cc.ell_h, cc.ell_phi
+    Lc, Lphi, dh = cc.L_c, cc.L_phi, float(len(comp.h))
     L_x = math.sqrt(3.0 * lc ** 4 * lphi ** 2 * dh / lam ** 2
                     + 3.0 * dh * lh ** 2 * lphi ** 2 * Lc ** 2
                     + 3.0 * lc ** 4 * dh ** 2 * lh ** 4 * Lphi ** 2)
     L_y = max(math.sqrt(dh) * Lphi * lh * lc, Lphi)
     rho = dh * Lphi * lh ** 2 * lc ** 2 + Lc * lphi * lh * math.sqrt(dh)
     ell = max(lphi * lh * lc * math.sqrt(dh), lphi)
-    return {"L_x": L_x, "L_y": L_y, "rho": rho, "ell": ell}
+    return SmoothnessMeta(L_x=L_x, L_y=L_y, rho=rho, ell=ell, mu=comp.mu,
+                          theta=comp.theta)
 
 
 def as_problem(comp: MoreauComposite, lam: float) -> ProblemInstance:
     """Wrap the smoothed oracles into a ProblemInstance.
 
     This is the one place that maps (composite, lambda) to the smoothed
-    problem: its SmoothnessMeta carries the smoothed constants (L_x, L_y,
-    rho, ell from `smoothed_constants` at this lambda) and the composite's
-    mu and theta; D_Y comes from set_y, and regime and constraint sets
-    pass through unchanged; its metadata holds lambda.  The oracle's
+    problem: its SmoothnessMeta is `smoothed_constants` at this lambda,
+    with D_Y from set_y; regime and constraint sets pass through
+    unchanged; its metadata holds lambda.  The oracle's
     `grads_batch` returns both smoothed gradient sides from one pass of
     the composite's row functions, and its `values_batch` the smoothed
     values.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    sc = smoothed_constants(comp.constants, lam)
-    meta = SmoothnessMeta(
-        L_x=sc["L_x"], L_y=sc["L_y"], rho=sc["rho"], ell=sc["ell"],
-        mu=comp.mu, theta=comp.theta)
     oracle = StochasticOracle(
         regime=comp.regime,
         grads_batch=functools.partial(_smooth_grads_batch, comp, lam),
         values_batch=functools.partial(_smooth_values_batch, comp, lam))
     return ProblemInstance(oracle=oracle, set_x=comp.set_x, set_y=comp.set_y,
-                           constants=meta, metadata={"lambda": lam})
+                           constants=smoothed_constants(comp, lam),
+                           metadata={"lambda": lam})
 
 
 # ----------------------------------------------------------------------------
 # stationarity translation
 
 def near_stationarity_certificate(comp: MoreauComposite, lam: float, r: float,
-                                  grad_z_norm: float, D_X: float,
-                                  res_y_smoothed: float = 0.0
+                                  grad_z_norm: float, res_y_smoothed: float
                                   ) -> tuple[float, float, float]:
     """Translate smoothed-problem residuals into a certificate for the
     original nonsmooth problem.
 
     The inputs are measurements on the smoothed proximal problem: the
     prox-center weight r, the norm g = ||grad_z d_r^lam(y, x)|| from the
-    inner solve (`grad_z_norm`), the primal set diameter D_X, and the
-    smoothed problem's y-residual.  Returns (delta, residual_x, residual_y):
+    inner solve (`grad_z_norm`) and the smoothed problem's y-residual.  D_X
+    is the diameter of the composite's set_x, and d_h = len(comp.h).
+    Returns (delta, residual_x, residual_y):
 
         delta = (rho_lam D_X / r) g + (ell_phi ell_h ell_c sqrt(d_h) / r) g
                 + (rho_lam/(2 r^2) + 1/r) g^2 + lam ell_phi ell_h^2 sqrt(d_h)
@@ -271,14 +268,14 @@ def near_stationarity_certificate(comp: MoreauComposite, lam: float, r: float,
 
         residual_y = sqrt( 2 res_y_smoothed^2 + lam^2 d_h L_phi^2 ell_h^4 / 2 ).
     """
-    cc = comp.constants
-    rho_lam = smoothed_constants(cc, lam)["rho"]
+    cc, d_h = comp.constants, len(comp.h)
+    rho_lam = smoothed_constants(comp, lam).rho
     g = grad_z_norm
-    sqrt_dh = math.sqrt(cc.d_h)
-    delta = ((rho_lam * D_X / r) * g
+    sqrt_dh = math.sqrt(d_h)
+    delta = ((rho_lam * comp.set_x.diameter / r) * g
              + (cc.ell_phi * cc.ell_h * cc.ell_c * sqrt_dh / r) * g
              + (rho_lam / (2.0 * r ** 2) + 1.0 / r) * g ** 2
              + lam * cc.ell_phi * cc.ell_h ** 2 * sqrt_dh)
     res_y = math.sqrt(2.0 * res_y_smoothed ** 2
-                      + lam ** 2 * cc.d_h * cc.L_phi ** 2 * cc.ell_h ** 4 / 2.0)
+                      + lam ** 2 * d_h * cc.L_phi ** 2 * cc.ell_h ** 4 / 2.0)
     return delta, g, res_y

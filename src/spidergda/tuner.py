@@ -308,12 +308,12 @@ def tune_nonsmooth(comp: MoreauComposite, epsilon: float,
 
     lambda_choice is "auto" (lambda = asymptotic_constant * epsilon) or an
     explicit positive value; either is clamped to the admissible ceiling
-    2 delta_tilde / (ell_h^2 sqrt(d_h)) with a logged warning.  The
-    smoothed problem is `as_problem(comp, lambda)`, and `tune_smooth` runs
-    on its constants and regime; settings are the other `TunerInput`
-    fields.  Returns that problem with the config and the audit, which
-    also records the composite's constants, lambda_choice, lambda, its
-    ceiling and the smoothed L_x, L_y, rho and ell.
+    2 delta_tilde / (ell_h^2 sqrt(d_h)), d_h = len(comp.h), with a logged
+    warning.  The smoothed problem is `as_problem(comp, lambda)`, and
+    `tune_smooth` runs on its constants and regime; settings are the other
+    `TunerInput` fields.  Returns that problem with the config and the audit, which
+    also records the composite's constants with its d_h, lambda_choice,
+    lambda, its ceiling and the smoothed L_x, L_y, rho and ell.
 
     Finite-sum composites only: the smoothed constants carry sigma = 0,
     which would plan an online run from no variance at all (ValueError).
@@ -327,7 +327,7 @@ def tune_nonsmooth(comp: MoreauComposite, epsilon: float,
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     cc = comp.constants
-    cap = (2.0 * cc.delta_tilde / (cc.ell_h ** 2 * math.sqrt(cc.d_h))
+    cap = (2.0 * cc.delta_tilde / (cc.ell_h ** 2 * math.sqrt(len(comp.h)))
            if cc.ell_h > 0 else math.inf)
     ac = settings.get("asymptotic_constant", TunerInput.asymptotic_constant)
     requested = ac * epsilon if lambda_choice == "auto" else float(lambda_choice)
@@ -343,7 +343,7 @@ def tune_nonsmooth(comp: MoreauComposite, epsilon: float,
     meta = problem.constants
     config, audit = tune_smooth(TunerInput(meta=meta, epsilon=epsilon,
                                            regime=problem.regime, **settings))
-    audit.inputs["composite"] = asdict(cc)
+    audit.inputs["composite"] = {**asdict(cc), "d_h": len(comp.h)}
     audit.inputs["lambda_choice"] = ("auto" if lambda_choice == "auto"
                                      else float(lambda_choice))
     audit.outputs["lambda"] = lam

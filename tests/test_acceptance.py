@@ -94,7 +94,7 @@ def _random_composite(seed, abs_value):
         ell_c=float(np.linalg.norm(W, 2)), ell_h=max(ell_hs),
         ell_phi=ell_phi, L_c=0.0,
         L_phi=max(1.0 + float(np.linalg.norm(E, 2)), ell_phi),
-        d_h=d_h, delta_tilde=1.0)
+        delta_tilde=1.0)
     # one sample: every row shares c(x) = W^T x + v and
     # phi(u, y) = s.u + y'E u - y.y/2
     comp = MoreauComposite(
@@ -221,7 +221,7 @@ def test_criterion_05_smoothing_bias_bound(abs_value):
         comp, _kinks, rng = _random_composite(seed, abs_value)
         cc = comp.constants
         lam = float(rng.uniform(1e-3, 0.5))
-        bound = lam * cc.L_phi * cc.ell_h ** 2 * math.sqrt(cc.d_h) / 2.0
+        bound = lam * cc.L_phi * cc.ell_h ** 2 * math.sqrt(len(comp.h)) / 2.0
         oracle = as_problem(comp, lam).oracle
         for _ in range(100):
             x = rng.uniform(-3.0, 3.0, size=comp.set_x.dim)

@@ -376,7 +376,7 @@ def test_estimate_sigmas_zero_for_constant_components():
     p = _const_grad_problem()
     # per-sample grads sit 1 away from the population mean in the first
     # coordinate; the pilot uses the *sample* mean, so allow MC slack
-    sx, sy = estimate_sigmas(p, np.zeros(2), np.zeros(1))
+    sx, sy = estimate_sigmas(p, np.zeros(2), np.zeros(1), np.random.default_rng(0))
     assert sx == pytest.approx(1.0, abs=0.05)
     assert sy == 0.0
 
@@ -385,8 +385,9 @@ def test_estimate_sigmas_checks_its_point():
     p = make_quadratic_saddle(3, 2, n_samples=8, seed=1)
     x, y = np.zeros(3), np.zeros(2)
     # a list of the right dim is coerced like an array
-    assert estimate_sigmas(p, [0.0] * 3, [0.0] * 2) == estimate_sigmas(p, x, y)
+    assert (estimate_sigmas(p, [0.0] * 3, [0.0] * 2, np.random.default_rng(5))
+            == estimate_sigmas(p, x, y, np.random.default_rng(5)))
     for bad_x, bad_y in (([0.0] * 2, y), ([[0.0] * 3], y), (np.zeros(4), y),
                          (x, np.array([0.0, np.nan]))):
         with pytest.raises(DimError):
-            estimate_sigmas(p, bad_x, bad_y)
+            estimate_sigmas(p, bad_x, bad_y, np.random.default_rng(5))

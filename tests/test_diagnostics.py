@@ -20,8 +20,9 @@ from spidergda import (Ball, Box, DimError, FiniteSum, InfeasibleError,
                        MaxItersError, Online, ProblemInstance, RegimeError,
                        Simplex, SmoothnessMeta, SolverConfig,
                        StochasticOracle, as_problem, core, diagnose,
-                       diagnostics, dz_norm, full_grad_x, full_grad_y,
-                       full_value, gs_residuals, lyapunov, make_group_dro,
+                       diagnostics, dz_norm, estimate_sigmas, full_grad_x,
+                       full_grad_y, full_value, gs_residuals, lyapunov,
+                       make_group_dro,
                        make_quadratic_saddle, make_two_group_regression,
                        mc_gs_residuals, run, solve_x_r)
 from spidergda.cli import _build_problem, _load_config, _tune
@@ -135,6 +136,18 @@ def test_mc_residuals_online():
         p, np.array([2.0]), np.array([0.5]), rng=np.random.default_rng(4))
     assert res_x == pytest.approx(2.0, abs=5 * se_x + 1e-9)
     assert res_y == pytest.approx(0.5, abs=5 * se_y + 1e-9)
+
+
+def test_monte_carlo_diagnostics_draw_from_the_callers_stream():
+    # no hidden seed-0 generator: a call without one is refused, and two
+    # calls are the same draws only on the same stream
+    p = make_quadratic_saddle(3, 2, seed=1)
+    x, y = np.zeros(3), np.zeros(2)
+    for f in (mc_gs_residuals, estimate_sigmas):
+        with pytest.raises(TypeError, match="rng"):
+            f(p, x, y)
+        assert f(p, x, y, np.random.default_rng(7)) == f(p, x, y, np.random.default_rng(7))
+        assert f(p, x, y, np.random.default_rng(7)) != f(p, x, y, np.random.default_rng(8))
 
 
 # ----------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """The README's quick start, rows-contract and h-component examples run as
-written and print what their comments say."""
+written and print what their comments say, and its table of problem kinds
+lists the CLI's kinds and keys."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from spidergda.cli import _KINDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,3 +43,15 @@ def test_rows_contract_snippet_runs():
 def test_h_component_snippet_runs():
     # |q| at lam = 1/2: Huber values |w| - 1/4 outside, w^2 inside
     assert _printed("h components") == "[1.75, 0.0625, 0.75] [-1.0, 0.5, 1.0]\n"
+
+
+def test_kinds_table_lists_the_clis_kinds_and_keys():
+    # each row names a kind and its keys in backticks (quoted values such
+    # as `"hinge"` are not keys); "none" is a kind without keys
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| kind | keys |\n"):].split("\n")[2:]
+    rows = {}
+    for line in table[:next(i for i, row in enumerate(table) if not row.startswith("|"))]:
+        kind, keys = line.split("|")[1:3]
+        rows[kind.strip().strip("`")] = set(re.findall(r"`([a-z_][a-z0-9_]*)`", keys))
+    assert rows == {kind: set(spec.keys) for kind, spec in _KINDS.items()}

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spidergda import (Box, FiniteSum, Hinge, MoreauComposite, ScaledIdentity,
-                       as_problem, near_stationarity_certificate)
+                       as_problem, near_stationarity_certificate,
+                       smoothed_constants, tune_nonsmooth)
 from spidergda.smoothing import CompositeConstants
 
 # the slope of the "identity" kind, h(q) = a q, where a test fixes none
@@ -161,9 +163,10 @@ def _one_row(oracle, x, y, i):
     return oracle.batch_values(X, Y, ids)[0], gx[0], gy[0]
 
 
-def _affine_composite(abs_value, seed=0, d_x=3, d_h=2, n=4):
+def _affine_composite(abs_value, seed=0, d_x=3, n=4):
     """phi(u, y) = u.y + y.y/2 over nonnegative y, c affine per sample,
-    h = (|.|, hinge)."""
+    h = (|.|, hinge), so d_h = 2."""
+    d_h = 2
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, d_h, d_x))
     b = rng.normal(size=(n, d_h))
@@ -174,7 +177,7 @@ def _affine_composite(abs_value, seed=0, d_x=3, d_h=2, n=4):
         phi_batch=lambda u, Y, ids: np.sum(u * Y, axis=1) + 0.5 * np.sum(Y * Y, axis=1),
         phi_grads_batch=lambda u, Y, ids: (Y.copy(), u + Y),
         constants=CompositeConstants(ell_c=ell_c, ell_h=1.0, ell_phi=3.0,
-                                     L_c=0.0, L_phi=1.0, d_h=d_h),
+                                     L_c=0.0, L_phi=1.0),
         regime=FiniteSum(n),
         set_x=Box(-2 * np.ones(d_x), 2 * np.ones(d_x)),
         set_y=Box(0.25 * np.ones(d_h), 2 * np.ones(d_h)))
@@ -189,7 +192,7 @@ def test_smooth_value_by_hand(abs_value):
         phi_batch=lambda u, Y, ids: np.sum(u * Y, axis=1),
         phi_grads_batch=lambda u, Y, ids: (Y.copy(), u.copy()),
         constants=CompositeConstants(ell_c=1.0, ell_h=1.0, ell_phi=3.0,
-                                     L_c=0.0, L_phi=1.0, d_h=2),
+                                     L_c=0.0, L_phi=1.0),
         regime=FiniteSum(1),
         set_x=Box([-2, -2], [2, 2]), set_y=Box([0, 0], [4, 4]))
     x = np.array([0.5, 1.0])
@@ -218,16 +221,21 @@ def test_smooth_gradients_pass_fd_check(abs_value, fd_check):
 
 
 def test_as_problem_carries_smoothed_constants(abs_value):
-    comp = _affine_composite(abs_value)
+    # two h pieces: d_h = 2 is len(h), and enters as sqrt(2)
+    comp = replace(_affine_composite(abs_value), mu=0.5, theta=0.75)
     lam = 0.25
     p = as_problem(comp, lam)
+    assert p.constants == replace(smoothed_constants(comp, lam), D_Y=comp.set_y.diameter)
     cc = comp.constants
-    want_Lx = math.sqrt(3 * cc.ell_c ** 4 * cc.ell_phi ** 2 * cc.d_h / lam ** 2
-                        + 3 * cc.d_h * cc.ell_h ** 2 * cc.ell_phi ** 2 * cc.L_c ** 2
-                        + 3 * cc.ell_c ** 4 * cc.d_h ** 2 * cc.ell_h ** 4 * cc.L_phi ** 2)
+    want_Lx = math.sqrt(3 * cc.ell_c ** 4 * cc.ell_phi ** 2 * 2 / lam ** 2
+                        + 3 * 2 * cc.ell_h ** 2 * cc.ell_phi ** 2 * cc.L_c ** 2
+                        + 3 * cc.ell_c ** 4 * 2 ** 2 * cc.ell_h ** 4 * cc.L_phi ** 2)
     assert p.constants.L_x == want_Lx
-    assert p.constants.rho == (cc.d_h * cc.L_phi * cc.ell_h ** 2 * cc.ell_c ** 2
-                               + cc.L_c * cc.ell_phi * cc.ell_h * math.sqrt(cc.d_h))
+    assert p.constants.rho == (2 * cc.L_phi * cc.ell_h ** 2 * cc.ell_c ** 2
+                               + cc.L_c * cc.ell_phi * cc.ell_h * math.sqrt(2))
+    assert p.constants.L_y == max(math.sqrt(2) * cc.L_phi * cc.ell_h * cc.ell_c, cc.L_phi)
+    assert p.constants.ell == max(cc.ell_phi * cc.ell_h * cc.ell_c * math.sqrt(2), cc.ell_phi)
+    assert (p.constants.mu, p.constants.theta) == (0.5, 0.75)
     assert p.metadata["lambda"] == lam
     # the oracle is the smoothed objective: h^lam(c(x)).y + y.y/2
     x = np.array([0.3, -0.4, 0.8])
@@ -250,7 +258,7 @@ def test_linear_pieces_smooth_to_constant_shift():
         phi_batch=lambda u, Y, ids: u[:, 0] * Y[:, 0],
         phi_grads_batch=lambda u, Y, ids: (Y.copy(), u.copy()),
         constants=CompositeConstants(ell_c=1.0, ell_h=2.0, ell_phi=1.0,
-                                     L_c=0.0, L_phi=1.0, d_h=1),
+                                     L_c=0.0, L_phi=1.0),
         regime=FiniteSum(3),
         set_x=Box([-2], [2]), set_y=Box([0.5], [1.5]))
     lam = 0.125
@@ -352,7 +360,7 @@ def test_composite_batch_rows_match_per_sample_path(abs_value):
         phi_batch=lambda u, Y, ids: (u[:, None, :] @ Y[:, :, None])[:, 0, 0],
         phi_grads_batch=lambda u, Y, ids: (Y.copy(), u + Y),
         constants=CompositeConstants(ell_c=3.0, ell_h=1.0, ell_phi=3.0,
-                                     L_c=0.0, L_phi=1.0, d_h=d_h),
+                                     L_c=0.0, L_phi=1.0),
         regime=FiniteSum(n),
         set_x=Box(-2 * np.ones(d_x), 2 * np.ones(d_x)),
         set_y=Box(np.zeros(d_h), 2 * np.ones(d_h)))
@@ -385,45 +393,57 @@ def test_certificate_hand_example(abs_value):
         phi_batch=lambda u, Y, ids: np.sum(u * Y, axis=1),
         phi_grads_batch=lambda u, Y, ids: (Y.copy(), u.copy()),
         constants=CompositeConstants(ell_c=1.0, ell_h=1.0, ell_phi=1.0,
-                                     L_c=1.0, L_phi=1.0, d_h=1),
-        regime=FiniteSum(1), set_x=Box([-1], [1]), set_y=Box([0], [1]))
+                                     L_c=1.0, L_phi=1.0),
+        regime=FiniteSum(1), set_x=Box([-0.5], [0.5]), set_y=Box([0], [1]))
     # rho_lam = 1*1*1*1 + 1*1*1*1 = 2 (lambda-independent); with r=2,
-    # D_X=1, g=1/2, lam=1/4:
+    # D_X = diameter of set_x = 1, g=1/2, lam=1/4:
     # delta = (2/2)(1/2) + (1/2)(1/2) + (2/8 + 1/2)(1/4) + 1/4 = 1.1875
     delta, g, res_y = near_stationarity_certificate(
-        comp, 0.25, r=2.0, grad_z_norm=0.5, D_X=1.0)
+        comp, 0.25, r=2.0, grad_z_norm=0.5, res_y_smoothed=0.0)
     assert delta == 1.1875
     assert g == 0.5
     assert res_y == math.sqrt(0.25 ** 2 / 2.0)
 
 
 def test_certificate_zero_gradient_leaves_smoothing_bias(abs_value):
+    # two h pieces: d_h = 2 enters as sqrt(2)
     comp = _affine_composite(abs_value)
     cc = comp.constants
     lam = 0.1
     delta, g, res_y = near_stationarity_certificate(
-        comp, lam, r=5.0, grad_z_norm=0.0, D_X=3.0, res_y_smoothed=0.02)
+        comp, lam, r=5.0, grad_z_norm=0.0, res_y_smoothed=0.02)
     assert g == 0.0
-    assert delta == lam * cc.ell_phi * cc.ell_h ** 2 * math.sqrt(cc.d_h)
-    want = math.sqrt(2 * 0.02 ** 2 + lam ** 2 * cc.d_h * cc.L_phi ** 2 * cc.ell_h ** 4 / 2)
+    assert delta == lam * cc.ell_phi * cc.ell_h ** 2 * math.sqrt(2)
+    want = math.sqrt(2 * 0.02 ** 2 + lam ** 2 * 2 * cc.L_phi ** 2 * cc.ell_h ** 4 / 2)
     assert res_y == want
 
 
 def test_certificate_tightens_as_lambda_shrinks(abs_value):
     comp = _affine_composite(abs_value)
-    sol = {"r": 5.0, "grad_z_norm": 0.3, "D_X": 3.0}
+    D_X = comp.set_x.diameter  # 4 sqrt(3), the diagonal of [-2, 2]^3
+    sol = {"r": 5.0, "grad_z_norm": 0.3, "res_y_smoothed": 0.0}
     deltas = [near_stationarity_certificate(comp, lam, **sol)[0]
               for lam in (0.5, 0.1, 0.01, 1e-6)]
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
     # limit: only the g-terms survive
     lim = near_stationarity_certificate(comp, 1e-12, **sol)[0]
     cc = comp.constants
-    rho_lam = (cc.d_h * cc.L_phi * cc.ell_h ** 2 * cc.ell_c ** 2
-               + cc.L_c * cc.ell_phi * cc.ell_h * math.sqrt(cc.d_h))
-    want = ((rho_lam * 3.0 / 5.0) * 0.3
-            + (cc.ell_phi * cc.ell_h * cc.ell_c * math.sqrt(cc.d_h) / 5.0) * 0.3
+    rho_lam = (2 * cc.L_phi * cc.ell_h ** 2 * cc.ell_c ** 2
+               + cc.L_c * cc.ell_phi * cc.ell_h * math.sqrt(2))
+    want = ((rho_lam * D_X / 5.0) * 0.3
+            + (cc.ell_phi * cc.ell_h * cc.ell_c * math.sqrt(2) / 5.0) * 0.3
             + (rho_lam / 50.0 + 0.2) * 0.09)
     assert lim == pytest.approx(want, rel=1e-9)
+
+
+def test_lambda_cap_reads_d_h_from_h(abs_value):
+    # two h pieces: the ceiling 2 delta_tilde / (ell_h^2 sqrt(d_h)) is
+    # 2 / sqrt(2), and the audit records d_h = len(h) for a replay
+    comp = _affine_composite(abs_value)
+    problem, _, audit = tune_nonsmooth(comp, 0.1, lambda_choice=5.0)
+    assert audit.outputs["lambda_cap"] == 2.0 / math.sqrt(2)
+    assert problem.metadata["lambda"] == 2.0 / math.sqrt(2)
+    assert audit.inputs["composite"]["d_h"] == 2
 
 
 def test_import_does_not_load_scipy():
@@ -436,7 +456,7 @@ def test_import_does_not_load_scipy():
 
 @pytest.mark.parametrize("name", ["ell_c", "ell_h", "ell_phi", "L_c", "L_phi"])
 def test_composite_constants_must_be_nonnegative_and_finite(name):
-    base = dict(ell_c=1.0, ell_h=1.0, ell_phi=1.0, L_c=1.0, L_phi=1.0, d_h=1)
+    base = dict(ell_c=1.0, ell_h=1.0, ell_phi=1.0, L_c=1.0, L_phi=1.0)
     with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
         CompositeConstants(**dict(base, **{name: float("nan")}))
     with pytest.raises(OverflowError, match=f"{name} is inf"):

@@ -234,12 +234,11 @@ def _log_slope(xs, ys):
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 2 / 3, 0.75, 0.9, 1.0])
-def test_planned_samples_follow_the_abstracts_exponents(theta):
+def test_planned_samples_follow_the_abstracts_exponents(abs_value, theta):
     # samples ~ eps^-p: smooth problems use the unit constants, nonsmooth
     # ones the lambda = eps smoothed constants of a unit composite; the fit
     # runs over eps in [1e-6, 1e-5], where the leading branch dominates
-    comp = CompositeConstants(ell_c=1.0, ell_h=1.0, ell_phi=1.0, L_c=1.0,
-                              L_phi=1.0, d_h=1)
+    comp = _unit_moreau(abs_value)
     eps = np.geomspace(1e-6, 1e-5, 5)
     expected = {
         ("smooth", "finite-sum"): max(4 * theta, 2),
@@ -251,10 +250,9 @@ def test_planned_samples_follow_the_abstracts_exponents(theta):
         regime = FiniteSum(1000) if regime_name == "finite-sum" else Online()
         samples = []
         for e in eps:
-            consts = (dict(L_x=1.0, L_y=1.0, rho=1.0, ell=1.0) if kind == "smooth"
-                      else smoothed_constants(comp, e))
-            meta = SmoothnessMeta(**consts, sigma_x=1.0, sigma_y=1.0, mu=1.0,
-                                  theta=theta)
+            base = (SmoothnessMeta(L_x=1.0, L_y=1.0, rho=1.0, ell=1.0)
+                    if kind == "smooth" else smoothed_constants(comp, e))
+            meta = replace(base, sigma_x=1.0, sigma_y=1.0, mu=1.0, theta=theta)
             samples.append(_planned_samples(meta, e, regime))
         # to two decimals
         assert abs(_log_slope(1.0 / eps, samples) - p) < 0.005, (kind, regime_name)
@@ -361,36 +359,14 @@ def test_audit_replay_is_bit_exact():
 
 def _unit_composite(**kw):
     base = dict(ell_c=1.0, ell_h=1.0, ell_phi=1.0, L_c=1.0, L_phi=1.0,
-                d_h=1, delta_tilde=1.0)
+                delta_tilde=1.0)
     base.update(kw)
     return CompositeConstants(**base)
 
 
-def test_smoothed_constants_unit_quarter():
-    # lam = 1/4 keeps the arithmetic dyadic: L_x = sqrt(3/lam^2 + 3 + 3)
-    # = sqrt(54); rho = 1 + 1 = 2
-    sc = smoothed_constants(_unit_composite(), 0.25)
-    assert sc["L_x"] == math.sqrt(54.0)
-    assert sc["L_y"] == 1.0
-    assert sc["rho"] == 2.0
-    assert sc["ell"] == 1.0
-
-
-def test_smoothed_L_y_reduces_to_L_phi():
-    sc = smoothed_constants(_unit_composite(ell_h=0.0, L_phi=7.0), 0.25)
-    assert sc["L_y"] == 7.0
-
-
-def test_smoothed_L_x_scales_inversely_with_lambda():
-    c = _unit_composite()
-    big = smoothed_constants(c, 1e-4)["L_x"]
-    small = smoothed_constants(c, 1e-2)["L_x"]
-    assert big > 50 * small  # ~1/lam in the dominant term
-
-
 def _unit_moreau(abs_value, **kw):
     """f(x, y; i) = y |x| on [-1, 1]^2 with 8 samples, declaring the unit
-    composite constants (the tuner reads only those)."""
+    composite constants (the tuner reads only those and d_h = 1)."""
     return MoreauComposite(
         c_batch=lambda X, ids: (X.copy(), np.ones((len(ids), 1, 1))),
         h=[abs_value()],
@@ -398,6 +374,26 @@ def _unit_moreau(abs_value, **kw):
         phi_grads_batch=lambda u, Y, ids: (Y.copy(), u.copy()),
         constants=_unit_composite(**kw), regime=FiniteSum(8),
         set_x=Box([-1.0], [1.0]), set_y=Box([-1.0], [1.0]))
+
+
+def test_smoothed_constants_unit_quarter(abs_value):
+    # lam = 1/4 keeps the arithmetic dyadic: L_x = sqrt(3/lam^2 + 3 + 3)
+    # = sqrt(54); rho = 1 + 1 = 2; mu and theta are the composite's
+    sc = smoothed_constants(replace(_unit_moreau(abs_value), mu=0.5, theta=0.75), 0.25)
+    assert sc == SmoothnessMeta(L_x=math.sqrt(54.0), L_y=1.0, rho=2.0, ell=1.0,
+                                mu=0.5, theta=0.75)
+
+
+def test_smoothed_L_y_reduces_to_L_phi(abs_value):
+    sc = smoothed_constants(_unit_moreau(abs_value, ell_h=0.0, L_phi=7.0), 0.25)
+    assert sc.L_y == 7.0
+
+
+def test_smoothed_L_x_scales_inversely_with_lambda(abs_value):
+    c = _unit_moreau(abs_value)
+    big = smoothed_constants(c, 1e-4).L_x
+    small = smoothed_constants(c, 1e-2).L_x
+    assert big > 50 * small  # ~1/lam in the dominant term
 
 
 def test_lambda_auto_tracks_epsilon(abs_value):
