@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import dis
 import json
 import logging
 import sys
-import traceback
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -343,9 +343,15 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleScheduleError, ArithmeticError) as err:
-        # a bare "float division by zero" needs the formula that raised it
-        where = (f"{traceback.extract_tb(err.__traceback__)[-1].name}: "
-                 if isinstance(err, ZeroDivisionError) else "")
+        # float arithmetic's own words ("float division by zero", "(34,
+        # 'Numerical result out of range')") need the function that raised
+        # them; an error that a `raise` statement words keeps its words
+        tb = err.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = ("" if code.co_code[tb.tb_lasti] == dis.opmap["RAISE_VARARGS"]
+                 else f"{code.co_name}: ")
         print(f"infeasible schedule: {where}{err}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -328,14 +328,6 @@ class ProblemInstance:
     def regime(self) -> Regime:
         return self.oracle.regime
 
-    @property
-    def dim_x(self) -> int:
-        return self.set_x.dim
-
-    @property
-    def dim_y(self) -> int:
-        return self.set_y.dim
-
 
 # ----------------------------------------------------------------------------
 # exact finite-sum values and gradients
@@ -481,8 +473,8 @@ def estimate_sigmas(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     DimError
         If x or y is not a finite vector of its set's dimension.
     """
-    x = as_vector(x, problem.dim_x)
-    y = as_vector(y, problem.dim_y)
+    x = as_vector(x, problem.set_x.dim)
+    y = as_vector(y, problem.set_y.dim)
     ids = problem.oracle.draw(rng, _PILOT)
     sx, sy = (float(np.sqrt(np.mean(np.sum((g - g.mean(axis=0)) ** 2, axis=1))))
               for g in problem.oracle.grads_at(x, y, ids))

@@ -119,7 +119,7 @@ def gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray
     InfeasibleError
         If (x, y) is not feasible.
     """
-    x, y = as_vector(x, problem.dim_x), as_vector(y, problem.dim_y)
+    x, y = as_vector(x, problem.set_x.dim), as_vector(y, problem.set_y.dim)
     return _gs_residual_rows(problem, x[None], y[None])[0]
 
 
@@ -145,7 +145,7 @@ def mc_gs_residuals(problem: ProblemInstance, x: np.ndarray, y: np.ndarray,
     the reported standard error of the mean-gradient estimate (in L2) also
     bounds the standard error of each residual.
     """
-    x, y = as_vector(x, problem.dim_x), as_vector(y, problem.dim_y)
+    x, y = as_vector(x, problem.set_x.dim), as_vector(y, problem.set_y.dim)
     gx, gy = problem.oracle.grads_at(x, y, problem.oracle.draw(rng, _MC_BATCH))
     se_x = float(np.sqrt(np.sum(gx.var(axis=0, ddof=1)) / _MC_BATCH))
     se_y = float(np.sqrt(np.sum(gy.var(axis=0, ddof=1)) / _MC_BATCH))
@@ -227,7 +227,7 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
     MaxItersError
         If no stop rule is met; carries the best iterate.
     """
-    y, z = as_vector(y, problem.dim_y), as_vector(z, problem.dim_x)
+    y, z = as_vector(y, problem.set_y.dim), as_vector(z, problem.set_x.dim)
     return _solve_rows(problem, r, y[None], z, z[None])[0][0]
 
 
@@ -273,7 +273,7 @@ def dz_norm(problem: ProblemInstance, r: float, y: np.ndarray, z: np.ndarray
     Zero exactly when z is the fixed point of the proximal map; the solver's
     convergence guarantee is stated on this quantity at the sampled output.
     """
-    z = as_vector(z, problem.dim_x)
+    z = as_vector(z, problem.set_x.dim)
     return float(r * np.linalg.norm(z - solve_x_r(problem, r, y, z)))
 
 
@@ -329,7 +329,7 @@ def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray, z: np.ndarra
     """
     meta = problem.constants
     denom = meta.L_y + meta.L_y ** 2 / max(r - meta.rho, 1e-12)
-    Z = np.broadcast_to(z, (len(Y0), problem.dim_x))
+    Z = np.broadcast_to(z, (len(Y0), problem.set_x.dim))
     X, labels = Z.copy(), np.arange(len(Y0)) if labels is None else labels
 
     def grad(W, live):

@@ -267,7 +267,14 @@ def near_stationarity_certificate(comp: MoreauComposite, lam: float, r: float,
     <= g = residual_x, and
 
         residual_y = sqrt( 2 res_y_smoothed^2 + lam^2 d_h L_phi^2 ell_h^4 / 2 ).
+
+    Raises
+    ------
+    ValueError
+        If set_x is unbounded (D_X = inf): no finite delta bounds the gap.
     """
+    if comp.set_x.diameter == math.inf:
+        raise ValueError("the certificate needs a bounded set_x: its diameter D_X is inf")
     cc, d_h = comp.constants, len(comp.h)
     rho_lam = smoothed_constants(comp, lam).rho
     g = grad_z_norm

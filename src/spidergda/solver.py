@@ -11,16 +11,15 @@ Per inner step, with estimates G = (G_x, G_y) at the current (x, y):
 and, after each step but the last, refreshes G at the new point: a
 recursion inside an epoch, a fresh anchor at epoch rollover (which carries
 x, y, z unchanged).  Step `count` (1-based) has epoch and inner index
-(k, tau) = divmod(count - 1, T).  The returned pair (x~, y~) is drawn
-uniformly over all K*T post-update iterates via single-slot reservoir
-sampling, so the full trajectory is never stored.  `samples_drawn` is the
-one sample-accounting formula, shared with the tuner.
+(k, tau) = divmod(count - 1, T).  The returned pair (x~, y~) is the
+post-update iterate of one step drawn uniformly from 1..K*T before the
+loop starts, so the full trajectory is never stored.  `samples_drawn` is
+the one sample-accounting formula, shared with the tuner.
 
 Random numbers come in windows: `run` takes the recursions' sample ids
 from one `estimator.batch_ids` table per window of at most `_ID_BUDGET`
 ids (the same ids a generator per step would draw), doubled once into the
-(2, M) id arrays that `recurse` takes, and the reservoir's uniforms from one
-draw per window of `_RESERVOIR_WINDOW` steps.  Inputs are checked at the
+(2, M) id arrays that `recurse` takes.  Inputs are checked at the
 boundaries: the start points once, and per step only the finiteness of
 the raw x and y updates (each on its own, before projecting) and of z+.
 
@@ -38,7 +37,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import Callable, Optional
@@ -62,9 +61,8 @@ __all__ = [
 
 logger = logging.getLogger("spidergda.solver")
 
-# ids per recursion-id table, and steps per draw of reservoir uniforms
+# ids per recursion-id table
 _ID_BUDGET = 2 ** 12
-_RESERVOIR_WINDOW = 2 ** 11
 
 
 class NonFiniteError(Exception):
@@ -148,16 +146,18 @@ class TraceRow:
 @dataclass
 class RunTrace:
     """Output of one run: recorded rows, the uniformly sampled output pair,
-    its (k, tau) index, and the z iterate alongside it (auxiliary).
+    its (k, tau) index, the z iterate alongside it (auxiliary), and the
+    samples drawn.
 
     A trace that `run` returns is complete; the one that a `NonFiniteError`
-    carries holds only the rows recorded before the failure."""
+    carries holds the rows recorded before the failure, no output (pair,
+    index and z are None), and the samples drawn before the failing step."""
 
-    rows: list = field(default_factory=list)
-    output_pair: Optional[tuple] = None
-    output_index: Optional[tuple] = None
-    output_z: Optional[np.ndarray] = None
-    total_samples: int = 0
+    rows: list
+    output_pair: Optional[tuple]
+    output_index: Optional[tuple]
+    output_z: Optional[np.ndarray]
+    total_samples: int
 
 
 # ----------------------------------------------------------------------------
@@ -252,16 +252,6 @@ def _recursion_ids(problem: ProblemInstance, config: SolverConfig):
     return chain.from_iterable(map(table, range(0, total, window)))
 
 
-def _reservoir_hits(rng: np.random.Generator, total_steps: int):
-    """The steps at which the reservoir takes its candidate, in order: the
-    c-th candidate is kept when the c-th uniform of `rng` is below 1/c.
-    Uniforms are drawn `_RESERVOIR_WINDOW` at a time, the same stream as
-    one `rng.random()` per step."""
-    for start in range(1, total_steps + 1, _RESERVOIR_WINDOW):
-        counts = np.arange(start, min(start + _RESERVOIR_WINDOW, total_steps + 1))
-        yield from counts[rng.random(len(counts)) < 1.0 / counts].tolist()
-
-
 def _start_point(cset: ConstraintSet, v) -> np.ndarray:
     """A checked copy of a start point, or the set's default if None."""
     return default_initial_point(cset) if v is None else np.array(as_vector(v, cset.dim))
@@ -272,10 +262,11 @@ def run(problem: ProblemInstance, config: SolverConfig,
         sink: Optional[Callable[[TraceRow], None]] = None) -> RunTrace:
     """Execute the full K*T-step schedule and return the trace.
 
-    The output pair is drawn uniformly over all post-update iterates via
-    reservoir sampling on a dedicated random stream; everything (batch
-    draws, reservoir, hence the whole trace) is determined by (problem,
-    config), and per-step sample counts depend only on the configuration.
+    The output step is drawn uniformly from 1..K*T before the loop, on a
+    dedicated random stream, and its post-update iterates are the output
+    pair; everything (batch draws, output step, hence the whole trace) is
+    determined by (problem, config), and per-step sample counts depend
+    only on the configuration.
 
     The start points are checked once (dimension and finiteness, DimError
     otherwise); infeasible x0/y0 are projected with a logged warning, into
@@ -303,28 +294,25 @@ def run(problem: ProblemInstance, config: SolverConfig,
     # a finite-sum anchor draws nothing, so it gets no generator to build
     online = not isinstance(problem.regime, FiniteSum)
     G = anchor(problem, x, y, config.B, batch_rng(config.seed, 0, 0) if online else None)
-    trace = RunTrace()
+    rows = []
     recursion_ids = _recursion_ids(problem, config)
-    hits = _reservoir_hits(batch_rng(config.seed, 0, 0, purpose=1), total_steps)
-    next_hit = next(hits)
+    output_step = int(batch_rng(config.seed, 0, 0, purpose=1).integers(total_steps)) + 1
 
     for count in range(1, total_steps + 1):
         k, tau = divmod(count - 1, T)
         try:
             x_new, y_new, z_new = step(problem, config, x, y, z, G)
         except NonFiniteError as err:
-            raise NonFiniteError(str(err), trace) from None
+            raise NonFiniteError(str(err), RunTrace(rows, None, None, None,
+                                                    drawn(count - 1))) from None
         if tau + 1 < T:
             G = recurse(problem, G, (x, y), (x_new, y_new), next(recursion_ids))
         elif count < total_steps:
             G = anchor(problem, x_new, y_new, config.B,
                        batch_rng(config.seed, k + 1, 0) if online else None)
 
-        if count == next_hit:
-            trace.output_pair = (x_new.copy(), y_new.copy())
-            trace.output_index = (k, tau)
-            trace.output_z = z_new.copy()
-            next_hit = next(hits, 0)
+        if count == output_step:
+            output = (x_new.copy(), y_new.copy()), (k, tau), z_new.copy()
 
         if count % config.trace_stride == 0 or count == total_steps:
             row = TraceRow(
@@ -336,10 +324,9 @@ def run(problem: ProblemInstance, config: SolverConfig,
                 samples_used=drawn(min(count, total_steps - 1)),
                 x=x_new.copy(), y=y_new.copy(), z=z_new.copy(),
             )
-            trace.rows.append(row)
+            rows.append(row)
             if sink is not None:
                 sink(row)
         x, y, z = x_new, y_new, z_new
 
-    trace.total_samples = drawn(total_steps - 1)
-    return trace
+    return RunTrace(rows, *output, drawn(total_steps - 1))

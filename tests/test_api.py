@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # code lines of src/ by tools/code_lines.py when the test was written.
 # Lower the budget when a change removes code; raising it loosens the
 # guard, and CHANGES.md must say so.
-SRC_CODE_LINES = 1881
+SRC_CODE_LINES = 1872
 
 # benchmark tracer targets (bench/tracing.py) that no longer resolve when
 # the test was written; a target that resolves again leaves the list, and

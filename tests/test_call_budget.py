@@ -34,17 +34,19 @@ _SPEC = importlib.util.spec_from_file_location(
 _TOOL = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(_TOOL)
 
-# package calls of one run of K*T = 400 steps (7.40 per step; 4,606 or
+# package calls of one run of K*T = 400 steps (7.37 per step; 4,606 or
 # 11.52 per step while step, recurse and the id tables called Python-level
-# helpers and a finite-sum anchor built an unused generator)
-RUN_CALLS = 2959
+# helpers and a finite-sum anchor built an unused generator; 2,959 while a
+# reservoir picked the output step as the run went)
+RUN_CALLS = 2949
 # tracemalloc peak of the same run, in bytes: 169,615 measured on Python
 # 3.11 with numpy 2.4 (not yet on 3.10), set by the temporaries of the
 # first id table
 RUN_PEAK_BYTES = 180_000
 # package calls of one exact residual evaluation (24 while the normal-cone
-# distances went through `normal_cone_dist`)
-GS_RESIDUALS_CALLS = 21
+# distances went through `normal_cone_dist`, 20 while `ProblemInstance`
+# had the `dim_x`/`dim_y` properties)
+GS_RESIDUALS_CALLS = 18
 # package calls of one 64-row residual window of the benchmark's
 # diagnostics schedule (648 while each row's normal-cone distances were
 # two `normal_cone_dist` calls)
@@ -60,8 +62,9 @@ RESIDUAL_WINDOW_CALLS = 15
 # checked that x and y are feasible, 1,461 after; 1,491 while it was the
 # one-row case of a `_lyapunov_rows` whose ascent passed each inner solve
 # through a wrapper that mapped a stalled row to its owner, 1,455 since
-# each row's label is passed down to the solve)
-LYAPUNOV_CALLS = 1455
+# each row's label is passed down to the solve; 1,455 while `dim_x`
+# was a property)
+LYAPUNOV_CALLS = 1454
 LYAPUNOV_ORACLE_CALLS = 100
 # package calls, and oracle calls among them, of the whole merit column of
 # one seed of the benchmark's diagnostics command (trace rows 0, 200 and
@@ -69,15 +72,17 @@ LYAPUNOV_ORACLE_CALLS = 100
 # three d_r(y, z) are rows of one lockstep solve and its 24 ascent starts
 # rows of one ascent (300 oracle calls while the CLI called `lyapunov`
 # once per row; 1,493 package calls while the ascent's inner solves went
-# through a wrapper that mapped a stalled row to its owner)
-MERIT_COLUMN_CALLS = 1457
+# through a wrapper that mapped a stalled row to its owner; 1,457 while
+# `dim_x` was a property)
+MERIT_COLUMN_CALLS = 1456
 MERIT_COLUMN_ORACLE_CALLS = 100
 # package calls, and `batch_grads` and `batch_values` calls among them, of
 # all the diagnostics of that seed as the command makes them: one
 # `diagnose` call with residual_stride 1 and lyapunov_stride 200, the exact
 # residuals of its 400 trace rows and the output pair (7 oracle calls of at
-# most 64 points) and the merit column above
-DIAGNOSE_SEED_CALLS = 1521
+# most 64 points) and the merit column above (1,521 while `dim_x` was a
+# property)
+DIAGNOSE_SEED_CALLS = 1520
 DIAGNOSE_SEED_ORACLE_CALLS = 107
 DIAGNOSE_SEED_VALUES_CALLS = 2
 # `batch_grads` calls of a certified merit evaluation on the 1-D example:
@@ -114,8 +119,9 @@ COMPOSITE_MERIT_RUN_ORACLE_CALLS = 3052
 # benchmark's smoothed group-DRO run (one anchor and T - 1 = 24 recursions;
 # 497 calls before the lean step path, 398 while the smoothed batch hook
 # was a lambda around `_smooth_grads_batch`, 373 while the group count
-# was a property of the spec that each oracle call read)
-GDRO_EPOCH_CALLS = 348
+# was a property of the spec that each oracle call read, 348 while a
+# reservoir picked the output step as the run went)
+GDRO_EPOCH_CALLS = 341
 GDRO_EPOCH_ORACLE_CALLS = 25
 
 

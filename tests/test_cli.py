@@ -158,7 +158,7 @@ def test_infeasible_override_exit_code(tmp_path):
                           out_dir=str(tmp_path / "x")) == EXIT_INFEASIBLE
 
 
-def test_sample_cap_exit_code(tmp_path):
+def test_sample_cap_exit_code(tmp_path, capsys):
     cfg = {
         "problem": {"kind": "quadratic_saddle", "dim_x": 2, "dim_y": 2},
         "tuner": {"epsilon": 0.1, "sample_cap": 10},
@@ -166,6 +166,10 @@ def test_sample_cap_exit_code(tmp_path):
     }
     assert run_experiment(_write(tmp_path, cfg), quiet=True,
                           out_dir=str(tmp_path / "x")) == EXIT_INFEASIBLE
+    # the package's own OverflowError keeps its words: no function name
+    assert capsys.readouterr().err == (
+        "infeasible schedule: planned sample draws 11748 exceed cap 10; "
+        "raise sample_cap or loosen epsilon\n")
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
@@ -418,6 +422,11 @@ _ZERO_DIVISION = [
      {"lambda": 1e-320, "sample_cap": 1e300}, "smoothed_constants"),
 ]
 
+# schedule arithmetic whose float power overflows, with the function that
+# raises the OverflowError
+_OVERFLOW = ({"kind": "kl_example"}, {"overrides": {"alpha_y": 1e308, "K": 1}},
+             "compute_varpi")
+
 
 # configs whose values sit at the edge of the float64 range: a problem
 # constant that overflows is a config error (2) naming it, and schedule
@@ -433,6 +442,7 @@ _ZERO_DIVISION = [
      EXIT_INFEASIBLE, "underflows to 0"),
     ({"kind": "phi_div_dro", "lambda_pen": 1e308}, {"sample_cap": 1e300},
      EXIT_CONFIG, "L_y is inf"),
+    (*_OVERFLOW[:2], EXIT_INFEASIBLE, "Numerical result out of range"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_float_range_edges_exit_with_one_line(problem, tuner, code, words,
@@ -458,6 +468,15 @@ def test_zero_division_names_the_raising_function(problem, tuner, function,
                           out_dir=str(tmp_path / "out")) == EXIT_INFEASIBLE
     assert capsys.readouterr().err == (
         f"infeasible schedule: {function}: float division by zero\n")
+
+
+def test_overflow_names_the_raising_function(tmp_path, capsys):
+    problem, tuner, function = _OVERFLOW
+    cfg = {"problem": problem, "tuner": {"epsilon": 0.1, **tuner}}
+    assert run_experiment(_write(tmp_path, cfg), quiet=True,
+                          out_dir=str(tmp_path / "out")) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        f"infeasible schedule: {function}: (34, 'Numerical result out of range')\n")
 
 
 # dataset files that `load_dataset_csv` rejects, with the line it names

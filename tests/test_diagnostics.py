@@ -400,7 +400,7 @@ def _ref_ascent(p, r, y0, z):
 def _ref_starts(p, y):
     rng = np.random.default_rng(0)
     span = p.constants.D_Y or 1.0
-    return [y] + [y + span * rng.normal(size=p.dim_y)
+    return [y] + [y + span * rng.normal(size=p.set_y.dim)
                   for _ in range(diagnostics._P_R_STARTS - 1)]
 
 

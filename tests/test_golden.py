@@ -23,8 +23,8 @@ from spidergda.cli import EXIT_OK, run_experiment
 # output_pair and every trace row's (x, y) of the criterion-08 group-DRO
 # config, seeds 0-3; the hinge variant swaps only the loss
 GDRO_DIGESTS = {
-    "squared": "70760800ed7a9eaa887be6713e60e74babeecee46d6022039a96403b94273089",
-    "hinge": "f926ddaf522af0a556515a2f0db97638323ae9f797f249cf4e12169c3101b5b7",
+    "squared": "091077a1b9c7fc6f2bbe916cd33fb315f6a3cdf0c477f7b9253659e457aab88a",
+    "hinge": "b83468f176df6e764ada22f3414027456fdd1702d80c6d673b8ab9ec9f0a99e8",
 }
 
 # full_grad_x/y of four quadratic-saddle fixtures at 50 random points each
@@ -153,7 +153,7 @@ CLI_CONFIGS = {
 CLI_DIGESTS = {
     "quadratic": {
         "summary.json":
-            "6f622549084f04fe43024b56d0c4717749daf77f43b027001ad71a5769e9ab97",
+            "40d63be598481dea101675ee3a33be95a6a869802a27a2a3e46e2a4defda6eff",
         "trace_seed0.csv":
             "36cdd47e960e41417d18e383644841e3a6cef4f9030f62290cc8f4c57975df07",
         "trace_seed1.csv":
@@ -161,7 +161,7 @@ CLI_DIGESTS = {
     },
     "kl_example": {
         "summary.json":
-            "4676bbd579a627c4b3a018a551629741c63a1a3bb2f2691aef14dd930c087b65",
+            "a80e02fa0b3449be5b45c59671ba0e38f94963042d0213a3942ace1ea8423808",
         "trace_seed0.csv":
             "c85948e0be2165cd29f0206d443bf64586641ea0cae6c66173c3d79df87644d9",
         "trace_seed1.csv":
@@ -169,7 +169,7 @@ CLI_DIGESTS = {
     },
     "two_group_regression": {
         "summary.json":
-            "78b1baa77c62088a5c4d27a2f2f7b3f5a36119e904f247060588aac4f1f37e5a",
+            "9114dde440d1773811fa407e5b8edd196b8985ce2cf3d0d9802dad1f7d2b80be",
         "trace_seed0.csv":
             "dbcd528455604108f7a64d6b88136ff953082b1d3a80cb5a0be1af98a5648e8a",
         "trace_seed1.csv":

@@ -31,7 +31,7 @@ def test_quick_start_snippet_runs():
     # the output pair's exact residuals, then the merit values of trace
     # rows 0, 3000 and 5999, all from one `diagnose` pass
     assert _printed("Library quick start") == (
-        "(2.511380429987638, 1.6086388633470716e-05)\n"
+        "(2.3670105920871225, 1.3891480768919312e-05)\n"
         "{0: 2.6419102745195646, 3000: 0.944135123792785, 5999: 0.7567019788227665}\n")
 
 

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spidergda import (Box, FiniteSum, Hinge, MoreauComposite, ScaledIdentity,
-                       as_problem, near_stationarity_certificate,
+from spidergda import (Box, FiniteSum, FullSpace, Hinge, MoreauComposite,
+                       ScaledIdentity, as_problem, near_stationarity_certificate,
                        smoothed_constants, tune_nonsmooth)
 from spidergda.smoothing import CompositeConstants
 
@@ -386,15 +386,20 @@ def test_composite_batch_rows_match_per_sample_path(abs_value):
 # ----------------------------------------------------------------------------
 # certificate translation
 
-def test_certificate_hand_example(abs_value):
-    comp = MoreauComposite(
+def _unit_composite(h, set_x) -> MoreauComposite:
+    """phi(u, y) = u y over y in [0, 1] with c(x) = x: every constant is 1."""
+    return MoreauComposite(
         c_batch=_affine_rows(np.eye(1)[None], np.zeros((1, 1))),
-        h=[abs_value()],
+        h=[h],
         phi_batch=lambda u, Y, ids: np.sum(u * Y, axis=1),
         phi_grads_batch=lambda u, Y, ids: (Y.copy(), u.copy()),
         constants=CompositeConstants(ell_c=1.0, ell_h=1.0, ell_phi=1.0,
                                      L_c=1.0, L_phi=1.0),
-        regime=FiniteSum(1), set_x=Box([-0.5], [0.5]), set_y=Box([0], [1]))
+        regime=FiniteSum(1), set_x=set_x, set_y=Box([0], [1]))
+
+
+def test_certificate_hand_example(abs_value):
+    comp = _unit_composite(abs_value(), Box([-0.5], [0.5]))
     # rho_lam = 1*1*1*1 + 1*1*1*1 = 2 (lambda-independent); with r=2,
     # D_X = diameter of set_x = 1, g=1/2, lam=1/4:
     # delta = (2/2)(1/2) + (1/2)(1/2) + (2/8 + 1/2)(1/4) + 1/4 = 1.1875
@@ -403,6 +408,14 @@ def test_certificate_hand_example(abs_value):
     assert delta == 1.1875
     assert g == 0.5
     assert res_y == math.sqrt(0.25 ** 2 / 2.0)
+
+
+@pytest.mark.parametrize("grad_z_norm", [0.0, 0.5])
+def test_certificate_refuses_an_unbounded_set_x(grad_z_norm):
+    comp = _unit_composite(Hinge(), FullSpace(1))
+    with pytest.raises(ValueError, match="set_x"):
+        near_stationarity_certificate(comp, 0.1, r=2.0, grad_z_norm=grad_z_norm,
+                                      res_y_smoothed=0.0)
 
 
 def test_certificate_zero_gradient_leaves_smoothing_bias(abs_value):

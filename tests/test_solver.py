@@ -15,7 +15,7 @@ from spidergda import (Ball, Box, DimError, FiniteSum, FullSpace,
                        NonFiniteError, Online, ProblemInstance, Simplex,
                        SmoothnessMeta, SolverConfig, StochasticOracle,
                        anchor, batch_rng, default_initial_point,
-                       make_quadratic_saddle, run, step)
+                       make_quadratic_saddle, run, samples_drawn, step)
 
 
 def _bilinear_problem(set_x=None, set_y=None):
@@ -371,7 +371,7 @@ def test_run_makes_one_oracle_call_per_refresh(monkeypatch):
     # an anchor is N rows; a recursion is 2M rows, its new and previous point
     epoch = [2 * M] * (T - 1)
     assert rows == [N] + (epoch + [N]) * (K - 1) + epoch
-    # the reservoir's generator only: a finite-sum anchor draws nothing,
+    # the output step's generator only: a finite-sum anchor draws nothing,
     # and a recursion takes its ids from the bulk tables
     assert len(generators) == 1
 
@@ -496,6 +496,11 @@ def test_non_finite_iterate_raises_with_partial_trace():
     trace = _exploding_run()
     assert trace is not None
     assert len(trace.rows) >= 1
+    assert (trace.output_pair, trace.output_index, trace.output_z) == (None, None, None)
+    # every step before the failing one is a row of the stride-1 run, and
+    # each made one refresh: count - 1 refreshes for failing step `count`
+    count = len(trace.rows) + 1
+    assert trace.total_samples == samples_drawn(FiniteSum(1), 50, 1, 1, count - 1)
 
 
 def test_sink_receives_each_recorded_row_in_order():
