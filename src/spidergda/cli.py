@@ -1,10 +1,10 @@
 """Command-line experiment runner.
 
 `spidergda run <config.json>` builds a problem from the zoo (or a dataset
-CSV), tunes the schedule, runs the solver once per seed, and writes per-seed
-trace CSVs plus a summary JSON containing final residuals, sample counts and
-the full tuner audit.  `spidergda verify <suite>` runs a named property
-suite and prints per-check pass/fail lines.
+CSV), tunes the schedule, runs the solver for all seeds in one loop, and
+writes per-seed trace CSVs plus a summary JSON containing final residuals,
+sample counts and the full tuner audit.  `spidergda verify <suite>` runs
+a named property suite and prints per-check pass/fail lines.
 
 Exit codes: 0 ok; 1 failed verify check; 2 config error / unknown suite;
 3 numerical failure; 4 infeasible schedule.
@@ -362,13 +362,19 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
     if lya_stride is not None and not isinstance(problem.regime, FiniteSum):
         logger.warning("merit tracking needs exact values; skipping in the online regime")
         lya_stride = None
-    for s in cfg["seeds"]:
-        run_config = dataclasses.replace(
-            config, seed=s, trace_stride=cfg["solver"].get("trace_stride", 1))
+    # every seed runs in one loop; the walk below reports each seed's result
+    # in order, a run that went non-finite as its failure.  An overflowing
+    # iterate is that failure, so numpy need not warn of it first
+    run_config = dataclasses.replace(config, trace_stride=cfg["solver"].get("trace_stride", 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = run(problem, run_config, x0=x0, y0=y0, seeds=cfg["seeds"])
+    for s, trace in zip(cfg["seeds"], results):
+        run_config = dataclasses.replace(run_config, seed=s)
         # a run can go non-finite, and a diagnostic's inner solve can stall
         stage = ""
         try:
-            trace = run(problem, run_config, x0=x0, y0=y0)
+            if isinstance(trace, NonFiniteError):
+                raise trace
             stage = "lyapunov: "
             res, lya = diagnose(problem, trace, run_config, res_stride, lya_stride)
             stage = "dz_norm: "

@@ -60,7 +60,8 @@ class ConstraintSet:
     defaults to the other.
     The public `project` and `contains` check the input's dimension and
     finiteness first; the solver's step, whose input `run` has already
-    checked, calls `_project` directly.
+    checked, calls `_project` directly, on a point or on a stack of one row
+    (one seed's state), which each kind projects as that row.
     """
 
     dim: int
@@ -111,11 +112,18 @@ class Box(ConstraintSet):
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
+    @cached_property
+    def _bound_rows(self) -> tuple:
+        return self.lo[None], self.hi[None]
+
     def _project(self, v: np.ndarray) -> np.ndarray:
         # np.clip's values on a vector, without its Python-level wrapper: on
         # a tie (-0.0 against +0.0) the bound wins, also for rows against
-        # broadcast bounds, where np.clip itself can let the value win
-        return np.minimum(np.maximum(v, self.lo), self.hi)
+        # broadcast bounds, where np.clip itself can let the value win.
+        # Rows meet the bounds as rows: a one-row stack then takes numpy's
+        # same-shape loop, which costs half the broadcasting one here
+        lo, hi = (self.lo, self.hi) if v.ndim == 1 else self._bound_rows
+        return np.minimum(np.maximum(v, lo), hi)
 
     def _contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lo - FEAS_TOL) and np.all(x <= self.hi + FEAS_TOL))
@@ -216,7 +224,7 @@ class Simplex(ConstraintSet):
         # np.cumsum and the array comparisons would do
         lam = None
         total = 0.0
-        for j, uj in enumerate(sorted(v.tolist(), reverse=True), 1):
+        for j, uj in enumerate(sorted(v.ravel().tolist(), reverse=True), 1):
             total += uj
             t = (total - 1.0) / j
             if uj - t > 0.0:

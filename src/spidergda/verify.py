@@ -126,7 +126,7 @@ def _estimator() -> list[Check]:
     problem = make_quadratic_saddle(8, 8, n_samples=64, seed=2)
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=8), rng.normal(size=8)
-    G = anchor(problem, x, y, B=64, rng=batch_rng(0, 0, 0))
+    G = anchor(problem, x, y, None)
     exact = (np.array_equal(G[0], full_grad_x(problem, x, y))
              and np.array_equal(G[1], full_grad_y(problem, x, y)))
     G2 = recurse(problem, G, (x, y), (x.copy(), y.copy()),

@@ -18,6 +18,24 @@ def suite_checks():
     return functools.cache(lambda suite: {c.name: c for c in SUITES[suite]()})
 
 
+def _trace_bits(trace):
+    """Everything a `RunTrace` records, floats as hex and arrays as bytes,
+    so that equal values mean equal bits, signs of zeros included."""
+    output = (None if trace.output_pair is None
+              else [v.tobytes() for v in (*trace.output_pair, trace.output_z)])
+    return ([(r.k, r.tau, r.dx_norm.hex(), r.dy_norm.hex(), r.xz_gap.hex(),
+              r.samples_used, r.x.tobytes(), r.y.tobytes(), r.z.tobytes())
+             for r in trace.rows],
+            output, trace.output_index, trace.total_samples)
+
+
+@pytest.fixture(scope="session")
+def trace_bits():
+    """`trace_bits(trace)`: the rows, output and samples of a `RunTrace`,
+    bit for bit comparable."""
+    return _trace_bits
+
+
 def _save_dataset_csv(path, features: np.ndarray, targets: np.ndarray,
                       groups: np.ndarray) -> None:
     """Write a dataset to CSV with the header `load_dataset_csv` reads:

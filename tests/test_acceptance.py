@@ -148,7 +148,7 @@ def test_criterion_02_estimator_exactness(suite_checks):
     prob = make_quadratic_saddle(8, 8, n_samples=64, seed=2)
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=8), rng.normal(size=8)
-    G = anchor(prob, x, y, B=64, rng=batch_rng(0, 0, 0))
+    G = anchor(prob, x, y, None)
     dev = 0.0
     for t in range(1, 11):
         x1 = x + 0.1 * rng.normal(size=8)
@@ -419,19 +419,25 @@ def test_criterion_08_group_dro_beats_erm(group_losses):
             f"<= 0.95 across 5 seeds")
 
 
-def test_criterion_09_uniform_output_sampling():
+def test_criterion_09_uniform_output_sampling(trace_bits):
     prob = make_quadratic_saddle(1, 1, n_samples=2, noise=0.05, seed=0)
     config = SolverConfig(K=2, T=4, M=1, B=2, alpha_x=1e-3, alpha_y=1e-3,
                           beta=0.1, r=1.0, seed=0, trace_stride=8)
+    # the 10,000 seeds run in one loop over a leading seed axis
+    traces = run(prob, config, seeds=range(10_000))
     counts = np.zeros(8, dtype=np.int64)
-    for seed in range(10_000):
-        config.seed = seed
-        trace = run(prob, config)
+    for trace in traces:
         k, tau = trace.output_index
         counts[k * 4 + tau] += 1
+    # and each seed's trace is its own run's, bit for bit (50 seeds checked)
+    same = 0
+    for seed in range(0, 10_000, 200):
+        config.seed = seed
+        same += trace_bits(run(prob, config)) == trace_bits(traces[seed])
     pvalue = float(stats.chisquare(counts).pvalue)
-    _report(9, "uniform-output-sampling", pvalue > 0.001,
-            f"chi-square p = {pvalue:.3f} > 0.001, counts {counts.tolist()}")
+    _report(9, "uniform-output-sampling", pvalue > 0.001 and same == 50,
+            f"chi-square p = {pvalue:.3f} > 0.001, counts {counts.tolist()}; "
+            f"{same} of 50 seeds equal their own runs bit for bit")
 
 
 def test_criterion_10_complexity_trend(quad_run):

@@ -19,8 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # code lines of src/ by tools/code_lines.py when the test was written.
 # Lower the budget when a change removes code; raising it loosens the
-# guard, and CHANGES.md must say so.
-SRC_CODE_LINES = 1872
+# guard, and CHANGES.md must say so (1,872 before the solver's seed axis)
+SRC_CODE_LINES = 1948
 
 # benchmark tracer targets (bench/tracing.py) that no longer resolve when
 # the test was written; a target that resolves again leaves the list, and

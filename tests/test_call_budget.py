@@ -34,11 +34,18 @@ _SPEC = importlib.util.spec_from_file_location(
 _TOOL = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(_TOOL)
 
-# package calls of one run of K*T = 400 steps (7.37 per step; 4,606 or
+# package calls of one run of K*T = 400 steps (6.75 per step; 4,606 or
 # 11.52 per step while step, recurse and the id tables called Python-level
 # helpers and a finite-sum anchor built an unused generator; 2,959 while a
-# reservoir picked the output step as the run went)
-RUN_CALLS = 2949
+# reservoir picked the output step as the run went; 2,949 while each trace
+# row's norms were helper calls and the finite-sum anchor went through
+# `full_grads`)
+RUN_CALLS = 2701
+# package calls of the same schedule run for two seeds in one loop (6.80
+# per step): the seeds share every per-step call, and only the per-seed
+# set-up and the id tables, twice as many at the same ids per table, add
+# calls
+RUN_TWO_SEEDS_CALLS = 2721
 # tracemalloc peak of the same run, in bytes: 169,615 measured on Python
 # 3.11 with numpy 2.4 (not yet on 3.10), set by the temporaries of the
 # first id table
@@ -120,8 +127,9 @@ COMPOSITE_MERIT_RUN_ORACLE_CALLS = 3052
 # 497 calls before the lean step path, 398 while the smoothed batch hook
 # was a lambda around `_smooth_grads_batch`, 373 while the group count
 # was a property of the spec that each oracle call read, 348 while a
-# reservoir picked the output step as the run went)
-GDRO_EPOCH_CALLS = 341
+# reservoir picked the output step as the run went, 341 while the
+# finite-sum anchor went through `full_grads`)
+GDRO_EPOCH_CALLS = 339
 GDRO_EPOCH_ORACLE_CALLS = 25
 
 
@@ -139,6 +147,12 @@ def test_solver_run_call_budget():
     assert cfg.K * cfg.T == 400
     calls = _package_calls(lambda: run(p, cfg))
     assert calls <= RUN_CALLS, f"{calls / 400:.2f} package calls per step"
+
+
+def test_two_seeds_in_one_loop_share_the_per_step_calls():
+    p, cfg = _tuned_quadratic()
+    calls = _package_calls(lambda: run(p, cfg, seeds=[7, 8]))
+    assert calls <= RUN_TWO_SEEDS_CALLS, f"{calls / 400:.2f} package calls per step"
 
 
 def test_solver_run_peak_bytes_budget():

@@ -3,6 +3,7 @@ formats, and byte-level reproducibility of reruns."""
 
 import filecmp
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from spidergda import (Box, MaxItersError, NonFiniteError, Online, ProblemInstance,
                        RegimeError, SmoothnessMeta, SolverConfig, StochasticOracle,
-                       diagnose, mc_gs_residuals, run)
+                       batch_rng, diagnose, mc_gs_residuals, run)
 from spidergda.cli import _SCHEMA, _build_problem, _load_config
 from spidergda.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                            EXIT_NUMERICAL, EXIT_OK, TRACE_HEADER, ConfigError,
@@ -175,13 +176,72 @@ def test_sample_cap_exit_code(tmp_path, capsys):
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     import spidergda.cli as cli_mod
 
-    def _explode(*a, **k):
-        raise NonFiniteError("iterate diverged")
+    def _explode(*a, seeds, **k):
+        return [NonFiniteError("iterate diverged") for _ in seeds]
 
     monkeypatch.setattr(cli_mod, "run", _explode)
     cfg_path = _write(tmp_path, _kl_config())
     assert run_experiment(cfg_path, out_dir=str(tmp_path / "x"),
                           quiet=True) == EXIT_NUMERICAL
+
+
+def test_a_failing_seed_still_writes_the_seeds_before_it(tmp_path, monkeypatch,
+                                                          capsys):
+    # the seeds run in one loop and are reported in config order: seed 4
+    # writes its trace, seed 7 fails mid-run with the one line of its
+    # failure, and no summary is written.  Seed 7's first recursion draws
+    # a sample whose gradient rows are NaN outside the exact passes (which
+    # take all 1000 ids per point); seed 4 never draws it
+    import spidergda.problems as problems_mod
+
+    n, make = 1000, problems_mod.make_quadratic_saddle
+    poison = batch_rng(7, 0, 1).integers(0, n, size=2)[0]
+    assert not any(poison in batch_rng(4, k, tau).integers(0, n, size=2)
+                   for k in range(2) for tau in range(1, 4))
+
+    def poisoned(*args, **kwargs):
+        p = make(*args, **kwargs)
+        inner = p.oracle.grads_batch
+
+        def grads_batch(X, Y, ids):
+            gx, gy = inner(X, Y, ids)
+            if len(ids) % n:
+                gx[ids == poison] = np.nan
+            return gx, gy
+
+        p.oracle.grads_batch = grads_batch
+        return p
+
+    cfg = {"problem": {"kind": "quadratic_saddle", "dim_x": 2, "dim_y": 2,
+                       "n_samples": n},
+           "tuner": {"epsilon": 0.1, "overrides": {"K": 2, "T": 4, "M": 2}},
+           "diagnostics": {"residual_stride": 1}}
+    clean = tmp_path / "clean"
+    assert run_experiment(_write(tmp_path, dict(cfg, seeds=[4]), "clean.json"),
+                          out_dir=str(clean), quiet=True) == EXIT_OK
+    monkeypatch.setattr(problems_mod, "make_quadratic_saddle", poisoned)
+    out = tmp_path / "out"
+    assert run_experiment(_write(tmp_path, dict(cfg, seeds=[4, 7])), out_dir=str(out),
+                          quiet=True) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure (seed 7): "
+                                       "iterate became non-finite\n")
+    assert sorted(f.name for f in out.iterdir()) == ["trace_seed4.csv"]
+    assert filecmp.cmp(out / "trace_seed4.csv", clean / "trace_seed4.csv", shallow=False)
+
+
+def test_overflowing_iterate_exits_with_one_line(tmp_path, capsys):
+    # the iterate overflows in the first step; the failure is the one line
+    # of stderr, with no numpy overflow warning before it
+    cfg = {"problem": {"kind": "quadratic_saddle"},
+           "tuner": {"epsilon": 0.1, "theta": 1,
+                     "overrides": {"alpha_y": 1e308, "K": 2, "T": 2, "M": 1}}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_experiment(_write(tmp_path, cfg), out_dir=str(tmp_path / "out"),
+                              quiet=True) == EXIT_NUMERICAL
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("numerical failure (seed 0): "
+                                       "iterate became non-finite\n")
 
 
 @pytest.mark.parametrize("diagnostics, name", [

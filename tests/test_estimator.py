@@ -130,8 +130,8 @@ def test_online_anchor_uses_b_fresh_draws():
                         set_x=Box(-np.ones(4), np.ones(4)),
                         set_y=Box([-1.0], [1.0]),
                         constants=SmoothnessMeta(L_x=0, L_y=0, rho=0, ell=1))
-    G1 = anchor(p, np.zeros(4), np.zeros(1), B=64, rng=batch_rng(5, 2, 0))
-    G2 = anchor(p, np.zeros(4), np.zeros(1), B=64, rng=batch_rng(5, 2, 0))
+    G1 = anchor(p, np.zeros(4), np.zeros(1), p.oracle.draw(batch_rng(5, 2, 0), 64))
+    G2 = anchor(p, np.zeros(4), np.zeros(1), p.oracle.draw(batch_rng(5, 2, 0), 64))
     # one oracle row per draw: B fresh 63-bit tokens from the keyed stream
     want = batch_rng(5, 2, 0).integers(0, 2 ** 63, size=64).tolist()
     assert seen == want + want
@@ -154,7 +154,7 @@ def test_full_batch_recursion_telescopes_to_exact_gradient():
     p = _quadratic_problem(n=n, d=d, seed=2)
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=d), rng.normal(size=d)
-    G = anchor(p, x, y, B=n, rng=batch_rng(0, 0, 0))
+    G = anchor(p, x, y, None)
     for t in range(1, 11):
         x1 = x + 0.1 * rng.normal(size=d)
         y1 = y + 0.1 * rng.normal(size=d)
@@ -173,7 +173,7 @@ def test_single_draw_recursion_conditionally_unbiased():
     p = _quadratic_problem(n=n, d=d, seed=4)
     rng = np.random.default_rng(5)
     x0, y0 = rng.normal(size=d), rng.normal(size=d)
-    G = anchor(p, x0, y0, B=n, rng=batch_rng(0, 0, 0))
+    G = anchor(p, x0, y0, None)
     x1, y1 = x0 + 0.2 * rng.normal(size=d), y0 + 0.2 * rng.normal(size=d)
 
     outs_x, outs_y = [], []
@@ -201,7 +201,7 @@ def test_same_ids_feed_both_sides():
                         set_y=Box([-9.0], [9.0]),
                         constants=SmoothnessMeta(L_x=8, L_y=8, rho=8, ell=99))
     one = (np.array([1.0]), np.array([1.0]))
-    G = anchor(p, *one, B=n, rng=batch_rng(0, 0, 0))
+    G = anchor(p, *one, None)
     nxt = recurse(p, G, one, (np.array([2.0]), np.array([2.0])),
                   np.tile(p.oracle.draw(batch_rng(0, 0, 1), 5), (2, 1)))
     # grad difference per sample i is (i*1, i*1): increments must match
@@ -214,7 +214,7 @@ def test_recurse_rejects_bad_m():
     # and a third row are all refused
     p = _quadratic_problem()
     zero = (np.zeros(3), np.zeros(3))
-    G = anchor(p, *zero, B=6, rng=batch_rng(0, 0, 0))
+    G = anchor(p, *zero, None)
     for ids in (np.zeros((2, 0), dtype=np.int64), np.arange(4), np.arange(3),
                 np.tile(np.arange(2), 2), np.zeros((3, 2), dtype=np.int64)):
         with pytest.raises(ValueError, match=r"\(2, M\) array"):

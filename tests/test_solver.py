@@ -5,6 +5,7 @@ The single-step example uses dyadic step sizes so every update is exact in
 binary floating point and can be asserted with equality.
 """
 
+import dataclasses
 import logging
 import math
 
@@ -72,7 +73,7 @@ def test_step_hand_example_exact():
     cfg = SolverConfig(K=1, T=2, M=1, B=1, alpha_x=0.125, alpha_y=0.25,
                        beta=0.5, r=1.0, seed=0)
     x, y, z = np.array([1.0]), np.array([1.0]), np.array([0.0])
-    G = anchor(p, x, y, B=1, rng=batch_rng(0, 0, 0))
+    G = anchor(p, x, y, None)
     x1, y1, z1 = step(p, cfg, x, y, z, G)
     assert x1[0] == 0.75
     assert y1[0] == 1.25
@@ -84,7 +85,7 @@ def test_step_beta_one_snaps_center():
     cfg = SolverConfig(K=1, T=2, M=1, B=1, alpha_x=0.125, alpha_y=0.25,
                        beta=1.0, r=1.0, seed=0)
     x, y, z = np.array([1.0]), np.array([1.0]), np.array([0.25])
-    G = anchor(p, x, y, B=1, rng=batch_rng(0, 0, 0))
+    G = anchor(p, x, y, None)
     x1, _, z1 = step(p, cfg, x, y, z, G)
     assert z1[0] == x1[0]
 
@@ -94,7 +95,7 @@ def test_step_projects_onto_sets():
     cfg = SolverConfig(K=1, T=2, M=1, B=1, alpha_x=4.0, alpha_y=8.0,
                        beta=0.5, r=1.0, seed=0)
     x, y, z = np.array([1.0]), np.array([1.0]), np.array([0.0])
-    G = anchor(p, x, y, B=1, rng=batch_rng(0, 0, 0))
+    G = anchor(p, x, y, None)
     x1, y1, _ = step(p, cfg, x, y, z, G)
     assert x1[0] == -1.0  # clipped at the lower box bound
     assert y1[0] == 2.0   # clipped at the upper box bound
@@ -516,6 +517,98 @@ def test_sink_receives_each_recorded_row_in_order():
     trace = _exploding_run(sink=got.append)
     assert len(got) == len(trace.rows) >= 1
     assert all(a is b for a, b in zip(got, trace.rows))
+
+
+# ----------------------------------------------------------------------------
+# seeds on a leading axis
+
+# a primal and a dual set per set kind (full space is primal only)
+_SET_PAIRS = {
+    "box": (Box(-2 * np.ones(3), 2 * np.ones(3)), Box(-np.ones(2), np.ones(2))),
+    "ball": (Ball([0.3, -0.2, 0.1], 0.5), Ball(np.zeros(2), 0.3)),
+    "simplex": (Simplex(3), Simplex(4)),
+    "fullspace": (FullSpace(3), Box(-np.ones(2), np.ones(2))),
+}
+_REGIMES = {"finite_sum": FiniteSum(1000), "online": Online()}
+_SEEDS_SCHEDULE = dict(K=4, T=5, M=3, B=6, alpha_x=0.05, alpha_y=0.1, beta=0.25,
+                       r=4.0, trace_stride=2)
+
+
+def _seeded_problem(set_x, set_y, regime):
+    """A strongly convex-concave quadratic on the given sets whose sample
+    (an id, or a token mod 1000 online) picks its linear terms; rows are
+    stacked matmuls, so a row does not depend on the rows it is batched
+    with."""
+    rng = np.random.default_rng(8)
+    dx, dy = set_x.dim, set_y.dim
+    Q = rng.normal(size=(dx, dx))
+    Q = Q @ Q.T + 3.0 * np.eye(dx)
+    C = 0.3 * rng.normal(size=(dx, dy))
+    a, b = rng.normal(size=(1000, dx)) + 0.5, rng.normal(size=(1000, dy)) - 0.5
+
+    def grads_batch(X, Y, ids):
+        i = ids % 1000
+        return ((Q @ X[:, :, None])[:, :, 0] + (C @ Y[:, :, None])[:, :, 0] + a[i],
+                (C.T @ X[:, :, None])[:, :, 0] - Y + b[i])
+
+    oracle = StochasticOracle(regime=regime, grads_batch=grads_batch,
+                              values_batch=lambda X, Y, ids: np.zeros(len(ids)))
+    return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y,
+                           constants=SmoothnessMeta(L_x=9, L_y=1, rho=0, ell=20))
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+@pytest.mark.parametrize("kind", sorted(_SET_PAIRS))
+def test_seeds_in_one_loop_equal_their_own_runs(kind, regime, trace_bits):
+    p = _seeded_problem(*_SET_PAIRS[kind], _REGIMES[regime])
+    cfg = SolverConfig(**_SEEDS_SCHEDULE)
+    seeds = [0, 5, 2 ** 64 - 1]
+    got = run(p, cfg, seeds=seeds)
+    want = [run(p, dataclasses.replace(cfg, seed=s)) for s in seeds]
+    assert [trace_bits(t) for t in got] == [trace_bits(t) for t in want]
+    assert [trace_bits(t) for t in run(p, cfg, seeds=[5])] == [trace_bits(want[1])]
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+@pytest.mark.parametrize("kind", sorted(_SET_PAIRS))
+def test_a_failing_seed_leaves_the_batch_with_its_partial_trace(kind, regime,
+                                                                trace_bits):
+    # seed 5's recursion (1, 1) draws a sample whose gradient rows are NaN
+    # (outside the finite-sum anchors, which take every id), so its estimate
+    # goes NaN after step 5 and its step 6 fails; seeds 0 and 9 never draw
+    # that sample
+    p = _seeded_problem(*_SET_PAIRS[kind], _REGIMES[regime])
+    cfg = SolverConfig(**dict(_SEEDS_SCHEDULE, trace_stride=1))
+    high = p.oracle.id_high
+    poison = batch_rng(5, 1, 1).integers(0, high, size=cfg.M)[0]
+    for seed in (0, 9):
+        assert not any(poison in batch_rng(seed, k, tau).integers(0, high, size=cfg.M)
+                       for k in range(cfg.K) for tau in range(1, cfg.T))
+    inner = p.oracle.grads_batch
+
+    def grads_batch(X, Y, ids):
+        gx, gy = inner(X, Y, ids)
+        if len(ids) % 1000:
+            gx[ids == poison] = np.nan
+        return gx, gy
+
+    p.oracle.grads_batch = grads_batch
+    with np.errstate(invalid="ignore"):
+        got = run(p, cfg, seeds=[0, 5, 9])
+        with pytest.raises(NonFiniteError) as exc:
+            run(p, dataclasses.replace(cfg, seed=5))
+        want = [run(p, dataclasses.replace(cfg, seed=s)) for s in (0, 9)]
+    assert isinstance(got[1], NonFiniteError) and str(got[1]) == str(exc.value)
+    assert len(exc.value.trace.rows) == cfg.T + 1
+    assert trace_bits(got[1].trace) == trace_bits(exc.value.trace)
+    assert [trace_bits(got[i]) for i in (0, 2)] == [trace_bits(t) for t in want]
+
+
+@pytest.mark.parametrize("seeds", [[0, -1], [0, 2 ** 64], [0, 2.0], [0, True], [0, "3"], []])
+def test_run_seeds_must_be_a_nonempty_list_of_seeds(seeds):
+    p = _quadratic_problem()
+    with pytest.raises(ValueError, match="seeds must be a nonempty sequence of integers"):
+        run(p, SolverConfig(**_VALID), seeds=seeds)
 
 
 def test_config_validation():

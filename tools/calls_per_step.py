@@ -1,5 +1,6 @@
-"""Print the calls per solver step of three fixed schedules, and the calls
-of six diagnostics units.
+"""Print the calls per solver step of three fixed schedules and of one of
+them run for 1, 2 and 10 seeds in one loop, and the calls of six
+diagnostics units.
 
     PYTHONPATH=src python3 tools/calls_per_step.py
 
@@ -18,7 +19,9 @@ calls of ufunc objects make no event, so the counts complement timing and
 do not replace it.  The schedules are the benchmark's `quad_tuned` problem
 at K = 50 (400 steps), one epoch (K = 1, T = 25) of its `gdro_smoothed`
 run, and one epoch of `phi_div_dro` at n = 400, whose dual is a
-`Simplex(400)` where `gdro_smoothed`'s is a `Simplex(2)`.  Three units
+`Simplex(400)` where `gdro_smoothed`'s is a `Simplex(2)`.  The seed units
+run the `quad_tuned` schedule for S seeds in one `run(..., seeds=...)`
+call; their per-step calls should not grow with S.  Three units
 come from the first run of the benchmark's `cli_diagnostics` command: the
 exact residuals of the 64 trace rows that one exact-gradient call takes at
 N = 16, the merit function at one row, and the command's whole merit
@@ -60,6 +63,14 @@ def quad_tuned():
     cfg.seed = 7
     cfg.trace_stride = cfg.T
     return p, cfg
+
+
+def quad_tuned_seeds(S: int):
+    """The `quad_tuned` schedule for seeds 7..6+S in one loop, as a call of
+    no arguments."""
+    p, cfg = quad_tuned()
+    seeds = list(range(cfg.seed, cfg.seed + S))
+    return lambda: run(p, cfg, seeds=seeds)
 
 
 def gdro_epoch():
@@ -190,6 +201,12 @@ def main() -> int:
         counts = count_calls(lambda: run(p, cfg))
         print(f"{name:<14} {steps:>6} " + " ".join(
             f"{counts[k] / steps:>9.2f}" for k in ("package", "python", "c")))
+    for S in (1, 2, 10):
+        unit = quad_tuned_seeds(S)
+        unit()
+        counts = count_calls(unit)
+        print(f"{f'quad S={S}':<14} {400:>6} " + " ".join(
+            f"{counts[k] / 400:>9.2f}" for k in ("package", "python", "c")))
     print(f"{'unit':<22} {'package':>9} {'python':>9} {'c':>9}   (calls per unit)")
     for name, build in (("residual_window", residual_window), ("merit_row", merit_row),
                         ("merit_column", merit_column), ("diagnose_seed", diagnose_seed),
