@@ -1,9 +1,11 @@
 """Command-line experiment runner.
 
 `spidergda run <config.json>` builds a problem from the zoo (or a dataset
-CSV), tunes the schedule, runs the solver for all seeds in one loop, and
-writes per-seed trace CSVs plus a summary JSON containing final residuals,
-sample counts and the full tuner audit.  `spidergda verify <suite>` runs
+CSV), tunes the schedule, runs the solver for all seeds in one loop,
+diagnoses all their traces in one `diagnose` pass, and writes per-seed
+trace CSVs plus a summary JSON containing final residuals, sample counts
+and the full tuner audit; the seeds are reported in config order, the
+first failing seed with one line.  `spidergda verify <suite>` runs
 a named property suite and prints per-check pass/fail lines.
 
 Exit codes: 0 ok; 1 failed verify check; 2 config error / unknown suite;
@@ -362,21 +364,21 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
     if lya_stride is not None and not isinstance(problem.regime, FiniteSum):
         logger.warning("merit tracking needs exact values; skipping in the online regime")
         lya_stride = None
-    # every seed runs in one loop; the walk below reports each seed's result
-    # in order, a run that went non-finite as its failure.  An overflowing
-    # iterate is that failure, so numpy need not warn of it first
+    # every seed runs in one loop, and every complete run's diagnostics are
+    # one pass; the walk below reports each seed's result in order, a run
+    # that went non-finite or a diagnostic whose inner solve stalled as its
+    # failure.  An overflowing iterate is that failure, so numpy need not
+    # warn of it first
     run_config = dataclasses.replace(config, trace_stride=cfg["solver"].get("trace_stride", 1))
     with np.errstate(over="ignore", invalid="ignore"):
         results = run(problem, run_config, x0=x0, y0=y0, seeds=cfg["seeds"])
-    for s, trace in zip(cfg["seeds"], results):
-        run_config = dataclasses.replace(run_config, seed=s)
-        # a run can go non-finite, and a diagnostic's inner solve can stall
-        stage = ""
+    found = diagnose(problem, results, run_config, res_stride, lya_stride, seeds=cfg["seeds"])
+    for s, trace, diagnosed in zip(cfg["seeds"], results, found):
+        stage = "" if isinstance(trace, NonFiniteError) else "lyapunov: "
         try:
-            if isinstance(trace, NonFiniteError):
-                raise trace
-            stage = "lyapunov: "
-            res, lya = diagnose(problem, trace, run_config, res_stride, lya_stride)
+            if isinstance(diagnosed, Exception):
+                raise diagnosed
+            res, lya = diagnosed
             stage = "dz_norm: "
             dz = (dz_norm(problem, run_config.r, trace.output_pair[1], trace.output_z)
                   if diag.get("dz_norm", False) else None)

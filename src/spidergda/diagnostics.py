@@ -31,14 +31,21 @@ that names the caller's row.
 `residual_stride`-th row, the last row and the output pair, and the merit
 values of every `lyapunov_stride`-th row and the last.  Online residuals
 are Monte-Carlo, each on its own stream keyed by the run's seed and the
-row.  The CLI formats what it returns.
+row.  Like `run`, it takes a seed axis: with `seeds`, the traces of all
+seeds are measured in one pass, the residual rows of all of them in one
+rows call and their merit rows, each labelled by its trace row, in one
+`_lyapunov_rows` call; rows of different seeds share a lockstep bit for
+bit, as rows of one seed do.  A stall there raises with a trace row of
+some seed, so `diagnose` then measures each seed on its own, and each
+seed's error is the one its own call raises.  The CLI formats what it
+returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -435,9 +442,9 @@ def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndar
 # ----------------------------------------------------------------------------
 # a run's diagnostics
 
-def diagnose(problem: ProblemInstance, trace: RunTrace, config: SolverConfig,
-             residual_stride: Optional[int], lyapunov_stride: Optional[int]
-             ) -> tuple[dict, dict]:
+def diagnose(problem: ProblemInstance, trace, config: SolverConfig,
+             residual_stride: Optional[int], lyapunov_stride: Optional[int],
+             seeds: Optional[Sequence[int]] = None):
     """The diagnostics of the run `trace` of `config`, keyed by trace row
     index; a stride of None is off.
 
@@ -450,25 +457,65 @@ def diagnose(problem: ProblemInstance, trace: RunTrace, config: SolverConfig,
     The merit rows are one `_lyapunov_rows` call, labelled by their trace
     rows.
 
+    With `seeds`, `trace` is the list that `run(..., seeds=seeds)` returns
+    (one entry per seed), and `diagnose` returns one entry per seed: its
+    (residuals, merit) pair, bit for bit that of a call without `seeds` and
+    with `config.seed` set to that seed; or the MaxItersError that such a
+    call raises; or, for a NonFiniteError entry, that entry.  The residual
+    rows of all complete traces are one rows call, and their merit rows one
+    `_lyapunov_rows` call; if an inner solve stalls there, each seed runs
+    again on its own, so that each error names its own trace row.
+
     Raises
     ------
     RegimeError
         If `lyapunov_stride` is set in the online regime.
     MaxItersError
-        Whose `row` is the trace row of the first merit row with a stalled
-        inner solve.
+        Without `seeds`: whose `row` is the trace row of the first merit row
+        with a stalled inner solve.
+    ValueError
+        If `seeds` and `trace` differ in length.
     """
-    rows, last = trace.rows, len(trace.rows) - 1
-    want = [i for i in range(last) if residual_stride and i % residual_stride == 0] + [last]
-    X, Y = (np.array([getattr(rows[i], v) for i in want] + [p])
-            for v, p in zip("xy", trace.output_pair))
+    args = (problem, config.r, residual_stride, lyapunov_stride)
+    if seeds is None:
+        return _diagnose_traces(*args, [trace], [config.seed])[0]
+    done = [(t, s) for t, s in zip(trace, seeds, strict=True) if isinstance(t, RunTrace)]
+    try:
+        out = iter(_diagnose_traces(*args, *zip(*done)) if done else [])
+    except (MaxItersError, InfeasibleError):
+        # each seed on its own, so that each error names its own trace row
+        out = iter([_alone(args, t, s) for t, s in done])
+    return [next(out) if isinstance(t, RunTrace) else t for t in trace]
+
+
+def _alone(args: tuple, trace: RunTrace, seed: int):
+    """The diagnostics of one trace, or the MaxItersError that they raise."""
+    try:
+        return _diagnose_traces(*args, [trace], [seed])[0]
+    except MaxItersError as err:
+        return err
+
+
+def _diagnose_traces(problem: ProblemInstance, r: float, residual_stride: Optional[int],
+                     lyapunov_stride: Optional[int], traces, seeds) -> list:
+    """The (residuals, merit) pair of `diagnose` for each complete trace
+    traces[j] of seed seeds[j]: the residual rows of all traces are one rows
+    call, and their merit rows, labelled by trace row, one `_lyapunov_rows`
+    call."""
+    want, merit = [], []  # the residual and merit rows of each trace
+    for t in traces:
+        last = len(t.rows) - 1
+        want.append([*range(0, last, residual_stride), last, -1] if residual_stride else [last, -1])
+        merit.append([*range(0, last, lyapunov_stride), last] if lyapunov_stride else [])
+    X, Y = (np.array(v) for v in zip(*[t.output_pair if i < 0 else (t.rows[i].x, t.rows[i].y)
+                                       for t, w in zip(traces, want) for i in w]))
     if isinstance(problem.regime, FiniteSum):
-        res = [(rx, ry, None, None) for rx, ry in _gs_residual_rows(problem, X, Y)]
+        res = iter([(rx, ry, None, None) for rx, ry in _gs_residual_rows(problem, X, Y)])
     else:
-        res = [mc_gs_residuals(problem, x, y, np.random.default_rng(
-            (config.seed, _OUTPUT_TAG if i < 0 else i))) for x, y, i in zip(X, Y, want + [-1])]
-    merit = [i for i in range(len(rows))
-             if lyapunov_stride and (i % lyapunov_stride == 0 or i == last)]
-    X, Y, Z = (np.array([getattr(rows[i], v) for i in merit]) for v in "xyz")
-    lya = _lyapunov_rows(problem, config.r, X, Y, Z, np.array(merit)) if merit else []
-    return dict(zip(want + [-1], res)), {i: lv.value for i, lv in zip(merit, lya)}
+        keys = [(s, _OUTPUT_TAG if i < 0 else i) for s, w in zip(seeds, want) for i in w]
+        res = iter([mc_gs_residuals(problem, x, y, np.random.default_rng(key))
+                    for x, y, key in zip(X, Y, keys)])
+    rows = [t.rows[i] for t, m in zip(traces, merit) for i in m]
+    X, Y, Z = (np.array([getattr(row, v) for row in rows]) for v in "xyz")
+    lya = iter(_lyapunov_rows(problem, r, X, Y, Z, np.concatenate(merit)) if rows else [])
+    return [(dict(zip(w, res)), {i: next(lya).value for i in m}) for w, m in zip(want, merit)]

@@ -92,6 +92,13 @@ MERIT_COLUMN_ORACLE_CALLS = 100
 DIAGNOSE_SEED_CALLS = 1520
 DIAGNOSE_SEED_ORACLE_CALLS = 107
 DIAGNOSE_SEED_VALUES_CALLS = 2
+# package calls, and `batch_grads` calls among them, of all the diagnostics
+# of both seeds of that command (22 and 23) as the command makes them: one
+# `diagnose` call over the seed axis, whose residual rows of both seeds are
+# one rows call and whose six merit rows are one lockstep solve and ascent
+# (3,054 and 214 as two single-seed `diagnose` calls)
+DIAGNOSE_TWO_SEEDS_CALLS = 1559
+DIAGNOSE_TWO_SEEDS_ORACLE_CALLS = 113
 # `batch_grads` calls of a certified merit evaluation on the 1-D example:
 # one per lockstep inner-solve iteration of d_r(y, z) and the 513 grid
 # points, and each ascent step reuses the y side of its inner solve's last
@@ -210,6 +217,16 @@ def test_diagnose_seed_call_budget():
     assert oracle_calls <= DIAGNOSE_SEED_ORACLE_CALLS, f"{oracle_calls} oracle calls"
     values_calls = _package_calls(diagnose_seed, "batch_values")
     assert values_calls <= DIAGNOSE_SEED_VALUES_CALLS, f"{values_calls} values calls"
+
+
+def test_diagnose_two_seeds_call_budget():
+    # the diagnostics of both seeds of the cli_diagnostics workload's run,
+    # one pass over the seed axis
+    diagnose_two_seeds = _TOOL.diagnose_two_seeds()
+    calls = _package_calls(diagnose_two_seeds)
+    assert calls <= DIAGNOSE_TWO_SEEDS_CALLS, f"{calls} package calls"
+    oracle_calls = _package_calls(diagnose_two_seeds, "batch_grads")
+    assert oracle_calls <= DIAGNOSE_TWO_SEEDS_ORACLE_CALLS, f"{oracle_calls} oracle calls"
 
 
 def test_kl_example_merit_oracle_call_budget():

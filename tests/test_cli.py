@@ -12,7 +12,7 @@ import pytest
 from spidergda import (Box, MaxItersError, NonFiniteError, Online, ProblemInstance,
                        RegimeError, SmoothnessMeta, SolverConfig, StochasticOracle,
                        batch_rng, diagnose, mc_gs_residuals, run)
-from spidergda.cli import _SCHEMA, _build_problem, _load_config
+from spidergda.cli import _SCHEMA, _build_problem, _load_config, _tune
 from spidergda.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_INFEASIBLE,
                            EXIT_NUMERICAL, EXIT_OK, TRACE_HEADER, ConfigError,
                            main, run_experiment, verify)
@@ -271,22 +271,103 @@ def test_stalled_inner_solve_exit_code(tmp_path, monkeypatch, capsys,
 
 
 def test_merit_stall_names_its_trace_row(tmp_path, monkeypatch, capsys):
-    # the merit rows of a trace are one `_lyapunov_rows` call, labelled by
-    # their trace rows, whose MaxItersError carries the label of the row
-    # that stalled; the one stderr line names that trace row
+    # the merit rows of both seeds are one `_lyapunov_rows` call, labelled
+    # by their trace rows; after a stall there each seed runs alone, and
+    # the MaxItersError of its call carries the label of the row that
+    # stalled; the one stderr line names that trace row
     import spidergda.diagnostics as diag_mod
+    calls = []
 
     def stall(problem, r, X, Y, Z, labels):
-        # trace rows 0, 5, ..., 45 and the last, 49
-        assert labels.tolist() == [*range(0, 50, 5), 49] and len(X) == 11
+        # trace rows 0, 5, ..., 45 and the last, 49, of each seed
+        calls.append(labels.tolist())
+        assert len(X) == len(labels)
         raise MaxItersError("inner solve stalled at residual 1.000e+00", best=X[2],
                             residual=1.0, row=int(labels[2]))
 
     monkeypatch.setattr(diag_mod, "_lyapunov_rows", stall)
     cfg = _write(tmp_path, _kl_config(diagnostics={"lyapunov_stride": 5}))
     assert run_experiment(cfg, out_dir=str(tmp_path / "x"), quiet=True) == EXIT_NUMERICAL
+    rows = [*range(0, 50, 5), 49]
+    assert calls == [rows * 2, rows, rows]
     assert capsys.readouterr().err == ("numerical failure (seed 0): lyapunov: inner solve "
                                        "stalled at residual 1.000e+00 at trace row 10\n")
+
+
+# beta = 0.5 moves z at every step, so rows 1-3 of the two seeds have
+# seven distinct prox centres (row 0, after the exact anchor, is shared)
+_STALL_CFG = {"problem": {"kind": "quadratic_saddle", "dim_x": 2, "dim_y": 2, "n_samples": 8},
+              "tuner": {"epsilon": 0.1, "overrides": {"K": 2, "T": 2, "M": 2, "beta": 0.5}},
+              "diagnostics": {"lyapunov_stride": 1}, "seeds": [0, 1]}
+
+
+def _stall_merit_rows(monkeypatch, stall_at):
+    """Make the merit row of seed s and trace row i stall at its n-th inner
+    solve call of a merit evaluation, for each (s, i): n of `stall_at` (call
+    1 is the d_r(y, z) solve, call 2 the ascent's first step, ...).  As in a
+    lockstep, a call raises for the first of its rows that is due, with that
+    row's label.  The rows are told apart by their prox centres z, from the
+    command's own run of `_STALL_CFG`.  Returns the labels raised, in order."""
+    import spidergda.diagnostics as diag_mod
+    cfg = _load_config(_STALL_CFG)
+    problem, config, _ = _tune(cfg, _build_problem(cfg))
+    traces = run(problem, config, seeds=cfg["seeds"])
+    due = {traces[s].rows[i].z.tobytes(): n for (s, i), n in stall_at.items()}
+    assert len(due) == len(stall_at)  # distinct prox centres
+    lyapunov_rows, solve_rows = diag_mod._lyapunov_rows, diag_mod._solve_rows
+    seen, raised = {}, []
+
+    def counted_lyapunov_rows(*args):
+        seen.clear()
+        return lyapunov_rows(*args)
+
+    def counted_solve_rows(problem, r, Y, z, X0, labels):
+        keys = [c.tobytes() for c in np.broadcast_to(z, X0.shape)]
+        for key in set(keys):
+            seen[key] = seen.get(key, 0) + 1
+        for s, key in enumerate(keys):
+            if due.get(key) == seen[key]:
+                raised.append(int(labels[s]))
+                raise MaxItersError("inner solve stalled at residual 1.000e+00", best=X0[s],
+                                    residual=1.0, row=int(labels[s]))
+        return solve_rows(problem, r, Y, z, X0, labels)
+
+    monkeypatch.setattr(diag_mod, "_lyapunov_rows", counted_lyapunov_rows)
+    monkeypatch.setattr(diag_mod, "_solve_rows", counted_solve_rows)
+    return raised
+
+
+def test_an_earlier_seeds_merit_stall_is_reported_before_a_later_seeds(tmp_path, monkeypatch,
+                                                                       capsys):
+    # seed 1's trace row 1 stalls at the first inner solve, seed 0's trace
+    # row 2 at the third: the shared pass meets seed 1's stall first, and
+    # the command still reports seed 0's, as when each seed ran alone
+    raised = _stall_merit_rows(monkeypatch, {(0, 2): 3, (1, 1): 1})
+    out = tmp_path / "out"
+    assert run_experiment(_write(tmp_path, _STALL_CFG), out_dir=str(out),
+                          quiet=True) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure (seed 0): lyapunov: inner solve "
+                                       "stalled at residual 1.000e+00 at trace row 2\n")
+    assert raised[0] == 1 and 2 in raised
+    assert list(out.iterdir()) == []
+
+
+def test_a_dz_norm_stall_is_reported_before_a_later_seeds_merit_stall(tmp_path, monkeypatch,
+                                                                      capsys):
+    # seed 0's merit is fine and its dz_norm stalls; seed 1's merit stalls
+    import spidergda.cli as cli_mod
+
+    def stalled_dz_norm(*args):
+        raise MaxItersError("inner solve stalled at residual 2.000e+00", best=None,
+                            residual=2.0, row=0)
+
+    _stall_merit_rows(monkeypatch, {(1, 3): 2})
+    monkeypatch.setattr(cli_mod, "dz_norm", stalled_dz_norm)
+    cfg = dict(_STALL_CFG, diagnostics={"lyapunov_stride": 1, "dz_norm": True})
+    assert run_experiment(_write(tmp_path, cfg), out_dir=str(tmp_path / "out"),
+                          quiet=True) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure (seed 0): dz_norm: inner solve "
+                                       "stalled at residual 2.000e+00\n")
 
 
 def _online_problem():

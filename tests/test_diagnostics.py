@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from spidergda import (Ball, Box, DimError, FiniteSum, InfeasibleError,
-                       MaxItersError, Online, ProblemInstance, RegimeError,
-                       Simplex, SmoothnessMeta, SolverConfig,
+                       MaxItersError, NonFiniteError, Online, ProblemInstance,
+                       RegimeError, Simplex, SmoothnessMeta, SolverConfig,
                        StochasticOracle, as_problem, core, diagnose,
                        diagnostics, dz_norm, estimate_sigmas, full_grad_x,
                        full_grad_y, full_value, gs_residuals, lyapunov,
@@ -767,6 +767,72 @@ def test_windowed_residuals_equal_per_row_gs_residuals(kind, stride):
         assert res[i] == gs_residuals(p, rows[i].x, rows[i].y) + (None, None)
     # the output pair rides in the last call
     assert res[-1] == gs_residuals(p, *trace.output_pair) + (None, None)
+
+
+# ----------------------------------------------------------------------------
+# a command's diagnostics over the seed axis
+#
+# `diagnose(..., seeds=...)` measures the complete traces of all seeds in
+# one residual rows call and one `_lyapunov_rows` call; each seed's entry
+# must equal its single-seed call bit for bit.
+
+def _seed_axis_case(kind):
+    """(problem, config, y0, residual_stride, lyapunov_stride) of a
+    two-seed run: the benchmark's quadratic (3-D box dual) at 24 rows; the
+    certified 1-D example with a merit stride, so the 513-point grids of
+    both seeds are rows of one solve; the quadratic at N = 4 with 40 merit
+    rows per seed, so one `_MERIT_ROWS` block holds rows of both seeds; the
+    online problem of the CLI tests, residuals only."""
+    if kind == "online":
+        from test_cli import _online_problem
+        return (_online_problem(), SolverConfig(K=2, T=2, M=2, B=4, alpha_x=0.1, alpha_y=0.1,
+                                                beta=0.5, r=1.0), None, 1, None)
+    quad = {"kind": "quadratic_saddle", "dim_x": 4, "dim_y": 3, "n_samples": 16, "seed": 11}
+    steps = {"alpha_y": 4.0, "beta": 0.016, "T": 8}
+    problem, tuner, y0, strides = {
+        "box": (quad, {"epsilon": 1e-3, "overrides": dict(steps, K=3, M=16)}, None, (1, 8)),
+        "certified": ({"kind": "kl_example"}, {"epsilon": 0.1, "overrides": {
+            "alpha_y": 0.2, "K": 30, "T": 3, "M": 2, "B": 1}}, [1.8], (10, 45)),
+        "blocks": (dict(quad, n_samples=4), {"epsilon": 1e-3, "overrides": dict(
+            steps, K=5, M=4)}, None, (None, 1)),
+    }[kind]
+    cfg = _load_config({"problem": problem, "tuner": tuner})
+    p, config, _ = _tune(cfg, _build_problem(cfg))
+    config.trace_stride = 1
+    return p, config, None if y0 is None else np.array(y0), *strides
+
+
+def _diagnostics_bits(found):
+    """A (residuals, merit) pair of `diagnose` with every float as hex."""
+    res, lya = found
+    return ({i: [None if v is None else v.hex() for v in out] for i, out in res.items()},
+            {i: v.hex() for i, v in lya.items()})
+
+
+@pytest.mark.parametrize("kind", ["box", "certified", "blocks", "online"])
+def test_diagnose_over_seeds_equals_single_seed_calls(kind, monkeypatch):
+    p, config, y0, res_stride, lya_stride = _seed_axis_case(kind)
+    seeds = [22, 5]
+    traces = run(p, config, y0=y0, seeds=seeds)
+    failed = NonFiniteError("iterate became non-finite")
+    merit_rows = []
+    lyapunov_rows = diagnostics._lyapunov_rows
+    monkeypatch.setattr(diagnostics, "_lyapunov_rows",
+                        lambda *a: merit_rows.append(len(a[2])) or lyapunov_rows(*a))
+    # a seed that went non-finite passes through, in its place
+    got = diagnose(p, [traces[0], failed, traces[1]], config, res_stride, lya_stride,
+                   seeds=[seeds[0], 7, seeds[1]])
+    assert len(got) == 3 and got[1] is failed
+    n = len(traces[0].rows)
+    per_seed = 0 if lya_stride is None else len(range(0, n - 1, lya_stride)) + 1
+    # one call over both seeds' merit rows (a call of more than
+    # `_MERIT_ROWS` rows makes one call per block of them)
+    assert merit_rows[:1] == ([2 * per_seed] if per_seed else [])
+    assert (2 * per_seed > diagnostics._MERIT_ROWS) == (kind == "blocks")
+    for found, trace, s in zip(got[::2], traces, seeds):
+        want = diagnose(p, trace, replace(config, seed=s), res_stride, lya_stride)
+        assert _diagnostics_bits(found) == _diagnostics_bits(want)
+        assert len(found[1]) == per_seed
 
 
 # ----------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Print the calls per solver step of three fixed schedules and of one of
-them run for 1, 2 and 10 seeds in one loop, and the calls of six
+them run for 1, 2 and 10 seeds in one loop, and the calls of seven
 diagnostics units.
 
     PYTHONPATH=src python3 tools/calls_per_step.py
@@ -26,10 +26,11 @@ come from the first run of the benchmark's `cli_diagnostics` command: the
 exact residuals of the 64 trace rows that one exact-gradient call takes at
 N = 16, the merit function at one row, and the command's whole merit
 column of that seed, three rows of one lockstep solve and ascent.  A
-fourth is all the diagnostics of that seed as the command makes them, one
-`diagnose` call.  The other two are certified merit functions, whose p_r
-comes from a 513-point grid: of the 1-D example, and of the 1-D saddle of
-the acceptance suite's criterion 12.
+fourth is all the diagnostics of that seed, one `diagnose` call, and a
+fifth those of both of the command's seeds as the command makes them, one
+`diagnose` call over the seed axis.  The other two are certified merit
+functions, whose p_r comes from a 513-point grid: of the 1-D example, and
+of the 1-D saddle of the acceptance suite's criterion 12.
 The counts depend on the numpy and Python versions, except the package
 count.
 """
@@ -143,6 +144,17 @@ def diagnose_seed():
     return lambda: diagnose(p, trace, cfg, 1, 200)
 
 
+def diagnose_two_seeds():
+    """The diagnostics of `cli_diagnostics` at both its seeds, 22 and 23, as
+    the command makes them: one `diagnose` call over the list that one
+    `run(..., seeds=[22, 23])` returns, with the strides of `diagnose_seed`
+    (both seeds' residuals in one rows call and their six merit rows in one
+    lockstep solve and ascent), as a call of no arguments."""
+    p, cfg, _ = cli_diagnostics()
+    traces = run(p, cfg, seeds=[22, 23])
+    return lambda: diagnose(p, traces, cfg, 1, 200, seeds=[22, 23])
+
+
 def certified_merit():
     """The merit evaluation of the 1-D example at (x, y, z) = (0, 0.3, 0),
     r = 1, which is certified by a 513-point grid on its box dual, as a
@@ -210,6 +222,7 @@ def main() -> int:
     print(f"{'unit':<22} {'package':>9} {'python':>9} {'c':>9}   (calls per unit)")
     for name, build in (("residual_window", residual_window), ("merit_row", merit_row),
                         ("merit_column", merit_column), ("diagnose_seed", diagnose_seed),
+                        ("diagnose_two_seeds", diagnose_two_seeds),
                         ("certified_merit", certified_merit),
                         ("certified_saddle_merit", certified_saddle_merit)):
         unit = build()
