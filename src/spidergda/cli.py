@@ -2,11 +2,12 @@
 
 `spidergda run <config.json>` builds a problem from the zoo (or a dataset
 CSV), tunes the schedule, runs the solver for all seeds in one loop,
-diagnoses all their traces in one `diagnose` pass, and writes per-seed
-trace CSVs plus a summary JSON containing final residuals, sample counts
-and the full tuner audit; the seeds are reported in config order, the
-first failing seed with one line.  `spidergda verify <suite>` runs
-a named property suite and prints per-check pass/fail lines.
+diagnoses their traces up to the first that went non-finite in one
+`diagnose` pass, and writes per-seed trace CSVs plus a summary JSON
+containing final residuals, sample counts and the full tuner audit; the
+seeds are reported in config order, the first failing seed with one line.
+`spidergda verify <suite>` runs a named property suite and prints
+per-check pass/fail lines.
 
 Exit codes: 0 ok; 1 failed verify check; 2 config error / unknown suite;
 3 numerical failure; 4 infeasible schedule.
@@ -364,15 +365,17 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
     if lya_stride is not None and not isinstance(problem.regime, FiniteSum):
         logger.warning("merit tracking needs exact values; skipping in the online regime")
         lya_stride = None
-    # every seed runs in one loop, and every complete run's diagnostics are
-    # one pass; the walk below reports each seed's result in order, a run
-    # that went non-finite or a diagnostic whose inner solve stalled as its
-    # failure.  An overflowing iterate is that failure, so numpy need not
-    # warn of it first
+    # every seed runs in one loop, and the diagnostics of the complete runs
+    # before the first non-finite one are one pass; the walk below reports
+    # each seed's result in order, a run that went non-finite or a
+    # diagnostic whose inner solve stalled as its failure, and reaches no
+    # seed after that run.  An overflowing iterate is that failure, so numpy
+    # need not warn of it first
     run_config = dataclasses.replace(config, trace_stride=cfg["solver"].get("trace_stride", 1))
     with np.errstate(over="ignore", invalid="ignore"):
         results = run(problem, run_config, x0=x0, y0=y0, seeds=cfg["seeds"])
-    found = diagnose(problem, results, run_config, res_stride, lya_stride, seeds=cfg["seeds"])
+    n = next((i + 1 for i, t in enumerate(results) if isinstance(t, NonFiniteError)), len(results))
+    found = diagnose(problem, results[:n], run_config, res_stride, lya_stride, cfg["seeds"][:n])
     for s, trace, diagnosed in zip(cfg["seeds"], results, found):
         stage = "" if isinstance(trace, NonFiniteError) else "lyapunov: "
         try:

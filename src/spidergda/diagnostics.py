@@ -36,9 +36,10 @@ seeds are measured in one pass, the residual rows of all of them in one
 rows call and their merit rows, each labelled by its trace row, in one
 `_lyapunov_rows` call; rows of different seeds share a lockstep bit for
 bit, as rows of one seed do.  A stall there raises with a trace row of
-some seed, so `diagnose` then measures each seed on its own, and each
-seed's error is the one its own call raises.  The CLI formats what it
-returns.
+some seed, so `diagnose` then measures the seeds on their own, in order,
+up to the first whose own call raises: that seed's error is the one its
+own call raises, and the seeds after it are not measured.  The CLI
+formats what it returns.
 """
 
 from __future__ import annotations
@@ -463,8 +464,10 @@ def diagnose(problem: ProblemInstance, trace, config: SolverConfig,
     with `config.seed` set to that seed; or the MaxItersError that such a
     call raises; or, for a NonFiniteError entry, that entry.  The residual
     rows of all complete traces are one rows call, and their merit rows one
-    `_lyapunov_rows` call; if an inner solve stalls there, each seed runs
-    again on its own, so that each error names its own trace row.
+    `_lyapunov_rows` call; if an inner solve stalls there, the seeds run
+    again on their own, in order, so that each error names its own trace
+    row, up to the first seed whose own call stalls: the complete traces
+    after it are not measured, and their entries are None.
 
     Raises
     ------
@@ -484,16 +487,19 @@ def diagnose(problem: ProblemInstance, trace, config: SolverConfig,
         out = iter(_diagnose_traces(*args, *zip(*done)) if done else [])
     except (MaxItersError, InfeasibleError):
         # each seed on its own, so that each error names its own trace row
-        out = iter([_alone(args, t, s) for t, s in done])
-    return [next(out) if isinstance(t, RunTrace) else t for t in trace]
+        out = _alone(args, done)
+    return [next(out, None) if isinstance(t, RunTrace) else t for t in trace]
 
 
-def _alone(args: tuple, trace: RunTrace, seed: int):
-    """The diagnostics of one trace, or the MaxItersError that they raise."""
-    try:
-        return _diagnose_traces(*args, [trace], [seed])[0]
-    except MaxItersError as err:
-        return err
+def _alone(args: tuple, done: list):
+    """The diagnostics of each (trace, seed) of `done` on its own, in order,
+    up to the first whose call stalls, whose MaxItersError ends them."""
+    for trace, seed in done:
+        try:
+            yield _diagnose_traces(*args, [trace], [seed])[0]
+        except MaxItersError as err:
+            yield err
+            return
 
 
 def _diagnose_traces(problem: ProblemInstance, r: float, residual_stride: Optional[int],

@@ -113,19 +113,16 @@ class Box(ConstraintSet):
         return float(np.linalg.norm(self.hi - self.lo))
 
     @cached_property
-    def _bound_rows(self) -> list:
-        # lo and hi as rows, as many as the last stack projected had
-        return [self.lo[None], self.hi[None]]
+    def _bound_rows(self) -> tuple:
+        return self.lo[None], self.hi[None]
 
     def _project(self, v: np.ndarray) -> np.ndarray:
         # np.clip's values on a vector, without its Python-level wrapper: on
         # a tie (-0.0 against +0.0) the bound wins, also for rows against
         # broadcast bounds, where np.clip itself can let the value win.
-        # A stack meets bounds of its own height, as a vector does: numpy's
-        # same-shape loop costs half the broadcasting one here
+        # Rows meet the bounds as rows: a one-row stack then takes numpy's
+        # same-shape loop, which costs half the broadcasting one here
         lo, hi = (self.lo, self.hi) if v.ndim == 1 else self._bound_rows
-        if lo.shape[0] != v.shape[0]:  # a stack of a new height
-            lo, hi = self._bound_rows[:] = np.repeat([[self.lo], [self.hi]], v.shape[0], axis=1)
         return np.minimum(np.maximum(v, lo), hi)
 
     def _contains(self, x: np.ndarray) -> bool:

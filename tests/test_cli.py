@@ -229,6 +229,33 @@ def test_a_failing_seed_still_writes_the_seeds_before_it(tmp_path, monkeypatch,
     assert filecmp.cmp(out / "trace_seed4.csv", clean / "trace_seed4.csv", shallow=False)
 
 
+def test_seeds_after_a_non_finite_run_are_not_diagnosed(tmp_path, monkeypatch, capsys):
+    # seed 1's run goes non-finite: seed 0 is diagnosed and written, and
+    # seed 2, which the report never reaches, is not diagnosed
+    import spidergda.cli as cli_mod
+    import spidergda.diagnostics as diag_mod
+    real_run, diagnose_traces, diagnosed = cli_mod.run, diag_mod._diagnose_traces, []
+
+    def second_fails(*args, seeds, **kwargs):
+        traces = real_run(*args, seeds=seeds, **kwargs)
+        return [traces[0], NonFiniteError("iterate became non-finite"), traces[2]]
+
+    def recorded(*args):
+        diagnosed.append(list(args[-1]))
+        return diagnose_traces(*args)
+
+    monkeypatch.setattr(cli_mod, "run", second_fails)
+    monkeypatch.setattr(diag_mod, "_diagnose_traces", recorded)
+    cfg = _kl_config(seeds=[0, 1, 2], diagnostics={"residual_stride": 5,
+                                                   "lyapunov_stride": 25})
+    out = tmp_path / "out"
+    assert run_experiment(_write(tmp_path, cfg), out_dir=str(out), quiet=True) == EXIT_NUMERICAL
+    assert diagnosed == [[0]]
+    assert capsys.readouterr().err == ("numerical failure (seed 1): "
+                                       "iterate became non-finite\n")
+    assert sorted(f.name for f in out.iterdir()) == ["trace_seed0.csv"]
+
+
 def test_overflowing_iterate_exits_with_one_line(tmp_path, capsys):
     # the iterate overflows in the first step; the failure is the one line
     # of stderr, with no numpy overflow warning before it
@@ -272,9 +299,10 @@ def test_stalled_inner_solve_exit_code(tmp_path, monkeypatch, capsys,
 
 def test_merit_stall_names_its_trace_row(tmp_path, monkeypatch, capsys):
     # the merit rows of both seeds are one `_lyapunov_rows` call, labelled
-    # by their trace rows; after a stall there each seed runs alone, and
-    # the MaxItersError of its call carries the label of the row that
-    # stalled; the one stderr line names that trace row
+    # by their trace rows; after a stall there the seeds run alone up to
+    # the first that stalls, here seed 0, and the MaxItersError of its call
+    # carries the label of the row that stalled; the one stderr line names
+    # that trace row
     import spidergda.diagnostics as diag_mod
     calls = []
 
@@ -289,7 +317,7 @@ def test_merit_stall_names_its_trace_row(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, _kl_config(diagnostics={"lyapunov_stride": 5}))
     assert run_experiment(cfg, out_dir=str(tmp_path / "x"), quiet=True) == EXIT_NUMERICAL
     rows = [*range(0, 50, 5), 49]
-    assert calls == [rows * 2, rows, rows]
+    assert calls == [rows * 2, rows]
     assert capsys.readouterr().err == ("numerical failure (seed 0): lyapunov: inner solve "
                                        "stalled at residual 1.000e+00 at trace row 10\n")
 

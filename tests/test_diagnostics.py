@@ -835,6 +835,36 @@ def test_diagnose_over_seeds_equals_single_seed_calls(kind, monkeypatch):
         assert len(found[1]) == per_seed
 
 
+def test_diagnose_over_seeds_stops_at_the_first_seed_that_stalls_alone(monkeypatch):
+    # seed 5's last merit row stalls: the shared pass raises, then the
+    # seeds run alone in order, seed 22 measured, seed 5 its own error,
+    # and seed 9 not measured again
+    p, config, y0, res_stride, lya_stride = _seed_axis_case("box")
+    seeds = [22, 5, 9]
+    traces = run(p, config, y0=y0, seeds=seeds)
+    last = len(traces[1].rows) - 1
+    stall = traces[1].rows[last].z.tobytes()
+    assert [t.rows[last].z.tobytes() == stall for t in traces] == [False, True, False]
+    lyapunov_rows, calls = diagnostics._lyapunov_rows, []
+
+    def stalling(problem, r, X, Y, Z, labels):
+        calls.append(len(X))
+        for z, label in zip(Z, labels):
+            if z.tobytes() == stall:
+                raise MaxItersError("inner solve stalled", best=None, residual=1.0,
+                                    row=int(label))
+        return lyapunov_rows(problem, r, X, Y, Z, labels)
+
+    monkeypatch.setattr(diagnostics, "_lyapunov_rows", stalling)
+    got = diagnose(p, traces, config, res_stride, lya_stride, seeds=seeds)
+    per_seed = len(range(0, last, lya_stride)) + 1
+    assert calls == [3 * per_seed, per_seed, per_seed]
+    want = diagnose(p, traces[0], replace(config, seed=22), res_stride, lya_stride)
+    assert _diagnostics_bits(got[0]) == _diagnostics_bits(want)
+    assert isinstance(got[1], MaxItersError) and got[1].row == last
+    assert got[2] is None
+
+
 # ----------------------------------------------------------------------------
 # finite-difference harness (the `fd_check` fixture other tests rely on)
 

@@ -469,27 +469,6 @@ def test_project_rows_signed_zero_ties_equal_project(d):
         assert row.tobytes() == box.project(v).tobytes()
 
 
-def test_box_stacks_of_changing_heights_equal_project_per_row():
-    # a box meets each stack with bounds of the stack's height, kept from
-    # the last stack; stacks that grow, shrink and come back, and vectors
-    # between them, must each clip as their rows do, signed-zero ties
-    # included: the lower bound wins its tie, then the upper bound its own
-    box = Box([-0.0, 0.0, -1.0], [0.0, -0.0, 1.0])
-
-    def clip(v):
-        v = [lo if x <= lo else x for x, lo in zip(v.tolist(), box.lo.tolist())]
-        return np.array([hi if x >= hi else x for x, hi in zip(v, box.hi.tolist())])
-
-    rng = np.random.default_rng(5)
-    for height in [1, 3, 2, 5, 0, 1, 5, 4, 1]:
-        V = rng.choice([-0.0, 0.0, -2.0, 2.0, 0.5], size=(height, 3))
-        got = box._project(V)
-        assert got.shape == V.shape
-        assert got.tobytes() == b"".join(clip(v).tobytes() for v in V)
-        v = rng.choice([-0.0, 0.0, -2.0], size=3)
-        assert box._project(v).tobytes() == clip(v).tobytes()
-
-
 def _ncd_rows_cases():
     """(set, X, G) per set kind: random feasible rows plus the edge rows of
     the normal-cone formulas, with g drawn so that coordinates point both
