@@ -30,23 +30,25 @@ that names the caller's row.
 `diagnose` owns which trace rows are measured: the residuals of every
 `residual_stride`-th row, the last row and the output pair, and the merit
 values of every `lyapunov_stride`-th row and the last.  Online residuals
-are Monte-Carlo, each on its own stream keyed by the run's seed and the
-row.  Like `run`, it takes a seed axis: with `seeds`, the traces of all
-seeds are measured in one pass, the residual rows of all of them in one
-rows call and their merit rows, each labelled by its trace row, in one
-`_lyapunov_rows` call; rows of different seeds share a lockstep bit for
-bit, as rows of one seed do.  A stall there raises with a trace row of
-some seed, so `diagnose` then measures the seeds on their own, in order,
-up to the first whose own call raises: that seed's error is the one its
-own call raises, and the seeds after it are not measured.  The CLI
-formats what it returns.
+are Monte-Carlo, each on its own stream keyed by (trace.seed, row), so a
+trace's diagnostics follow from the trace alone.  Like `run`, it takes a
+seed axis: given the list of a command's runs, it decides where the
+report stops, at the first seed that fails, and measures the complete
+traces before the first failed run in one pass, the residual rows of all
+of them in one rows call and their merit rows, each labelled by its trace
+row, in one `_lyapunov_rows` call; rows of different seeds share a
+lockstep bit for bit, as rows of one seed do.  A stall there raises with
+a trace row of some seed, so `diagnose` then measures the traces on their
+own, in order, up to the first whose own call raises: that seed's error
+is the one its own call raises, and no seed after it is measured.  The
+CLI formats what it returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -444,70 +446,63 @@ def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndar
 # a run's diagnostics
 
 def diagnose(problem: ProblemInstance, trace, config: SolverConfig,
-             residual_stride: Optional[int], lyapunov_stride: Optional[int],
-             seeds: Optional[Sequence[int]] = None):
-    """The diagnostics of the run `trace` of `config`, keyed by trace row
-    index; a stride of None is off.
+             residual_stride: Optional[int], lyapunov_stride: Optional[int]):
+    """The diagnostics of the run `trace`, keyed by trace row index; a
+    stride of None is off, and `config` gives only the prox parameter r.
 
     Returns the residuals (res_x, res_y, se_x, se_y) at every
     `residual_stride`-th row, the last row and the output pair (key -1),
     and the merit values Phi_r at every `lyapunov_stride`-th row and the
     last.  Finite-sum residuals are exact, all of them from one rows call
     (no standard errors); online ones are Monte-Carlo, each on a stream
-    keyed by (config.seed, row), the output pair's by (config.seed, 2**63).
+    keyed by (trace.seed, row), the output pair's by (trace.seed, 2**63).
     The merit rows are one `_lyapunov_rows` call, labelled by their trace
     rows.
 
-    With `seeds`, `trace` is the list that `run(..., seeds=seeds)` returns
-    (one entry per seed), and `diagnose` returns one entry per seed: its
-    (residuals, merit) pair, bit for bit that of a call without `seeds` and
-    with `config.seed` set to that seed; or the MaxItersError that such a
-    call raises; or, for a NonFiniteError entry, that entry.  The residual
-    rows of all complete traces are one rows call, and their merit rows one
-    `_lyapunov_rows` call; if an inner solve stalls there, the seeds run
-    again on their own, in order, so that each error names its own trace
-    row, up to the first seed whose own call stalls: the complete traces
-    after it are not measured, and their entries are None.
+    Given the list that `run(..., seeds=...)` returns, `diagnose` returns
+    one entry per seed, in order, up to and including the first seed that
+    fails: each complete trace's (residuals, merit) pair, bit for bit its
+    one-trace call; then the failing seed's entry, the NonFiniteError that
+    `run` returned or the MaxItersError that the seed's own call raises.
+    No trace after that seed is measured.  The residual rows of the
+    complete traces before the first NonFiniteError are one rows call, and
+    their merit rows one `_lyapunov_rows` call; if an inner solve stalls
+    there, those traces are measured again on their own, in order, up to
+    the first whose own call stalls, so that its error names its own trace
+    row.
 
     Raises
     ------
     RegimeError
         If `lyapunov_stride` is set in the online regime.
     MaxItersError
-        Without `seeds`: whose `row` is the trace row of the first merit row
+        For one trace: whose `row` is the trace row of the first merit row
         with a stalled inner solve.
-    ValueError
-        If `seeds` and `trace` differ in length.
     """
     args = (problem, config.r, residual_stride, lyapunov_stride)
-    if seeds is None:
-        return _diagnose_traces(*args, [trace], [config.seed])[0]
-    done = [(t, s) for t, s in zip(trace, seeds, strict=True) if isinstance(t, RunTrace)]
+    if isinstance(trace, RunTrace):
+        return _diagnose_traces(*args, [trace])[0]
+    # the complete traces before the first failed run, then that run's error
+    n = next((i for i, t in enumerate(trace) if not isinstance(t, RunTrace)), len(trace))
+    done, failed = trace[:n], list(trace[n:n + 1])
     try:
-        out = iter(_diagnose_traces(*args, *zip(*done)) if done else [])
+        return (_diagnose_traces(*args, done) if done else []) + failed
     except (MaxItersError, InfeasibleError):
-        # each seed on its own, so that each error names its own trace row
-        out = _alone(args, done)
-    return [next(out, None) if isinstance(t, RunTrace) else t for t in trace]
-
-
-def _alone(args: tuple, done: list):
-    """The diagnostics of each (trace, seed) of `done` on its own, in order,
-    up to the first whose call stalls, whose MaxItersError ends them."""
-    for trace, seed in done:
-        try:
-            yield _diagnose_traces(*args, [trace], [seed])[0]
-        except MaxItersError as err:
-            yield err
-            return
+        # each trace on its own, so that each error names its own trace row
+        found = []
+        for t in done:
+            try:
+                found.append(_diagnose_traces(*args, [t])[0])
+            except MaxItersError as err:
+                return found + [err]
+        return found + failed
 
 
 def _diagnose_traces(problem: ProblemInstance, r: float, residual_stride: Optional[int],
-                     lyapunov_stride: Optional[int], traces, seeds) -> list:
-    """The (residuals, merit) pair of `diagnose` for each complete trace
-    traces[j] of seed seeds[j]: the residual rows of all traces are one rows
-    call, and their merit rows, labelled by trace row, one `_lyapunov_rows`
-    call."""
+                     lyapunov_stride: Optional[int], traces) -> list:
+    """The (residuals, merit) pair of `diagnose` for each complete trace of
+    `traces`: the residual rows of all traces are one rows call, and their
+    merit rows, labelled by trace row, one `_lyapunov_rows` call."""
     want, merit = [], []  # the residual and merit rows of each trace
     for t in traces:
         last = len(t.rows) - 1
@@ -518,7 +513,7 @@ def _diagnose_traces(problem: ProblemInstance, r: float, residual_stride: Option
     if isinstance(problem.regime, FiniteSum):
         res = iter([(rx, ry, None, None) for rx, ry in _gs_residual_rows(problem, X, Y)])
     else:
-        keys = [(s, _OUTPUT_TAG if i < 0 else i) for s, w in zip(seeds, want) for i in w]
+        keys = [(t.seed, _OUTPUT_TAG if i < 0 else i) for t, w in zip(traces, want) for i in w]
         res = iter([mc_gs_residuals(problem, x, y, np.random.default_rng(key))
                     for x, y, key in zip(X, Y, keys)])
     rows = [t.rows[i] for t, m in zip(traces, merit) for i in m]

@@ -290,6 +290,11 @@ class FullSpace(ConstraintSet):
 # ----------------------------------------------------------------------------
 # module-level operations
 
+# the set kinds that project, check and measure all rows of a stack at once,
+# elementwise
+_ELEMENTWISE = (Box, FullSpace)
+
+
 def _project_rows(cset: ConstraintSet, V: np.ndarray) -> np.ndarray:
     """Each row of V projected onto the set, bit for bit `cset.project` of
     that row: a box clips and full space copies elementwise, a ball or a
@@ -302,7 +307,7 @@ def _project_rows(cset: ConstraintSet, V: np.ndarray) -> np.ndarray:
     """
     if not np.logical_and.reduce(np.isfinite(V), axis=None):
         raise DimError("vector has non-finite entries")
-    if isinstance(cset, (Box, FullSpace)):
+    if isinstance(cset, _ELEMENTWISE):
         return cset._project(V)
     return np.array([cset._project(v) for v in V]).reshape(V.shape)
 
@@ -317,7 +322,7 @@ def _normal_cone_rows(cset: ConstraintSet, X: np.ndarray, G: np.ndarray) -> np.n
     InfeasibleError
         Naming the first row of X that is not in the set.
     """
-    if not isinstance(cset, (Box, FullSpace)) or not cset._contains(X):
+    if not isinstance(cset, _ELEMENTWISE) or not cset._contains(X):
         for s, x in enumerate(X):
             if not cset._contains(x):
                 raise InfeasibleError(f"row {s} is not in the set (tol {FEAS_TOL})")

@@ -59,7 +59,7 @@ import numpy as np
 
 from .core import FiniteSum, ProblemInstance, Regime, as_vector
 from .estimator import _recursion_rows, anchor, batch_ids, batch_rng, recurse
-from .projections import Ball, Box, ConstraintSet, FullSpace, Simplex
+from .projections import _ELEMENTWISE, Ball, Box, ConstraintSet, FullSpace, Simplex
 
 __all__ = [
     "SolverConfig",
@@ -76,9 +76,6 @@ logger = logging.getLogger("spidergda.solver")
 
 # ids per id table, over all seeds
 _ID_BUDGET = 2 ** 12
-
-# set kinds that project all rows of a stack at once
-_ELEMENTWISE = (Box, FullSpace)
 
 
 class NonFiniteError(Exception):
@@ -167,18 +164,20 @@ class TraceRow:
 @dataclass
 class RunTrace:
     """Output of one run: recorded rows, the uniformly sampled output pair,
-    its (k, tau) index, the z iterate alongside it (auxiliary), and the
-    samples drawn.
+    its (k, tau) index, the z iterate alongside it (auxiliary), the samples
+    drawn, and the run's seed.
 
     A trace that `run` returns is complete; the one that a `NonFiniteError`
     carries holds the rows recorded before the failure, no output (pair,
-    index and z are None), and the samples drawn before the failing step."""
+    index and z are None), the samples drawn before the failing step, and
+    its seed."""
 
     rows: list
     output_pair: Optional[tuple]
     output_index: Optional[tuple]
     output_z: Optional[np.ndarray]
     total_samples: int
+    seed: int
 
 
 # ----------------------------------------------------------------------------
@@ -323,6 +322,7 @@ def run(problem: ProblemInstance, config: SolverConfig,
     bit for bit that of `run` with `config.seed` set to the seed, or the
     `NonFiniteError` that stopped it, carrying its partial trace.  A seed
     that fails leaves the batch at its failing step; the others go on.
+    Every trace, complete or partial, records its seed.
 
     The start points are checked once (dimension and finiteness, DimError
     otherwise); infeasible x0/y0 are projected with a logged warning (one
@@ -388,7 +388,7 @@ def run(problem: ProblemInstance, config: SolverConfig,
             for i in _failing_rows(problem, config, x, y, z, G):
                 if results[i] is None:
                     results[i] = NonFiniteError(str(err), RunTrace(
-                        rows[i], None, None, None, drawn(count - 1)))
+                        rows[i], None, None, None, drawn(count - 1), int(seeds_run[i])))
                 z[i], G[0][i], G[1][i] = x[i], 0.0, 0.0
             if None not in results:
                 break
@@ -418,8 +418,8 @@ def run(problem: ProblemInstance, config: SolverConfig,
         x, y, z = x_new, y_new, z_new
 
     samples = drawn(total_steps - 1)
-    results = [RunTrace(rows[i], *outputs[i], samples) if result is None else result
-               for i, result in enumerate(results)]
+    results = [RunTrace(rows[i], *outputs[i], samples, int(seeds_run[i]))
+               if result is None else result for i, result in enumerate(results)]
     if seeds is not None:
         return results
     if isinstance(results[0], NonFiniteError):

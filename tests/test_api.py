@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Lower the budget when a change removes code; raising it loosens the
 # guard, and CHANGES.md must say so (1,872 before the solver's seed axis,
 # 1,948 before the diagnostics' seed axis)
-SRC_CODE_LINES = 1969
+SRC_CODE_LINES = 1967
 
 # benchmark tracer targets (bench/tracing.py) that no longer resolve when
 # the test was written; a target that resolves again leaves the list, and

@@ -97,7 +97,7 @@ DIAGNOSE_SEED_VALUES_CALLS = 2
 # `diagnose` call over the seed axis, whose residual rows of both seeds are
 # one rows call and whose six merit rows are one lockstep solve and ascent
 # (3,054 and 214 as two single-seed `diagnose` calls)
-DIAGNOSE_TWO_SEEDS_CALLS = 1559
+DIAGNOSE_TWO_SEEDS_CALLS = 1558
 DIAGNOSE_TWO_SEEDS_ORACLE_CALLS = 113
 # `batch_grads` calls of a certified merit evaluation on the 1-D example:
 # one per lockstep inner-solve iteration of d_r(y, z) and the 513 grid

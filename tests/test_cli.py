@@ -241,7 +241,7 @@ def test_seeds_after_a_non_finite_run_are_not_diagnosed(tmp_path, monkeypatch, c
         return [traces[0], NonFiniteError("iterate became non-finite"), traces[2]]
 
     def recorded(*args):
-        diagnosed.append(list(args[-1]))
+        diagnosed.append([t.seed for t in args[-1]])
         return diagnose_traces(*args)
 
     monkeypatch.setattr(cli_mod, "run", second_fails)

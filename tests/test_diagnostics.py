@@ -772,9 +772,10 @@ def test_windowed_residuals_equal_per_row_gs_residuals(kind, stride):
 # ----------------------------------------------------------------------------
 # a command's diagnostics over the seed axis
 #
-# `diagnose(..., seeds=...)` measures the complete traces of all seeds in
-# one residual rows call and one `_lyapunov_rows` call; each seed's entry
-# must equal its single-seed call bit for bit.
+# `diagnose` over the list of a command's runs measures the complete traces
+# of all seeds in one residual rows call and one `_lyapunov_rows` call; each
+# seed's entry must equal its one-trace call bit for bit, and the list ends
+# at the first seed that fails.
 
 def _seed_axis_case(kind):
     """(problem, config, y0, residual_stride, lyapunov_stride) of a
@@ -812,33 +813,69 @@ def _diagnostics_bits(found):
 @pytest.mark.parametrize("kind", ["box", "certified", "blocks", "online"])
 def test_diagnose_over_seeds_equals_single_seed_calls(kind, monkeypatch):
     p, config, y0, res_stride, lya_stride = _seed_axis_case(kind)
-    seeds = [22, 5]
-    traces = run(p, config, y0=y0, seeds=seeds)
+    traces = run(p, config, y0=y0, seeds=[22, 5])
     failed = NonFiniteError("iterate became non-finite")
     merit_rows = []
     lyapunov_rows = diagnostics._lyapunov_rows
     monkeypatch.setattr(diagnostics, "_lyapunov_rows",
                         lambda *a: merit_rows.append(len(a[2])) or lyapunov_rows(*a))
-    # a seed that went non-finite passes through, in its place
-    got = diagnose(p, [traces[0], failed, traces[1]], config, res_stride, lya_stride,
-                   seeds=[seeds[0], 7, seeds[1]])
-    assert len(got) == 3 and got[1] is failed
+    # a seed that went non-finite is the last entry, as it was given
+    got = diagnose(p, [*traces, failed], config, res_stride, lya_stride)
+    assert len(got) == 3 and got[2] is failed
     n = len(traces[0].rows)
     per_seed = 0 if lya_stride is None else len(range(0, n - 1, lya_stride)) + 1
     # one call over both seeds' merit rows (a call of more than
     # `_MERIT_ROWS` rows makes one call per block of them)
     assert merit_rows[:1] == ([2 * per_seed] if per_seed else [])
     assert (2 * per_seed > diagnostics._MERIT_ROWS) == (kind == "blocks")
-    for found, trace, s in zip(got[::2], traces, seeds):
-        want = diagnose(p, trace, replace(config, seed=s), res_stride, lya_stride)
+    for found, trace in zip(got, traces):
+        # the one-trace call with the run's own config, whatever its seed
+        want = diagnose(p, trace, config, res_stride, lya_stride)
         assert _diagnostics_bits(found) == _diagnostics_bits(want)
         assert len(found[1]) == per_seed
+
+
+def test_diagnose_over_seeds_ends_at_a_non_finite_seed(monkeypatch):
+    # the library form of the CLI's stop at a run that went non-finite: the
+    # list ends at that run's error, and the trace after it is not measured
+    p, config, y0, res_stride, lya_stride = _seed_axis_case("box")
+    traces = run(p, config, y0=y0, seeds=[22, 5])
+    failed = NonFiniteError("iterate became non-finite")
+    diagnose_traces, measured = diagnostics._diagnose_traces, []
+
+    def recorded(*args):
+        measured.append([t.seed for t in args[-1]])
+        return diagnose_traces(*args)
+
+    monkeypatch.setattr(diagnostics, "_diagnose_traces", recorded)
+    got = diagnose(p, [traces[0], failed, traces[1]], config, res_stride, lya_stride)
+    assert len(got) == 2 and got[1] is failed
+    assert measured == [[22]]
+    want = diagnose_traces(p, config.r, res_stride, lya_stride, traces[:1])[0]
+    assert _diagnostics_bits(got[0]) == _diagnostics_bits(want)
+    # a first seed that failed is the whole list
+    assert diagnose(p, [failed, *traces], config, res_stride, lya_stride) == [failed]
+    assert measured == [[22]]
+
+
+def test_one_trace_streams_are_keyed_by_the_trace_seed():
+    # the online streams follow from the trace: the one-trace call of a
+    # seed-axis run, with the run's own config (`config.seed` 0), is that
+    # seed's entry of the seed-axis call
+    p, config = _seed_axis_case("online")[:2]
+    assert config.seed == 0
+    traces = run(p, config, seeds=[1, 2])
+    assert [t.seed for t in traces] == [1, 2]
+    got = diagnose(p, traces, config, 1, None)
+    want = diagnose(p, traces[1], config, 1, None)
+    assert _diagnostics_bits(want) == _diagnostics_bits(got[1])
+    assert _diagnostics_bits(want) != _diagnostics_bits(got[0])
 
 
 def test_diagnose_over_seeds_stops_at_the_first_seed_that_stalls_alone(monkeypatch):
     # seed 5's last merit row stalls: the shared pass raises, then the
     # seeds run alone in order, seed 22 measured, seed 5 its own error,
-    # and seed 9 not measured again
+    # and seed 9 not measured again, nor reported
     p, config, y0, res_stride, lya_stride = _seed_axis_case("box")
     seeds = [22, 5, 9]
     traces = run(p, config, y0=y0, seeds=seeds)
@@ -856,13 +893,14 @@ def test_diagnose_over_seeds_stops_at_the_first_seed_that_stalls_alone(monkeypat
         return lyapunov_rows(problem, r, X, Y, Z, labels)
 
     monkeypatch.setattr(diagnostics, "_lyapunov_rows", stalling)
-    got = diagnose(p, traces, config, res_stride, lya_stride, seeds=seeds)
+    got = diagnose(p, traces, config, res_stride, lya_stride)
     per_seed = len(range(0, last, lya_stride)) + 1
     assert calls == [3 * per_seed, per_seed, per_seed]
-    want = diagnose(p, traces[0], replace(config, seed=22), res_stride, lya_stride)
+    want = diagnose(p, traces[0], config, res_stride, lya_stride)
     assert _diagnostics_bits(got[0]) == _diagnostics_bits(want)
     assert isinstance(got[1], MaxItersError) and got[1].row == last
-    assert got[2] is None
+    # the list ends at the seed that stalled
+    assert len(got) == 2
 
 
 # ----------------------------------------------------------------------------

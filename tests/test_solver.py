@@ -567,6 +567,9 @@ def test_seeds_in_one_loop_equal_their_own_runs(kind, regime, trace_bits):
     want = [run(p, dataclasses.replace(cfg, seed=s)) for s in seeds]
     assert [trace_bits(t) for t in got] == [trace_bits(t) for t in want]
     assert [trace_bits(t) for t in run(p, cfg, seeds=[5])] == [trace_bits(want[1])]
+    # every trace records its seed, as a Python int
+    assert [(t.seed, type(t.seed)) for t in got + want] == [(s, int) for s in seeds * 2]
+    assert [(t.seed, type(t.seed)) for t in run(p, cfg, seeds=[np.uint64(5)])] == [(5, int)]
 
 
 @pytest.mark.parametrize("regime", sorted(_REGIMES))
@@ -602,6 +605,8 @@ def test_a_failing_seed_leaves_the_batch_with_its_partial_trace(kind, regime,
     assert len(exc.value.trace.rows) == cfg.T + 1
     assert trace_bits(got[1].trace) == trace_bits(exc.value.trace)
     assert [trace_bits(got[i]) for i in (0, 2)] == [trace_bits(t) for t in want]
+    # complete and partial traces record their seeds
+    assert [got[0].seed, got[1].trace.seed, got[2].seed, exc.value.trace.seed] == [0, 5, 9, 5]
 
 
 @pytest.mark.parametrize("seeds", [[0, -1], [0, 2 ** 64], [0, 2.0], [0, True], [0, "3"], []])

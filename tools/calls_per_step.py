@@ -152,7 +152,7 @@ def diagnose_two_seeds():
     lockstep solve and ascent), as a call of no arguments."""
     p, cfg, _ = cli_diagnostics()
     traces = run(p, cfg, seeds=[22, 23])
-    return lambda: diagnose(p, traces, cfg, 1, 200, seeds=[22, 23])
+    return lambda: diagnose(p, traces, cfg, 1, 200)
 
 
 def certified_merit():
