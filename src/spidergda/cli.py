@@ -304,18 +304,18 @@ def _fmt(v) -> str:
     return "" if v is None else repr(float(v))
 
 
-def _write_trace_csv(path: Path, rows, res: dict, lya: dict) -> None:
-    """The trace rows with the residual and merit columns of `diagnose`,
-    empty where a row was not measured."""
+def _write_trace_csv(path: Path, trace, res: dict, lya: dict) -> None:
+    """The columns of `trace` with the residual and merit columns of
+    `diagnose`, empty where a row was not measured; each column is
+    formatted whole, each value by the `repr` of its Python number."""
+    # the trace's first six columns are the CSV's, k through samples_used
+    rows = range(len(trace.k))
+    cols = [*(map(repr, c.tolist()) for c in trace[:6]),
+            *([_fmt(res.get(i, (None, None))[j]) for i in rows] for j in (0, 1)),
+            [_fmt(lya.get(i)) for i in rows]]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for i, row in enumerate(rows):
-            res_x, res_y, _, _ = res.get(i, (None,) * 4)
-            fh.write(",".join([
-                str(row.k), str(row.tau), _fmt(row.dx_norm),
-                _fmt(row.dy_norm), _fmt(row.xz_gap), str(row.samples_used),
-                _fmt(res_x), _fmt(res_y), _fmt(lya.get(i)),
-            ]) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
 
 
 # ----------------------------------------------------------------------------
@@ -387,7 +387,7 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
             where = f" at trace row {err.row}" if stage == "lyapunov: " else ""
             print(f"numerical failure (seed {s}): {stage}{err}{where}", file=sys.stderr)
             return EXIT_NUMERICAL
-        f_rx, f_ry, _, _ = res[len(trace.rows) - 1]
+        f_rx, f_ry, _, _ = res[len(trace.k) - 1]
         o_rx, o_ry, o_sx, o_sy = res[-1]
         entry = {
             "seed": s,
@@ -407,7 +407,7 @@ def run_experiment(config_path: str, out_dir: Optional[str] = None,
 
         if "csv" in cfg["output"]["formats"]:
             path = out / f"trace_seed{s}.csv"
-            _write_trace_csv(path, trace.rows, res, lya)
+            _write_trace_csv(path, trace, res, lya)
             if not quiet:
                 print(f"wrote {path}")
 

@@ -457,7 +457,8 @@ def diagnose(problem: ProblemInstance, trace, config: SolverConfig,
     (no standard errors); online ones are Monte-Carlo, each on a stream
     keyed by (trace.seed, row), the output pair's by (trace.seed, 2**63).
     The merit rows are one `_lyapunov_rows` call, labelled by their trace
-    rows.
+    rows.  The points come from the trace's x, y and z columns, one index
+    per column of each trace, and no `TraceRow` is built.
 
     Given the list that `run(..., seeds=...)` returns, `diagnose` returns
     one entry per seed, in order, up to and including the first seed that
@@ -501,22 +502,23 @@ def diagnose(problem: ProblemInstance, trace, config: SolverConfig,
 def _diagnose_traces(problem: ProblemInstance, r: float, residual_stride: Optional[int],
                      lyapunov_stride: Optional[int], traces) -> list:
     """The (residuals, merit) pair of `diagnose` for each complete trace of
-    `traces`: the residual rows of all traces are one rows call, and their
-    merit rows, labelled by trace row, one `_lyapunov_rows` call."""
+    `traces`: the residual rows of all traces, gathered from their columns,
+    are one rows call, and their merit rows, labelled by trace row, one
+    `_lyapunov_rows` call."""
     want, merit = [], []  # the residual and merit rows of each trace
     for t in traces:
-        last = len(t.rows) - 1
+        last = len(t.k) - 1
         want.append([*range(0, last, residual_stride), last, -1] if residual_stride else [last, -1])
         merit.append([*range(0, last, lyapunov_stride), last] if lyapunov_stride else [])
-    X, Y = (np.array(v) for v in zip(*[t.output_pair if i < 0 else (t.rows[i].x, t.rows[i].y)
-                                       for t, w in zip(traces, want) for i in w]))
+    # one index per column of each trace, whose output pair is its row -1
+    X, Y = (np.concatenate([np.vstack((getattr(t, v), t.output_pair[j]))[w] for t, w in
+                            zip(traces, want)]) for j, v in enumerate("xy"))
     if isinstance(problem.regime, FiniteSum):
         res = iter([(rx, ry, None, None) for rx, ry in _gs_residual_rows(problem, X, Y)])
     else:
         keys = [(t.seed, _OUTPUT_TAG if i < 0 else i) for t, w in zip(traces, want) for i in w]
         res = iter([mc_gs_residuals(problem, x, y, np.random.default_rng(key))
                     for x, y, key in zip(X, Y, keys)])
-    rows = [t.rows[i] for t, m in zip(traces, merit) for i in m]
-    X, Y, Z = (np.array([getattr(row, v) for row in rows]) for v in "xyz")
-    lya = iter(_lyapunov_rows(problem, r, X, Y, Z, np.concatenate(merit)) if rows else [])
+    X, Y, Z = (np.concatenate([getattr(t, v)[m] for t, m in zip(traces, merit)]) for v in "xyz")
+    lya = iter(_lyapunov_rows(problem, r, X, Y, Z, np.concatenate(merit)) if len(X) else [])
     return [(dict(zip(w, res)), {i: next(lya).value for i in m}) for w, m in zip(want, merit)]

@@ -43,6 +43,15 @@ the recursion's oracle rows go into buffers allocated once per run, and
 the id arrays come from C iterators.  Python frames per step are `step`,
 the two `_project`s (one per row on a ball or a simplex), `recurse`,
 `batch_grads` and the oracle's hook.
+
+The trace is columnar over the seed axis.  `run` allocates one float block
+per run, of shape (R recorded steps, S seeds, 2 (d_x + d_y + d_x)), and a
+recorded step fills its row for all seeds with one `np.concatenate` of
+(x+, y+, z+, x, y, z).  After the loop, k, tau and samples_used come from
+the recorded step counts, and each norm column from one `_row_norms` call
+over the whole block; each seed's `RunTrace` holds read-only views of its
+columns, and builds its `TraceRow`s from them only when asked.  A `sink`
+gets rows built as the run goes, and only when one is given.
 """
 
 from __future__ import annotations
@@ -50,14 +59,15 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import FiniteSum, ProblemInstance, Regime, as_vector
+from .core import FiniteSum, ProblemInstance, Regime, _row_norms, as_vector
 from .estimator import _recursion_rows, anchor, batch_ids, batch_rng, recurse
 from .projections import _ELEMENTWISE, Ball, Box, ConstraintSet, FullSpace, Simplex
 
@@ -144,40 +154,32 @@ class SolverConfig:
                                     "longer schedules would reuse mini-batch streams")
 
 
-@dataclass
-class TraceRow:
-    """One recorded step: counters, displacement norms, prox-center gap
-    ||x+ - z|| (z as used in the x-update), cumulative sample draws, and
-    snapshots of the iterates after the step."""
-
-    k: int
-    tau: int
-    dx_norm: float
-    dy_norm: float
-    xz_gap: float
-    samples_used: int
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+TraceRow = namedtuple("TraceRow", "k tau dx_norm dy_norm xz_gap samples_used x y z")
+TraceRow.__doc__ = """One recorded step of one seed, built from its `RunTrace`'s columns:
+counters, displacement norms, prox-center gap ||x+ - z|| (z as used in the
+x-update) and cumulative sample draws as Python scalars, then read-only 1-D
+views of the iterates after the step."""
 
 
-@dataclass
-class RunTrace:
-    """Output of one run: recorded rows, the uniformly sampled output pair,
-    its (k, tau) index, the z iterate alongside it (auxiliary), the samples
-    drawn, and the run's seed.
+class RunTrace(namedtuple("RunTrace", TraceRow._fields + (
+        "output_pair", "output_index", "output_z", "total_samples", "seed"))):
+    """Output of one run, a read-only record: its recorded steps as
+    read-only columns of length R, one entry per recorded step (k, tau,
+    dx_norm, dy_norm, xz_gap and samples_used, and the (R, d) iterates x, y
+    and z after each step), the uniformly sampled output pair, its (k, tau)
+    index, the z iterate alongside it (auxiliary; the output arrays are
+    copies of their own), the samples drawn, and the run's seed.  `rows`
+    holds the same steps as `TraceRow`s.
 
     A trace that `run` returns is complete; the one that a `NonFiniteError`
-    carries holds the rows recorded before the failure, no output (pair,
+    carries holds the steps recorded before the failure, no output (pair,
     index and z are None), the samples drawn before the failing step, and
     its seed."""
 
-    rows: list
-    output_pair: Optional[tuple]
-    output_index: Optional[tuple]
-    output_z: Optional[np.ndarray]
-    total_samples: int
-    seed: int
+    @cached_property
+    def rows(self) -> list:
+        """The recorded steps as `TraceRow`s, built on first access."""
+        return list(map(TraceRow, *(c.tolist() for c in self[:6]), self.x, self.y, self.z))
 
 
 # ----------------------------------------------------------------------------
@@ -328,10 +330,12 @@ def run(problem: ProblemInstance, config: SolverConfig,
     otherwise); infeasible x0/y0 are projected with a logged warning (one
     per run), into a copy, never into the caller's array.  The prox center
     z starts at the projected x0, so every z, a running average of
-    iterates in X, stays in X.  Trace rows are recorded every
-    `trace_stride` steps (plus the final step) with iterate snapshots;
-    `sink`, when given, receives each row as produced (the rows of one
-    step in the order of the seeds).
+    iterates in X, stays in X.  Every `trace_stride`-th step (plus the
+    final step) is recorded into the trace's columns, which are read-only
+    once `run` returns, and a failed seed's columns stop at its last
+    recorded step.  `sink`, when given, receives each recorded step as a
+    `TraceRow` as it is produced (the rows of one step in the order of the
+    seeds), bit for bit the row that the trace's `rows` later holds.
 
     Raises
     ------
@@ -345,8 +349,7 @@ def run(problem: ProblemInstance, config: SolverConfig,
     if seeds is not None and not (seeds_run and all(map(_is_seed, seeds_run))):
         raise ValueError("seeds must be a nonempty sequence of integers in [0, 2**64)")
     S = len(seeds_run)
-    x = _start_point(problem.set_x, x0)
-    y = _start_point(problem.set_y, y0)
+    x, y = _start_point(problem.set_x, x0), _start_point(problem.set_y, y0)
     for name, v, cset in (("x0", x, problem.set_x), ("y0", y, problem.set_y)):
         if not cset._contains(v):
             for _ in seeds_run:
@@ -366,16 +369,27 @@ def run(problem: ProblemInstance, config: SolverConfig,
     recursion_ids = _key_ids(problem, key_seeds, K * (T - 1),
                              lambda j: (j // (T - 1), j % (T - 1) + 1), M, True)
     G = anchor(problem, x, y, next(anchor_ids))
-    # per seed: its output step, its rows and output, and its result once
-    # it fails or the run ends (a failed seed's output is never read)
+    # per seed: its output step and output, and once it fails, its rows,
+    # samples drawn and message (a failed seed's output is never read)
     due = {}
     for i, seed in enumerate(seeds_run):
         due.setdefault(int(batch_rng(seed, 0, 0, purpose=1).integers(total_steps)) + 1,
                        []).append(i)
-    rows = [[] for _ in seeds_run]
-    outputs, results = [None] * S, [None] * S
+    outputs, failed = [None] * S, [None] * S
     raw = np.empty(x.size + y.size)
     point_rows = _recursion_rows((S, 2, M), x.shape[1], y.shape[1])
+    # per recorded step: its k, tau and samples_used in `counts`, and every
+    # seed's (x+, y+, z+, x, y, z) in a row of `block`; the traces hold
+    # read-only views of both
+    recorded = np.append(np.arange(config.trace_stride, total_steps, config.trace_stride),
+                         total_steps)
+    counts = np.stack((*np.divmod(recorded - 1, T), drawn(np.minimum(recorded, total_steps - 1))))
+    ends = np.cumsum([x.shape[1], y.shape[1], x.shape[1], x.shape[1], y.shape[1]])
+    block = np.empty((len(recorded), S, 2 * ends[2]))
+    frozen = block.view()
+    counts.flags.writeable = frozen.flags.writeable = False
+    xs, ys, zs, xo, yo, zo = np.split(frozen, ends, axis=2)
+    r = 0
 
     for count in range(1, total_steps + 1):
         k, tau = divmod(count - 1, T)
@@ -384,13 +398,12 @@ def run(problem: ProblemInstance, config: SolverConfig,
         except NonFiniteError as err:
             # a failing seed leaves the run here with its partial trace.  Its
             # row stays in the arrays, at its last x and y with z = x and
-            # G = 0, which step to finite values, and is not recorded again
+            # G = 0, which step to finite values, and is ignored from here on
             for i in _failing_rows(problem, config, x, y, z, G):
-                if results[i] is None:
-                    results[i] = NonFiniteError(str(err), RunTrace(
-                        rows[i], None, None, None, drawn(count - 1), int(seeds_run[i])))
+                if failed[i] is None:
+                    failed[i] = r, drawn(count - 1), str(err)
                 z[i], G[0][i], G[1][i] = x[i], 0.0, 0.0
-            if None not in results:
+            if None not in failed:
                 break
             x_new, y_new, z_new = step(problem, config, x, y, z, G, raw)
         if tau + 1 < T:
@@ -402,24 +415,33 @@ def run(problem: ProblemInstance, config: SolverConfig,
             outputs[i] = (x_new[i].copy(), y_new[i].copy()), (k, tau), z_new[i].copy()
 
         if count % config.trace_stride == 0 or count == total_steps:
-            used = drawn(min(count, total_steps - 1))
-            dx, dy, gap = x_new - x, y_new - y, x_new - z
-            for i in range(S):
-                if results[i] is None:
-                    # a norm is what np.linalg.norm computes for a real
-                    # vector, minus its dispatch
-                    a, b, c = dx[i], dy[i], gap[i]
-                    row = TraceRow(k, tau, math.sqrt(a.dot(a)), math.sqrt(b.dot(b)),
-                                   math.sqrt(c.dot(c)), used,
-                                   x_new[i].copy(), y_new[i].copy(), z_new[i].copy())
-                    rows[i].append(row)
-                    if sink is not None:
-                        sink(row)
+            np.concatenate((x_new, y_new, z_new, x, y, z), axis=1, out=block[r])
+            if sink is not None:
+                dx, dy, gap = x_new - x, y_new - y, x_new - z
+                used = drawn(min(count, total_steps - 1))
+                for i in range(S):
+                    if failed[i] is None:
+                        # what np.linalg.norm computes for a real vector,
+                        # minus its dispatch, and `_row_norms` bit for bit
+                        a, b, c = dx[i], dy[i], gap[i]
+                        sink(TraceRow(k, tau, math.sqrt(a.dot(a)), math.sqrt(b.dot(b)),
+                                      math.sqrt(c.dot(c)), used, xs[r, i], ys[r, i], zs[r, i]))
+            r += 1
         x, y, z = x_new, y_new, z_new
 
-    samples = drawn(total_steps - 1)
-    results = [RunTrace(rows[i], *outputs[i], samples, int(seeds_run[i]))
-               if result is None else result for i, result in enumerate(results)]
+    # the norm columns of all seeds, each from one `_row_norms` call
+    block.flags.writeable = False
+    norms = np.array([_row_norms(xs[:r] - xo[:r]), _row_norms(ys[:r] - yo[:r]),
+                      _row_norms(xs[:r] - zo[:r])])
+    norms.flags.writeable = False
+    results = []
+    for i, seed in enumerate(seeds_run):
+        # a complete run's last row is its last step, whose samples are all
+        n, samples, message = failed[i] or (r, counts[2, -1].item(), None)
+        trace = RunTrace(*counts[:2, :n], *norms[:, :n, i], counts[2, :n], xs[:n, i], ys[:n, i],
+                         zs[:n, i], *(outputs[i] if message is None else (None,) * 3),
+                         samples, int(seed))
+        results.append(trace if message is None else NonFiniteError(message, trace))
     if seeds is not None:
         return results
     if isinstance(results[0], NonFiniteError):

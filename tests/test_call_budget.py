@@ -34,22 +34,33 @@ _SPEC = importlib.util.spec_from_file_location(
 _TOOL = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(_TOOL)
 
-# package calls of one run of K*T = 400 steps (6.75 per step; 4,606 or
+# package calls of one run of K*T = 400 steps (6.63 per step; 4,606 or
 # 11.52 per step while step, recurse and the id tables called Python-level
 # helpers and a finite-sum anchor built an unused generator; 2,959 while a
 # reservoir picked the output step as the run went; 2,949 while each trace
 # row's norms were helper calls and the finite-sum anchor went through
-# `full_grads`)
-RUN_CALLS = 2701
-# package calls of the same schedule run for two seeds in one loop (6.80
+# `full_grads`; 2,701 while each recorded row counted its samples with a
+# call of its own)
+RUN_CALLS = 2652
+# package calls of the same schedule run for two seeds in one loop (6.68
 # per step): the seeds share every per-step call, and only the per-seed
 # set-up and the id tables, twice as many at the same ids per table, add
-# calls
-RUN_TWO_SEEDS_CALLS = 2721
-# tracemalloc peak of the same run, in bytes: 169,615 measured on Python
+# calls (2,721 while each recorded row counted its samples)
+RUN_TWO_SEEDS_CALLS = 2672
+# tracemalloc peak of the same run, in bytes: 161,812 measured on Python
 # 3.11 with numpy 2.4 (not yet on 3.10), set by the temporaries of the
-# first id table
-RUN_PEAK_BYTES = 180_000
+# first id table (169,615 while the id table kept the low words of its
+# products alive next to the high ones and copied the ids once more)
+RUN_PEAK_BYTES = 172_000
+# package calls of the same schedule run for two seeds recording every
+# step, as the CLI records (3,071 while each recorded row of each seed was
+# a `TraceRow` of three copies, made in the loop): a recorded step is one
+# block write, and the same calls as at the schedule's own stride
+RUN_TWO_SEEDS_STRIDE_ONE_CALLS = 2672
+# tracemalloc peak of that run, in bytes: 310,692 measured as above, set
+# by the trace block (400 steps by 2 seeds by 22 floats) and the norm
+# columns' temporaries (611,461 with a `TraceRow` per seed-row)
+RUN_TWO_SEEDS_STRIDE_ONE_PEAK_BYTES = 320_000
 # package calls of one exact residual evaluation (24 while the normal-cone
 # distances went through `normal_cone_dist`, 20 while `ProblemInstance`
 # had the `dim_x`/`dim_y` properties)
@@ -135,7 +146,9 @@ COMPOSITE_MERIT_RUN_ORACLE_CALLS = 3052
 # was a lambda around `_smooth_grads_batch`, 373 while the group count
 # was a property of the spec that each oracle call read, 348 while a
 # reservoir picked the output step as the run went, 341 while the
-# finite-sum anchor went through `full_grads`)
+# finite-sum anchor went through `full_grads`; its one trace row took its
+# norms in the loop, where now three `_row_norms` calls over the trace block
+# take them after it, and the row no longer counts its samples with a call)
 GDRO_EPOCH_CALLS = 339
 GDRO_EPOCH_ORACLE_CALLS = 25
 
@@ -162,16 +175,30 @@ def test_two_seeds_in_one_loop_share_the_per_step_calls():
     assert calls <= RUN_TWO_SEEDS_CALLS, f"{calls / 400:.2f} package calls per step"
 
 
-def test_solver_run_peak_bytes_budget():
-    p, cfg = _tuned_quadratic()
-    run(p, cfg)  # first-call set-up is not the run's cost
+def _peak_bytes(fn) -> int:
+    """The tracemalloc peak of `fn()`, after a first call that does the
+    set-up of a first call."""
+    fn()
     tracemalloc.start()
     try:
-        run(p, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_solver_run_peak_bytes_budget():
+    p, cfg = _tuned_quadratic()
+    peak = _peak_bytes(lambda: run(p, cfg))
     assert peak <= RUN_PEAK_BYTES, f"{peak:,} bytes at the peak"
+
+
+def test_two_seeds_recording_every_step_budgets():
+    unit = _TOOL.quad_tuned_seeds(2, trace_stride=1)
+    calls = _package_calls(unit)
+    assert calls <= RUN_TWO_SEEDS_STRIDE_ONE_CALLS, f"{calls / 400:.2f} package calls per step"
+    peak = _peak_bytes(unit)
+    assert peak <= RUN_TWO_SEEDS_STRIDE_ONE_PEAK_BYTES, f"{peak:,} bytes at the peak"
 
 
 def test_gs_residuals_call_budget():

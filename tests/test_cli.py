@@ -463,6 +463,31 @@ def test_seed_flag_overrides_config(tmp_path):
                           quiet=True) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("stride", [1, 3])
+def test_each_seed_of_a_command_writes_its_own_commands_csv(tmp_path, stride):
+    # the seeds of one command share the trace block; each seed's CSV is
+    # byte for byte that of a command of its own, also at a stride that
+    # does not divide K*T = 20, whose extra final row is the last step
+    cfg = {"problem": {"kind": "quadratic_saddle", "dim_x": 3, "dim_y": 2,
+                       "n_samples": 8, "seed": 1},
+           "tuner": {"epsilon": 0.01, "overrides": {"K": 5, "T": 4, "M": 2}},
+           "diagnostics": {"residual_stride": 2, "lyapunov_stride": 3},
+           "seeds": [4, 9]}
+    path = _write(tmp_path, cfg)
+    both = tmp_path / "both"
+    assert run_experiment(path, out_dir=str(both), trace_stride=stride,
+                          quiet=True) == EXIT_OK
+    for s in cfg["seeds"]:
+        own = tmp_path / f"seed{s}"
+        assert run_experiment(path, out_dir=str(own), seed=s, trace_stride=stride,
+                              quiet=True) == EXIT_OK
+        name = f"trace_seed{s}.csv"
+        assert (both / name).read_bytes() == (own / name).read_bytes()
+        lines = (own / name).read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + -(-20 // stride)
+        assert lines[-1].startswith("4,3,")
+
+
 # ----------------------------------------------------------------------------
 # config schema
 

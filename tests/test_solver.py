@@ -6,6 +6,7 @@ binary floating point and can be asserted with equality.
 """
 
 import dataclasses
+import json
 import logging
 import math
 
@@ -17,6 +18,7 @@ from spidergda import (Ball, Box, DimError, FiniteSum, FullSpace,
                        SmoothnessMeta, SolverConfig, StochasticOracle,
                        anchor, batch_rng, default_initial_point,
                        make_quadratic_saddle, run, samples_drawn, step)
+from spidergda.cli import _write_trace_csv
 
 
 def _bilinear_problem(set_x=None, set_y=None):
@@ -504,19 +506,26 @@ def test_non_finite_iterate_raises_with_partial_trace():
     assert trace.total_samples == samples_drawn(FiniteSum(1), 50, 1, 1, count - 1)
 
 
+def _row_bits(row):
+    """A `TraceRow`'s scalars by their repr and its vectors as bytes."""
+    return (*map(repr, row[:6]), *(v.tobytes() for v in row[6:]))
+
+
 def test_sink_receives_each_recorded_row_in_order():
+    # the sink's rows are built as the run goes, the trace's from its
+    # columns afterwards; both hold the same bits
     p = _quadratic_problem()
     cfg = SolverConfig(K=3, T=4, M=2, B=8, alpha_x=0.05, alpha_y=0.1,
                        beta=0.25, r=4.0, seed=1, trace_stride=3)
     got = []
     trace = run(p, cfg, sink=got.append)
     assert len(got) == len(trace.rows) == 4
-    assert all(a is b for a, b in zip(got, trace.rows))
+    assert list(map(_row_bits, got)) == list(map(_row_bits, trace.rows))
     # a failed run's sink has seen exactly the partial trace's rows
     got.clear()
     trace = _exploding_run(sink=got.append)
     assert len(got) == len(trace.rows) >= 1
-    assert all(a is b for a, b in zip(got, trace.rows))
+    assert list(map(_row_bits, got)) == list(map(_row_bits, trace.rows))
 
 
 # ----------------------------------------------------------------------------
@@ -680,3 +689,60 @@ def test_config_rejects_schedules_that_alias_batch_streams():
         SolverConfig(**dict(base, K=2 ** 31 + 1))
     with pytest.raises(OverflowError, match=r"T=4294967297.*2\*\*32"):
         SolverConfig(**dict(base, T=2 ** 32 + 1))
+
+
+# ----------------------------------------------------------------------------
+# the trace's columns and rows
+
+@pytest.mark.parametrize("seeds", [None, [0, 5, 9]], ids=["one", "three"])
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+def test_rows_hold_python_scalars_and_float_vectors(regime, seeds, tmp_path):
+    # a row's counters, norms and samples are Python scalars, as readers
+    # that print, compare or JSON-dump them expect (a numpy scalar has
+    # another repr and is no JSON number), and its iterates float64 vectors
+    p = _seeded_problem(*_SET_PAIRS["box"], _REGIMES[regime])
+    cfg = SolverConfig(**dict(_SEEDS_SCHEDULE, trace_stride=3))
+    sunk = []
+    got = run(p, cfg, sink=sunk.append, seeds=seeds)
+    traces = got if seeds else [got]
+    rows = [row for t in traces for row in t.rows]
+    assert len(rows) == len(sunk) == 7 * len(traces)  # steps 3, 6, ..., 18 and 20
+    for row in rows + sunk:
+        assert [type(v) for v in row[:6]] == [int, int, float, float, float, int]
+        assert json.loads(json.dumps(row.samples_used)) == row.samples_used
+        assert [(v.dtype, v.shape) for v in row[6:]] == [
+            (np.float64, (cset.dim,)) for cset in (p.set_x, p.set_y, p.set_x)]
+    # each CSV cell is the repr of the row's value
+    for t in traces:
+        _write_trace_csv(tmp_path / "trace.csv", t, {}, {})
+        cells = [line.split(",")[:6] for line in
+                 (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()[1:]]
+        assert cells == [list(map(repr, row[:6])) for row in t.rows]
+
+
+def _assert_read_only(trace, rows):
+    """Every column of `trace` and every vector of `rows` refuses writes,
+    and the output arrays are writable copies of their own."""
+    with pytest.raises(AttributeError):
+        trace.x = None
+    for v in (*trace[:9], *(v for row in rows for v in row[6:])):
+        with pytest.raises(ValueError, match="read-only"):
+            v[...] = 0
+        with pytest.raises(ValueError):
+            v.flags.writeable = True
+    for v in () if trace.output_pair is None else (*trace.output_pair, trace.output_z):
+        assert v.flags.writeable and v.base is None
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+def test_trace_columns_and_rows_are_read_only(regime):
+    p = _seeded_problem(*_SET_PAIRS["ball"], _REGIMES[regime])
+    cfg = SolverConfig(**_SEEDS_SCHEDULE)
+    sunk = []
+    traces = run(p, cfg, sink=sunk.append, seeds=[0, 5])
+    for t in traces:
+        _assert_read_only(t, t.rows)
+    _assert_read_only(traces[0], sunk)
+    # a partial trace too, and the rows its sink saw
+    sunk.clear()
+    _assert_read_only(_exploding_run(sink=sunk.append), sunk)

@@ -1,6 +1,6 @@
 """Print the calls per solver step of three fixed schedules and of one of
-them run for 1, 2 and 10 seeds in one loop, and the calls of seven
-diagnostics units.
+them run for 1, 2 and 10 seeds in one loop (and for 2 seeds recording
+every step), and the calls of seven diagnostics units.
 
     PYTHONPATH=src python3 tools/calls_per_step.py
 
@@ -21,7 +21,8 @@ at K = 50 (400 steps), one epoch (K = 1, T = 25) of its `gdro_smoothed`
 run, and one epoch of `phi_div_dro` at n = 400, whose dual is a
 `Simplex(400)` where `gdro_smoothed`'s is a `Simplex(2)`.  The seed units
 run the `quad_tuned` schedule for S seeds in one `run(..., seeds=...)`
-call; their per-step calls should not grow with S.  Three units
+call; their per-step calls should not grow with S.  A last seed unit
+runs two seeds and records every step, as the CLI does.  Three units
 come from the first run of the benchmark's `cli_diagnostics` command: the
 exact residuals of the 64 trace rows that one exact-gradient call takes at
 N = 16, the merit function at one row, and the command's whole merit
@@ -66,10 +67,12 @@ def quad_tuned():
     return p, cfg
 
 
-def quad_tuned_seeds(S: int):
-    """The `quad_tuned` schedule for seeds 7..6+S in one loop, as a call of
-    no arguments."""
+def quad_tuned_seeds(S: int, trace_stride=None):
+    """The `quad_tuned` schedule for seeds 7..6+S in one loop, recording
+    every `trace_stride`-th step (by default the schedule's T), as a call
+    of no arguments."""
     p, cfg = quad_tuned()
+    cfg.trace_stride = trace_stride or cfg.trace_stride
     seeds = list(range(cfg.seed, cfg.seed + S))
     return lambda: run(p, cfg, seeds=seeds)
 
@@ -213,11 +216,11 @@ def main() -> int:
         counts = count_calls(lambda: run(p, cfg))
         print(f"{name:<14} {steps:>6} " + " ".join(
             f"{counts[k] / steps:>9.2f}" for k in ("package", "python", "c")))
-    for S in (1, 2, 10):
-        unit = quad_tuned_seeds(S)
+    for name, unit in [(f"quad S={S}", quad_tuned_seeds(S)) for S in (1, 2, 10)] + [
+            ("quad S=2 stride 1", quad_tuned_seeds(2, 1))]:
         unit()
         counts = count_calls(unit)
-        print(f"{f'quad S={S}':<14} {400:>6} " + " ".join(
+        print(f"{name:<17} {400:>3} " + " ".join(
             f"{counts[k] / 400:>9.2f}" for k in ("package", "python", "c")))
     print(f"{'unit':<22} {'package':>9} {'python':>9} {'c':>9}   (calls per unit)")
     for name, build in (("residual_window", residual_window), ("merit_row", merit_row),
