@@ -308,9 +308,9 @@ def _write_trace_csv(path: Path, trace, res: dict, lya: dict) -> None:
     """The columns of `trace` with the residual and merit columns of
     `diagnose`, empty where a row was not measured; each column is
     formatted whole, each value by the `repr` of its Python number."""
-    # the trace's first six columns are the CSV's, k through samples_used
     rows = range(len(trace.k))
-    cols = [*(map(repr, c.tolist()) for c in trace[:6]),
+    cols = [*(map(repr, c.tolist()) for c in (trace.k, trace.tau, trace.dx_norm, trace.dy_norm,
+                                                trace.xz_gap, trace.samples_used)),
             *([_fmt(res.get(i, (None, None))[j]) for i in rows] for j in (0, 1)),
             [_fmt(lya.get(i)) for i in rows]]
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -366,11 +366,10 @@ def sequential_sum(rows: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of V (along its last axis), equal to
-    `np.linalg.norm` of that row bit for bit (``np.linalg.norm(V,
-    axis=-1)`` is not: it squares and adds instead of taking the dot
-    product)."""
-    return np.sqrt((V[..., None, :] @ V[..., None])[..., 0, 0])
+    """Euclidean norm of each row of V, equal to `np.linalg.norm` of that
+    row bit for bit (``np.linalg.norm(V, axis=1)`` is not: it squares and
+    adds instead of taking the dot product)."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
 
 def _exact_means(problem: ProblemInstance, X: np.ndarray, Y: np.ndarray,

@@ -122,15 +122,14 @@ def _uniform_ids(high: int, seeds: np.ndarray, tags: np.ndarray, count: int
     if high <= 1 << 32:
         # little-endian 32-bit view: each word's low half, then its high half
         u = _philox_words(seeds, tags, -(-count // 8)).astype("<u8").view("<u4")
-        hi = u[:, :count].astype(np.uint64) * np.uint64(high)
-        rejected = (hi & _LO32) < np.uint64(((1 << 32) - high) % high)
-        hi >>= _SHIFT32
+        m = u[:, :count].astype(np.uint64) * np.uint64(high)
+        hi, lo = m >> _SHIFT32, m & _LO32
+        threshold = ((1 << 32) - high) % high
     else:
         hi, lo = _mulhilo(_split(np.uint64(high)),
                           _philox_words(seeds, tags, -(-count // 4))[:, :count])
-        rejected = lo < np.uint64(((1 << 64) - high) % high)
-    # the ids lie below high <= 2**63, so their words read as int64 unchanged
-    return hi.view(np.int64), rejected.any(axis=1)
+        threshold = ((1 << 64) - high) % high
+    return hi.astype(np.int64), (lo < np.uint64(threshold)).any(axis=1)
 
 
 def batch_ids(high: int, seeds, epochs, taus, count: int):

@@ -44,14 +44,18 @@ the id arrays come from C iterators.  Python frames per step are `step`,
 the two `_project`s (one per row on a ball or a simplex), `recurse`,
 `batch_grads` and the oracle's hook.
 
-The trace is columnar over the seed axis.  `run` allocates one float block
-per run, of shape (R recorded steps, S seeds, 2 (d_x + d_y + d_x)), and a
-recorded step fills its row for all seeds with one `np.concatenate` of
-(x+, y+, z+, x, y, z).  After the loop, k, tau and samples_used come from
-the recorded step counts, and each norm column from one `_row_norms` call
-over the whole block; each seed's `RunTrace` holds read-only views of its
-columns, and builds its `TraceRow`s from them only when asked.  A `sink`
-gets rows built as the run goes, and only when one is given.
+The trace is columnar over the seed axis.  `run` keeps every seed's (x, y,
+z) before and after each recorded step as rows of one float array per
+run, each row S seeds by d_x + d_y + d_x.  At stride 1 the state after a
+step is the one before the next, so a recorded step writes one row, for
+all seeds with one `np.concatenate`; at a longer stride it writes two.
+After the loop, k, tau and samples_used come from the recorded step
+counts, and the norm columns from `_row_norms` over the states, at most
+`_NORM_BUDGET` floats of them at a time; each seed's `RunTrace` holds
+read-only views of its columns, and builds its `TraceRow`s from them only
+when asked.  A `sink` gets rows built as the run goes, and only when one
+is given; their norms are the dot products of 1-D rows that `_row_norms`
+takes of each row.
 """
 
 from __future__ import annotations
@@ -86,6 +90,9 @@ logger = logging.getLogger("spidergda.solver")
 
 # ids per id table, over all seeds
 _ID_BUDGET = 2 ** 12
+# floats of the recorded states whose norms `run` takes together, over all
+# seeds
+_NORM_BUDGET = 2 ** 12
 
 
 class NonFiniteError(Exception):
@@ -164,12 +171,14 @@ views of the iterates after the step."""
 class RunTrace(namedtuple("RunTrace", TraceRow._fields + (
         "output_pair", "output_index", "output_z", "total_samples", "seed"))):
     """Output of one run, a read-only record: its recorded steps as
-    read-only columns of length R, one entry per recorded step (k, tau,
-    dx_norm, dy_norm, xz_gap and samples_used, and the (R, d) iterates x, y
-    and z after each step), the uniformly sampled output pair, its (k, tau)
-    index, the z iterate alongside it (auxiliary; the output arrays are
-    copies of their own), the samples drawn, and the run's seed.  `rows`
-    holds the same steps as `TraceRow`s.
+    read-only columns of length R, one entry per recorded step and named
+    as the fields of `TraceRow` (k, tau, dx_norm, dy_norm, xz_gap and
+    samples_used, and the (R, d) iterates x, y and z after each step), the
+    uniformly sampled output pair, its (k, tau) index, the z iterate
+    alongside it (auxiliary; the output arrays are copies of their own),
+    the samples drawn, and the run's seed.  `rows` holds the same steps as
+    `TraceRow`s.  Read a field by its name: the record is a named tuple so
+    that it cannot be changed, and the order of its fields is no contract.
 
     A trace that `run` returns is complete; the one that a `NonFiniteError`
     carries holds the steps recorded before the failure, no output (pair,
@@ -179,7 +188,8 @@ class RunTrace(namedtuple("RunTrace", TraceRow._fields + (
     @cached_property
     def rows(self) -> list:
         """The recorded steps as `TraceRow`s, built on first access."""
-        return list(map(TraceRow, *(c.tolist() for c in self[:6]), self.x, self.y, self.z))
+        scalars = (getattr(self, name).tolist() for name in TraceRow._fields[:6])
+        return list(map(TraceRow, *scalars, self.x, self.y, self.z))
 
 
 # ----------------------------------------------------------------------------
@@ -285,7 +295,10 @@ def _key_ids(problem: ProblemInstance, seeds: np.ndarray, keys: int, key_of: Cal
                         count).reshape(-1, S, 1, count)
         return np.tile(ids, (1, 1, 2, 1)) if doubled else ids[:, :, 0]
 
-    return chain.from_iterable(map(table, range(0, keys, window)))
+    # the first table is built now, so that its temporaries are freed
+    # before the caller allocates the rest of its run
+    tables = map(table, range(0, keys, window))
+    return chain(next(tables, ()), chain.from_iterable(tables))
 
 
 def _start_point(cset: ConstraintSet, v) -> np.ndarray:
@@ -379,16 +392,20 @@ def run(problem: ProblemInstance, config: SolverConfig,
     raw = np.empty(x.size + y.size)
     point_rows = _recursion_rows((S, 2, M), x.shape[1], y.shape[1])
     # per recorded step: its k, tau and samples_used in `counts`, and every
-    # seed's (x+, y+, z+, x, y, z) in a row of `block`; the traces hold
-    # read-only views of both
-    recorded = np.append(np.arange(config.trace_stride, total_steps, config.trace_stride),
-                         total_steps)
+    # seed's (x, y, z) before and after it in rows of `states`.  At stride 1
+    # the state after a step is the one before the next, so row 0 is the
+    # start and row r + 1 the state after recorded step r; at a longer
+    # stride rows 2r and 2r + 1 are the states before and after it.  The
+    # traces hold read-only views of the counts and of the states after
+    recorded = np.r_[config.trace_stride:total_steps:config.trace_stride, total_steps]
     counts = np.stack((*np.divmod(recorded - 1, T), drawn(np.minimum(recorded, total_steps - 1))))
-    ends = np.cumsum([x.shape[1], y.shape[1], x.shape[1], x.shape[1], y.shape[1]])
-    block = np.empty((len(recorded), S, 2 * ends[2]))
-    frozen = block.view()
-    counts.flags.writeable = frozen.flags.writeable = False
-    xs, ys, zs, xo, yo, zo = np.split(frozen, ends, axis=2)
+    used = counts[2].tolist()
+    dim_x, w, pair = x.shape[1], 2 * x.shape[1] + y.shape[1], min(config.trace_stride, 2)
+    states = np.empty((pair * len(recorded) + 2 - pair, S, w))
+    np.concatenate((x, y, z), axis=1, out=states[0])
+    after, before = states[1::pair], states[:-1:pair]
+    counts.flags.writeable = after.flags.writeable = False
+    xs, ys, zs = np.split(after, [dim_x, w - dim_x], axis=2)
     r = 0
 
     for count in range(1, total_steps + 1):
@@ -415,29 +432,35 @@ def run(problem: ProblemInstance, config: SolverConfig,
             outputs[i] = (x_new[i].copy(), y_new[i].copy()), (k, tau), z_new[i].copy()
 
         if count % config.trace_stride == 0 or count == total_steps:
-            np.concatenate((x_new, y_new, z_new, x, y, z), axis=1, out=block[r])
+            if pair == 2:
+                np.concatenate((x, y, z), axis=1, out=states[2 * r])
+            np.concatenate((x_new, y_new, z_new), axis=1, out=states[pair * r + 1])
             if sink is not None:
                 dx, dy, gap = x_new - x, y_new - y, x_new - z
-                used = drawn(min(count, total_steps - 1))
                 for i in range(S):
                     if failed[i] is None:
-                        # what np.linalg.norm computes for a real vector,
-                        # minus its dispatch, and `_row_norms` bit for bit
+                        # a 1-D dot product is the one that `_row_norms`
+                        # takes of each row (numpy's matmul takes a row
+                        # times a column as a dot product)
                         a, b, c = dx[i], dy[i], gap[i]
                         sink(TraceRow(k, tau, math.sqrt(a.dot(a)), math.sqrt(b.dot(b)),
-                                      math.sqrt(c.dot(c)), used, xs[r, i], ys[r, i], zs[r, i]))
+                                      math.sqrt(c.dot(c)), used[r], xs[r, i], ys[r, i], zs[r, i]))
             r += 1
         x, y, z = x_new, y_new, z_new
 
-    # the norm columns of all seeds, each from one `_row_norms` call
-    block.flags.writeable = False
-    norms = np.array([_row_norms(xs[:r] - xo[:r]), _row_norms(ys[:r] - yo[:r]),
-                      _row_norms(xs[:r] - zo[:r])])
-    norms.flags.writeable = False
+    # ||x+ - x||, ||y+ - y|| and ||x+ - z|| of the recorded steps, each norm
+    # column a `_row_norms` call per `_NORM_BUDGET` floats of states
+    norms, chunk = np.empty((3, r, S)), max(1, _NORM_BUDGET // (S * w))
+    for c in range(0, r, chunk):
+        new, old = after[c:min(c + chunk, r)], before[c:min(c + chunk, r)]
+        d, gap = new - old, new[..., :dim_x] - old[..., -dim_x:]
+        for j, v in enumerate((d[..., :dim_x], d[..., dim_x:-dim_x], gap)):
+            norms[j, c:c + chunk] = _row_norms(v.reshape(-1, v.shape[-1])).reshape(-1, S)
+    states.flags.writeable = norms.flags.writeable = False
     results = []
     for i, seed in enumerate(seeds_run):
         # a complete run's last row is its last step, whose samples are all
-        n, samples, message = failed[i] or (r, counts[2, -1].item(), None)
+        n, samples, message = failed[i] or (r, used[-1], None)
         trace = RunTrace(*counts[:2, :n], *norms[:, :n, i], counts[2, :n], xs[:n, i], ys[:n, i],
                          zs[:n, i], *(outputs[i] if message is None else (None,) * 3),
                          samples, int(seed))

@@ -6,7 +6,7 @@ import functools
 import numpy as np
 import pytest
 
-from spidergda import ScalarConvex
+from spidergda import ScalarConvex, TraceRow
 from spidergda.smoothing import _envelope_from_prox
 from spidergda.verify import SUITES
 
@@ -19,12 +19,13 @@ def suite_checks():
 
 
 def _trace_bits(trace):
-    """Everything a `RunTrace` records, each column (k through z) and
-    output array as its dtype, shape and bytes, so that equal values mean
-    equal bits, signs of zeros included."""
+    """Everything a `RunTrace` records, each column (named as a `TraceRow`
+    field) and output array as its dtype, shape and bytes, so that equal
+    values mean equal bits, signs of zeros included."""
     output = (None if trace.output_pair is None
               else [v.tobytes() for v in (*trace.output_pair, trace.output_z)])
-    return ([(c.dtype.str, c.shape, c.tobytes()) for c in trace[:9]],
+    columns = (getattr(trace, name) for name in TraceRow._fields)
+    return ([(c.dtype.str, c.shape, c.tobytes()) for c in columns],
             output, trace.output_index, trace.total_samples)
 
 

@@ -20,8 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # code lines of src/ by tools/code_lines.py when the test was written.
 # Lower the budget when a change removes code; raising it loosens the
 # guard, and CHANGES.md must say so (1,872 before the solver's seed axis,
-# 1,948 before the diagnostics' seed axis)
-SRC_CODE_LINES = 1966
+# 1,948 before the diagnostics' seed axis, 1,967 before the columnar trace)
+SRC_CODE_LINES = 1975
 
 # benchmark tracer targets (bench/tracing.py) that no longer resolve when
 # the test was written; a target that resolves again leaves the list, and

@@ -19,6 +19,7 @@ because that peak moves by about a hundred bytes between runs; other
 Python and numpy versions may move it further.
 """
 
+import dataclasses
 import importlib.util
 import json
 import tracemalloc
@@ -47,20 +48,27 @@ RUN_CALLS = 2652
 # set-up and the id tables, twice as many at the same ids per table, add
 # calls (2,721 while each recorded row counted its samples)
 RUN_TWO_SEEDS_CALLS = 2672
-# tracemalloc peak of the same run, in bytes: 161,812 measured on Python
+# tracemalloc peak of the same run, in bytes: 164,338 measured on Python
 # 3.11 with numpy 2.4 (not yet on 3.10), set by the temporaries of the
-# first id table (169,615 while the id table kept the low words of its
-# products alive next to the high ones and copied the ids once more)
-RUN_PEAK_BYTES = 172_000
+# first id table, which is built before the run allocates its trace
+# (169,615 while it was built at the first step)
+RUN_PEAK_BYTES = 180_000
 # package calls of the same schedule run for two seeds recording every
 # step, as the CLI records (3,071 while each recorded row of each seed was
 # a `TraceRow` of three copies, made in the loop): a recorded step is one
-# block write, and the same calls as at the schedule's own stride
-RUN_TWO_SEEDS_STRIDE_ONE_CALLS = 2672
-# tracemalloc peak of that run, in bytes: 310,692 measured as above, set
-# by the trace block (400 steps by 2 seeds by 22 floats) and the norm
-# columns' temporaries (611,461 with a `TraceRow` per seed-row)
-RUN_TWO_SEEDS_STRIDE_ONE_PEAK_BYTES = 320_000
+# state write, and the norm pass after the loop three `_row_norms` calls
+# per 186 recorded steps
+RUN_TWO_SEEDS_STRIDE_ONE_CALLS = 2678
+# tracemalloc peak of that run, in bytes: 359,575 measured as above, set
+# by the recorded states (401 by 2 seeds by 11 floats) and the norm pass's
+# temporaries (611,754 with a `TraceRow` per seed-row)
+RUN_TWO_SEEDS_STRIDE_ONE_PEAK_BYTES = 370_000
+# tracemalloc peak of four epochs of `phi_div_dro` at n = 400, recording
+# every step, in bytes: 4,483,794 measured as above, where each recorded
+# state holds a `Simplex(400)` dual (4,435,667 with a `TraceRow` of three
+# copies per row, built as the run went; 4,801,669 while the trace kept
+# the states before each step next to those after it)
+WIDE_STRIDE_ONE_PEAK_BYTES = 4_550_000
 # package calls of one exact residual evaluation (24 while the normal-cone
 # distances went through `normal_cone_dist`, 20 while `ProblemInstance`
 # had the `dim_x`/`dim_y` properties)
@@ -147,8 +155,8 @@ COMPOSITE_MERIT_RUN_ORACLE_CALLS = 3052
 # was a property of the spec that each oracle call read, 348 while a
 # reservoir picked the output step as the run went, 341 while the
 # finite-sum anchor went through `full_grads`; its one trace row took its
-# norms in the loop, where now three `_row_norms` calls over the trace block
-# take them after it, and the row no longer counts its samples with a call)
+# norms in the loop, where now three `_row_norms` calls over the recorded
+# states take them after it, and the row no longer counts its samples with a call)
 GDRO_EPOCH_CALLS = 339
 GDRO_EPOCH_ORACLE_CALLS = 25
 
@@ -199,6 +207,13 @@ def test_two_seeds_recording_every_step_budgets():
     assert calls <= RUN_TWO_SEEDS_STRIDE_ONE_CALLS, f"{calls / 400:.2f} package calls per step"
     peak = _peak_bytes(unit)
     assert peak <= RUN_TWO_SEEDS_STRIDE_ONE_PEAK_BYTES, f"{peak:,} bytes at the peak"
+
+
+def test_wide_problem_recording_every_step_peak_bytes():
+    p, cfg = _TOOL.phi_div_epoch()
+    cfg = dataclasses.replace(cfg, K=4, trace_stride=1)
+    peak = _peak_bytes(lambda: run(p, cfg))
+    assert peak <= WIDE_STRIDE_ONE_PEAK_BYTES, f"{peak:,} bytes at the peak"
 
 
 def test_gs_residuals_call_budget():

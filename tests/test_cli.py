@@ -465,7 +465,7 @@ def test_seed_flag_overrides_config(tmp_path):
 
 @pytest.mark.parametrize("stride", [1, 3])
 def test_each_seed_of_a_command_writes_its_own_commands_csv(tmp_path, stride):
-    # the seeds of one command share the trace block; each seed's CSV is
+    # the seeds of one command share the recorded states; each seed's CSV is
     # byte for byte that of a command of its own, also at a stride that
     # does not divide K*T = 20, whose extra final row is the last step
     cfg = {"problem": {"kind": "quadratic_saddle", "dim_x": 3, "dim_y": 2,

@@ -16,9 +16,9 @@ import pytest
 from spidergda import (Ball, Box, DimError, FiniteSum, FullSpace,
                        NonFiniteError, Online, ProblemInstance, Simplex,
                        SmoothnessMeta, SolverConfig, StochasticOracle,
-                       anchor, batch_rng, default_initial_point,
+                       TraceRow, anchor, batch_rng, default_initial_point,
                        make_quadratic_saddle, run, samples_drawn, step)
-from spidergda.cli import _write_trace_csv
+from spidergda.cli import _phi_div_dro, _write_trace_csv
 
 
 def _bilinear_problem(set_x=None, set_y=None):
@@ -528,6 +528,21 @@ def test_sink_receives_each_recorded_row_in_order():
     assert list(map(_row_bits, got)) == list(map(_row_bits, trace.rows))
 
 
+def test_sink_rows_equal_the_trace_rows_on_a_wide_dual():
+    # the sink's norms are dot products of 1-D rows, the trace's come from
+    # `_row_norms` over the recorded states after the loop; a Simplex(400)
+    # dual takes the dot product's blocked path, which no small set does
+    p = _phi_div_dro({"n": 400})
+    cfg = SolverConfig(K=2, T=5, M=8, B=50, alpha_x=1e-3, alpha_y=1e-3,
+                       beta=0.05, r=0.5, seed=7, trace_stride=1)
+    got = []
+    traces = run(p, cfg, sink=got.append, seeds=[7, 8])
+    assert p.set_y.dim == 400 and len(got) == 20
+    # the rows of one step come in the order of the seeds
+    rows = [row for step_rows in zip(*(t.rows for t in traces)) for row in step_rows]
+    assert list(map(_row_bits, got)) == list(map(_row_bits, rows))
+
+
 # ----------------------------------------------------------------------------
 # seeds on a leading axis
 
@@ -725,7 +740,8 @@ def _assert_read_only(trace, rows):
     and the output arrays are writable copies of their own."""
     with pytest.raises(AttributeError):
         trace.x = None
-    for v in (*trace[:9], *(v for row in rows for v in row[6:])):
+    for v in (*(getattr(trace, name) for name in TraceRow._fields),
+              *(v for row in rows for v in (row.x, row.y, row.z))):
         with pytest.raises(ValueError, match="read-only"):
             v[...] = 0
         with pytest.raises(ValueError):
