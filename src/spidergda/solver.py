@@ -189,7 +189,7 @@ class RunTrace(namedtuple("RunTrace", TraceRow._fields + (
     def rows(self) -> list:
         """The recorded steps as `TraceRow`s, built on first access."""
         scalars = (getattr(self, name).tolist() for name in TraceRow._fields[:6])
-        return list(map(TraceRow, *scalars, self.x, self.y, self.z))
+        return list(map(TraceRow._make, zip(*scalars, self.x, self.y, self.z)))
 
 
 # ----------------------------------------------------------------------------
@@ -372,7 +372,7 @@ def run(problem: ProblemInstance, config: SolverConfig,
     x, y = x[None].repeat(S, axis=0), y[None].repeat(S, axis=0)
     z = x.copy()
 
-    K, T, M = config.K, config.T, config.M
+    K, T, M, stride = config.K, config.T, config.M, config.trace_stride
     total_steps = K * T
     drawn = partial(samples_drawn, problem.regime, T, M, config.B)
     key_seeds = np.array(seeds_run, dtype=np.uint64)
@@ -397,15 +397,15 @@ def run(problem: ProblemInstance, config: SolverConfig,
     # start and row r + 1 the state after recorded step r; at a longer
     # stride rows 2r and 2r + 1 are the states before and after it.  The
     # traces hold read-only views of the counts and of the states after
-    recorded = np.r_[config.trace_stride:total_steps:config.trace_stride, total_steps]
+    recorded = np.minimum(np.arange(stride, total_steps + stride, stride), total_steps)
     counts = np.stack((*np.divmod(recorded - 1, T), drawn(np.minimum(recorded, total_steps - 1))))
     used = counts[2].tolist()
-    dim_x, w, pair = x.shape[1], 2 * x.shape[1] + y.shape[1], min(config.trace_stride, 2)
+    dim_x, w, pair = x.shape[1], 2 * x.shape[1] + y.shape[1], min(stride, 2)
     states = np.empty((pair * len(recorded) + 2 - pair, S, w))
     np.concatenate((x, y, z), axis=1, out=states[0])
     after, before = states[1::pair], states[:-1:pair]
     counts.flags.writeable = after.flags.writeable = False
-    xs, ys, zs = np.split(after, [dim_x, w - dim_x], axis=2)
+    xs, ys, zs = after[..., :dim_x], after[..., dim_x:-dim_x], after[..., -dim_x:]
     r = 0
 
     for count in range(1, total_steps + 1):
@@ -431,7 +431,7 @@ def run(problem: ProblemInstance, config: SolverConfig,
         for i in due.get(count, ()):
             outputs[i] = (x_new[i].copy(), y_new[i].copy()), (k, tau), z_new[i].copy()
 
-        if count % config.trace_stride == 0 or count == total_steps:
+        if count % stride == 0 or count == total_steps:
             if pair == 2:
                 np.concatenate((x, y, z), axis=1, out=states[2 * r])
             np.concatenate((x_new, y_new, z_new), axis=1, out=states[pair * r + 1])
@@ -441,10 +441,12 @@ def run(problem: ProblemInstance, config: SolverConfig,
                     if failed[i] is None:
                         # a 1-D dot product is the one that `_row_norms`
                         # takes of each row (numpy's matmul takes a row
-                        # times a column as a dot product)
+                        # times a column as a dot product); `_make` skips
+                        # the Python-level constructor
                         a, b, c = dx[i], dy[i], gap[i]
-                        sink(TraceRow(k, tau, math.sqrt(a.dot(a)), math.sqrt(b.dot(b)),
-                                      math.sqrt(c.dot(c)), used[r], xs[r, i], ys[r, i], zs[r, i]))
+                        sink(TraceRow._make((k, tau, math.sqrt(a.dot(a)), math.sqrt(b.dot(b)),
+                                             math.sqrt(c.dot(c)), used[r], xs[r, i], ys[r, i],
+                                             zs[r, i])))
             r += 1
         x, y, z = x_new, y_new, z_new
 
