@@ -528,16 +528,19 @@ def test_sink_receives_each_recorded_row_in_order():
     assert list(map(_row_bits, got)) == list(map(_row_bits, trace.rows))
 
 
-def test_sink_rows_equal_the_trace_rows_on_a_wide_dual():
+@pytest.mark.parametrize("stride, rows_per_seed", [(1, 10), (3, 4)])
+def test_sink_rows_equal_the_trace_rows_on_a_wide_dual(stride, rows_per_seed):
     # the sink's norms are dot products of 1-D rows, the trace's come from
-    # `_row_norms` over the recorded states after the loop; a Simplex(400)
-    # dual takes the dot product's blocked path, which no small set does
+    # `_row_norms` over the recorded states after the loop (one state row
+    # per step at stride 1, two per recorded step otherwise); a
+    # Simplex(400) dual takes the dot product's blocked path, which no
+    # small set does
     p = _phi_div_dro({"n": 400})
     cfg = SolverConfig(K=2, T=5, M=8, B=50, alpha_x=1e-3, alpha_y=1e-3,
-                       beta=0.05, r=0.5, seed=7, trace_stride=1)
+                       beta=0.05, r=0.5, seed=7, trace_stride=stride)
     got = []
     traces = run(p, cfg, sink=got.append, seeds=[7, 8])
-    assert p.set_y.dim == 400 and len(got) == 20
+    assert p.set_y.dim == 400 and len(got) == 2 * rows_per_seed
     # the rows of one step come in the order of the seeds
     rows = [row for step_rows in zip(*(t.rows for t in traces)) for row in step_rows]
     assert list(map(_row_bits, got)) == list(map(_row_bits, rows))
