@@ -10,6 +10,7 @@ for bit against one-point-at-a-time references kept in this file, and the
 accelerated merit against plain projected gradient within tolerance.
 """
 
+import hashlib
 import math
 from dataclasses import astuple, replace
 
@@ -505,6 +506,28 @@ def _merit_trace_rows(kind):
     y0 = np.array(solver["y0"]) if "y0" in solver else None
     rows = [run(p, config, y0=y0).rows[i] for i in pick]
     return p, config.r, *(np.array([getattr(row, v) for row in rows]) for v in "xyz")
+
+
+def _undeclared(p):
+    """`p` with no declared property beyond its oracle, sets and constants,
+    so that its merit's p_r comes from the seeded multi-start ascent."""
+    return ProblemInstance(oracle=p.oracle, set_x=p.set_x, set_y=p.set_y,
+                           constants=p.constants)
+
+
+# value, f_r, d_r and p_r of the multi-start merit at the four "box" rows
+# of `_merit_trace_rows`, from one `_lyapunov_rows` call
+MULTISTART_MERIT_DIGEST = \
+    "53de2638b03ad7473ce0b1b46a59ee3995453910dbfce8c68b909b67a011852b"
+
+
+def test_multistart_merit_rows_digest():
+    p, r, X, Y, Z = _merit_trace_rows("box")
+    h = hashlib.sha256()
+    for lv in diagnostics._lyapunov_rows(_undeclared(p), r, X, Y, Z):
+        assert not lv.certified
+        h.update(np.array([lv.value, lv.f_r, lv.d_r, lv.p_r]).tobytes())
+    assert h.hexdigest() == MULTISTART_MERIT_DIGEST
 
 
 @pytest.mark.parametrize("kind, block", [("box", None), ("certified", None),
