@@ -308,6 +308,14 @@ class ProblemInstance:
     Bundles the sampling oracle, the primal/dual constraint sets and the
     regularity constants.  The sets fix the dimensions of x and y (each at
     least 1), and the dual set must be bounded.
+
+    `concave_y` declares that F(x, .) is concave on set_y for every x in
+    set_x.  Then d_r(., z) = min_x F_r(x, ., z) is concave too, so an
+    ascent reaches its global maximum from any start, and the merit
+    function's p_r ascends from one start instead of `_P_R_STARTS`.  The
+    declaration is the builder's to make, and nothing checks it; a false
+    one makes p_r a local maximum.  It is not a `SmoothnessMeta` field,
+    which the tuner's audit records.
     """
 
     oracle: StochasticOracle
@@ -315,6 +323,7 @@ class ProblemInstance:
     set_y: "ConstraintSet"
     constants: SmoothnessMeta
     metadata: dict = field(default_factory=dict)
+    concave_y: bool = False
 
     def __post_init__(self):
         if self.set_x.dim < 1 or self.set_y.dim < 1:

@@ -22,7 +22,11 @@ The merit rows of a whole trace are one `_lyapunov_rows` call: the
 d_r(y, z) of every row, and on a 1-D box dual the 513 grid points of each
 row's certified p_r, are the rows of one lockstep solve, each row with its
 own prox centre z, and the ascent starts of every row are the rows of one
-ascent; `lyapunov` is its one-row case.  Each merit row carries a label,
+ascent, whose rows that start at their y take that solve as their first
+inner solve.  A problem that declares `concave_y` (F(x, .) concave) has a
+concave d_r(., z), so each row ascends from its y alone; any other dual
+that is not a certified 1-D box ascends from `_P_R_STARTS` seeded starts.
+`lyapunov` is its one-row case.  Each merit row carries a label,
 its trace row in `diagnose`, which the solve and the ascent repeat over the
 rows they run for it, so a stalled inner solve raises one MaxItersError
 that names the caller's row.
@@ -96,8 +100,9 @@ _INNER_TOL = 1e-8
 _INNER_MAX_ITERS = 100_000
 _FLOAT_RES = 4 * np.finfo(float).eps
 
-# Monte-Carlo residual batch; seeded ascent starts of the merit's p_r, run
-# as the rows of one ascent, and the ascent's step limit
+# Monte-Carlo residual batch; seeded ascent starts of the merit's p_r where
+# the dual is not declared concave, run as the rows of one ascent, and the
+# ascent's step limit
 _MC_BATCH = 10_000
 _P_R_STARTS = 8
 _MAX_ASCENT = 2000
@@ -300,9 +305,12 @@ class LyapunovValue:
     """Merit-function evaluation with its ingredients.
 
     `certified` is True only when the inner maximization over y was
-    grid-certified (1-D dual on a box); otherwise p_r came from seeded
-    multi-start ascent and is a heuristic (lower bound on the true p_r,
-    making `value` a lower bound as well).
+    grid-certified (1-D dual on a box); otherwise p_r came from an ascent
+    and is flagged heuristic.  Where the problem declares `concave_y`, that
+    ascent runs from y alone and d_r(., z) has no local maximum that is not
+    global, so p_r is the global maximum up to the ascent's stopping
+    tolerance; elsewhere it is the best of seeded multi-start ascents, a
+    lower bound on the true p_r (making `value` a lower bound as well).
     """
 
     value: float
@@ -321,7 +329,7 @@ def _f_r(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndarray,
 
 
 def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray, z: np.ndarray,
-                labels: Optional[np.ndarray] = None) -> list[float]:
+                labels: Optional[np.ndarray] = None, first=None) -> list[float]:
     """FISTA ascent on d_r(., z[s]) with gradient restart from each row
     Y0[s] (a single z is every row's), all rows in lockstep by
     `_descend_rows` (Danskin gradient at the extrapolated point w:
@@ -332,10 +340,14 @@ def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray, z: np.ndarra
     The step is 1/(L_y + L_y^2/(r - rho)).  Every inner solve warm-starts
     from its row's previous x_r, the first from z, and gives the Danskin
     gradient from its last oracle call, so d_r at the last w needs no
-    further solve.  A row stops at its first w whose step is shorter than
-    10 `_INNER_TOL` times the step size (or within float resolution), or
-    after `_MAX_ASCENT` steps, and keeps its point while the others go on,
-    so each row's value equals its one-row ascent bit for bit.
+    further solve.  `first`, the rows (Y, X, GY) of a cold solve from z
+    (X[s] = x_r(Y[s], z[s]) and GY[s] its y gradient), stands in for the
+    first inner solve of each row whose first point, proj(Y0[s]), equals
+    Y[s] bit for bit: that solve would repeat it.  A row stops at its first
+    w whose step is shorter than 10 `_INNER_TOL` times the step size (or
+    within float resolution), or after `_MAX_ASCENT` steps, and keeps its
+    point while the others go on, so each row's value equals its one-row
+    ascent bit for bit.
     """
     meta = problem.constants
     denom = meta.L_y + meta.L_y ** 2 / max(r - meta.rho, 1e-12)
@@ -343,8 +355,18 @@ def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray, z: np.ndarra
     X, labels = Z.copy(), np.arange(len(Y0)) if labels is None else labels
 
     def grad(W, live):
-        X[live], gy = _solve_rows(problem, r, W, Z[live], X[live], labels[live])
-        return -gy
+        nonlocal first
+        if first is None:
+            X[live], gy = _solve_rows(problem, r, W, Z[live], X[live], labels[live])
+            return -gy
+        # the first call, at every row: the rows whose w is their Y take the
+        # given solve, and the others solve as any call does
+        (Yf, Xf, GYf), first = first, None
+        new = (W.view(np.uint64) != Yf.view(np.uint64)).any(axis=1)
+        X[~new], G = Xf[~new], -GYf
+        if new.any():
+            G[new] = grad(W[new], live[new])
+        return G
 
     Y = _descend_rows(problem.set_y, Y0, 1.0 / denom if denom > 0 else 1.0,
                       10 * _INNER_TOL, _MAX_ASCENT, grad)[0]
@@ -358,16 +380,21 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
 
     d_r values use the strongly convex inner solve.  p_r(z) is a global
     maximum of d_r(., z): on a 1-D box dual it is certified by a dense grid
-    plus local ascent; otherwise it is the best of `_P_R_STARTS` seeded ascent
-    starts (the given y plus random perturbations scaled by the diameter
-    of set_y), ascended together as rows, and flagged heuristic.  Either
-    way p_r is at least d_r(y, z).
+    plus local ascent; otherwise it comes from an ascent and is flagged
+    heuristic.  Where the problem declares `concave_y`, d_r(., z) is
+    concave and the ascent runs from the given y alone; elsewhere p_r is
+    the best of `_P_R_STARTS` seeded ascent starts (the given y plus random
+    perturbations scaled by the diameter of set_y), ascended together as
+    rows.  Either way p_r is at least d_r(y, z).
 
     This is the one-row case of `_lyapunov_rows`, which takes the merit
     rows of a trace through one lockstep solve and one ascent.  d_r(y, z)
     and the grid's d_r values are rows of that solve, each started from z,
     and F_r(x, y, z) and all of them come from one exact-values call; the
-    ascent starts at the grid's first strict maximum (never a NaN).  Cold
+    ascent starts at the grid's first strict maximum (never a NaN).  An
+    ascent row whose first point is y itself (y projects onto itself) takes
+    the solve of d_r(y, z) as its first inner solve, which would repeat it
+    bit for bit.  Cold
     rows cost more oracle rows than a chain of solves each warm-started
     from the last, but far fewer oracle calls while the grid points share
     them: on a 3x1 quadratic saddle at N = 16, 300 calls of 166,736 rows
@@ -395,7 +422,11 @@ def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndar
     one-row value.  The d_r(Y[j], Z[j]) of every row and, on a 1-D box
     dual, the 513 grid points of each row after it are the rows of one
     lockstep solve; F_r and all d_r values come from one exact-values call;
-    the ascent starts of every row are the rows of one ascent.  More than
+    the ascent starts of every row are the rows of one ascent: its grid
+    maximum when certified, else y alone where the problem declares
+    `concave_y`, else y and `_P_R_STARTS` - 1 seeded perturbations of it.
+    The ascent rows that start at their row's y take that row's solve of
+    d_r(y, z) as their first inner solve.  More than
     `_MERIT_ROWS` rows go in blocks of that many, each block such a call,
     which bounds the memory of the lockstep state.  Row j's label is
     labels[j] (by default j); the solve and the ascent repeat it over the
@@ -419,24 +450,26 @@ def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndar
         return [lv for lo in range(0, m, _MERIT_ROWS) for lv in _lyapunov_rows(
             problem, r, *(V[lo:lo + _MERIT_ROWS] for V in (X, Y, Z, labels)))]
     # p_r: the best of d_r(y, z), the grid and an ascent from the grid's
-    # first strict maximum (certified), or of d_r(y, z) and the seeded
-    # ascent starts; each row owns a block of solve rows, its y and, when
-    # certified, the grid after it, and k ascent rows
+    # first strict maximum (certified), or of d_r(y, z) and the ascent
+    # starts: y alone where d_r(., z) is concave, else y and seeded
+    # perturbations of it; each row owns a block of solve rows, its y and,
+    # when certified, the grid after it, and k ascent rows
     certified = dim_y == 1 and isinstance(problem.set_y, Box)
     grid = np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513) if certified else Y[:0, 0]
-    noise = np.random.default_rng(0).normal(size=(0 if certified else _P_R_STARTS - 1, dim_y))
+    block, k = 1 + len(grid), 1 if certified or problem.concave_y else _P_R_STARTS
+    noise = np.random.default_rng(0).normal(size=(k - 1, dim_y))
     starts = np.concatenate([Y[:, None], Y[:, None] + (problem.set_y.diameter or 1.0) * noise], 1)
-    block, k = 1 + len(grid), starts.shape[1]
     YS, ZS = np.hstack([Y, np.tile(grid, (m, 1))]).reshape(-1, dim_y), Z.repeat(block, axis=0)
-    XS = _solve_rows(problem, r, YS, ZS, ZS, labels.repeat(block))[0]
+    XS, GS = _solve_rows(problem, r, YS, ZS, ZS, labels.repeat(block))
     vals = _f_r(problem, r, np.vstack([X, XS]), np.vstack([Y, YS]), np.vstack([Z, ZS]))
     best = [-math.inf] * m
     for j in range(m):
         for val, gy in zip(vals[m + j * block + 1:m + (j + 1) * block], grid):
             if val > best[j]:  # never a NaN
                 best[j], starts[j] = val, gy
+    # an ascent row that starts at its y repeats the cold solve of d_r(y, z)
     asc = _ascend_d_r(problem, r, starts.reshape(-1, dim_y), Z.repeat(k, axis=0),
-                      labels.repeat(k))
+                      labels.repeat(k), [V[::block].repeat(k, axis=0) for V in (YS, XS, GS)])
     return [LyapunovValue((f - d) + (p - d) + p, f, d, p, certified)
             for j, (f, d, b) in enumerate(zip(vals, vals[m::block], best))
             for p in [max(b, d, *asc[j * k:(j + 1) * k])]]

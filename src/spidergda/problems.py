@@ -244,7 +244,9 @@ class PhiDivDroSpec:
 
 def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
     """Smooth finite-sum instance of the penalized DRO objective (squared
-    loss, smooth psi); per-sample functions average to the objective."""
+    loss, smooth psi); per-sample functions average to the objective.  F is
+    linear in q minus the convex psi term, so the instance declares
+    `concave_y`."""
     X, t = spec.features, spec.targets
     n, d = X.shape
     psi, psi_prime = PSI_BUILTINS[spec.psi]
@@ -275,7 +277,8 @@ def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
     meta = SmoothnessMeta(L_x=L_x, L_y=L_y, rho=0.0, ell=ell, mu=1.0, theta=1.0)
     oracle = StochasticOracle(regime=FiniteSum(n), grads_batch=grads_batch,
                               values_batch=values_batch)
-    return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y, constants=meta)
+    return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y, constants=meta,
+                           concave_y=True)
 
 
 # ----------------------------------------------------------------------------
@@ -343,9 +346,10 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
 
     A has spectrum in a_range (negative lower end gives weak convexity
     rho = -min eig), C has spectrum in c_range (c_range[0] > 0, so F(x, .)
-    is strongly concave: the dual error bound holds with theta = 1/2,
-    mu = sqrt(2 min eig C)).  Per-sample quadratics are mean-centered
-    perturbations of (A, B, C, a, b), so their average recovers F.  The
+    is strongly concave, which the instance declares as `concave_y`: the
+    dual error bound holds with theta = 1/2, mu = sqrt(2 min eig C)).
+    Per-sample quadratics are mean-centered perturbations of
+    (A, B, C, a, b), so their average recovers F.  The
     saddle solves the first-order system and is stored in metadata.  The
     sets are fixed: the boxes [x* - 1, x* + 3] and [y* - 1, y* + 3], which
     contain the saddle strictly in their interior but are not centered on
@@ -446,7 +450,7 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     return ProblemInstance(
         oracle=oracle, set_x=set_x, set_y=set_y, constants=meta,
         metadata={"A": A, "B": B, "C": C, "a": a_vec, "b": b_vec,
-                  "saddle_x": x_star, "saddle_y": y_star})
+                  "saddle_x": x_star, "saddle_y": y_star}, concave_y=True)
 
 
 # ----------------------------------------------------------------------------

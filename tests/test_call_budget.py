@@ -78,7 +78,9 @@ GS_RESIDUALS_CALLS = 18
 # two `normal_cone_dist` calls)
 RESIDUAL_WINDOW_CALLS = 15
 # package calls, and oracle calls among them, of one merit evaluation at a
-# trace row of the benchmark's diagnostics schedule (34,028 and 1,717 when
+# trace row of the benchmark's diagnostics schedule, whose quadratic saddle
+# declares a concave dual, so p_r ascends from y alone and the ascent's
+# first inner solve is the cold solve of d_r(y, z) (34,028 and 1,717 when
 # its 8 ascent starts ran one after another; 2,347 and 238 while each
 # ascent step asked the oracle again for the y gradient at x_r; 2,225
 # while `lyapunov` checked the regime itself; 2,224 while each d_r value
@@ -89,9 +91,10 @@ RESIDUAL_WINDOW_CALLS = 15
 # one-row case of a `_lyapunov_rows` whose ascent passed each inner solve
 # through a wrapper that mapped a stalled row to its owner, 1,455 since
 # each row's label is passed down to the solve; 1,455 while `dim_x`
-# was a property)
-LYAPUNOV_CALLS = 1454
-LYAPUNOV_ORACLE_CALLS = 100
+# was a property; 1,454 and 100 while p_r ascended from 8 starts, one of
+# them solving d_r(y, z) again)
+LYAPUNOV_CALLS = 1366
+LYAPUNOV_ORACLE_CALLS = 94
 # package calls, and oracle calls among them, of the whole merit column of
 # one seed of the benchmark's diagnostics command (trace rows 0, 200 and
 # 399 of seed 22), which the CLI makes as one `_lyapunov_rows` call: its
@@ -99,25 +102,29 @@ LYAPUNOV_ORACLE_CALLS = 100
 # rows of one ascent (300 oracle calls while the CLI called `lyapunov`
 # once per row; 1,493 package calls while the ascent's inner solves went
 # through a wrapper that mapped a stalled row to its owner; 1,457 while
-# `dim_x` was a property)
-MERIT_COLUMN_CALLS = 1456
-MERIT_COLUMN_ORACLE_CALLS = 100
+# `dim_x` was a property; 1,456 and 100 while its ascent ran 24 starts,
+# 8 per row, and solved each d_r(y, z) again), and the rows of those oracle
+# calls (34,544 with 8 starts per row)
+MERIT_COLUMN_CALLS = 1400
+MERIT_COLUMN_ORACLE_CALLS = 96
+MERIT_COLUMN_ORACLE_ROWS = 4400
 # package calls, and `batch_grads` and `batch_values` calls among them, of
 # all the diagnostics of that seed as the command makes them: one
 # `diagnose` call with residual_stride 1 and lyapunov_stride 200, the exact
 # residuals of its 400 trace rows and the output pair (7 oracle calls of at
 # most 64 points) and the merit column above (1,521 while `dim_x` was a
-# property)
-DIAGNOSE_SEED_CALLS = 1520
-DIAGNOSE_SEED_ORACLE_CALLS = 107
+# property; 1,520 and 107 while the merit ran 8 ascent starts per row)
+DIAGNOSE_SEED_CALLS = 1464
+DIAGNOSE_SEED_ORACLE_CALLS = 103
 DIAGNOSE_SEED_VALUES_CALLS = 2
 # package calls, and `batch_grads` calls among them, of all the diagnostics
 # of both seeds of that command (22 and 23) as the command makes them: one
 # `diagnose` call over the seed axis, whose residual rows of both seeds are
 # one rows call and whose six merit rows are one lockstep solve and ascent
-# (3,054 and 214 as two single-seed `diagnose` calls)
-DIAGNOSE_TWO_SEEDS_CALLS = 1558
-DIAGNOSE_TWO_SEEDS_ORACLE_CALLS = 113
+# (3,054 and 214 as two single-seed `diagnose` calls; 1,558 and 113 while
+# the merit ran 8 ascent starts per row)
+DIAGNOSE_TWO_SEEDS_CALLS = 1502
+DIAGNOSE_TWO_SEEDS_ORACLE_CALLS = 109
 # `batch_grads` calls of a certified merit evaluation on the 1-D example:
 # one per lockstep inner-solve iteration of d_r(y, z) and the 513 grid
 # points, and each ascent step reuses the y side of its inner solve's last
@@ -231,7 +238,7 @@ def test_residual_window_call_budget():
 
 def test_lyapunov_row_call_budget():
     # row 200 of the cli_diagnostics workload's run with seed 22: p_r
-    # comes from 8 ascents
+    # comes from one ascent
     merit = _TOOL.merit_row()
     calls = _package_calls(merit)
     assert calls <= LYAPUNOV_CALLS, f"{calls} package calls"
@@ -247,6 +254,8 @@ def test_merit_column_call_budget():
     assert calls <= MERIT_COLUMN_CALLS, f"{calls} package calls"
     oracle_calls = _package_calls(merit, "batch_grads")
     assert oracle_calls <= MERIT_COLUMN_ORACLE_CALLS, f"{oracle_calls} oracle calls"
+    rows = _TOOL.count_calls(merit)["rows"]
+    assert rows <= MERIT_COLUMN_ORACLE_ROWS, f"{rows} oracle rows"
 
 
 def test_diagnose_seed_call_budget():

@@ -27,6 +27,7 @@ from spidergda import (Ball, Box, DimError, FiniteSum, InfeasibleError,
                        make_quadratic_saddle, make_two_group_regression,
                        mc_gs_residuals, run, solve_x_r)
 from spidergda.cli import _build_problem, _load_config, _tune
+from spidergda.projections import FEAS_TOL
 
 
 def _zero_oracle(regime):
@@ -398,7 +399,18 @@ def _ref_ascent(p, r, y0, z):
     return _f_r(p, r, x, y, z)
 
 
+def _undeclared(p):
+    """`p` with no declared property beyond its oracle, sets and constants,
+    so that its merit's p_r comes from the seeded multi-start ascent."""
+    return ProblemInstance(oracle=p.oracle, set_x=p.set_x, set_y=p.set_y,
+                           constants=p.constants)
+
+
 def _ref_starts(p, y):
+    """The ascent starts of the uncertified merit: y alone where `p`
+    declares `concave_y`, else y and its seeded perturbations."""
+    if p.concave_y:
+        return [y]
     rng = np.random.default_rng(0)
     span = p.constants.D_Y or 1.0
     return [y] + [y + span * rng.normal(size=p.set_y.dim)
@@ -448,9 +460,36 @@ def test_lockstep_ascent_rows_equal_one_start_at_a_time(kind):
 
 @pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
 def test_lockstep_lyapunov_equals_sequential_reference(kind):
+    # the reference solves every start's first point on its own, where the
+    # merit takes the cold solve of d_r(y, z) for a start whose first point
+    # is y; the dual is declared concave, so y is the one start
     p, x, y, z = _dual_set_problem(kind)
     lv = lyapunov(p, 4.0, x, y, z)
     assert not lv.certified
+    assert (lv.value, lv.f_r, lv.d_r, lv.p_r) == _ref_lyapunov(p, 4.0, x, y, z)
+
+
+@pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
+def test_lockstep_multistart_lyapunov_equals_sequential_reference(kind):
+    # the same problem undeclared: y and 7 seeded starts
+    p, x, y, z = _dual_set_problem(kind)
+    lv = lyapunov(_undeclared(p), 4.0, x, y, z)
+    assert (lv.value, lv.f_r, lv.d_r, lv.p_r) == _ref_lyapunov(_undeclared(p), 4.0, x, y, z)
+
+
+def test_a_y_outside_its_set_within_tolerance_solves_its_projection(monkeypatch):
+    # y lies outside the box by half of FEAS_TOL, so the merit accepts it,
+    # but the ascent's first point proj(y) is not y: its first inner solve
+    # is at proj(y), not the cold solve of d_r(y, z)
+    p, x, _, z = _dual_set_problem("box")
+    y = p.set_y.hi + [0.5 * FEAS_TOL, 0.0, 0.0]
+    assert p.set_y.contains(y) and p.set_y.project(y).tobytes() != y.tobytes()
+    solves, solve = [], diagnostics._solve_rows
+    monkeypatch.setattr(diagnostics, "_solve_rows",
+                        lambda *a: solves.append(a[2].copy()) or solve(*a))
+    lv = lyapunov(p, 4.0, x, y, z)
+    assert [w.tobytes() for w in solves[0]] == [y.tobytes()]
+    assert [w.tobytes() for w in solves[1]] == [p.set_y.project(y).tobytes()]
     assert (lv.value, lv.f_r, lv.d_r, lv.p_r) == _ref_lyapunov(p, 4.0, x, y, z)
 
 
@@ -508,13 +547,6 @@ def _merit_trace_rows(kind):
     return p, config.r, *(np.array([getattr(row, v) for row in rows]) for v in "xyz")
 
 
-def _undeclared(p):
-    """`p` with no declared property beyond its oracle, sets and constants,
-    so that its merit's p_r comes from the seeded multi-start ascent."""
-    return ProblemInstance(oracle=p.oracle, set_x=p.set_x, set_y=p.set_y,
-                           constants=p.constants)
-
-
 # value, f_r, d_r and p_r of the multi-start merit at the four "box" rows
 # of `_merit_trace_rows`, from one `_lyapunov_rows` call
 MULTISTART_MERIT_DIGEST = \
@@ -544,25 +576,66 @@ def test_merit_rows_equal_one_row_lyapunov_calls(kind, block, monkeypatch):
 
 
 def test_merit_rows_share_one_solve_and_one_ascent(monkeypatch):
+    # the undeclared dual: 8 ascent starts per row
+    _assert_one_solve_and_one_ascent(False, monkeypatch)
+
+
+def test_declared_concave_merit_rows_ascend_from_y_alone(monkeypatch):
+    _assert_one_solve_and_one_ascent(True, monkeypatch)
+
+
+def _assert_one_solve_and_one_ascent(declared, monkeypatch):
     p, r, X, Y, Z = _merit_trace_rows("box")
+    assert p.concave_y
+    p = p if declared else _undeclared(p)
+    k = 1 if declared else diagnostics._P_R_STARTS
+    cold = (Y, *diagnostics._solve_rows(p, r, Y, Z, Z))
     calls = []
     for name in ("_solve_rows", "_ascend_d_r"):
         fn = getattr(diagnostics, name)
         monkeypatch.setattr(diagnostics, name,
                             lambda *a, fn=fn, name=name: calls.append((name, a)) or fn(*a))
     diagnostics._lyapunov_rows(p, r, X, Y, Z)
-    # one solve of d_r(y, z) at the 4 rows, then one ascent from their 8
-    # starts each, which makes the other inner solves
+    # one solve of d_r(y, z) at the 4 rows, then one ascent from their k
+    # starts each (y alone on the declared concave dual, else y and 7
+    # seeded perturbations), which makes the other inner solves
     assert [name for name, _ in calls[:2]] == ["_solve_rows", "_ascend_d_r"]
     assert [name for name, _ in calls].count("_ascend_d_r") == 1
-    (_, _, Ys, Zs, _, solve_labels), (_, _, starts, Za, ascent_labels) = (
+    (_, _, Ys, Zs, _, solve_labels), (_, _, starts, Za, ascent_labels, first) = (
         calls[0][1], calls[1][1])
     assert Ys.tolist() == Y.tolist() and Zs.tolist() == Z.tolist()
-    assert len(starts) == 4 * diagnostics._P_R_STARTS
-    assert Za.tolist() == Z.repeat(diagnostics._P_R_STARTS, axis=0).tolist()
+    assert len(starts) == 4 * k and starts[::k].tolist() == Y.tolist()
+    assert Za.tolist() == Z.repeat(k, axis=0).tolist()
     # each solve and ascent row carries the label of the merit row it serves
     assert solve_labels.tolist() == [0, 1, 2, 3]
-    assert ascent_labels.tolist() == np.arange(4).repeat(diagnostics._P_R_STARTS).tolist()
+    assert ascent_labels.tolist() == np.arange(4).repeat(k).tolist()
+    # the ascent takes the cold solve as the first inner solve of each row
+    # whose first point is its y (a perturbed start that the box clips onto
+    # y is one too), so no later solve of merit row j is at Y[j]
+    assert [V.tolist() for V in first] == [V.repeat(k, axis=0).tolist() for V in cold]
+    assert not any(w.tobytes() == Y[j].tobytes() for name, a in calls[2:]
+                   if name == "_solve_rows" for w, j in zip(a[2], a[5]))
+
+
+def test_one_start_loses_nothing_on_the_benchmarks_concave_dual():
+    # the six merit rows of the benchmark's diagnostics command (seeds 22
+    # and 23, trace rows 0, 200 and 399): d_r(., z) is concave there, so y
+    # alone reaches the p_r of 8 seeded starts
+    cfg = _load_config({
+        "problem": {"kind": "quadratic_saddle", "dim_x": 4, "dim_y": 3, "n_samples": 16,
+                    "seed": 11},
+        "tuner": {"epsilon": 1e-3, "overrides": {"alpha_y": 4.0, "beta": 0.016, "K": 50,
+                                                  "T": 8, "M": 16}},
+        "solver": {"trace_stride": 1}})
+    p, config, _ = _tune(cfg, _build_problem(cfg))
+    X, Y, Z = (np.concatenate([getattr(t, v)[[0, 200, 399]]
+                               for t in run(p, config, seeds=[22, 23])]) for v in "xyz")
+    one = diagnostics._lyapunov_rows(p, config.r, X, Y, Z)
+    eight = diagnostics._lyapunov_rows(_undeclared(p), config.r, X, Y, Z)
+    for a, b in zip(one, eight):
+        assert (a.f_r, a.d_r) == (b.f_r, b.d_r) and a.p_r >= a.d_r
+        assert a.p_r == pytest.approx(b.p_r, rel=1e-12, abs=0.0)
+        assert a.value == pytest.approx(b.value, rel=1e-12, abs=0.0)
 
 
 def test_merit_rows_name_an_infeasible_row():

@@ -155,9 +155,9 @@ CLI_DIGESTS = {
         "summary.json":
             "40d63be598481dea101675ee3a33be95a6a869802a27a2a3e46e2a4defda6eff",
         "trace_seed0.csv":
-            "36cdd47e960e41417d18e383644841e3a6cef4f9030f62290cc8f4c57975df07",
+            "8937e6550ddb57d515d34f25ca37c48064fd4efdd866eb6a61f0ea997e26f27e",
         "trace_seed1.csv":
-            "48f13004b6f94dfa30d87a53bb2078a7da5953bbedba9cf3f68c8ed45a92fbc2",
+            "4872f4ae4bf184cf8381000819f82a32e6663fa28bc3f94df80d70dd9ed4c797",
     },
     "kl_example": {
         "summary.json":

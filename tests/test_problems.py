@@ -486,3 +486,69 @@ def test_spec_from_csv_missing_group(tmp_path, save_dataset_csv):
     save_dataset_csv(path, X, t, g)
     with pytest.raises(EmptyGroupError):
         spec_from_csv(path)
+
+
+# ----------------------------------------------------------------------------
+# declared properties
+#
+# A built-in that declares `concave_y` must have F(x, .) concave on its
+# dual set for every x in its primal set.  The check samples midpoint
+# concavity, F(x, (y1 + y2)/2) >= (F(x, y1) + F(x, y2))/2 - 1e-12 (1 + |F|),
+# over uniform points of a box and Dirichlet points of a simplex.
+
+def _sample(cset, rng):
+    if isinstance(cset, Simplex):
+        return rng.dirichlet(np.ones(cset.dim))
+    return cset.lo + (cset.hi - cset.lo) * rng.random(cset.dim)
+
+
+def _midpoint_concavity_violation(p, pairs=200, seed=0) -> float:
+    """The largest amount by which a sampled midpoint falls below its chord
+    beyond the tolerance: positive when the check finds F(x, .) not
+    concave, at most 0 otherwise."""
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    for _ in range(pairs):
+        x, y1, y2 = _sample(p.set_x, rng), _sample(p.set_y, rng), _sample(p.set_y, rng)
+        mid = full_value(p, x, 0.5 * (y1 + y2))
+        chord = 0.5 * (full_value(p, x, y1) + full_value(p, x, y2))
+        worst = max(worst, chord - mid - 1e-12 * (1.0 + abs(mid)))
+    return worst
+
+
+def _phi_div_small(n):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 2))
+    return make_phi_div_dro(PhiDivDroSpec(features=X, targets=X[:, 0] + 0.1 * rng.normal(size=n)))
+
+
+_CONCAVE_Y_BUILTINS = {
+    "quadratic 1x1": lambda: make_quadratic_saddle(1, 1, seed=0),
+    "quadratic 4x3": lambda: make_quadratic_saddle(4, 3, n_samples=16, seed=11),
+    "quadratic 2x5 weakly convex": lambda: make_quadratic_saddle(
+        2, 5, a_range=(-1.0, 2.0), c_range=(0.05, 0.08), seed=3),
+    "phi_div_dro chi2 n=3": lambda: _phi_div_small(3),
+    "phi_div_dro chi2 n=8": lambda: _phi_div_small(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONCAVE_Y_BUILTINS))
+def test_declared_concave_duals_are_midpoint_concave(name):
+    p = _CONCAVE_Y_BUILTINS[name]()
+    assert p.concave_y
+    assert _midpoint_concavity_violation(p) <= 0.0
+
+
+def test_midpoint_check_finds_the_kl_examples_convex_pieces():
+    # g(y) = 2 e^{y+1} - 1 on [-2, -1] and its mirror on [1, 2] are convex,
+    # so the undeclared example fails the check the declarations pass
+    p = make_kl_example()
+    assert not p.concave_y
+    assert _midpoint_concavity_violation(p) > 0.0
+
+
+def test_composites_keep_the_default_declaration():
+    # `as_problem` carries no declaration through the smoothing, so a
+    # smoothed composite's merit keeps its seeded ascent starts
+    p = as_problem(make_group_dro(make_two_group_regression(n=20, seed=0)), lam=0.1)
+    assert not p.concave_y

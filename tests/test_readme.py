@@ -32,7 +32,7 @@ def test_quick_start_snippet_runs():
     # rows 0, 3000 and 5999, all from one `diagnose` pass
     assert _printed("Library quick start") == (
         "(2.3670105920871225, 1.3891480768919312e-05)\n"
-        "{0: 2.6419102745195646, 3000: 0.944135123792785, 5999: 0.7567019788227665}\n")
+        "{0: 2.6419102745195637, 3000: 0.944135123792785, 5999: 0.7567019788227662}\n")
 
 
 def test_rows_contract_snippet_runs():

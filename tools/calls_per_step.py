@@ -14,6 +14,10 @@ Each schedule and unit runs once to warm up, then once under
   generator resumed counts as a call);
 - c: every call of a C function or builtin method.
 
+Each unit also prints its oracle calls (`batch_grads` calls) and the rows
+they were given, the work that the merit's ascent starts and inner solves
+cost.
+
 Operators that numpy dispatches through type slots (`a + b`, `a[i]`) and
 calls of ufunc objects make no event, so the counts complement timing and
 do not replace it.  The schedules are the benchmark's `quad_tuned` problem
@@ -120,7 +124,8 @@ def residual_window():
 
 def merit_row():
     """The merit evaluation at row 200 of `cli_diagnostics`, whose p_r
-    comes from 8 ascents, as a call of no arguments."""
+    comes from one ascent (the quadratic saddle declares `concave_y`), as a
+    call of no arguments."""
     p, cfg, trace = cli_diagnostics()
     row = trace.rows[200]
     return lambda: lyapunov(p, cfg.r, row.x, row.y, row.z)
@@ -183,17 +188,20 @@ def certified_saddle_merit():
 
 
 def count_calls(fn, name=None) -> dict:
-    """Package, Python-level and C-level call events of `fn()`; with `name`,
-    the package count holds only the calls of functions so named."""
-    counts = {"package": 0, "python": 0, "c": 0}
+    """Package, Python-level and C-level call events of `fn()`, and the
+    `batch_grads` calls (oracle) and the rows they were given (rows); with
+    `name`, the package count holds only the calls of functions so named."""
+    counts = {"package": 0, "python": 0, "c": 0, "oracle": 0, "rows": 0}
 
     def profile(frame, event, arg):
         if event == "call":
             counts["python"] += 1
             code = frame.f_code
-            if (code.co_filename.startswith(_PACKAGE)
-                    and name in (None, code.co_name)):
-                counts["package"] += 1
+            if code.co_filename.startswith(_PACKAGE):
+                counts["package"] += name in (None, code.co_name)
+                if code.co_name == "batch_grads":
+                    counts["oracle"] += 1
+                    counts["rows"] += len(frame.f_locals["ids"])
         elif event == "c_call":
             counts["c"] += 1
 
@@ -222,7 +230,8 @@ def main() -> int:
         counts = count_calls(unit)
         print(f"{name:<17} {400:>3} " + " ".join(
             f"{counts[k] / 400:>9.2f}" for k in ("package", "python", "c")))
-    print(f"{'unit':<22} {'package':>9} {'python':>9} {'c':>9}   (calls per unit)")
+    print(f"{'unit':<22} {'package':>9} {'python':>9} {'c':>9} {'oracle':>9} {'rows':>9}"
+          "   (calls per unit; oracle: batch_grads calls and their rows)")
     for name, build in (("residual_window", residual_window), ("merit_row", merit_row),
                         ("merit_column", merit_column), ("diagnose_seed", diagnose_seed),
                         ("diagnose_two_seeds", diagnose_two_seeds),
@@ -232,7 +241,7 @@ def main() -> int:
         unit()
         counts = count_calls(unit)
         print(f"{name:<22} " + " ".join(
-            f"{counts[k]:>9}" for k in ("package", "python", "c")))
+            f"{counts[k]:>9}" for k in ("package", "python", "c", "oracle", "rows")))
     return 0
 
 
