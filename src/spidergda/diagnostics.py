@@ -329,7 +329,7 @@ def _f_r(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndarray,
 
 
 def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray, z: np.ndarray,
-                labels: Optional[np.ndarray] = None, first=None) -> list[float]:
+                labels: Optional[np.ndarray] = None, first: Optional[list] = None) -> list[float]:
     """FISTA ascent on d_r(., z[s]) with gradient restart from each row
     Y0[s] (a single z is every row's), all rows in lockstep by
     `_descend_rows` (Danskin gradient at the extrapolated point w:
@@ -451,9 +451,9 @@ def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndar
             problem, r, *(V[lo:lo + _MERIT_ROWS] for V in (X, Y, Z, labels)))]
     # p_r: the best of d_r(y, z), the grid and an ascent from the grid's
     # first strict maximum (certified), or of d_r(y, z) and the ascent
-    # starts: y alone where d_r(., z) is concave, else y and seeded
-    # perturbations of it; each row owns a block of solve rows, its y and,
-    # when certified, the grid after it, and k ascent rows
+    # starts: y alone where the problem declares `concave_y`, else y and
+    # seeded perturbations of it; each row owns a block of solve rows, its
+    # y and, when certified, the grid after it, and k ascent rows
     certified = dim_y == 1 and isinstance(problem.set_y, Box)
     grid = np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513) if certified else Y[:0, 0]
     block, k = 1 + len(grid), 1 if certified or problem.concave_y else _P_R_STARTS

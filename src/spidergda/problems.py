@@ -348,9 +348,9 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     rho = -min eig), C has spectrum in c_range (c_range[0] > 0, so F(x, .)
     is strongly concave, which the instance declares as `concave_y`: the
     dual error bound holds with theta = 1/2, mu = sqrt(2 min eig C)).
-    Per-sample quadratics are mean-centered perturbations of
-    (A, B, C, a, b), so their average recovers F.  The
-    saddle solves the first-order system and is stored in metadata.  The
+    Per-sample quadratics are mean-centered perturbations of (A, B, C, a,
+    b), so their average recovers F.  The saddle solves the first-order
+    system and is stored in metadata.  The
     sets are fixed: the boxes [x* - 1, x* + 3] and [y* - 1, y* + 3], which
     contain the saddle strictly in their interior but are not centered on
     it.  A problem on other sets is a `ProblemInstance` of one's own, with
