@@ -452,8 +452,9 @@ def _dual_set_problem(kind):
 
 @pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
 def test_lockstep_ascent_rows_equal_one_start_at_a_time(kind):
+    # the 8 starts of the undeclared problem
     p, x, y, z = _dual_set_problem(kind)
-    starts = _ref_starts(p, y)
+    starts = _ref_starts(_undeclared(p), y)
     got = diagnostics._ascend_d_r(p, 4.0, np.array(starts), z)
     assert got == [_ref_ascent(p, 4.0, s, z) for s in starts]
 
@@ -473,8 +474,9 @@ def test_lockstep_lyapunov_equals_sequential_reference(kind):
 def test_lockstep_multistart_lyapunov_equals_sequential_reference(kind):
     # the same problem undeclared: y and 7 seeded starts
     p, x, y, z = _dual_set_problem(kind)
-    lv = lyapunov(_undeclared(p), 4.0, x, y, z)
-    assert (lv.value, lv.f_r, lv.d_r, lv.p_r) == _ref_lyapunov(_undeclared(p), 4.0, x, y, z)
+    p = _undeclared(p)
+    lv = lyapunov(p, 4.0, x, y, z)
+    assert (lv.value, lv.f_r, lv.d_r, lv.p_r) == _ref_lyapunov(p, 4.0, x, y, z)
 
 
 def test_a_y_outside_its_set_within_tolerance_solves_its_projection(monkeypatch):
