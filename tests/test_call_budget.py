@@ -10,7 +10,8 @@ through type slots make no call event, so these counts complement timing
 and do not replace it.  The counter, the `quad_tuned`/`gdro_smoothed`
 schedules, the `cli_diagnostics` units and the certified merit units come
 from `tools/calls_per_step.py`, which prints the same package counts next
-to all Python-level and C-level calls.
+to all Python-level and C-level calls, and, for the diagnostics units, the
+oracle calls and their rows.
 
 Each call budget is the count measured when the test was written.  Lower a
 budget when a change removes calls; raising one loosens the guard.  The
