@@ -18,15 +18,17 @@ gradients from one rows call and their normal-cone distances from one
 rows call per side; inner solves and ascents run many rows in lockstep,
 and the merit function's ascent reuses the y gradient that each inner
 solve's last oracle call gave, instead of asking the oracle for it again.
-The merit rows of a whole trace are one `_lyapunov_rows` call: the
-d_r(y, z) of every row, and on a 1-D box dual the 513 grid points of each
-row's certified p_r, are the rows of one lockstep solve, each row with its
-own prox centre z, and the ascent starts of every row are the rows of one
-ascent, whose rows that start at their y take that solve as their first
-inner solve.  A problem that declares `concave_y` (F(x, .) concave) has a
-concave d_r(., z), so each row ascends from its y alone; any other dual
-that is not a certified 1-D box ascends from `_P_R_STARTS` seeded starts.
-`lyapunov` is its one-row case.  Each merit row carries a label,
+The merit rows of a whole trace are one `_lyapunov_rows` call, and every
+ascent starts at a solved candidate.  Each row's candidates are its y
+and, on a 1-D box dual, the 513 grid points of its certified p_r; where
+the problem declares `concave_y` (F(x, .) concave, so d_r(., z) is
+concave), nothing more; on any other dual, `_P_R_STARTS` - 1 seeded
+perturbations of y.  The candidates of all rows are the rows of one
+lockstep cold solve from z, each row with its own prox centre z.  The
+ascent starts at every candidate, or on the 1-D box only at the grid's
+best point, and the starts of all rows are the rows of one ascent, each
+of which takes its candidate's row of that solve as its first inner
+solve.  `lyapunov` is its one-row case.  Each merit row carries a label,
 its trace row in `diagnose`, which the solve and the ascent repeat over the
 rows they run for it, so a stalled inner solve raises one MaxItersError
 that names the caller's row.
@@ -180,11 +182,12 @@ def _descend_rows(cset: ConstraintSet, P: np.ndarray, step: float, tol: float,
     the rows W (`live` holds their indices into P), steps to
     P_new = proj(W - step G) and extrapolates the next
     W = P_new + beta (P_new - P) from the last two iterates; the first W is
-    proj(P).  beta is `momentum` if given, else FISTA's (t - 1)/t_new with
-    t_new = (1 + sqrt(1 + 4 t^2))/2 (Beck & Teboulle, 2009); either way a
-    row whose gradient mapping (W - P_new)/step points along its step
-    P_new - P restarts with beta = 0 and t = 1 (gradient restart;
-    O'Donoghue & Candes, 2015).  A row leaves at its first W whose
+    P as given, whose rows the caller has put in the set (or within its
+    tolerance of it).  beta is `momentum` if given, else FISTA's
+    (t - 1)/t_new with t_new = (1 + sqrt(1 + 4 t^2))/2 (Beck & Teboulle,
+    2009); either way a row whose gradient mapping (W - P_new)/step points
+    along its step P_new - P restarts with beta = 0 and t = 1 (gradient
+    restart; O'Donoghue & Candes, 2015).  A row leaves at its first W whose
     residual ||P_new - W|| / step is <= tol, or whose step ||P_new - W|| is
     <= `_FLOAT_RES` (1 + ||W||), the float resolution at W, and keeps that
     W while the others go on, so its result equals its one-row descent bit
@@ -195,8 +198,7 @@ def _descend_rows(cset: ConstraintSet, P: np.ndarray, step: float, tol: float,
     their indices into P, the W of the smallest residual seen and that
     residual (all three empty when every row left).
     """
-    W = P = _project_rows(cset, P)
-    live, out, t = np.arange(len(P)), np.empty_like(P), np.ones(len(P))
+    W, live, out, t = P, np.arange(len(P)), np.empty_like(P), np.ones(len(P))
     best, best_res = P.copy(), np.full(len(P), math.inf)
     for _ in range(max_iters):
         out[live] = W
@@ -249,10 +251,12 @@ def solve_x_r(problem: ProblemInstance, r: float, y: np.ndarray,
 def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray,
                 X0: np.ndarray, labels: Optional[np.ndarray] = None
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The solve of `solve_x_r` at each row Y[s] from X0[s] with the prox
-    centre z[s] (a single z is every row's), all rows in lockstep by
-    `_descend_rows`, so each row's result equals its one-row solve bit for
-    bit.  A MaxItersError carries the label (labels[s], by default s), best
+    """The solve of `solve_x_r` at each row Y[s] from proj_X(X0[s]) with
+    the prox centre z[s] (a single z is every row's), all rows in lockstep
+    by `_descend_rows`, so each row's result equals its one-row solve bit
+    for bit.  It projects its starts itself, since a cold start z may lie
+    anywhere and a warm start, a last w, within a step of X.  A
+    MaxItersError carries the label (labels[s], by default s), best
     iterate and residual of the first row that stalled.
 
     Returns the rows X[s] = x_r(Y[s], z[s]), each the point at which its
@@ -265,7 +269,7 @@ def _solve_rows(problem: ProblemInstance, r: float, Y: np.ndarray, z: np.ndarray
                          f"rho={meta.rho})")
     # (sqrt(kappa) - 1)/(sqrt(kappa) + 1), kappa = (r + L_x)/(r - rho)
     momentum = 1.0 - 2.0 / (1.0 + math.sqrt((r + meta.L_x) / (r - meta.rho)))
-    GY, Z = np.empty(Y.shape), np.broadcast_to(z, X0.shape)
+    GY, Z, X0 = np.empty(Y.shape), np.broadcast_to(z, X0.shape), _project_rows(problem.set_x, X0)
 
     def grad(W, live):
         gx, GY[live] = _exact_means(problem, W, Y[live], problem.oracle.batch_grads)
@@ -329,21 +333,21 @@ def _f_r(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndarray,
 
 
 def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray, z: np.ndarray,
-                labels: Optional[np.ndarray] = None, first: Optional[list] = None) -> list[float]:
+                labels: Optional[np.ndarray] = None, first: Optional[tuple] = None) -> list[float]:
     """FISTA ascent on d_r(., z[s]) with gradient restart from each row
     Y0[s] (a single z is every row's), all rows in lockstep by
     `_descend_rows` (Danskin gradient at the extrapolated point w:
     grad_y d_r(w, z) = grad_y F(x_r(w, z), w)); returns d_r at each row's
     last w.  A MaxItersError carries the label (labels[s], by default s) of
-    the row whose inner solve stalled.
+    the row whose inner solve stalled.  Each start Y0[s] is the row's first
+    point as given, so it must lie in set_y within `FEAS_TOL`.
 
     The step is 1/(L_y + L_y^2/(r - rho)).  Every inner solve warm-starts
     from its row's previous x_r, the first from z, and gives the Danskin
     gradient from its last oracle call, so d_r at the last w needs no
-    further solve.  `first`, the rows (Y, X, GY) of a cold solve from z
-    (X[s] = x_r(Y[s], z[s]) and GY[s] its y gradient), stands in for the
-    first inner solve of each row whose first point, proj(Y0[s]), equals
-    Y[s] bit for bit: that solve would repeat it.  A row stops at its first
+    further solve.  `first`, if given, is each start's cold solve from z,
+    the rows (X, GY) with X[s] = x_r(Y0[s], z[s]) and GY[s] its y gradient,
+    and is the first inner solve of every row.  A row stops at its first
     w whose step is shorter than 10 `_INNER_TOL` times the step size (or
     within float resolution), or after `_MAX_ASCENT` steps, and keeps its
     point while the others go on, so each row's value equals its one-row
@@ -353,20 +357,12 @@ def _ascend_d_r(problem: ProblemInstance, r: float, Y0: np.ndarray, z: np.ndarra
     denom = meta.L_y + meta.L_y ** 2 / max(r - meta.rho, 1e-12)
     Z = np.broadcast_to(z, (len(Y0), problem.set_x.dim))
     X, labels = Z.copy(), np.arange(len(Y0)) if labels is None else labels
+    given = iter([] if first is None else [first])  # the first call, at every start
 
     def grad(W, live):
-        nonlocal first
-        if first is None:
-            X[live], gy = _solve_rows(problem, r, W, Z[live], X[live], labels[live])
-            return -gy
-        # the first call, at every row: the rows whose w is their Y take the
-        # given solve, and the others solve as any call does
-        (Yf, Xf, GYf), first = first, None
-        new = (W.view(np.uint64) != Yf.view(np.uint64)).any(axis=1)
-        X[~new], G = Xf[~new], -GYf
-        if new.any():
-            G[new] = grad(W[new], live[new])
-        return G
+        X[live], gy = next(given, None) or _solve_rows(problem, r, W, Z[live], X[live],
+                                                       labels[live])
+        return -gy
 
     Y = _descend_rows(problem.set_y, Y0, 1.0 / denom if denom > 0 else 1.0,
                       10 * _INNER_TOL, _MAX_ASCENT, grad)[0]
@@ -388,20 +384,18 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
     rows.  Either way p_r is at least d_r(y, z).
 
     This is the one-row case of `_lyapunov_rows`, which takes the merit
-    rows of a trace through one lockstep solve and one ascent.  d_r(y, z)
-    and the grid's d_r values are rows of that solve, each started from z,
+    rows of a trace through one lockstep solve and one ascent, and every
+    ascent starts at a solved candidate.  d_r(y, z), the grid's d_r values
+    and the perturbed starts are rows of that solve, each started from z,
     and F_r(x, y, z) and all of them come from one exact-values call; the
-    ascent starts at the grid's first strict maximum (never a NaN).  An
-    ascent row whose first point is y itself (y projects onto itself) takes
-    the solve of d_r(y, z) as its first inner solve, which would repeat it
-    bit for bit.  Cold
-    rows cost more oracle rows than a chain of solves each warm-started
-    from the last, but far fewer oracle calls while the grid points share
-    them: on a 3x1 quadratic saddle at N = 16, 300 calls of 166,736 rows
-    against the chain's 8,033 calls of 128,528, and three such merit rows
-    in one call make 631 calls, not 910.  Above N = 1,024 each grid point
-    is an exact call of its own, so the calls outnumber the chain's too
-    (8,266 against 5,782 at N = 2,048), and merit rows in one call make
+    certified ascent starts at the grid's first strict maximum (never a
+    NaN), or at y when there is none.  Each ascent start takes its row of
+    that solve as its first inner solve.  A y outside its set within
+    `FEAS_TOL` ascends from itself.  Cold rows cost more oracle rows than a
+    chain of solves each warm-started from the last, but far fewer oracle
+    calls while the grid points share them.  Above N = 1,024 each grid
+    point is an exact call of its own, so the calls outnumber the chain's
+    too (8,266 against 5,782 at N = 2,048), and merit rows in one call make
     the sum of their one-row calls.
 
     Requires the finite-sum regime (exact values/gradients).
@@ -419,18 +413,20 @@ def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndar
                    Z: np.ndarray, labels: Optional[np.ndarray] = None
                    ) -> list[LyapunovValue]:
     """`lyapunov` at each row (X[j], Y[j], Z[j]), each bit for bit its
-    one-row value.  The d_r(Y[j], Z[j]) of every row and, on a 1-D box
-    dual, the 513 grid points of each row after it are the rows of one
-    lockstep solve; F_r and all d_r values come from one exact-values call;
-    the ascent starts of every row are the rows of one ascent: its grid
-    maximum when certified, else y alone where the problem declares
-    `concave_y`, else y and `_P_R_STARTS` - 1 seeded perturbations of it.
-    The ascent rows that start at their row's y take that row's solve of
-    d_r(y, z) as their first inner solve.  More than
-    `_MERIT_ROWS` rows go in blocks of that many, each block such a call,
-    which bounds the memory of the lockstep state.  Row j's label is
-    labels[j] (by default j); the solve and the ascent repeat it over the
-    solve and ascent rows that row j owns.
+    one-row value.  Every ascent starts at a solved candidate.  Row j's
+    candidates are Y[j], then the 513 grid points on a 1-D box dual, none
+    where the problem declares `concave_y`, else `_P_R_STARTS` - 1 seeded
+    perturbations of Y[j] projected onto set_y.  The candidates of all
+    rows, grouped by row with its y first, are the rows of one lockstep
+    solve from z; F_r and all d_r values come from one exact-values call.
+    The ascent starts at every candidate, or on a certified dual only at
+    the grid's first strict maximum (never a NaN), or at y when there is
+    none, and each start takes its row of the solve, picked by position,
+    as its first inner solve.  More than `_MERIT_ROWS` rows go in blocks
+    of that many, each block such a call, which bounds the memory of the
+    lockstep state.  Row j's label is labels[j] (by default j); the solve
+    and the ascent repeat it over the solve and ascent rows that row j
+    owns.
 
     Raises
     ------
@@ -449,29 +445,35 @@ def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndar
     if m > _MERIT_ROWS:  # blocks of _MERIT_ROWS rows, each a call of its own
         return [lv for lo in range(0, m, _MERIT_ROWS) for lv in _lyapunov_rows(
             problem, r, *(V[lo:lo + _MERIT_ROWS] for V in (X, Y, Z, labels)))]
-    # p_r: the best of d_r(y, z), the grid and an ascent from the grid's
-    # first strict maximum (certified), or of d_r(y, z) and the ascent
-    # starts: y alone where the problem declares `concave_y`, else y and
-    # seeded perturbations of it; each row owns a block of solve rows, its
-    # y and, when certified, the grid after it, and k ascent rows
+    # each row's candidates: its y, then the grid on a certified dual, none
+    # where the problem declares `concave_y`, else y's seeded perturbations
+    # projected onto set_y; they are the rows of one solve, a block per row
     certified = dim_y == 1 and isinstance(problem.set_y, Box)
-    grid = np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513) if certified else Y[:0, 0]
-    block, k = 1 + len(grid), 1 if certified or problem.concave_y else _P_R_STARTS
-    noise = np.random.default_rng(0).normal(size=(k - 1, dim_y))
-    starts = np.concatenate([Y[:, None], Y[:, None] + (problem.set_y.diameter or 1.0) * noise], 1)
-    YS, ZS = np.hstack([Y, np.tile(grid, (m, 1))]).reshape(-1, dim_y), Z.repeat(block, axis=0)
-    XS, GS = _solve_rows(problem, r, YS, ZS, ZS, labels.repeat(block))
+    if certified:
+        more = np.tile(np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513), m)
+    elif problem.concave_y:
+        more = Y[:0]
+    else:
+        shift = (problem.set_y.diameter or 1.0) * np.random.default_rng(0).normal(
+            size=(_P_R_STARTS - 1, dim_y))
+        more = _project_rows(problem.set_y, (Y[:, None] + shift).reshape(-1, dim_y))
+    n = len(more) // m  # the candidates after each row's y
+    YS = np.hstack([Y, more.reshape(m, n * dim_y)]).reshape(-1, dim_y)
+    ZS, LS = Z.repeat(n + 1, axis=0), labels.repeat(n + 1)
+    XS, GS = _solve_rows(problem, r, YS, ZS, ZS, LS)
     vals = _f_r(problem, r, np.vstack([X, XS]), np.vstack([Y, YS]), np.vstack([Z, ZS]))
-    best = [-math.inf] * m
-    for j in range(m):
-        for val, gy in zip(vals[m + j * block + 1:m + (j + 1) * block], grid):
-            if val > best[j]:  # never a NaN
-                best[j], starts[j] = val, gy
-    # an ascent row that starts at its y repeats the cold solve of d_r(y, z)
-    asc = _ascend_d_r(problem, r, starts.reshape(-1, dim_y), Z.repeat(k, axis=0),
-                      labels.repeat(k), [V[::block].repeat(k, axis=0) for V in (YS, XS, GS)])
+    # the ascent starts at every candidate, or on a certified dual at the
+    # grid's first strict maximum (never a NaN) or, if there is none, at y;
+    # each start's row of the solve is its first inner solve
+    at, best = np.arange(0, len(YS), n + 1 if certified else 1), [-math.inf] * m
+    if certified:
+        for j in range(m):
+            for i in range(j * (n + 1) + 1, (j + 1) * (n + 1)):
+                if vals[m + i] > best[j]:
+                    best[j], at[j] = vals[m + i], i
+    asc, k = _ascend_d_r(problem, r, YS[at], ZS[at], LS[at], (XS[at], GS[at])), len(at) // m
     return [LyapunovValue((f - d) + (p - d) + p, f, d, p, certified)
-            for j, (f, d, b) in enumerate(zip(vals, vals[m::block], best))
+            for j, (f, d, b) in enumerate(zip(vals, vals[m::n + 1], best))
             for p in [max(b, d, *asc[j * k:(j + 1) * k])]]
 
 

@@ -26,7 +26,9 @@ import json
 import tracemalloc
 from pathlib import Path
 
-from spidergda import (as_problem, default_initial_point, gs_residuals,
+import pytest
+
+from spidergda import (as_problem, default_initial_point, diagnostics, gs_residuals,
                        make_group_dro, make_two_group_regression, run,
                        solve_x_r)
 from spidergda.cli import EXIT_OK, run_experiment
@@ -93,8 +95,9 @@ RESIDUAL_WINDOW_CALLS = 15
 # through a wrapper that mapped a stalled row to its owner, 1,455 since
 # each row's label is passed down to the solve; 1,455 while `dim_x`
 # was a property; 1,454 and 100 while p_r ascended from 8 starts, one of
-# them solving d_r(y, z) again)
-LYAPUNOV_CALLS = 1366
+# them solving d_r(y, z) again; 1,366 while the ascent projected its start
+# and compared it with the cold solve's y bit for bit)
+LYAPUNOV_CALLS = 1363
 LYAPUNOV_ORACLE_CALLS = 94
 # package calls, and oracle calls among them, of the whole merit column of
 # one seed of the benchmark's diagnostics command (trace rows 0, 200 and
@@ -104,18 +107,30 @@ LYAPUNOV_ORACLE_CALLS = 94
 # once per row; 1,493 package calls while the ascent's inner solves went
 # through a wrapper that mapped a stalled row to its owner; 1,457 while
 # `dim_x` was a property; 1,456 and 100 while its ascent ran 24 starts,
-# 8 per row, and solved each d_r(y, z) again), and the rows of those oracle
-# calls (34,544 with 8 starts per row)
-MERIT_COLUMN_CALLS = 1400
+# 8 per row, and solved each d_r(y, z) again; 1,400 while the ascent
+# projected its starts and compared them with the cold solve's y bit for
+# bit), and the rows of those oracle calls (34,544 with 8 starts per row)
+MERIT_COLUMN_CALLS = 1397
 MERIT_COLUMN_ORACLE_CALLS = 96
 MERIT_COLUMN_ORACLE_ROWS = 4400
+# package calls, oracle calls and their rows of the same merit column with
+# the quadratic saddle's `concave_y` declaration dropped, so each row
+# ascends from y and 7 seeded starts: all 24 starts are rows of the one
+# cold solve and each takes its row as its first inner solve (1,458, 100
+# and 34,096 while the 21 perturbed starts were solved in a second call
+# after the cold solve; the rows rose because a start that the box clips
+# onto its y is now a cold-solve row of its own)
+MERIT_COLUMN_UNDECLARED_CALLS = 1408
+MERIT_COLUMN_UNDECLARED_ORACLE_CALLS = 96
+MERIT_COLUMN_UNDECLARED_ORACLE_ROWS = 34352
 # package calls, and `batch_grads` and `batch_values` calls among them, of
 # all the diagnostics of that seed as the command makes them: one
 # `diagnose` call with residual_stride 1 and lyapunov_stride 200, the exact
 # residuals of its 400 trace rows and the output pair (7 oracle calls of at
 # most 64 points) and the merit column above (1,521 while `dim_x` was a
-# property; 1,520 and 107 while the merit ran 8 ascent starts per row)
-DIAGNOSE_SEED_CALLS = 1464
+# property; 1,520 and 107 while the merit ran 8 ascent starts per row;
+# 1,464 while the ascent projected its starts)
+DIAGNOSE_SEED_CALLS = 1461
 DIAGNOSE_SEED_ORACLE_CALLS = 103
 DIAGNOSE_SEED_VALUES_CALLS = 2
 # package calls, and `batch_grads` calls among them, of all the diagnostics
@@ -123,24 +138,28 @@ DIAGNOSE_SEED_VALUES_CALLS = 2
 # `diagnose` call over the seed axis, whose residual rows of both seeds are
 # one rows call and whose six merit rows are one lockstep solve and ascent
 # (3,054 and 214 as two single-seed `diagnose` calls; 1,558 and 113 while
-# the merit ran 8 ascent starts per row)
-DIAGNOSE_TWO_SEEDS_CALLS = 1502
+# the merit ran 8 ascent starts per row; 1,502 while the ascent projected
+# its starts)
+DIAGNOSE_TWO_SEEDS_CALLS = 1499
 DIAGNOSE_TWO_SEEDS_ORACLE_CALLS = 109
 # `batch_grads` calls of a certified merit evaluation on the 1-D example:
 # one per lockstep inner-solve iteration of d_r(y, z) and the 513 grid
-# points, and each ascent step reuses the y side of its inner solve's last
-# call (515 while each grid point's solve was warm-started from the last,
-# one after another; 516 with plain projected gradient)
-KL_LYAPUNOV_ORACLE_CALLS = 2
+# points; the ascent takes its start's grid row as its first inner solve,
+# and each ascent step reuses the y side of its inner solve's last call (2
+# while the ascent solved its start again; 515 while each grid point's
+# solve was warm-started from the last, one after another; 516 with plain
+# projected gradient)
+KL_LYAPUNOV_ORACLE_CALLS = 1
 # `batch_values` calls of the same evaluation: F_r at (x, y) with the d_r
 # values of y and the whole 513-point grid, and the ascent's d_r (3 while
 # F_r at (x, y) was a call of its own, 4 while d_r(y, z) was too; 516
 # while each grid point's d_r was)
 KL_LYAPUNOV_VALUES_CALLS = 2
 # `batch_grads` calls of a certified merit evaluation on criterion 12's
-# 1-D saddle at (1.5, 1.0, 1.2), r = 1: 1,572 while the grid's solves were
-# a warm-start chain, where each took 3 momentum iterations
-CERTIFIED_SADDLE_ORACLE_CALLS = 33
+# 1-D saddle at (1.5, 1.0, 1.2), r = 1: 33 while the ascent solved its
+# start, a grid point, again; 1,572 while the grid's solves were a
+# warm-start chain, where each took 3 momentum iterations
+CERTIFIED_SADDLE_ORACLE_CALLS = 30
 # `batch_grads` calls of one cold inner solve at r = 2 rho + 1 on a
 # smoothed group DRO (n = 24), where kappa = (r + L_x)/(r - rho) = 7,287:
 # 403 measured with the accelerated, restarted solve (67,783 with plain
@@ -151,13 +170,14 @@ CERTIFIED_SADDLE_ORACLE_CALLS = 33
 COMPOSITE_SOLVE_ORACLE_CALLS = 1500
 # `batch_grads` calls of the console run with merit tracking on a smoothed
 # two_group_regression (n = 60, seed 2, eps 0.05, K = 5, T = 4, merit every
-# 10th trace row), which CI also runs under a 30 s timeout: 3,049 with its
-# three merit rows as the rows of one lockstep solve and one ascent, whose
-# rows that start at their y take the cold solve of d_r(y, z) as their
-# first inner solve (3,052 while they repeated it, with the same merit
-# values bit for bit; 7,899 while each row was a `lyapunov` call of its
-# own, 477,555 with plain projected gradient)
-COMPOSITE_MERIT_RUN_ORACLE_CALLS = 3049
+# 10th trace row), which CI also runs under a 30 s timeout: its three merit
+# rows' 24 ascent starts are rows of one lockstep cold solve, each the
+# first inner solve of its start in one ascent (3,049 while the perturbed
+# starts were solved in a second call, 3,052 while the starts at y
+# repeated the cold solve of d_r(y, z), each with the same merit values bit
+# for bit; 7,899 while each row was a `lyapunov` call of its own, 477,555
+# with plain projected gradient)
+COMPOSITE_MERIT_RUN_ORACLE_CALLS = 3017
 # package calls, and oracle calls among them, of one epoch of the
 # benchmark's smoothed group-DRO run (one anchor and T - 1 = 24 recursions;
 # 497 calls before the lean step path, 398 while the smoothed batch hook
@@ -261,6 +281,15 @@ def test_merit_column_call_budget():
     assert rows <= MERIT_COLUMN_ORACLE_ROWS, f"{rows} oracle rows"
 
 
+def test_undeclared_merit_column_call_budget():
+    # the same rows with the declaration dropped: 8 ascent starts per row
+    merit = _TOOL.merit_column_undeclared()
+    calls, oracle_calls, rows = (_TOOL.count_calls(merit)[k] for k in ("package", "oracle", "rows"))
+    assert calls <= MERIT_COLUMN_UNDECLARED_CALLS, f"{calls} package calls"
+    assert oracle_calls <= MERIT_COLUMN_UNDECLARED_ORACLE_CALLS, f"{oracle_calls} oracle calls"
+    assert rows <= MERIT_COLUMN_UNDECLARED_ORACLE_ROWS, f"{rows} oracle rows"
+
+
 def test_diagnose_seed_call_budget():
     # the residuals and merit column of the cli_diagnostics workload's run
     # with seed 22, as the command asks for them
@@ -298,6 +327,21 @@ def test_certified_saddle_merit_oracle_call_budget():
     assert merit().certified
     oracle_calls = _package_calls(merit, "batch_grads")
     assert oracle_calls <= CERTIFIED_SADDLE_ORACLE_CALLS, f"{oracle_calls} oracle calls"
+
+
+@pytest.mark.parametrize("unit, p_r", [("certified_merit", 2.0),
+                                       ("certified_saddle_merit", 0.5399999999999965)])
+def test_certified_ascent_solves_no_grid_point_again(unit, p_r, monkeypatch):
+    # the ascent starts at the grid's best point, whose cold solve from z
+    # is a row of the merit's one 514-row solve: it takes that row as its
+    # first inner solve, so no later solve is at a grid point
+    merit, solves, solve = getattr(_TOOL, unit)(), [], diagnostics._solve_rows
+    monkeypatch.setattr(diagnostics, "_solve_rows",
+                        lambda *a: solves.append(a[2][:, 0].tolist()) or solve(*a))
+    assert merit().p_r == p_r
+    grid = set(solves[0][1:])
+    assert len(solves[0]) == 514 and len(grid) == 513
+    assert [y for Y in solves[1:] for y in Y if y in grid] == []
 
 
 def test_composite_cold_inner_solve_oracle_call_budget():

@@ -345,8 +345,8 @@ def test_lyapunov_online_rejected():
 
 def _ref_descend(cset, p0, step, tol, max_iters, grad, momentum=None):
     """One row of `diagnostics._descend_rows`: the extrapolated point w at
-    which the row stops."""
-    w = x = cset.project(p0)
+    which the row stops, from the start p0 as given."""
+    w = x = p0
     t = 1.0
     for _ in range(max_iters):
         x_new = cset.project(w - step * grad(w))
@@ -364,9 +364,10 @@ def _ref_descend(cset, p0, step, tol, max_iters, grad, momentum=None):
 
 
 def _ref_solve(p, r, y, z, x0=None):
+    # from the projection of its start, since z may lie anywhere
     c = p.constants
     momentum = 1.0 - 2.0 / (1.0 + math.sqrt((r + c.L_x) / (r - c.rho)))
-    return _ref_descend(p.set_x, z if x0 is None else x0, 1.0 / (r + c.L_x),
+    return _ref_descend(p.set_x, p.set_x.project(z if x0 is None else x0), 1.0 / (r + c.L_x),
                         diagnostics._INNER_TOL, diagnostics._INNER_MAX_ITERS,
                         lambda x: full_grad_x(p, x, y) + r * (x - z), momentum)
 
@@ -408,12 +409,13 @@ def _undeclared(p):
 
 def _ref_starts(p, y):
     """The ascent starts of the uncertified merit: y alone where `p`
-    declares `concave_y`, else y and its seeded perturbations."""
+    declares `concave_y`, else y and its seeded perturbations, each
+    projected onto set_y."""
     if p.concave_y:
         return [y]
     rng = np.random.default_rng(0)
     span = p.constants.D_Y or 1.0
-    return [y] + [y + span * rng.normal(size=p.set_y.dim)
+    return [y] + [p.set_y.project(y + span * rng.normal(size=p.set_y.dim))
                   for _ in range(diagnostics._P_R_STARTS - 1)]
 
 
@@ -452,7 +454,9 @@ def _dual_set_problem(kind):
 
 @pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
 def test_lockstep_ascent_rows_equal_one_start_at_a_time(kind):
-    # the 8 starts of the undeclared problem
+    # the 8 starts of the undeclared problem, projected onto the dual set as
+    # the merit passes them; with no cold solve given, each start's first
+    # inner solve is a solve from z
     p, x, y, z = _dual_set_problem(kind)
     starts = _ref_starts(_undeclared(p), y)
     got = diagnostics._ascend_d_r(p, 4.0, np.array(starts), z)
@@ -462,8 +466,8 @@ def test_lockstep_ascent_rows_equal_one_start_at_a_time(kind):
 @pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
 def test_lockstep_lyapunov_equals_sequential_reference(kind):
     # the reference solves every start's first point on its own, where the
-    # merit takes the cold solve of d_r(y, z) for a start whose first point
-    # is y; the dual is declared concave, so y is the one start
+    # merit takes that start's row of its cold solve; the dual is declared
+    # concave, so y is the one start
     p, x, y, z = _dual_set_problem(kind)
     lv = lyapunov(p, 4.0, x, y, z)
     assert not lv.certified
@@ -479,10 +483,10 @@ def test_lockstep_multistart_lyapunov_equals_sequential_reference(kind):
     assert (lv.value, lv.f_r, lv.d_r, lv.p_r) == _ref_lyapunov(p, 4.0, x, y, z)
 
 
-def test_a_y_outside_its_set_within_tolerance_solves_its_projection(monkeypatch):
+def test_a_y_outside_its_set_within_tolerance_ascends_from_itself(monkeypatch):
     # y lies outside the box by half of FEAS_TOL, so the merit accepts it,
-    # but the ascent's first point proj(y) is not y: its first inner solve
-    # is at proj(y), not the cold solve of d_r(y, z)
+    # and the ascent starts at y as given: the cold solve of d_r(y, z) is
+    # its first inner solve, and no later solve is at y
     p, x, _, z = _dual_set_problem("box")
     y = p.set_y.hi + [0.5 * FEAS_TOL, 0.0, 0.0]
     assert p.set_y.contains(y) and p.set_y.project(y).tobytes() != y.tobytes()
@@ -491,7 +495,7 @@ def test_a_y_outside_its_set_within_tolerance_solves_its_projection(monkeypatch)
                         lambda *a: solves.append(a[2].copy()) or solve(*a))
     lv = lyapunov(p, 4.0, x, y, z)
     assert [w.tobytes() for w in solves[0]] == [y.tobytes()]
-    assert [w.tobytes() for w in solves[1]] == [p.set_y.project(y).tobytes()]
+    assert not any(w.tobytes() == y.tobytes() for W in solves[1:] for w in W)
     assert (lv.value, lv.f_r, lv.d_r, lv.p_r) == _ref_lyapunov(p, 4.0, x, y, z)
 
 
@@ -591,32 +595,41 @@ def _assert_one_solve_and_one_ascent(declared, monkeypatch):
     assert p.concave_y
     p = p if declared else _undeclared(p)
     k = 1 if declared else diagnostics._P_R_STARTS
-    cold = (Y, *diagnostics._solve_rows(p, r, Y, Z, Z))
+    starts = np.array([s for y in Y for s in _ref_starts(p, y)])
     calls = []
+
+    def record(name, fn):
+        def recorded(*a):
+            call = [name, a]
+            calls.append(call)  # before the calls that fn makes
+            call.append(fn(*a))
+            return call[2]
+        return recorded
+
     for name in ("_solve_rows", "_ascend_d_r"):
-        fn = getattr(diagnostics, name)
-        monkeypatch.setattr(diagnostics, name,
-                            lambda *a, fn=fn, name=name: calls.append((name, a)) or fn(*a))
+        monkeypatch.setattr(diagnostics, name, record(name, getattr(diagnostics, name)))
     diagnostics._lyapunov_rows(p, r, X, Y, Z)
-    # one solve of d_r(y, z) at the 4 rows, then one ascent from their k
-    # starts each (y alone on the declared concave dual, else y and 7
-    # seeded perturbations), which makes the other inner solves
-    assert [name for name, _ in calls[:2]] == ["_solve_rows", "_ascend_d_r"]
-    assert [name for name, _ in calls].count("_ascend_d_r") == 1
-    (_, _, Ys, Zs, _, solve_labels), (_, _, starts, Za, ascent_labels, first) = (
-        calls[0][1], calls[1][1])
-    assert Ys.tolist() == Y.tolist() and Zs.tolist() == Z.tolist()
-    assert len(starts) == 4 * k and starts[::k].tolist() == Y.tolist()
-    assert Za.tolist() == Z.repeat(k, axis=0).tolist()
+    # one cold solve from z at the k ascent starts of each of the 4 rows (y
+    # alone on the declared concave dual, else y and 7 seeded perturbations
+    # projected onto the box), then one ascent from them, which makes the
+    # other inner solves
+    assert [name for name, _, _ in calls[:2]] == ["_solve_rows", "_ascend_d_r"]
+    assert [name for name, _, _ in calls].count("_ascend_d_r") == 1
+    (_, _, Ys, Zs, X0, solve_labels), cold = calls[0][1], calls[0][2]
+    (_, _, Ya, Za, ascent_labels, first) = calls[1][1]
+    assert Ys.tobytes() == starts.tobytes() and Ys[::k].tobytes() == Y.tobytes()
+    assert Zs.tolist() == X0.tolist() == Z.repeat(k, axis=0).tolist()
     # each solve and ascent row carries the label of the merit row it serves
-    assert solve_labels.tolist() == [0, 1, 2, 3]
-    assert ascent_labels.tolist() == np.arange(4).repeat(k).tolist()
-    # the ascent takes the cold solve as the first inner solve of each row
-    # whose first point is its y (a perturbed start that the box clips onto
-    # y is one too), so no later solve of merit row j is at Y[j]
-    assert [V.tolist() for V in first] == [V.repeat(k, axis=0).tolist() for V in cold]
-    assert not any(w.tobytes() == Y[j].tobytes() for name, a in calls[2:]
-                   if name == "_solve_rows" for w, j in zip(a[2], a[5]))
+    assert solve_labels.tolist() == np.arange(4).repeat(k).tolist()
+    # the ascent starts at the solve's rows and takes that solve as the
+    # first inner solve of each start, so no later solve of merit row j is
+    # at one of its starts
+    assert Ya.tobytes() == Ys.tobytes() and Za.tobytes() == Zs.tobytes()
+    assert ascent_labels.tolist() == solve_labels.tolist()
+    assert [V.tobytes() for V in first] == [V.tobytes() for V in cold]
+    assert not any(w.tobytes() == s.tobytes() for name, a, _ in calls[2:]
+                   if name == "_solve_rows" for w, j in zip(a[2], a[5])
+                   for s in starts[j * k:(j + 1) * k])
 
 
 def test_one_start_loses_nothing_on_the_benchmarks_concave_dual():
