@@ -20,15 +20,17 @@ and the merit function's ascent reuses the y gradient that each inner
 solve's last oracle call gave, instead of asking the oracle for it again.
 The merit rows of a whole trace are one `_lyapunov_rows` call, and every
 ascent starts at a solved candidate.  Each row's candidates are its y
-and, on a 1-D box dual, the 513 grid points of its certified p_r; where
-the problem declares `concave_y` (F(x, .) concave, so d_r(., z) is
-concave), nothing more; on any other dual, `_P_R_STARTS` - 1 seeded
-perturbations of y.  The candidates of all rows are the rows of one
-lockstep cold solve from z, each row with its own prox centre z.  The
-ascent starts at every candidate, or on the 1-D box only at the grid's
-best point, and the starts of all rows are the rows of one ascent, each
-of which takes its candidate's row of that solve as its first inner
-solve.  `lyapunov` is its one-row case.  Each merit row carries a label,
+and, on a 1-D box dual, the 513 grid points of its certified p_r.  Any
+other dual ascends from y alone: the paper assumes that the dual has the
+extended KL property, under which every stationary point of d_r(., z) is
+a global maximum (as for PL functions; Karimi, Nutini & Schmidt, 2016),
+so the ascent from y reaches p_r, and where the assumption fails its p_r
+is a lower bound.  The candidates of all rows are the rows of one
+lockstep cold solve from z, each row with its own prox centre z.  Each
+row's ascent starts at its y, or on the 1-D box at the grid's best
+point, and the starts of all rows are the rows of one ascent, each of
+which takes its candidate's row of that solve as its first inner solve.
+`lyapunov` is its one-row case.  Each merit row carries a label,
 its trace row in `diagnose`, which the solve and the ascent repeat over the
 rows they run for it, so a stalled inner solve raises one MaxItersError
 that names the caller's row.
@@ -102,11 +104,8 @@ _INNER_TOL = 1e-8
 _INNER_MAX_ITERS = 100_000
 _FLOAT_RES = 4 * np.finfo(float).eps
 
-# Monte-Carlo residual batch; seeded ascent starts of the merit's p_r where
-# the dual is not declared concave, run as the rows of one ascent, and the
-# ascent's step limit
+# Monte-Carlo residual batch, and the step limit of the merit's ascent
 _MC_BATCH = 10_000
-_P_R_STARTS = 8
 _MAX_ASCENT = 2000
 # merit rows per lockstep solve and ascent: a certified merit row is 514
 # solve rows, so this bounds the solve at 32,896 rows
@@ -309,12 +308,13 @@ class LyapunovValue:
     """Merit-function evaluation with its ingredients.
 
     `certified` is True only when the inner maximization over y was
-    grid-certified (1-D dual on a box); otherwise p_r came from an ascent
-    and is flagged heuristic.  Where the problem declares `concave_y`, that
-    ascent runs from y alone and d_r(., z) has no local maximum that is not
-    global, so p_r is the global maximum up to the ascent's stopping
-    tolerance; elsewhere it is the best of seeded multi-start ascents, a
-    lower bound on the true p_r (making `value` a lower bound as well).
+    grid-certified (1-D dual on a box); otherwise p_r came from one ascent
+    from y and is flagged heuristic.  Under the paper's assumption that
+    the dual has the extended KL property, d_r(., z) has no stationary
+    point that is not a global maximum, so that p_r is the global maximum
+    up to the ascent's stopping tolerance; where the assumption fails it
+    is a lower bound on the true p_r (making `value` a lower bound as
+    well).
     """
 
     value: float
@@ -376,21 +376,20 @@ def lyapunov(problem: ProblemInstance, r: float, x: np.ndarray,
 
     d_r values use the strongly convex inner solve.  p_r(z) is a global
     maximum of d_r(., z): on a 1-D box dual it is certified by a dense grid
-    plus local ascent; otherwise it comes from an ascent and is flagged
-    heuristic.  Where the problem declares `concave_y`, d_r(., z) is
-    concave and the ascent runs from the given y alone; elsewhere p_r is
-    the best of `_P_R_STARTS` seeded ascent starts (the given y plus random
-    perturbations scaled by the diameter of set_y), ascended together as
-    rows.  Either way p_r is at least d_r(y, z).
+    plus local ascent; otherwise it comes from one ascent from the given y
+    and is flagged heuristic.  Under the paper's assumption that the dual
+    has the extended KL property, every stationary point of d_r(., z) is a
+    global maximum, so that ascent reaches p_r; where the assumption fails
+    p_r is a lower bound.  Either way p_r is at least d_r(y, z).
 
     This is the one-row case of `_lyapunov_rows`, which takes the merit
     rows of a trace through one lockstep solve and one ascent, and every
-    ascent starts at a solved candidate.  d_r(y, z), the grid's d_r values
-    and the perturbed starts are rows of that solve, each started from z,
-    and F_r(x, y, z) and all of them come from one exact-values call; the
-    certified ascent starts at the grid's first strict maximum (never a
-    NaN), or at y when there is none.  Each ascent start takes its row of
-    that solve as its first inner solve.  A y outside its set within
+    ascent starts at a solved candidate.  d_r(y, z) and the grid's d_r
+    values are rows of that solve, each started from z, and F_r(x, y, z)
+    and all of them come from one exact-values call; the certified ascent
+    starts at the grid's first strict maximum (never a NaN), or at y when
+    there is none.  The ascent start takes its row of that solve as its
+    first inner solve.  A y outside its set within
     `FEAS_TOL` ascends from itself.  Cold rows cost more oracle rows than a
     chain of solves each warm-started from the last, but far fewer oracle
     calls while the grid points share them.  Above N = 1,024 each grid
@@ -414,17 +413,15 @@ def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndar
                    ) -> list[LyapunovValue]:
     """`lyapunov` at each row (X[j], Y[j], Z[j]), each bit for bit its
     one-row value.  Every ascent starts at a solved candidate.  Row j's
-    candidates are Y[j], then the 513 grid points on a 1-D box dual, none
-    where the problem declares `concave_y`, else `_P_R_STARTS` - 1 seeded
-    perturbations of Y[j] projected onto set_y.  The candidates of all
-    rows, grouped by row with its y first, are the rows of one lockstep
-    solve from z; F_r and all d_r values come from one exact-values call.
-    The ascent starts at every candidate, or on a certified dual only at
-    the grid's first strict maximum (never a NaN), or at y when there is
-    none, and each start takes its row of the solve, picked by position,
-    as its first inner solve.  More than `_MERIT_ROWS` rows go in blocks
-    of that many, each block such a call, which bounds the memory of the
-    lockstep state.  Row j's label is labels[j] (by default j); the solve
+    candidates are Y[j], then the 513 grid points on a 1-D box dual.  The
+    candidates of all rows, grouped by row with its y first, are the rows
+    of one lockstep solve from z; F_r and all d_r values come from one
+    exact-values call.  Row j ascends from one start: Y[j], or on a
+    certified dual the grid's first strict maximum (never a NaN), or Y[j]
+    when there is none, and each start takes its row of the solve, picked
+    by position, as its first inner solve.  More than `_MERIT_ROWS` rows
+    go in blocks of that many, each block such a call, which bounds the
+    memory of the lockstep state.  Row j's label is labels[j] (by default j); the solve
     and the ascent repeat it over the solve and ascent rows that row j
     owns.
 
@@ -445,36 +442,27 @@ def _lyapunov_rows(problem: ProblemInstance, r: float, X: np.ndarray, Y: np.ndar
     if m > _MERIT_ROWS:  # blocks of _MERIT_ROWS rows, each a call of its own
         return [lv for lo in range(0, m, _MERIT_ROWS) for lv in _lyapunov_rows(
             problem, r, *(V[lo:lo + _MERIT_ROWS] for V in (X, Y, Z, labels)))]
-    # each row's candidates: its y, then the grid on a certified dual, none
-    # where the problem declares `concave_y`, else y's seeded perturbations
-    # projected onto set_y; they are the rows of one solve, a block per row
+    # each row's candidates: its y, then the grid on a certified dual; they
+    # are the rows of one solve, a block per row
     certified = dim_y == 1 and isinstance(problem.set_y, Box)
-    if certified:
-        more = np.tile(np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513), m)
-    elif problem.concave_y:
-        more = Y[:0]
-    else:
-        shift = (problem.set_y.diameter or 1.0) * np.random.default_rng(0).normal(
-            size=(_P_R_STARTS - 1, dim_y))
-        more = _project_rows(problem.set_y, (Y[:, None] + shift).reshape(-1, dim_y))
-    n = len(more) // m  # the candidates after each row's y
-    YS = np.hstack([Y, more.reshape(m, n * dim_y)]).reshape(-1, dim_y)
+    grid = np.linspace(problem.set_y.lo[0], problem.set_y.hi[0], 513) if certified else np.empty(0)
+    n = len(grid)  # the candidates after each row's y
+    YS = np.hstack([Y, np.tile(grid, (m, 1))]).reshape(-1, dim_y)
     ZS, LS = Z.repeat(n + 1, axis=0), labels.repeat(n + 1)
     XS, GS = _solve_rows(problem, r, YS, ZS, ZS, LS)
     vals = _f_r(problem, r, np.vstack([X, XS]), np.vstack([Y, YS]), np.vstack([Z, ZS]))
-    # the ascent starts at every candidate, or on a certified dual at the
-    # grid's first strict maximum (never a NaN) or, if there is none, at y;
-    # each start's row of the solve is its first inner solve
-    at, best = np.arange(0, len(YS), n + 1 if certified else 1), [-math.inf] * m
+    # each row ascends from its y or, on a certified dual, from the grid's
+    # first strict maximum (never a NaN) or, if there is none, from y; each
+    # start's row of the solve is its first inner solve
+    at, best = np.arange(0, len(YS), n + 1), [-math.inf] * m
     if certified:
         for j in range(m):
             for i in range(j * (n + 1) + 1, (j + 1) * (n + 1)):
                 if vals[m + i] > best[j]:
                     best[j], at[j] = vals[m + i], i
-    asc, k = _ascend_d_r(problem, r, YS[at], ZS[at], LS[at], (XS[at], GS[at])), len(at) // m
+    asc = _ascend_d_r(problem, r, YS[at], ZS[at], LS[at], (XS[at], GS[at]))
     return [LyapunovValue((f - d) + (p - d) + p, f, d, p, certified)
-            for j, (f, d, b) in enumerate(zip(vals, vals[m::n + 1], best))
-            for p in [max(b, d, *asc[j * k:(j + 1) * k])]]
+            for f, d, b, a in zip(vals, vals[m::n + 1], best, asc) for p in [max(b, d, a)]]
 
 
 # ----------------------------------------------------------------------------

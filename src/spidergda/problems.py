@@ -245,8 +245,7 @@ class PhiDivDroSpec:
 def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
     """Smooth finite-sum instance of the penalized DRO objective (squared
     loss, smooth psi); per-sample functions average to the objective.  F is
-    linear in q minus the convex psi term, so the instance declares
-    `concave_y`."""
+    linear in q minus the convex psi term, so F(x, .) is concave."""
     X, t = spec.features, spec.targets
     n, d = X.shape
     psi, psi_prime = PSI_BUILTINS[spec.psi]
@@ -277,8 +276,7 @@ def make_phi_div_dro(spec: PhiDivDroSpec) -> ProblemInstance:
     meta = SmoothnessMeta(L_x=L_x, L_y=L_y, rho=0.0, ell=ell, mu=1.0, theta=1.0)
     oracle = StochasticOracle(regime=FiniteSum(n), grads_batch=grads_batch,
                               values_batch=values_batch)
-    return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y, constants=meta,
-                           concave_y=True)
+    return ProblemInstance(oracle=oracle, set_x=set_x, set_y=set_y, constants=meta)
 
 
 # ----------------------------------------------------------------------------
@@ -346,8 +344,8 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
 
     A has spectrum in a_range (negative lower end gives weak convexity
     rho = -min eig), C has spectrum in c_range (c_range[0] > 0, so F(x, .)
-    is strongly concave, which the instance declares as `concave_y`: the
-    dual error bound holds with theta = 1/2, mu = sqrt(2 min eig C)).
+    is strongly concave and the dual error bound holds with theta = 1/2,
+    mu = sqrt(2 min eig C)).
     Per-sample quadratics are mean-centered perturbations of (A, B, C, a,
     b), so their average recovers F.  The saddle solves the first-order
     system and is stored in metadata.  The
@@ -450,7 +448,7 @@ def make_quadratic_saddle(d_x: int, d_y: int, *, n_samples: int = 16,
     return ProblemInstance(
         oracle=oracle, set_x=set_x, set_y=set_y, constants=meta,
         metadata={"A": A, "B": B, "C": C, "a": a_vec, "b": b_vec,
-                  "saddle_x": x_star, "saddle_y": y_star}, concave_y=True)
+                  "saddle_x": x_star, "saddle_y": y_star})
 
 
 # ----------------------------------------------------------------------------

@@ -22,8 +22,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # guard, and CHANGES.md must say so (1,872 before the solver's seed axis,
 # 1,948 before the diagnostics' seed axis, 1,967 before the columnar trace,
 # 1,976 before the declared concave dual and the merit's reused first solve,
-# 1,986 before every merit ascent started at a row of its one cold solve)
-SRC_CODE_LINES = 1985
+# 1,986 before every merit ascent started at a row of its one cold solve,
+# 1,985 before every uncertified merit row ascended from its y alone)
+SRC_CODE_LINES = 1974
 
 # benchmark tracer targets (bench/tracing.py) that no longer resolve when
 # the test was written; a target that resolves again leaves the list, and

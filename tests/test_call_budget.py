@@ -81,9 +81,9 @@ GS_RESIDUALS_CALLS = 18
 # two `normal_cone_dist` calls)
 RESIDUAL_WINDOW_CALLS = 15
 # package calls, and oracle calls among them, of one merit evaluation at a
-# trace row of the benchmark's diagnostics schedule, whose quadratic saddle
-# declares a concave dual, so p_r ascends from y alone and the ascent's
-# first inner solve is the cold solve of d_r(y, z) (34,028 and 1,717 when
+# trace row of the benchmark's diagnostics schedule, whose p_r ascends from
+# y alone and whose ascent's first inner solve is the cold solve of
+# d_r(y, z) (34,028 and 1,717 when
 # its 8 ascent starts ran one after another; 2,347 and 238 while each
 # ascent step asked the oracle again for the y gradient at x_r; 2,225
 # while `lyapunov` checked the regime itself; 2,224 while each d_r value
@@ -102,8 +102,8 @@ LYAPUNOV_ORACLE_CALLS = 94
 # package calls, and oracle calls among them, of the whole merit column of
 # one seed of the benchmark's diagnostics command (trace rows 0, 200 and
 # 399 of seed 22), which the CLI makes as one `_lyapunov_rows` call: its
-# three d_r(y, z) are rows of one lockstep solve and its 24 ascent starts
-# rows of one ascent (300 oracle calls while the CLI called `lyapunov`
+# three d_r(y, z) are rows of one lockstep solve and its three ascent
+# starts, each row's y, rows of one ascent (300 oracle calls while the CLI called `lyapunov`
 # once per row; 1,493 package calls while the ascent's inner solves went
 # through a wrapper that mapped a stalled row to its owner; 1,457 while
 # `dim_x` was a property; 1,456 and 100 while its ascent ran 24 starts,
@@ -113,16 +113,6 @@ LYAPUNOV_ORACLE_CALLS = 94
 MERIT_COLUMN_CALLS = 1397
 MERIT_COLUMN_ORACLE_CALLS = 96
 MERIT_COLUMN_ORACLE_ROWS = 4400
-# package calls, oracle calls and their rows of the same merit column with
-# the quadratic saddle's `concave_y` declaration dropped, so each row
-# ascends from y and 7 seeded starts: all 24 starts are rows of the one
-# cold solve and each takes its row as its first inner solve (1,458, 100
-# and 34,096 while the 21 perturbed starts were solved in a second call
-# after the cold solve; the rows rose because a start that the box clips
-# onto its y is now a cold-solve row of its own)
-MERIT_COLUMN_UNDECLARED_CALLS = 1408
-MERIT_COLUMN_UNDECLARED_ORACLE_CALLS = 96
-MERIT_COLUMN_UNDECLARED_ORACLE_ROWS = 34352
 # package calls, and `batch_grads` and `batch_values` calls among them, of
 # all the diagnostics of that seed as the command makes them: one
 # `diagnose` call with residual_stride 1 and lyapunov_stride 200, the exact
@@ -170,14 +160,16 @@ CERTIFIED_SADDLE_ORACLE_CALLS = 30
 COMPOSITE_SOLVE_ORACLE_CALLS = 1500
 # `batch_grads` calls of the console run with merit tracking on a smoothed
 # two_group_regression (n = 60, seed 2, eps 0.05, K = 5, T = 4, merit every
-# 10th trace row), which CI also runs under a 30 s timeout: its three merit
-# rows' 24 ascent starts are rows of one lockstep cold solve, each the
-# first inner solve of its start in one ascent (3,049 while the perturbed
-# starts were solved in a second call, 3,052 while the starts at y
-# repeated the cold solve of d_r(y, z), each with the same merit values bit
-# for bit; 7,899 while each row was a `lyapunov` call of its own, 477,555
-# with plain projected gradient)
-COMPOSITE_MERIT_RUN_ORACLE_CALLS = 3017
+# 10th trace row), which CI also runs under a 10 s timeout: its three merit
+# rows ascend from their y alone, each start a row of one lockstep cold
+# solve and that row the first inner solve of its start in one ascent
+# (3,017 while each row ascended from y and 7 seeded perturbations, whose
+# p_r was at most 9e-16 larger; 3,049 while the perturbed starts were
+# solved in a second call, 3,052 while the starts at y repeated the cold
+# solve of d_r(y, z), each with the same merit values bit for bit; 7,899
+# while each row was a `lyapunov` call of its own, 477,555 with plain
+# projected gradient)
+COMPOSITE_MERIT_RUN_ORACLE_CALLS = 1880
 # package calls, and oracle calls among them, of one epoch of the
 # benchmark's smoothed group-DRO run (one anchor and T - 1 = 24 recursions;
 # 497 calls before the lean step path, 398 while the smoothed batch hook
@@ -279,15 +271,6 @@ def test_merit_column_call_budget():
     assert oracle_calls <= MERIT_COLUMN_ORACLE_CALLS, f"{oracle_calls} oracle calls"
     rows = _TOOL.count_calls(merit)["rows"]
     assert rows <= MERIT_COLUMN_ORACLE_ROWS, f"{rows} oracle rows"
-
-
-def test_undeclared_merit_column_call_budget():
-    # the same rows with the declaration dropped: 8 ascent starts per row
-    merit = _TOOL.merit_column_undeclared()
-    calls, oracle_calls, rows = (_TOOL.count_calls(merit)[k] for k in ("package", "oracle", "rows"))
-    assert calls <= MERIT_COLUMN_UNDECLARED_CALLS, f"{calls} package calls"
-    assert oracle_calls <= MERIT_COLUMN_UNDECLARED_ORACLE_CALLS, f"{oracle_calls} oracle calls"
-    assert rows <= MERIT_COLUMN_UNDECLARED_ORACLE_ROWS, f"{rows} oracle rows"
 
 
 def test_diagnose_seed_call_budget():

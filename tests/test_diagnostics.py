@@ -10,7 +10,6 @@ for bit against one-point-at-a-time references kept in this file, and the
 accelerated merit against plain projected gradient within tolerance.
 """
 
-import hashlib
 import math
 from dataclasses import astuple, replace
 
@@ -277,9 +276,9 @@ def test_lyapunov_collapse_identity():
     assert lv.value == pytest.approx(1.0, abs=1e-7)
 
 
-def test_lyapunov_multistart_heuristic_2d():
-    # 1-D x, 2-D y: the dual maximization is multi-start ascent (flagged),
-    # but on this concave quadratic it still matches the closed form
+def test_lyapunov_uncertified_2d_matches_the_closed_form():
+    # 1-D x, 2-D y: the dual maximization is one ascent from y (flagged
+    # heuristic), and on this concave quadratic it matches the closed form
     a, r = 2.0, 1.0
     bvec = np.array([1.0, 0.5])
     C = np.diag([1.0, 2.0])
@@ -400,29 +399,19 @@ def _ref_ascent(p, r, y0, z):
     return _f_r(p, r, x, y, z)
 
 
-def _undeclared(p):
-    """`p` with no declared property beyond its oracle, sets and constants,
-    so that its merit's p_r comes from the seeded multi-start ascent."""
-    return ProblemInstance(oracle=p.oracle, set_x=p.set_x, set_y=p.set_y,
-                           constants=p.constants)
-
-
-def _ref_starts(p, y):
-    """The ascent starts of the uncertified merit: y alone where `p`
-    declares `concave_y`, else y and its seeded perturbations, each
-    projected onto set_y."""
-    if p.concave_y:
-        return [y]
+def _seeded_starts(p, y):
+    """y and 7 seeded perturbations of it, the same `default_rng(0)` draws
+    for every y, scaled by the diameter of set_y and projected onto it."""
     rng = np.random.default_rng(0)
-    span = p.constants.D_Y or 1.0
+    span = p.set_y.diameter or 1.0
     return [y] + [p.set_y.project(y + span * rng.normal(size=p.set_y.dim))
-                  for _ in range(diagnostics._P_R_STARTS - 1)]
+                  for _ in range(7)]
 
 
 def _ref_lyapunov(p, r, x, y, z, d_r=_ref_d_r, ascent=_ref_ascent):
-    """(value, f_r, d_r, p_r) of the uncertified merit, one start at a time."""
+    """(value, f_r, d_r, p_r) of the uncertified merit, one solve at a time."""
     f_r, (d_here, _) = _f_r(p, r, x, y, z), d_r(p, r, y, z)
-    p_r = max(d_here, *(ascent(p, r, start, z) for start in _ref_starts(p, y)))
+    p_r = max(d_here, ascent(p, r, y, z))
     return (f_r - d_here) + (p_r - d_here) + p_r, f_r, d_here, p_r
 
 
@@ -454,32 +443,21 @@ def _dual_set_problem(kind):
 
 @pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
 def test_lockstep_ascent_rows_equal_one_start_at_a_time(kind):
-    # the 8 starts of the undeclared problem, projected onto the dual set as
-    # the merit passes them; with no cold solve given, each start's first
-    # inner solve is a solve from z
+    # y and 7 seeded starts, projected onto the dual set; with no cold solve
+    # given, each start's first inner solve is a solve from z
     p, x, y, z = _dual_set_problem(kind)
-    starts = _ref_starts(_undeclared(p), y)
+    starts = _seeded_starts(p, y)
     got = diagnostics._ascend_d_r(p, 4.0, np.array(starts), z)
     assert got == [_ref_ascent(p, 4.0, s, z) for s in starts]
 
 
 @pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
 def test_lockstep_lyapunov_equals_sequential_reference(kind):
-    # the reference solves every start's first point on its own, where the
-    # merit takes that start's row of its cold solve; the dual is declared
-    # concave, so y is the one start
+    # the reference solves the start's first point on its own, where the
+    # merit takes that start's row of its cold solve; y is the one start
     p, x, y, z = _dual_set_problem(kind)
     lv = lyapunov(p, 4.0, x, y, z)
     assert not lv.certified
-    assert (lv.value, lv.f_r, lv.d_r, lv.p_r) == _ref_lyapunov(p, 4.0, x, y, z)
-
-
-@pytest.mark.parametrize("kind", ["box", "ball", "simplex"])
-def test_lockstep_multistart_lyapunov_equals_sequential_reference(kind):
-    # the same problem undeclared: y and 7 seeded starts
-    p, x, y, z = _dual_set_problem(kind)
-    p = _undeclared(p)
-    lv = lyapunov(p, 4.0, x, y, z)
     assert (lv.value, lv.f_r, lv.d_r, lv.p_r) == _ref_lyapunov(p, 4.0, x, y, z)
 
 
@@ -553,21 +531,6 @@ def _merit_trace_rows(kind):
     return p, config.r, *(np.array([getattr(row, v) for row in rows]) for v in "xyz")
 
 
-# value, f_r, d_r and p_r of the multi-start merit at the four "box" rows
-# of `_merit_trace_rows`, from one `_lyapunov_rows` call
-MULTISTART_MERIT_DIGEST = \
-    "53de2638b03ad7473ce0b1b46a59ee3995453910dbfce8c68b909b67a011852b"
-
-
-def test_multistart_merit_rows_digest():
-    p, r, X, Y, Z = _merit_trace_rows("box")
-    h = hashlib.sha256()
-    for lv in diagnostics._lyapunov_rows(_undeclared(p), r, X, Y, Z):
-        assert not lv.certified
-        h.update(np.array([lv.value, lv.f_r, lv.d_r, lv.p_r]).tobytes())
-    assert h.hexdigest() == MULTISTART_MERIT_DIGEST
-
-
 @pytest.mark.parametrize("kind, block", [("box", None), ("certified", None),
                                          ("certified", 4), ("composite", None)])
 def test_merit_rows_equal_one_row_lyapunov_calls(kind, block, monkeypatch):
@@ -582,20 +545,7 @@ def test_merit_rows_equal_one_row_lyapunov_calls(kind, block, monkeypatch):
 
 
 def test_merit_rows_share_one_solve_and_one_ascent(monkeypatch):
-    # the undeclared dual: 8 ascent starts per row
-    _assert_one_solve_and_one_ascent(False, monkeypatch)
-
-
-def test_declared_concave_merit_rows_ascend_from_y_alone(monkeypatch):
-    _assert_one_solve_and_one_ascent(True, monkeypatch)
-
-
-def _assert_one_solve_and_one_ascent(declared, monkeypatch):
     p, r, X, Y, Z = _merit_trace_rows("box")
-    assert p.concave_y
-    p = p if declared else _undeclared(p)
-    k = 1 if declared else diagnostics._P_R_STARTS
-    starts = np.array([s for y in Y for s in _ref_starts(p, y)])
     calls = []
 
     def record(name, fn):
@@ -609,48 +559,54 @@ def _assert_one_solve_and_one_ascent(declared, monkeypatch):
     for name in ("_solve_rows", "_ascend_d_r"):
         monkeypatch.setattr(diagnostics, name, record(name, getattr(diagnostics, name)))
     diagnostics._lyapunov_rows(p, r, X, Y, Z)
-    # one cold solve from z at the k ascent starts of each of the 4 rows (y
-    # alone on the declared concave dual, else y and 7 seeded perturbations
-    # projected onto the box), then one ascent from them, which makes the
-    # other inner solves
+    # one cold solve from z at the 4 rows' y, then one ascent from them,
+    # which makes the other inner solves
     assert [name for name, _, _ in calls[:2]] == ["_solve_rows", "_ascend_d_r"]
     assert [name for name, _, _ in calls].count("_ascend_d_r") == 1
     (_, _, Ys, Zs, X0, solve_labels), cold = calls[0][1], calls[0][2]
     (_, _, Ya, Za, ascent_labels, first) = calls[1][1]
-    assert Ys.tobytes() == starts.tobytes() and Ys[::k].tobytes() == Y.tobytes()
-    assert Zs.tolist() == X0.tolist() == Z.repeat(k, axis=0).tolist()
+    assert Ys.tobytes() == Y.tobytes()
+    assert Zs.tolist() == X0.tolist() == Z.tolist()
     # each solve and ascent row carries the label of the merit row it serves
-    assert solve_labels.tolist() == np.arange(4).repeat(k).tolist()
+    assert solve_labels.tolist() == [0, 1, 2, 3]
     # the ascent starts at the solve's rows and takes that solve as the
     # first inner solve of each start, so no later solve of merit row j is
-    # at one of its starts
+    # at its y
     assert Ya.tobytes() == Ys.tobytes() and Za.tobytes() == Zs.tobytes()
     assert ascent_labels.tolist() == solve_labels.tolist()
     assert [V.tobytes() for V in first] == [V.tobytes() for V in cold]
-    assert not any(w.tobytes() == s.tobytes() for name, a, _ in calls[2:]
-                   if name == "_solve_rows" for w, j in zip(a[2], a[5])
-                   for s in starts[j * k:(j + 1) * k])
+    assert not any(w.tobytes() == Y[j].tobytes() for name, a, _ in calls[2:]
+                   if name == "_solve_rows" for w, j in zip(a[2], a[5]))
 
 
-def test_one_start_loses_nothing_on_the_benchmarks_concave_dual():
-    # the six merit rows of the benchmark's diagnostics command (seeds 22
-    # and 23, trace rows 0, 200 and 399): d_r(., z) is concave there, so y
-    # alone reaches the p_r of 8 seeded starts
-    cfg = _load_config({
-        "problem": {"kind": "quadratic_saddle", "dim_x": 4, "dim_y": 3, "n_samples": 16,
-                    "seed": 11},
-        "tuner": {"epsilon": 1e-3, "overrides": {"alpha_y": 4.0, "beta": 0.016, "K": 50,
-                                                  "T": 8, "M": 16}},
-        "solver": {"trace_stride": 1}})
-    p, config, _ = _tune(cfg, _build_problem(cfg))
-    X, Y, Z = (np.concatenate([getattr(t, v)[[0, 200, 399]]
-                               for t in run(p, config, seeds=[22, 23])]) for v in "xyz")
-    one = diagnostics._lyapunov_rows(p, config.r, X, Y, Z)
-    eight = diagnostics._lyapunov_rows(_undeclared(p), config.r, X, Y, Z)
-    for a, b in zip(one, eight):
-        assert (a.f_r, a.d_r) == (b.f_r, b.d_r) and a.p_r >= a.d_r
-        assert a.p_r == pytest.approx(b.p_r, rel=1e-12, abs=0.0)
-        assert a.value == pytest.approx(b.value, rel=1e-12, abs=0.0)
+def _merit_rows(kind):
+    """The problem, r and merit rows (X, Y, Z) of `_merit_trace_rows` for
+    "box" and "composite", or the one point of `_dual_set_problem` for
+    "ball" and "simplex" at r = 4."""
+    if kind in ("box", "composite"):
+        return _merit_trace_rows(kind)
+    p, x, y, z = _dual_set_problem(kind)
+    return p, 4.0, x[None], y[None], z[None]
+
+
+@pytest.mark.parametrize("kind", ["box", "composite", "ball", "simplex"])
+def test_one_start_loses_nothing_against_eight_seeded_starts(kind):
+    # the uncertified merit ascends from y alone, since under the dual's KL
+    # property every stationary point of d_r(., z) is a global maximum; a
+    # reference that also ascends from 7 seeded perturbations of each y,
+    # the 8 starts of every row in one ascent, finds no larger p_r
+    p, r, X, Y, Z = _merit_rows(kind)
+    got = diagnostics._lyapunov_rows(p, r, X, Y, Z)
+    f_r = diagnostics._f_r(p, r, X, Y, Z)
+    d_r = diagnostics._f_r(p, r, diagnostics._solve_rows(p, r, Y, Z, Z)[0], Y, Z)
+    starts = np.array([s for y in Y for s in _seeded_starts(p, y)])
+    ascents = np.reshape(diagnostics._ascend_d_r(p, r, starts, Z.repeat(8, axis=0)), (-1, 8))
+    for lv, f, d, asc in zip(got, f_r, d_r, ascents):
+        p_r = max(d, *asc)
+        assert not lv.certified and lv.p_r >= lv.d_r
+        assert (lv.f_r, lv.d_r) == (f, d)
+        assert lv.p_r == pytest.approx(p_r, rel=1e-12, abs=0.0)
+        assert lv.value == pytest.approx((f - d) + (p_r - d) + p_r, rel=1e-12, abs=0.0)
 
 
 def test_merit_rows_name_an_infeasible_row():

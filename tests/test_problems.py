@@ -489,10 +489,12 @@ def test_spec_from_csv_missing_group(tmp_path, save_dataset_csv):
 
 
 # ----------------------------------------------------------------------------
-# declared properties
+# concave duals
 #
-# A built-in that declares `concave_y` must have F(x, .) concave on its
-# dual set for every x in its primal set.  The check samples midpoint
+# A built-in whose docstring states that F(x, .) is concave (the quadratic
+# saddle, whose dual constants theta = 1/2 and mu = sqrt(2 min eig C) rest
+# on it, and phi-divergence DRO) must be concave on its dual set for every
+# x in its primal set.  The check samples midpoint
 # concavity, F(x, (y1 + y2)/2) >= (F(x, y1) + F(x, y2))/2 - 1e-12 (1 + |F|),
 # over uniform points of a box and Dirichlet points of a simplex.
 
@@ -522,7 +524,7 @@ def _phi_div_small(n):
     return make_phi_div_dro(PhiDivDroSpec(features=X, targets=X[:, 0] + 0.1 * rng.normal(size=n)))
 
 
-_CONCAVE_Y_BUILTINS = {
+_CONCAVE_DUAL_BUILTINS = {
     "quadratic 1x1": lambda: make_quadratic_saddle(1, 1, seed=0),
     "quadratic 4x3": lambda: make_quadratic_saddle(4, 3, n_samples=16, seed=11),
     "quadratic 2x5 weakly convex": lambda: make_quadratic_saddle(
@@ -532,23 +534,16 @@ _CONCAVE_Y_BUILTINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_CONCAVE_Y_BUILTINS))
+@pytest.mark.parametrize("name", sorted(_CONCAVE_DUAL_BUILTINS))
 def test_declared_concave_duals_are_midpoint_concave(name):
-    p = _CONCAVE_Y_BUILTINS[name]()
-    assert p.concave_y
+    p = _CONCAVE_DUAL_BUILTINS[name]()
     assert _midpoint_concavity_violation(p) <= 0.0
 
 
 def test_midpoint_check_finds_the_kl_examples_convex_pieces():
     # g(y) = 2 e^{y+1} - 1 on [-2, -1] and its mirror on [1, 2] are convex,
-    # so the undeclared example fails the check the declarations pass
+    # so the example, whose dual is KL but not concave, fails the check that
+    # the concave duals pass
     p = make_kl_example()
-    assert not p.concave_y
     assert _midpoint_concavity_violation(p) > 0.0
 
-
-def test_composites_keep_the_default_declaration():
-    # `as_problem` carries no declaration through the smoothing, so a
-    # smoothed composite's merit keeps its seeded ascent starts
-    p = as_problem(make_group_dro(make_two_group_regression(n=20, seed=0)), lam=0.1)
-    assert not p.concave_y

@@ -1,6 +1,6 @@
 """Print the calls per solver step of three fixed schedules and of one of
 them run for 1, 2 and 10 seeds in one loop (and for 2 seeds recording
-every step), and the calls of eight diagnostics units.
+every step), and the calls of seven diagnostics units.
 
     PYTHONPATH=src python3 tools/calls_per_step.py
 
@@ -31,10 +31,8 @@ come from the first run of the benchmark's `cli_diagnostics` command: the
 exact residuals of the 64 trace rows that one exact-gradient call takes at
 N = 16, the merit function at one row, and the command's whole merit
 column of that seed, three rows of one lockstep solve and ascent.  A
-fourth is that column with the problem's `concave_y` declaration
-dropped, so that each row ascends from 8 starts.  A fifth is all the
-diagnostics of that seed, one `diagnose` call, and a sixth those of both
-of the command's seeds as the command makes them, one `diagnose` call
+fourth is all the diagnostics of that seed, one `diagnose` call, and a
+fifth those of both of the command's seeds as the command makes them, one `diagnose` call
 over the seed axis.  The other two are certified merit functions, whose
 p_r comes from a 513-point grid: of the 1-D example, and of the 1-D
 saddle of the acceptance suite's criterion 12.
@@ -42,7 +40,6 @@ The counts depend on the numpy and Python versions, except the package
 count.
 """
 
-import dataclasses
 import math
 import os
 import sys
@@ -127,31 +124,21 @@ def residual_window():
 
 def merit_row():
     """The merit evaluation at row 200 of `cli_diagnostics`, whose p_r
-    comes from one ascent (the quadratic saddle declares `concave_y`), as a
-    call of no arguments."""
+    comes from one ascent from the row's y, as a call of no arguments."""
     p, cfg, trace = cli_diagnostics()
     row = trace.rows[200]
     return lambda: lyapunov(p, cfg.r, row.x, row.y, row.z)
 
 
-def merit_column(concave_y=True):
+def merit_column():
     """The merit column of `cli_diagnostics` at its first seed: trace rows
     0, 200 and 399 (every `lyapunov_stride`-th row and the last), the rows
     of one `_lyapunov_rows` call as the command makes it, as a call of no
-    arguments.  With `concave_y` False the problem's declaration is
-    dropped, so each row's p_r comes from y and 7 seeded starts."""
+    arguments."""
     p, cfg, trace = cli_diagnostics()
-    if not concave_y:
-        p = dataclasses.replace(p, concave_y=False)
     rows = [trace.rows[i] for i in (0, 200, 399)]
     X, Y, Z = (np.array([getattr(row, v) for row in rows]) for v in "xyz")
     return lambda: _lyapunov_rows(p, cfg.r, X, Y, Z)
-
-
-def merit_column_undeclared():
-    """`merit_column` with the problem's `concave_y` declaration dropped:
-    24 ascent starts, 8 per row, as a call of no arguments."""
-    return merit_column(concave_y=False)
 
 
 def diagnose_seed():
@@ -246,7 +233,6 @@ def main() -> int:
           "   (calls per unit; oracle: batch_grads calls and their rows)")
     for name, build in (("residual_window", residual_window), ("merit_row", merit_row),
                         ("merit_column", merit_column),
-                        ("merit_column_undeclared", merit_column_undeclared),
                         ("diagnose_seed", diagnose_seed),
                         ("diagnose_two_seeds", diagnose_two_seeds),
                         ("certified_merit", certified_merit),
